@@ -1,10 +1,12 @@
 """Aggregator interface and the auxiliary-store hook.
 
 State life-cycle: the state store materializes an aggregator from bytes
-(or fresh), applies ``add``/``evict`` for the events entering/leaving
-the window, reads ``result()``, and serializes back. Aggregators are
-therefore cheap value objects; all persistence policy lives in
-:mod:`repro.state`.
+(or fresh) the first time its key is touched and keeps it resident,
+applying ``add``/``evict`` for the events entering/leaving the window
+and reading ``result()`` per event; ``state_to_bytes`` runs only when
+the store writes it back (checkpoint, eviction, row export). The
+round-trip must be lossless — a reloaded aggregator continues
+bit-identically. All persistence policy lives in :mod:`repro.state`.
 """
 
 from __future__ import annotations

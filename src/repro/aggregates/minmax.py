@@ -5,11 +5,15 @@ order with monotone values: for ``max`` the values strictly decrease, so
 the front is always the window maximum. In-order adds and evictions are
 O(1) amortized; out-of-order adds (late events behind the window head)
 take a linear fix-up on the small candidate deque, preserving exactness.
+
+The deque is a plain ``list``: the state store keeps one aggregator per
+group key resident, an empty ``collections.deque`` is 760 bytes against
+a list's 56, and the candidate run is short (logarithmic in the window
+for unordered values), so popping its front is a few-pointer move.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any
 
 from repro.aggregates.base import Aggregator
@@ -21,7 +25,7 @@ class _ExtremeAggregator(Aggregator):
     """Shared implementation; ``_keep_left(a, b)`` decides dominance."""
 
     def __init__(self) -> None:
-        self._deque: deque[tuple[int, str, float]] = deque()
+        self._deque: list[tuple[int, str, float]] = []
 
     @staticmethod
     def _dominates(keeper: float, candidate: float) -> bool:
@@ -42,7 +46,7 @@ class _ExtremeAggregator(Aggregator):
         # Late arrival: place the entry at its timestamp position, drop
         # earlier entries it dominates, skip insertion when a later
         # entry dominates it.
-        entries = list(self._deque)
+        entries = self._deque
         position = len(entries)
         while position > 0 and entries[position - 1][0] > event.timestamp:
             position -= 1
@@ -52,7 +56,6 @@ class _ExtremeAggregator(Aggregator):
             entries.pop(position - 1)
             position -= 1
         entries.insert(position, entry)
-        self._deque = deque(entries)
 
     def update_batch(self, enters, exits) -> None:
         for value, event in exits:
@@ -71,14 +74,13 @@ class _ExtremeAggregator(Aggregator):
                 candidates.append((event.timestamp, event.event_id, value))
             else:
                 self.add(value, event)
-                candidates = self._deque  # add() rebuilds the deque when late
 
     def evict(self, value: Any, event: Event) -> None:
         if value is None or not self._deque:
             return
         front = self._deque[0]
         if front[0] == event.timestamp and front[1] == event.event_id:
-            self._deque.popleft()
+            del self._deque[0]
             return
         # The evicted event is usually not a candidate (it was dominated
         # at insertion time). If it is — possible with out-of-order

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 
-from repro.bench.report import check_expectations, format_table
+from repro.bench.report import check_expectations, drop_column, format_table
 from repro.lsm.db import LsmConfig, LsmDb
 
 
@@ -93,7 +93,10 @@ def run(fast: bool = True) -> dict:
     }
 
 
-def render(result: dict) -> str:
+def render(result: dict, rates: bool = True) -> str:
+    """The report; ``rates=False`` leaves out the wall-clock ``ops/s``
+    column, so the tracked file holds only counts that repeat exactly."""
+    headers = ["memtable", "ops/s", "flushes", "compactions", "bloom skips"]
     rows = [
         [
             f"{size // 1024}KB",
@@ -104,12 +107,12 @@ def render(result: dict) -> str:
         ]
         for size, m in result["by_memtable"].items()
     ]
+    if not rates:
+        headers, rows = drop_column(headers, rows, 1)
     cp = result["checkpoint"]
     lines = [
         "Ablation (§4.1.3) — LSM state store",
-        format_table(
-            ["memtable", "ops/s", "flushes", "compactions", "bloom skips"], rows
-        ),
+        format_table(headers, rows),
         "",
         f"checkpoint cost: initial={cp['first_cost']}B, "
         f"incremental={cp['second_cost']}B of {cp['total_bytes']}B total",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 
-from repro.bench.report import check_expectations, format_table
+from repro.bench.report import check_expectations, drop_column, format_table
 from repro.events.event import Event
 from repro.events.schema import FieldType, Schema, SchemaField, SchemaRegistry
 from repro.reservoir.reservoir import EventReservoir, ReservoirConfig
@@ -124,7 +124,11 @@ def run(fast: bool = True) -> dict:
     }
 
 
-def render(result: dict) -> str:
+def render(result: dict, rates: bool = True) -> str:
+    """The report; ``rates=False`` leaves out the wall-clock ``ev/s``
+    columns, so the tracked file holds only counts that repeat exactly."""
+    chunk_headers = ["chunk events", "ev/s", "io appends", "disk bytes"]
+    codec_headers = ["codec", "ev/s", "disk bytes"]
     chunk_rows = [
         [size, f"{m['events_per_sec']:,.0f}", int(m["io_appends"]), int(m["disk_bytes"])]
         for size, m in result["by_chunk"].items()
@@ -137,13 +141,16 @@ def render(result: dict) -> str:
         ["on" if enabled else "off", int(m["demand_misses"]), int(m["prefetch_loads"])]
         for enabled, m in result["prefetch"].items()
     ]
+    if not rates:
+        chunk_headers, chunk_rows = drop_column(chunk_headers, chunk_rows, 1)
+        codec_headers, codec_rows = drop_column(codec_headers, codec_rows, 1)
     lines = [
         "Ablation (§4.1.1) — reservoir chunk size / codec / prefetch",
         "chunk size sweep:",
-        format_table(["chunk events", "ev/s", "io appends", "disk bytes"], chunk_rows),
+        format_table(chunk_headers, chunk_rows),
         "",
         "codec sweep (chunk=256):",
-        format_table(["codec", "ev/s", "disk bytes"], codec_rows),
+        format_table(codec_headers, codec_rows),
         "",
         "prefetch (cache=4 chunks, busy tail):",
         format_table(["prefetch", "demand misses", "prefetch loads"], prefetch_rows),

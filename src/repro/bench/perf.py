@@ -1,8 +1,10 @@
 """Micro-benchmark harness for the ingestion hot path.
 
 Times the per-event vs batched variants of the reservoir append loop,
-the aggregate inner loops, the task-processor ingestion path and the
-frontend fan-out, plus the end-to-end engine ingest in single-process,
+the aggregate inner loops, the state store (``state_apply_resident`` vs
+``state_apply_evicting``, ``state_checkpoint_writeback``), the
+task-processor ingestion path and the frontend fan-out, plus the
+end-to-end engine ingest in single-process,
 process-parallel (``engine_ingest_process_{1,4}w``) and
 sharded-frontend (``engine_ingest_process_{1,2,4}f``: N frontend
 processes over 2 workers) and durable (``engine_ingest_process_durable``:
@@ -67,10 +69,12 @@ from repro.engine.cluster import RailgunCluster
 from repro.engine.task import TaskProcessor
 from repro.events.event import Event
 from repro.events.schema import FieldType, Schema, SchemaField, SchemaRegistry
+from repro.lsm.db import Checkpoint
 from repro.messaging.log import TopicPartition
 from repro.reservoir.reservoir import EventReservoir, ReservoirConfig
 from repro.shard.parallel import ParallelCluster
 from repro.shard.router import ClusterRouter
+from repro.state.store import MetricStateStore, encode_group_key
 
 #: the bench pair the CI speedup gate compares (reservoir append path)
 SPEEDUP_PAIR = ("reservoir_append_batch", "reservoir_append_per_event")
@@ -131,13 +135,21 @@ def _percentiles_us(samples_us: Sequence[float]) -> tuple[float, float]:
 def _measure_slices(
     slices: Sequence[Sequence[Event]],
     run_slice: Callable[[Sequence[Event]], None],
+    prepare: Callable[[Sequence[Event]], None] | None = None,
 ) -> dict[str, float]:
-    """Time ``run_slice`` per slice; report throughput + per-event tails."""
+    """Time ``run_slice`` per slice; report throughput + per-event tails.
+
+    ``prepare`` runs before each slice, off the clock.
+    """
     samples_us: list[float] = []
     total_events = 0
     clock = time.perf_counter
     started = clock()
     for chunk in slices:
+        if prepare is not None:
+            prepare_start = clock()
+            prepare(chunk)
+            started += clock() - prepare_start
         slice_start = clock()
         run_slice(chunk)
         elapsed = clock() - slice_start
@@ -232,6 +244,63 @@ def bench_aggregate_update_batch(events: list[Event], batch_size: int) -> dict[s
             aggregator.update_batch(pairs, ())
 
     return _measure_slices(_slices(events, batch_size), run_slice)
+
+
+# -- state store (resident set, eviction, checkpoint write-back) --------------
+
+#: group keys the state benches fold into, visited round-robin
+_STATE_KEYS = [encode_group_key((f"c{i}",)) for i in range(4096)]
+
+
+def _fold_sums(store: MetricStateStore, chunk: Sequence[Event]) -> None:
+    """One ``sum`` fold per event through ``MetricStateStore.apply``."""
+    apply, keys = store.apply, _STATE_KEYS
+    for event in chunk:
+        apply(
+            0, 0, "sum", keys[event.timestamp % len(keys)],
+            [(event.get("amount"), event)], (),
+        )
+
+
+def _bench_state_apply(
+    events: list[Event], batch_size: int, resident_cap: int | None
+) -> dict[str, float]:
+    store = MetricStateStore(resident_cap=resident_cap)
+    return _measure_slices(
+        _slices(events, batch_size), lambda chunk: _fold_sums(store, chunk)
+    )
+
+
+def bench_state_apply_resident(events: list[Event], batch_size: int) -> dict[str, float]:
+    """Every key fits the resident set: a dict hit and a fold per apply."""
+    return _bench_state_apply(events, batch_size, None)
+
+
+def bench_state_apply_evicting(events: list[Event], batch_size: int) -> dict[str, float]:
+    """A cap below the key count under round-robin access: every apply
+    misses, evicts a dirty entry (encode + LSM put) and loads one back
+    (LSM get + decode) — what each apply cost before the resident set."""
+    return _bench_state_apply(events, batch_size, len(_STATE_KEYS) // 4)
+
+
+def bench_state_checkpoint_writeback(
+    events: list[Event], batch_size: int
+) -> dict[str, float]:
+    """``checkpoint()`` alone, per dirty entry: each slice first dirties
+    one entry per event off the clock, then times the sorted bulk
+    write-back plus the LSM snapshot (``events_per_sec`` = entries/s)."""
+    store = MetricStateStore()
+    pinned: list[Checkpoint] = []
+
+    def run_slice(chunk: Sequence[Event]) -> None:
+        pinned.append(store.checkpoint())
+        if len(pinned) > 1:
+            store.db.release_checkpoint(pinned.pop(0))
+
+    return _measure_slices(
+        _slices(events, batch_size), run_slice,
+        prepare=lambda chunk: _fold_sums(store, chunk),
+    )
 
 
 # -- task-processor ingestion (reservoir + plan + state) ----------------------
@@ -722,6 +791,9 @@ BENCHES: dict[str, Callable[[list[Event], int], dict[str, float]]] = {
     "reservoir_append_ties_batch": bench_reservoir_append_ties_batch,
     "aggregate_update_per_event": bench_aggregate_update_per_event,
     "aggregate_update_batch": bench_aggregate_update_batch,
+    "state_apply_resident": bench_state_apply_resident,
+    "state_apply_evicting": bench_state_apply_evicting,
+    "state_checkpoint_writeback": bench_state_checkpoint_writeback,
     "task_ingest_per_event": bench_task_ingest_per_event,
     "task_ingest_batch": bench_task_ingest_batch,
     "frontend_send_per_event": bench_frontend_send_per_event,

@@ -40,6 +40,17 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
     return "\n".join(lines)
 
 
+def drop_column(
+    headers: Sequence[str], rows: Sequence[Sequence[object]], index: int
+) -> tuple[list[str], list[list[object]]]:
+    """A table without one column (e.g. a wall-clock rate that must not
+    reach a tracked report)."""
+    return (
+        [*headers[:index], *headers[index + 1:]],
+        [[*row[:index], *row[index + 1:]] for row in rows],
+    )
+
+
 def format_percentile_table(
     series: Mapping[str, Mapping[float, float]],
     grid: Sequence[float],

@@ -1,9 +1,11 @@
-"""Stable hashing for partitioning and bloom filters.
+"""Stable hashing for partition routing.
 
 Python's builtin ``hash()`` is randomized per process, which would make
 partition assignment non-reproducible across runs. We use FNV-1a, the
 same family of cheap multiplicative hashes used by Kafka's murmur2
-partitioner — stable, fast, and good enough dispersion for routing keys.
+partitioner — stable, fast enough for one short routing key per event,
+and good enough dispersion. (The LSM's bloom filters hash every key of
+every table and use a C-level digest instead: :mod:`repro.lsm.bloom`.)
 """
 
 from __future__ import annotations

@@ -92,6 +92,8 @@ class TaskProcessor:
         self.next_offset = 0
         self.messages_processed = 0
         self.replays_skipped = 0
+        #: The LSM snapshot the latest :meth:`checkpoint` pinned.
+        self._pinned_state: Checkpoint | None = None
         #: Optional telemetry registry hook (a shard worker attaches its
         #: own when measurement is on): times reservoir batch appends
         #: without the engine depending on the telemetry package.
@@ -319,6 +321,10 @@ class TaskProcessor:
         referenced by the metadata but their contents are neither read
         nor copied, so a delta checkpoint costs O(new state), not
         O(total state). Mutable (unsealed) files always ship.
+
+        The returned checkpoint carries its file contents, so the LSM
+        pin of the checkpoint it supersedes is released here: table
+        files compacted away since then are deleted, not kept forever.
         """
         exclude = exclude_files or set()
         reservoir_meta = self.reservoir.checkpoint_metadata()
@@ -332,6 +338,9 @@ class TaskProcessor:
         }
         state_cp = self.state.checkpoint()
         state_files = self.state.export_checkpoint(state_cp, exclude=exclude)
+        if self._pinned_state is not None:
+            self.state.db.release_checkpoint(self._pinned_state)
+        self._pinned_state = state_cp
         return TaskCheckpoint(
             tp=self.tp,
             offset=self.next_offset,
@@ -369,6 +378,7 @@ class TaskProcessor:
         processor.next_offset = checkpoint.offset
         processor.messages_processed = 0
         processor.replays_skipped = 0
+        processor._pinned_state = None
         processor.telemetry = None
 
         merged: dict[str, bytes] = dict(local_files or {})

@@ -6,6 +6,8 @@ slice of RocksDB the paper uses (§4.1.3):
 - point ``get``/``put``/``delete`` per column family;
 - ``prefix_scan`` (the ``countDistinct`` aggregator keeps per-value
   counts in an auxiliary column family and scans them by prefix);
+- ``ingest_sorted``: a sorted run written straight to an L0 table (how
+  the state store writes its resident set back at a checkpoint);
 - cheap **checkpoints**: flush memtables, snapshot the manifest — all
   table files are immutable, so a checkpoint is just a list of names;
 - **delta transfer**: given a previous checkpoint, only the files the
@@ -21,7 +23,7 @@ populated level.
 
 from __future__ import annotations
 
-import heapq
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.common import serde
@@ -189,6 +191,28 @@ class LsmDb:
         self.stats.deletes += 1
         self._maybe_flush(family)
 
+    def ingest_sorted(
+        self, entries: Iterable[tuple[bytes, bytes]], cf: str = "default"
+    ) -> None:
+        """Bulk-write a strictly increasing run of ``(key, value)`` pairs.
+
+        Equivalent to a :meth:`put` per pair followed by :meth:`flush`,
+        in one sorted pass: the run is merged with its column family's
+        memtable (the run is newer) straight into one L0 table — no WAL
+        record and no skip-list insert per key. The other memtables are
+        flushed with it, so the WAL, which never saw the run, is reset
+        rather than left to shadow it on replay. An empty run is a no-op.
+        """
+        family = self._cf(cf)
+        run = list(entries)
+        if not run:
+            return
+        self.stats.puts += len(run)
+        for other in self._cfs.values():
+            if other is not family:
+                self._flush_family(other, finish=False)
+        self._flush_family(family, newer=run)
+
     # -- reads ----------------------------------------------------------------
 
     def get(self, key: bytes, cf: str = "default") -> bytes | None:
@@ -234,11 +258,8 @@ class LsmDb:
         """
         family = self._cf(cf)
         sources: list = [family.memtable.scan(start, end)]
-        for level_no, level in enumerate(family.levels):
-            if level_no == 0:
-                sources.extend(table.entries(start, end) for table in level)
-            else:
-                sources.extend(table.entries(start, end) for table in level)
+        for level in family.levels:
+            sources.extend(table.entries(start, end) for table in level)
         yield from _merge_entries(sources, drop_tombstones=True)
 
     def prefix_scan(self, prefix: bytes, cf: str = "default"):
@@ -253,22 +274,41 @@ class LsmDb:
             self._flush_family(family)
 
     def flush(self) -> None:
-        """Flush every memtable to L0 and reset the WAL."""
-        for family in self._cfs.values():
-            if len(family.memtable):
-                self._flush_family(family, reset_wal=False)
-        if self._wal is not None:
-            self._wal.reset()
-        self._write_manifest()
+        """Flush every memtable to L0 and reset the WAL (nothing to do
+        when every memtable is empty: the WAL is too, and the manifest
+        is current)."""
+        flushed = [
+            self._flush_family(family, finish=False)
+            for family in self._cfs.values()
+        ]
+        if any(flushed):
+            self._finish_flush()
 
-    def _flush_family(self, family: _ColumnFamily, reset_wal: bool = True) -> None:
-        if not len(family.memtable):
-            return
+    def _flush_family(
+        self,
+        family: _ColumnFamily,
+        finish: bool = True,
+        newer: list[tuple[bytes, bytes]] | None = None,
+    ) -> bool:
+        """Write the memtable — under ``newer``, a sorted run that wins
+        on equal keys — as one L0 table; False when there was nothing to
+        write. A caller flushing several families passes
+        ``finish=False`` and calls :meth:`_finish_flush` once itself."""
+        if not newer:
+            if not len(family.memtable):
+                return False
+            entries = family.memtable.items()
+        elif len(family.memtable):
+            entries = _merge_entries(
+                [newer, family.memtable.items()], drop_tombstones=False
+            )
+        else:
+            entries = newer
         name = self._new_file_name(family, level=0)
         table = SSTable.write(
             self.storage,
             name,
-            family.memtable.items(),
+            entries,
             index_interval=self.config.index_interval,
             bloom_fp_rate=self.config.bloom_fp_rate,
         )
@@ -277,12 +317,18 @@ class LsmDb:
         self.stats.flushes += 1
         if len(family.levels[0]) >= self.config.l0_compaction_threshold:
             self._compact(family, 0)
-        if reset_wal and self._wal is not None and self._all_memtables_empty():
+        if finish:
+            self._finish_flush()
+        return True
+
+    def _finish_flush(self) -> None:
+        """Reset the WAL once no memtable holds a record of it; publish
+        the new table layout."""
+        if self._wal is not None and all(
+            not len(family.memtable) for family in self._cfs.values()
+        ):
             self._wal.reset()
         self._write_manifest()
-
-    def _all_memtables_empty(self) -> bool:
-        return all(not len(f.memtable) for f in self._cfs.values())
 
     def _level_bytes(self, level: list[SSTable]) -> int:
         return sum(table.file_size() for table in level)
@@ -311,8 +357,11 @@ class LsmDb:
             index_interval=self.config.index_interval,
             bloom_fp_rate=self.config.bloom_fp_rate,
         )
+        pinned = self._checkpointed_files()
         for stale in upper + lower:
-            self._delete_table_if_unreferenced(stale)
+            # Checkpoints may still reference the file; keep it if so.
+            if stale.name not in pinned and self.storage.exists(stale.name):
+                self.storage.delete(stale.name)
         family.levels[level_no] = []
         family.levels[level_no + 1] = [new_table] if new_table.count else []
         self.stats.compactions += 1
@@ -323,17 +372,10 @@ class LsmDb:
         if self._level_bytes(family.levels[level_no + 1]) > budget:
             self._compact(family, level_no + 1)
 
-    def _delete_table_if_unreferenced(self, table: SSTable) -> None:
-        # Checkpoints may still reference the file; keep it if so.
-        if table.name in self._checkpointed_files:
-            return
-        if self.storage.exists(table.name):
-            self.storage.delete(table.name)
-
     # -- checkpoints ------------------------------------------------------------
 
-    @property
     def _checkpointed_files(self) -> set[str]:
+        """Every file a live checkpoint pins (one union per caller)."""
         files: set[str] = set()
         for checkpoint in self._live_checkpoints:
             files |= checkpoint.all_files()
@@ -359,7 +401,7 @@ class LsmDb:
         self._live_checkpoints = [
             cp for cp in self._live_checkpoints if cp.sequence != checkpoint.sequence
         ]
-        live: set[str] = self._checkpointed_files
+        live: set[str] = self._checkpointed_files()
         for family in self._cfs.values():
             for level in family.levels:
                 live |= {t.name for t in level}
@@ -496,37 +538,19 @@ def _prefix_end(prefix: bytes) -> bytes | None:
     return None
 
 
-def _merge_entries(sources: list, drop_tombstones: bool) -> "list[tuple[bytes, object]]":
-    """K-way merge of sorted entry iterators, newest source first.
+def _merge_entries(sources: list, drop_tombstones: bool) -> list[tuple[bytes, object]]:
+    """Merge sorted entry runs into one, in key order.
 
-    For duplicate keys, only the entry from the *earliest* source wins
-    (sources must be ordered newest-first). Returns a generator.
+    Sources must be ordered newest-first: for duplicate keys only the
+    entry from the *earliest* source survives. The merge is a dict
+    overlay (oldest first, newer overwrite) and one sort — C-level work
+    per entry; every caller consumes the whole range anyway.
     """
-
-    def generator():
-        heap: list[tuple[bytes, int, object]] = []
-        iters = [iter(src) for src in sources]
-        for priority, it in enumerate(iters):
-            try:
-                key, value = next(it)
-                heapq.heappush(heap, (key, priority, value))
-            except StopIteration:
-                pass
-        last_key: bytes | None = None
-        while heap:
-            key, priority, value = heapq.heappop(heap)
-            try:
-                nkey, nvalue = next(iters[priority])
-                heapq.heappush(heap, (nkey, priority, nvalue))
-            except StopIteration:
-                pass
-            if key == last_key:
-                continue
-            last_key = key
-            if value is TOMBSTONE:
-                if not drop_tombstones:
-                    yield key, TOMBSTONE
-                continue
-            yield key, value
-
-    return generator()
+    newest: dict[bytes, object] = {}
+    for source in reversed(sources):
+        newest.update(source)
+    return [
+        (key, newest[key])
+        for key in sorted(newest)
+        if not (drop_tombstones and newest[key] is TOMBSTONE)
+    ]

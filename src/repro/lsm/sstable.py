@@ -72,28 +72,27 @@ class SSTable:
         data = bytearray()
         index: list[tuple[bytes, int]] = []
         bloom = BloomFilter.for_capacity(len(materialized), bloom_fp_rate)
+        add_to_bloom = bloom.add
+        write_bytes = serde.write_bytes
         prev_key: bytes | None = None
-        min_key = b""
-        max_key = b""
         for position, (key, value) in enumerate(materialized):
             if prev_key is not None and key <= prev_key:
                 raise StorageError(
                     f"sstable entries out of order: {key!r} after {prev_key!r}"
                 )
             prev_key = key
-            if position == 0:
-                min_key = key
-            max_key = key
             if position % index_interval == 0:
                 index.append((key, len(data)))
-            bloom.add(key)
+            add_to_bloom(key)
             if value is TOMBSTONE:
                 data.append(_KIND_DELETE)
-                serde.write_bytes(data, key)
+                write_bytes(data, key)
             else:
                 data.append(_KIND_PUT)
-                serde.write_bytes(data, key)
-                serde.write_bytes(data, value)  # type: ignore[arg-type]
+                write_bytes(data, key)
+                write_bytes(data, value)  # type: ignore[arg-type]
+        min_key = materialized[0][0] if materialized else b""
+        max_key = prev_key if prev_key is not None else b""
 
         index_blob = bytearray()
         serde.write_varint(index_blob, len(index))

@@ -194,6 +194,7 @@ class TaskPlan:
             if node.metric_id != metric_id
         ]
         self._prune_empty_nodes()
+        self.state.forget_metric(metric_id)
 
     def _prune_empty_nodes(self) -> None:
         for spec, window in list(self._windows.items()):
@@ -284,6 +285,9 @@ class TaskPlan:
                 batches[key] = entry.iterator.advance_upto(limit)
 
         # 2..4. Window -> Filter -> GroupBy -> Aggregator, sharing prefixes.
+        # The same group key recurs across windows and in the reply:
+        # encode each distinct one once per event.
+        key_bytes: dict[tuple, bytes] = {}
         updated: dict[tuple[int, int, bytes], Any] = {}
         for spec, window in self._windows.items():
             enters = batches.get(spec.head_share_key(), [])
@@ -298,11 +302,11 @@ class TaskPlan:
                     continue
                 for group_node in filter_node.group_bys.values():
                     self._apply_group(
-                        group_node, f_enters, f_exits, updated
+                        group_node, f_enters, f_exits, updated, key_bytes
                     )
 
         # 5. Assemble the reply for this event's own keys.
-        return self._build_reply(event, updated)
+        return self._build_reply(event, updated, key_bytes)
 
     def process_event_readonly(self, event: Event) -> dict[int, dict[str, Any]]:
         """Reply for an event without advancing time or mutating state.
@@ -312,7 +316,7 @@ class TaskPlan:
         window does not move (§4.1.1 — duplicates are never processed
         twice).
         """
-        return self._build_reply(event, {})
+        return self._build_reply(event, {}, {})
 
     def _apply_group(
         self,
@@ -320,6 +324,7 @@ class TaskPlan:
         enters: list[Event],
         exits: list[Event],
         updated: dict[tuple[int, int, bytes], Any],
+        key_bytes: dict[tuple, bytes],
     ) -> None:
         per_key: dict[tuple, tuple[list[Event], list[Event]]] = {}
         for event in enters:
@@ -327,17 +332,19 @@ class TaskPlan:
         for event in exits:
             per_key.setdefault(group_node.key_of(event), ([], []))[1].append(event)
         for key, (key_enters, key_exits) in per_key.items():
-            key_bytes = encode_group_key(key)
+            encoded = key_bytes.get(key)
+            if encoded is None:
+                encoded = key_bytes[key] = encode_group_key(key)
             for node in group_node.aggregators:
                 result = self.state.apply(
                     node.metric_id,
                     node.agg_index,
                     node.spec.name,
-                    key_bytes,
+                    encoded,
                     [(self._value_of(node, e), e) for e in key_enters],
                     [(self._value_of(node, e), e) for e in key_exits],
                 )
-                updated[(node.metric_id, node.agg_index, key_bytes)] = result
+                updated[(node.metric_id, node.agg_index, encoded)] = result
 
     @staticmethod
     def _value_of(node: AggregatorNode, event: Event) -> Any:
@@ -349,18 +356,22 @@ class TaskPlan:
         self,
         event: Event,
         updated: dict[tuple[int, int, bytes], Any],
+        key_bytes: dict[tuple, bytes],
     ) -> dict[int, dict[str, Any]]:
         replies: dict[int, dict[str, Any]] = {}
         for handle in self._metrics.values():
-            key_bytes = encode_group_key(handle.group_by.key_of(event))
+            key = handle.group_by.key_of(event)
+            encoded = key_bytes.get(key)
+            if encoded is None:
+                encoded = key_bytes[key] = encode_group_key(key)
             values: dict[str, Any] = {}
             for node in handle.aggregators:
-                cache_key = (node.metric_id, node.agg_index, key_bytes)
+                cache_key = (node.metric_id, node.agg_index, encoded)
                 if cache_key in updated:
                     values[node.display_name] = updated[cache_key]
                 else:
                     values[node.display_name] = self.state.peek(
-                        node.metric_id, node.agg_index, node.spec.name, key_bytes
+                        node.metric_id, node.agg_index, node.spec.name, encoded
                     )
             replies[handle.metric_id] = values
         return replies

@@ -23,11 +23,12 @@ class AggregatorNode:
     metric_id: int
     agg_index: int
     spec: AggSpec
+    #: Column name in replies, e.g. ``sum(amount)`` — formatted once
+    #: here: replies are retained, a string per reply would be too.
+    display_name: str = field(init=False)
 
-    @property
-    def display_name(self) -> str:
-        """Column name in replies, e.g. ``sum(amount)``."""
-        return self.spec.metric_name()
+    def __post_init__(self) -> None:
+        self.display_name = self.spec.metric_name()
 
 
 @dataclass

@@ -42,7 +42,7 @@ from repro.engine.catalog import (
     MetricDef,
 )
 from repro.engine.processor import UnitConfig
-from repro.engine.task import BackfillState, TaskCheckpoint, TaskProcessor
+from repro.engine.task import BackfillState, TaskProcessor
 from repro.messaging.log import TopicPartition
 from repro.shard import columnar, wire
 from repro.shard.shm import ShmError, ShmRing
@@ -83,9 +83,6 @@ class ShardWorker:
         self.catalog = Catalog()
         self.assigned: set[TopicPartition] = set()
         self.task_processors: dict[TopicPartition, TaskProcessor] = {}
-        #: last checkpoint taken per task, so the next one can release
-        #: the LSM files the previous snapshot pinned.
-        self._last_checkpoints: dict[TopicPartition, TaskCheckpoint] = {}
         #: splices waiting for their task to reach the cut offset,
         #: keyed ``tp -> metric_id``; applied mid-batch when a cut
         #: lands inside a run.
@@ -149,7 +146,6 @@ class ShardWorker:
             for tp in list(self.task_processors):
                 if tp not in self.assigned:
                     del self.task_processors[tp]
-                    self._last_checkpoints.pop(tp, None)
             for tp in list(self._pending_splices):
                 if tp not in self.assigned:
                     del self._pending_splices[tp]
@@ -309,6 +305,10 @@ class ShardWorker:
                 # the splice resolves as stale once the task passes it.
                 answers += processor.process_batch(remaining)
                 break
+        # A cut at exactly the end of this run splices now: it may be
+        # the partition's last run for a while, and an install stashed
+        # while the run sat in the ring would otherwise never ack.
+        self._apply_ready_splices(batch.tp, processor)
         self.messages_processed += len(batch.records)
         if measured:
             process_ms = (telemetry.now() - started) * 1000.0
@@ -361,9 +361,7 @@ class ShardWorker:
         per task; their contents are never read or copied (sealed
         reservoir segments and LSM tables never change, so the name is
         enough for the receiver to reuse its copy) — a steady-state
-        snapshot costs O(new state). The previous LSM checkpoint of
-        each task is released so a long-running worker does not pin
-        every historical table file.
+        snapshot costs O(new state).
         """
         known = known_files or {}
         frames: list[wire.TaskCheckpointFrame] = []
@@ -373,10 +371,6 @@ class ShardWorker:
             checkpoint = processor.checkpoint(
                 exclude_files=set(known.get(tp, ()))
             )
-            previous = self._last_checkpoints.get(tp)
-            if previous is not None:
-                processor.state.db.release_checkpoint(previous.state_checkpoint)
-            self._last_checkpoints[tp] = checkpoint
             frames.append(wire.TaskCheckpointFrame(checkpoint))
         return frames
 

@@ -10,12 +10,27 @@ Key layout (column family ``aggstate``)::
 
 "Each key represents a particular metric entity in a plan, and the
 amount of keys accessed per event match the number of DAG's leaves"
-(§4.1.3) — the store counts accesses so tests and the latency model can
-assert exactly that.
+(§4.1.3) — the store counts those logical accesses (``key_reads`` /
+``key_writes``) so tests and the latency model can assert exactly that.
+
+The paper's RocksDB puts a native memtable and block cache under every
+access; this pure-Python LSM cannot, so the store keeps the *decoded*
+aggregators of its working set **resident** and the LSM off the
+per-event path. ``apply``/``peek`` are a dict hit, a fold and
+``result()``; a miss loads the row from the LSM. Mutated entries are
+serialised only at a **barrier** — before anything reads LSM rows
+(:meth:`MetricStateStore.checkpoint`, ``export_metric_rows``,
+``metric_values``), as one sorted bulk write — or one at a time when
+the bounded set evicts them, so LSM contents stay a function of the
+arrival sequence. State newer than the last checkpoint therefore lives
+only in this process, which is what it always did (the LSM's own WAL
+sits in process memory too): recovery everywhere is checkpoint +
+log-tail replay.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Any, Sequence
 
 from repro.aggregates.base import Aggregator, AuxStore
@@ -26,6 +41,11 @@ from repro.lsm.db import Checkpoint, LsmConfig, LsmDb
 
 _CF_STATE = "aggstate"
 _CF_DISTINCT = "distinct"
+
+#: Resident aggregators per store. The per-event gain holds while a
+#: task's (aggregations x live group keys) working set fits; past it the
+#: oldest-loaded entry is evicted (written back when dirty) per load.
+RESIDENT_CAP = 32_768
 
 
 def encode_group_key(values: Sequence[Any]) -> bytes:
@@ -81,14 +101,25 @@ class LsmAuxStore(AuxStore):
 
 
 class MetricStateStore:
-    """Load-modify-store façade over aggregator states."""
+    """Aggregator states: a bounded resident working set over the LSM."""
 
-    def __init__(self, db: LsmDb | None = None, config: LsmConfig | None = None) -> None:
+    def __init__(
+        self,
+        db: LsmDb | None = None,
+        config: LsmConfig | None = None,
+        resident_cap: int | None = None,
+    ) -> None:
         self.db = db if db is not None else LsmDb(config=config)
         self.db.create_column_family(_CF_STATE)
         self.db.create_column_family(_CF_DISTINCT)
         self.key_reads = 0
         self.key_writes = 0
+        self._resident_cap = RESIDENT_CAP if resident_cap is None else resident_cap
+        #: (metric_id, agg_index, group_key) -> decoded aggregator, in
+        #: load order (the eviction order).
+        self._resident: OrderedDict[tuple[int, int, bytes], Aggregator] = OrderedDict()
+        #: resident entries mutated since they were last written back
+        self._dirty: set[tuple[int, int, bytes]] = set()
 
     # -- key plumbing ------------------------------------------------------------
 
@@ -101,28 +132,42 @@ class MetricStateStore:
         buf.extend(group_key)
         return bytes(buf)
 
-    # -- aggregator life-cycle -----------------------------------------------------
+    # -- the resident set ----------------------------------------------------------
 
-    def load(self, metric_id: int, agg_index: int, agg_name: str, group_key: bytes) -> Aggregator:
-        """Materialize the aggregator for a key (fresh when absent)."""
-        aggregator = create_aggregator(agg_name)
-        if aggregator.needs_aux:
-            prefix = self.state_key(metric_id, agg_index, group_key)
-            aggregator.bind_aux(LsmAuxStore(self.db, prefix))
-        raw = self.db.get(self.state_key(metric_id, agg_index, group_key), cf=_CF_STATE)
-        self.key_reads += 1
-        if raw is not None:
-            aggregator.state_from_bytes(raw)
+    def _aggregator(
+        self, entry: tuple[int, int, bytes], agg_name: str
+    ) -> Aggregator:
+        """The resident aggregator of ``entry``, loaded on a miss."""
+        aggregator = self._resident.get(entry)
+        if aggregator is None:
+            aggregator = create_aggregator(agg_name)
+            key = self.state_key(*entry)
+            if aggregator.needs_aux:
+                aggregator.bind_aux(LsmAuxStore(self.db, key))
+            raw = self.db.get(key, cf=_CF_STATE)
+            if raw is not None:
+                aggregator.state_from_bytes(raw)
+            self._resident[entry] = aggregator
+            if len(self._resident) > self._resident_cap:
+                victim, evicted = self._resident.popitem(last=False)
+                if victim in self._dirty:
+                    self._dirty.remove(victim)
+                    self.db.put(
+                        self.state_key(*victim), evicted.state_to_bytes(), cf=_CF_STATE
+                    )
         return aggregator
 
-    def save(self, metric_id: int, agg_index: int, group_key: bytes, aggregator: Aggregator) -> None:
-        """Persist aggregator state back."""
-        self.db.put(
-            self.state_key(metric_id, agg_index, group_key),
-            aggregator.state_to_bytes(),
-            cf=_CF_STATE,
+    def _write_back(self) -> None:
+        """Barrier: serialise every dirty entry into the LSM, sorted."""
+        if not self._dirty:
+            return
+        resident = self._resident
+        rows = sorted(
+            (self.state_key(*entry), resident[entry].state_to_bytes())
+            for entry in self._dirty
         )
-        self.key_writes += 1
+        self.db.ingest_sorted(rows, cf=_CF_STATE)
+        self._dirty.clear()
 
     def apply(
         self,
@@ -133,15 +178,19 @@ class MetricStateStore:
         enters: Sequence[tuple[Any, Event]],
         exits: Sequence[tuple[Any, Event]],
     ) -> Any:
-        """Load, fold in enters/exits, persist, return the new result."""
-        aggregator = self.load(metric_id, agg_index, agg_name, group_key)
+        """Fold enters/exits into the entry's state, return the new result."""
+        entry = (metric_id, agg_index, group_key)
+        aggregator = self._aggregator(entry, agg_name)
+        self._dirty.add(entry)
         aggregator.update_batch(enters, exits)
-        self.save(metric_id, agg_index, group_key, aggregator)
+        self.key_reads += 1
+        self.key_writes += 1
         return aggregator.result()
 
     def peek(self, metric_id: int, agg_index: int, agg_name: str, group_key: bytes) -> Any:
         """Read the current result without mutating state."""
-        return self.load(metric_id, agg_index, agg_name, group_key).result()
+        self.key_reads += 1
+        return self._aggregator((metric_id, agg_index, group_key), agg_name).result()
 
     # -- metric-scoped rows (backfill splice, as-of reads) ---------------------------
 
@@ -158,10 +207,18 @@ class MetricStateStore:
         """Every live ``(key, value)`` row of one metric: aggregator
         states and countDistinct counters. The rows are the transferable
         form of a backfilled metric's state."""
+        self._write_back()
         prefix = self.metric_prefix(metric_id)
         state_rows = list(self.db.prefix_scan(prefix, cf=_CF_STATE))
         distinct_rows = list(self.db.prefix_scan(prefix, cf=_CF_DISTINCT))
         return state_rows, distinct_rows
+
+    def forget_metric(self, metric_id: int) -> None:
+        """Drop one metric's resident entries without writing them back
+        (the metric is going away, or its rows are being replaced)."""
+        for entry in [e for e in self._resident if e[0] == metric_id]:
+            del self._resident[entry]
+            self._dirty.discard(entry)
 
     def import_metric_rows(
         self,
@@ -170,6 +227,7 @@ class MetricStateStore:
         distinct_rows: Sequence[tuple[bytes, bytes]],
     ) -> None:
         """Replace one metric's rows wholesale with exported rows."""
+        self.forget_metric(metric_id)
         prefix = self.metric_prefix(metric_id)
         for cf in (_CF_STATE, _CF_DISTINCT):
             for key, _ in list(self.db.prefix_scan(prefix, cf=cf)):
@@ -185,28 +243,33 @@ class MetricStateStore:
         """Current results of one metric for every group key it holds.
 
         ``agg_specs`` is ``(agg_index, agg_name, display_name)`` per
-        aggregation, in reply-column order.
+        aggregation, in reply-column order. Decodes the written-back
+        rows directly, so reading every key leaves the resident set as
+        it was.
         """
-        prefix = self.metric_prefix(metric_id)
-        keys: set[bytes] = set()
-        for key, _ in self.db.prefix_scan(prefix, cf=_CF_STATE):
+        self._write_back()
+        states: dict[bytes, dict[int, bytes]] = {}
+        for key, raw in self.db.prefix_scan(self.metric_prefix(metric_id), cf=_CF_STATE):
             _, offset = serde.read_varint(key, 0)  # metric id
-            _, offset = serde.read_varint(key, offset)  # agg index
-            keys.add(bytes(key[offset:]))
+            agg_index, offset = serde.read_varint(key, offset)
+            states.setdefault(bytes(key[offset:]), {})[agg_index] = raw
         values: dict[tuple, dict[str, Any]] = {}
-        for group_key in sorted(keys):
+        for group_key in sorted(states):
             row: dict[str, Any] = {}
             for agg_index, agg_name, display_name in agg_specs:
-                row[display_name] = self.peek(
-                    metric_id, agg_index, agg_name, group_key
-                )
+                aggregator = create_aggregator(agg_name)
+                raw = states[group_key].get(agg_index)
+                if raw is not None:
+                    aggregator.state_from_bytes(raw)
+                row[display_name] = aggregator.result()
             values[decode_group_key(group_key)] = row
         return values
 
     # -- checkpoints -----------------------------------------------------------------
 
     def checkpoint(self) -> Checkpoint:
-        """Snapshot the underlying LSM (flush + manifest)."""
+        """Write back the resident set and snapshot the LSM manifest."""
+        self._write_back()
         return self.db.checkpoint()
 
     def export_checkpoint(self, checkpoint: Checkpoint, exclude: set[str] | None = None) -> dict[str, bytes]:
@@ -220,6 +283,7 @@ class MetricStateStore:
         files: dict[str, bytes],
         config: LsmConfig | None = None,
     ) -> "MetricStateStore":
-        """Materialize a store from a checkpoint + transferred files."""
+        """Materialize a store from a checkpoint + transferred files
+        (nothing resident: entries load back as they are touched)."""
         db = LsmDb.import_checkpoint(checkpoint, files, config=config)
         return cls(db=db)

@@ -28,6 +28,7 @@ from repro.reservoir.reservoir import (
     OutOfOrderPolicy,
     ReservoirConfig,
 )
+from repro.state import store as state_store
 
 FIELDS = [
     SchemaField("cardId", FieldType.STRING),
@@ -321,6 +322,29 @@ class TestTaskProcessorEquivalence:
         records.insert(500, records[490])
         records.insert(1200, records[1100])
         self.run_both(records, seed=8)
+
+    def test_messy_stream_under_resident_eviction(self, monkeypatch):
+        # 5 cards x 3 aggregations + 2 global ones compete for 8 resident
+        # slots, so nearly every event evicts (write-back, later reload):
+        # replies and state rows depend on neither the cap nor the path.
+        records = list(enumerate(messy_events(1500, seed=11)))
+        roomy = make_task_processor()
+        expected = [roomy.process(offset, event) for offset, event in records]
+        assert roomy.state.db.stats.puts == 0
+
+        monkeypatch.setattr(state_store, "RESIDENT_CAP", 8)
+        per_event, batched = make_task_processor(), make_task_processor()
+        assert [per_event.process(o, e) for o, e in records] == expected
+        replies = []
+        for start in range(0, len(records), 64):
+            replies.extend(batched.process_batch(records[start:start + 64]))
+        assert replies == expected
+        assert len(batched.state._resident) == 8
+        assert batched.state.db.stats.puts > len(records)  # evictions happened
+        for metric_id in (0, 1):
+            rows = roomy.state.export_metric_rows(metric_id)
+            assert per_event.state.export_metric_rows(metric_id) == rows
+            assert batched.state.export_metric_rows(metric_id) == rows
 
     def test_timestamp_ties_batch_in_runs(self):
         # Tie semantics: member k's reply window holds members 0..k and

@@ -375,3 +375,35 @@ class TestBackfillEndToEnd:
             timestamp=21_000,
         )
         assert reply.value(late, "sum(amount)") == reply.value(original, "sum(amount)")
+
+
+class TestCheckpointPins:
+    def test_lsm_files_stay_bounded_over_many_checkpoints(self):
+        # Each checkpoint pins its LSM tables; the next one releases
+        # that pin, or every table ever compacted away stays in storage.
+        from repro.engine import create_cluster
+
+        cluster = create_cluster(
+            "single", unit_config=UnitConfig(checkpoint_interval=20)
+        )
+        cluster.create_stream(
+            "payments", partitioners=["cardId"], partitions=1,
+            schema=[("cardId", "string"), ("amount", "float")],
+        )
+        cluster.create_metric(
+            "SELECT sum(amount), max(amount) FROM payments GROUP BY cardId "
+            "OVER sliding 5 minutes"
+        )
+        for i in range(50 * 20):
+            cluster.send("payments", {"cardId": f"c{i % 9}", "amount": float(i)},
+                         timestamp=(i + 1) * 1_000)
+        units = [unit for node in cluster.nodes.values() for unit in node.units]
+        assert sum(unit.stats.checkpoints_taken for unit in units) >= 50
+        (processor,) = [p for unit in units for p in unit.task_processors.values()]
+        db = processor.state.db
+        assert len(db._live_checkpoints) == 1
+        live_tables = sum(db.level_shape("aggstate")) + sum(db.level_shape("distinct"))
+        tables = [name for name in db.storage.list() if name.endswith(".sst")]
+        # at most the live tables plus those only the one pin still holds
+        assert len(tables) <= live_tables + len(db._live_checkpoints[0].all_files())
+        assert len(tables) <= 2 * db.config.l0_compaction_threshold + 2

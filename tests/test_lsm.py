@@ -34,6 +34,51 @@ class TestBloomFilter:
         assert restored.might_contain(b"alpha")
         assert restored.num_bits == bloom.num_bits
 
+    def test_serde_roundtrip_still_rules_keys_out(self):
+        bloom = BloomFilter.for_capacity(100)
+        bloom.add(b"alpha")
+        restored, _ = BloomFilter.from_bytes(bloom.to_bytes())
+        assert not all(
+            restored.might_contain(f"out-{i}".encode()) for i in range(50)
+        )
+
+    @staticmethod
+    def untagged_bytes(bloom):
+        """The pre-tag layout (FNV-era tables): no scheme header."""
+        from repro.common import serde
+
+        buf = bytearray()
+        serde.write_varint(buf, bloom.num_bits)
+        serde.write_varint(buf, bloom.num_hashes)
+        serde.write_bytes(buf, bytes(bloom._bits))
+        return bytes(buf)
+
+    def test_filter_from_another_hash_never_hides_a_key(self):
+        """Bits set by a different hash say nothing about ours: an
+        untagged or unknown-scheme filter must answer 'maybe' always."""
+        bloom = BloomFilter.for_capacity(100)  # no key added: all clear
+        tagged = bytearray(bloom.to_bytes())
+        tagged[1] = 99  # a scheme id this code does not know
+        for blob in (self.untagged_bytes(bloom), bytes(tagged)):
+            restored, end = BloomFilter.from_bytes(blob)
+            assert end == len(blob)
+            assert restored.num_bits == bloom.num_bits
+            assert restored.might_contain(b"alpha")
+
+    def test_table_with_untagged_bloom_still_serves_reads(self, monkeypatch):
+        """A checkpointed SSTable written before the hash change reopens
+        with its keys readable (the bloom no longer skips, never lies)."""
+        storage = MemoryStorage()
+        entries = [(f"k{i:03d}".encode(), b"v%d" % i) for i in range(40)]
+        with monkeypatch.context() as patch:
+            # Old writer: untagged filter whose bits our hash never set.
+            patch.setattr(BloomFilter, "add", lambda self, key: None)
+            patch.setattr(BloomFilter, "to_bytes", self.untagged_bytes)
+            SSTable.write(storage, "old.sst", entries)
+        table = SSTable.open(storage, "old.sst")
+        assert [table.get(key) for key, _ in entries] == [v for _, v in entries]
+        assert table.get(b"k0005") is None
+
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             BloomFilter(0, 1)
@@ -284,6 +329,42 @@ class TestLsmDb:
         recovered = LsmDb(storage=storage)
         assert recovered.get(b"a") is None
         assert recovered.get(b"b") == b"2"
+
+    def test_ingest_sorted_equals_puts_then_flush(self):
+        run = [(f"k{i:03d}".encode(), f"new{i}".encode()) for i in range(0, 60, 2)]
+        dbs = [LsmDb(config=LsmConfig(l0_compaction_threshold=3)) for _ in range(2)]
+        for db in dbs:
+            db.create_column_family("aux")
+            for i in range(40):  # older versions: a flushed table and a memtable
+                db.put(f"k{i:03d}".encode(), f"old{i}".encode())
+                if i == 19:
+                    db.flush()
+            db.delete(b"k002")
+            db.put(b"side", b"effect", cf="aux")
+        bulk, one_by_one = dbs
+        bulk.ingest_sorted(run)
+        for key, value in run:
+            one_by_one.put(key, value)
+        one_by_one.flush()
+        assert list(bulk.scan()) == list(one_by_one.scan())
+        assert bulk.get(b"k002") == b"new2" and bulk.get(b"k001") == b"old1"
+        assert bulk.level_shape() == one_by_one.level_shape() == [2]
+        assert bulk.stats.flushes == one_by_one.stats.flushes
+        assert bulk.get(b"side", cf="aux") == b"effect"
+        assert bulk.level_shape("aux") == [1]  # every memtable went with it
+
+    def test_ingest_sorted_is_not_shadowed_by_wal_replay(self):
+        storage = MemoryStorage()
+        db = LsmDb(storage=storage)
+        db.put(b"a", b"stale")  # in the WAL and the memtable
+        db.ingest_sorted([(b"a", b"fresh"), (b"b", b"2")])
+        db.put(b"c", b"3")
+        recovered = LsmDb(storage=storage)  # "crash": replay the WAL
+        assert dict(recovered.scan()) == {b"a": b"fresh", b"b": b"2", b"c": b"3"}
+
+    def test_ingest_sorted_rejects_unsorted_runs(self):
+        with pytest.raises(StorageError):
+            LsmDb().ingest_sorted([(b"b", b"1"), (b"a", b"2")])
 
     def test_checkpoint_restore(self):
         db = LsmDb(config=LsmConfig(memtable_flush_bytes=100))

@@ -197,6 +197,36 @@ class TestShardWorker:
         worker.handle_work(wire.WorkBatch(tp, 0, list(enumerate(make_events(7)))))
         assert worker.checkpoint_offsets() == {tp: 7}
 
+    def test_install_at_end_of_inflight_run_splices_without_more_work(self):
+        """An install stashed while the partition's last run is still
+        queued (shm: install on the pipe, run in the ring) must splice
+        and ack when that run ends exactly at the cut — no later batch
+        may ever arrive to trigger it."""
+        worker, tp = self.worker_with_stream()
+        events = make_events(30)
+        late = MetricDef(
+            1, "SELECT max(amount) FROM tx GROUP BY cardId OVER sliding 5 minutes",
+            "tx", "tx.cardId", False,
+        )
+        shadow, _ = self.worker_with_stream()
+        shadow.handle_control(wire.CreateMetric(late))
+        shadow.handle_work(wire.WorkBatch(tp, 0, list(enumerate(events))))
+        state = shadow.task_processors[tp].export_backfill(late.metric_id)
+        worker.handle_work(wire.WorkBatch(tp, 0, list(enumerate(events))[:12]))
+        stale = worker.handle_backfill_install(
+            wire.BackfillInstall(
+                tp, 30, late, state.state_rows, state.distinct_rows,
+                state.iterator_positions,
+            )
+        )
+        assert stale is None and not worker.outbox
+        worker.handle_work(wire.WorkBatch(tp, 0, list(enumerate(events))[12:]))
+        assert worker.outbox == [wire.BackfillInstalled(tp, late.metric_id)]
+        processor = worker.task_processors[tp]
+        assert processor.metric_values(late.metric_id) == (
+            shadow.task_processors[tp].metric_values(late.metric_id)
+        )
+
     def test_restore_task_resumes_at_checkpoint_offset(self):
         worker, tp = self.worker_with_stream()
         events = make_events(80)

@@ -99,6 +99,36 @@ class TestCheckpointRestore:
             got = restored.process(i, _event(i))
             assert got == expected
 
+    def test_checkpoint_with_dirty_resident_state_restores_exactly(self):
+        # The checkpoint is taken while every touched aggregator is
+        # resident and dirty (nothing has reached the LSM yet): the
+        # write-back barrier must land all of it in the snapshot.
+        events = [
+            _event(i, ts=(i + 1) * 20_000, card=f"c{i % 7}", amount=float(i % 5))
+            for i in range(60)
+        ]
+        straight, interrupted = _processor(), _processor()
+        for i, event in enumerate(events[:40]):
+            assert straight.process(i, event) == interrupted.process(i, event)
+        assert interrupted.state._dirty and interrupted.state.db.stats.puts == 0
+        restored = TaskProcessor.restore(interrupted.checkpoint(), STREAM, [METRIC])
+        assert not restored.state._resident
+        for i, event in enumerate(events[40:], start=40):
+            assert straight.process(i, event) == restored.process(i, event)
+        assert restored.state.export_metric_rows(0) == straight.state.export_metric_rows(0)
+        assert restored.metric_values(0) == straight.metric_values(0)
+
+    def test_checkpoint_releases_the_pin_it_supersedes(self):
+        processor = _processor()
+        for i in range(40):
+            processor.process(i, _event(i, card=f"c{i % 3}"))
+            processor.checkpoint()
+        db = processor.state.db
+        assert len(db._live_checkpoints) == 1
+        live = {t.name for cf in db._cfs.values() for level in cf.levels for t in level}
+        tables = {name for name in db.storage.list() if name.endswith(".sst")}
+        assert tables == live | db._live_checkpoints[0].all_files()
+
     def test_restore_preserves_window_expiry(self):
         original = _processor()
         offset = 0
