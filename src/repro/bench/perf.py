@@ -3,8 +3,9 @@
 Times the per-event vs batched variants of the reservoir append loop,
 the aggregate inner loops, the state store (``state_apply_resident`` vs
 ``state_apply_evicting``, ``state_checkpoint_writeback``), the
-task-processor ingestion path and the frontend fan-out, plus the
-end-to-end engine ingest in single-process,
+task-processor ingestion path and the frontend fan-out, the worker-link
+batch codecs (``codec_{work_batch,batch_done}_{columnar,serde}``), plus
+the end-to-end engine ingest in single-process,
 process-parallel (``engine_ingest_process_{1,4}w``) and
 sharded-frontend (``engine_ingest_process_{1,2,4}f``: N frontend
 processes over 2 workers) and durable (``engine_ingest_process_durable``:
@@ -68,10 +69,12 @@ from repro.engine.catalog import MetricDef, StreamDef
 from repro.engine.cluster import RailgunCluster
 from repro.engine.task import TaskProcessor
 from repro.events.event import Event
+from repro.events.generators import FraudWorkload
 from repro.events.schema import FieldType, Schema, SchemaField, SchemaRegistry
 from repro.lsm.db import Checkpoint
 from repro.messaging.log import TopicPartition
 from repro.reservoir.reservoir import EventReservoir, ReservoirConfig
+from repro.shard import columnar, wire
 from repro.shard.parallel import ParallelCluster
 from repro.shard.router import ClusterRouter
 from repro.state.store import MetricStateStore, encode_group_key
@@ -381,6 +384,74 @@ def bench_frontend_send_batch(events: list[Event], batch_size: int) -> dict[str,
     return _measure_slices(_slices(events, batch_size), run_slice)
 
 
+# -- worker-link batch codecs (columnar vs the serde reference) ---------------
+
+#: events per codec batch: the dispatchers' default ``batch_max``
+_CODEC_BATCH = 256
+_CODEC_TP = TopicPartition("tx.cardId", 0)
+
+
+def _work_records(events: list[Event]) -> list[list]:
+    """``WorkBatch.records`` lists: 2-field events, then 32-field ones."""
+    half = len(events) // 2
+    wide = FraudWorkload(total_fields=32).take(len(events) - half)
+    return _slices(list(enumerate(events[:half] + wide)), _CODEC_BATCH)
+
+
+def _done_replies(events: list[Event]) -> list[list]:
+    """``BatchDone.replies`` lists: one two-column metric per reply, then
+    eight four-column metrics (32 values) per reply."""
+    columns = ("sum(amount)", "count(*)", "avg(amount)", "max(amount)")
+    half = len(events) // 2
+    replies = []
+    for offset, event in enumerate(events):
+        metrics, width = (1, 2) if offset < half else (8, 4)
+        values = {
+            # floats in the even columns, ints in the odd ones
+            column: offset if index & 1 else event["amount"] + index
+            for index, column in enumerate(columns[:width])
+        }
+        replies.append((offset, {metric_id: values for metric_id in range(metrics)}))
+    return _slices(replies, _CODEC_BATCH)
+
+
+def _bench_codec(codec, build, slices: list[list]) -> dict[str, float]:
+    """Encode + decode round trips of one message per slice."""
+
+    def run_slice(chunk: list) -> None:
+        codec.decode(codec.encode(build(chunk)))
+
+    return _measure_slices(slices, run_slice)
+
+
+def _work_batch(records: list) -> wire.WorkBatch:
+    return wire.WorkBatch(_CODEC_TP, 0, records)
+
+
+def _batch_done(replies: list) -> wire.BatchDone:
+    return wire.BatchDone(_CODEC_TP, replies[-1][0] + 1, len(replies), replies)
+
+
+def bench_codec_work_batch_columnar(events: list[Event], batch_size: int) -> dict[str, float]:
+    """What every worker link pays per shipped event (encode + decode)."""
+    return _bench_codec(columnar, _work_batch, _work_records(events))
+
+
+def bench_codec_work_batch_serde(events: list[Event], batch_size: int) -> dict[str, float]:
+    """The same batches through the per-field reference codec; the
+    ``columnar >= 2.5x serde`` floor gates the link codec's speed
+    directly, on any host."""
+    return _bench_codec(wire, _work_batch, _work_records(events))
+
+
+def bench_codec_batch_done_columnar(events: list[Event], batch_size: int) -> dict[str, float]:
+    return _bench_codec(columnar, _batch_done, _done_replies(events))
+
+
+def bench_codec_batch_done_serde(events: list[Event], batch_size: int) -> dict[str, float]:
+    return _bench_codec(wire, _batch_done, _done_replies(events))
+
+
 # -- end-to-end engine ingest (single-process vs process-parallel) ------------
 
 #: mirrored stream/metric used by every engine e2e bench
@@ -458,10 +529,10 @@ def bench_engine_ingest_process_shm_1w(events: list[Event], batch_size: int) -> 
 def bench_engine_ingest_process_shm_4w(events: list[Event], batch_size: int) -> dict[str, float]:
     """``engine_ingest_process_4w`` over shared-memory rings.
 
-    The tentpole comparison of the shm data plane: same topology, same
-    events, the pipe-serde hot path swapped for columnar frames in
-    SPSC rings (pipe reduced to doorbells). The CI floor requires
-    shm_4w >= 3x the socket 4w on >=4-core hosts.
+    Same topology, same events, same columnar frames as the socket
+    4w entry; only the transport differs (SPSC rings, pipe reduced to
+    doorbells). The CI floor requires shm_4w >= 0.7x the socket 4w on
+    >=4-core hosts: rings may not cost much more than they save.
     """
     return _bench_engine_ingest_process(events, batch_size, workers=4, transport="shm")
 
@@ -702,7 +773,7 @@ def bench_engine_ingest_process_durable(
 
     The comparison partner is ``engine_ingest_process_1w`` (same
     topology, in-memory bus); the baseline's ``_speedup_floors`` entry
-    requires the durable variant to stay within 1.5x of it.
+    requires the durable variant to stay within 2x of it.
     """
     import shutil
     import tempfile
@@ -798,6 +869,10 @@ BENCHES: dict[str, Callable[[list[Event], int], dict[str, float]]] = {
     "task_ingest_batch": bench_task_ingest_batch,
     "frontend_send_per_event": bench_frontend_send_per_event,
     "frontend_send_batch": bench_frontend_send_batch,
+    "codec_work_batch_columnar": bench_codec_work_batch_columnar,
+    "codec_work_batch_serde": bench_codec_work_batch_serde,
+    "codec_batch_done_columnar": bench_codec_batch_done_columnar,
+    "codec_batch_done_serde": bench_codec_batch_done_serde,
     "engine_ingest_single_process": bench_engine_ingest_single_process,
     "engine_ingest_process_1w": bench_engine_ingest_process_1w,
     "engine_ingest_process_4w": bench_engine_ingest_process_4w,

@@ -117,16 +117,18 @@ class FrontEnd:
     def send_batch(self, stream_name: str, events: Sequence[Event]) -> list[int]:
         """Publish a batch of events; returns their correlation ids.
 
-        One ops-consume, catalogue lookup, schema fetch and clock read
-        cover the whole batch; the per-event work shrinks to validation
-        plus the keyed fan-out publishes. Reply collection is unchanged —
+        One ops-consume, catalogue lookup, schema validation and clock
+        read cover the whole batch; the per-event work shrinks to the
+        keyed fan-out publishes. The batch is validated before the first
+        publish, so a schema-invalid event rejects it whole: nothing is
+        published, nothing left pending. Reply collection is unchanged —
         each event still gets its own correlation id and fan-in.
         """
         self._consume_ops()
         stream = self.catalog.streams.get(stream_name)
         if stream is None:
             raise EngineError(f"unknown stream {stream_name!r}")
-        schema = stream.schema()
+        stream.schema().validate_events(events)
         topics = stream.topics()
         fanout = len(topics)
         now = self.clock.now()
@@ -137,7 +139,6 @@ class FrontEnd:
         send = self.producer.send
         correlation_ids: list[int] = []
         for event in events:
-            schema.validate_event(event)
             correlation_id = self._next_correlation
             self._next_correlation += 1
             envelope = EventEnvelope(

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Iterable
+from itertools import chain
+from typing import Any, Iterable, Sequence
 
 from repro.common import serde
 from repro.common.errors import SchemaError, SerdeError
@@ -59,6 +60,22 @@ _TYPE_CHECKERS = {
     FieldType.STRING: _check_str,
 }
 
+#: exact value types a whole column may hold for :meth:`Schema.validate_events`
+#: to accept it without looking at single values (``bool`` is its own
+#: type here, so a bool in an int column is left to the per-event loop)
+_COLUMN_TYPES = {
+    FieldType.BOOL: frozenset({bool, type(None)}),
+    FieldType.INT: frozenset({int, type(None)}),
+    FieldType.FLOAT: frozenset({int, float, type(None)}),
+    FieldType.STRING: frozenset({str, type(None)}),
+}
+
+#: batches shorter than this go straight to the per-event loop: the
+#: column pass has a fixed cost (~4 µs on 2-field events, ~12 µs on
+#: 32-field ones) that the loop undercuts up to ~12 and ~5 events, and
+#: one-event slabs per partition are what small request batches become
+_COLUMN_PASS_MIN = 8
+
 
 @dataclass(frozen=True)
 class SchemaField:
@@ -82,6 +99,7 @@ class Schema:
             f.name: (f.field_type.value, _TYPE_CHECKERS[f.field_type])
             for f in self.fields
         }
+        self._column_types = {f.name: _COLUMN_TYPES[f.field_type] for f in self.fields}
 
     def __len__(self) -> int:
         return len(self.fields)
@@ -112,24 +130,38 @@ class Schema:
                     f"got {type(value).__name__}: {value!r}"
                 )
 
-    def validate_events(self, events: Iterable[Event]) -> None:
-        """Validate many events with the per-event dispatch hoisted.
+    def validate_events(self, events: Sequence[Event]) -> None:
+        """Validate a batch; raises at the first offending event, exactly
+        like calling :meth:`validate_event` in sequence.
 
-        Raises at the first offending event, exactly like calling
-        :meth:`validate_event` in sequence.
+        The batch is first decided by column: when every event has the
+        same ordered field names, all declared, and each column's set of
+        exact value types lies within its declared type ∪ ``NoneType``,
+        nothing can raise and the per-field pass is skipped. The column
+        pass only ever *accepts*: anything else (mixed shapes, an ``int``
+        subclass, a real violation, a batch too short to be worth
+        transposing) takes the per-event loop, which accepts or raises
+        as before.
         """
-        validators = self._validators
-        get = validators.get
+        if len(events) >= _COLUMN_PASS_MIN:
+            rows = [event._fields for event in events]
+            names = tuple(rows[0])
+            accepted = self._column_types
+            if all(name in accepted for name in names) and set(
+                map(tuple, rows)
+            ) == {names}:
+                # Row-major value types; column i is every width-th one.
+                # (Chained, so one row's values view is alive at a time:
+                # a view per row would trip the cyclic GC every batch.)
+                kinds = list(map(type, chain.from_iterable(map(dict.values, rows))))
+                width = len(names)
+                if all(
+                    set(kinds[i::width]) <= accepted[name]
+                    for i, name in enumerate(names)
+                ):
+                    return
         for event in events:
-            for name, value in event.items():
-                spec = get(name)
-                if spec is None:
-                    raise SchemaError(f"event carries undeclared field {name!r}")
-                if value is not None and not spec[1](value):
-                    raise SchemaError(
-                        f"field {name!r} expects {spec[0]}, "
-                        f"got {type(value).__name__}: {value!r}"
-                    )
+            self.validate_event(event)
 
     def encode_event(self, event: Event, buf: bytearray) -> None:
         """Append a positional binary encoding of ``event`` to ``buf``."""

@@ -1,15 +1,16 @@
-"""Columnar struct-packed batch encoding for the shm data plane.
+"""Columnar struct-packed batch encoding for every worker data link.
 
-The standard :mod:`repro.shard.wire` hot-path frames (``WorkBatch``,
-``BatchDone``) spend their time in per-event, per-field pure-Python
-serde: a varint call per offset, a tagged-value call per field, a dict
-walk per reply. Rings remove the syscalls; this module removes the
-per-event decode. Events are transposed into *columns* — one packed
-``struct`` array per field — so a 256-event batch costs a handful of
-C-level ``struct.pack``/``unpack`` calls instead of ~2000 Python ones,
-and the consumer materializes events in bulk (``zip`` of unpacked
-columns straight into ``Event`` slots) before handing the batch to
-``EventReservoir.append_batch`` / ``Aggregator.update_batch`` untouched.
+``WorkBatch`` and ``BatchDone`` cross the supervisor pipe, the
+frontend↔worker data sockets and the shm rings in this form. Their
+:mod:`repro.shard.wire` encoding (only the fallback below and the
+bench ladder's reference codec) spends its time in per-event, per-field
+pure-Python serde: a varint call per offset, a tagged-value call per
+field, a dict walk per reply. Events are transposed into *columns* —
+one packed ``struct`` array per field — so a 256-event batch costs a
+handful of C-level ``struct.pack``/``unpack`` calls instead of ~2000
+Python ones, and the consumer materializes events in bulk (``zip`` of
+unpacked columns straight into ``Event`` slots) before handing the batch
+to ``EventReservoir.append_batch`` / ``Aggregator.update_batch`` untouched.
 
 Frame layout (``WORK_BATCH_COLUMNAR``)::
 
@@ -28,8 +29,8 @@ A value column is ``u8 kind`` + packed payload: ``i64`` / ``f64`` /
 mixing types, ``None``, bools, bytes or out-of-range ints. Anything the
 columnar form cannot represent at all falls back to the standard wire
 frame for the *whole message* — :func:`decode` dispatches on the tag
-byte, so both forms coexist on one ring and correctness never depends
-on the fast path being taken.
+byte, so both forms (and every control frame) coexist on one link and
+correctness never depends on the fast path being taken.
 
 ``BATCH_DONE_COLUMNAR`` (tag 30) applies the same trick to replies:
 group rows by result shape ``((metric_id, columns...), ...)``, one
@@ -349,7 +350,7 @@ def _decode_batch_done(data) -> wire.BatchDone:
 
 
 def encode(msg: object) -> bytes:
-    """Frame a message for a ring: columnar hot path, wire for the rest."""
+    """Frame a message for a link: columnar hot path, wire for the rest."""
     if type(msg) is wire.WorkBatch:
         return _encode_work_batch(msg)
     if type(msg) is wire.BatchDone:
@@ -358,7 +359,7 @@ def encode(msg: object) -> bytes:
 
 
 def decode(payload: bytes) -> object:
-    """Decode a ring frame: dispatches on the tag byte, so columnar and
+    """Decode a link frame: dispatches on the tag byte, so columnar and
     standard wire frames coexist on one channel."""
     tag = payload[0]
     if tag == MSG_WORK_BATCH_COLUMNAR:

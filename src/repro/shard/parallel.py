@@ -96,9 +96,7 @@ def op_to_wire(op: object) -> object:
     if isinstance(op, CreateStreamOp):
         return wire.CreateStream(op.stream)
     if isinstance(op, CreateMetricOp):
-        # getattr: ops pickled into durable logs before the activation
-        # field existed unpickle without it.
-        return wire.CreateMetric(op.metric, getattr(op, "activations", ()))
+        return wire.CreateMetric(op.metric, op.activations)
     if isinstance(op, DeleteMetricOp):
         return wire.DeleteMetric(op.metric_id)
     if isinstance(op, EvolveSchemaOp):

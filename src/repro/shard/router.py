@@ -135,9 +135,6 @@ from repro.telemetry import (
 #: reply entries per ReplyBatch frame (keeps frames under pipe buffers).
 REPLY_CHUNK = 512
 
-#: Pre-encoded readiness ping for the shm transport; see shard.shm.
-DOORBELL = wire.encode(wire.ShmDoorbell())
-
 
 def _connect(
     addr: str, deadline_s: float = 0.25, time_source: TimeSource | None = None
@@ -442,7 +439,7 @@ class FrontendEngine:
         if conn is not None:
             try:
                 while conn.poll(0):
-                    frame = wire.decode(conn.recv_bytes())
+                    frame = columnar.decode(conn.recv_bytes())
                     if not isinstance(frame, wire.ShmDoorbell):
                         self.handle_batch_done(worker_id, frame)
             except (EOFError, OSError):
@@ -626,14 +623,14 @@ class FrontendEngine:
                     self._active_span or "",
                     (("sent_ms", telemetry.now() * 1000.0),),
                 )
-            work = wire.WorkBatch(tp, watermark, records, trace)
+            frame = columnar.encode(wire.WorkBatch(tp, watermark, records, trace))
             rings = self.rings.get(worker_id)
             try:
                 if rings is not None:
-                    rings[0].send(columnar.encode(work))
-                    conn.send_bytes(DOORBELL)
+                    rings[0].send(frame)
+                    conn.send_bytes(wire.DOORBELL)
                 else:
-                    conn.send_bytes(wire.encode(work))
+                    conn.send_bytes(frame)
             except (OSError, ShmError):
                 # Dead worker: the restart announcement re-seeks this
                 # task below the lost records, so the replay covers them.
@@ -932,9 +929,9 @@ def shard_frontend_main(
     before worker traffic, so control messages (assignment, worker
     restarts, drains) are applied before the work they govern. With
     ``transport="shm"`` each worker link upgrades to a shared-memory
-    ring pair (``ShmHello`` on the freshly dialed socket); batches and
-    replies then flow columnar-packed through the rings and the socket
-    carries only doorbells, with stale-heartbeat policing quarantining
+    ring pair (``ShmHello`` on the freshly dialed socket); the same
+    columnar frames then flow through the rings and the socket carries
+    only doorbells, with stale-heartbeat policing quarantining
     a silent worker like a dead socket. With ``durable_dir`` the engine
     hosts disk-backed logs: each loop iteration that ingested frames
     ends with a durable sync (log fsync, then the consistent cut),
@@ -984,7 +981,7 @@ def shard_frontend_main(
             ]:
                 try:
                     while True:
-                        msg = wire.decode(data_conn.recv_bytes())
+                        msg = columnar.decode(data_conn.recv_bytes())
                         # Doorbells only wake the loop; drain_rings
                         # below picks up the frames they announce.
                         if not isinstance(msg, wire.ShmDoorbell):
@@ -1784,7 +1781,8 @@ class ClusterRouter:
         stream_def = self.catalog.streams.get(stream)
         if stream_def is None:
             raise EngineError(f"unknown stream {stream!r}")
-        schema = stream_def.schema()
+        # Before the first pending entry: a bad batch is rejected whole.
+        stream_def.schema().validate_events(events)
         expected = len(stream_def.topics())
         now = self.clock.now()
         partitioner_meta = [
@@ -1800,7 +1798,6 @@ class ClusterRouter:
         pending = self.pending
         fe_owner = self._fe_owner
         for event in events:
-            schema.validate_event(event)
             correlation = self._next_correlation
             self._next_correlation += 1
             per_frontend: dict[str, list[tuple[str, int]]] = {}

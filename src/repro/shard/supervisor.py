@@ -6,8 +6,9 @@ duplex control pipes. It shards tasks over workers with the engine's
 modelled as its own single-processor node) and replays the full control
 log into any worker it restarts after a crash. In single-coordinator
 mode (:class:`~repro.shard.parallel.ParallelCluster`) it also carries
-the data plane: ``WorkBatch`` frames to the owning worker, ``BatchDone``
-replies and stats back. In sharded-frontend mode (``listen_dir`` set)
+the data plane: columnar ``WorkBatch`` frames to the owning worker,
+columnar ``BatchDone`` replies and stats back, over the pipe or the shm
+rings alike. In sharded-frontend mode (``listen_dir`` set)
 the data plane moves to per-frontend AF_UNIX sockets and the pipes
 carry control only; frontends' progress is credited back through
 :meth:`ShardSupervisor.note_processed` so per-worker stats and the
@@ -58,10 +59,6 @@ from repro.shard import columnar, shm, wire
 from repro.shard.shm import ShmError, ShmRing
 from repro.shard.worker import shard_worker_main
 from repro.telemetry import MetricsRegistry
-
-#: pre-encoded doorbell frame: wakes a peer's ``connection.wait`` after
-#: frames were published to its ring (see :mod:`repro.shard.shm`).
-DOORBELL = wire.encode(wire.ShmDoorbell())
 
 
 class CheckpointStore:
@@ -266,9 +263,9 @@ class ShardSupervisor:
         if transport not in ("socket", "shm"):
             raise EngineError(f"unknown shard transport: {transport!r}")
         #: ``"shm"`` moves WorkBatch/BatchDone payloads onto per-worker
-        #: shared-memory rings (columnar-encoded); the pipe then carries
-        #: control frames plus one-byte doorbells. ``"socket"`` keeps
-        #: everything on the pipe (the portable / cross-host path).
+        #: shared-memory rings; the pipe then carries control frames
+        #: plus one-byte doorbells. ``"socket"`` keeps everything on the
+        #: pipe (the portable / cross-host path). Same frames either way.
         self.transport = transport
         self._shm_prefix = f"rgshm-{uuid.uuid4().hex[:8]}"
         self._spawn_seq = 0
@@ -651,17 +648,17 @@ class ShardSupervisor:
                 self.active_span or "",
                 (("sent_ms", self.telemetry.now() * 1000.0),),
             )
-        batch = wire.WorkBatch(tp, reply_from, records, trace)
+        frame = columnar.encode(wire.WorkBatch(tp, reply_from, records, trace))
         try:
             if handle.work_ring is not None:
-                # Payload travels the ring (columnar-packed); the pipe
-                # carries only a doorbell so the worker's blocking wait
-                # wakes. Publish-then-ring ordering means a consumed
-                # doorbell always finds the frame already visible.
-                handle.work_ring.send(columnar.encode(batch))
-                handle.conn.send_bytes(DOORBELL)
+                # Payload travels the ring; the pipe carries only a
+                # doorbell so the worker's blocking wait wakes.
+                # Publish-then-ring ordering means a consumed doorbell
+                # always finds the frame already visible.
+                handle.work_ring.send(frame)
+                handle.conn.send_bytes(wire.DOORBELL)
             else:
-                handle.conn.send_bytes(wire.encode(batch))
+                handle.conn.send_bytes(frame)
         except (OSError, ShmError):
             return  # dead worker; _reap_dead restarts + replays
         handle.outstanding += 1
@@ -751,7 +748,7 @@ class ShardSupervisor:
             handle = by_conn[conn]
             try:
                 while True:
-                    msg = wire.decode(conn.recv_bytes())
+                    msg = columnar.decode(conn.recv_bytes())
                     # Doorbells only signal readiness; the payload is
                     # picked up from the reply ring below.
                     if not isinstance(msg, wire.ShmDoorbell):

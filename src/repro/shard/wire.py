@@ -10,11 +10,11 @@ the frames are self-describing, so a worker restarted from a clean
 process reconstructs state purely from the replayed control log plus the
 replayed partition tail.
 
-Hot-path framing amortizes string costs with per-message string tables:
-a :class:`WorkBatch` interns every distinct field name once and events
-reference names by index; a :class:`BatchDone` does the same for reply
-column names (``"sum(amount)"`` travels once per batch, not once per
-event).
+The two hot-path messages, :class:`WorkBatch` and :class:`BatchDone`,
+cross every worker link as :mod:`repro.shard.columnar` frames (tags
+29/30). Their encoders here (per-message string tables, then per-event,
+per-field serde) are only that codec's whole-message fallback and the
+reference the bench ladder prices it against.
 
 Routing framing shards the coordinator itself: the client-side
 ``ClusterRouter`` ships events to N frontend processes as
@@ -1618,3 +1618,8 @@ def _decode_batch_done(view: memoryview, offset: int) -> BatchDone:
         replies.append((reply_offset, results))
     trace, stats = _read_telemetry_tail(view, offset)
     return BatchDone(tp, next_offset, processed, replies, trace, stats)
+
+
+#: pre-encoded doorbell frame: wakes a peer's ``connection.wait`` after
+#: frames were published to its ring (see :mod:`repro.shard.shm`).
+DOORBELL = encode(ShmDoorbell())

@@ -6,9 +6,9 @@ consume→process loop (``WorkBatch`` in, ``BatchDone`` out) over its own
 :class:`~repro.engine.task.TaskProcessor` per owned partition. It holds
 no connection to the message bus — the coordinator side (the
 ``ParallelCluster`` dispatcher, or each sharded frontend process) polls
-the log on its behalf and ships contiguous offset runs across a pipe or
-data socket — so the whole data path of a worker is: decode batch,
-``process_batch``, encode replies.
+the log on its behalf and ships contiguous offset runs as columnar
+frames across a pipe, data socket or shm ring — so the whole data path
+of a worker is: decode batch, ``process_batch``, encode replies.
 
 Workers are born empty. Catalogue state (streams, metrics, schema
 evolutions) arrives as control messages; task state either accumulates
@@ -47,9 +47,6 @@ from repro.messaging.log import TopicPartition
 from repro.shard import columnar, wire
 from repro.shard.shm import ShmError, ShmRing
 from repro.telemetry import MetricsRegistry, encode_snapshot
-
-#: Pre-encoded readiness ping for the shm transport; see shard.shm.
-DOORBELL = wire.encode(wire.ShmDoorbell())
 
 #: Minimum seconds between snapshot ships on BatchDone frames.
 _STATS_SHIP_INTERVAL_S = 0.02
@@ -481,7 +478,7 @@ def _handle_one(
     Returns False when the worker should exit (graceful shutdown).
     """
     if isinstance(msg, wire.WorkBatch):
-        conn.send_bytes(wire.encode(worker.handle_work(msg)))
+        conn.send_bytes(columnar.encode(worker.handle_work(msg)))
     elif isinstance(msg, wire.CheckpointRequest):
         frames = (
             worker.build_checkpoints(msg.known_files_map())
@@ -556,7 +553,7 @@ def _drain_data_ring(
         replied = True
     if replied:
         try:
-            data_conn.send_bytes(DOORBELL)
+            data_conn.send_bytes(wire.DOORBELL)
         except OSError:
             return False
     return True
@@ -584,7 +581,7 @@ def shard_worker_main(
     a rebalanced task's checkpoint lands before its new traffic.
 
     With ``shm_names`` set (``transport="shm"``) the supervisor's work
-    batches instead arrive columnar-packed through a shared-memory ring
+    batches, the same frames, instead arrive through a shared-memory ring
     attached at ``shm_names[0]`` and replies return through the ring at
     ``shm_names[1]``; the pipe carries only control frames and
     doorbells. Frontend links upgrade the same way per connection via a
@@ -615,6 +612,13 @@ def shard_worker_main(
             rings.extend(pair)
         return rings
 
+    def drain_control() -> bool:
+        """Apply every readable control frame; False on shutdown."""
+        while conn.poll(0):
+            if not _handle_one(worker, conn, columnar.decode(conn.recv_bytes())):
+                return False
+        return True
+
     def drop_data_conn(data_conn: Connection, *, unlink: bool) -> None:
         data_conns.remove(data_conn)
         data_conn.close()
@@ -640,13 +644,9 @@ def shard_worker_main(
                 return
             for ring in all_rings():
                 ring.beat()
-            if conn in ready:
-                # Drain the control channel fully before touching data.
-                while True:
-                    if not _handle_one(worker, conn, wire.decode(conn.recv_bytes())):
-                        return
-                    if not conn.poll(0):
-                        break
+            # Drain the control channel fully before touching data.
+            if conn in ready and not drain_control():
+                return
             if sup_work is not None:
                 replied = False
                 while True:
@@ -657,16 +657,13 @@ def shard_worker_main(
                     # any control frame sent before it, so that control
                     # frame is already readable — apply it first
                     # (restore-before-work across the two channels).
-                    while conn.poll(0):
-                        if not _handle_one(
-                            worker, conn, wire.decode(conn.recv_bytes())
-                        ):
-                            return
+                    if not drain_control():
+                        return
                     batch = columnar.decode(payload)
                     sup_reply.send(columnar.encode(worker.handle_work(batch)))
                     replied = True
                 if replied:
-                    conn.send_bytes(DOORBELL)
+                    conn.send_bytes(wire.DOORBELL)
             if listener is not None and listener in ready:
                 accepted, _ = listener.accept()
                 data_conns.append(Connection(accepted.detach()))
@@ -684,36 +681,39 @@ def shard_worker_main(
                         # this worker is the last process holding them.
                         drop_data_conn(data_conn, unlink=True)
                         break
-                    msg = wire.decode(payload)
+                    msg = columnar.decode(payload)
+                    frame = None  # what this link is owed for ``msg``
                     if isinstance(msg, wire.WorkBatch):
-                        frame = wire.encode(worker.handle_work(msg))
-                        try:
-                            data_conn.send_bytes(frame)
-                        except OSError:
-                            drop_data_conn(data_conn, unlink=True)
-                            break
+                        frame = columnar.encode(worker.handle_work(msg))
                     elif isinstance(msg, wire.ShmHello):
-                        data_rings[data_conn] = (
-                            ShmRing.attach(msg.work_ring, "consumer"),
-                            ShmRing.attach(msg.reply_ring, "producer"),
-                        )
+                        try:
+                            data_rings[data_conn] = (
+                                ShmRing.attach(msg.work_ring, "consumer"),
+                                ShmRing.attach(msg.reply_ring, "producer"),
+                            )
+                        except (OSError, ShmError):
+                            # The frontend already tore these rings down
+                            # and hung up: a dead link like any other,
+                            # with nothing of ours to unlink.
+                            drop_data_conn(data_conn, unlink=False)
+                            break
                     elif isinstance(msg, wire.BackfillInstall):
                         stale = worker.handle_backfill_install(msg)
                         if stale is not None:
                             # Cut already passed (the frontend restored
                             # from a snapshot behind this task): nack on
                             # the data link so it re-splices higher.
-                            try:
-                                data_conn.send_bytes(wire.encode(
-                                    wire.BackfillStale(
-                                        msg.tp, msg.metric.metric_id, stale
-                                    )
-                                ))
-                            except OSError:
-                                drop_data_conn(data_conn, unlink=True)
-                                break
+                            frame = wire.encode(wire.BackfillStale(
+                                msg.tp, msg.metric.metric_id, stale
+                            ))
                     elif not _handle_one(worker, data_conn, msg):
                         return
+                    if frame is not None:
+                        try:
+                            data_conn.send_bytes(frame)
+                        except OSError:
+                            drop_data_conn(data_conn, unlink=True)
+                            break
                     if not data_conn.poll(0):
                         break
             # Doorbells only wake the loop; every upgraded link's work

@@ -95,6 +95,66 @@ class TestSchema:
         with pytest.raises(SchemaError):
             PAYMENTS.validate_event(Event("e", 1, {"mystery": 1}))
 
+    # -- validate_events: decided by column, raising like the per-event path --
+
+    @staticmethod
+    def _batch(bad_fields):
+        """Long enough for the column pass (short batches skip it)."""
+        good = {"cardId": "c", "amount": 1.5, "count": 2, "flag": True}
+        return [
+            *(Event(f"g{i}", i, good) for i in range(8)),
+            Event("e1", 8, dict(good, amount=None, count=3)),
+            Event("e2", 9, bad_fields),  # the only offender: nothing else forces the loop
+        ]
+
+    @pytest.mark.parametrize(
+        "bad_fields",
+        [
+            {"cardId": "c", "amount": 1.5, "count": 2, "mystery": 1},  # undeclared
+            {"cardId": "c", "amount": "1.5", "count": 2, "flag": True},  # wrong type
+            {"cardId": "c", "amount": 1.5, "count": True, "flag": True},  # bool as int
+            {"cardId": 7},  # another field shape, and wrong in it
+        ],
+    )
+    def test_validate_events_raises_what_validate_event_raises(self, bad_fields):
+        batch = self._batch(bad_fields)
+        with pytest.raises(SchemaError) as per_event:
+            for event in batch:
+                PAYMENTS.validate_event(event)
+        with pytest.raises(SchemaError) as batched:
+            PAYMENTS.validate_events(batch)
+        assert type(batched.value) is type(per_event.value)
+        assert str(batched.value) == str(per_event.value)
+
+    def test_validate_events_accepts_what_validate_event_accepts(self):
+        class Count(int):
+            """An ``int`` subclass: not the column's exact type, still an int."""
+
+        good = {"cardId": "c", "amount": 1, "count": 2, "flag": False}
+        PAYMENTS.validate_events([])
+        PAYMENTS.validate_events([Event("e0", 1, {}), Event("e1", 2, {})])
+        plenty = [Event(f"g{i}", i, good) for i in range(8)]
+        PAYMENTS.validate_events(plenty)  # decided by column
+        PAYMENTS.validate_events(
+            [*plenty, Event("e1", 8, dict(good, count=Count(5), amount=None))]
+        )
+        PAYMENTS.validate_events(
+            [
+                *plenty,
+                Event("e2", 9, {"cardId": "c"}),  # a different field shape
+                Event("e3", 10, dict(reversed(good.items()))),  # same names, reordered
+            ]
+        )
+
+    def test_validate_events_column_pass_does_not_cross_reordered_fields(self):
+        """Same field *set* in another order is another shape: read by
+        position, the second batch's columns would look well typed."""
+        schema = _schema(("a", FieldType.INT), ("b", FieldType.STRING))
+        plenty = [Event(f"g{i}", i, {"a": 1, "b": "x"}) for i in range(8)]
+        schema.validate_events([*plenty, Event("e1", 8, {"b": "y", "a": 2})])
+        with pytest.raises(SchemaError, match="field 'b' expects string, got int: 2"):
+            schema.validate_events([*plenty, Event("e1", 8, {"b": 2, "a": "y"})])
+
     def test_encode_decode_roundtrip(self):
         event = Event("e9", 123, {"cardId": "c1", "amount": 9.5, "flag": True})
         buf = bytearray()

@@ -82,6 +82,77 @@ class TestFanOut:
             frontend.send("payments", Event("e", 1, {"bogus": 1}))
 
 
+    def test_invalid_event_rejects_the_whole_batch(self):
+        """A schema-invalid event at position k used to leave events
+        0..k-1 published and pending, with no caller waiting for them."""
+        from repro.common.errors import SchemaError
+
+        _, bus, frontend = _world()
+        good = {"cardId": "c1", "merchantId": "m1", "amount": 1.0}
+        batch = [
+            Event("e0", 10, good),
+            Event("e1", 11, good),
+            Event("e2", 12, dict(good, amount="NaN")),
+            Event("e3", 13, good),
+        ]
+        published = bus.messages_published
+        with pytest.raises(SchemaError):
+            frontend.send_batch("payments", batch)
+        assert not frontend.pending
+        assert frontend.events_received == 0
+        assert bus.messages_published == published
+        for topic in ("payments.cardId", "payments.merchantId"):
+            assert all(
+                bus.end_offset(tp) == 0 for tp in bus.topic_partitions(topic)
+            )
+        # ...and the frontend is unharmed: the valid events go through.
+        assert frontend.send_batch("payments", batch[:2]) == [0, 1]
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            {"execution": "single"},
+            {"execution": "process", "workers": 2},
+            {"execution": "process", "workers": 2, "frontends": 2},
+        ],
+        ids=["single", "process", "process-2f"],
+    )
+    def test_rejected_batch_reaches_no_task_on_any_topology(self, topology):
+        from repro.common.errors import SchemaError
+        from repro.engine import create_cluster
+
+        cluster = create_cluster(**topology)
+        try:
+            cluster.create_stream(
+                "tx", ["cardId"], partitions=2,
+                schema={"cardId": "string", "amount": "float"},
+            )
+            cluster.create_metric(
+                "SELECT count(*) FROM tx GROUP BY cardId OVER sliding 5 minutes"
+            )
+            good = [
+                Event(f"e{i}", 1_000 + i, {"cardId": "c1", "amount": 1.0})
+                for i in range(4)
+            ]
+            bad = Event("bad", 1_004, {"cardId": "c1", "amount": "1.0"})
+            with pytest.raises(SchemaError):
+                cluster.send_batch("tx", [*good[:2], bad, *good[2:]])
+            if "frontends" in topology:
+                assert not cluster.pending  # the router's own fan-in table
+            # Had e0/e1 been published, they would dedup away here and
+            # the counts would stop at 2.
+            replies = cluster.send_batch("tx", good)
+            counts = [
+                value
+                for reply in replies
+                for columns in reply.results.values()
+                for value in columns.values()
+            ]
+            assert counts == [1, 2, 3, 4]
+        finally:
+            cluster.close()
+
+
 class TestFanIn:
     def test_reply_completes_after_all_tasks_answer(self):
         clock, bus, frontend = _world()

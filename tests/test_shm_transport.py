@@ -5,17 +5,22 @@ transport-parametrized suites (``test_shard_runtime``,
 ``test_sharded_frontends``, ``test_batch_equivalence``); this module
 pins the building blocks — the SPSC ring's wraparound and backpressure
 contracts, heartbeat-based peer policing, the columnar WorkBatch /
-BatchDone codec — and the frontend's quarantine-on-stale-heartbeat
-state transition in isolation.
+BatchDone codec (every transport's batch encoding: equal to the wire
+reference codec as a property, and the tag bytes seen on socket links)
+— and the frontend's quarantine-on-stale-heartbeat state transition in
+isolation.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.timesource import default_time_source
 from repro.events.event import Event
@@ -206,6 +211,174 @@ class TestColumnarCodec:
         )
 
 
+# -- columnar == wire, as a property ------------------------------------------
+
+_FIELD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),  # beyond i64 too
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+    st.binary(max_size=6),
+)
+_SHAPES = st.sampled_from(
+    [(), ("amount",), ("cardId", "amount"), ("amount", "cardId"), ("a", "b", "c")]
+)
+#: contiguous runs, gapped runs and offsets/timestamps only wire can carry
+_OFFSETS = st.one_of(
+    st.builds(lambda first, n: list(range(first, first + n)),
+              st.integers(0, 2**40), st.integers(0, 12)),
+    st.lists(st.integers(0, 2**66), max_size=12),
+)
+_TRACE = st.none() | st.tuples(
+    st.text(max_size=6),
+    st.lists(
+        st.tuples(st.text(max_size=6), st.floats(allow_nan=False)), max_size=3
+    ).map(tuple),
+)
+_TP = st.builds(TopicPartition, st.text(max_size=5), st.integers(0, 7))
+
+
+@st.composite
+def _work_batches(draw):
+    offsets = draw(_OFFSETS)
+    # Few shapes and few value kinds per batch, so one batch holds both
+    # pure (packed) and mixed (tagged) columns.
+    shapes = draw(st.lists(_SHAPES, min_size=1, max_size=3))
+    events = [
+        Event(
+            draw(st.text(max_size=6)),
+            draw(st.integers(0, 2**40) | st.integers(2**63, 2**66)),
+            {name: draw(_FIELD_VALUES) for name in draw(st.sampled_from(shapes))},
+        )
+        for _ in offsets
+    ]
+    return wire.WorkBatch(
+        draw(_TP), draw(st.integers(0, 2**40)),
+        list(zip(offsets, events)), draw(_TRACE),
+    )
+
+
+@st.composite
+def _batch_dones(draw):
+    offsets = draw(_OFFSETS)
+    results = st.none() | st.dictionaries(
+        st.integers(-1, 4),  # a negative metric id is an encode error
+        st.dictionaries(
+            st.sampled_from(["sum(a)", "count(*)", "max(a)"]), _FIELD_VALUES,
+            max_size=3,
+        ),
+        max_size=3,
+    )
+    return wire.BatchDone(
+        draw(_TP), draw(st.integers(0, 2**40)), draw(st.integers(0, 2**20)),
+        [(offset, draw(results)) for offset in offsets],
+        draw(_TRACE), draw(st.none() | st.binary(max_size=12)),
+    )
+
+
+def _typed(value):
+    """``value`` with every scalar paired with its exact type (``1``,
+    ``1.0`` and ``True`` compare equal; the codecs must not swap them)."""
+    if isinstance(value, Event):
+        return ("Event", value.event_id, value.timestamp, _typed(value._fields))
+    if isinstance(value, dict):
+        return [(_typed(k), _typed(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_typed(v) for v in value]
+    return (type(value).__name__, value)
+
+
+def _through(codec, msg):
+    try:
+        decoded = codec.decode(codec.encode(msg))
+    except Exception as exc:  # the failure is part of the contract
+        return type(exc).__name__
+    return _typed(dataclasses.astuple(decoded))
+
+
+class TestColumnarEqualsWire:
+    """The link codec and the reference codec agree on every message —
+    same decoded value and types, or the same refusal."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_work_batches())
+    def test_work_batch(self, msg):
+        assert _through(columnar, msg) == _through(wire, msg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_batch_dones())
+    def test_batch_done(self, msg):
+        assert _through(columnar, msg) == _through(wire, msg)
+
+
+class TestOneCodecOnEveryLink:
+    """Socket links carry the same columnar frames the rings do."""
+
+    @staticmethod
+    def _tags_sent(monkeypatch, tmp_path, **topology):
+        """Run a small cluster with every ``Connection.send_bytes`` in
+        every (forked) process logging ``<process name> <tag byte>``;
+        returns ``{process name: {tags it sent}}``."""
+        from multiprocessing.connection import Connection
+
+        from repro.engine.cluster import create_cluster
+
+        log = tmp_path / "frames.log"
+        original = Connection.send_bytes
+
+        def send_bytes(self, buf, *args):
+            with open(log, "ab") as handle:
+                name = multiprocessing.current_process().name
+                handle.write(f"{name} {buf[0]}\n".encode())
+            return original(self, buf, *args)
+
+        monkeypatch.setattr(Connection, "send_bytes", send_bytes)
+        with create_cluster("process", transport="socket", **topology) as cluster:
+            cluster.create_stream(
+                "tx", ["cardId"], partitions=4,
+                schema={"cardId": "string", "amount": "float"},
+            )
+            cluster.create_metric(
+                "SELECT sum(amount) FROM tx GROUP BY cardId OVER sliding 5 minutes"
+            )
+            replies = cluster.send_batch(
+                "tx", [{"cardId": f"c{i % 5}", "amount": 1.0} for i in range(40)]
+            )
+            assert len(replies) == 40
+        sent: dict[str, set[int]] = {}
+        for line in log.read_text().splitlines():
+            name, tag = line.rsplit(" ", 1)
+            sent.setdefault(name, set()).add(int(tag))
+        return sent
+
+    def test_supervisor_pipe(self, monkeypatch, tmp_path):
+        sent = self._tags_sent(monkeypatch, tmp_path, workers=2)
+        workers = set().union(
+            *(tags for name, tags in sent.items() if name.startswith("railgun-shard"))
+        )
+        assert columnar.MSG_WORK_BATCH_COLUMNAR in sent["MainProcess"]
+        assert columnar.MSG_BATCH_DONE_COLUMNAR in workers
+        everyone = set().union(*sent.values())
+        assert not everyone & {wire.MSG_WORK_BATCH, wire.MSG_BATCH_DONE}
+
+    def test_frontend_worker_data_sockets(self, monkeypatch, tmp_path):
+        sent = self._tags_sent(monkeypatch, tmp_path, workers=2, frontends=2)
+        frontends = set().union(
+            *(tags for name, tags in sent.items() if name.startswith("railgun-fe"))
+        )
+        workers = set().union(
+            *(tags for name, tags in sent.items() if name.startswith("railgun-shard"))
+        )
+        # Work leaves the frontends (never the router, whose supervisor
+        # pipes carry control only) and comes back from the workers.
+        assert columnar.MSG_WORK_BATCH_COLUMNAR in frontends
+        assert columnar.MSG_WORK_BATCH_COLUMNAR not in sent["MainProcess"]
+        assert columnar.MSG_BATCH_DONE_COLUMNAR in workers
+        everyone = set().union(*sent.values())
+        assert not everyone & {wire.MSG_WORK_BATCH, wire.MSG_BATCH_DONE}
+
+
 class TestFrontendQuarantine:
     def test_stale_worker_link_is_quarantined(self):
         """A worker that stops beating is treated like a dead socket."""
@@ -255,6 +428,49 @@ class TestFrontendQuarantine:
         finally:
             other.close()
             shm.sweep("rgshm-quart2")
+
+
+def test_hello_for_rings_already_torn_down_is_a_dead_link(tmp_path):
+    """A frontend that re-dials tears its fresh rings down before the
+    worker reads the first ``ShmHello`` (chaos seed 9108): the worker
+    must drop that link, not die in ``ShmRing.attach``."""
+    from multiprocessing.connection import Client
+
+    from repro.shard.worker import shard_worker_main
+
+    ctx = multiprocessing.get_context("fork")
+    control, child = ctx.Pipe(duplex=True)
+    addr = str(tmp_path / "w.sock")
+    process = ctx.Process(
+        target=shard_worker_main, args=(child, "shard-0", None, addr), daemon=True
+    )
+    process.start()
+    child.close()
+    try:
+        control.send_bytes(wire.encode(wire.CheckpointRequest(1, False, ())))
+        assert control.poll(10.0)  # the listener is bound once this answers
+        control.recv_bytes()
+        link = Client(addr, family="AF_UNIX")
+        link.send_bytes(
+            wire.encode(wire.ShmHello("rgshm-gone-work", "rgshm-gone-reply"))
+        )
+        assert link.poll(10.0)
+        with pytest.raises(EOFError):
+            link.recv_bytes()  # hung up on: the link was dropped
+        link.close()
+        control.send_bytes(wire.encode(wire.CheckpointRequest(2, False, ())))
+        assert control.poll(10.0)
+        ack = wire.decode(control.recv_bytes())
+        assert isinstance(ack, wire.CheckpointAck) and ack.request_id == 2
+        assert process.is_alive()
+    finally:
+        control.send_bytes(wire.encode(wire.Shutdown()))
+        process.join(timeout=10.0)
+        alive = process.is_alive()
+        if alive:
+            process.kill()
+        control.close()
+    assert not alive
 
 
 def test_add_partitioner_router_regression():
