@@ -2,7 +2,8 @@
 
 Times the per-event vs batched variants of the reservoir append loop,
 the aggregate inner loops, the state store (``state_apply_resident`` vs
-``state_apply_evicting``, ``state_checkpoint_writeback``), the
+``state_apply_evicting``, ``state_checkpoint_writeback``,
+``state_checkpoint_steady_{4k,32k}``), the
 task-processor ingestion path and the frontend fan-out, the worker-link
 batch codecs (``codec_{work_batch,batch_done}_{columnar,serde}``), plus
 the end-to-end engine ingest in single-process,
@@ -39,7 +40,7 @@ Run as a module::
 CI gating::
 
     python -m repro.bench.perf --baseline benchmarks/baseline_micro.json \
-        --tolerance 0.2 --min-speedup 1.5
+        --tolerance 0.2 --min-speedup 1.1
 
 ``--baseline`` fails the run when a bench's throughput drops more than
 ``--tolerance`` below the checked-in floor; ``--min-speedup`` fails it
@@ -255,9 +256,11 @@ def bench_aggregate_update_batch(events: list[Event], batch_size: int) -> dict[s
 _STATE_KEYS = [encode_group_key((f"c{i}",)) for i in range(4096)]
 
 
-def _fold_sums(store: MetricStateStore, chunk: Sequence[Event]) -> None:
+def _fold_sums(
+    store: MetricStateStore, chunk: Sequence[Event], keys: Sequence[bytes] = _STATE_KEYS
+) -> None:
     """One ``sum`` fold per event through ``MetricStateStore.apply``."""
-    apply, keys = store.apply, _STATE_KEYS
+    apply = store.apply
     for event in chunk:
         apply(
             0, 0, "sum", keys[event.timestamp % len(keys)],
@@ -286,13 +289,13 @@ def bench_state_apply_evicting(events: list[Event], batch_size: int) -> dict[str
     return _bench_state_apply(events, batch_size, len(_STATE_KEYS) // 4)
 
 
-def bench_state_checkpoint_writeback(
-    events: list[Event], batch_size: int
+def _bench_state_checkpoint(
+    store: MetricStateStore, slices: Sequence[Sequence[Event]], keys: Sequence[bytes]
 ) -> dict[str, float]:
     """``checkpoint()`` alone, per dirty entry: each slice first dirties
     one entry per event off the clock, then times the sorted bulk
-    write-back plus the LSM snapshot (``events_per_sec`` = entries/s)."""
-    store = MetricStateStore()
+    write-back plus the LSM snapshot (``events_per_sec`` = entries/s).
+    Each checkpoint releases the pin of the one before, as a task does."""
     pinned: list[Checkpoint] = []
 
     def run_slice(chunk: Sequence[Event]) -> None:
@@ -301,9 +304,44 @@ def bench_state_checkpoint_writeback(
             store.db.release_checkpoint(pinned.pop(0))
 
     return _measure_slices(
-        _slices(events, batch_size), run_slice,
-        prepare=lambda chunk: _fold_sums(store, chunk),
+        slices, run_slice, prepare=lambda chunk: _fold_sums(store, chunk, keys)
     )
+
+
+def bench_state_checkpoint_writeback(
+    events: list[Event], batch_size: int
+) -> dict[str, float]:
+    """From an empty store: the first checkpoints write new keys."""
+    return _bench_state_checkpoint(
+        MetricStateStore(), _slices(events, batch_size), _STATE_KEYS
+    )
+
+
+#: entries each steady-state checkpoint dirties
+_STEADY_DIRTY = 512
+
+
+def _bench_state_checkpoint_steady(
+    events: list[Event], store_entries: int
+) -> dict[str, float]:
+    """Checkpoints of ``_STEADY_DIRTY`` dirty entries over a store that
+    already holds ``store_entries`` checkpointed ones (visited
+    round-robin): what a checkpoint costs per dirty entry as the state
+    behind it grows. The 4k/32k pair is the "cost follows what changed,
+    not what is stored" gate."""
+    keys = [encode_group_key((f"c{i}",)) for i in range(store_entries)]
+    store = MetricStateStore()
+    _fold_sums(store, _events(store_entries), keys)
+    store.db.release_checkpoint(store.checkpoint())
+    return _bench_state_checkpoint(store, _slices(events, _STEADY_DIRTY), keys)
+
+
+def bench_state_checkpoint_steady_4k(events: list[Event], batch_size: int) -> dict[str, float]:
+    return _bench_state_checkpoint_steady(events, 4_096)
+
+
+def bench_state_checkpoint_steady_32k(events: list[Event], batch_size: int) -> dict[str, float]:
+    return _bench_state_checkpoint_steady(events, 32_768)
 
 
 # -- task-processor ingestion (reservoir + plan + state) ----------------------
@@ -865,6 +903,8 @@ BENCHES: dict[str, Callable[[list[Event], int], dict[str, float]]] = {
     "state_apply_resident": bench_state_apply_resident,
     "state_apply_evicting": bench_state_apply_evicting,
     "state_checkpoint_writeback": bench_state_checkpoint_writeback,
+    "state_checkpoint_steady_4k": bench_state_checkpoint_steady_4k,
+    "state_checkpoint_steady_32k": bench_state_checkpoint_steady_32k,
     "task_ingest_per_event": bench_task_ingest_per_event,
     "task_ingest_batch": bench_task_ingest_batch,
     "frontend_send_per_event": bench_frontend_send_per_event,

@@ -96,7 +96,8 @@ class TaskProcessor:
         self._pinned_state: Checkpoint | None = None
         #: Optional telemetry registry hook (a shard worker attaches its
         #: own when measurement is on): times reservoir batch appends
-        #: without the engine depending on the telemetry package.
+        #: and checkpoints without the engine depending on the telemetry
+        #: package.
         self.telemetry = None
 
     @classmethod
@@ -327,6 +328,11 @@ class TaskProcessor:
         files compacted away since then are deleted, not kept forever.
         """
         exclude = exclude_files or set()
+        telemetry = self.telemetry
+        lsm_stats = self.state.db.stats
+        if telemetry is not None:
+            started = telemetry.now()
+            puts, compactions = lsm_stats.puts, lsm_stats.compactions
         reservoir_meta = self.reservoir.checkpoint_metadata()
         reservoir_storage = self.reservoir.storage
         names = reservoir_storage.list()
@@ -341,6 +347,14 @@ class TaskProcessor:
         if self._pinned_state is not None:
             self.state.db.release_checkpoint(self._pinned_state)
         self._pinned_state = state_cp
+        if telemetry is not None:
+            telemetry.observe_since("worker_checkpoint_ms", started)
+            telemetry.counter_add(
+                "worker_checkpoint_dirty_entries_total", lsm_stats.puts - puts
+            )
+            telemetry.counter_add(
+                "worker_lsm_compactions_total", lsm_stats.compactions - compactions
+            )
         return TaskCheckpoint(
             tp=self.tp,
             offset=self.next_offset,

@@ -7,7 +7,7 @@ LSM-trees"; this package implements that substrate from scratch:
 - :class:`~repro.lsm.wal.WriteAheadLog` — per-record CRC, replay on open;
 - :class:`~repro.lsm.sstable.SSTable` — immutable sorted files with a
   sparse index and bloom filter;
-- :class:`~repro.lsm.db.LsmDb` — column families, leveled compaction,
+- :class:`~repro.lsm.db.LsmDb` — column families, size-tiered compaction,
   cheap checkpoints (flush + manifest snapshot over immutable files),
   the property the engine's recovery path relies on (§4.1.3: "this
   makes checkpoints very efficient").

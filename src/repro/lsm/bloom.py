@@ -18,6 +18,7 @@ filter saturated instead, so every lookup falls through to the table.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from hashlib import blake2b
 
 from repro.common import serde
@@ -29,6 +30,10 @@ _MASK_64 = 0xFFFFFFFFFFFFFFFF
 #: the id of the hash scheme their bits were set with.
 _TAG = 0
 _HASH_BLAKE2B_16 = 1
+
+#: Copying an unkeyed hasher skips the constructor's keyword parsing,
+#: a third of the cost of hashing a short key.
+_new_hasher = blake2b(digest_size=16).copy
 
 
 class BloomFilter:
@@ -56,9 +61,48 @@ class BloomFilter:
         num_hashes = max(1, int(round(num_bits / expected_items * ln2)))
         return cls(num_bits, num_hashes)
 
+    @classmethod
+    def from_keys(cls, keys: Sequence[bytes], false_positive_rate: float = 0.01) -> "BloomFilter":
+        """A filter sized for ``keys`` and holding them — the bits of an
+        :meth:`add` per key, without an interpreted step per probe.
+
+        With one flag *byte* per bit, a strided slice assignment sets a
+        key's whole probe walk at once. A walk runs up to ``num_hashes``
+        times round the filter, so the flags are laid out that many
+        times over, folded back by big-integer ORs and packed eight to
+        the byte by shifts.
+        """
+        bloom = cls.for_capacity(len(keys), false_positive_rate)
+        num_bits, num_hashes = bloom.num_bits, bloom.num_hashes
+        flags = bytearray(num_bits * num_hashes)
+        walk = b"\x01" * num_hashes
+        from_bytes = int.from_bytes
+        for key in keys:
+            # first probe and stride as in _walk
+            hasher = _new_hasher()
+            hasher.update(key)
+            digest = from_bytes(hasher.digest(), "little")
+            bit = (digest & _MASK_64) % num_bits
+            stride = ((digest >> 64) | 1) % num_bits
+            if stride:
+                flags[bit : bit + num_hashes * stride : stride] = walk
+            else:
+                flags[bit] = 1
+        folded = 0
+        for lap in range(0, len(flags), num_bits):
+            folded |= from_bytes(flags[lap : lap + num_bits], "little")
+        # Flag i is bit 8*i; move flags 8j+1 .. 8j+7 down beside flag 8j.
+        folded |= folded >> 7
+        folded |= folded >> 14
+        folded |= folded >> 28
+        bloom._bits = bytearray(folded.to_bytes(8 * len(bloom._bits), "little")[::8])
+        return bloom
+
     def _walk(self, key: bytes) -> tuple[int, int]:
         """First probe and stride: ``h_i = h1 + i * h2 (mod num_bits)``."""
-        digest = int.from_bytes(blake2b(key, digest_size=16).digest(), "little")
+        hasher = _new_hasher()
+        hasher.update(key)
+        digest = int.from_bytes(hasher.digest(), "little")
         num_bits = self.num_bits
         return (digest & _MASK_64) % num_bits, ((digest >> 64) | 1) % num_bits
 

@@ -6,7 +6,7 @@ slice of RocksDB the paper uses (§4.1.3):
 - point ``get``/``put``/``delete`` per column family;
 - ``prefix_scan`` (the ``countDistinct`` aggregator keeps per-value
   counts in an auxiliary column family and scans them by prefix);
-- ``ingest_sorted``: a sorted run written straight to an L0 table (how
+- ``ingest_sorted``: a sorted run written straight to one table (how
   the state store writes its resident set back at a checkpoint);
 - cheap **checkpoints**: flush memtables, snapshot the manifest — all
   table files are immutable, so a checkpoint is just a list of names;
@@ -14,11 +14,18 @@ slice of RocksDB the paper uses (§4.1.3):
   receiver is missing need to be copied (the engine's stale-task
   recovery, §4.2).
 
-Compaction is whole-level: L0 collects flushed memtables (overlapping,
-newest first); when L0 grows past a threshold it is merged with L1 into
-a fresh sorted run, and levels cascade when they exceed their size
-budget. Tombstones are dropped only when the output is the bottom-most
-populated level.
+Compaction is size-tiered over age-ordered runs. Every flush or
+``ingest_sorted`` prepends one run (an immutable table) to its column
+family's list, newest first. Only *adjacent* runs merge, so age order —
+what lets a newer value shadow an older one — survives every merge: a
+window grows from a run towards older ones while the next run is no
+larger than what the window already holds or sits in its first run's
+power-of-two size class, and is merged once it spans
+``l0_compaction_threshold`` runs. A write therefore costs what it adds:
+the oldest, biggest run is rewritten only once the runs above it have
+grown to its size, and a family holds at most
+``width * (1 + ceil(log2(total / smallest)))`` runs. Tombstones are
+dropped only by a merge that includes the oldest run.
 """
 
 from __future__ import annotations
@@ -39,12 +46,15 @@ _WAL = "WAL"
 
 @dataclass
 class LsmConfig:
-    """Tuning knobs for the store."""
+    """Tuning knobs for the store.
+
+    ``l0_compaction_threshold`` is the merge width: how many adjacent
+    runs of similar size accumulate before they are merged into one
+    (at least two).
+    """
 
     memtable_flush_bytes: int = 256 * 1024
     l0_compaction_threshold: int = 4
-    level_size_multiplier: int = 8
-    base_level_bytes: int = 2 * 1024 * 1024
     index_interval: int = 16
     bloom_fp_rate: float = 0.01
     wal_enabled: bool = True
@@ -52,7 +62,12 @@ class LsmConfig:
 
 @dataclass
 class Checkpoint:
-    """An immutable snapshot: per-CF, per-level lists of table files."""
+    """An immutable snapshot: per-CF table files, newest run first.
+
+    The names are nested one list deeper than the run list needs: the
+    encoding dates from leveled layouts (``[[L0...], [L1]]``), whose
+    snapshots flatten to the same age order and still restore.
+    """
 
     sequence: int
     files: dict[str, list[list[str]]] = field(default_factory=dict)
@@ -104,15 +119,13 @@ class Checkpoint:
 
 
 class _ColumnFamily:
-    """One keyspace: a memtable plus leveled immutable tables."""
+    """One keyspace: a memtable over immutable runs, newest first."""
 
     def __init__(self, name: str, cf_id: int) -> None:
         self.name = name
         self.cf_id = cf_id
         self.memtable = MemTable(seed=cf_id)
-        # levels[0] is L0 (newest table first, may overlap);
-        # levels[i>0] are sorted runs (tables ordered by key, disjoint).
-        self.levels: list[list[SSTable]] = [[]]
+        self.runs: list[SSTable] = []
 
 
 @dataclass
@@ -198,7 +211,7 @@ class LsmDb:
 
         Equivalent to a :meth:`put` per pair followed by :meth:`flush`,
         in one sorted pass: the run is merged with its column family's
-        memtable (the run is newer) straight into one L0 table — no WAL
+        memtable (the run is newer) straight into one table — no WAL
         record and no skip-list insert per key. The other memtables are
         flushed with it, so the WAL, which never saw the run, is reset
         rather than left to shadow it on replay. An empty run is a no-op.
@@ -223,32 +236,15 @@ class LsmDb:
         if value is not None:
             self.stats.memtable_hits += 1
             return None if value is TOMBSTONE else value  # type: ignore[return-value]
-        for level_no, level in enumerate(family.levels):
-            tables = level if level_no == 0 else self._run_candidates(level, key)
-            for table in tables:
-                if not table.might_contain(key):
-                    self.stats.bloom_skips += 1
-                    continue
-                self.stats.sstable_reads += 1
-                found = table.get(key)
-                if found is not None:
-                    return None if found is TOMBSTONE else found  # type: ignore[return-value]
+        for table in family.runs:
+            if not table.might_contain(key):
+                self.stats.bloom_skips += 1
+                continue
+            self.stats.sstable_reads += 1
+            found = table.get(key)
+            if found is not None:
+                return None if found is TOMBSTONE else found  # type: ignore[return-value]
         return None
-
-    @staticmethod
-    def _run_candidates(level: list[SSTable], key: bytes) -> list[SSTable]:
-        """Binary search the (disjoint, sorted) run for the covering table."""
-        lo, hi = 0, len(level) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            table = level[mid]
-            if key < table.min_key:
-                hi = mid - 1
-            elif key > table.max_key:
-                lo = mid + 1
-            else:
-                return [table]
-        return []
 
     def scan(self, start: bytes | None = None, end: bytes | None = None, cf: str = "default"):
         """Yield live ``(key, value)`` pairs with ``start <= key < end``.
@@ -258,8 +254,7 @@ class LsmDb:
         """
         family = self._cf(cf)
         sources: list = [family.memtable.scan(start, end)]
-        for level in family.levels:
-            sources.extend(table.entries(start, end) for table in level)
+        sources.extend(table.entries(start, end) for table in family.runs)
         yield from _merge_entries(sources, drop_tombstones=True)
 
     def prefix_scan(self, prefix: bytes, cf: str = "default"):
@@ -274,7 +269,7 @@ class LsmDb:
             self._flush_family(family)
 
     def flush(self) -> None:
-        """Flush every memtable to L0 and reset the WAL (nothing to do
+        """Flush every memtable to a new run and reset the WAL (nothing to do
         when every memtable is empty: the WAL is too, and the manifest
         is current)."""
         flushed = [
@@ -291,7 +286,7 @@ class LsmDb:
         newer: list[tuple[bytes, bytes]] | None = None,
     ) -> bool:
         """Write the memtable — under ``newer``, a sorted run that wins
-        on equal keys — as one L0 table; False when there was nothing to
+        on equal keys — as the newest run; False when there was nothing to
         write. A caller flushing several families passes
         ``finish=False`` and calls :meth:`_finish_flush` once itself."""
         if not newer:
@@ -304,19 +299,10 @@ class LsmDb:
             )
         else:
             entries = newer
-        name = self._new_file_name(family, level=0)
-        table = SSTable.write(
-            self.storage,
-            name,
-            entries,
-            index_interval=self.config.index_interval,
-            bloom_fp_rate=self.config.bloom_fp_rate,
-        )
-        family.levels[0].insert(0, table)  # newest first
+        family.runs.insert(0, self._write_table(family, entries))
         family.memtable = MemTable(seed=family.cf_id)
         self.stats.flushes += 1
-        if len(family.levels[0]) >= self.config.l0_compaction_threshold:
-            self._compact(family, 0)
+        self._compact(family)
         if finish:
             self._finish_flush()
         return True
@@ -330,47 +316,57 @@ class LsmDb:
             self._wal.reset()
         self._write_manifest()
 
-    def _level_bytes(self, level: list[SSTable]) -> int:
-        return sum(table.file_size() for table in level)
-
-    def _compact(self, family: _ColumnFamily, level_no: int) -> None:
-        """Merge ``level_no`` into ``level_no + 1`` as one fresh run."""
-        while len(family.levels) <= level_no + 1:
-            family.levels.append([])
-        upper = family.levels[level_no]
-        lower = family.levels[level_no + 1]
-        if not upper:
-            return
-        is_bottom = all(
-            not family.levels[i] for i in range(level_no + 2, len(family.levels))
-        )
-        # Newest-first ordering: L0 tables are newest-first already; the
-        # lower run is older than anything above it.
-        sources = [table.entries() for table in upper] + [table.entries() for table in lower]
-        merged = _merge_entries(sources, drop_tombstones=is_bottom)
-
-        out_name = self._new_file_name(family, level=level_no + 1)
-        new_table = SSTable.write(
+    def _write_table(self, family: _ColumnFamily, entries) -> SSTable:
+        name = f"sst-{family.name}-{self._next_file:08d}.sst"
+        self._next_file += 1
+        return SSTable.write(
             self.storage,
-            out_name,
-            merged,
+            name,
+            entries,
             index_interval=self.config.index_interval,
             bloom_fp_rate=self.config.bloom_fp_rate,
         )
-        pinned = self._checkpointed_files()
-        for stale in upper + lower:
-            # Checkpoints may still reference the file; keep it if so.
-            if stale.name not in pinned and self.storage.exists(stale.name):
-                self.storage.delete(stale.name)
-        family.levels[level_no] = []
-        family.levels[level_no + 1] = [new_table] if new_table.count else []
-        self.stats.compactions += 1
-        # Cascade when the freshly-built level exceeds its budget.
-        budget = self.config.base_level_bytes * (
-            self.config.level_size_multiplier ** max(level_no, 0)
+
+    def _compact(self, family: _ColumnFamily) -> None:
+        """Merge windows of adjacent, similar-sized runs until none is
+        ``l0_compaction_threshold`` runs wide (see the module docstring).
+
+        Left alone, every window stops within ``width`` runs at one of a
+        larger size class than its first, which bounds the run count."""
+        width = max(2, self.config.l0_compaction_threshold)
+        runs = family.runs
+        start = 0
+        while start < len(runs):
+            first_class = runs[start].count.bit_length()
+            held, end = runs[start].count, start + 1
+            while end < len(runs) and (
+                runs[end].count <= held or runs[end].count.bit_length() == first_class
+            ):
+                held += runs[end].count
+                end += 1
+            if end - start < width:
+                start += 1
+                continue
+            self._merge_runs(family, start, end)
+            start = 0
+
+    def _merge_runs(self, family: _ColumnFamily, start: int, end: int) -> None:
+        """Replace the adjacent runs ``[start, end)`` by their merge (by
+        nothing when every entry cancelled out)."""
+        runs = family.runs
+        stale = runs[start:end]
+        merged = _merge_entries(
+            [table.entries() for table in stale],
+            # Nothing older is left for a tombstone to shadow.
+            drop_tombstones=end == len(runs),
         )
-        if self._level_bytes(family.levels[level_no + 1]) > budget:
-            self._compact(family, level_no + 1)
+        runs[start:end] = [self._write_table(family, merged)] if merged else []
+        pinned = self._checkpointed_files()
+        for table in stale:
+            # Checkpoints may still reference the file; keep it if so.
+            if table.name not in pinned and self.storage.exists(table.name):
+                self.storage.delete(table.name)
+        self.stats.compactions += 1
 
     # -- checkpoints ------------------------------------------------------------
 
@@ -385,13 +381,7 @@ class LsmDb:
         """Flush and snapshot the manifest; cheap because files are immutable."""
         self.flush()
         self._sequence += 1
-        snapshot = Checkpoint(
-            sequence=self._sequence,
-            files={
-                name: [[t.name for t in level] for level in family.levels]
-                for name, family in self._cfs.items()
-            },
-        )
+        snapshot = self._snapshot()
         self._live_checkpoints.append(snapshot)
         self.stats.checkpoint_count += 1
         return snapshot
@@ -403,8 +393,7 @@ class LsmDb:
         ]
         live: set[str] = self._checkpointed_files()
         for family in self._cfs.values():
-            for level in family.levels:
-                live |= {t.name for t in level}
+            live.update(table.name for table in family.runs)
         for name in checkpoint.all_files():
             if name not in live and self.storage.exists(name):
                 self.storage.delete(name)
@@ -443,13 +432,11 @@ class LsmDb:
         self._cf_by_id.clear()
         for cf_name in sorted(checkpoint.files):
             self.create_column_family(cf_name)
-            family = self._cfs[cf_name]
-            family.levels = []
-            for level in checkpoint.files[cf_name]:
-                tables = [SSTable.open(self.storage, name) for name in level]
-                family.levels.append(tables)
-            if not family.levels:
-                family.levels = [[]]
+            self._cfs[cf_name].runs = [
+                SSTable.open(self.storage, name)
+                for level in checkpoint.files[cf_name]
+                for name in level
+            ]
         if "default" not in self._cfs:
             self.create_column_family("default")
         self._sequence = checkpoint.sequence
@@ -459,31 +446,27 @@ class LsmDb:
     def _max_file_number(self) -> int:
         best = -1
         for family in self._cfs.values():
-            for level in family.levels:
-                for table in level:
-                    try:
-                        number = int(table.name.split("-")[-1].split(".")[0])
-                    except ValueError:
-                        continue
-                    best = max(best, number)
+            for table in family.runs:
+                try:
+                    number = int(table.name.split("-")[-1].split(".")[0])
+                except ValueError:
+                    continue
+                best = max(best, number)
         return best
 
     # -- manifest & recovery ------------------------------------------------------
 
-    def _new_file_name(self, family: _ColumnFamily, level: int) -> str:
-        name = f"sst-{family.name}-L{level}-{self._next_file:08d}.sst"
-        self._next_file += 1
-        return name
-
-    def _write_manifest(self) -> None:
-        snapshot = Checkpoint(
+    def _snapshot(self) -> Checkpoint:
+        return Checkpoint(
             sequence=self._sequence,
             files={
-                name: [[t.name for t in level] for level in family.levels]
+                name: [[table.name for table in family.runs]]
                 for name, family in self._cfs.items()
             },
         )
-        blob = snapshot.to_bytes()
+
+    def _write_manifest(self) -> None:
+        blob = self._snapshot().to_bytes()
         buf = bytearray()
         serde.write_u32(buf, serde.crc32_of(blob))
         serde.write_bytes(buf, blob)
@@ -515,16 +498,13 @@ class LsmDb:
     # -- introspection -----------------------------------------------------------
 
     def total_entries_estimate(self, cf: str = "default") -> int:
-        """Upper bound on live entries (duplicates across levels counted)."""
+        """Upper bound on live entries (duplicates across runs counted)."""
         family = self._cf(cf)
-        total = len(family.memtable)
-        for level in family.levels:
-            total += sum(t.count for t in level)
-        return total
+        return len(family.memtable) + sum(table.count for table in family.runs)
 
-    def level_shape(self, cf: str = "default") -> list[int]:
-        """Tables per level — handy for compaction assertions in tests."""
-        return [len(level) for level in self._cf(cf).levels]
+    def run_sizes(self, cf: str = "default") -> list[int]:
+        """Entries per run, newest first — what compaction decides on."""
+        return [table.count for table in self._cf(cf).runs]
 
 
 def _prefix_end(prefix: bytes) -> bytes | None:

@@ -17,6 +17,7 @@ File layout::
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import accumulate, islice
 
 from repro.common import serde
 from repro.common.errors import StorageError
@@ -26,6 +27,17 @@ from repro.lsm.memtable import TOMBSTONE
 
 _KIND_PUT = 0
 _KIND_DELETE = 1
+
+#: a varint below 128 is its own single byte
+_ONE_BYTE = [bytes((n,)) for n in range(128)]
+
+
+def _varint(value: int) -> bytes:
+    if value < 128:
+        return _ONE_BYTE[value]
+    buf = bytearray()
+    serde.write_varint(buf, value)
+    return bytes(buf)
 
 
 class SSTable:
@@ -69,30 +81,28 @@ class SSTable:
         :class:`StorageError` (they would corrupt binary search).
         """
         materialized = list(entries)
-        data = bytearray()
-        index: list[tuple[bytes, int]] = []
-        bloom = BloomFilter.for_capacity(len(materialized), bloom_fp_rate)
-        add_to_bloom = bloom.add
-        write_bytes = serde.write_bytes
-        prev_key: bytes | None = None
-        for position, (key, value) in enumerate(materialized):
-            if prev_key is not None and key <= prev_key:
+        keys = [key for key, _ in materialized]
+        for prev_key, key in zip(keys, islice(keys, 1, None)):
+            if key <= prev_key:
                 raise StorageError(
                     f"sstable entries out of order: {key!r} after {prev_key!r}"
                 )
-            prev_key = key
-            if position % index_interval == 0:
-                index.append((key, len(data)))
-            add_to_bloom(key)
-            if value is TOMBSTONE:
-                data.append(_KIND_DELETE)
-                write_bytes(data, key)
-            else:
-                data.append(_KIND_PUT)
-                write_bytes(data, key)
-                write_bytes(data, value)  # type: ignore[arg-type]
-        min_key = materialized[0][0] if materialized else b""
-        max_key = prev_key if prev_key is not None else b""
+        records = [
+            b"%c%b%b" % (_KIND_DELETE, _varint(len(key)), key)
+            if value is TOMBSTONE
+            else b"%c%b%b%b%b"
+            % (_KIND_PUT, _varint(len(key)), key, _varint(len(value)), value)  # type: ignore[arg-type]
+            for key, value in materialized
+        ]
+        data = b"".join(records)
+        offsets = list(accumulate(map(len, records), initial=0))
+        index = [
+            (keys[position], offsets[position])
+            for position in range(0, len(keys), index_interval)
+        ]
+        bloom = BloomFilter.from_keys(keys, bloom_fp_rate)
+        min_key = keys[0] if keys else b""
+        max_key = keys[-1] if keys else b""
 
         index_blob = bytearray()
         serde.write_varint(index_blob, len(index))
@@ -239,12 +249,27 @@ class SSTable:
         """All entries with ``start <= key < end`` in key order."""
         data = self._read_data()
         offset = self._seek_offset(start) if start is not None else 0
-        while offset < len(data):
+        data_end = len(data)
+        read_varint = serde.read_varint
+        while offset < data_end:
+            # kind | varint length | key | [varint length | value], the
+            # one-byte lengths read in place
             kind = data[offset]
-            offset += 1
-            key, offset = serde.read_bytes(data, offset)
+            length = data[offset + 1]
+            if length < 128:
+                offset += 2
+            else:
+                length, offset = read_varint(data, offset + 1)
+            key = data[offset : offset + length]
+            offset += length
             if kind == _KIND_PUT:
-                value, offset = serde.read_bytes(data, offset)
+                length = data[offset]
+                if length < 128:
+                    offset += 1
+                else:
+                    length, offset = read_varint(data, offset)
+                value = data[offset : offset + length]
+                offset += length
             else:
                 value = TOMBSTONE  # type: ignore[assignment]
             if start is not None and key < start:
@@ -255,10 +280,6 @@ class SSTable:
 
     def _read_data(self) -> bytes:
         return self._storage.read(self.name, 0, self._data_end)
-
-    def file_size(self) -> int:
-        """On-disk size in bytes."""
-        return self._storage.size(self.name)
 
     def __repr__(self) -> str:
         return f"SSTable({self.name}, count={self.count})"

@@ -115,9 +115,11 @@ class MetricStateStore:
         self.key_reads = 0
         self.key_writes = 0
         self._resident_cap = RESIDENT_CAP if resident_cap is None else resident_cap
-        #: (metric_id, agg_index, group_key) -> decoded aggregator, in
-        #: load order (the eviction order).
-        self._resident: OrderedDict[tuple[int, int, bytes], Aggregator] = OrderedDict()
+        #: (metric_id, agg_index, group_key) -> (state key, decoded
+        #: aggregator), in load order (the eviction order).
+        self._resident: OrderedDict[
+            tuple[int, int, bytes], tuple[bytes, Aggregator]
+        ] = OrderedDict()
         #: resident entries mutated since they were last written back
         self._dirty: set[tuple[int, int, bytes]] = set()
 
@@ -138,33 +140,31 @@ class MetricStateStore:
         self, entry: tuple[int, int, bytes], agg_name: str
     ) -> Aggregator:
         """The resident aggregator of ``entry``, loaded on a miss."""
-        aggregator = self._resident.get(entry)
-        if aggregator is None:
-            aggregator = create_aggregator(agg_name)
-            key = self.state_key(*entry)
-            if aggregator.needs_aux:
-                aggregator.bind_aux(LsmAuxStore(self.db, key))
-            raw = self.db.get(key, cf=_CF_STATE)
-            if raw is not None:
-                aggregator.state_from_bytes(raw)
-            self._resident[entry] = aggregator
-            if len(self._resident) > self._resident_cap:
-                victim, evicted = self._resident.popitem(last=False)
-                if victim in self._dirty:
-                    self._dirty.remove(victim)
-                    self.db.put(
-                        self.state_key(*victim), evicted.state_to_bytes(), cf=_CF_STATE
-                    )
+        held = self._resident.get(entry)
+        if held is not None:
+            return held[1]
+        aggregator = create_aggregator(agg_name)
+        key = self.state_key(*entry)
+        if aggregator.needs_aux:
+            aggregator.bind_aux(LsmAuxStore(self.db, key))
+        raw = self.db.get(key, cf=_CF_STATE)
+        if raw is not None:
+            aggregator.state_from_bytes(raw)
+        self._resident[entry] = (key, aggregator)
+        if len(self._resident) > self._resident_cap:
+            victim, (victim_key, evicted) = self._resident.popitem(last=False)
+            if victim in self._dirty:
+                self._dirty.remove(victim)
+                self.db.put(victim_key, evicted.state_to_bytes(), cf=_CF_STATE)
         return aggregator
 
     def _write_back(self) -> None:
         """Barrier: serialise every dirty entry into the LSM, sorted."""
         if not self._dirty:
             return
-        resident = self._resident
         rows = sorted(
-            (self.state_key(*entry), resident[entry].state_to_bytes())
-            for entry in self._dirty
+            (key, aggregator.state_to_bytes())
+            for key, aggregator in map(self._resident.__getitem__, self._dirty)
         )
         self.db.ingest_sorted(rows, cf=_CF_STATE)
         self._dirty.clear()

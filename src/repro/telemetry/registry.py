@@ -128,6 +128,22 @@ METRICS: dict[str, tuple[str, str, str, str]] = {
         "Reservoir append_batch calls inside process_batch (a subset "
         "of worker_process_batch_ms, not an additional stage).",
     ),
+    "worker_checkpoint_ms": (
+        HISTOGRAM, "ms", "worker checkpoint",
+        "TaskProcessor.checkpoint wall time: writing the dirty "
+        "aggregators back, the LSM merges that triggers, and the "
+        "reservoir and table file export.",
+    ),
+    "worker_checkpoint_dirty_entries_total": (
+        COUNTER, "entries", "worker checkpoint",
+        "Aggregator states checkpoints wrote back into the LSM — what "
+        "a checkpoint has to write.",
+    ),
+    "worker_lsm_compactions_total": (
+        COUNTER, "merges", "worker checkpoint",
+        "LSM run merges checkpoints triggered — what they rewrote on "
+        "top of the dirty entries.",
+    ),
     "worker_reply_merge_ms": (
         HISTOGRAM, "ms", "worker",
         "Filtering processor output against reply_from and building "

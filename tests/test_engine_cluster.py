@@ -1,5 +1,6 @@
 """End-to-end cluster tests: routing, correctness, failure handling."""
 
+import math
 import random
 
 import pytest
@@ -402,8 +403,13 @@ class TestCheckpointPins:
         (processor,) = [p for unit in units for p in unit.task_processors.values()]
         db = processor.state.db
         assert len(db._live_checkpoints) == 1
-        live_tables = sum(db.level_shape("aggstate")) + sum(db.level_shape("distinct"))
+        runs = db.run_sizes("aggstate")
+        assert not db.run_sizes("distinct")
         tables = [name for name in db.storage.list() if name.endswith(".sst")]
         # at most the live tables plus those only the one pin still holds
-        assert len(tables) <= live_tables + len(db._live_checkpoints[0].all_files())
-        assert len(tables) <= 2 * db.config.l0_compaction_threshold + 2
+        assert len(tables) <= len(runs) + len(db._live_checkpoints[0].all_files())
+        # the size-tier bound on live runs (width per power-of-two size
+        # class), and the pin is of the same family one checkpoint ago
+        width = db.config.l0_compaction_threshold
+        bound = width * (1 + math.ceil(math.log2(sum(runs) / min(runs))))
+        assert len(runs) <= bound and len(tables) <= 2 * bound

@@ -1,13 +1,28 @@
 """LSM store tests: memtable, WAL, SSTable, bloom, and the full DB."""
 
-import random
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.common.errors import StorageError
 from repro.common.storage import MemoryStorage
 from repro.lsm import BloomFilter, LsmConfig, LsmDb, MemTable, SSTable, TOMBSTONE, WriteAheadLog
+from repro.lsm import db as lsm_db
+from repro.lsm.db import Checkpoint
+
+
+def run_bound(sizes, width):
+    """The size-tier bound: ``width`` runs per power-of-two size class
+    between the smallest run and the whole family."""
+    return width * (1 + math.ceil(math.log2(sum(sizes) / min(sizes))))
 
 
 class TestBloomFilter:
@@ -26,6 +41,18 @@ class TestBloomFilter:
             bloom.might_contain(f"out-{i}".encode()) for i in range(10_000)
         )
         assert false_positives < 500  # well under 5%
+
+    @given(
+        st.sets(st.binary(max_size=12), max_size=80),
+        st.sampled_from([0.5, 0.1, 0.01, 0.0001]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_from_keys_sets_the_bits_of_add_per_key(self, keys, fp_rate):
+        # down to 8-bit filters, where strides of 0 and whole laps are common
+        one_by_one = BloomFilter.for_capacity(len(keys), fp_rate)
+        for key in keys:
+            one_by_one.add(key)
+        assert BloomFilter.from_keys(sorted(keys), fp_rate).to_bytes() == one_by_one.to_bytes()
 
     def test_serde_roundtrip(self):
         bloom = BloomFilter.for_capacity(100)
@@ -234,6 +261,25 @@ class TestSSTable:
         keys = [k for k, _ in table.entries(b"05", b"09")]
         assert keys == [b"05", b"06", b"07", b"08"]
 
+    @given(
+        st.dictionaries(
+            st.binary(max_size=300),
+            st.one_of(st.just(TOMBSTONE), st.binary(max_size=300)),
+            max_size=40,
+        ),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_records_roundtrip_across_the_one_byte_length_boundary(self, rows, interval):
+        # lengths of 0, 127, 128 and 300 bytes: one- and two-byte varints
+        entries = sorted(rows.items())
+        table, storage = self._write(entries, MemoryStorage())
+        reopened = SSTable.open(storage, "t.sst")
+        assert list(table.entries()) == list(reopened.entries()) == entries
+        for key, value in entries[::interval]:
+            assert reopened.get(key) == value
+            assert [k for k, _ in reopened.entries(key)][0] == key
+
     def test_open_reads_back_everything(self):
         entries = [(f"k{i:03d}".encode(), f"v{i}".encode()) for i in range(50)]
         _, storage = self._write(entries)
@@ -348,10 +394,11 @@ class TestLsmDb:
         one_by_one.flush()
         assert list(bulk.scan()) == list(one_by_one.scan())
         assert bulk.get(b"k002") == b"new2" and bulk.get(b"k001") == b"old1"
-        assert bulk.level_shape() == one_by_one.level_shape() == [2]
+        # one new run (the memtable under the ingested keys) over the flushed one
+        assert bulk.run_sizes() == one_by_one.run_sizes() == [40, 20]
         assert bulk.stats.flushes == one_by_one.stats.flushes
         assert bulk.get(b"side", cf="aux") == b"effect"
-        assert bulk.level_shape("aux") == [1]  # every memtable went with it
+        assert bulk.run_sizes("aux") == [1]  # every memtable went with it
 
     def test_ingest_sorted_is_not_shadowed_by_wal_replay(self):
         storage = MemoryStorage()
@@ -416,8 +463,6 @@ class TestLsmDb:
         db = LsmDb()
         db.put(b"k", b"v")
         checkpoint = db.checkpoint()
-        from repro.lsm.db import Checkpoint
-
         restored = Checkpoint.from_bytes(checkpoint.to_bytes())
         assert restored.sequence == checkpoint.sequence
         assert restored.files == checkpoint.files
@@ -448,9 +493,198 @@ class TestLsmDb:
             key = f"key-{key_index:03d}".encode()
             assert db.get(key) == model.get(key)
 
-    def test_level_shape_after_compactions(self):
+    def test_similar_adjacent_runs_merge_and_the_big_run_waits(self):
+        db = LsmDb(config=LsmConfig(l0_compaction_threshold=3))
+        db.ingest_sorted([(b"big%03d" % i, b"v") for i in range(64)])
+        for round_no in range(2):
+            db.ingest_sorted([(b"r%d-%d" % (round_no, i), b"v") for i in range(4)])
+        assert db.run_sizes() == [4, 4, 64] and db.stats.compactions == 0
+        db.ingest_sorted([(b"r2-%d" % i, b"v") for i in range(4)])
+        # three similar runs merged; 12 entries are not yet the 64 below them
+        assert db.run_sizes() == [12, 64] and db.stats.compactions == 1
+        db.delete(b"big000")
+        db.flush()
+        assert db.run_sizes() == [1, 12, 64]
+        for round_no in range(3, 7):
+            db.ingest_sorted([(b"r%d-%02d" % (round_no, i), b"v") for i in range(26)])
+        # [26, 26, 26 | 1, 12] grew past 64: everything merged into the
+        # oldest run, and only that merge dropped the tombstone
+        assert db.run_sizes() == [26, 64 - 1 + 12 + 3 * 26]
+        assert db.get(b"big000") is None and db.get(b"big001") == b"v"
+
+    def test_run_count_stays_within_the_size_tier_bound(self):
         db = LsmDb(config=LsmConfig(memtable_flush_bytes=80, l0_compaction_threshold=2))
         for i in range(400):
             db.put(f"k{i % 50:03d}".encode(), f"value-{i}".encode())
-        shape = db.level_shape()
-        assert shape[0] < 2  # L0 keeps getting folded down
+            sizes = db.run_sizes()
+            assert not sizes or len(sizes) <= run_bound(sizes, 2)
+        assert db.stats.compactions > 0
+
+    def test_merge_that_cancels_out_leaves_no_table_behind(self):
+        db = LsmDb(config=LsmConfig(l0_compaction_threshold=2))
+        db.put(b"a", b"1")
+        db.flush()
+        db.delete(b"a")
+        db.flush()
+        assert db.run_sizes() == [] and db.stats.compactions == 1
+        assert [name for name in db.storage.list() if name.endswith(".sst")] == []
+        assert LsmDb(storage=db.storage).get(b"a") is None  # the manifest agrees
+
+    def test_leveled_checkpoint_restores_newest_first(self):
+        # The layout checkpoints had while runs were grouped into levels:
+        # [[L0 tables, newest first], [the L1 run]].
+        storage = MemoryStorage()
+        names = ["sst-default-L0-00000005.sst", "sst-default-L0-00000003.sst",
+                 "sst-default-L1-00000002.sst"]
+        SSTable.write(storage, names[0], [(b"a", b"newest"), (b"d", TOMBSTONE)])
+        SSTable.write(storage, names[1], [(b"a", b"middle"), (b"b", b"middle")])
+        SSTable.write(storage, names[2], [(b"a", b"oldest"), (b"b", b"oldest"),
+                                          (b"c", b"oldest"), (b"d", b"oldest")])
+        checkpoint = Checkpoint(sequence=9, files={"default": [names[:2], names[2:]]})
+        checkpoint = Checkpoint.from_bytes(checkpoint.to_bytes())
+        files = {name: storage.read_all(name) for name in names}
+        db = LsmDb.import_checkpoint(checkpoint, files)
+        assert db.run_sizes() == [2, 2, 4]
+        assert dict(db.scan()) == {b"a": b"newest", b"b": b"middle", b"c": b"oldest"}
+        assert db.get(b"a") == b"newest" and db.get(b"d") is None
+        db.put(b"e", b"fresh")
+        assert db.checkpoint().sequence == 10
+        assert "sst-default-00000006.sst" in db.storage.list()  # numbering carries on
+        assert db.get(b"e") == b"fresh"
+
+
+FAMILIES = ("default", "aux")
+MACHINE_KEYS = st.sampled_from([b"k%02d" % i for i in range(12)])
+MACHINE_VALUES = st.binary(min_size=1, max_size=4)
+
+
+class LsmDbMachine(RuleBasedStateMachine):
+    """``LsmDb`` against a dict per column family, with a merge width
+    of 2-3 and a 12-key space so merges, overwrites and tombstones
+    collide constantly. Checkpoints remember the model they froze."""
+
+    @initialize(width=st.integers(2, 3))
+    def open(self, width):
+        self.config = LsmConfig(memtable_flush_bytes=48, l0_compaction_threshold=width)
+        self.db = LsmDb(config=self.config)
+        self.db.create_column_family("aux")
+        self.model = {cf: {} for cf in FAMILIES}
+        self.checkpoints = []  # (Checkpoint, model at that point)
+
+    @rule(cf=st.sampled_from(FAMILIES), key=MACHINE_KEYS, value=MACHINE_VALUES)
+    def put(self, cf, key, value):
+        self.db.put(key, value, cf=cf)
+        self.model[cf][key] = value
+
+    @rule(cf=st.sampled_from(FAMILIES), key=MACHINE_KEYS)
+    def delete(self, cf, key):
+        self.db.delete(key, cf=cf)
+        self.model[cf].pop(key, None)
+
+    @rule()
+    def flush(self):
+        self.db.flush()
+
+    @rule(cf=st.sampled_from(FAMILIES), value=MACHINE_VALUES,
+          keys=st.sets(MACHINE_KEYS, min_size=1, max_size=6))
+    def ingest_sorted(self, cf, keys, value):
+        self.db.ingest_sorted([(key, value) for key in sorted(keys)], cf=cf)
+        self.model[cf].update(dict.fromkeys(keys, value))
+
+    @rule(cf=st.sampled_from(FAMILIES), key=MACHINE_KEYS)
+    def get(self, cf, key):
+        assert self.db.get(key, cf=cf) == self.model[cf].get(key)
+
+    @rule(cf=st.sampled_from(FAMILIES))
+    def scan(self, cf):
+        assert list(self.db.scan(cf=cf)) == sorted(self.model[cf].items())
+
+    @rule(cf=st.sampled_from(FAMILIES), digit=st.sampled_from(b"01"))
+    def prefix_scan(self, cf, digit):
+        prefix = b"k%c" % digit
+        assert list(self.db.prefix_scan(prefix, cf=cf)) == sorted(
+            item for item in self.model[cf].items() if item[0].startswith(prefix)
+        )
+
+    @rule()
+    def checkpoint(self):
+        snapshot = self.db.checkpoint()
+        self.checkpoints.append(
+            (snapshot, {cf: dict(rows) for cf, rows in self.model.items()})
+        )
+
+    @rule(data=st.data(), move_in=st.booleans())
+    def import_checkpoint(self, data, move_in):
+        if not self.checkpoints:
+            return
+        snapshot, frozen = data.draw(st.sampled_from(self.checkpoints))
+        files = self.db.export_checkpoint(snapshot)
+        restored = LsmDb.import_checkpoint(snapshot, files, config=self.config)
+        for cf in FAMILIES:
+            assert list(restored.scan(cf=cf)) == sorted(frozen[cf].items())
+        if move_in:  # carry on from the snapshot, on the restored copy
+            self.db, self.checkpoints = restored, []
+            self.model = {cf: dict(rows) for cf, rows in frozen.items()}
+
+    @rule(data=st.data())
+    def release_checkpoint(self, data):
+        if not self.checkpoints:
+            return
+        index = data.draw(st.integers(0, len(self.checkpoints) - 1))
+        self.db.release_checkpoint(self.checkpoints.pop(index)[0])
+
+    def _tables(self):
+        return {name for name in self.db.storage.list() if name.endswith(".sst")}
+
+    @invariant()
+    def checkpointed_files_exist(self):
+        for snapshot, _ in self.checkpoints:
+            assert snapshot.all_files() <= self._tables()
+
+    @invariant()
+    def no_orphan_tables(self):
+        named = {t.name for family in self.db._cfs.values() for t in family.runs}
+        for snapshot, _ in self.checkpoints:
+            named |= snapshot.all_files()
+        assert self._tables() <= named
+
+    @invariant()
+    def run_count_is_bounded(self):
+        for cf in FAMILIES:
+            sizes = self.db.run_sizes(cf)
+            if sizes:
+                assert len(sizes) <= run_bound(sizes, self.config.l0_compaction_threshold)
+
+
+MACHINE_SETTINGS = settings(max_examples=100, stateful_step_count=50, deadline=None)
+TestLsmDbMachine = LsmDbMachine.TestCase
+TestLsmDbMachine.settings = MACHINE_SETTINGS
+
+
+class TestLsmDbMachineCatchesMutants:
+    """The machine is only worth its run time if it fails on the two
+    compaction bugs it exists for."""
+
+    HUNT = settings(
+        MACHINE_SETTINGS, max_examples=400, derandomize=True, database=None,
+        phases=[Phase.generate], report_multiple_bugs=False,
+    )
+
+    def test_merging_non_adjacent_runs(self, monkeypatch):
+        def merge_first_and_third(db, family):
+            runs = family.runs
+            if len(runs) >= 3:
+                runs[1], runs[2] = runs[2], runs[1]
+                db._merge_runs(family, 0, 2)
+
+        monkeypatch.setattr(LsmDb, "_compact", merge_first_and_third)
+        with pytest.raises(AssertionError):
+            run_state_machine_as_test(LsmDbMachine, settings=self.HUNT)
+
+    def test_dropping_tombstones_above_the_oldest_run(self, monkeypatch):
+        merge = lsm_db._merge_entries
+        monkeypatch.setattr(
+            lsm_db, "_merge_entries", lambda sources, drop_tombstones: merge(sources, True)
+        )
+        with pytest.raises(AssertionError):
+            run_state_machine_as_test(LsmDbMachine, settings=self.HUNT)

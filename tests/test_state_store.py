@@ -151,7 +151,7 @@ class TestResidentSet:
             store.apply(0, 0, "count", encode_group_key((f"c{i:02d}",)), [(True, _event(i))], [])
         assert store.db.stats.puts == 0  # nothing serialised before the barrier
         store.checkpoint()
-        assert store.db.stats.flushes == 1 and store.db.level_shape("aggstate") == [1]
+        assert store.db.stats.flushes == 1 and store.db.run_sizes("aggstate") == [40]
         rows, _ = store.export_metric_rows(0)
         assert [key for key, _ in rows] == sorted(key for key, _ in rows)
         assert len(rows) == 40

@@ -125,9 +125,27 @@ class TestCheckpointRestore:
             processor.checkpoint()
         db = processor.state.db
         assert len(db._live_checkpoints) == 1
-        live = {t.name for cf in db._cfs.values() for level in cf.levels for t in level}
+        live = {t.name for cf in db._cfs.values() for t in cf.runs}
         tables = {name for name in db.storage.list() if name.endswith(".sst")}
         assert tables == live | db._live_checkpoints[0].all_files()
+
+    def test_checkpoint_reports_its_cost_to_an_attached_registry(self):
+        from repro.telemetry import MetricsRegistry
+
+        observed, plain = _processor(), _processor()
+        observed.telemetry = registry = MetricsRegistry("worker:t", enabled=True)
+        for round_no in range(4):
+            for i in range(round_no * 6, round_no * 6 + 6):
+                event = _event(i, card=f"c{i % 3}")
+                assert observed.process(i, event) == plain.process(i, event)
+            assert observed.checkpoint() == plain.checkpoint()  # observation only
+        snapshot = registry.snapshot()
+        assert snapshot["histograms"]["worker_checkpoint_ms"]["count"] == 4
+        # 3 cards x (sum, count) dirtied before each of the 4 checkpoints
+        assert snapshot["counters"]["worker_checkpoint_dirty_entries_total"] == 24
+        stats = observed.state.db.stats
+        assert stats.compactions == 1  # the fourth similar run
+        assert snapshot["counters"]["worker_lsm_compactions_total"] == 1
 
     def test_restore_preserves_window_expiry(self):
         original = _processor()
