@@ -531,15 +531,12 @@ def _stage_histograms(cluster) -> dict[str, dict[str, float]]:
 
 
 def _bench_engine_ingest_process(
-    events: list[Event], batch_size: int, workers: int,
-    transport: str = "socket",
+    events: list[Event], batch_size: int, workers: int
 ) -> dict[str, float]:
     # Cadence off: these benches gate pure ingest scaling against the
     # PR-2 floors; periodic checkpoint cost is the recovery family's
     # axis, not this one's.
-    with ParallelCluster(
-        workers=workers, checkpoint_every=None, transport=transport
-    ) as cluster:
+    with ParallelCluster(workers=workers, checkpoint_every=None) as cluster:
         cluster.create_stream("tx", ["cardId"], **_ENGINE_STREAM)
         cluster.create_metric(_ENGINE_METRIC)
 
@@ -559,30 +556,8 @@ def bench_engine_ingest_process_4w(events: list[Event], batch_size: int) -> dict
     return _bench_engine_ingest_process(events, batch_size, workers=4)
 
 
-def bench_engine_ingest_process_shm_1w(events: list[Event], batch_size: int) -> dict[str, float]:
-    """``engine_ingest_process_1w`` over shared-memory rings."""
-    return _bench_engine_ingest_process(events, batch_size, workers=1, transport="shm")
-
-
-def bench_engine_ingest_process_shm_4w(events: list[Event], batch_size: int) -> dict[str, float]:
-    """``engine_ingest_process_4w`` over shared-memory rings.
-
-    Same topology, same events, same columnar frames as the socket
-    4w entry; only the transport differs (SPSC rings, pipe reduced to
-    doorbells). The CI floor requires shm_4w >= 0.7x the socket 4w on
-    >=4-core hosts: rings may not cost much more than they save.
-    """
-    return _bench_engine_ingest_process(events, batch_size, workers=4, transport="shm")
-
-
-def bench_engine_ingest_process_shm_2f(events: list[Event], batch_size: int) -> dict[str, float]:
-    """``engine_ingest_process_2f`` over shared-memory rings."""
-    return _bench_engine_ingest_frontends(events, batch_size, frontends=2, transport="shm")
-
-
 def _bench_engine_ingest_frontends(
-    events: list[Event], batch_size: int, frontends: int,
-    transport: str = "socket",
+    events: list[Event], batch_size: int, frontends: int
 ) -> dict[str, float]:
     """Batched ingest through the sharded-frontend topology.
 
@@ -593,8 +568,7 @@ def _bench_engine_ingest_frontends(
     raises it. The CI floor requires 2f >= 1.4x 1f on >=4-core hosts.
     """
     with ClusterRouter(
-        workers=2, frontends=frontends, checkpoint_every=None,
-        transport=transport,
+        workers=2, frontends=frontends, checkpoint_every=None
     ) as cluster:
         cluster.create_stream("tx", ["cardId"], **_ENGINE_STREAM)
         cluster.create_metric(_ENGINE_METRIC)
@@ -916,9 +890,6 @@ BENCHES: dict[str, Callable[[list[Event], int], dict[str, float]]] = {
     "engine_ingest_single_process": bench_engine_ingest_single_process,
     "engine_ingest_process_1w": bench_engine_ingest_process_1w,
     "engine_ingest_process_4w": bench_engine_ingest_process_4w,
-    "engine_ingest_process_shm_1w": bench_engine_ingest_process_shm_1w,
-    "engine_ingest_process_shm_4w": bench_engine_ingest_process_shm_4w,
-    "engine_ingest_process_shm_2f": bench_engine_ingest_process_shm_2f,
     "engine_ingest_process_1f": bench_engine_ingest_process_1f,
     "engine_ingest_process_2f": bench_engine_ingest_process_2f,
     "engine_ingest_process_4f": bench_engine_ingest_process_4f,
@@ -974,14 +945,22 @@ def check_baseline(
     tolerance: float,
     require_all: bool = True,
 ) -> list[str]:
-    """Regression messages for benches slower than baseline - tolerance."""
+    """Regression messages for benches slower than baseline - tolerance.
+
+    ``require_all=False`` (a ``--select`` run) tolerates registered
+    benches the selection left out; a name that is not in
+    :data:`BENCHES` fails either way — a deleted or renamed bench must
+    not switch its gate off.
+    """
     failures = []
     for name, floor in baseline.items():
         if name.startswith("_"):
             continue  # annotation keys like "_comment", "_speedup_floors"
         current = results.get(name)
         if current is None:
-            if require_all:
+            if name not in BENCHES:
+                failures.append(f"{name}: not a registered bench")
+            elif require_all:
                 failures.append(f"{name}: present in baseline but not measured")
             continue
         allowed = floor["events_per_sec"] * (1.0 - tolerance)
@@ -992,6 +971,31 @@ def check_baseline(
                 f"- {tolerance:.0%} tolerance)"
             )
     return failures
+
+
+def _floor_measured(
+    bench: str,
+    over: str,
+    results: dict[str, dict[str, float]],
+    failures: list[str],
+    skips: list[str],
+) -> bool:
+    """True when both sides of a floor were measured; else file why not.
+
+    A registered bench this run did not select is a skip; a name that is
+    not in :data:`BENCHES` at all is a failure whatever the selection.
+    """
+    missing = [name for name in (bench, over) if name not in results]
+    if not missing:
+        return True
+    unknown = [name for name in missing if name not in BENCHES]
+    if unknown:
+        failures.append(
+            f"{bench}/{over}: {', '.join(unknown)}: not a registered bench"
+        )
+    else:
+        skips.append(f"{bench}/{over}: not measured in this run")
+    return False
 
 
 def check_speedup_floors(
@@ -1005,7 +1009,8 @@ def check_speedup_floors(
     A floor with ``min_cpus`` only asserts when the host has that many
     cores — a multi-process engine cannot out-run a single process on a
     single core, where the workers merely time-slice it. Skipped floors
-    are reported, never silently dropped.
+    are reported, never silently dropped; a floor naming an
+    unregistered bench fails.
     """
     if cpu_count is None:
         cpu_count = os.cpu_count() or 1
@@ -1015,8 +1020,7 @@ def check_speedup_floors(
         bench, over = floor["bench"], floor["over"]
         min_ratio = float(floor["min_ratio"])
         min_cpus = int(floor.get("min_cpus", 1))
-        if bench not in results or over not in results:
-            skips.append(f"{bench}/{over}: not measured in this run")
+        if not _floor_measured(bench, over, results, failures, skips):
             continue
         ratio = results[bench]["events_per_sec"] / results[over]["events_per_sec"]
         if cpu_count < min_cpus:
@@ -1051,8 +1055,7 @@ def check_recovery_floors(
     for floor in floors:
         bench, over = floor["bench"], floor["over"]
         min_time_ratio = float(floor.get("min_time_ratio", 1.0))
-        if bench not in results or over not in results:
-            skips.append(f"{bench}/{over}: not measured in this run")
+        if not _floor_measured(bench, over, results, failures, skips):
             continue
         if (
             "events_replayed" not in results[bench]

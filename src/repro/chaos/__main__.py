@@ -48,8 +48,6 @@ def main(argv: list[str] | None = None) -> int:
             + ", or 'all', or a comma-separated list"
         ),
     )
-    parser.add_argument("--transport", choices=("socket", "shm"), default=None,
-                        help="process-topology transport override")
     parser.add_argument("--durable", action="store_true",
                         help="run the target over a durable (on-disk) log")
     parser.add_argument("--max-events", type=int, default=500,
@@ -76,7 +74,6 @@ def main(argv: list[str] | None = None) -> int:
             result = run_seed(
                 seed,
                 topology,
-                transport=args.transport,
                 durable=args.durable,
                 max_events=args.max_events,
             )

@@ -2,8 +2,8 @@
 
 The invariant is the repo's one global correctness statement (ROADMAP
 north star, held since PR 3): whatever the topology — cooperative
-single-process, shard worker processes, sharded frontends, shm
-transport, durable logs — and whatever faults land mid-stream, every
+single-process, shard worker processes, sharded frontends, durable
+logs — and whatever faults land mid-stream, every
 reply must be byte-identical to what ``create_cluster("single")``
 produces for the same traffic. The runner computes the reference
 replies once, replays the identical scenario on the target, and
@@ -66,14 +66,11 @@ class ChaosResult:
         )
 
 
-def _build(topology: str, *, transport: str | None, durable_dir: str | None):
+def _build(topology: str, *, durable_dir: str | None):
     kwargs = dict(TOPOLOGIES[topology])
     execution = kwargs.pop("execution")
-    if execution == "process":
-        if transport is not None:
-            kwargs["transport"] = transport
-        if durable_dir is not None:
-            kwargs["durable_dir"] = durable_dir
+    if execution == "process" and durable_dir is not None:
+        kwargs["durable_dir"] = durable_dir
     return create_cluster(execution, **kwargs)
 
 
@@ -222,7 +219,6 @@ def run_seed(
     seed: int,
     topology: str = "process",
     *,
-    transport: str | None = None,
     durable: bool = False,
     max_events: int = 500,
 ) -> ChaosResult:
@@ -252,11 +248,7 @@ def run_seed(
 
     tmp = tempfile.TemporaryDirectory(prefix="chaos-") if durable else None
     try:
-        cluster = _build(
-            topology,
-            transport=transport,
-            durable_dir=tmp.name if tmp else None,
-        )
+        cluster = _build(topology, durable_dir=tmp.name if tmp else None)
         try:
             _apply_ddl(cluster, scenario)
             replies = _collect_replies(

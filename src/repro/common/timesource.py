@@ -16,7 +16,8 @@ unifies both behind :class:`TimeSource`:
   while every deadline/heartbeat/backoff relationship is preserved.
   Monotonic values stay comparable *across processes* (they are the
   system-wide ``CLOCK_MONOTONIC`` scaled by a shared constant), which
-  is what the shared-memory ring heartbeats require.
+  is what the ``sent_ms`` stamp behind ``worker_queue_wait_ms``
+  requires.
 - :class:`DeterministicTimeSource` — fully virtual time for
   single-process tests and the chaos harness. ``sleep()`` parks the
   calling thread as a *waiter*; when every participating thread is
@@ -46,8 +47,8 @@ import time as _time
 from abc import ABC, abstractmethod
 from typing import Callable
 
-#: Environment knob compressing real time; mirrors ``RAILGUN_TRANSPORT``
-#: / ``RAILGUN_DURABLE_DIR``. Inherited by child processes, so every
+#: Environment knob compressing real time; mirrors
+#: ``RAILGUN_DURABLE_DIR``. Inherited by child processes, so every
 #: member of a cluster observes the same scaled clock.
 TIME_SCALE_ENV = "RAILGUN_TIME_SCALE"
 

@@ -191,19 +191,9 @@ def create_cluster(execution: str = "single", **kwargs):
       slice of the partition space and shipping work to the workers
       over its own data sockets (see ``docs/ARCHITECTURE.md``).
 
-    Work batches and replies cross every worker link as the same
-    columnar frames (:mod:`repro.shard.columnar`); ``transport`` only
-    decides how those bytes move. Both ``process`` topologies accept
-    ``transport="shm"``: the frames then flow through fixed-slot
-    shared-memory ring buffers (one SPSC ring per direction per link)
-    instead of pipe/socket writes, with the pipe or socket reduced to a
-    control channel plus per-publish doorbells — see
-    ``docs/PERFORMANCE.md`` for the layout and when to pick which. The
-    default ``transport="socket"`` remains the portable fallback (and
-    the only option for cross-host links). Crash semantics are
-    identical: a dead peer's ring is detected via heartbeats or the
-    closed flag and quarantined exactly like a dead socket, then
-    replayed from the durable log/checkpoint watermarks.
+    Work batches and replies cross every worker link — the supervisor
+    pipes and the frontend↔worker data sockets — as the same columnar
+    frames (:mod:`repro.shard.columnar`).
 
     Every topology accepts ``durable_dir=<path>``: partition logs then
     live in disk-backed segment files
@@ -236,6 +226,8 @@ def create_cluster(execution: str = "single", **kwargs):
         cls, label = RailgunCluster, 'execution="single"'
     elif execution == "process":
         frontends = kwargs.get("frontends", 1)
+        if frontends is not None and frontends < 1:
+            raise EngineError(f"need at least one frontend: {frontends}")
         if frontends is not None and frontends > 1:
             from repro.shard.router import ClusterRouter
 

@@ -1,7 +1,7 @@
 """Columnar struct-packed batch encoding for every worker data link.
 
-``WorkBatch`` and ``BatchDone`` cross the supervisor pipe, the
-frontend↔worker data sockets and the shm rings in this form. Their
+``WorkBatch`` and ``BatchDone`` cross the supervisor pipe and the
+frontend↔worker data sockets in this form. Their
 :mod:`repro.shard.wire` encoding (only the fallback below and the
 bench ladder's reference codec) spends its time in per-event, per-field
 pure-Python serde: a varint call per offset, a tagged-value call per

@@ -80,7 +80,6 @@ from repro.messaging.producer import Producer
 from repro.replay.asof import AsOfResult, as_of_values
 from repro.shard import wire
 from repro.shard.backfill import ShardBackfill
-from repro.shard.shm import resolve_transport
 from repro.shard.supervisor import ShardSupervisor
 from repro.telemetry import MetricsRegistry, decode_snapshot, merge_snapshots
 
@@ -123,7 +122,6 @@ class ParallelCluster:
         mp_context: multiprocessing.context.BaseContext | None = None,
         durable_dir: str | None = None,
         durable_fsync: str = "batch",
-        transport: str | None = None,
         time_source: TimeSource | None = None,
     ) -> None:
         self._time = resolve_time_source(time_source)
@@ -163,7 +161,6 @@ class ParallelCluster:
                 if self.durable_dir is not None
                 else None
             ),
-            transport=resolve_transport(transport),
             telemetry=self.metrics,
         )
         self.supervisor.on_restart = self._on_worker_restart

@@ -74,7 +74,6 @@ import socket
 import tempfile
 import threading
 import traceback
-import uuid
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -120,8 +119,7 @@ from repro.messaging.cursor import LogCursor
 from repro.messaging.log import TopicPartition
 from repro.replay.asof import AsOfResult, seed_processor
 from repro.replay.backfill import ReplayError, ShadowReplay
-from repro.shard import columnar, shm, wire
-from repro.shard.shm import ShmError, ShmRing
+from repro.shard import columnar, wire
 from repro.shard.supervisor import ShardSupervisor, _default_context
 from repro.telemetry import (
     MetricsRegistry,
@@ -195,29 +193,13 @@ class FrontendEngine:
         durable_dir: str | None = None,
         durable_fsync: str = "batch",
         durable_segment_bytes: int = 1 << 20,
-        transport: str = "socket",
-        shm_prefix: str | None = None,
         time_source: TimeSource | None = None,
         unit_config: UnitConfig | None = None,
     ) -> None:
-        if transport not in ("socket", "shm"):
-            raise EngineError(f"unknown transport {transport!r}")
         self._time = resolve_time_source(time_source)
         self.frontend_id = frontend_id
         self.batch_max = batch_max
         self.max_outstanding = max_outstanding
-        self.transport = transport
-        #: ring-name prefix; the router sweeps it on close as the
-        #: backstop for rings a SIGKILLed frontend left behind.
-        self._shm_prefix = (
-            shm_prefix
-            if shm_prefix is not None
-            else f"rgshm-{uuid.uuid4().hex[:8]}"
-        )
-        self._link_seq = 0
-        #: worker id -> (work ring we produce into, reply ring we
-        #: consume from); this frontend owns both segments of a link.
-        self.rings: dict[str, tuple[ShmRing, ShmRing]] = {}
         self.catalog = Catalog()
         self.durable_dir = durable_dir
         #: ingest frames durably applied behind the consistent cut; on a
@@ -439,19 +421,10 @@ class FrontendEngine:
         if conn is not None:
             try:
                 while conn.poll(0):
-                    frame = columnar.decode(conn.recv_bytes())
-                    if not isinstance(frame, wire.ShmDoorbell):
-                        self.handle_batch_done(worker_id, frame)
+                    self.handle_batch_done(
+                        worker_id, columnar.decode(conn.recv_bytes())
+                    )
             except (EOFError, OSError):
-                pass
-        rings = self.rings.get(worker_id)
-        if rings is not None:
-            # Completed reply-ring frames are salvage too: the dead
-            # worker published them before it died.
-            try:
-                for payload in rings[1].drain():
-                    self.handle_batch_done(worker_id, columnar.decode(payload))
-            except ShmError:
                 pass
         self.link_down(worker_id)
         self.down.discard(worker_id)  # the restart re-authorizes the link
@@ -476,8 +449,6 @@ class FrontendEngine:
                 conn.close()
             except OSError:
                 pass
-        for ring in self.rings.pop(worker_id, ()):
-            ring.close(unlink=True)
         self.outstanding[worker_id] = 0
 
     def link_down(self, worker_id: str) -> None:
@@ -505,28 +476,6 @@ class FrontendEngine:
         conn = _connect(addr, time_source=self._time)
         if conn is None:
             return None
-        if self.transport == "shm":
-            # Fresh rings per link incarnation; the hello on the (FIFO)
-            # socket lands before any doorbell, so the worker attaches
-            # before the first ring frame is announced.
-            tag = f"{self._shm_prefix}-{self.frontend_id}-{self._link_seq}"
-            self._link_seq += 1
-            work = ShmRing.create(
-                "producer", name=f"{tag}-work", time_source=self._time
-            )
-            reply = ShmRing.create(
-                "consumer", name=f"{tag}-reply", time_source=self._time
-            )
-            try:
-                conn.send_bytes(
-                    wire.encode(wire.ShmHello(work.name, reply.name))
-                )
-            except OSError:
-                work.close(unlink=True)
-                reply.close(unlink=True)
-                conn.close()
-                return None  # worker died post-accept; retried later
-            self.rings[worker_id] = (work, reply)
         self.conns[worker_id] = conn
         self.outstanding.setdefault(worker_id, 0)
         return conn
@@ -624,14 +573,9 @@ class FrontendEngine:
                     (("sent_ms", telemetry.now() * 1000.0),),
                 )
             frame = columnar.encode(wire.WorkBatch(tp, watermark, records, trace))
-            rings = self.rings.get(worker_id)
             try:
-                if rings is not None:
-                    rings[0].send(frame)
-                    conn.send_bytes(wire.DOORBELL)
-                else:
-                    conn.send_bytes(frame)
-            except (OSError, ShmError):
+                conn.send_bytes(frame)
+            except OSError:
                 # Dead worker: the restart announcement re-seeks this
                 # task below the lost records, so the replay covers them.
                 self.link_down(worker_id)
@@ -639,37 +583,6 @@ class FrontendEngine:
             self.outstanding[worker_id] = self.outstanding.get(worker_id, 0) + 1
             shipped += len(records)
         return shipped
-
-    def drain_rings(
-        self, stale_after: float = shm.DEFAULT_STALE_AFTER
-    ) -> None:
-        """Beat own heartbeats, merge reply-ring frames, police peers.
-
-        A link whose worker stopped beating (or marked its side closed)
-        is quarantined exactly like a dead socket: :meth:`link_down`
-        drops the rings and credits, and dispatch stays suspended until
-        the router's ``WorkerRestarted`` re-authorizes the link with the
-        matching seek-back. No-op on socket links.
-        """
-        for worker_id in list(self.rings):
-            work, reply = self.rings[worker_id]
-            work.beat()
-            reply.beat()
-            try:
-                for payload in reply.drain():
-                    self.handle_batch_done(worker_id, columnar.decode(payload))
-            except ShmError:
-                self.link_down(worker_id)
-                continue
-            if work.peer_closed() or work.peer_stale(stale_after):
-                self.link_down(worker_id)
-
-    def close_links(self) -> None:
-        """Drop every worker link; owned ring segments are unlinked."""
-        for worker_id in list(self.conns):
-            self._close_conn(worker_id)
-        for worker_id in list(self.rings):
-            self._close_conn(worker_id)
 
     def handle_batch_done(self, worker_id: str, msg: wire.BatchDone) -> None:
         """Merge one finished batch: replies, watermark, progress."""
@@ -796,9 +709,7 @@ class FrontendBackfill:
     link lands (socket-FIFO) between the batches below the cut and the
     ones above it. The worker stashes and splices at exactly that
     offset; its ack flows through the supervisor control pipe to the
-    router, which owns completion. On the shm transport later ring
-    batches can overtake the socket frame — the worker re-polls the
-    data socket before each ring frame, restoring the ordering.
+    router, which owns completion.
 
     Recovery mirrors the other topologies: a worker restart or a route
     move calls :meth:`forget` for the affected tasks (the fresh worker
@@ -918,8 +829,6 @@ def shard_frontend_main(
     durable_dir: str | None = None,
     durable_fsync: str = "batch",
     durable_segment_bytes: int = 1 << 20,
-    transport: str = "socket",
-    shm_prefix: str | None = None,
     unit_config: UnitConfig | None = None,
 ) -> None:
     """Frontend process entrypoint: route, dispatch, merge — until stopped.
@@ -928,35 +837,26 @@ def shard_frontend_main(
     one data socket per routed worker. The router pipe is drained fully
     before worker traffic, so control messages (assignment, worker
     restarts, drains) are applied before the work they govern. With
-    ``transport="shm"`` each worker link upgrades to a shared-memory
-    ring pair (``ShmHello`` on the freshly dialed socket); the same
-    columnar frames then flow through the rings and the socket carries
-    only doorbells, with stale-heartbeat policing quarantining
-    a silent worker like a dead socket. With ``durable_dir`` the engine
-    hosts disk-backed logs: each loop iteration that ingested frames
-    ends with a durable sync (log fsync, then the consistent cut),
-    whose applied-frame count rides the next ``ReplyBatch`` so the
-    router can prune its write-ahead journal. Any exception is reported
-    as a ``WorkerError`` frame before the process exits, mirroring the
-    shard worker contract.
+    ``durable_dir`` the engine hosts disk-backed logs: each loop
+    iteration that ingested frames ends with a durable sync (log fsync,
+    then the consistent cut), whose applied-frame count rides the next
+    ``ReplyBatch`` so the router can prune its write-ahead journal. Any
+    exception is reported as a ``WorkerError`` frame before the process
+    exits, mirroring the shard worker contract.
     """
     engine = FrontendEngine(
         frontend_id, batch_max, max_outstanding, durable_dir,
         durable_fsync=durable_fsync,
         durable_segment_bytes=durable_segment_bytes,
-        transport=transport,
-        shm_prefix=shm_prefix,
         unit_config=unit_config,
     )
     parent_pid = os.getppid()
     try:
         while True:
             wait_on = [conn, *engine.conns.values()]
-            timeout = 0.5 if engine.rings else 1.0
-            if engine.backfills:
-                # A replaying shadow makes progress per loop round, not
-                # per inbound frame — keep the loop hot until the stop.
-                timeout = 0.01
+            # A replaying shadow makes progress per loop round, not per
+            # inbound frame — keep the loop hot until the stop.
+            timeout = 0.01 if engine.backfills else 1.0
             ready = set(multiprocessing.connection.wait(wait_on, timeout))
             if os.getppid() != parent_pid:
                 # Router process killed without cleanup (pipe EOF never
@@ -981,18 +881,15 @@ def shard_frontend_main(
             ]:
                 try:
                     while True:
-                        msg = columnar.decode(data_conn.recv_bytes())
-                        # Doorbells only wake the loop; drain_rings
-                        # below picks up the frames they announce.
-                        if not isinstance(msg, wire.ShmDoorbell):
-                            engine.handle_batch_done(worker_id, msg)
+                        engine.handle_batch_done(
+                            worker_id, columnar.decode(data_conn.recv_bytes())
+                        )
                         if not data_conn.poll(0):
                             break
                 except (EOFError, OSError):
                     # Worker died mid-stream; the router announces the
                     # restart and this frontend re-seeks + replays then.
                     engine.link_down(worker_id)
-            engine.drain_rings()
             engine.dispatch()
             engine.step_backfills()
             engine.sync_durable()
@@ -1007,10 +904,6 @@ def shard_frontend_main(
         except OSError:
             pass
         raise
-    finally:
-        # Unlink owned rings on every exit path short of SIGKILL (the
-        # worker's EOF backstop and the router's sweep cover that one).
-        engine.close_links()
 
 
 # -- the client-side facade ---------------------------------------------------
@@ -1157,19 +1050,11 @@ class ClusterRouter:
         durable_dir: str | None = None,
         durable_fsync: str = "batch",
         durable_segment_bytes: int = 1 << 20,
-        transport: str | None = None,
         time_source: TimeSource | None = None,
     ) -> None:
         if frontends <= 0:
             raise EngineError(f"need at least one frontend: {frontends}")
         self._time = resolve_time_source(time_source)
-        transport = shm.resolve_transport(transport)
-        if transport not in ("socket", "shm"):
-            raise EngineError(f"unknown transport {transport!r}")
-        self.transport = transport
-        #: shared ring-name prefix across all frontends; swept on close
-        #: as the backstop for rings a SIGKILLed frontend left behind.
-        self._shm_prefix = f"rgshm-{uuid.uuid4().hex[:8]}"
         #: router-side registry, shared with the supervisor; the merged
         #: cluster view (router + frontends + workers) is
         #: :meth:`telemetry`.
@@ -1263,7 +1148,6 @@ class ClusterRouter:
             args=(
                 child_conn, frontend_id, self.batch_max, 2, frontend_dir,
                 self.durable_fsync, self.durable_segment_bytes,
-                self.transport, self._shm_prefix,
                 self.supervisor.unit_config,
             ),
             name=f"railgun-{frontend_id}",
@@ -2315,8 +2199,8 @@ class ClusterRouter:
         abandons it early rather than hanging shutdown. A child error
         raised mid-drain likewise downgrades to an immediate teardown —
         close() must always release the process tree, so the supervisor
-        shutdown and socket/shm cleanup run even if stopping the
-        frontends throws.
+        shutdown and socket cleanup run even if stopping the frontends
+        throws.
 
         Thread-safe and idempotent: concurrent calls race on one lock
         and every call after the first returns immediately. The caller
@@ -2359,8 +2243,6 @@ class ClusterRouter:
         finally:
             self.supervisor.shutdown()
             shutil.rmtree(self._socket_dir, ignore_errors=True)
-            if self.transport == "shm":
-                shm.sweep(self._shm_prefix)
 
     def __enter__(self) -> "ClusterRouter":
         return self

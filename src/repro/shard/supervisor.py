@@ -7,10 +7,10 @@ modelled as its own single-processor node) and replays the full control
 log into any worker it restarts after a crash. In single-coordinator
 mode (:class:`~repro.shard.parallel.ParallelCluster`) it also carries
 the data plane: columnar ``WorkBatch`` frames to the owning worker,
-columnar ``BatchDone`` replies and stats back, over the pipe or the shm
-rings alike. In sharded-frontend mode (``listen_dir`` set)
-the data plane moves to per-frontend AF_UNIX sockets and the pipes
-carry control only; frontends' progress is credited back through
+columnar ``BatchDone`` replies and stats back, over the same pipes. In
+sharded-frontend mode (``listen_dir`` set) the data plane moves to
+per-frontend AF_UNIX sockets and the pipes carry control only;
+frontends' progress is credited back through
 :meth:`ShardSupervisor.note_processed` so per-worker stats and the
 checkpoint cadence stay merged here either way.
 
@@ -41,7 +41,6 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
-import uuid
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -55,8 +54,7 @@ from repro.engine.assignment import (
 from repro.engine.processor import UnitConfig
 from repro.engine.task import TaskCheckpoint
 from repro.messaging.log import TopicPartition
-from repro.shard import columnar, shm, wire
-from repro.shard.shm import ShmError, ShmRing
+from repro.shard import columnar, wire
 from repro.shard.worker import shard_worker_main
 from repro.telemetry import MetricsRegistry
 
@@ -211,11 +209,6 @@ class WorkerHandle:
     assigned: set[TopicPartition] = field(default_factory=set)
     outstanding: int = 0
     restarts: int = 0
-    #: shm transport only: WorkBatch frames out / BatchDone frames back.
-    #: The supervisor owns both segments (creates, unlinks); the pipe
-    #: stays the control plane and the doorbell channel.
-    work_ring: ShmRing | None = None
-    reply_ring: ShmRing | None = None
 
     @property
     def alive(self) -> bool:
@@ -235,7 +228,6 @@ class ShardSupervisor:
         mp_context: multiprocessing.context.BaseContext | None = None,
         listen_dir: str | None = None,
         checkpoint_dir: str | None = None,
-        transport: str = "socket",
         time_source: TimeSource | None = None,
         telemetry: MetricsRegistry | None = None,
     ) -> None:
@@ -260,15 +252,6 @@ class ShardSupervisor:
         #: ``BatchDone`` frames. Replace semantics: a restarted worker's
         #: fresh snapshot supersedes its predecessor's.
         self._worker_snapshots: dict[str, bytes] = {}
-        if transport not in ("socket", "shm"):
-            raise EngineError(f"unknown shard transport: {transport!r}")
-        #: ``"shm"`` moves WorkBatch/BatchDone payloads onto per-worker
-        #: shared-memory rings; the pipe then carries control frames
-        #: plus one-byte doorbells. ``"socket"`` keeps everything on the
-        #: pipe (the portable / cross-host path). Same frames either way.
-        self.transport = transport
-        self._shm_prefix = f"rgshm-{uuid.uuid4().hex[:8]}"
-        self._spawn_seq = 0
         self._ctx = mp_context if mp_context is not None else _default_context()
         #: directory for per-worker AF_UNIX data-socket addresses. Set by
         #: the sharded-frontend router: each worker then listens for
@@ -377,21 +360,6 @@ class ShardSupervisor:
 
     def _spawn(self, worker_id: str) -> WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        work_ring = reply_ring = None
-        shm_names = None
-        if self.transport == "shm":
-            # Fresh segments per incarnation (the names travel in the
-            # spawn args, so no handshake): a restarted worker never
-            # sees its predecessor's half-consumed frames.
-            tag = f"{self._shm_prefix}-{worker_id}-{self._spawn_seq}"
-            self._spawn_seq += 1
-            work_ring = ShmRing.create(
-                "producer", name=f"{tag}-work", time_source=self._time
-            )
-            reply_ring = ShmRing.create(
-                "consumer", name=f"{tag}-reply", time_source=self._time
-            )
-            shm_names = (work_ring.name, reply_ring.name)
         process = self._ctx.Process(
             target=shard_worker_main,
             args=(
@@ -399,20 +367,13 @@ class ShardSupervisor:
                 worker_id,
                 self.unit_config,
                 self.worker_addr(worker_id),
-                shm_names,
             ),
             name=f"railgun-{worker_id}",
             daemon=True,
         )
         process.start()
         child_conn.close()
-        return WorkerHandle(
-            worker_id,
-            process,
-            parent_conn,
-            work_ring=work_ring,
-            reply_ring=reply_ring,
-        )
+        return WorkerHandle(worker_id, process, parent_conn)
 
     # -- control plane --------------------------------------------------------
 
@@ -650,16 +611,8 @@ class ShardSupervisor:
             )
         frame = columnar.encode(wire.WorkBatch(tp, reply_from, records, trace))
         try:
-            if handle.work_ring is not None:
-                # Payload travels the ring; the pipe carries only a
-                # doorbell so the worker's blocking wait wakes.
-                # Publish-then-ring ordering means a consumed doorbell
-                # always finds the frame already visible.
-                handle.work_ring.send(frame)
-                handle.conn.send_bytes(wire.DOORBELL)
-            else:
-                handle.conn.send_bytes(frame)
-        except (OSError, ShmError):
+            handle.conn.send_bytes(frame)
+        except OSError:
             return  # dead worker; _reap_dead restarts + replays
         handle.outstanding += 1
 
@@ -748,25 +701,13 @@ class ShardSupervisor:
             handle = by_conn[conn]
             try:
                 while True:
-                    msg = columnar.decode(conn.recv_bytes())
-                    # Doorbells only signal readiness; the payload is
-                    # picked up from the reply ring below.
-                    if not isinstance(msg, wire.ShmDoorbell):
-                        out.append((msg, handle))
+                    out.append((columnar.decode(conn.recv_bytes()), handle))
                     # Only keep reading while more frames are buffered;
                     # otherwise recv would block.
                     if not conn.poll(0):
                         break
             except (EOFError, OSError):
                 continue  # dead worker; _reap_dead restarts it
-        for handle in self.handles.values():
-            if handle.reply_ring is None:
-                continue
-            try:
-                for payload in handle.reply_ring.drain():
-                    out.append((columnar.decode(payload), handle))
-            except ShmError:
-                continue  # torn frame from a dying worker; restart replays
         return out
 
     def _reap_dead(self) -> list[str]:
@@ -817,16 +758,10 @@ class ShardSupervisor:
             handle.conn.close()
         except OSError:
             pass
-        if handle.work_ring is not None:
-            handle.work_ring.close(unlink=True)
-        if handle.reply_ring is not None:
-            handle.reply_ring.close(unlink=True)
         self._forget_expected_acks(handle.worker_id)
         fresh = self._spawn(handle.worker_id)
         handle.process = fresh.process
         handle.conn = fresh.conn
-        handle.work_ring = fresh.work_ring
-        handle.reply_ring = fresh.reply_ring
         handle.outstanding = 0
         handle.restarts += 1
         self.restarts += 1
@@ -888,9 +823,6 @@ class ShardSupervisor:
         for handle in self.handles.values():
             self._stop_handle(handle)
         self.handles.clear()
-        if self.transport == "shm":
-            # Backstop for segments a SIGKILLed worker left behind.
-            shm.sweep(self._shm_prefix)
 
     def _stop_handle(self, handle: WorkerHandle) -> None:
         if handle.alive:
@@ -906,12 +838,6 @@ class ShardSupervisor:
             handle.conn.close()
         except OSError:
             pass
-        if handle.work_ring is not None:
-            handle.work_ring.close(unlink=True)
-            handle.work_ring = None
-        if handle.reply_ring is not None:
-            handle.reply_ring.close(unlink=True)
-            handle.reply_ring = None
 
     def __enter__(self) -> "ShardSupervisor":
         return self

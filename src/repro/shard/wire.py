@@ -81,9 +81,10 @@ MSG_TRUNCATE_LOGS = 26
 MSG_REPLY_BATCH = 24
 MSG_DRAIN_ACK = 25
 
-# shm data plane (tags 29/30 are the columnar frames in repro.shard.columnar)
-MSG_SHM_HELLO = 27
-MSG_SHM_DOORBELL = 28
+# Tags 27 and 28 are retired, not free: they framed the shared-memory
+# ring transport's handshake and doorbell, and a peer built before its
+# removal must hit "unknown tag", never another message's decoder.
+# (Tags 29/30 are the columnar frames in repro.shard.columnar.)
 
 # TCP front door (remote client <-> ingest server). IngestBatch and
 # ReplyBatch are reused verbatim on this plane; these frames add the
@@ -518,28 +519,6 @@ class DrainAck:
 
     request_id: int
     watermarks: tuple[tuple[TopicPartition, int], ...]
-
-
-# -- shm data plane -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShmHello:
-    """Link handshake (``transport="shm"``): the dispatcher side created
-    a ring pair for this data channel and names them here; the worker
-    attaches both. All further traffic on the channel is doorbells."""
-
-    work_ring: str  #: carries WorkBatch frames toward the worker
-    reply_ring: str  #: carries BatchDone frames back
-
-
-@dataclass(frozen=True)
-class ShmDoorbell:
-    """Readiness signal: frames were published to the paired ring.
-
-    The payload is the signal — it wakes the peer's ``connection.wait``
-    so ring consumers never poll. Doorbells are coalesced per publish
-    round, not per frame."""
 
 
 # -- TCP front door -----------------------------------------------------------
@@ -1072,12 +1051,6 @@ def encode(msg: object) -> bytes:
         buf.append(MSG_DRAIN_ACK)
         serde.write_varint(buf, msg.request_id)
         _write_offset_pairs(buf, msg.watermarks)
-    elif isinstance(msg, ShmHello):
-        buf.append(MSG_SHM_HELLO)
-        serde.write_str(buf, msg.work_ring)
-        serde.write_str(buf, msg.reply_ring)
-    elif isinstance(msg, ShmDoorbell):
-        buf.append(MSG_SHM_DOORBELL)
     elif isinstance(msg, Hello):
         buf.append(MSG_HELLO)
         serde.write_str(buf, msg.tenant)
@@ -1441,12 +1414,6 @@ def decode(data: bytes) -> object:
         request_id, offset = serde.read_varint(view, offset)
         watermarks, offset = _read_offset_pairs(view, offset)
         return DrainAck(request_id, watermarks)
-    if tag == MSG_SHM_HELLO:
-        work_ring, offset = serde.read_str(view, offset)
-        reply_ring, offset = serde.read_str(view, offset)
-        return ShmHello(work_ring, reply_ring)
-    if tag == MSG_SHM_DOORBELL:
-        return ShmDoorbell()
     if tag == MSG_HELLO:
         tenant, offset = serde.read_str(view, offset)
         token, offset = serde.read_str(view, offset)
@@ -1618,8 +1585,3 @@ def _decode_batch_done(view: memoryview, offset: int) -> BatchDone:
         replies.append((reply_offset, results))
     trace, stats = _read_telemetry_tail(view, offset)
     return BatchDone(tp, next_offset, processed, replies, trace, stats)
-
-
-#: pre-encoded doorbell frame: wakes a peer's ``connection.wait`` after
-#: frames were published to its ring (see :mod:`repro.shard.shm`).
-DOORBELL = encode(ShmDoorbell())

@@ -7,8 +7,8 @@ consume→process loop (``WorkBatch`` in, ``BatchDone`` out) over its own
 no connection to the message bus — the coordinator side (the
 ``ParallelCluster`` dispatcher, or each sharded frontend process) polls
 the log on its behalf and ships contiguous offset runs as columnar
-frames across a pipe, data socket or shm ring — so the whole data path
-of a worker is: decode batch, ``process_batch``, encode replies.
+frames across a pipe or data socket — so the whole data path of a
+worker is: decode batch, ``process_batch``, encode replies.
 
 Workers are born empty. Catalogue state (streams, metrics, schema
 evolutions) arrives as control messages; task state either accumulates
@@ -45,7 +45,6 @@ from repro.engine.processor import UnitConfig
 from repro.engine.task import BackfillState, TaskProcessor
 from repro.messaging.log import TopicPartition
 from repro.shard import columnar, wire
-from repro.shard.shm import ShmError, ShmRing
 from repro.telemetry import MetricsRegistry, encode_snapshot
 
 #: Minimum seconds between snapshot ships on BatchDone frames.
@@ -266,7 +265,7 @@ class ShardWorker:
         if measured and batch.trace is not None:
             # The dispatcher stamped its send time in source-seconds on
             # the system-wide monotonic clock; the delta is how long the
-            # frame sat in the pipe/ring plus the worker's loop latency.
+            # frame sat in the pipe/socket plus the worker's loop latency.
             for stage, stamp in batch.trace[1]:
                 if stage == "sent_ms":
                     wait_ms = max(0.0, started * 1000.0 - stamp)
@@ -304,7 +303,7 @@ class ShardWorker:
                 break
         # A cut at exactly the end of this run splices now: it may be
         # the partition's last run for a while, and an install stashed
-        # while the run sat in the ring would otherwise never ack.
+        # while the run sat in the link would otherwise never ack.
         self._apply_ready_splices(batch.tp, processor)
         self.messages_processed += len(batch.records)
         if measured:
@@ -498,64 +497,8 @@ def _handle_one(
         return False
     elif isinstance(msg, wire.Crash):
         os._exit(17)  # fault injection: die without cleanup
-    elif isinstance(msg, wire.ShmDoorbell):
-        pass  # pure wakeup; the main loop drains the rings
     else:
         worker.handle_control(msg)
-    return True
-
-
-def _drain_data_ring(
-    worker: ShardWorker,
-    data_conn: Connection,
-    rings: tuple[ShmRing, ShmRing],
-) -> bool:
-    """Drain one frontend link's work ring; False when the link is dead.
-
-    Mirrors the socket loop's error discipline: only ring/socket I/O
-    counts as "the frontend went away" — ``handle_work`` exceptions
-    (reservoir/LSM I/O) propagate to the ``WorkerError`` reporter.
-    """
-    work, reply = rings
-    replied = False
-    while True:
-        try:
-            payload = work.try_recv()
-        except ShmError:
-            return False
-        if payload is None:
-            break
-        # A control frame (e.g. a backfill install) the frontend wrote
-        # to the socket before publishing this ring frame must apply
-        # first — the socket write completed before the publish, so it
-        # is already readable here. Without this re-poll a splice cut
-        # could be overtaken by the batches above it.
-        try:
-            while data_conn.poll(0):
-                msg = wire.decode(data_conn.recv_bytes())
-                if isinstance(msg, wire.BackfillInstall):
-                    stale = worker.handle_backfill_install(msg)
-                    if stale is not None:
-                        data_conn.send_bytes(wire.encode(
-                            wire.BackfillStale(
-                                msg.tp, msg.metric.metric_id, stale
-                            )
-                        ))
-                elif not isinstance(msg, wire.ShmDoorbell):
-                    worker.handle_control(msg)
-        except (EOFError, OSError):
-            return False
-        done = columnar.encode(worker.handle_work(columnar.decode(payload)))
-        try:
-            reply.send(done)
-        except (OSError, ShmError):
-            return False
-        replied = True
-    if replied:
-        try:
-            data_conn.send_bytes(wire.DOORBELL)
-        except OSError:
-            return False
     return True
 
 
@@ -564,7 +507,6 @@ def shard_worker_main(
     worker_id: str,
     config: UnitConfig | None = None,
     listen_addr: str | None = None,
-    shm_names: tuple[str, str] | None = None,
 ) -> None:
     """Worker process entrypoint: decode → dispatch → reply, until told to stop.
 
@@ -580,16 +522,6 @@ def shard_worker_main(
     and ``RestoreTask`` checkpoints before any replayed work batch, and
     a rebalanced task's checkpoint lands before its new traffic.
 
-    With ``shm_names`` set (``transport="shm"``) the supervisor's work
-    batches, the same frames, instead arrive through a shared-memory ring
-    attached at ``shm_names[0]`` and replies return through the ring at
-    ``shm_names[1]``; the pipe carries only control frames and
-    doorbells. Frontend links upgrade the same way per connection via a
-    ``ShmHello`` on their data socket. The cross-channel ordering
-    guarantee holds because a ring frame is published strictly after
-    any control frame that precedes it was written to the pipe, and the
-    ring drain re-polls the pipe before processing each frame.
-
     Any exception is reported as a :class:`~repro.shard.wire.WorkerError`
     frame on the control channel before the process exits non-zero, so
     the supervisor can log the cause instead of just observing a dead
@@ -598,32 +530,10 @@ def shard_worker_main(
     worker = ShardWorker(worker_id, config)
     listener = _bind_listener(listen_addr) if listen_addr is not None else None
     data_conns: list[Connection] = []
-    sup_work = sup_reply = None
-    if shm_names is not None:
-        sup_work = ShmRing.attach(shm_names[0], "consumer")
-        sup_reply = ShmRing.attach(shm_names[1], "producer")
-    #: per-frontend-link ring pair ``(work, reply)``, announced by
-    #: ``ShmHello`` on that link's data socket.
-    data_rings: dict[Connection, tuple[ShmRing, ShmRing]] = {}
 
-    def all_rings() -> list[ShmRing]:
-        rings = [] if sup_work is None else [sup_work, sup_reply]
-        for pair in data_rings.values():
-            rings.extend(pair)
-        return rings
-
-    def drain_control() -> bool:
-        """Apply every readable control frame; False on shutdown."""
-        while conn.poll(0):
-            if not _handle_one(worker, conn, columnar.decode(conn.recv_bytes())):
-                return False
-        return True
-
-    def drop_data_conn(data_conn: Connection, *, unlink: bool) -> None:
+    def drop_data_conn(data_conn: Connection) -> None:
         data_conns.remove(data_conn)
         data_conn.close()
-        for ring in data_rings.pop(data_conn, ()):
-            ring.close(unlink=unlink)
 
     parent_pid = os.getppid()
     try:
@@ -631,39 +541,21 @@ def shard_worker_main(
             wait_on: list = [conn, *data_conns]
             if listener is not None:
                 wait_on.append(listener)
-            # With rings attached the wait must time out so heartbeats
-            # keep advancing even on an idle link; without, it times out
-            # anyway so the orphan check below runs on an idle worker.
-            timeout = 0.5 if (sup_work is not None or data_rings) else 1.0
-            ready = set(connection.wait(wait_on, timeout))
+            # The wait times out so the orphan check below runs on an
+            # idle worker.
+            ready = set(connection.wait(wait_on, 1.0))
             if os.getppid() != parent_pid:
                 # The owning process was killed without cleanup. Pipe
                 # EOF cannot signal this: forked siblings inherit each
                 # other's pipe ends and keep them open, so reparenting
                 # is the only reliable death signal.
                 return
-            for ring in all_rings():
-                ring.beat()
             # Drain the control channel fully before touching data.
-            if conn in ready and not drain_control():
-                return
-            if sup_work is not None:
-                replied = False
-                while True:
-                    payload = sup_work.try_recv()
-                    if payload is None:
-                        break
-                    # A visible ring frame was published strictly after
-                    # any control frame sent before it, so that control
-                    # frame is already readable — apply it first
-                    # (restore-before-work across the two channels).
-                    if not drain_control():
+            if conn in ready:
+                while conn.poll(0):
+                    msg = columnar.decode(conn.recv_bytes())
+                    if not _handle_one(worker, conn, msg):
                         return
-                    batch = columnar.decode(payload)
-                    sup_reply.send(columnar.encode(worker.handle_work(batch)))
-                    replied = True
-                if replied:
-                    conn.send_bytes(wire.DOORBELL)
             if listener is not None and listener in ready:
                 accepted, _ = listener.accept()
                 data_conns.append(Connection(accepted.detach()))
@@ -677,26 +569,12 @@ def shard_worker_main(
                     try:
                         payload = data_conn.recv_bytes()
                     except (EOFError, OSError):
-                        # A SIGKILLed frontend cannot unlink its rings;
-                        # this worker is the last process holding them.
-                        drop_data_conn(data_conn, unlink=True)
+                        drop_data_conn(data_conn)
                         break
                     msg = columnar.decode(payload)
                     frame = None  # what this link is owed for ``msg``
                     if isinstance(msg, wire.WorkBatch):
                         frame = columnar.encode(worker.handle_work(msg))
-                    elif isinstance(msg, wire.ShmHello):
-                        try:
-                            data_rings[data_conn] = (
-                                ShmRing.attach(msg.work_ring, "consumer"),
-                                ShmRing.attach(msg.reply_ring, "producer"),
-                            )
-                        except (OSError, ShmError):
-                            # The frontend already tore these rings down
-                            # and hung up: a dead link like any other,
-                            # with nothing of ours to unlink.
-                            drop_data_conn(data_conn, unlink=False)
-                            break
                     elif isinstance(msg, wire.BackfillInstall):
                         stale = worker.handle_backfill_install(msg)
                         if stale is not None:
@@ -712,20 +590,10 @@ def shard_worker_main(
                         try:
                             data_conn.send_bytes(frame)
                         except OSError:
-                            drop_data_conn(data_conn, unlink=True)
+                            drop_data_conn(data_conn)
                             break
                     if not data_conn.poll(0):
                         break
-            # Doorbells only wake the loop; every upgraded link's work
-            # ring is drained each pass (cheap: a head==tail load when
-            # idle), so a doorbell coalesced with the frame it announced
-            # is never lost.
-            for data_conn in list(data_conns):
-                rings = data_rings.get(data_conn)
-                if rings is not None and not _drain_data_ring(
-                    worker, data_conn, rings
-                ):
-                    drop_data_conn(data_conn, unlink=True)
             # Push unsolicited frames (backfill acks) to the supervisor
             # at the end of each pass, whatever channel produced them.
             while worker.outbox:
@@ -745,9 +613,3 @@ def shard_worker_main(
         except OSError:
             pass
         raise
-    finally:
-        # Attached rings are closed (not unlinked — their owners clean
-        # up) so a blocked peer fails fast on the closed flag instead of
-        # waiting out the staleness window.
-        for ring in all_rings():
-            ring.close()

@@ -458,12 +458,10 @@ class TestClusterSendBatchEquivalence:
         assert [r.results for r in replies_a] == [r.results for r in replies_b]
         assert [r.event for r in replies_a] == [r.event for r in replies_b]
 
-    @pytest.mark.parametrize("transport", ["socket", "shm"])
-    def test_process_mode_matches_per_event_replies(self, transport):
+    def test_process_mode_matches_per_event_replies(self):
         # The process-parallel engine is held to the same bar as the
         # batched single-process path: byte-identical reply values and
-        # aggregate stats, with ties, duplicates and all — over the
-        # serde-framed pipe and the shared-memory ring transport alike.
+        # aggregate stats, with ties, duplicates and all.
         from repro.shard.parallel import ParallelCluster
 
         events = [
@@ -473,7 +471,7 @@ class TestClusterSendBatchEquivalence:
         events.append(events[7])  # duplicate id: replies read-only
         one_by_one = self.build_cluster()
         replies_a = [one_by_one.send("tx", event=event) for event in events]
-        with ParallelCluster(workers=2, transport=transport) as process_mode:
+        with ParallelCluster(workers=2) as process_mode:
             process_mode.create_stream(
                 "tx", ["cardId"], partitions=2,
                 schema={"cardId": "string", "amount": "float"},
@@ -488,8 +486,7 @@ class TestClusterSendBatchEquivalence:
         assert [r.event for r in replies_a] == [r.event for r in replies_b]
         assert processed == len(events) == one_by_one.total_messages_processed()
 
-    @pytest.mark.parametrize("transport", ["socket", "shm"])
-    def test_sharded_frontend_mode_matches_per_event_replies(self, transport):
+    def test_sharded_frontend_mode_matches_per_event_replies(self):
         # Acceptance bar for the sharded-frontend topology: replies from
         # create_cluster("process", frontends=2) are byte-identical to
         # create_cluster("single"), including ties and duplicate ids —
@@ -513,9 +510,7 @@ class TestClusterSendBatchEquivalence:
         )
         single.run_until_quiet()
         replies_a = [single.send("tx", event=event) for event in events]
-        with create_cluster(
-            "process", workers=2, frontends=2, transport=transport
-        ) as sharded:
+        with create_cluster("process", workers=2, frontends=2) as sharded:
             sharded.create_stream(
                 "tx", ["cardId"], partitions=2,
                 schema={"cardId": "string", "amount": "float"},
@@ -575,9 +570,8 @@ class TestClusterSendBatchEquivalence:
         assert [r.results for r in replies_a] == [r.results for r in replies_b]
         assert [r.event for r in replies_a] == [r.event for r in replies_b]
 
-    @pytest.mark.parametrize("transport", ["socket", "shm"])
     def test_durable_sharded_frontend_mode_matches_per_event_replies(
-        self, tmp_path, transport
+        self, tmp_path
     ):
         # The durability acceptance bar: the sharded topology over a
         # disk-backed bus (frontends host durable segment logs, the
@@ -606,7 +600,6 @@ class TestClusterSendBatchEquivalence:
         with create_cluster(
             "process", workers=2, frontends=2,
             durable_dir=str(tmp_path / "cluster"),
-            transport=transport,
         ) as durable:
             durable.create_stream(
                 "tx", ["cardId"], partitions=2,
@@ -622,8 +615,7 @@ class TestClusterSendBatchEquivalence:
         assert [r.event for r in replies_a] == [r.event for r in replies_b]
         assert processed == len(events) == single.total_messages_processed()
 
-    @pytest.mark.parametrize("transport", ["socket", "shm"])
-    def test_telemetry_toggle_never_changes_replies(self, transport, monkeypatch):
+    def test_telemetry_toggle_never_changes_replies(self, monkeypatch):
         # Telemetry is observation-only: the same event stream through
         # the process-parallel engine with $RAILGUN_TELEMETRY=0 and =1
         # (traces, snapshot piggybacks and all) yields byte-identical
@@ -640,7 +632,7 @@ class TestClusterSendBatchEquivalence:
         replies = {}
         for toggle in ("0", "1"):
             monkeypatch.setenv("RAILGUN_TELEMETRY", toggle)
-            with ParallelCluster(workers=2, transport=transport) as cluster:
+            with ParallelCluster(workers=2) as cluster:
                 cluster.create_stream(
                     "tx", ["cardId"], partitions=2,
                     schema={"cardId": "string", "amount": "float"},

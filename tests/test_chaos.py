@@ -170,14 +170,12 @@ class TestPinnedCorpus:
         result = run_seed(10, "process-2f", max_events=200)
         assert result.ok, f"{result.detail}\nreplay: {result.replay_command}"
 
-    def test_seed_9108_shm_hello_for_rings_already_torn_down(self):
-        """Seed 9108 on ``process-2f`` over shm crashes ``shard-0`` twice
-        in quick succession: a frontend dials the restarted worker,
-        sends ``ShmHello``, learns of the next restart, tears its fresh
-        rings down and re-dials — and the worker, reading its accept
-        backlog late, attached rings that no longer existed and died in
-        ``ShmRing.attach`` (``FileNotFoundError``, ~1 run in 6). Fixed
-        in ``shard_worker_main``: a hello for missing rings is a dead
-        link (dropped, nothing unlinked), like every other ring failure."""
-        result = run_seed(9108, "process-2f", transport="shm")
+    def test_seed_9108_two_crashes_race_the_redial(self):
+        """Seed 9108 on ``process-2f`` crashes ``shard-0`` twice in quick
+        succession: a frontend dials the restarted worker, learns of the
+        next restart and hangs up to re-dial — and the worker, reading
+        its accept backlog late, finds a link whose peer is already
+        gone. ``shard_worker_main`` must drop such a link (it once died
+        on it, ~1 run in 6) and serve the re-dial."""
+        result = run_seed(9108, "process-2f")
         assert result.ok, f"{result.detail}\nreplay: {result.replay_command}"

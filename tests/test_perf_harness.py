@@ -17,13 +17,10 @@ REOPEN_KEYS = REQUIRED_KEYS | {"recovery_ms"}
 STAGE_BENCHES = {
     "engine_ingest_process_1w",
     "engine_ingest_process_4w",
-    "engine_ingest_process_shm_1w",
-    "engine_ingest_process_shm_4w",
     "engine_ingest_process_durable",
     "engine_ingest_process_1f",
     "engine_ingest_process_2f",
     "engine_ingest_process_4f",
-    "engine_ingest_process_shm_2f",
 }
 
 
@@ -72,9 +69,6 @@ class TestRunBenches:
             "engine_ingest_process_durable",
             "server_ingest_async_1c",
             "server_ingest_async_64c",
-            "engine_ingest_process_shm_1w",
-            "engine_ingest_process_shm_4w",
-            "engine_ingest_process_shm_2f",
             "log_append_fsync_never",
             "log_append_fsync_batch",
             "log_append_fsync_always",
@@ -97,9 +91,14 @@ class TestGates:
 
     def test_baseline_skips_annotations_and_flags_missing(self):
         results = {"bench": self.sample(1000.0)}
-        baseline = {"_comment": {"events_per_sec": 1}, "gone": self.sample(1.0)}
+        baseline = {
+            "_comment": {"events_per_sec": 1},
+            "task_ingest_batch": self.sample(1.0),
+        }
         failures = perf.check_baseline(results, baseline, 0.2)
-        assert failures == ["gone: present in baseline but not measured"]
+        assert failures == [
+            "task_ingest_batch: present in baseline but not measured"
+        ]
 
     def test_speedup_gate(self):
         batched, per_event = perf.SPEEDUP_PAIR
@@ -108,7 +107,7 @@ class TestGates:
         assert len(perf.check_speedup(results, 4.0)) == 1
 
     def test_baseline_missing_tolerated_under_select(self):
-        baseline = {"gone": self.sample(1.0)}
+        baseline = {"task_ingest_batch": self.sample(1.0)}
         assert perf.check_baseline({}, baseline, 0.2, require_all=False) == []
 
     def test_speedup_floors_enforced_with_enough_cpus(self):
@@ -125,6 +124,11 @@ class TestGates:
         results = {"a": self.sample(100.0), "b": self.sample(120.0)}
         failures, skips = perf.check_speedup_floors(results, floors, cpu_count=1)
         assert failures == [] and len(skips) == 1 and "1 cpu" in skips[0]
+        floors = [{
+            "bench": "engine_ingest_process_4w",
+            "over": "engine_ingest_process_1w",
+            "min_ratio": 1.5,
+        }]
         failures, skips = perf.check_speedup_floors({}, floors, cpu_count=8)
         assert failures == [] and len(skips) == 1
 
@@ -169,9 +173,26 @@ class TestGates:
         assert len(failures) == 1 and "1.10x" in failures[0]
 
     def test_recovery_floors_skip_when_unmeasured(self):
-        floors = [{"bench": "cp", "over": "zero", "min_time_ratio": 1.3}]
+        floors = [{
+            "bench": "recovery_from_checkpoint",
+            "over": "recovery_from_zero",
+            "min_time_ratio": 1.3,
+        }]
         failures, skips = perf.check_recovery_floors({}, floors)
         assert failures == [] and len(skips) == 1
+
+    def test_unregistered_names_fail_whatever_the_selection(self):
+        """A deleted or renamed bench must not switch its gate off: under
+        ``--select`` (``require_all=False``, nothing of it measured) a
+        registered name is skipped, an unregistered one fails."""
+        baseline = {"gone": self.sample(1.0)}
+        failures = perf.check_baseline({}, baseline, 0.2, require_all=False)
+        assert failures == ["gone: not a registered bench"]
+        floors = [{"bench": "gone", "over": "task_ingest_batch", "min_ratio": 1.0}]
+        for check in (perf.check_speedup_floors, perf.check_recovery_floors):
+            failures, skips = check({}, floors)
+            assert skips == [] and len(failures) == 1
+            assert "gone: not a registered bench" in failures[0]
 
     def test_recovery_floors_reject_non_recovery_benches(self):
         """A misconfigured floor fails the gate cleanly, no KeyError."""
@@ -262,6 +283,25 @@ class TestMain:
         ])
         assert code == 1
         assert "no benches matched" in capsys.readouterr().err
+
+    def test_unregistered_baseline_name_exits_nonzero_under_select(
+        self, tmp_path, capsys
+    ):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({
+            "_speedup_floors": [{
+                "bench": "engine_ingest_process_gone",
+                "over": "engine_ingest_process_1w",
+                "min_ratio": 0.5,
+            }],
+        }))
+        code = perf.main([
+            "--out", str(tmp_path / "b.json"), "--events", "600",
+            "--no-warmup", "--select", "codec_work_batch_columnar",
+            "--baseline", str(baseline),
+        ])
+        assert code == 2
+        assert "not a registered bench" in capsys.readouterr().err
 
     def test_regression_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "BENCH_micro.json"

@@ -7,7 +7,7 @@ its observable form: a metric *backfilled* mid-stream (materialized by
 replaying the partition log behind the live writer, then spliced into
 the live tasks at their exact consumption offsets while ingest keeps
 running) is indistinguishable from the same metric defined before the
-first event — on every topology and transport, over messy traffic
+first event — on every topology, over messy traffic
 (duplicates, timestamp ties, late arrivals).
 
 Also covered: the as-of read path (checkpoint seed keeps the replay
@@ -66,12 +66,10 @@ def ordered_events(count: int) -> list[Event]:
     ]
 
 
-def make_cluster(topology: str, transport: str | None, durable_dir=None):
+def make_cluster(topology: str, durable_dir=None):
     if topology == "single":
         return create_cluster("single", durable_dir=durable_dir)
     kwargs = dict(workers=2, durable_dir=durable_dir)
-    if transport is not None:
-        kwargs["transport"] = transport
     if topology == "process-2f":
         kwargs["frontends"] = 2
     return create_cluster("process", **kwargs)
@@ -88,36 +86,21 @@ def settle_backfill(cluster, metric_id: int, max_rounds: int = 2_000) -> str:
 
 
 class TestBackfillEquivalence:
-    """The acceptance property, across the full topology × transport
-    matrix: reference cluster defines the metric at offset 0; target
-    cluster defines it mid-stream via ``backfill_metric`` while ingest
-    continues — the materialized values must be identical."""
+    """The acceptance property, on every topology: reference cluster
+    defines the metric at offset 0; target cluster defines it mid-stream
+    via ``backfill_metric`` while ingest continues — the materialized
+    values must be identical."""
 
-    MATRIX = [
-        ("single", None),
-        ("process", "socket"),
-        ("process", "shm"),
-        ("process-2f", "socket"),
-        ("process-2f", "shm"),
-    ]
-
-    @pytest.mark.parametrize(
-        "topology,transport", MATRIX,
-        ids=[f"{t}-{x or 'inproc'}" for t, x in MATRIX],
-    )
-    def test_backfilled_equals_defined_at_genesis(
-        self, topology, transport, tmp_path
-    ):
+    @pytest.mark.parametrize("topology", ["single", "process", "process-2f"])
+    def test_backfilled_equals_defined_at_genesis(self, topology, tmp_path):
         events = messy_events(120, seed=7)
         split = 60
         durable = topology != "single"
         ref = make_cluster(
-            topology, transport,
-            durable_dir=str(tmp_path / "ref") if durable else None,
+            topology, durable_dir=str(tmp_path / "ref") if durable else None
         )
         target = make_cluster(
-            topology, transport,
-            durable_dir=str(tmp_path / "target") if durable else None,
+            topology, durable_dir=str(tmp_path / "target") if durable else None
         )
         try:
             for cluster in (ref, target):
@@ -144,9 +127,7 @@ class TestBackfillEquivalence:
             target.close()
 
     def test_status_lifecycle_and_unknown_id(self, tmp_path):
-        cluster = make_cluster(
-            "process", "socket", durable_dir=str(tmp_path / "d")
-        )
+        cluster = make_cluster("process", durable_dir=str(tmp_path / "d"))
         try:
             cluster.create_stream("tx", ["c"], partitions=2, schema=SCHEMA)
             cluster.send_batch("tx", ordered_events(40))
@@ -161,9 +142,7 @@ class TestAsOf:
     def test_replay_is_bounded_by_checkpoint_seed(self, tmp_path):
         """A mid-stream checkpoint makes the as-of replay strictly
         cheaper than reprocessing the whole log."""
-        cluster = make_cluster(
-            "process", "socket", durable_dir=str(tmp_path / "d")
-        )
+        cluster = make_cluster("process", durable_dir=str(tmp_path / "d"))
         try:
             cluster.create_stream("tx", ["c"], partitions=2, schema=SCHEMA)
             metric_id = cluster.create_metric(QUERY)
@@ -185,8 +164,8 @@ class TestAsOf:
         equals a live cluster that only ever ingested events[:k+1]."""
         events = ordered_events(80)
         stop = 49
-        full = make_cluster("single", None)
-        prefix = make_cluster("single", None)
+        full = make_cluster("single")
+        prefix = make_cluster("single")
         try:
             for cluster in (full, prefix):
                 cluster.create_stream(
@@ -209,7 +188,7 @@ class TestAsOf:
         query = parse_query(f"{QUERY} AS OF 123456")
         assert query.as_of == 123456
         assert "AS OF 123456" in query.describe()
-        cluster = make_cluster("single", None)
+        cluster = make_cluster("single")
         try:
             cluster.create_stream("tx", ["c"], partitions=2, schema=SCHEMA)
             with pytest.raises(EngineError, match="AS OF"):
@@ -277,7 +256,7 @@ class TestRemoteBackfill:
         from repro.server.client import RailgunClient
         from repro.server.server import serve_cluster
 
-        cluster = make_cluster("single", None)
+        cluster = make_cluster("single")
         cluster.create_stream("tx", ["c"], partitions=2, schema=SCHEMA)
         cluster.send_batch("tx", ordered_events(30))
         cluster.run_until_quiet()
@@ -309,7 +288,7 @@ class TestCutMigration:
         source_dir = str(tmp_path / "source")
         dest_dir = str(tmp_path / "copy")
         events = ordered_events(90)
-        source = make_cluster("process", "socket", durable_dir=source_dir)
+        source = make_cluster("process", durable_dir=source_dir)
         try:
             source.create_stream("tx", ["c"], partitions=2, schema=SCHEMA)
             live_id = source.create_metric(QUERY)
@@ -327,7 +306,7 @@ class TestCutMigration:
         assert all(
             end > 0 for tp, end in ends.items() if tp.topic == "tx.c"
         ), ends
-        migrated = make_cluster("process", "socket", durable_dir=dest_dir)
+        migrated = make_cluster("process", durable_dir=dest_dir)
         try:
             migrated.run_until_quiet()
             assert migrated.metric_values(live_id) == want_live
@@ -345,7 +324,7 @@ class TestCutMigration:
             migrated.close()
 
     def test_export_requires_a_durable_cluster(self, tmp_path):
-        cluster = make_cluster("single", None)
+        cluster = make_cluster("single")
         try:
             with pytest.raises(ReplayError, match="durable"):
                 export_cut(cluster, str(tmp_path / "nope"))

@@ -10,6 +10,9 @@ evolution across the process boundary, and checkpoint shipping.
 
 from __future__ import annotations
 
+import multiprocessing
+from multiprocessing.connection import Client
+
 import pytest
 
 from repro.common.errors import EngineError
@@ -22,10 +25,10 @@ from repro.messaging.broker import MessageBus
 from repro.messaging.consumer import PartitionView
 from repro.messaging.log import TopicPartition
 from repro.reservoir.reservoir import ReservoirConfig
-from repro.shard import wire
+from repro.shard import columnar, wire
 from repro.shard.parallel import ParallelCluster
 from repro.shard.supervisor import CheckpointStore, ShardSupervisor
-from repro.shard.worker import ShardWorker
+from repro.shard.worker import ShardWorker, shard_worker_main
 
 STREAM_KW = dict(partitions=4, schema={"cardId": "string", "amount": "float"})
 METRIC = (
@@ -199,9 +202,8 @@ class TestShardWorker:
 
     def test_install_at_end_of_inflight_run_splices_without_more_work(self):
         """An install stashed while the partition's last run is still
-        queued (shm: install on the pipe, run in the ring) must splice
-        and ack when that run ends exactly at the cut — no later batch
-        may ever arrive to trigger it."""
+        queued must splice and ack when that run ends exactly at the
+        cut — no later batch may ever arrive to trigger it."""
         worker, tp = self.worker_with_stream()
         events = make_events(30)
         late = MetricDef(
@@ -487,11 +489,10 @@ class TestPartitionView:
 
 
 class TestParallelClusterEquivalence:
-    @pytest.mark.parametrize("transport", ["socket", "shm"])
-    def test_replies_and_stats_match_single_process(self, transport):
+    def test_replies_and_stats_match_single_process(self):
         events = make_events(120)
         expected = single_process_results(events)
-        with ParallelCluster(workers=2, transport=transport) as cluster:
+        with ParallelCluster(workers=2) as cluster:
             cluster.create_stream("tx", ["cardId"], **STREAM_KW)
             cluster.create_metric(METRIC)
             replies = cluster.send_batch("tx", events)
@@ -539,20 +540,28 @@ class TestParallelClusterEquivalence:
 
 
 class TestParallelClusterFailures:
-    @pytest.mark.parametrize("transport", ["socket", "shm"])
-    def test_worker_crash_mid_batch_replays_uncommitted(self, transport):
+    def test_worker_crash_mid_batch_replays_uncommitted(self):
         events = make_events(300)
         expected = single_process_results(events)
-        with ParallelCluster(workers=2, transport=transport) as cluster:
+        with ParallelCluster(workers=2) as cluster:
             cluster.create_stream("tx", ["cardId"], **STREAM_KW)
             cluster.create_metric(METRIC)
             # Publish everything up front, then crash a worker while its
             # batches are in flight: the fan-out is on the bus, half the
             # replies are not.
             correlations = cluster.frontend.send_batch("tx", events)
-            while len(cluster.frontend.completed) < 80:
-                cluster.pump()
             victim = cluster.worker_ids()[0]
+            # The victim must have acknowledged work of its own before
+            # it dies: only then does its replay count a record twice.
+            assert default_time_source().wait_until(
+                lambda: (
+                    cluster.pump(),
+                    len(cluster.frontend.completed) >= 80
+                    and cluster.supervisor.stats()[victim]["processed"] > 0,
+                )[1],
+                timeout=30.0,
+                poll=0.0,
+            )
             cluster.kill_worker(victim)
             default_time_source().wait_until(
                 lambda: (
@@ -566,9 +575,6 @@ class TestParallelClusterFailures:
                 cluster.frontend.take_completed(c).results for c in correlations
             ]
             assert results == expected
-            # Shm reply-ring salvage can complete the batch before the
-            # supervisor reaps the corpse — wait for the restart and
-            # its replay rather than racing them.
             default_time_source().wait_until(
                 lambda: (
                     cluster.pump(),
@@ -664,8 +670,7 @@ class TestCheckpointedRecovery:
         assert cluster.supervisor.restarts == count
         cluster.run_until_quiet()
 
-    @pytest.mark.parametrize("transport", ["socket", "shm"])
-    def test_crash_after_checkpoint_replays_exactly_the_tail(self, transport):
+    def test_crash_after_checkpoint_replays_exactly_the_tail(self):
         """Acceptance: N events, checkpoint at C, crash -> exactly N-C
         records replay, and replies stay byte-identical."""
         events = make_events(90)
@@ -673,9 +678,7 @@ class TestCheckpointedRecovery:
         expected = self.ground_truth(events + [probe])
         checkpoint_at = 60
         tp = TopicPartition("tx.cardId", 0)
-        with ParallelCluster(
-            workers=1, checkpoint_every=None, transport=transport
-        ) as cluster:
+        with ParallelCluster(workers=1, checkpoint_every=None) as cluster:
             cluster.create_stream("tx", ["cardId"], **self.ONE_PARTITION)
             cluster.create_metric(METRIC)
             results = [
@@ -775,3 +778,66 @@ class TestCheckpointedRecovery:
             replayed = cluster.total_messages_processed() - len(events)
             # Bounded replay: at most the uncheckpointed remainder.
             assert replayed <= len(events) - stored
+
+
+def test_worker_drops_a_link_whose_peer_hung_up(tmp_path):
+    """A frontend that re-dials can hang up on a worker before its first
+    frame, or with a reply still owed (chaos seed 9108): the worker must
+    drop that link, keep answering its control pipe, and serve the next
+    link."""
+    ctx = multiprocessing.get_context("fork")
+    control, child = ctx.Pipe(duplex=True)
+    addr = str(tmp_path / "w.sock")
+    process = ctx.Process(
+        target=shard_worker_main, args=(child, "shard-0", None, addr), daemon=True
+    )
+    process.start()
+    child.close()
+
+    def checkpoint_ack(request_id):
+        control.send_bytes(
+            wire.encode(wire.CheckpointRequest(request_id, False, ()))
+        )
+        assert control.poll(10.0)
+        ack = wire.decode(control.recv_bytes())
+        assert isinstance(ack, wire.CheckpointAck)
+        assert ack.request_id == request_id
+
+    tp = TopicPartition("tx.cardId", 0)
+
+    def send_work(link, offset):
+        batch = wire.WorkBatch(tp, 0, [(offset, make_events(1)[0])])
+        link.send_bytes(columnar.encode(batch))
+
+    def round_trip(link, offset):
+        send_work(link, offset)
+        assert link.poll(10.0)
+        done = columnar.decode(link.recv_bytes())
+        assert isinstance(done, wire.BatchDone) and done.next_offset == offset + 1
+
+    try:
+        stream = StreamDef(
+            "tx", (("cardId", "string"), ("amount", "float")), ("cardId",), 2
+        )
+        for frame in (wire.CreateStream(stream), wire.AssignPartitions((tp,))):
+            control.send_bytes(wire.encode(frame))
+        checkpoint_ack(1)  # the listener is bound once this answers
+        Client(addr, family="AF_UNIX").close()  # before the first frame
+        checkpoint_ack(2)
+        link = Client(addr, family="AF_UNIX")
+        round_trip(link, 0)
+        send_work(link, 1)
+        link.close()  # mid-stream: the reply to offset 1 has nowhere to go
+        checkpoint_ack(3)
+        link = Client(addr, family="AF_UNIX")
+        round_trip(link, 2)  # both earlier runs were processed
+        link.close()
+        assert process.is_alive()
+    finally:
+        control.send_bytes(wire.encode(wire.Shutdown()))
+        process.join(timeout=10.0)
+        alive = process.is_alive()
+        if alive:
+            process.kill()
+        control.close()
+    assert not alive

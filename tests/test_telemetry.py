@@ -255,8 +255,8 @@ class TestWireTelemetryTail:
                 assert decoded.stats == b'{"process":"worker:w0"}'
 
     def test_columnar_frames_carry_the_same_tail(self):
-        # The shm ring ships the columnar encodings; they follow the
-        # identical append-only tail contract.
+        # Every worker link ships the columnar encodings; they follow
+        # the identical append-only tail contract.
         work, done = self.frames()[:2]
         for frame in (work, done):
             plain = columnar.encode(frame)
@@ -296,14 +296,11 @@ def ingest_forty(cluster) -> int:
 
 
 class TestClusterTelemetry:
-    @pytest.mark.parametrize("transport", ["socket", "shm"])
-    def test_worker_spans_and_snapshots_cross_the_wire(
-        self, transport, monkeypatch
-    ):
+    def test_worker_spans_and_snapshots_cross_the_wire(self, monkeypatch):
         from repro.shard.parallel import ParallelCluster
 
         monkeypatch.setenv("RAILGUN_TELEMETRY", "1")
-        with ParallelCluster(workers=2, transport=transport) as cluster:
+        with ParallelCluster(workers=2) as cluster:
             count = ingest_forty(cluster)
             merged = cluster.telemetry()
             stats = cluster.supervisor.stats()
