@@ -69,6 +69,10 @@ class Aggregator(ABC):
     #: True when the aggregator needs an :class:`AuxStore`
     needs_aux: bool = False
 
+    #: Thousands of aggregators stay resident per task: every subclass
+    #: declares its state as slots, so none carries a ``__dict__``.
+    __slots__ = ()
+
     @abstractmethod
     def add(self, value: Any, event: Event) -> None:
         """Fold in an event entering the window."""

@@ -22,6 +22,7 @@ class CountAggregator(Aggregator):
     """
 
     name = "count"
+    __slots__ = ("_count",)
 
     def __init__(self) -> None:
         self._count = 0
@@ -54,6 +55,7 @@ class SumAggregator(Aggregator):
     """``sum(field)`` over numeric values; null values are ignored."""
 
     name = "sum"
+    __slots__ = ("_sum",)
 
     def __init__(self) -> None:
         self._sum = 0.0
@@ -93,6 +95,7 @@ class AvgAggregator(Aggregator):
     """``avg(field)``; stores sum and count, returns None when empty."""
 
     name = "avg"
+    __slots__ = ("_sum", "_count")
 
     def __init__(self) -> None:
         self._sum = 0.0

@@ -27,6 +27,7 @@ class CountDistinctAggregator(Aggregator):
 
     name = "countDistinct"
     needs_aux = True
+    __slots__ = ("_distinct", "_aux")
 
     def __init__(self) -> None:
         self._distinct = 0

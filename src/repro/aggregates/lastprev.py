@@ -21,6 +21,8 @@ _Entry = tuple[int, str, object]
 class _RecencyAggregator(Aggregator):
     """Shared state tracking the two most recent entries."""
 
+    __slots__ = ("_last", "_prev")
+
     def __init__(self) -> None:
         self._last: _Entry | None = None
         self._prev: _Entry | None = None
@@ -79,6 +81,7 @@ class LastAggregator(_RecencyAggregator):
     """``last(field)``: newest non-null value in the window."""
 
     name = "last"
+    __slots__ = ()
 
     def result(self) -> Any:
         return None if self._last is None else self._last[2]
@@ -88,6 +91,7 @@ class PrevAggregator(_RecencyAggregator):
     """``prev(field)``: second newest non-null value in the window."""
 
     name = "prev"
+    __slots__ = ()
 
     def result(self) -> Any:
         return None if self._prev is None else self._prev[2]

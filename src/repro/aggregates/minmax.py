@@ -24,6 +24,8 @@ from repro.events.event import Event
 class _ExtremeAggregator(Aggregator):
     """Shared implementation; ``_keep_left(a, b)`` decides dominance."""
 
+    __slots__ = ("_deque",)
+
     def __init__(self) -> None:
         self._deque: list[tuple[int, str, float]] = []
 
@@ -122,6 +124,7 @@ class MaxAggregator(_ExtremeAggregator):
     """``max(field)``: deque values strictly decreasing."""
 
     name = "max"
+    __slots__ = ()
 
     @staticmethod
     def _dominates(keeper: float, candidate: float) -> bool:
@@ -132,6 +135,7 @@ class MinAggregator(_ExtremeAggregator):
     """``min(field)``: deque values strictly increasing."""
 
     name = "min"
+    __slots__ = ()
 
     @staticmethod
     def _dominates(keeper: float, candidate: float) -> bool:

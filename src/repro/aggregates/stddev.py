@@ -22,6 +22,7 @@ class StdDevAggregator(Aggregator):
     """Sample standard deviation of a numeric field over the window."""
 
     name = "stdDev"
+    __slots__ = ("_count", "_mean", "_m2")
 
     def __init__(self) -> None:
         self._count = 0

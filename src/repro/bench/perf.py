@@ -57,6 +57,7 @@ smoke uses it); baseline floors for unmeasured benches are then skipped.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -927,15 +928,26 @@ def run_benches(
     events = _events(event_count)
     engine_events = events[:engine_event_count]
     results: dict[str, dict[str, float]] = {}
-    for name, bench in BENCHES.items():
-        if select is not None and select not in name:
-            continue
-        if name in ENGINE_BENCHES:
-            results[name] = bench(engine_events, batch_size)
-            continue
-        if warmup:
-            bench(_events(min(event_count, 2 * batch_size)), batch_size)
-        results[name] = bench(events, batch_size)
+    try:
+        for name, bench in BENCHES.items():
+            if select is not None and select not in name:
+                continue
+            # The event pool and whatever earlier entries left alive are
+            # the harness's heap, not the engine's garbage, and the
+            # process-topology entries fork their workers from it: a
+            # full collection walking it (0.1-0.6 s, in this process or
+            # a child, the more the later the entry ran) would land
+            # inside timed batches. Frozen objects are never scanned.
+            gc.collect()
+            gc.freeze()
+            if name in ENGINE_BENCHES:
+                results[name] = bench(engine_events, batch_size)
+                continue
+            if warmup:
+                bench(_events(min(event_count, 2 * batch_size)), batch_size)
+            results[name] = bench(events, batch_size)
+    finally:
+        gc.unfreeze()  # callers in a longer-lived process get their heap back
     return results
 
 

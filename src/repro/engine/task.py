@@ -95,9 +95,9 @@ class TaskProcessor:
         #: The LSM snapshot the latest :meth:`checkpoint` pinned.
         self._pinned_state: Checkpoint | None = None
         #: Optional telemetry registry hook (a shard worker attaches its
-        #: own when measurement is on): times reservoir batch appends
-        #: and checkpoints without the engine depending on the telemetry
-        #: package.
+        #: own when measurement is on): times reservoir batch appends,
+        #: the plan's turns and checkpoints without the engine depending
+        #: on the telemetry package.
         self.telemetry = None
 
     @classmethod
@@ -274,14 +274,12 @@ class TaskProcessor:
                 run_end += 1
             run = records[index:run_end]
             telemetry = self.telemetry
-            if telemetry is None:
-                results = reservoir.append_batch([e for _, e in run])
-            else:
-                append_started = telemetry.now()
-                results = reservoir.append_batch([e for _, e in run])
-                telemetry.observe_since(
-                    "worker_reservoir_append_ms", append_started
-                )
+            if telemetry is not None:
+                started = telemetry.now()
+            results = reservoir.append_batch([e for _, e in run])
+            if telemetry is not None:
+                telemetry.observe_since("worker_reservoir_append_ms", started)
+                started = telemetry.now()
             for (run_offset, run_event), result in zip(run, results):
                 self.next_offset = run_offset + 1
                 self.messages_processed += 1
@@ -292,15 +290,13 @@ class TaskProcessor:
                     # because the batch append already advanced the
                     # reservoir frontier.
                     stored = result.event
-                    replies.append(
-                        plan.process_event(
-                            stored, eval_ts=stored.timestamp, tie_cap=1
-                        )
-                    )
+                    replies.append(plan.process_event(stored, stored.timestamp, 1))
                 else:
                     # Discarded sealed-boundary tie: reply read-only,
                     # exactly like the per-event path.
                     replies.append(plan.process_event_readonly(run_event))
+            if telemetry is not None:
+                telemetry.observe_since("worker_plan_ms", started)
             index = run_end
         return replies
 

@@ -7,6 +7,20 @@ produces the events that arrive and expire, to the downstream operators
 of the DAG", §4.1.2), fans the entering/expiring batches through shared
 filters and group-bys, folds them into the per-entity aggregator states,
 and assembles the reply for the event's own entity.
+
+The DAG is walked when it *changes*, not per event: every
+``add_metric``/``remove_metric`` compiles it into a flat program —
+iterators with their limit arithmetic, windows as index pairs over the
+iterator batches, group-by nodes with their leaf tables, a reply plan
+per metric — and ``process_event`` runs that program. Its unit of state
+access is the :class:`~repro.state.store.Cell`: one dict hit per
+(group-by node, touched key) finds the resident aggregators of all the
+node's leaves, folds go straight to them, and the reply reads
+``result()`` off the event's own cells. A cell's *first* touch still
+goes through the store one leaf at a time (``apply``/``peek``), in DAG
+order — windows as registered, keys as they first appear (enters, then
+exits), leaves in node order, reply peeks last — because that is where
+loads happen and load order is the store's eviction order.
 """
 
 from __future__ import annotations
@@ -19,8 +33,8 @@ from repro.plan.operators import AggregatorNode, FilterNode, GroupByNode, Window
 from repro.query.ast import Query
 from repro.reservoir.iterator import ReservoirIterator
 from repro.reservoir.reservoir import EventReservoir
-from repro.state.store import MetricStateStore, encode_group_key
-from repro.windows.spec import WindowSpec
+from repro.state.store import Cell, MetricStateStore
+from repro.windows.spec import WindowKind, WindowSpec
 
 
 @dataclass
@@ -39,16 +53,12 @@ class MetricHandle:
         return [node.display_name for node in self.aggregators]
 
 
-@dataclass
-class _IteratorEntry:
-    iterator: ReservoirIterator
-    spec: WindowSpec
-    is_head: bool
-
-    def limit(self, eval_ts: int) -> int | None:
-        if self.is_head:
-            return self.spec.head_limit(eval_ts)
-        return self.spec.tail_limit(eval_ts)
+def _pairs(field_name: str | None, events) -> list[tuple[Any, Event]]:
+    """``(value, event)`` per event for one leaf (``count(*)`` counts
+    every event, so its value is a constant ``True``)."""
+    if field_name is None:
+        return [(True, event) for event in events]
+    return [(event.get(field_name), event) for event in events]
 
 
 class TaskPlan:
@@ -58,10 +68,11 @@ class TaskPlan:
         self.reservoir = reservoir
         self.state = state
         self._windows: dict[WindowSpec, WindowNode] = {}
-        self._iterators: dict[tuple, _IteratorEntry] = {}
+        self._iterators: dict[tuple, ReservoirIterator] = {}
         self._metrics: dict[int, MetricHandle] = {}
         self._next_metric_id = 0
         self.events_processed = 0
+        self._compile()
 
     # -- registration -------------------------------------------------------------
 
@@ -109,6 +120,7 @@ class TaskPlan:
         self._metrics[metric_id] = handle
 
         self._ensure_iterators(query.window, backfill)
+        self._compile()
         if backfill:
             self._backfill(handle)
         return handle
@@ -116,10 +128,8 @@ class TaskPlan:
     def _ensure_iterators(self, spec: WindowSpec, backfill: bool) -> None:
         head_key = spec.head_share_key()
         if head_key not in self._iterators:
-            self._iterators[head_key] = _IteratorEntry(
-                self.reservoir.new_iterator(spec.delay_ms, name=str(head_key)),
-                spec,
-                is_head=True,
+            self._iterators[head_key] = self.reservoir.new_iterator(
+                spec.delay_ms, name=str(head_key)
             )
         tail_key = spec.tail_share_key()
         if tail_key is None or tail_key in self._iterators:
@@ -135,7 +145,62 @@ class TaskPlan:
             iterator = self.reservoir.new_iterator(
                 spec.delay_ms + (spec.size_ms or 0), name=str(tail_key)
             )
-        self._iterators[tail_key] = _IteratorEntry(iterator, spec, is_head=False)
+        self._iterators[tail_key] = iterator
+
+    def _compile(self) -> None:
+        """Flatten the DAG into the program :meth:`process_event` runs:
+        index-addressed tuples, nothing left to look up per event. Every
+        group-by node drops its cells (its leaf list may have changed
+        under them).
+        """
+        tumbling = {
+            spec.tail_share_key(): spec
+            for spec in self._windows
+            if spec.kind is WindowKind.TUMBLING
+        }
+        #: ``(iterator, offset_ms, tumbling spec | None)``: the limit is
+        #: ``eval_ts - offset_ms`` unless the spec computes it
+        self._iterator_program = tuple(
+            (iterator, iterator.offset_ms, tumbling.get(key))
+            for key, iterator in self._iterators.items()
+        )
+        slot = {key: index for index, key in enumerate(self._iterators)}
+        windows = []
+        self._groups: list[GroupByNode] = []
+        for spec, window in self._windows.items():
+            tail_key = spec.tail_share_key()
+            filters = []
+            for filter_node in window.filters.values():
+                groups = tuple(filter_node.group_bys.values())
+                for group in groups:
+                    group.compile()
+                self._groups.extend(groups)
+                expression = filter_node.expression
+                filters.append(
+                    (None if expression is None else expression.matches, groups)
+                )
+            windows.append((
+                slot[spec.head_share_key()],
+                -1 if tail_key is None else slot[tail_key],
+                tuple(filters),
+            ))
+        #: ``(head batch index, tail batch index or -1, ((predicate |
+        #: None, group-by nodes), ...))`` per window, registration order
+        self._window_program = tuple(windows)
+        #: ``(metric_id, group-by node, ((display name, leaf index),
+        #: ...))`` per metric, registration order
+        self._reply_program = tuple(
+            (
+                handle.metric_id,
+                handle.group_by,
+                tuple(
+                    (node.display_name, handle.group_by.aggregators.index(node))
+                    for node in handle.aggregators
+                ),
+            )
+            for handle in self._metrics.values()
+        )
+        self._cells_epoch = self.state.epoch
 
     def _backfill(self, handle: MetricHandle) -> None:
         """Prime a new metric's state with the current window contents."""
@@ -148,20 +213,18 @@ class TaskPlan:
         events = self.reservoir.read_range(
             lower if lower is not None else -1, upper
         )
-        grouped: dict[tuple, list[Event]] = {}
+        group = handle.group_by
+        grouped: dict[Any, list[Event]] = {}
         for event in events:
             if not handle.filter.passes(event):
                 continue
-            grouped.setdefault(handle.group_by.key_of(event), []).append(event)
+            grouped.setdefault(group.key_of(event), []).append(event)
         for key, key_events in grouped.items():
-            key_bytes = encode_group_key(key)
+            key_bytes = group.encoded_key(key)
             for node in handle.aggregators:
-                enters = [
-                    (self._value_of(node, event), event) for event in key_events
-                ]
                 self.state.apply(
                     node.metric_id, node.agg_index, node.spec.name, key_bytes,
-                    enters, (),
+                    _pairs(node.spec.field, key_events), (),
                 )
 
     # -- metric catalogue ------------------------------------------------------------
@@ -194,6 +257,7 @@ class TaskPlan:
             if node.metric_id != metric_id
         ]
         self._prune_empty_nodes()
+        self._compile()
         self.state.forget_metric(metric_id)
 
     def _prune_empty_nodes(self) -> None:
@@ -214,17 +278,17 @@ class TaskPlan:
         for key in (spec.head_share_key(), spec.tail_share_key()):
             if key is None or key in still_used_heads or key in still_used_tails:
                 continue
-            entry = self._iterators.pop(key, None)
-            if entry is not None:
-                self.reservoir.release_iterator(entry.iterator)
+            iterator = self._iterators.pop(key, None)
+            if iterator is not None:
+                self.reservoir.release_iterator(iterator)
 
     # -- checkpoint support ---------------------------------------------------------
 
     def iterator_positions(self) -> dict[str, tuple[int, int]]:
         """Current cursor positions keyed by canonical share-key text."""
         return {
-            repr(key): entry.iterator.position
-            for key, entry in self._iterators.items()
+            repr(key): iterator.position
+            for key, iterator in self._iterators.items()
         }
 
     def set_iterator_positions(self, positions: dict[str, tuple[int, int]]) -> None:
@@ -233,13 +297,13 @@ class TaskPlan:
         Called after metrics are re-registered during recovery, so the
         iterators line up with the restored aggregator states.
         """
-        for key, entry in self._iterators.items():
+        for key, iterator in self._iterators.items():
             saved = positions.get(repr(key))
             if saved is None:
                 continue
-            entry.iterator.chunk_id, entry.iterator.index = saved
-            entry.iterator.invalidate_cached_chunk()
-            entry.iterator.missed.clear()
+            iterator.chunk_id, iterator.index = saved
+            iterator.invalidate_cached_chunk()
+            iterator.missed.clear()
 
     # -- event processing -----------------------------------------------------------
 
@@ -268,45 +332,94 @@ class TaskPlan:
         cut-off exactly. Iterators whose limit falls below ``eval_ts``
         are unaffected: every event at or below their limit is already
         visible on both paths.
+
+        Fold order is part of the contract (float accumulation is
+        order-sensitive): per (group-by node, key) all exits fold before
+        all enters, left to right, leaf by leaf in node order.
         """
-        self.events_processed += 1
+        self.events_processed = turn = self.events_processed + 1
         if eval_ts is None:
             eval_ts = max(event.timestamp, self.reservoir.max_seen_ts)
+        state = self.state
+        epoch = self._current_epoch()
+        # False once this event's own loads evicted something: from then
+        # on a cell may index aggregators that are no longer resident,
+        # so folds go back through the store (only a cell this turn
+        # stamped still serves — its reply).
+        live = True
 
         # 1. Advance each distinct iterator exactly once.
-        batches: dict[tuple, list[Event]] = {}
-        for key, entry in self._iterators.items():
-            limit = entry.limit(eval_ts)
-            if limit is None:
-                batches[key] = []
-            elif tie_cap is not None and limit == eval_ts:
-                batches[key] = entry.iterator.advance_upto(limit, tie_cap)
+        batches = []
+        for iterator, offset_ms, tumbling in self._iterator_program:
+            if tumbling is None:
+                limit = eval_ts - offset_ms
             else:
-                batches[key] = entry.iterator.advance_upto(limit)
+                limit = tumbling.tail_limit(eval_ts)
+            if tie_cap is not None and limit == eval_ts:
+                batches.append(iterator.advance_upto(limit, tie_cap))
+            else:
+                batches.append(iterator.advance_upto(limit))
 
         # 2..4. Window -> Filter -> GroupBy -> Aggregator, sharing prefixes.
-        # The same group key recurs across windows and in the reply:
-        # encode each distinct one once per event.
-        key_bytes: dict[tuple, bytes] = {}
-        updated: dict[tuple[int, int, bytes], Any] = {}
-        for spec, window in self._windows.items():
-            enters = batches.get(spec.head_share_key(), [])
-            tail_key = spec.tail_share_key()
-            exits = batches.get(tail_key, []) if tail_key is not None else []
+        folded = 0  # leaves folded on cells: one logical read + write each
+        dirty_cells = state.dirty_cells
+        for head, tail, filters in self._window_program:
+            enters = batches[head]
+            exits = batches[tail] if tail >= 0 else ()
             if not enters and not exits:
                 continue
-            for filter_node in window.filters.values():
-                f_enters = [e for e in enters if filter_node.passes(e)]
-                f_exits = [e for e in exits if filter_node.passes(e)]
-                if not f_enters and not f_exits:
-                    continue
-                for group_node in filter_node.group_bys.values():
-                    self._apply_group(
-                        group_node, f_enters, f_exits, updated, key_bytes
-                    )
+            for predicate, groups in filters:
+                if predicate is None:
+                    f_enters, f_exits = enters, exits
+                else:
+                    f_enters = [e for e in enters if predicate(e)]
+                    f_exits = [e for e in exits if predicate(e)]
+                    if not f_enters and not f_exits:
+                        continue
+                for group in groups:
+                    key_of = group.key_of
+                    # key -> (its enters, its exits), keys in order of
+                    # first appearance
+                    per_key: dict[Any, tuple[list, list]] = {}
+                    for side, events in ((0, f_enters), (1, f_exits)):
+                        for e in events:
+                            key = key_of(e)
+                            held = per_key.get(key)
+                            if held is None:
+                                held = per_key[key] = ([], [])
+                            held[side].append(e)
+                    cells = group.cells
+                    value_fields = group.value_fields
+                    for key, (k_enters, k_exits) in per_key.items():
+                        cell = cells.get(key) if live else None
+                        if cell is None:
+                            self._first_fold(group, key, k_enters, k_exits, turn)
+                            live = state.epoch == epoch
+                            continue
+                        aggregators = cell.aggregators
+                        if not k_exits and len(k_enters) == 1:
+                            e = k_enters[0]
+                            for aggregator, name in zip(aggregators, value_fields):
+                                aggregator.add(True if name is None else e.get(name), e)
+                        elif not k_enters and len(k_exits) == 1:
+                            e = k_exits[0]
+                            for aggregator, name in zip(aggregators, value_fields):
+                                aggregator.evict(True if name is None else e.get(name), e)
+                        else:
+                            for aggregator, name in zip(aggregators, value_fields):
+                                aggregator.update_batch(
+                                    _pairs(name, k_enters), _pairs(name, k_exits)
+                                )
+                        cell.turn = turn
+                        if not cell.dirty:
+                            cell.dirty = True
+                            dirty_cells.append(cell)
+                        folded += len(aggregators)
+        state.key_reads += folded
+        state.key_writes += folded
 
         # 5. Assemble the reply for this event's own keys.
-        return self._build_reply(event, updated, key_bytes)
+        return self._reply(event, turn, live)
 
     def process_event_readonly(self, event: Event) -> dict[int, dict[str, Any]]:
         """Reply for an event without advancing time or mutating state.
@@ -316,62 +429,88 @@ class TaskPlan:
         window does not move (§4.1.1 — duplicates are never processed
         twice).
         """
-        return self._build_reply(event, {}, {})
+        self._current_epoch()
+        return self._reply(event, -1, True)
 
-    def _apply_group(
+    def _current_epoch(self) -> int:
+        """The store's epoch, after dropping every cell built under an
+        older one (some entry has left the resident set since)."""
+        epoch = self.state.epoch
+        if epoch != self._cells_epoch:
+            for group in self._groups:
+                group.cells.clear()
+            self._cells_epoch = epoch
+        return epoch
+
+    def _first_fold(
         self,
-        group_node: GroupByNode,
+        group: GroupByNode,
+        key: Any,
         enters: list[Event],
         exits: list[Event],
-        updated: dict[tuple[int, int, bytes], Any],
-        key_bytes: dict[tuple, bytes],
+        turn: int,
     ) -> None:
-        per_key: dict[tuple, tuple[list[Event], list[Event]]] = {}
-        for event in enters:
-            per_key.setdefault(group_node.key_of(event), ([], []))[0].append(event)
-        for event in exits:
-            per_key.setdefault(group_node.key_of(event), ([], []))[1].append(event)
-        for key, (key_enters, key_exits) in per_key.items():
-            encoded = key_bytes.get(key)
-            if encoded is None:
-                encoded = key_bytes[key] = encode_group_key(key)
-            for node in group_node.aggregators:
-                result = self.state.apply(
-                    node.metric_id,
-                    node.agg_index,
-                    node.spec.name,
-                    encoded,
-                    [(self._value_of(node, e), e) for e in key_enters],
-                    [(self._value_of(node, e), e) for e in key_exits],
-                )
-                updated[(node.metric_id, node.agg_index, encoded)] = result
+        """Fold into a cell the index does not hold: leaf by leaf through
+        the store, which loads what is not resident (and may evict to do
+        so), then index the aggregators it folded on.
 
-    @staticmethod
-    def _value_of(node: AggregatorNode, event: Event) -> Any:
-        if node.spec.field is None:
-            return True  # count(*): every event counts
-        return event.get(node.spec.field)
+        The cell is indexed even if those loads evicted one of its own
+        leaves: this turn's reply reads it, and the moved epoch drops it
+        before the next event.
+        """
+        state = self.state
+        encoded = group.encoded_key(key)
+        aggregators = []
+        for metric_id, agg_index, agg_name, field_name in group.leaves:
+            state.apply(
+                metric_id, agg_index, agg_name, encoded,
+                _pairs(field_name, enters), _pairs(field_name, exits),
+            )
+            aggregators.append(state.resident(metric_id, agg_index, encoded))
+        group.cells[key] = Cell(encoded, group.leaf_ids, tuple(aggregators), turn)
 
-    def _build_reply(
-        self,
-        event: Event,
-        updated: dict[tuple[int, int, bytes], Any],
-        key_bytes: dict[tuple, bytes],
+    def _reply(
+        self, event: Event, turn: int, live: bool
     ) -> dict[int, dict[str, Any]]:
+        """Per metric, the event's own cell read column by column; a
+        column whose leaf ``turn`` did not fold costs a logical read."""
+        state = self.state
         replies: dict[int, dict[str, Any]] = {}
-        for handle in self._metrics.values():
-            key = handle.group_by.key_of(event)
-            encoded = key_bytes.get(key)
-            if encoded is None:
-                encoded = key_bytes[key] = encode_group_key(key)
+        peeked = 0
+        for metric_id, group, columns in self._reply_program:
+            key = group.key_of(event)
+            cell = group.cells.get(key)
             values: dict[str, Any] = {}
-            for node in handle.aggregators:
-                cache_key = (node.metric_id, node.agg_index, encoded)
-                if cache_key in updated:
-                    values[node.display_name] = updated[cache_key]
-                else:
-                    values[node.display_name] = self.state.peek(
-                        node.metric_id, node.agg_index, node.spec.name, encoded
-                    )
-            replies[handle.metric_id] = values
+            if cell is not None and (cell.turn == turn or live):
+                aggregators = cell.aggregators
+                for name, index in columns:
+                    values[name] = aggregators[index].result()
+                if cell.turn != turn:
+                    peeked += len(columns)
+            else:
+                epoch = state.epoch
+                encoded = group.encoded_key(key)
+                leaves = group.leaves
+                for name, index in columns:
+                    _, agg_index, agg_name, _ = leaves[index]
+                    values[name] = state.peek(metric_id, agg_index, agg_name, encoded)
+                if state.epoch != epoch:
+                    live = False
+                elif live:
+                    self._index_resident(group, key, encoded)
+            replies[metric_id] = values
+        state.key_reads += peeked
         return replies
+
+    def _index_resident(self, group: GroupByNode, key: Any, encoded: bytes) -> None:
+        """Index the cell of ``key`` if every leaf of it is resident
+        (peeks load one metric's columns; a node several metrics share
+        is complete after the last of them)."""
+        resident = self.state.resident
+        aggregators = []
+        for metric_id, agg_index in group.leaf_ids:
+            aggregator = resident(metric_id, agg_index, encoded)
+            if aggregator is None:
+                return
+            aggregators.append(aggregator)
+        group.cells[key] = Cell(encoded, group.leaf_ids, tuple(aggregators))

@@ -26,6 +26,23 @@ arrival sequence. State newer than the last checkpoint therefore lives
 only in this process, which is what it always did (the LSM's own WAL
 sits in process memory too): recovery everywhere is checkpoint +
 log-tail replay.
+
+``apply``/``peek`` address one leaf; the task plan's per-event program
+addresses a :class:`Cell` — the resident aggregators of every leaf of
+one group-by node for one key — and folds on them directly. A cell is
+an index over the resident set, never a second home for state, and the
+store keeps it honest two ways. :attr:`MetricStateStore.epoch` moves
+whenever an entry *leaves* the resident set (eviction, ``forget_metric``
+and therefore ``import_metric_rows``): a plan drops every cell it holds
+when it sees the epoch move, so a folded aggregator is always the
+resident one. (Past ``RESIDENT_CAP`` every load evicts, so the plan
+re-indexes after each miss and runs at roughly the per-leaf price.)
+And a cell folded since the last barrier sits in
+:attr:`MetricStateStore.dirty_cells`; the store turns those into dirty
+entries before it writes back, evicts or forgets anything, so dirtiness
+is tracked per cell on the hot path and per entry everywhere else.
+Loads still happen one leaf at a time through ``apply``/``peek``, in
+the order they always did — load order is eviction order.
 """
 
 from __future__ import annotations
@@ -100,6 +117,33 @@ class LsmAuxStore(AuxStore):
         return sum(1 for _ in self._db.prefix_scan(self._prefix, cf=_CF_DISTINCT))
 
 
+class Cell:
+    """The resident aggregators of one group-by node's leaves for one key.
+
+    Built by the task plan from aggregators the store handed out, valid
+    while the store's ``epoch`` stands (see the module docstring). The
+    plan folds on ``aggregators`` directly and stamps ``turn`` with the
+    event that did; ``dirty`` says the cell is already queued in
+    ``MetricStateStore.dirty_cells``.
+    """
+
+    __slots__ = ("group_key", "leaves", "aggregators", "dirty", "turn")
+
+    def __init__(
+        self,
+        group_key: bytes,
+        leaves: tuple[tuple[int, int], ...],
+        aggregators: tuple[Aggregator, ...],
+        turn: int = 0,
+    ) -> None:
+        self.group_key = group_key
+        #: ``(metric_id, agg_index)`` per leaf, shared by the node's cells
+        self.leaves = leaves
+        self.aggregators = aggregators
+        self.dirty = False
+        self.turn = turn
+
+
 class MetricStateStore:
     """Aggregator states: a bounded resident working set over the LSM."""
 
@@ -115,6 +159,8 @@ class MetricStateStore:
         self.key_reads = 0
         self.key_writes = 0
         self._resident_cap = RESIDENT_CAP if resident_cap is None else resident_cap
+        if self._resident_cap < 1:
+            raise ValueError(f"resident cap must be positive: {self._resident_cap}")
         #: (metric_id, agg_index, group_key) -> (state key, decoded
         #: aggregator), in load order (the eviction order).
         self._resident: OrderedDict[
@@ -122,6 +168,12 @@ class MetricStateStore:
         ] = OrderedDict()
         #: resident entries mutated since they were last written back
         self._dirty: set[tuple[int, int, bytes]] = set()
+        #: Moves whenever an entry leaves the resident set: cells built
+        #: under an older epoch may hold aggregators that are gone.
+        self.epoch = 0
+        #: Cells folded since the last barrier (the plan appends, setting
+        #: ``cell.dirty``); drained into ``_dirty`` by :meth:`_settle_cells`.
+        self.dirty_cells: list[Cell] = []
 
     # -- key plumbing ------------------------------------------------------------
 
@@ -152,14 +204,36 @@ class MetricStateStore:
             aggregator.state_from_bytes(raw)
         self._resident[entry] = (key, aggregator)
         if len(self._resident) > self._resident_cap:
+            self._settle_cells()
+            self.epoch += 1
             victim, (victim_key, evicted) = self._resident.popitem(last=False)
             if victim in self._dirty:
                 self._dirty.remove(victim)
                 self.db.put(victim_key, evicted.state_to_bytes(), cf=_CF_STATE)
         return aggregator
 
+    def resident(
+        self, metric_id: int, agg_index: int, group_key: bytes
+    ) -> Aggregator | None:
+        """The entry's aggregator if it is resident; never loads."""
+        held = self._resident.get((metric_id, agg_index, group_key))
+        return None if held is None else held[1]
+
+    def _settle_cells(self) -> None:
+        """Turn the dirty cells into dirty entries. Runs before anything
+        reads ``_dirty`` or removes a resident entry, while every queued
+        cell still indexes resident aggregators."""
+        dirty = self._dirty
+        for cell in self.dirty_cells:
+            group_key = cell.group_key
+            for metric_id, agg_index in cell.leaves:
+                dirty.add((metric_id, agg_index, group_key))
+            cell.dirty = False
+        self.dirty_cells.clear()
+
     def _write_back(self) -> None:
         """Barrier: serialise every dirty entry into the LSM, sorted."""
+        self._settle_cells()
         if not self._dirty:
             return
         rows = sorted(
@@ -216,6 +290,8 @@ class MetricStateStore:
     def forget_metric(self, metric_id: int) -> None:
         """Drop one metric's resident entries without writing them back
         (the metric is going away, or its rows are being replaced)."""
+        self._settle_cells()
+        self.epoch += 1
         for entry in [e for e in self._resident if e[0] == metric_id]:
             del self._resident[entry]
             self._dirty.discard(entry)

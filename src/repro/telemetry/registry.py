@@ -128,6 +128,12 @@ METRICS: dict[str, tuple[str, str, str, str]] = {
         "Reservoir append_batch calls inside process_batch (a subset "
         "of worker_process_batch_ms, not an additional stage).",
     ),
+    "worker_plan_ms": (
+        HISTOGRAM, "ms", "worker",
+        "The task plan's turns for one fresh run inside process_batch: "
+        "iterator advances, folds and reply assembly (a subset of "
+        "worker_process_batch_ms, not an additional stage).",
+    ),
     "worker_checkpoint_ms": (
         HISTOGRAM, "ms", "worker checkpoint",
         "TaskProcessor.checkpoint wall time: writing the dirty "

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aggregates import (
+    AGGREGATOR_NAMES,
     AvgAggregator,
     CountAggregator,
     CountDistinctAggregator,
@@ -295,6 +296,37 @@ class TestRegistry:
     def test_unknown_rejected(self):
         with pytest.raises(QueryError):
             create_aggregator("median")
+
+    #: state bytes after the fold below, as written before any class
+    #: declared ``__slots__``: stored rows must keep loading
+    GOLDEN_STATES = {
+        "count": "06",
+        "sum": "0000000000001d40",
+        "avg": "0000000000001d4006",
+        "stdDev": "065555555555550340abaaaaaaaa2a1440",
+        "max": "0228026533000000000000114032026534000000000000f83f",
+        "min": "0132026534000000000000f83f",
+        "last": "013202653404000000000000f83f0128026533040000000000001140",
+        "prev": "013202653404000000000000f83f0128026533040000000000001140",
+        "countDistinct": "04",
+    }
+
+    def test_no_instance_dict_and_state_bytes_unchanged(self):
+        # Thousands of aggregators stay resident per task: none may
+        # carry a __dict__, and slots must not have moved a state byte.
+        assert set(self.GOLDEN_STATES) == set(AGGREGATOR_NAMES)
+        for name, golden in self.GOLDEN_STATES.items():
+            agg = create_aggregator(name)
+            assert not hasattr(agg, "__dict__"), name
+            for i, value in enumerate([3.0, 1.5, None, 4.25, 1.5]):
+                agg.add(value, _event(i, ts=(i + 1) * 10))
+            agg.evict(3.0, _event(0, ts=10))
+            state = agg.state_to_bytes()
+            assert state.hex() == golden, name
+            clone = create_aggregator(name)
+            clone.state_from_bytes(state)
+            assert clone.state_to_bytes() == state, name
+            assert clone.result() == agg.result(), name
 
     def test_numeric_classification(self):
         assert aggregator_requires_numeric("sum")

@@ -1,5 +1,6 @@
 """Metric state store tests."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -7,7 +8,7 @@ from repro.aggregates.registry import create_aggregator
 from repro.common import serde
 from repro.events.event import Event
 from repro.state import MetricStateStore
-from repro.state.store import decode_group_key, encode_group_key
+from repro.state.store import Cell, decode_group_key, encode_group_key
 
 
 def _event(i):
@@ -187,6 +188,64 @@ class TestResidentSet:
         assert store.peek(0, 0, "sum", a) == 5.0
         assert store.peek(0, 0, "sum", b) == 0.0
         assert store.export_metric_rows(0) == rows
+
+
+class TestCells:
+    """What the task plan's cell index relies on."""
+
+    def _cell(self, store, key):
+        store.apply(0, 0, "sum", key, [(1.0, _event(0))], [])
+        store.apply(0, 1, "count", key, [(True, _event(0))], [])
+        leaves = ((0, 0), (0, 1))
+        return Cell(key, leaves, tuple(store.resident(0, i, key) for i in (0, 1)))
+
+    def test_resident_never_loads(self):
+        store = MetricStateStore()
+        key = encode_group_key(("c1",))
+        assert store.resident(0, 0, key) is None
+        assert not store._resident and store.db.stats.gets == 0
+
+    def test_epoch_moves_when_an_entry_leaves(self):
+        store = MetricStateStore(resident_cap=2)
+        self._cell(store, encode_group_key(("c1",)))
+        epoch = store.epoch
+        store.peek(0, 0, "sum", encode_group_key(("c1",)))  # a hit: nothing leaves
+        assert store.epoch == epoch
+        store.peek(0, 0, "sum", encode_group_key(("c2",)))  # a load past the cap
+        assert store.epoch > epoch
+        epoch = store.epoch
+        store.forget_metric(0)
+        assert store.epoch > epoch
+
+    def test_a_fold_on_a_cell_reaches_the_next_barrier(self):
+        store = MetricStateStore()
+        key = encode_group_key(("c1",))
+        cell = self._cell(store, key)
+        store.checkpoint()
+        cell.aggregators[0].add(2.0, _event(1))  # what the plan does on a hit
+        cell.dirty = True
+        store.dirty_cells.append(cell)
+        rows, _ = store.export_metric_rows(0)
+        assert not cell.dirty and not store.dirty_cells
+        restored = create_aggregator("sum")
+        restored.state_from_bytes(dict(rows)[MetricStateStore.state_key(0, 0, key)])
+        assert restored.result() == 3.0
+
+    def test_a_dirty_cell_is_settled_before_its_entry_is_evicted(self):
+        store = MetricStateStore(resident_cap=2)
+        key = encode_group_key(("c1",))
+        cell = self._cell(store, key)
+        store.checkpoint()
+        cell.aggregators[0].add(2.0, _event(1))
+        cell.dirty = True
+        store.dirty_cells.append(cell)
+        store.peek(0, 0, "sum", encode_group_key(("c2",)))  # evicts (0, 0, c1)
+        assert store.resident(0, 0, key) is None
+        assert store.peek(0, 0, "sum", key) == 3.0  # written back, reloaded
+
+    def test_cap_must_hold_an_entry(self):
+        with pytest.raises(ValueError):
+            MetricStateStore(resident_cap=0)
 
 
 #: metric slot -> aggregation per agg index (every Figure 4 aggregation)

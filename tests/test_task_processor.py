@@ -147,6 +147,47 @@ class TestCheckpointRestore:
         assert stats.compactions == 1  # the fourth similar run
         assert snapshot["counters"]["worker_lsm_compactions_total"] == 1
 
+    def test_plan_turns_report_their_time_per_fresh_run(self, monkeypatch):
+        from repro.common.timesource import DeterministicTimeSource
+        from repro.plan.dag import TaskPlan
+        from repro.reservoir.reservoir import EventReservoir
+        from repro.telemetry import MetricsRegistry
+
+        # Virtual time moves only inside the two timed regions: 1 ms per
+        # reservoir batch append, 2 ms per plan turn.
+        clock = DeterministicTimeSource()
+
+        def costing(method, seconds):
+            def wrapper(*args, **kwargs):
+                clock.advance(seconds)
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            EventReservoir, "append_batch", costing(EventReservoir.append_batch, 0.001)
+        )
+        monkeypatch.setattr(
+            TaskPlan, "process_event", costing(TaskPlan.process_event, 0.002)
+        )
+        observed, plain = _processor(), _processor()
+        observed.telemetry = registry = MetricsRegistry(
+            "worker:t", time_source=clock, enabled=True
+        )
+        records = [(i, _event(i, card=f"c{i % 3}")) for i in range(8)]
+        # A re-sent id splits the batch into two fresh runs (5 and 3
+        # events) around one per-event fallback, which is not a run.
+        records.insert(5, (8, _event(2, card="c2")))
+        records = [(i, event) for i, (_, event) in enumerate(records)]
+        assert observed.process_batch(records) == plain.process_batch(records)
+        histograms = registry.snapshot()["histograms"]
+        plan_ms = histograms["worker_plan_ms"]
+        assert plan_ms["count"] == 2
+        assert plan_ms["sum_ms"] == pytest.approx(2.0 * 8)
+        assert (plan_ms["min_ms"], plan_ms["max_ms"]) == pytest.approx((6.0, 10.0))
+        append_ms = histograms["worker_reservoir_append_ms"]
+        assert append_ms["count"] == 2
+        assert append_ms["sum_ms"] == pytest.approx(2.0)
+
     def test_restore_preserves_window_expiry(self):
         original = _processor()
         offset = 0
