@@ -12,7 +12,10 @@ sharded-frontend (``engine_ingest_process_{1,2,4}f``: N frontend
 processes over 2 workers) and durable (``engine_ingest_process_durable``:
 disk-backed bus, batch fsync) execution, the TCP front door
 (``server_ingest_async_{1,64}c``: closed-loop clients through the
-asyncio ingest server over a served sharded cluster), the durable-log
+asyncio ingest server over a served sharded cluster;
+``server_trip_sync_single``: the blocking client's 4-event request/reply
+trips against a served single-process cluster, with the same events
+through in-process ``send_batch`` as its own reference), the durable-log
 family
 (``log_append_fsync_{never,batch,always}`` append cost per fsync policy,
 ``durable_recovery_reopen`` segment-scan recovery time) and the
@@ -503,14 +506,19 @@ _ENGINE_METRIC = (
 )
 
 
-def bench_engine_ingest_single_process(
-    events: list[Event], batch_size: int
-) -> dict[str, float]:
-    """Batched client→reply ingest through the cooperative cluster."""
+def _single_cluster() -> RailgunCluster:
     cluster = RailgunCluster(nodes=1, processor_units=2)
     cluster.create_stream("tx", ["cardId"], **_ENGINE_STREAM)
     cluster.create_metric(_ENGINE_METRIC)
     cluster.run_until_quiet(max_rounds=50)
+    return cluster
+
+
+def bench_engine_ingest_single_process(
+    events: list[Event], batch_size: int
+) -> dict[str, float]:
+    """Batched client→reply ingest through the cooperative cluster."""
+    cluster = _single_cluster()
 
     def run_slice(chunk: Sequence[Event]) -> None:
         cluster.send_batch("tx", chunk, max_rounds=200_000)
@@ -685,6 +693,55 @@ def bench_server_ingest_async_1c(events: list[Event], batch_size: int) -> dict[s
 
 def bench_server_ingest_async_64c(events: list[Event], batch_size: int) -> dict[str, float]:
     return _bench_server_ingest_async(events, batch_size, clients=64)
+
+
+#: Events per trip and event budget of ``server_trip_sync_single``: the
+#: per-request shape ``bench/``'s ``frontdoor_trips`` workload measures.
+_TRIP_EVENTS = 4
+_TRIP_BUDGET = 8_000
+
+
+def bench_server_trip_sync_single(
+    events: list[Event], batch_size: int
+) -> dict[str, float]:
+    """Closed-loop request/reply trips: blocking client → served ``single``.
+
+    One :class:`RailgunClient` sends a ``_TRIP_EVENTS``-event batch and
+    waits for its replies before the next — a caller that scores each
+    request. Server and client share this process (and its GIL); what
+    the entry prices is the front door's own work per trip: two frames
+    each way, admission, the loop's wake-ups. The same events then go
+    through an identical cluster's in-process ``send_batch``, so the
+    entry reports how much of a trip is front door
+    (``overhead_frac`` = 1 − in-process time / trip time).
+    """
+    from repro.server.client import RailgunClient
+    from repro.server.server import serve_cluster
+
+    del batch_size
+    trips = _slices(events[:_TRIP_BUDGET], _TRIP_EVENTS)
+
+    direct_cluster = _single_cluster()
+    direct = _measure_slices(
+        trips, lambda chunk: direct_cluster.send_batch("tx", chunk)
+    )
+    direct_cluster.close()
+
+    cluster = _single_cluster()
+    handle = serve_cluster(cluster)
+    try:
+        with RailgunClient(*handle.address) as client:
+            result = _measure_slices(
+                trips, lambda chunk: client.send_batch("tx", chunk)
+            )
+    finally:
+        handle.stop()
+        cluster.close()
+    result["direct_events_per_sec"] = direct["events_per_sec"]
+    result["overhead_frac"] = (
+        1.0 - result["events_per_sec"] / direct["events_per_sec"]
+    )
+    return result
 
 
 # -- durable segmented log (fsync policies + recovery reopen) -----------------
@@ -897,6 +954,7 @@ BENCHES: dict[str, Callable[[list[Event], int], dict[str, float]]] = {
     "engine_ingest_process_durable": bench_engine_ingest_process_durable,
     "server_ingest_async_1c": bench_server_ingest_async_1c,
     "server_ingest_async_64c": bench_server_ingest_async_64c,
+    "server_trip_sync_single": bench_server_trip_sync_single,
     "log_append_fsync_never": bench_log_append_fsync_never,
     "log_append_fsync_batch": bench_log_append_fsync_batch,
     "log_append_fsync_always": bench_log_append_fsync_always,
@@ -912,7 +970,7 @@ ENGINE_BENCHES = frozenset(
     name
     for name in BENCHES
     if name.startswith(
-        ("engine_ingest", "server_ingest", "recovery_", "log_append", "durable_")
+        ("engine_ingest", "server_", "recovery_", "log_append", "durable_")
     )
 )
 
@@ -1275,6 +1333,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"{name.ljust(width)}  {stats['events_per_sec']:>12,.0f} events/s"
             f"  p50 {stats['p50_us']:>8.2f}us  p99 {stats['p99_us']:>8.2f}us"
         )
+    for name, stats in sorted(results.items()):
+        if "overhead_frac" in stats:
+            print(
+                f"{name}: {stats['overhead_frac']:.0%} of a trip is front door "
+                f"(in-process {stats['direct_events_per_sec']:,.0f} events/s)"
+            )
     batched, per_event = SPEEDUP_PAIR
     if batched in results and per_event in results:
         ratio = (

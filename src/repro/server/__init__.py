@@ -8,12 +8,14 @@ this reproduction embedded its own cluster facade in-process; this
 package turns the cluster into a *service*:
 
 - :mod:`repro.server.server` — an asyncio TCP server multiplexing
-  thousands of connections onto one shared cluster facade through a
-  bounded dispatch queue and per-connection reply fan-out.
-- :mod:`repro.server.client` — :class:`AsyncRailgunClient` (asyncio)
-  and :class:`RailgunClient` (sync wrapper), speaking length-prefixed
-  ``shard.wire`` frames: DDL, ``send``/``send_batch``, byte-identical
-  :class:`~repro.engine.cluster.Reply` objects.
+  thousands of connections onto one shared cluster facade. Its loop
+  thread calls the blocking facades itself (a trip crosses no thread
+  boundary); only the pipelined ``ClusterRouter`` keeps a driver thread.
+- :mod:`repro.server.client` — one sans-IO :class:`ClientProtocol`
+  driven by :class:`AsyncRailgunClient` (asyncio streams) and
+  :class:`RailgunClient` (a blocking socket, no thread), speaking
+  length-prefixed ``shard.wire`` frames: DDL, ``send``/``send_batch``,
+  byte-identical :class:`~repro.engine.cluster.Reply` objects.
 - :mod:`repro.server.admission` — token-bucket per-tenant quotas,
   connection/in-flight caps, queue-depth shedding with explicit
   ``ServerBusy`` frames, and per-tenant :class:`LatencyBudget` targets

@@ -75,6 +75,12 @@ class Decision:
 
 ADMITTED = Decision(True)
 
+#: ``ServerBusy.reason`` prefix that is not load at all: the cluster
+#: refused the batch whole before publishing (schema violation, unknown
+#: stream). The server writes it, the clients raise on it instead of
+#: retrying.
+REJECTED = "rejected: "
+
 #: Retry hint for refusals that depend on in-flight work completing
 #: (caps, queue depth) rather than on token refill — there is no exact
 #: schedule, so hint one router wakeup period.

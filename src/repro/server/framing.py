@@ -33,6 +33,24 @@ def frame(payload: bytes) -> bytes:
     return _LEN.pack(len(payload)) + payload
 
 
+def take_frame(buffer: bytearray) -> bytes | None:
+    """Pop one complete frame's payload off the front of ``buffer``;
+    ``None`` while it holds less than a whole frame (the blocking
+    client's receive path: ``recv`` into the buffer until this
+    answers)."""
+    if len(buffer) < _LEN.size:
+        return None
+    (length,) = _LEN.unpack_from(buffer)
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(f"frame too large: {length} bytes")
+    end = _LEN.size + length
+    if len(buffer) < end:
+        return None
+    payload = bytes(buffer[_LEN.size:end])
+    del buffer[:end]
+    return payload
+
+
 async def read_frame(reader: asyncio.StreamReader) -> bytes | None:
     """Read one frame; ``None`` on clean EOF at a frame boundary.
 

@@ -1,41 +1,51 @@
 """The asyncio ingest server: many TCP clients, one cluster.
 
-Architecture (one process, two planes):
+One thread — the asyncio loop — accepts connections, parses
+length-prefixed ``shard.wire`` frames, runs admission control, **calls
+the cluster**, and writes replies back out per connection:
 
-- **asyncio loop thread** — accepts connections, parses length-prefixed
-  ``shard.wire`` frames, runs admission control, and fans completed
-  replies back out per connection. Nothing here touches the cluster.
-- **cluster service thread** (the *driver*) — the only thread that
-  talks to the cluster facade. For a :class:`ClusterRouter` it runs the
-  router's ``service_step`` loop (thread-safe ``submit_batch`` /
-  ``submit_call`` hooks, pipelined: many connections' batches are in
-  flight in the cluster at once). For the other facades
-  (``RailgunCluster``, ``ParallelCluster``) a generic driver executes
-  queued submissions one ``send_batch`` at a time — correct, just not
-  pipelined.
+- The blocking facades (``RailgunCluster``, ``ParallelCluster``) are
+  called right where the frame was decoded; the whole batch's replies
+  go onto the connection's outbox as one ``ReplyBatch`` with one
+  admission completion. No other thread exists, so a trip hops none.
+  The price, stated plainly: while a call runs (a 256-event batch, a
+  DDL settling, a worker restart inside ``ParallelCluster.send_batch``)
+  the loop reads no socket, so handshakes and ``ServerBusy`` frames on
+  other connections wait as long as their replies always did behind the
+  old serial driver thread; and with no dispatch queue the
+  ``queue-depth`` admission signal reads 0 — unread socket data is the
+  queue, TCP is the back-pressure.
+- A ``ClusterRouter`` is genuinely pipelined (many connections' batches
+  in flight at once), so it keeps the one threaded driver:
+  :class:`_RouterDriver` spins ``service_step``, the loop hands it work
+  through the router's thread-safe ``submit_batch`` / ``submit_call``
+  hooks, and whatever one step completed comes back in a single
+  ``call_soon_threadsafe``.
 
-The handoff between the planes is a bounded dispatch queue (admission's
-``max_queue_depth`` sheds load before the queue grows) in one
-direction, and ``loop.call_soon_threadsafe`` posts into per-connection
-outboxes in the other. A slow reader blocks only its own connection's
-writer task (TCP backpressure on ``drain()``); its outbox is bounded by
-the tenant's in-flight cap, because events stop being admitted when
-their replies stop draining.
+A slow reader blocks only its own connection's writer task (TCP
+backpressure on ``drain()``); its outbox is bounded by the tenant's
+in-flight cap, because events stop being admitted when their replies
+stop draining.
+
+A batch the cluster rejects *before publishing anything* (schema
+violation, unknown stream) is its sender's problem alone: answered
+``ServerBusy("rejected: ...")``, ledger released, server carries on. A
+failure after publish is recorded as ``driver_error`` and every later
+batch is answered ``ServerBusy("cluster-error")``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import queue
 import threading
 import traceback
 import uuid
 from collections import deque
 
-from repro.common.errors import EngineError, SerdeError
+from repro.common.errors import EngineError, ReproError, SerdeError
 from repro.common.timesource import TimeSource, resolve_time_source
-from repro.server.admission import AdmissionController
+from repro.server.admission import REJECTED, AdmissionController
 from repro.server.framing import FrameError, read_frame, write_frame
 from repro.shard import wire
 from repro.telemetry import MetricsRegistry, merge_snapshots
@@ -58,28 +68,53 @@ def parse_url(url: str) -> tuple[str, int]:
         raise EngineError(f"bad port in serve url {url!r}") from None
 
 
-# -- cluster drivers ----------------------------------------------------------
+# -- the one threaded driver --------------------------------------------------
 
 
-class _ClusterDriver(threading.Thread):
-    """Base: the single thread allowed to touch the cluster facade."""
+class _RouterDriver(threading.Thread):
+    """Drives a ``ClusterRouter`` through its thread-safe service hooks;
+    submissions from every connection pipeline through the router. The
+    only thread besides the loop that a server ever starts."""
 
-    def __init__(self, cluster, time_source: TimeSource | None = None) -> None:
+    def __init__(self, router, loop, time_source: TimeSource) -> None:
         super().__init__(name="railgun-server-driver", daemon=True)
-        self._cluster = cluster
-        self._time = resolve_time_source(time_source)
+        self._router = router
+        self._loop = loop
+        self._time = time_source
         self._stop_event = threading.Event()
         self._drain = True
+        #: loop-thread calls collected during the current service_step.
+        self._posts: list[tuple] = []
         self.error: str | None = None
 
-    def submit_batch(self, stream: str, events: list, on_reply) -> None:
-        raise NotImplementedError
+    def post(self, fn, *args) -> None:
+        """Queue ``fn(*args)`` for the loop thread. Called from router
+        callbacks, i.e. inside ``service_step`` on this thread; the
+        step's calls reach the loop together, in one wake-up."""
+        self._posts.append((fn, *args))
 
-    def submit_call(self, fn, on_done) -> None:
-        raise NotImplementedError
+    def _step(self) -> None:
+        try:
+            self._router.service_step()
+        finally:
+            if self._posts:
+                posts, self._posts = self._posts, []
+                try:
+                    self._loop.call_soon_threadsafe(_run_posts, posts)
+                except RuntimeError:
+                    pass  # loop closed during shutdown; clients saw EOF
 
-    def backlog(self) -> int:
-        raise NotImplementedError
+    def run(self) -> None:
+        router = self._router
+        try:
+            while not self._stop_event.is_set():
+                self._step()
+            if self._drain:
+                deadline = self._time.deadline(10.0)
+                while router.service_outstanding() and not deadline.expired():
+                    self._step()
+        except Exception:
+            self.error = traceback.format_exc(limit=8)
 
     def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
         self._drain = drain
@@ -87,84 +122,16 @@ class _ClusterDriver(threading.Thread):
         self.join(timeout=timeout)
 
 
-class _RouterDriver(_ClusterDriver):
-    """Drives a ``ClusterRouter`` through its thread-safe service hooks;
-    submissions from every connection pipeline through the router."""
-
-    def submit_batch(self, stream, events, on_reply) -> None:
-        self._cluster.submit_batch(stream, events, on_reply)
-
-    def submit_call(self, fn, on_done) -> None:
-        self._cluster.submit_call(fn, on_done)
-
-    def backlog(self) -> int:
-        return self._cluster.submission_backlog()
-
-    def run(self) -> None:
-        router = self._cluster
-        try:
-            while not self._stop_event.is_set():
-                router.service_step()
-            if self._drain:
-                deadline = self._time.deadline(10.0)
-                while router.service_outstanding() and not deadline.expired():
-                    router.service_step()
-        except Exception:
-            self.error = traceback.format_exc(limit=8)
+def _run_posts(posts: list[tuple]) -> None:
+    for fn, *args in posts:
+        fn(*args)
 
 
-class _FacadeDriver(_ClusterDriver):
-    """Generic driver for the blocking facades: one submission at a
-    time through ``send_batch`` (correct everywhere, pipelined
-    nowhere). DDL settles with ``run_until_quiet`` so a following send
-    lands on rebalanced assignments."""
-
-    def __init__(self, cluster, time_source: TimeSource | None = None) -> None:
-        super().__init__(cluster, time_source)
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-
-    def submit_batch(self, stream, events, on_reply) -> None:
-        self._queue.put(("batch", stream, events, on_reply))
-
-    def submit_call(self, fn, on_done) -> None:
-        self._queue.put(("call", fn, None, on_done))
-
-    def backlog(self) -> int:
-        return self._queue.qsize()
-
-    def run(self) -> None:
-        try:
-            while True:
-                try:
-                    kind, a, b, callback = self._queue.get(timeout=0.05)
-                except queue.Empty:
-                    if self._stop_event.is_set():
-                        break
-                    continue
-                if self._stop_event.is_set() and not self._drain:
-                    break
-                if kind == "batch":
-                    replies = self._cluster.send_batch(a, b)
-                    for index, reply in enumerate(replies):
-                        callback(index, reply)
-                else:
-                    try:
-                        result = a()
-                    except Exception as exc:
-                        callback(None, exc)
-                        continue
-                    settle = getattr(self._cluster, "run_until_quiet", None)
-                    if settle is not None:
-                        settle()
-                    callback(result, None)
-        except Exception:
-            self.error = traceback.format_exc(limit=8)
-
-
-def _driver_for(cluster, time_source: TimeSource | None = None) -> _ClusterDriver:
-    if hasattr(cluster, "submit_batch") and hasattr(cluster, "service_step"):
-        return _RouterDriver(cluster, time_source)
-    return _FacadeDriver(cluster, time_source)
+def _rejected(exc: Exception) -> str:
+    """The ``ServerBusy`` reason for a batch the cluster refused whole
+    before publishing: final (``retry_after_ms`` 0), and the client
+    raises on it instead of retrying."""
+    return f"{REJECTED}{type(exc).__name__}: {exc}"
 
 
 # -- connections --------------------------------------------------------------
@@ -184,6 +151,7 @@ class _Connection:
         self.closed = False
 
     def enqueue_reply(self, correlation: int, stream: str, results: dict) -> None:
+        """One reply, coalesced with its neighbours by the writer task."""
         if self.closed:
             return
         self.outbox.append((correlation, stream, results))
@@ -230,7 +198,11 @@ class RailgunServer:
         )
         #: when set, Hello.token must match tokens[tenant] exactly.
         self._tokens = tokens
-        self._driver = _driver_for(cluster, self._time)
+        #: the router's service thread, started with the server; None on
+        #: the blocking facades, which the loop thread calls itself.
+        self._driver: _RouterDriver | None = None
+        #: traceback of a cluster call that failed after publishing.
+        self._call_error: str | None = None
         self._server: asyncio.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._connections: set[_Connection] = set()
@@ -243,7 +215,11 @@ class RailgunServer:
 
     async def start(self) -> "RailgunServer":
         self._loop = asyncio.get_running_loop()
-        self._driver.start()
+        if hasattr(self._cluster, "submit_batch") and hasattr(
+            self._cluster, "service_step"
+        ):
+            self._driver = _RouterDriver(self._cluster, self._loop, self._time)
+            self._driver.start()
         self._server = await asyncio.start_server(
             self._handle, self._host, self._port
         )
@@ -264,9 +240,11 @@ class RailgunServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # Blocking join of the service thread. Completions it posts via
-        # call_soon_threadsafe queue up and flush right after.
-        self._driver.stop(drain=drain)
+        if self._driver is not None:
+            # Blocking join of the service thread. Completions it posts
+            # via call_soon_threadsafe queue up and flush right after.
+            # (A blocking facade has nothing in flight between frames.)
+            self._driver.stop(drain=drain)
         if drain:
             deadline = self._loop.time() + 10.0
             while (
@@ -292,10 +270,20 @@ class RailgunServer:
                 "frames_in": self.metrics.counter_value("server_frames_in_total"),
                 "frames_out": self.metrics.counter_value("server_frames_out_total"),
                 "busy_frames": self.metrics.counter_value("server_frames_busy_total"),
-                "dispatch_backlog": self._driver.backlog(),
-                "driver_error": self._driver.error,
+                "dispatch_backlog": self._backlog(),
+                "driver_error": self._cluster_error(),
             },
         }
+
+    def _backlog(self) -> int:
+        """Submissions accepted but not yet routed: the router's queue,
+        or 0 — a blocking facade is called as its frame is decoded."""
+        if self._driver is None:
+            return 0
+        return self._cluster.submission_backlog()
+
+    def _cluster_error(self) -> str | None:
+        return self._call_error if self._driver is None else self._driver.error
 
     def telemetry_snapshot(self) -> dict:
         """The server's own registry snapshot (loop-thread counters);
@@ -406,46 +394,101 @@ class RailgunServer:
             self._tasks.discard(task)
 
     def _on_ingest(self, conn: _Connection, msg: wire.IngestBatch) -> None:
+        started = self._time.monotonic()
         correlations = [correlation for correlation, _, _ in msg.entries]
         events = [event for _, event, _ in msg.entries]
-        if self._driver.error is not None:
-            decision_reason, retry = "cluster-error", 0
+        if self._cluster_error() is not None:
+            self._shed(conn, "cluster-error", 0, correlations)
+            return
+        admit_started = self._time.monotonic()
+        decision = self.admission.admit(conn.tenant, len(events), self._backlog())
+        self.metrics.observe_since("server_admission_wait_ms", admit_started)
+        if not decision.ok:
+            self._shed(conn, decision.reason, decision.retry_after_ms, correlations)
+        elif self._driver is None:
+            self._ingest_now(conn, msg.stream, correlations, events, started)
         else:
-            admit_started = self.metrics.now()
-            decision = self.admission.admit(
-                conn.tenant, len(events), self._driver.backlog()
-            )
-            self.metrics.observe_since("server_admission_wait_ms", admit_started)
-            if decision.ok:
-                tenant = conn.tenant
-                started = self._time.monotonic()
+            self._ingest_routed(conn, msg.stream, correlations, events, started)
 
-                def on_reply(index: int, reply) -> None:
-                    # Runs on the service thread: account first (the
-                    # admission ledger must not leak even if the client
-                    # is gone), then post the reply to the loop.
-                    elapsed_ms = (self._time.monotonic() - started) * 1000.0
-                    self.admission.complete(tenant, 1, elapsed_ms)
-                    self.metrics.observe_ms("server_request_ms", elapsed_ms)
-                    self._post(
-                        conn.enqueue_reply,
-                        correlations[index],
-                        reply.stream,
-                        reply.results,
-                    )
-
-                self._driver.submit_batch(msg.stream, events, on_reply)
-                return
-            decision_reason, retry = decision.reason, decision.retry_after_ms
-        self.metrics.counter_add("server_frames_busy_total")
+    def _ingest_now(self, conn, stream, correlations, events, started) -> None:
+        """The blocking facades: call the cluster here, on the loop
+        thread, and settle the whole batch in one step."""
+        cluster = self._cluster
+        called = self._time.monotonic()
+        published = cluster.bus.messages_published
+        try:
+            replies = cluster.send_batch(stream, events)
+        except Exception as exc:
+            self.admission.complete(conn.tenant, len(events))
+            if (
+                isinstance(exc, ReproError)
+                and cluster.bus.messages_published == published
+            ):
+                self._shed(conn, _rejected(exc), 0, correlations)
+            else:
+                self._call_error = traceback.format_exc(limit=8)
+                self._shed(conn, "cluster-error", 0, correlations)
+            return
+        self.metrics.observe_since("server_cluster_call_ms", called)
         conn.enqueue_msg(
-            wire.ServerBusy(decision_reason, retry, tuple(correlations))
+            wire.ReplyBatch(
+                [
+                    (correlation, reply.stream, reply.results)
+                    for correlation, reply in zip(correlations, replies)
+                ]
+            )
         )
+        elapsed_ms = (self._time.monotonic() - started) * 1000.0
+        self.admission.complete(conn.tenant, len(events), elapsed_ms)
+        self.metrics.observe_ms("server_request_ms", elapsed_ms)
+
+    def _ingest_routed(self, conn, stream, correlations, events, started) -> None:
+        """The router: submit, and let its service thread report each
+        reply as its fan-in completes (any order)."""
+        tenant, driver = conn.tenant, self._driver
+
+        def on_reply(index: int | None, reply) -> None:
+            # Runs on the service thread: account first (the admission
+            # ledger must not leak even if the client is gone), then
+            # post the reply to the loop.
+            if index is None:  # refused before routing; reply is the error
+                self.admission.complete(tenant, len(events))
+                driver.post(self._shed, conn, _rejected(reply), 0, correlations)
+                return
+            elapsed_ms = (self._time.monotonic() - started) * 1000.0
+            self.admission.complete(tenant, 1, elapsed_ms)
+            self.metrics.observe_ms("server_request_ms", elapsed_ms)
+            driver.post(
+                conn.enqueue_reply, correlations[index], reply.stream, reply.results
+            )
+
+        self._cluster.submit_batch(stream, events, on_reply)
+
+    def _shed(self, conn, reason: str, retry_ms: int, correlations: list) -> None:
+        self.metrics.counter_add("server_frames_busy_total")
+        conn.enqueue_msg(wire.ServerBusy(reason, retry_ms, tuple(correlations)))
+
+    def _call(self, fn, on_done) -> None:
+        """Run a control-plane call against the cluster and hand
+        ``on_done(result, error)`` the outcome on the loop thread: here
+        and now on a blocking facade (settled with ``run_until_quiet``
+        so a following send lands on rebalanced assignments), on the
+        service thread and posted back for the router."""
+        driver = self._driver
+        if driver is not None:
+            self._cluster.submit_call(
+                fn, lambda result, error: driver.post(on_done, result, error)
+            )
+            return
+        try:
+            result = fn()
+            self._cluster.run_until_quiet()
+        except Exception as exc:
+            on_done(None, exc)
+        else:
+            on_done(result, None)
 
     def _on_ddl(self, conn: _Connection, msg: wire.DdlRequest) -> None:
-        def call():
-            return self._run_ddl(msg)
-
         def on_done(result, error) -> None:
             if error is None:
                 reply = wire.DdlReply(msg.request_id, True, int(result or 0))
@@ -454,22 +497,19 @@ class RailgunServer:
                     msg.request_id, False, 0,
                     f"{type(error).__name__}: {error}",
                 )
-            self._post(conn.enqueue_msg, reply)
+            conn.enqueue_msg(reply)
 
-        self._driver.submit_call(call, on_done)
+        self._call(lambda: self._run_ddl(msg), on_done)
 
     def _on_stats(self, conn: _Connection, msg: wire.StatsRequest) -> None:
         """Answer a StatsRequest with the merged cluster+server snapshot.
 
-        The cluster's ``telemetry()`` must run on the service thread
-        (it reads supervisor state); the server's own registry merges
-        in afterwards, on the loop thread that owns it.
+        The cluster's ``telemetry()`` runs wherever the cluster may be
+        touched (it reads supervisor state); the server's own registry
+        merges in afterwards, on the loop thread that owns it.
         """
         self.metrics.counter_add("server_stats_requests_total")
         telemetry = getattr(self._cluster, "telemetry", None)
-
-        def call():
-            return telemetry() if telemetry is not None else {}
 
         def on_done(result, error) -> None:
             if error is not None:
@@ -496,11 +536,9 @@ class RailgunServer:
                 }
                 merged.setdefault("schema", own["schema"])
             payload = json.dumps(merged, sort_keys=True).encode("utf-8")
-            self._post(
-                conn.enqueue_msg, wire.StatsReply(msg.request_id, payload)
-            )
+            conn.enqueue_msg(wire.StatsReply(msg.request_id, payload))
 
-        self._driver.submit_call(call, on_done)
+        self._call(lambda: telemetry() if telemetry is not None else {}, on_done)
 
     def _run_ddl(self, msg: wire.DdlRequest) -> int:
         cluster = self._cluster
@@ -517,9 +555,9 @@ class RailgunServer:
             return cluster.create_metric(msg.text, backfill=msg.flag)
         if msg.op == "backfill_metric":
             # Define-after-the-fact: replay the partition log behind the
-            # live writer, then splice. Facade drivers settle the call
-            # with run_until_quiet, so the reply means "spliced"; the
-            # router driver keeps pumping and clients poll the status.
+            # live writer, then splice. A blocking facade settles the
+            # call with run_until_quiet, so the reply means "spliced";
+            # the router keeps pumping and clients poll the status.
             return cluster.backfill_metric(msg.text)
         if msg.op == "backfill_status":
             status = cluster.backfill_status(msg.number)
@@ -536,12 +574,6 @@ class RailgunServer:
             cluster.add_partitioner(msg.name, msg.text)
             return 0
         raise EngineError(f"unknown ddl op {msg.op!r}")
-
-    def _post(self, fn, *args) -> None:
-        try:
-            self._loop.call_soon_threadsafe(fn, *args)
-        except RuntimeError:
-            pass  # loop closed during shutdown; the client saw EOF anyway
 
     async def _writer_loop(self, conn: _Connection) -> None:
         """Ship the outbox: coalesce replies into ReplyBatch frames.

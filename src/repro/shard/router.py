@@ -78,7 +78,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.common.clock import ManualClock
-from repro.common.errors import EngineError
+from repro.common.errors import EngineError, ReproError
 from repro.common.hashing import partition_for
 from repro.common.timesource import TimeSource, resolve_time_source
 from repro.engine.assignment import (
@@ -1580,7 +1580,9 @@ class ClusterRouter:
 
         ``on_reply(index, reply)`` fires on the thread running
         :meth:`service_step` once the ``index``-th event's fan-in
-        completes; replies may complete (and fire) in any order. May be
+        completes; replies may complete (and fire) in any order. A batch
+        refused whole before anything is routed fires ``on_reply(None,
+        error)`` once instead. May be
         called from any thread — the ingest server's asyncio loop hands
         work to the router's service thread through exactly this hook.
         """
@@ -1617,9 +1619,19 @@ class ClusterRouter:
             except queue.Empty:
                 break
             if kind == "batch":
+                published = self._published
+                try:
+                    correlations = self._route_and_ship(a, b)
+                except ReproError as exc:
+                    if self._published != published:
+                        raise
+                    # Refused whole before anything was routed (schema
+                    # violation, unknown stream): the submitter's
+                    # problem, not the service thread's.
+                    callback(None, exc)
+                    continue
                 self.metrics.counter_add("engine_batches_in_total")
                 self.metrics.counter_add("engine_events_in_total", len(b))
-                correlations = self._route_and_ship(a, b)
                 for index, correlation in enumerate(correlations):
                     self._service_pending[correlation] = (callback, index)
                 handled += len(correlations)

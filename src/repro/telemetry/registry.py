@@ -247,7 +247,14 @@ METRICS: dict[str, tuple[str, str, str, str]] = {
     ),
     "server_request_ms": (
         HISTOGRAM, "ms", "server",
-        "IngestBatch handling time from frame decode to cluster handoff.",
+        "IngestBatch handling time from decoded frame to replies on the "
+        "connection's outbox (router: per reply; blocking facade: per batch).",
+    ),
+    "server_cluster_call_ms": (
+        HISTOGRAM, "ms", "server",
+        "Time the loop thread spent inside a blocking facade's send_batch, "
+        "per IngestBatch (server_request_ms minus this is the server's own "
+        "share of a trip).",
     ),
 }
 

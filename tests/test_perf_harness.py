@@ -31,6 +31,9 @@ def expected_keys(name: str) -> set:
         return REOPEN_KEYS
     if name in STAGE_BENCHES:
         return REQUIRED_KEYS | {"stages"}
+    if name == "server_trip_sync_single":
+        # prices its own overhead against in-process send_batch
+        return REQUIRED_KEYS | {"direct_events_per_sec", "overhead_frac"}
     return REQUIRED_KEYS
 
 
@@ -69,6 +72,7 @@ class TestRunBenches:
             "engine_ingest_process_durable",
             "server_ingest_async_1c",
             "server_ingest_async_64c",
+            "server_trip_sync_single",
             "log_append_fsync_never",
             "log_append_fsync_batch",
             "log_append_fsync_always",

@@ -19,6 +19,14 @@ on:
 - **Clean teardown**: a stopped server refuses new connections, fails
   in-flight requests with an error (not a hang), and leaves no server
   threads behind.
+- **No thread hops**: a blocking facade is served by the loop thread
+  alone (one ``ReplyBatch`` frame per ``IngestBatch``), and the
+  blocking client starts no thread at all.
+- **One bad batch is one connection's problem**: a batch the cluster
+  rejects before publishing is answered to its sender and the server
+  keeps serving everyone.
+- **One protocol, two drivers**: the blocking and asyncio clients send
+  the same bytes and return the same replies for the same script.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import threading
 import pytest
 
 from repro.common.errors import EngineError
-from repro.common.timesource import default_time_source
+from repro.common.timesource import DeterministicTimeSource, default_time_source
 from repro.engine.cluster import RailgunCluster, create_cluster
 from repro.events.event import Event
 from repro.server.admission import AdmissionController, TenantQuota
@@ -58,11 +66,12 @@ def count_of(reply) -> int:
 
 
 def server_threads() -> list[str]:
-    return [
+    """Every thread the front door (either end of it) is running."""
+    return sorted(
         t.name
         for t in threading.enumerate()
-        if t.name.startswith("railgun-server")
-    ]
+        if t.name.startswith(("railgun-server", "railgun-client"))
+    )
 
 
 class TestParseUrl:
@@ -361,6 +370,364 @@ class TestShutdown:
         assert server_threads() == []
 
 
+class TestNoThreadHops:
+    @pytest.mark.parametrize(
+        "topology, kwargs", [("single", {}), ("process", {"workers": 2})]
+    )
+    def test_blocking_facades_run_on_the_loop_thread_alone(self, topology, kwargs):
+        before = set(threading.enumerate())
+        cluster = create_cluster(topology, serve="tcp://127.0.0.1:0", **kwargs)
+        try:
+            host, port = cluster.server.address
+            with RailgunClient(host, port) as client:
+                client.create_stream("tx", ["cardId"], **STREAM_KW)
+                client.create_metric(METRIC)
+                replies = client.send_batch(
+                    "tx",
+                    [{"cardId": "k", "amount": 1.0} for _ in range(5)],
+                    timestamp=1_000,
+                )
+                assert [count_of(r) for r in replies] == [1, 2, 3, 4, 5]
+                started = [t.name for t in set(threading.enumerate()) - before]
+                assert started == ["railgun-server"]
+                assert server_threads() == ["railgun-server"]
+        finally:
+            cluster.close()
+        assert server_threads() == []
+
+    def test_router_keeps_its_one_driver_thread(self):
+        cluster = ClusterRouter(workers=2, frontends=2)
+        handle = serve_cluster(cluster)
+        try:
+            assert server_threads() == ["railgun-server", "railgun-server-driver"]
+        finally:
+            handle.stop()
+            cluster.close()
+        assert server_threads() == []
+
+    def test_one_reply_frame_per_ingest_batch(self):
+        cluster = make_single()
+        handle = serve_cluster(cluster)
+        host, port = handle.address
+
+        def frames_out(expected: int) -> int:
+            # The writer counts a frame once its write returned, which
+            # the client's read of that frame can beat by a moment.
+            default_time_source().wait_until(
+                lambda: handle.stats()["server"]["frames_out"] >= expected,
+                timeout=5.0,
+                poll=0.001,
+            )
+            return handle.stats()["server"]["frames_out"]
+
+        try:
+            with RailgunClient(host, port) as client:
+                sent = 0
+                # 257 events travel as two IngestBatch frames: two replies.
+                for size, frames in ((1, 1), (4, 1), (256, 1), (257, 2)):
+                    replies = client.send_batch(
+                        "tx",
+                        [{"cardId": "c", "amount": 1.0} for _ in range(size)],
+                        timestamp=1_000,
+                    )
+                    assert len(replies) == size
+                    sent += frames
+                    assert frames_out(sent) == sent
+            assert handle.stats()["server"]["dispatch_backlog"] == 0
+        finally:
+            handle.stop()
+            cluster.close()
+
+
+class TestRejectedBatch:
+    """A schema-violating event used to raise out of the driver thread:
+    the sender hung for ``call_timeout`` with its events stuck in the
+    ledger and every tenant got ``cluster-error`` from then on."""
+
+    @staticmethod
+    def router() -> ClusterRouter:
+        cluster = ClusterRouter(workers=2, frontends=2)
+        cluster.create_stream("tx", ["cardId"], **STREAM_KW)
+        cluster.create_metric(METRIC)
+        return cluster
+
+    @pytest.mark.parametrize("build", [make_single, router.__func__])
+    def test_bad_event_is_its_senders_problem_only(self, build):
+        cluster = build()
+        handle = serve_cluster(cluster)
+        host, port = handle.address
+        good = [{"cardId": "g", "amount": 1.0} for _ in range(3)]
+        try:
+            with RailgunClient(host, port, tenant="careless") as careless, \
+                    RailgunClient(host, port, tenant="careful") as careful:
+                assert count_of(careful.send_batch("tx", good, timestamp=1_000)[-1]) == 3
+                started = default_time_source().monotonic()
+                with pytest.raises(EngineError, match="rejected.*SchemaError") as info:
+                    careless.send_batch(
+                        "tx",
+                        [{"cardId": "b", "amount": "not-a-float"}],
+                        timestamp=1_000,
+                        busy_retries=50,
+                    )
+                # A rejection is final: not a ServerBusyError, no retries
+                # slept through (50 x 25 ms would show).
+                assert not isinstance(info.value, ServerBusyError)
+                assert default_time_source().monotonic() - started < 1.0
+                with pytest.raises(EngineError, match="rejected.*unknown stream"):
+                    careless.send_batch("nope", good, timestamp=1_000)
+                # Both tenants — the careless one included — are served.
+                assert count_of(careful.send_batch("tx", good, timestamp=1_001)[-1]) == 6
+                assert count_of(careless.send_batch("tx", good, timestamp=1_002)[-1]) == 9
+            stats = handle.stats()
+            assert stats["admission"]["in_flight"] == 0
+            assert stats["admission"]["tenants"]["careless"]["in_flight"] == 0
+            assert stats["server"]["driver_error"] is None
+            assert handle.server.admission.in_flight == 0
+        finally:
+            handle.stop()
+            cluster.close()
+
+
+class ScriptedServer:
+    """A fake front door on a plain socket: records every request
+    frame byte for byte and answers from a fixed script, so two clients
+    can be shown the identical conversation."""
+
+    SESSION = "sess"
+
+    def __init__(self, mute: bool = False) -> None:
+        self.frames: list[bytes] = []
+        self._mute = mute
+        self._shed_once = True
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()[:2]
+        self._thread = threading.Thread(
+            target=self._serve, name="test-scripted-server", daemon=True
+        )
+        self._thread.start()
+
+    def _serve(self) -> None:
+        conn, _ = self._listener.accept()
+        with conn:
+            _read_frame_sync(conn)  # Hello
+            ack = wire.HelloAck(True, session=self.SESSION, max_in_flight=64)
+            conn.sendall(_frame(wire.encode(ack)))
+            while True:
+                try:
+                    payload = _read_frame_sync(conn)
+                except (OSError, struct.error):
+                    return
+                self.frames.append(payload)
+                msg = wire.decode(payload)
+                if isinstance(msg, wire.Goodbye):
+                    return
+                if self._mute:
+                    continue
+                for answer in self._answers(msg):
+                    conn.sendall(_frame(wire.encode(answer)))
+
+    def _answers(self, msg):
+        if isinstance(msg, wire.IngestBatch):
+            entries = list(msg.entries)
+            if self._shed_once and len(entries) > 1:
+                # Shed every other event of the first multi-event batch.
+                self._shed_once = False
+                shed = tuple(corr for corr, _, _ in entries[1::2])
+                yield wire.ServerBusy("tenant-rate", 25, shed)
+                entries = entries[0::2]
+            yield wire.ReplyBatch(
+                [
+                    (corr, msg.stream, {0: {"seen": event.event_id, "corr": corr}})
+                    for corr, event, _ in entries
+                ]
+            )
+        elif isinstance(msg, wire.DdlRequest):
+            if msg.op == "delete_metric":
+                yield wire.DdlReply(msg.request_id, False, 0, "EngineError: no such metric")
+            else:
+                yield wire.DdlReply(msg.request_id, True, 7)
+        elif isinstance(msg, wire.StatsRequest):
+            yield wire.StatsReply(msg.request_id, b'{"counters": {"n": 1}}')
+
+    def close(self) -> None:
+        self._listener.close()
+        self._thread.join(timeout=5.0)
+
+
+class TestOneProtocolTwoDrivers:
+    """The sans-IO core's contract: the blocking and the asyncio client
+    are the same protocol, to the byte."""
+
+    BATCH = [{"cardId": f"c{i}", "amount": float(i)} for i in range(6)]
+
+    def run_sync(self, address):
+        out = []
+        with RailgunClient(*address, time_source=DeterministicTimeSource()) as c:
+            c.create_stream("tx", ["cardId"], **STREAM_KW)
+            out.append(c.create_metric(METRIC))
+            out.append(c.send("tx", {"cardId": "a", "amount": 1.0}, timestamp=5))
+            out.append(c.send_batch("tx", self.BATCH, timestamp=9, busy_retries=2))
+            out.append(c.send_batch("tx", [Event("mine", 11, {"cardId": "e"})]))
+            out.append(c.backfill_status(3))
+            try:
+                c.delete_metric(4)
+            except EngineError as exc:
+                out.append(str(exc))
+            out.append(c.stats())
+        return out
+
+    def run_async(self, address):
+        async def script():
+            out = []
+            async with AsyncRailgunClient(
+                *address, time_source=DeterministicTimeSource()
+            ) as c:
+                await c.create_stream("tx", ["cardId"], **STREAM_KW)
+                out.append(await c.create_metric(METRIC))
+                out.append(await c.send("tx", {"cardId": "a", "amount": 1.0}, timestamp=5))
+                out.append(await c.send_batch("tx", self.BATCH, timestamp=9, busy_retries=2))
+                out.append(await c.send_batch("tx", [Event("mine", 11, {"cardId": "e"})]))
+                out.append(await c.backfill_status(3))
+                try:
+                    await c.delete_metric(4)
+                except EngineError as exc:
+                    out.append(str(exc))
+                out.append(await c.stats())
+            return out
+
+        return asyncio.run(script())
+
+    def test_same_script_same_bytes_same_replies(self):
+        conversations = []
+        for run in (self.run_sync, self.run_async):
+            server = ScriptedServer()
+            try:
+                results = run(server.address)
+            finally:
+                server.close()
+            conversations.append((server.frames, results))
+        (sync_frames, sync_results), (async_frames, async_results) = conversations
+        assert sync_frames == async_frames
+        assert sync_results == async_results
+        # And the script did what it says: 2 DDL, 1 + (6 shed to 3, then
+        # the 3 again) + 1 ingest frames, 2 more DDL, stats, goodbye.
+        kinds = [type(wire.decode(f)).__name__ for f in sync_frames]
+        assert kinds == (
+            ["DdlRequest"] * 2 + ["IngestBatch"] * 4 + ["DdlRequest"] * 2
+            + ["StatsRequest", "Goodbye"]
+        )
+        retried = wire.decode(sync_frames[4])
+        assert [corr for corr, _, _ in retried.entries] == [2, 4, 6]
+        batch = sync_results[2]
+        assert [r.event.event_id for r in batch] == [
+            f"sess-{i:09d}" for i in range(1, 7)
+        ]
+        # Shed events were answered on the second attempt, 25 virtual
+        # ms later, and their latency restarts with that attempt.
+        assert [r.results[0]["corr"] for r in batch] == [1, 2, 3, 4, 5, 6]
+        assert sync_results[4] == "complete"
+        assert "no such metric" in sync_results[5]
+        assert sync_results[6] == {"counters": {"n": 1}}
+
+    def test_exhausted_retries_name_what_was_shed(self):
+        server = ScriptedServer()
+        try:
+            with RailgunClient(*server.address) as client:
+                with pytest.raises(ServerBusyError) as info:
+                    client.send_batch("tx", self.BATCH, timestamp=9)
+                assert info.value.reason == "tenant-rate"
+                assert info.value.retry_after_ms == 25
+                assert info.value.correlations == (1, 3, 5)
+        finally:
+            server.close()
+
+
+class TestBlockingClientClose:
+    def test_close_racing_an_inflight_send_fails_it_promptly(self):
+        server = ScriptedServer(mute=True)  # handshakes, then never answers
+        client = RailgunClient(*server.address)
+        outcome: list[object] = []
+        clock = default_time_source()
+
+        def call():
+            started = clock.monotonic()
+            try:
+                client.send_batch("tx", [{"cardId": "x", "amount": 1.0}], timestamp=1)
+            except BaseException as exc:
+                outcome.append(exc)
+            outcome.append(clock.monotonic() - started)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        try:
+            clock.wait_until(lambda: server.frames, timeout=5.0, poll=0.005)
+            assert server.frames, "the send never reached the server"
+            closing = clock.monotonic()
+            client.close()  # from this thread, while the call is blocked
+            caller.join(timeout=5.0)
+            assert not caller.is_alive()
+            error, _ = outcome
+            assert type(error) is EngineError, error
+            assert clock.monotonic() - closing < 1.0
+            # The connection stays dead, loudly, for any later call.
+            with pytest.raises(EngineError):
+                client.stats()
+            client.close()  # idempotent
+        finally:
+            server.close()
+        assert server_threads() == []
+
+
+    def test_threads_sharing_one_client_take_turns(self):
+        # More callers than cores on one connection, with a switch
+        # interval short enough to interleave them mid-call: the lock
+        # must keep every trip whole — each caller gets replies for its
+        # own events, and the cluster saw every event exactly once.
+        import sys
+
+        cluster = make_single()
+        handle = serve_cluster(cluster)
+        callers, trips, per_trip = 6, 25, 3
+        seen: dict[int, list[int]] = {n: [] for n in range(callers)}
+        errors: list[BaseException] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with RailgunClient(*handle.address) as client:
+                def run(n: int) -> None:
+                    try:
+                        for trip in range(trips):
+                            events = [
+                                Event(f"t{n}-{trip}-{i}", 1_000, {"cardId": "k", "amount": 1.0})
+                                for i in range(per_trip)
+                            ]
+                            replies = client.send_batch("tx", events)
+                            assert [r.event for r in replies] == events
+                            seen[n].extend(count_of(r) for r in replies)
+                    except BaseException as exc:
+                        errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=run, args=(n,), daemon=True)
+                    for n in range(callers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            handle.stop()
+            cluster.close()
+        assert errors == []
+        for counts in seen.values():
+            assert counts == sorted(counts) and len(counts) == trips * per_trip
+        assert sorted(c for counts in seen.values() for c in counts) == list(
+            range(1, callers * trips * per_trip + 1)
+        )
+
+
 class TestRouterServiceHooks:
     def test_close_with_replies_outstanding_drains_first(self):
         # Pin: close() must answer every submitted batch before tearing
@@ -403,11 +770,14 @@ def _frame(payload: bytes) -> bytes:
 
 
 def _read_frame_sync(sock: socket.socket) -> bytes:
-    header = b""
-    while len(header) < 4:
-        header += sock.recv(4 - len(header))
-    (length,) = struct.unpack(">I", header)
-    body = b""
-    while len(body) < length:
-        body += sock.recv(length - len(body))
-    return body
+    def exactly(n: int) -> bytes:
+        data = b""
+        while len(data) < n:
+            chunk = sock.recv(n - len(data))
+            if not chunk:
+                raise ConnectionError("peer closed")
+            data += chunk
+        return data
+
+    (length,) = struct.unpack(">I", exactly(4))
+    return exactly(length)

@@ -421,3 +421,52 @@ class TestFrontDoorStats:
         # only have moved forward: the client's Goodbye frame lands
         # after the snapshot was taken).
         assert legacy["server"]["frames_in"] >= counters["server_frames_in_total"]
+
+    def test_cluster_call_histogram_is_exact_under_virtual_time(
+        self, monkeypatch
+    ):
+        """``server_cluster_call_ms`` is the loop thread's time inside
+        the facade, ``server_request_ms`` the whole handling of the
+        frame: their difference is the server's own share."""
+        from types import SimpleNamespace
+
+        from repro.engine.cluster import Reply
+        from repro.server.admission import AdmissionController
+        from repro.server.client import RailgunClient
+        from repro.server.server import serve_cluster
+
+        monkeypatch.setenv("RAILGUN_TELEMETRY", "1")
+        ts = DeterministicTimeSource()
+
+        class SlowAdmission(AdmissionController):
+            def admit(self, tenant, events, queue_depth=0):
+                ts.advance(0.002)
+                return super().admit(tenant, events, queue_depth)
+
+        class SevenMsCluster:
+            bus = SimpleNamespace(messages_published=0)
+
+            def send_batch(self, stream, events):
+                ts.advance(0.007)
+                return [Reply(e, stream, {0: {"n": 1}}, 0) for e in events]
+
+        handle = serve_cluster(
+            SevenMsCluster(), admission=SlowAdmission(time_source=ts),
+            time_source=ts,
+        )
+        try:
+            with RailgunClient(*handle.address) as client:
+                for _ in range(3):
+                    client.send_batch(
+                        "tx", [{"k": "a"}, {"k": "b"}], timestamp=1
+                    )
+            hist = handle.server.metrics.snapshot()["histograms"]
+        finally:
+            handle.stop()
+        assert hist["server_cluster_call_ms"]["count"] == 3
+        assert hist["server_cluster_call_ms"]["sum_ms"] == pytest.approx(21.0)
+        assert hist["server_cluster_call_ms"]["max_ms"] == pytest.approx(7.0)
+        assert hist["server_admission_wait_ms"]["sum_ms"] == pytest.approx(6.0)
+        # One observation per batch, not per reply, on a blocking facade.
+        assert hist["server_request_ms"]["count"] == 3
+        assert hist["server_request_ms"]["sum_ms"] == pytest.approx(27.0)

@@ -7,7 +7,9 @@ the two lifecycles where leaks hide and asserts the process ends each
 one exactly as it started:
 
 1. **Clean shutdown**: serve a single-process cluster, run DDL + a
-   batch through a client, ``stop()`` — afterwards the process must
+   batch through a client, ``stop()`` — while serving, the only thread
+   the whole front door started (server and blocking client together)
+   is the server's loop thread; afterwards the process must
    hold no extra fds (sockets included), no extra threads, no
    multiprocessing children, and the port must refuse connections.
 2. **SIGKILL mid-stream** (sharded backend): a child process serves a
@@ -100,6 +102,7 @@ def scenario_clean_shutdown() -> list[str]:
     fds_before = open_fds()
     threads_before = {t.name for t in threading.enumerate()}
 
+    failures = []
     cluster = create_cluster("single", serve="tcp://127.0.0.1:0")
     host, port = cluster.server.address
     with RailgunClient(host, port) as client:
@@ -117,9 +120,16 @@ def scenario_clean_shutdown() -> list[str]:
             timestamp=1_000,
         )
         assert len(replies) == EVENTS
+        # A blocking facade is driven from the loop thread and the
+        # client is a plain socket: one thread serves the whole trip.
+        started = sorted({t.name for t in threading.enumerate()} - threads_before)
+        if started != ["railgun-server"]:
+            failures.append(
+                f"serving started threads {started}, expected only "
+                "['railgun-server']"
+            )
     cluster.close()
 
-    failures = []
     # Sockets close asynchronously with the loop; give the OS a beat.
     deadline = time.monotonic() + 5.0
     while open_fds() - fds_before and time.monotonic() < deadline:
