@@ -5,7 +5,9 @@ the aggregate inner loops, the state store (``state_apply_resident`` vs
 ``state_apply_evicting``, ``state_checkpoint_writeback``,
 ``state_checkpoint_steady_{4k,32k}``), the
 task-processor ingestion path and the frontend fan-out, the worker-link
-batch codecs (``codec_{work_batch,batch_done}_{columnar,serde}``), plus
+batch codecs (``codec_{work_batch,batch_done}_{columnar,serde}``), the
+``IngestBatch``/``ReplyBatch`` codec round of a front-door trip
+(``codec_trip_ingest_reply``), plus
 the end-to-end engine ingest in single-process,
 process-parallel (``engine_ingest_process_{1,4}w``) and
 sharded-frontend (``engine_ingest_process_{1,2,4}f``: N frontend
@@ -494,6 +496,24 @@ def bench_codec_batch_done_serde(events: list[Event], batch_size: int) -> dict[s
     return _bench_codec(wire, _batch_done, _done_replies(events))
 
 
+def bench_codec_trip_ingest_reply(events: list[Event], batch_size: int) -> dict[str, float]:
+    """The codec share of a front-door trip: a ``_TRIP_EVENTS``-event
+    ``IngestBatch`` and its ``ReplyBatch``, each encoded and decoded
+    once — client and server between them do exactly that per trip."""
+
+    def run_slice(chunk: list[Event]) -> None:
+        ingest = wire.decode(
+            wire.encode(wire.IngestBatch("tx", [(c, e, ()) for c, e in enumerate(chunk)]))
+        )
+        replies = [
+            (c, "tx", {0: {"sum(amount)": event["amount"], "count(*)": c}})
+            for c, event, _ in ingest.entries
+        ]
+        wire.decode(wire.encode(wire.ReplyBatch(replies)))
+
+    return _measure_slices(_slices(events, _TRIP_EVENTS), run_slice)
+
+
 # -- end-to-end engine ingest (single-process vs process-parallel) ------------
 
 #: mirrored stream/metric used by every engine e2e bench
@@ -945,6 +965,7 @@ BENCHES: dict[str, Callable[[list[Event], int], dict[str, float]]] = {
     "codec_work_batch_serde": bench_codec_work_batch_serde,
     "codec_batch_done_columnar": bench_codec_batch_done_columnar,
     "codec_batch_done_serde": bench_codec_batch_done_serde,
+    "codec_trip_ingest_reply": bench_codec_trip_ingest_reply,
     "engine_ingest_single_process": bench_engine_ingest_single_process,
     "engine_ingest_process_1w": bench_engine_ingest_process_1w,
     "engine_ingest_process_4w": bench_engine_ingest_process_4w,

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import EngineError, QueryError
+from repro.common.layout import STR, VARFLAG, VARINT, seq, struct, tuple_of
 from repro.events.schema import FieldType, Schema, SchemaField
+from repro.messaging.log import OFFSET_PAIRS
 from repro.query.ast import Query
 from repro.query.parser import parse_query
 
@@ -65,6 +67,25 @@ class MetricDef:
         return parse_query(self.query_text)
 
 
+#: schema fields as ``(name, type-name)`` pairs.
+FIELD_PAIRS = seq(tuple_of(STR, STR))
+STREAM_DEF = struct(
+    StreamDef,
+    ("name", STR),
+    ("fields", FIELD_PAIRS),
+    ("partitioners", seq(STR)),
+    ("partitions", VARINT),
+)
+METRIC_DEF = struct(
+    MetricDef,
+    ("metric_id", VARINT),
+    ("query_text", STR),
+    ("stream", STR),
+    ("topic", STR),
+    ("backfill", VARFLAG),
+)
+
+
 # -- DDL operations (broadcast values on the operations topic) -----------------
 
 
@@ -101,6 +122,19 @@ class EvolveSchemaOp:
 class AddPartitionerOp:
     stream: str
     partitioner: str
+
+
+#: The one binary layout of every DDL op, as ``(attr, codec)`` fields in
+#: order. The shard wire registers the ops under its control tags and the
+#: durable log under its payload tags, so the live broadcast and the
+#: operations-log replay carry the same record.
+OP_LAYOUTS = {
+    CreateStreamOp: (("stream", STREAM_DEF),),
+    CreateMetricOp: (("metric", METRIC_DEF), ("activations", OFFSET_PAIRS)),
+    DeleteMetricOp: (("metric_id", VARINT),),
+    EvolveSchemaOp: (("stream", STR), ("new_fields", FIELD_PAIRS)),
+    AddPartitionerOp: (("stream", STR), ("partitioner", STR)),
+}
 
 
 @dataclass

@@ -13,13 +13,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from repro.common import serde
 from repro.common.errors import CheckpointError
+from repro.common.layout import (
+    BYTES,
+    STR,
+    SVARINT,
+    VARINT,
+    Codec,
+    mapping,
+    seq,
+    struct,
+    tuple_of,
+)
 from repro.common.storage import MemoryStorage
 from repro.engine.catalog import MetricDef, StreamDef
 from repro.events.event import Event
 from repro.events.schema import SchemaRegistry
 from repro.lsm.db import Checkpoint, LsmConfig, LsmDb
-from repro.messaging.log import TopicPartition
+from repro.messaging.log import TP, TopicPartition
 from repro.plan.dag import TaskPlan
 from repro.reservoir.reservoir import EventReservoir, ReservoirConfig
 from repro.state.store import MetricStateStore
@@ -54,6 +66,37 @@ class TaskCheckpoint:
     def transferable_files(self) -> set[str]:
         """Immutable files a stale holder may already have (delta copy)."""
         return set(self.reservoir_sealed) | set(self.state_files)
+
+
+def _write_lsm_checkpoint(buf: bytearray, checkpoint: Checkpoint) -> None:
+    serde.write_bytes(buf, checkpoint.to_bytes())
+
+
+def _read_lsm_checkpoint(data: memoryview, offset: int) -> tuple[Checkpoint, int]:
+    blob, offset = serde.read_bytes(data, offset)
+    return Checkpoint.from_bytes(blob), offset
+
+
+#: immutable files by name, written in name order.
+FILE_MAP = mapping(STR, BYTES, sort=True)
+#: reservoir iterator cursors ``key -> (chunk_id, index)``; both signed
+#: (a cursor parked before the first chunk is ``(-1, -1)``).
+ITERATOR_POSITIONS = mapping(STR, tuple_of(SVARINT, SVARINT), sort=True)
+#: The one binary layout of a task checkpoint: what crosses the shard
+#: wire in either direction and what the supervisor's checkpoint store
+#: keeps on disk.
+TASK_CHECKPOINT = struct(
+    TaskCheckpoint,
+    ("tp", TP),
+    ("offset", VARINT),
+    ("reservoir_meta", BYTES),
+    ("reservoir_files", FILE_MAP),
+    ("reservoir_sealed", seq(STR, build=set, sort=True)),
+    ("state_checkpoint", Codec(_write_lsm_checkpoint, _read_lsm_checkpoint)),
+    ("state_files", FILE_MAP),
+    ("iterator_positions", ITERATOR_POSITIONS),
+    ("metric_ids", seq(VARINT)),
+)
 
 
 @dataclass

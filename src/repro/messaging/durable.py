@@ -42,19 +42,26 @@ from typing import Any, Iterable, Mapping
 
 from repro.common import serde
 from repro.common.errors import MessagingError, SerdeError
+from repro.common.layout import STR, VALUE, VARINT, mapping, struct
 from repro.engine.catalog import (
+    METRIC_DEF,
+    OP_LAYOUTS,
     AddPartitionerOp,
     CreateMetricOp,
     CreateStreamOp,
     DeleteMetricOp,
     EvolveSchemaOp,
-    MetricDef,
-    StreamDef,
 )
 from repro.engine.envelope import EventEnvelope, ReplyEnvelope
 from repro.events.event import Event
 from repro.messaging.broker import MessageBus
-from repro.messaging.log import Message, PartitionLog, TopicPartition
+from repro.messaging.log import (
+    OFFSET_PAIRS,
+    TP,
+    Message,
+    PartitionLog,
+    TopicPartition,
+)
 from repro.messaging.segments import (
     FsyncPolicy,
     SegmentConfig,
@@ -84,22 +91,18 @@ _TAG_TUPLE = 1
 _TAG_EVENT = 2
 _TAG_EVENT_ENVELOPE = 3
 _TAG_REPLY_ENVELOPE = 4
-_TAG_CREATE_STREAM = 5
-_TAG_CREATE_METRIC = 6
-_TAG_DELETE_METRIC = 7
-_TAG_EVOLVE_SCHEMA = 8
-_TAG_ADD_PARTITIONER = 9
-
-
-def _write_tp(buf: bytearray, tp: TopicPartition) -> None:
-    serde.write_str(buf, tp.topic)
-    serde.write_varint(buf, tp.partition)
-
-
-def _read_tp(data: memoryview, offset: int) -> tuple[TopicPartition, int]:
-    topic, offset = serde.read_str(data, offset)
-    partition, offset = serde.read_varint(data, offset)
-    return TopicPartition(topic, partition), offset
+#: the DDL ops, each stored as its one catalogue layout.
+_OP_TAGS = {
+    CreateStreamOp: 5,
+    DeleteMetricOp: 7,
+    EvolveSchemaOp: 8,
+    AddPartitionerOp: 9,
+    CreateMetricOp: 10,
+}
+_OP_CODECS = {tag: struct(cls, *OP_LAYOUTS[cls]) for cls, tag in _OP_TAGS.items()}
+#: read-only: a ``CreateMetricOp`` as logs written before tag 10 hold
+#: it, without its activation cuts (decodes with ``activations=()``).
+_OP_CODECS[6] = struct(CreateMetricOp, ("metric", METRIC_DEF))
 
 
 def _write_event(buf: bytearray, event: Event) -> None:
@@ -123,48 +126,8 @@ def _read_event(data: memoryview, offset: int) -> tuple[Event, int]:
     return Event(event_id, timestamp, fields), offset
 
 
-def _write_results(buf: bytearray, results: Mapping[int, Mapping[str, Any]]) -> None:
-    serde.write_varint(buf, len(results))
-    for metric_id, values in results.items():
-        serde.write_varint(buf, metric_id)
-        serde.write_varint(buf, len(values))
-        for column, value in values.items():
-            serde.write_str(buf, column)
-            serde.write_value(buf, value)
-
-
-def _read_results(
-    data: memoryview, offset: int
-) -> tuple[dict[int, dict[str, Any]], int]:
-    count, offset = serde.read_varint(data, offset)
-    results: dict[int, dict[str, Any]] = {}
-    for _ in range(count):
-        metric_id, offset = serde.read_varint(data, offset)
-        column_count, offset = serde.read_varint(data, offset)
-        values: dict[str, Any] = {}
-        for _ in range(column_count):
-            column, offset = serde.read_str(data, offset)
-            value, offset = serde.read_value(data, offset)
-            values[column] = value
-        results[metric_id] = values
-    return results, offset
-
-
-def _write_field_pairs(buf: bytearray, fields) -> None:
-    serde.write_varint(buf, len(fields))
-    for name, type_name in fields:
-        serde.write_str(buf, name)
-        serde.write_str(buf, type_name)
-
-
-def _read_field_pairs(data: memoryview, offset: int):
-    count, offset = serde.read_varint(data, offset)
-    fields = []
-    for _ in range(count):
-        name, offset = serde.read_str(data, offset)
-        type_name, offset = serde.read_str(data, offset)
-        fields.append((name, type_name))
-    return tuple(fields), offset
+#: reply values ``metric id -> column -> scalar``, names inline.
+_RESULTS = mapping(VARINT, mapping(STR, VALUE))
 
 
 def write_payload(buf: bytearray, value: object) -> None:
@@ -183,34 +146,12 @@ def write_payload(buf: bytearray, value: object) -> None:
         buf.append(_TAG_REPLY_ENVELOPE)
         serde.write_varint(buf, value.correlation_id)
         serde.write_str(buf, value.event_id)
-        _write_tp(buf, value.task)
-        _write_results(buf, value.results)
-    elif isinstance(value, CreateStreamOp):
-        buf.append(_TAG_CREATE_STREAM)
-        stream = value.stream
-        serde.write_str(buf, stream.name)
-        _write_field_pairs(buf, stream.fields)
-        serde.write_str_list(buf, stream.partitioners)
-        serde.write_varint(buf, stream.partitions)
-    elif isinstance(value, CreateMetricOp):
-        buf.append(_TAG_CREATE_METRIC)
-        metric = value.metric
-        serde.write_varint(buf, metric.metric_id)
-        serde.write_str(buf, metric.query_text)
-        serde.write_str(buf, metric.stream)
-        serde.write_str(buf, metric.topic)
-        buf.append(1 if metric.backfill else 0)
-    elif isinstance(value, DeleteMetricOp):
-        buf.append(_TAG_DELETE_METRIC)
-        serde.write_varint(buf, value.metric_id)
-    elif isinstance(value, EvolveSchemaOp):
-        buf.append(_TAG_EVOLVE_SCHEMA)
-        serde.write_str(buf, value.stream)
-        _write_field_pairs(buf, value.new_fields)
-    elif isinstance(value, AddPartitionerOp):
-        buf.append(_TAG_ADD_PARTITIONER)
-        serde.write_str(buf, value.stream)
-        serde.write_str(buf, value.partitioner)
+        TP.write(buf, value.task)
+        _RESULTS.write(buf, value.results)
+    elif type(value) in _OP_TAGS:
+        tag = _OP_TAGS[type(value)]
+        buf.append(tag)
+        _OP_CODECS[tag].write(buf, value)
     elif isinstance(value, (tuple, list)):
         buf.append(_TAG_TUPLE)
         serde.write_varint(buf, len(value))
@@ -252,40 +193,11 @@ def read_payload(data: memoryview, offset: int) -> tuple[object, int]:
     if tag == _TAG_REPLY_ENVELOPE:
         correlation, offset = serde.read_varint(data, offset)
         event_id, offset = serde.read_str(data, offset)
-        tp, offset = _read_tp(data, offset)
-        results, offset = _read_results(data, offset)
+        tp, offset = TP.read(data, offset)
+        results, offset = _RESULTS.read(data, offset)
         return ReplyEnvelope(correlation, event_id, tp, results), offset
-    if tag == _TAG_CREATE_STREAM:
-        name, offset = serde.read_str(data, offset)
-        fields, offset = _read_field_pairs(data, offset)
-        partitioners, offset = serde.read_str_list(data, offset)
-        partitions, offset = serde.read_varint(data, offset)
-        return (
-            CreateStreamOp(StreamDef(name, fields, tuple(partitioners), partitions)),
-            offset,
-        )
-    if tag == _TAG_CREATE_METRIC:
-        metric_id, offset = serde.read_varint(data, offset)
-        query_text, offset = serde.read_str(data, offset)
-        stream, offset = serde.read_str(data, offset)
-        topic, offset = serde.read_str(data, offset)
-        backfill = bool(data[offset])
-        offset += 1
-        return (
-            CreateMetricOp(MetricDef(metric_id, query_text, stream, topic, backfill)),
-            offset,
-        )
-    if tag == _TAG_DELETE_METRIC:
-        metric_id, offset = serde.read_varint(data, offset)
-        return DeleteMetricOp(metric_id), offset
-    if tag == _TAG_EVOLVE_SCHEMA:
-        stream, offset = serde.read_str(data, offset)
-        fields, offset = _read_field_pairs(data, offset)
-        return EvolveSchemaOp(stream, fields), offset
-    if tag == _TAG_ADD_PARTITIONER:
-        stream, offset = serde.read_str(data, offset)
-        partitioner, offset = serde.read_str(data, offset)
-        return AddPartitionerOp(stream, partitioner), offset
+    if tag in _OP_CODECS:
+        return _OP_CODECS[tag].read(data, offset)
     raise MessagingError(f"unknown durable payload tag {tag}")
 
 
@@ -475,11 +387,7 @@ def write_cut(
     """
     payload = bytearray()
     serde.write_varint(payload, frames_applied)
-    pairs = sorted(ends.items(), key=lambda pair: str(pair[0]))
-    serde.write_varint(payload, len(pairs))
-    for tp, end in pairs:
-        _write_tp(payload, tp)
-        serde.write_varint(payload, end)
+    OFFSET_PAIRS.write(payload, sorted(ends.items(), key=lambda pair: str(pair[0])))
     framed = bytearray()
     serde.write_u32(framed, serde.crc32_of(payload))
     serde.write_bytes(framed, bytes(payload))
@@ -508,13 +416,8 @@ def read_cut(root: str) -> tuple[int, dict[TopicPartition, int]]:
         return 0, {}
     view = memoryview(payload)
     frames_applied, offset = serde.read_varint(view, 0)
-    count, offset = serde.read_varint(view, offset)
-    ends: dict[TopicPartition, int] = {}
-    for _ in range(count):
-        tp, offset = _read_tp(view, offset)
-        end, offset = serde.read_varint(view, offset)
-        ends[tp] = end
-    return frames_applied, ends
+    ends, offset = OFFSET_PAIRS.read(view, offset)
+    return frames_applied, dict(ends)
 
 
 # -- the durable bus ----------------------------------------------------------
@@ -572,7 +475,7 @@ class DurableBus(MessageBus):
         for payload in _read_frames(os.path.join(self.root, _COMMITS_FILE)):
             view = memoryview(payload)
             group, offset = serde.read_str(view, 0)
-            tp, offset = _read_tp(view, offset)
+            tp, offset = TP.read(view, offset)
             committed, offset = serde.read_varint(view, offset)
             self._committed[(group, tp)] = committed  # last record wins
 
@@ -629,7 +532,7 @@ class DurableBus(MessageBus):
         super().commit_offset(group, tp, offset)
         payload = bytearray()
         serde.write_str(payload, group)
-        _write_tp(payload, tp)
+        TP.write(payload, tp)
         serde.write_varint(payload, offset)
         self._commit_buffer.append(bytes(payload))
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.common.layout import STR, VARINT, seq, struct, tuple_of
+
 
 @dataclass(frozen=True)
 class TopicPartition:
@@ -15,6 +17,13 @@ class TopicPartition:
 
     def __str__(self) -> str:
         return f"{self.topic}-{self.partition}"
+
+
+#: the one binary layout of a task address and of a ``(task, offset)``
+#: list (watermarks, seeks, activation cuts, consistent cuts), shared by
+#: the shard wire and the durable log.
+TP = struct(TopicPartition, ("topic", STR), ("partition", VARINT))
+OFFSET_PAIRS = seq(tuple_of(TP, VARINT))
 
 
 @dataclass(frozen=True)

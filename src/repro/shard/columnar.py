@@ -167,7 +167,7 @@ def _encode_work_batch(msg: wire.WorkBatch) -> bytes:
         return wire.encode(msg)
     buf = bytearray()
     buf.append(MSG_WORK_BATCH_COLUMNAR)
-    wire._write_tp(buf, msg.tp)
+    wire.TP.write(buf, msg.tp)
     serde.write_varint(buf, msg.reply_from)
     serde.write_varint(buf, count)
     if not _write_offsets(buf, [record[0] for record in records], count):
@@ -196,13 +196,13 @@ def _encode_work_batch(msg: wire.WorkBatch) -> bytes:
             matrix = [tuple(events[i]._fields.values()) for i in rows]
         for column in zip(*matrix):
             _write_value_column(buf, column)
-    wire._write_telemetry_tail(buf, msg.trace, None)
+    wire.TELEMETRY_TAIL.write(buf, (msg.trace,))
     return bytes(buf)
 
 
 def _decode_work_batch(data) -> wire.WorkBatch:
     offset = 1
-    tp, offset = wire._read_tp(data, offset)
+    tp, offset = wire.TP.read(data, offset)
     reply_from, offset = serde.read_varint(data, offset)
     count, offset = serde.read_varint(data, offset)
     offsets, offset = _read_offsets(data, offset, count)
@@ -238,7 +238,7 @@ def _decode_work_batch(data) -> wire.WorkBatch:
                 ev.timestamp = timestamps[i]
                 ev._fields = {}
                 events[i] = ev
-    trace, _ = wire._read_telemetry_tail(data, offset)
+    (trace, _), offset = wire.TELEMETRY_TAIL.read(data, offset)
     return wire.WorkBatch(tp, reply_from, list(zip(offsets, events)), trace)
 
 
@@ -250,12 +250,12 @@ def _encode_batch_done(msg: wire.BatchDone) -> bytes:
     count = len(replies)
     buf = bytearray()
     buf.append(MSG_BATCH_DONE_COLUMNAR)
-    wire._write_tp(buf, msg.tp)
+    wire.TP.write(buf, msg.tp)
     serde.write_varint(buf, msg.next_offset)
     serde.write_varint(buf, msg.processed)
     serde.write_varint(buf, count)
     if count == 0:
-        wire._write_telemetry_tail(buf, msg.trace, msg.stats)
+        wire.TELEMETRY_TAIL.write(buf, (msg.trace, msg.stats))
         return bytes(buf)
     if not _write_offsets(buf, [reply[0] for reply in replies], count):
         return wire.encode(msg)
@@ -291,18 +291,18 @@ def _encode_batch_done(msg: wire.BatchDone) -> bytes:
                 _write_value_column(
                     buf, [results[metric_id][column] for results in group_results]
                 )
-    wire._write_telemetry_tail(buf, msg.trace, msg.stats)
+    wire.TELEMETRY_TAIL.write(buf, (msg.trace, msg.stats))
     return bytes(buf)
 
 
 def _decode_batch_done(data) -> wire.BatchDone:
     offset = 1
-    tp, offset = wire._read_tp(data, offset)
+    tp, offset = wire.TP.read(data, offset)
     next_offset, offset = serde.read_varint(data, offset)
     processed, offset = serde.read_varint(data, offset)
     count, offset = serde.read_varint(data, offset)
     if count == 0:
-        trace, stats = wire._read_telemetry_tail(data, offset)
+        (trace, stats), offset = wire.TELEMETRY_TAIL.read(data, offset)
         return wire.BatchDone(tp, next_offset, processed, [], trace, stats)
     offsets, offset = _read_offsets(data, offset, count)
     n_groups, offset = serde.read_varint(data, offset)
@@ -339,7 +339,7 @@ def _decode_batch_done(data) -> wire.BatchDone:
                 metric_id: dict(zip(columns, value_rows[group_index]))
                 for metric_id, columns, value_rows in per_metric
             }
-    trace, stats = wire._read_telemetry_tail(data, offset)
+    (trace, stats), offset = wire.TELEMETRY_TAIL.read(data, offset)
     return wire.BatchDone(
         tp, next_offset, processed, list(zip(offsets, results_by_row)),
         trace, stats,

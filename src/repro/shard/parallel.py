@@ -78,31 +78,10 @@ from repro.messaging.durable import DurableBus, resolve_durable_dir
 from repro.messaging.log import TopicPartition
 from repro.messaging.producer import Producer
 from repro.replay.asof import AsOfResult, as_of_values
-from repro.shard import wire
 from repro.shard.backfill import ShardBackfill
 from repro.shard.supervisor import ShardSupervisor
 from repro.telemetry import MetricsRegistry, decode_snapshot, merge_snapshots
 
-
-def op_to_wire(op: object) -> object:
-    """The control-plane frame replicating one catalogue DDL op.
-
-    Shared by the live DDL path (:meth:`ParallelCluster._publish_op`)
-    and the durable reopen path (which replays the operations log into
-    freshly spawned workers), so the two replication routes cannot
-    drift apart.
-    """
-    if isinstance(op, CreateStreamOp):
-        return wire.CreateStream(op.stream)
-    if isinstance(op, CreateMetricOp):
-        return wire.CreateMetric(op.metric, op.activations)
-    if isinstance(op, DeleteMetricOp):
-        return wire.DeleteMetric(op.metric_id)
-    if isinstance(op, EvolveSchemaOp):
-        return wire.EvolveSchema(op.stream, op.new_fields)
-    if isinstance(op, AddPartitionerOp):
-        return wire.AddPartitioner(op.stream, op.partitioner)
-    raise EngineError(f"unknown operation {op!r}")
 
 #: node id of the coordinator-side frontend (mirrors RailgunCluster).
 FRONTEND_NODE = "node-0"
@@ -196,7 +175,7 @@ class ParallelCluster:
         for message in self.bus.read(ops_tp, 0, self.bus.end_offset(ops_tp)):
             op = message.value
             self.catalog.apply(op)
-            self.supervisor.broadcast_control(op_to_wire(op))
+            self.supervisor.broadcast_control(op)
         for topic in self._event_topics():
             for tp in self.bus.topic_partitions(topic):
                 committed = self.bus.committed_offset(ACTIVE_GROUP, tp)
@@ -307,13 +286,13 @@ class ParallelCluster:
     def _publish_op(self, op: object) -> None:
         """Apply one DDL op locally, log it, replicate it to workers.
 
-        The same :func:`op_to_wire` mapping serves the durable reopen
-        path, so the live broadcast and the operations-log replay can
-        never drift apart.
+        The op itself is the control frame (the wire table registers the
+        catalogue's op classes), and the durable reopen path broadcasts
+        the logged ops the same way.
         """
         self.catalog.apply(op)
         self._ops_producer.send(OPERATIONS_TOPIC, key=None, value=op)
-        self.supervisor.broadcast_control(op_to_wire(op))
+        self.supervisor.broadcast_control(op)
 
     def _event_topics(self) -> list[str]:
         return sorted(

@@ -292,11 +292,11 @@ class FrontendEngine:
             self.draining = msg.request_id
         elif isinstance(msg, wire.TruncateLogs):
             self.truncate_logs(msg)
-        elif isinstance(msg, wire.CreateStream):
-            self.catalog.apply(CreateStreamOp(msg.stream))
+        elif isinstance(msg, CreateStreamOp):
+            self.catalog.apply(msg)
             self._create_topics(msg.stream.name)
-        elif isinstance(msg, wire.AddPartitioner):
-            self.catalog.apply(AddPartitionerOp(msg.stream, msg.partitioner))
+        elif isinstance(msg, AddPartitionerOp):
+            self.catalog.apply(msg)
             self._create_topics(msg.stream)
         elif isinstance(msg, wire.BackfillStart):
             if msg.metric.metric_id not in self.backfills:
@@ -989,9 +989,7 @@ class RouterBackfill:
             # A worker vanished mid-completion; its restart resets the
             # affected acks and the job keeps running.
             return 0
-        router._published += 1
-        router.catalog.apply(CreateMetricOp(self.metric))
-        router.supervisor.broadcast_control(wire.CreateMetric(self.metric))
+        router._publish_op(CreateMetricOp(self.metric))
         stop = wire.encode(wire.BackfillStop(metric_id))
         for handle in router._frontends.values():
             handle.journal = [
@@ -1222,17 +1220,14 @@ class ClusterRouter:
             self.catalog, name, partitioners, partitions, schema,
             with_global_partitioner,
         )
-        self._published += 1
-        self.catalog.apply(CreateStreamOp(stream))
-        self.supervisor.broadcast_control(wire.CreateStream(stream))
-        self._broadcast_frontends(wire.CreateStream(stream))
+        op = CreateStreamOp(stream)
+        self._publish_op(op)
+        self._broadcast_frontends(op)
         self._rebalance()
 
     def create_metric(self, query_text: str, backfill: bool = False) -> int:
         """Register a metric from a Figure 4 statement; returns metric id."""
         metric = build_metric_def(self.catalog, query_text, backfill)
-        self._published += 1
-        self.catalog.apply(CreateMetricOp(metric))
         activations = tuple(
             sorted(
                 ((tp, self._watermarks.get(tp, 0))
@@ -1240,9 +1235,7 @@ class ClusterRouter:
                 key=lambda pair: str(pair[0]),
             )
         )
-        self.supervisor.broadcast_control(
-            wire.CreateMetric(metric, activations)
-        )
+        self._publish_op(CreateMetricOp(metric, activations))
         self._sync_workers()
         return metric.metric_id
 
@@ -1432,9 +1425,7 @@ class ClusterRouter:
 
     def delete_metric(self, metric_id: int) -> None:
         """Remove a metric cluster-wide."""
-        self._published += 1
-        self.catalog.apply(DeleteMetricOp(metric_id))
-        self.supervisor.broadcast_control(wire.DeleteMetric(metric_id))
+        self._publish_op(DeleteMetricOp(metric_id))
         self._sync_workers()
 
     def _sync_workers(self) -> None:
@@ -1456,20 +1447,23 @@ class ClusterRouter:
 
     def evolve_schema(self, stream: str, new_fields: object) -> None:
         """Append fields to a stream schema (old chunks stay readable)."""
-        fields = _normalize_fields(new_fields)
-        self._published += 1
-        self.catalog.apply(EvolveSchemaOp(stream, fields))
-        self.supervisor.broadcast_control(wire.EvolveSchema(stream, fields))
+        self._publish_op(EvolveSchemaOp(stream, _normalize_fields(new_fields)))
 
     def add_partitioner(self, stream: str, partitioner: str) -> None:
         """Add a top-level partitioner after stream creation (§4)."""
         if validate_new_partitioner(self.catalog, stream, partitioner) is None:
             return
-        self._published += 1
-        self.catalog.apply(AddPartitionerOp(stream, partitioner))
-        self.supervisor.broadcast_control(wire.AddPartitioner(stream, partitioner))
-        self._broadcast_frontends(wire.AddPartitioner(stream, partitioner))
+        op = AddPartitionerOp(stream, partitioner)
+        self._publish_op(op)
+        self._broadcast_frontends(op)
         self._rebalance()
+
+    def _publish_op(self, op: object) -> None:
+        """Count and apply one DDL op, then replicate it to every worker
+        (the op is its own control frame)."""
+        self._published += 1
+        self.catalog.apply(op)
+        self.supervisor.broadcast_control(op)
 
     def _broadcast_frontends(self, msg: object) -> bytes:
         frame = wire.encode(msg)

@@ -52,7 +52,7 @@ from repro.engine.assignment import (
     StickyAssignmentStrategy,
 )
 from repro.engine.processor import UnitConfig
-from repro.engine.task import TaskCheckpoint
+from repro.engine.task import TASK_CHECKPOINT, TaskCheckpoint
 from repro.messaging.log import TopicPartition
 from repro.shard import columnar, wire
 from repro.shard.worker import shard_worker_main
@@ -106,7 +106,7 @@ class CheckpointStore:
                 payload, _ = serde.read_bytes(data, offset)
                 if serde.crc32_of(payload) != crc:
                     continue  # torn write: replay-from-zero covers the task
-                checkpoint, _ = wire._read_task_checkpoint(memoryview(payload), 0)
+                checkpoint, _ = TASK_CHECKPOINT.read(memoryview(payload), 0)
             except Exception:
                 continue
             self._checkpoints[checkpoint.tp] = checkpoint
@@ -116,7 +116,7 @@ class CheckpointStore:
         from repro.common import serde
 
         payload = bytearray()
-        wire._write_task_checkpoint(payload, checkpoint)
+        TASK_CHECKPOINT.write(payload, checkpoint)
         framed = bytearray()
         serde.write_u32(framed, serde.crc32_of(payload))
         serde.write_bytes(framed, bytes(payload))

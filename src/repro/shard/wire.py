@@ -1,55 +1,74 @@
-"""The shard wire protocol.
+"""The shard wire protocol: one declarative table of framed messages.
 
-Everything that crosses the process boundary between the
-:class:`~repro.shard.supervisor.ShardSupervisor` and its
-:class:`~repro.shard.worker.ShardWorker` processes is a framed binary
-message built from :mod:`repro.common.serde` primitives — batched work
-units, batched replies, and control messages (partition assignment /
-rebalance, DDL, schema evolution, checkpointing, shutdown). No pickling:
-the frames are self-describing, so a worker restarted from a clean
-process reconstructs state purely from the replayed control log plus the
-replayed partition tail.
+Everything that crosses a process boundary — supervisor/worker pipes,
+router/frontend pipes, frontend/worker data sockets, the TCP front
+door — is a binary frame: one tag byte, then the message's fields. No
+pickling: a worker restarted from a clean process rebuilds its state
+purely from the replayed control log plus the replayed partition tail,
+so a control record must cross a pipe, a socket and a disk unchanged.
 
-The two hot-path messages, :class:`WorkBatch` and :class:`BatchDone`,
-cross every worker link as :mod:`repro.shard.columnar` frames (tags
-29/30). Their encoders here (per-message string tables, then per-event,
-per-field serde) are only that codec's whole-message fallback and the
-reference the bench ladder prices it against.
+A message is a dataclass plus one row of :data:`TABLE`: tag, class and
+the ``(attr, codec)`` fields in byte order, built from
+:mod:`repro.common.layout` codecs. :func:`encode` and :func:`decode`
+are a lookup and a walk over the row; no other code knows a layout.
+Records that other formats store too are declared next to their
+dataclasses and only referenced here — the DDL ops (the catalogue's own
+``CreateStreamOp`` … ``AddPartitionerOp``, which are also the durable
+operations log's records), task checkpoints (also the supervisor's
+on-disk store) and task addresses.
 
-Routing framing shards the coordinator itself: the client-side
-``ClusterRouter`` ships events to N frontend processes as
-:class:`IngestBatch` frames (each frontend owns a sticky slice of the
-partition space, installed by :class:`FrontendAssign`), and frontends
-return merged task replies as :class:`ReplyBatch` frames. Frontend
-recovery is journal-based (:class:`RestoreWatermarks` seeds reply
-suppression before the router replays its journal); worker recovery is
-announced to every frontend with :class:`WorkerRestarted`;
-:class:`DrainRequest`/:class:`DrainAck` quiesce the data plane before a
-topology change.
+The batch frames intern repeated strings in per-message tables
+(:class:`IngestBatch`/:class:`ReplyBatch` between router, frontends and
+front-door clients; :class:`BackfillRecords` pages). :class:`WorkBatch`
+and :class:`BatchDone` cross every worker link as
+:mod:`repro.shard.columnar` frames (tags 29/30); their rows here are
+that codec's whole-message fallback and the reference the bench ladder
+prices it against.
 
 Recovery framing ships whole task checkpoints: a
-:class:`TaskCheckpointFrame` wraps the engine's
-:class:`~repro.engine.task.TaskCheckpoint` (reservoir metadata + files +
-sealed set, LSM manifest + files, iterator positions, next offset) so a
-worker's state can cross the process boundary in either direction —
-worker→supervisor inside a :class:`CheckpointAck`, supervisor→worker as
-a :class:`RestoreTask` seeding a fresh process. Frames are delta-aware:
-a :class:`CheckpointRequest` advertises the immutable files the
-supervisor already holds, and the worker omits those from the frame.
+:class:`TaskCheckpointFrame` crosses worker→supervisor inside a
+:class:`CheckpointAck` and supervisor→worker as a :class:`RestoreTask`;
+frames are delta-aware (a :class:`CheckpointRequest` advertises the
+immutable files the supervisor already holds). Frontend recovery is
+journal-based (:class:`RestoreWatermarks` seeds reply suppression
+before the router replays its journal); :class:`WorkerRestarted`,
+:class:`DrainRequest`/:class:`DrainAck` and :class:`FrontendAssign`
+steer the data plane through topology changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.common import serde
 from repro.common.errors import SerdeError
-from repro.engine.catalog import MetricDef, StreamDef
-from repro.engine.task import TaskCheckpoint
+from repro.common.layout import (
+    BYTES,
+    F64,
+    FLAG,
+    STR,
+    VARINT,
+    Codec,
+    mapping,
+    seq,
+    struct,
+    tuple_of,
+)
+from repro.engine.catalog import (
+    FIELD_PAIRS,
+    METRIC_DEF,
+    OP_LAYOUTS,
+    AddPartitionerOp,
+    CreateMetricOp,
+    CreateStreamOp,
+    DeleteMetricOp,
+    EvolveSchemaOp,
+    MetricDef,
+)
+from repro.engine.task import ITERATOR_POSITIONS, TASK_CHECKPOINT, TaskCheckpoint
 from repro.events.event import Event
-from repro.lsm.db import Checkpoint
-from repro.messaging.log import TopicPartition
+from repro.messaging.log import OFFSET_PAIRS, TP, TopicPartition
 
 # Supervisor -> worker.
 MSG_CREATE_STREAM = 1
@@ -109,51 +128,6 @@ MSG_BACKFILL_STALE = 43
 # Telemetry introspection over the TCP front door.
 MSG_STATS_REQUEST = 44
 MSG_STATS_REPLY = 45
-
-
-@dataclass(frozen=True)
-class CreateStream:
-    """Replicate a stream definition into a worker's catalogue."""
-
-    stream: StreamDef
-
-
-@dataclass(frozen=True)
-class CreateMetric:
-    """Register a metric on every task processor of its topic.
-
-    ``activations`` carries the per-task dispatch frontier at DDL time
-    (see :class:`repro.engine.catalog.CreateMetricOp`): a worker
-    restoring a task from a pre-metric checkpoint defers the metric to
-    a zero-state splice at exactly that offset, so a recovery replay
-    activates it where the original incarnation did.
-    """
-
-    metric: MetricDef
-    activations: tuple = ()
-
-
-@dataclass(frozen=True)
-class DeleteMetric:
-    """Unregister a metric cluster-wide."""
-
-    metric_id: int
-
-
-@dataclass(frozen=True)
-class EvolveSchema:
-    """Append fields to a stream schema (old chunks stay readable)."""
-
-    stream: str
-    new_fields: tuple[tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
-class AddPartitioner:
-    """Add a top-level partitioner to an existing stream (§4)."""
-
-    stream: str
-    partitioner: str
 
 
 @dataclass(frozen=True)
@@ -624,964 +598,463 @@ class StatsReply:
     payload: bytes
 
 
-# -- topic partitions ---------------------------------------------------------
+# -- record layouts -----------------------------------------------------------
+#
+# A record carried by more than one message is declared once, next to
+# its dataclass (TP and OFFSET_PAIRS in messaging.log, the catalogue
+# records and DDL ops in engine.catalog, TASK_CHECKPOINT in engine.task)
+# or, for the wire's own, here.
+
+#: raw state-store ``(key, value)`` byte rows.
+ROW_PAIRS = seq(tuple_of(BYTES, BYTES), build=list)
+CHECKPOINT_FRAME = struct(TaskCheckpointFrame, ("checkpoint", TASK_CHECKPOINT))
 
 
-def _write_tp(buf: bytearray, tp: TopicPartition) -> None:
-    serde.write_str(buf, tp.topic)
-    serde.write_varint(buf, tp.partition)
+# -- string-table blocks ------------------------------------------------------
+#
+# The batch frames intern repeated strings (field names, reply columns,
+# topics, worker ids, partitioners) once per message: a block is its
+# string table in first-use order, then its rows holding table indices.
+# One event codec and one results codec serve every block.
 
 
-def _read_tp(data: memoryview, offset: int) -> tuple[TopicPartition, int]:
-    topic, offset = serde.read_str(data, offset)
-    partition, offset = serde.read_varint(data, offset)
-    return TopicPartition(topic, partition), offset
+def _interned(write_rows, read_rows) -> Codec:
+    """A block codec from a rows writer/reader taking the table as a
+    third argument: the writer assigns indices as it meets strings, so
+    the rows go to a side buffer and the finished table ahead of them."""
+
+    def write(buf: bytearray, value) -> None:
+        table: dict[str, int] = {}
+        rows = bytearray()
+        write_rows(rows, value, table)
+        serde.write_str_list(buf, list(table))
+        buf += rows
+
+    def read(data: memoryview, offset: int):
+        table, offset = serde.read_str_list(data, offset)
+        return read_rows(data, offset, table)
+
+    return Codec(write, read)
 
 
-# -- field pairs (schema fields as (name, type-name) tuples) ------------------
+def _write_event(buf: bytearray, event: Event, table: dict[str, int]) -> None:
+    serde.write_str(buf, event.event_id)
+    serde.write_varint(buf, event.timestamp)
+    serde.write_varint(buf, event.field_count())
+    for name, value in event.items():
+        serde.write_varint(buf, table.setdefault(name, len(table)))
+        serde.write_value(buf, value)
 
 
-def _write_field_pairs(buf: bytearray, fields: Sequence[tuple[str, str]]) -> None:
-    serde.write_varint(buf, len(fields))
-    for name, type_name in fields:
-        serde.write_str(buf, name)
-        serde.write_str(buf, type_name)
+def _read_event(data: memoryview, offset: int, table: list[str]) -> tuple[Event, int]:
+    event_id, offset = serde.read_str(data, offset)
+    timestamp, offset = serde.read_varint(data, offset)
+    field_count, offset = serde.read_varint(data, offset)
+    fields: dict[str, Any] = {}
+    for _ in range(field_count):
+        name_index, offset = serde.read_varint(data, offset)
+        value, offset = serde.read_value(data, offset)
+        fields[table[name_index]] = value
+    return Event(event_id, timestamp, fields), offset
 
 
-def _read_field_pairs(
-    data: memoryview, offset: int
-) -> tuple[tuple[tuple[str, str], ...], int]:
-    count, offset = serde.read_varint(data, offset)
-    fields = []
-    for _ in range(count):
-        name, offset = serde.read_str(data, offset)
-        type_name, offset = serde.read_str(data, offset)
-        fields.append((name, type_name))
-    return tuple(fields), offset
-
-
-# -- (task, offset) pair lists (watermarks, seeks) ----------------------------
-
-
-def _write_offset_pairs(
-    buf: bytearray, pairs: Sequence[tuple[TopicPartition, int]]
+def _write_results(
+    buf: bytearray,
+    results: Mapping[int, Mapping[str, Any]] | None,
+    table: dict[str, int],
 ) -> None:
-    serde.write_varint(buf, len(pairs))
-    for tp, offset in pairs:
-        _write_tp(buf, tp)
-        serde.write_varint(buf, offset)
-
-
-def _read_offset_pairs(
-    data: memoryview, offset: int
-) -> tuple[tuple[tuple[TopicPartition, int], ...], int]:
-    count, offset = serde.read_varint(data, offset)
-    pairs = []
-    for _ in range(count):
-        tp, offset = _read_tp(data, offset)
-        value, offset = serde.read_varint(data, offset)
-        pairs.append((tp, value))
-    return tuple(pairs), offset
-
-
-# -- raw row pairs (state-store (key, value) byte rows) -----------------------
-
-
-def _write_row_pairs(
-    buf: bytearray, rows: Sequence[tuple[bytes, bytes]]
-) -> None:
-    serde.write_varint(buf, len(rows))
-    for key, value in rows:
-        serde.write_bytes(buf, key)
-        serde.write_bytes(buf, value)
-
-
-def _read_row_pairs(
-    data: memoryview, offset: int
-) -> tuple[list[tuple[bytes, bytes]], int]:
-    count, offset = serde.read_varint(data, offset)
-    rows: list[tuple[bytes, bytes]] = []
-    for _ in range(count):
-        key, offset = serde.read_bytes(data, offset)
-        value, offset = serde.read_bytes(data, offset)
-        rows.append((key, value))
-    return rows, offset
-
-
-def _write_metric_def(buf: bytearray, metric: MetricDef) -> None:
-    serde.write_varint(buf, metric.metric_id)
-    serde.write_str(buf, metric.query_text)
-    serde.write_str(buf, metric.stream)
-    serde.write_str(buf, metric.topic)
-    serde.write_varint(buf, 1 if metric.backfill else 0)
-
-
-def _read_metric_def(data: memoryview, offset: int) -> tuple[MetricDef, int]:
-    metric_id, offset = serde.read_varint(data, offset)
-    query_text, offset = serde.read_str(data, offset)
-    stream, offset = serde.read_str(data, offset)
-    topic, offset = serde.read_str(data, offset)
-    backfill, offset = serde.read_varint(data, offset)
-    return MetricDef(metric_id, query_text, stream, topic, bool(backfill)), offset
-
-
-def _write_event_records(
-    buf: bytearray, entries: list[tuple[int, Event]]
-) -> None:
-    # String table: distinct field names in first-seen order (the
-    # WorkBatch layout).
-    names: dict[str, int] = {}
-    for _, event in entries:
-        for name in event:
-            if name not in names:
-                names[name] = len(names)
-    serde.write_str_list(buf, list(names))
-    serde.write_varint(buf, len(entries))
-    for record_offset, event in entries:
-        serde.write_varint(buf, record_offset)
-        serde.write_str(buf, event.event_id)
-        serde.write_varint(buf, event.timestamp)
-        serde.write_varint(buf, event.field_count())
-        for name, value in event.items():
-            serde.write_varint(buf, names[name])
+    if results is None:
+        buf.append(0)
+        return
+    buf.append(1)
+    serde.write_varint(buf, len(results))
+    for metric_id, values in results.items():
+        serde.write_varint(buf, metric_id)
+        serde.write_varint(buf, len(values))
+        for column, value in values.items():
+            serde.write_varint(buf, table.setdefault(column, len(table)))
             serde.write_value(buf, value)
 
 
-def _read_event_records(
-    data: memoryview, offset: int
-) -> tuple[list[tuple[int, Event]], int]:
-    names, offset = serde.read_str_list(data, offset)
-    count, offset = serde.read_varint(data, offset)
-    entries: list[tuple[int, Event]] = []
-    for _ in range(count):
-        record_offset, offset = serde.read_varint(data, offset)
-        event_id, offset = serde.read_str(data, offset)
-        timestamp, offset = serde.read_varint(data, offset)
-        field_count, offset = serde.read_varint(data, offset)
-        fields: dict[str, Any] = {}
-        for _ in range(field_count):
-            name_index, offset = serde.read_varint(data, offset)
+def _read_results(
+    data: memoryview, offset: int, table: list[str]
+) -> tuple[dict[int, dict[str, Any]] | None, int]:
+    present, offset = FLAG.read(data, offset)
+    if not present:
+        return None, offset
+    metric_count, offset = serde.read_varint(data, offset)
+    results: dict[int, dict[str, Any]] = {}
+    for _ in range(metric_count):
+        metric_id, offset = serde.read_varint(data, offset)
+        column_count, offset = serde.read_varint(data, offset)
+        values: dict[str, Any] = {}
+        for _ in range(column_count):
+            column_index, offset = serde.read_varint(data, offset)
             value, offset = serde.read_value(data, offset)
-            fields[names[name_index]] = value
-        entries.append((record_offset, Event(event_id, timestamp, fields)))
+            values[table[column_index]] = value
+        results[metric_id] = values
+    return results, offset
+
+
+def _numbered(write_item, read_item) -> tuple:
+    """Rows writer/reader for ``(number, item)`` pairs — log offsets
+    with events or with results."""
+
+    def write_rows(buf: bytearray, rows, table: dict[str, int]) -> None:
+        serde.write_varint(buf, len(rows))
+        for number, item in rows:
+            serde.write_varint(buf, number)
+            write_item(buf, item, table)
+
+    def read_rows(data: memoryview, offset: int, table: list[str]):
+        count, offset = serde.read_varint(data, offset)
+        rows = []
+        for _ in range(count):
+            number, offset = serde.read_varint(data, offset)
+            item, offset = read_item(data, offset, table)
+            rows.append((number, item))
+        return rows, offset
+
+    return write_rows, read_rows
+
+
+def _write_ingest_entries(buf: bytearray, entries, table: dict[str, int]) -> None:
+    serde.write_varint(buf, len(entries))
+    for correlation_id, event, targets in entries:
+        serde.write_varint(buf, correlation_id)
+        _write_event(buf, event, table)
+        serde.write_varint(buf, len(targets))
+        for partitioner, partition in targets:
+            serde.write_varint(buf, table.setdefault(partitioner, len(table)))
+            serde.write_varint(buf, partition)
+
+
+def _read_ingest_entries(data: memoryview, offset: int, table: list[str]):
+    count, offset = serde.read_varint(data, offset)
+    entries: list[tuple[int, Event, tuple[tuple[str, int], ...]]] = []
+    for _ in range(count):
+        correlation_id, offset = serde.read_varint(data, offset)
+        event, offset = _read_event(data, offset, table)
+        target_count, offset = serde.read_varint(data, offset)
+        targets = []
+        for _ in range(target_count):
+            name_index, offset = serde.read_varint(data, offset)
+            partition, offset = serde.read_varint(data, offset)
+            targets.append((table[name_index], partition))
+        entries.append((correlation_id, event, tuple(targets)))
     return entries, offset
 
 
-# -- task checkpoints ---------------------------------------------------------
+def _write_reply_block(buf: bytearray, block, table: dict[str, int]) -> None:
+    # Topics, reply columns and worker ids share the table, so the block
+    # spans the three ReplyBatch attributes that index into it.
+    replies, watermarks, processed = block
+    serde.write_varint(buf, len(replies))
+    for correlation_id, topic, results in replies:
+        serde.write_varint(buf, correlation_id)
+        serde.write_varint(buf, table.setdefault(topic, len(table)))
+        _write_results(buf, results, table)
+    OFFSET_PAIRS.write(buf, watermarks)
+    serde.write_varint(buf, len(processed))
+    for worker_id, records, reply_count in processed:
+        serde.write_varint(buf, table.setdefault(worker_id, len(table)))
+        serde.write_varint(buf, records)
+        serde.write_varint(buf, reply_count)
 
 
-def _write_file_map(buf: bytearray, files: Mapping[str, bytes]) -> None:
-    serde.write_varint(buf, len(files))
-    for name in sorted(files):
-        serde.write_str(buf, name)
-        serde.write_bytes(buf, files[name])
-
-
-def _read_file_map(data: memoryview, offset: int) -> tuple[dict[str, bytes], int]:
+def _read_reply_block(data: memoryview, offset: int, table: list[str]):
     count, offset = serde.read_varint(data, offset)
-    files: dict[str, bytes] = {}
+    replies: list[tuple[int, str, dict[int, dict[str, Any]] | None]] = []
     for _ in range(count):
-        name, offset = serde.read_str(data, offset)
-        payload, offset = serde.read_bytes(data, offset)
-        files[name] = payload
-    return files, offset
+        correlation_id, offset = serde.read_varint(data, offset)
+        topic_index, offset = serde.read_varint(data, offset)
+        results, offset = _read_results(data, offset, table)
+        replies.append((correlation_id, table[topic_index], results))
+    watermarks, offset = OFFSET_PAIRS.read(data, offset)
+    processed_count, offset = serde.read_varint(data, offset)
+    processed = []
+    for _ in range(processed_count):
+        worker_index, offset = serde.read_varint(data, offset)
+        records, offset = serde.read_varint(data, offset)
+        reply_count, offset = serde.read_varint(data, offset)
+        processed.append((table[worker_index], records, reply_count))
+    return (replies, watermarks, tuple(processed)), offset
 
 
-def _write_task_checkpoint(buf: bytearray, cp: TaskCheckpoint) -> None:
-    _write_tp(buf, cp.tp)
-    serde.write_varint(buf, cp.offset)
-    serde.write_bytes(buf, cp.reservoir_meta)
-    _write_file_map(buf, cp.reservoir_files)
-    serde.write_str_list(buf, sorted(cp.reservoir_sealed))
-    serde.write_bytes(buf, cp.state_checkpoint.to_bytes())
-    _write_file_map(buf, cp.state_files)
-    serde.write_varint(buf, len(cp.iterator_positions))
-    for key in sorted(cp.iterator_positions):
-        chunk_id, index = cp.iterator_positions[key]
-        serde.write_str(buf, key)
-        serde.write_signed_varint(buf, chunk_id)
-        serde.write_signed_varint(buf, index)
-    serde.write_varint(buf, len(cp.metric_ids))
-    for metric_id in cp.metric_ids:
-        serde.write_varint(buf, metric_id)
+EVENT_RECORDS = _interned(*_numbered(_write_event, _read_event))
+INGEST_ENTRIES = _interned(_write_ingest_entries, _read_ingest_entries)
+DONE_REPLIES = _interned(*_numbered(_write_results, _read_results))
+REPLY_BLOCK = _interned(_write_reply_block, _read_reply_block)
 
 
-def _read_task_checkpoint(
-    data: memoryview, offset: int
-) -> tuple[TaskCheckpoint, int]:
-    tp, offset = _read_tp(data, offset)
-    next_offset, offset = serde.read_varint(data, offset)
-    reservoir_meta, offset = serde.read_bytes(data, offset)
-    reservoir_files, offset = _read_file_map(data, offset)
-    sealed_names, offset = serde.read_str_list(data, offset)
-    state_blob, offset = serde.read_bytes(data, offset)
-    state_files, offset = _read_file_map(data, offset)
-    position_count, offset = serde.read_varint(data, offset)
-    positions: dict[str, tuple[int, int]] = {}
-    for _ in range(position_count):
-        key, offset = serde.read_str(data, offset)
-        chunk_id, offset = serde.read_signed_varint(data, offset)
-        index, offset = serde.read_signed_varint(data, offset)
-        positions[key] = (chunk_id, index)
-    metric_count, offset = serde.read_varint(data, offset)
-    metric_ids = []
-    for _ in range(metric_count):
-        metric_id, offset = serde.read_varint(data, offset)
-        metric_ids.append(metric_id)
-    checkpoint = TaskCheckpoint(
-        tp=tp,
-        offset=next_offset,
-        reservoir_meta=reservoir_meta,
-        reservoir_files=reservoir_files,
-        reservoir_sealed=set(sealed_names),
-        state_checkpoint=Checkpoint.from_bytes(state_blob),
-        state_files=state_files,
-        iterator_positions=positions,
-        metric_ids=tuple(metric_ids),
-    )
-    return checkpoint, offset
-
-
-# -- telemetry tails ----------------------------------------------------------
+# -- the telemetry tail -------------------------------------------------------
 #
-# The four hot frames (WorkBatch/BatchDone/IngestBatch/ReplyBatch)
-# carry telemetry as an *optional trailing section*: the original
-# decoders read an exact field sequence and ignore trailing bytes, so a
-# frame with no tail is byte-identical to the pre-telemetry encoding,
-# an old frame decodes with ``trace``/``stats`` of ``None``, and an old
-# decoder simply never looks at the tail.
+# The four hot frames (WorkBatch/BatchDone/IngestBatch/ReplyBatch) carry
+# telemetry as an *optional trailing section*: decoders read an exact
+# field sequence and ignore trailing bytes, so a frame with no tail is
+# byte-identical to the pre-telemetry encoding, an old frame decodes
+# with ``trace``/``stats`` of ``None``, and an old decoder simply never
+# looks at the tail.
+
+_TRACE = tuple_of(STR, seq(tuple_of(STR, F64)))
 
 
-def _write_telemetry_tail(
-    buf: bytearray, trace: tuple | None, stats: bytes | None
-) -> None:
+def _write_telemetry_tail(buf: bytearray, tail: tuple) -> None:
+    trace, stats = tail if len(tail) == 2 else (tail[0], None)
     if trace is None and stats is None:
         return
-    flags = (1 if trace is not None else 0) | (2 if stats is not None else 0)
-    buf.append(flags)
+    buf.append((1 if trace is not None else 0) | (2 if stats is not None else 0))
     if trace is not None:
-        span_id, hops = trace
-        serde.write_str(buf, span_id)
-        serde.write_varint(buf, len(hops))
-        for stage, ms in hops:
-            serde.write_str(buf, stage)
-            serde.write_f64(buf, ms)
+        _TRACE.write(buf, trace)
     if stats is not None:
         serde.write_bytes(buf, stats)
 
 
-def _read_telemetry_tail(
-    view: memoryview, offset: int
-) -> tuple[tuple | None, bytes | None]:
-    if offset >= len(view):
-        return None, None
-    flags = view[offset]
-    offset += 1
+def _read_telemetry_tail(data: memoryview, offset: int) -> tuple[tuple, int]:
     trace: tuple | None = None
     stats: bytes | None = None
-    if flags & 1:
-        span_id, offset = serde.read_str(view, offset)
-        count, offset = serde.read_varint(view, offset)
-        hops = []
-        for _ in range(count):
-            stage, offset = serde.read_str(view, offset)
-            ms, offset = serde.read_f64(view, offset)
-            hops.append((stage, ms))
-        trace = (span_id, tuple(hops))
-    if flags & 2:
-        blob, offset = serde.read_bytes(view, offset)
-        stats = bytes(blob)
-    return trace, stats
+    if offset < len(data):
+        flags = data[offset]
+        offset += 1
+        if flags & 1:
+            trace, offset = _TRACE.read(data, offset)
+        if flags & 2:
+            stats, offset = serde.read_bytes(data, offset)
+    return (trace, stats), offset
 
 
-# -- encoders -----------------------------------------------------------------
+#: ``(trace, stats)`` — or ``(trace,)`` for the frames that carry no
+#: stats — as the last field of a hot frame; writes nothing when every
+#: member is ``None`` and reads ``(None, None)`` at end of frame.
+TELEMETRY_TAIL = Codec(_write_telemetry_tail, _read_telemetry_tail)
+
+
+# -- the wire table -----------------------------------------------------------
+
+
+class Row:
+    """One message's frame: the tag byte, then each ``(attr, codec)``
+    field in order — a :func:`~repro.common.layout.struct` of the
+    message class behind a tag."""
+
+    def __init__(self, tag: int, cls: type, *fields: tuple) -> None:
+        self.tag = tag
+        self.cls = cls
+        self.fields = fields
+        self.codec = struct(cls, *fields)
+
+    def attrs(self) -> tuple[str, ...]:
+        """Every attribute the frame carries, in byte order."""
+        flat: list[str] = []
+        for attr, _ in self.fields:
+            flat.extend((attr,) if isinstance(attr, str) else attr)
+        return tuple(flat)
+
+
+#: Every message of the protocol, stated once: ``encode`` and ``decode``
+#: are a lookup here plus a walk over the row. The DDL rows are the
+#: catalogue's own ops and layouts, the same records the durable
+#: operations log stores.
+TABLE: tuple[Row, ...] = (
+    # Supervisor -> worker (the DDL ops also router -> frontend).
+    Row(MSG_CREATE_STREAM, CreateStreamOp, *OP_LAYOUTS[CreateStreamOp]),
+    Row(MSG_CREATE_METRIC, CreateMetricOp, *OP_LAYOUTS[CreateMetricOp]),
+    Row(MSG_DELETE_METRIC, DeleteMetricOp, *OP_LAYOUTS[DeleteMetricOp]),
+    Row(MSG_EVOLVE_SCHEMA, EvolveSchemaOp, *OP_LAYOUTS[EvolveSchemaOp]),
+    Row(MSG_ADD_PARTITIONER, AddPartitionerOp, *OP_LAYOUTS[AddPartitionerOp]),
+    Row(MSG_ASSIGN, AssignPartitions, ("partitions", seq(TP))),
+    Row(
+        MSG_WORK_BATCH,
+        WorkBatch,
+        ("tp", TP),
+        ("reply_from", VARINT),
+        ("records", EVENT_RECORDS),
+        (("trace",), TELEMETRY_TAIL),
+    ),
+    Row(
+        MSG_CHECKPOINT_REQUEST,
+        CheckpointRequest,
+        ("request_id", VARINT),
+        ("with_state", FLAG),
+        ("known_files", seq(tuple_of(TP, seq(STR)))),
+    ),
+    Row(MSG_SHUTDOWN, Shutdown),
+    Row(MSG_CRASH, Crash),
+    Row(MSG_RESTORE_TASK, RestoreTask, ("frame", CHECKPOINT_FRAME)),
+    # Worker -> supervisor.
+    Row(
+        MSG_BATCH_DONE,
+        BatchDone,
+        ("tp", TP),
+        ("next_offset", VARINT),
+        ("processed", VARINT),
+        ("replies", DONE_REPLIES),
+        (("trace", "stats"), TELEMETRY_TAIL),
+    ),
+    Row(
+        MSG_CHECKPOINT_ACK,
+        CheckpointAck,
+        ("request_id", VARINT),
+        ("offsets", mapping(TP, VARINT)),
+        ("frames", seq(CHECKPOINT_FRAME, build=list)),
+    ),
+    Row(MSG_WORKER_ERROR, WorkerError, ("message", STR)),
+    # Router -> frontend.
+    Row(
+        MSG_INGEST_BATCH,
+        IngestBatch,
+        ("stream", STR),
+        ("entries", INGEST_ENTRIES),
+        (("trace",), TELEMETRY_TAIL),
+    ),
+    Row(
+        MSG_FRONTEND_ASSIGN,
+        FrontendAssign,
+        ("routes", seq(tuple_of(TP, STR, STR))),
+        ("seeks", OFFSET_PAIRS),
+    ),
+    Row(
+        MSG_RESTORE_WATERMARKS,
+        RestoreWatermarks,
+        ("watermarks", OFFSET_PAIRS),
+        ("seeks", OFFSET_PAIRS),
+        ("ingest_base", VARINT),
+    ),
+    Row(
+        MSG_WORKER_RESTARTED,
+        WorkerRestarted,
+        ("worker_id", STR),
+        ("addr", STR),
+        ("seeks", OFFSET_PAIRS),
+    ),
+    Row(MSG_DRAIN_REQUEST, DrainRequest, ("request_id", VARINT)),
+    Row(MSG_TRUNCATE_LOGS, TruncateLogs, ("offsets", OFFSET_PAIRS)),
+    # Frontend -> router.
+    Row(
+        MSG_REPLY_BATCH,
+        ReplyBatch,
+        (("replies", "watermarks", "processed"), REPLY_BLOCK),
+        ("durable_seq", VARINT),
+        (("trace", "stats"), TELEMETRY_TAIL),
+    ),
+    Row(MSG_DRAIN_ACK, DrainAck, ("request_id", VARINT), ("watermarks", OFFSET_PAIRS)),
+    # TCP front door.
+    Row(MSG_HELLO, Hello, ("tenant", STR), ("token", STR), ("protocol", VARINT)),
+    Row(
+        MSG_HELLO_ACK,
+        HelloAck,
+        ("ok", FLAG),
+        ("session", STR),
+        ("error", STR),
+        ("max_in_flight", VARINT),
+        ("p50_budget_ms", F64),
+        ("p99_budget_ms", F64),
+    ),
+    Row(
+        MSG_SERVER_BUSY,
+        ServerBusy,
+        ("reason", STR),
+        ("retry_after_ms", VARINT),
+        ("correlations", seq(VARINT)),
+    ),
+    Row(
+        MSG_DDL_REQUEST,
+        DdlRequest,
+        ("request_id", VARINT),
+        ("op", STR),
+        ("name", STR),
+        ("text", STR),
+        ("fields", FIELD_PAIRS),
+        ("names", seq(STR)),
+        ("number", VARINT),
+        ("flag", FLAG),
+    ),
+    Row(
+        MSG_DDL_REPLY,
+        DdlReply,
+        ("request_id", VARINT),
+        ("ok", FLAG),
+        ("value", VARINT),
+        ("error", STR),
+    ),
+    Row(MSG_GOODBYE, Goodbye),
+    Row(MSG_STATS_REQUEST, StatsRequest, ("request_id", VARINT)),
+    Row(MSG_STATS_REPLY, StatsReply, ("request_id", VARINT), ("payload", BYTES)),
+    # Backfill splice.
+    Row(
+        MSG_BACKFILL_INSTALL,
+        BackfillInstall,
+        ("tp", TP),
+        ("at_offset", VARINT),
+        ("metric", METRIC_DEF),
+        ("state_rows", ROW_PAIRS),
+        ("distinct_rows", ROW_PAIRS),
+        ("iterator_positions", ITERATOR_POSITIONS),
+    ),
+    Row(MSG_BACKFILL_INSTALLED, BackfillInstalled, ("tp", TP), ("metric_id", VARINT)),
+    Row(
+        MSG_BACKFILL_START,
+        BackfillStart,
+        ("metric", METRIC_DEF),
+        ("peers", seq(METRIC_DEF)),
+        ("seeds", seq(tuple_of(TP, TASK_CHECKPOINT))),
+    ),
+    Row(MSG_BACKFILL_STOP, BackfillStop, ("metric_id", VARINT)),
+    Row(
+        MSG_BACKFILL_READ,
+        BackfillRead,
+        ("tp", TP),
+        ("begin", VARINT),
+        ("max_records", VARINT),
+    ),
+    Row(
+        MSG_BACKFILL_RECORDS,
+        BackfillRecords,
+        ("tp", TP),
+        ("begin", VARINT),
+        ("start_offset", VARINT),
+        ("end_offset", VARINT),
+        ("entries", EVENT_RECORDS),
+    ),
+    Row(
+        MSG_BACKFILL_STALE,
+        BackfillStale,
+        ("tp", TP),
+        ("metric_id", VARINT),
+        ("next_offset", VARINT),
+    ),
+)
+
+_BY_CLASS = {row.cls: row for row in TABLE}
+_BY_TAG = {row.tag: row for row in TABLE}
 
 
 def encode(msg: object) -> bytes:
-    """Frame a message for the pipe: 1 tag byte + typed payload."""
-    buf = bytearray()
-    if isinstance(msg, WorkBatch):
-        _encode_work_batch(buf, msg)
-    elif isinstance(msg, BatchDone):
-        _encode_batch_done(buf, msg)
-    elif isinstance(msg, CreateStream):
-        buf.append(MSG_CREATE_STREAM)
-        stream = msg.stream
-        serde.write_str(buf, stream.name)
-        _write_field_pairs(buf, stream.fields)
-        serde.write_str_list(buf, stream.partitioners)
-        serde.write_varint(buf, stream.partitions)
-    elif isinstance(msg, CreateMetric):
-        buf.append(MSG_CREATE_METRIC)
-        metric = msg.metric
-        serde.write_varint(buf, metric.metric_id)
-        serde.write_str(buf, metric.query_text)
-        serde.write_str(buf, metric.stream)
-        serde.write_str(buf, metric.topic)
-        serde.write_varint(buf, 1 if metric.backfill else 0)
-        serde.write_varint(buf, len(msg.activations))
-        for tp, at_offset in msg.activations:
-            _write_tp(buf, tp)
-            serde.write_varint(buf, at_offset)
-    elif isinstance(msg, DeleteMetric):
-        buf.append(MSG_DELETE_METRIC)
-        serde.write_varint(buf, msg.metric_id)
-    elif isinstance(msg, EvolveSchema):
-        buf.append(MSG_EVOLVE_SCHEMA)
-        serde.write_str(buf, msg.stream)
-        _write_field_pairs(buf, msg.new_fields)
-    elif isinstance(msg, AddPartitioner):
-        buf.append(MSG_ADD_PARTITIONER)
-        serde.write_str(buf, msg.stream)
-        serde.write_str(buf, msg.partitioner)
-    elif isinstance(msg, AssignPartitions):
-        buf.append(MSG_ASSIGN)
-        serde.write_varint(buf, len(msg.partitions))
-        for tp in msg.partitions:
-            _write_tp(buf, tp)
-    elif isinstance(msg, CheckpointRequest):
-        buf.append(MSG_CHECKPOINT_REQUEST)
-        serde.write_varint(buf, msg.request_id)
-        buf.append(1 if msg.with_state else 0)
-        serde.write_varint(buf, len(msg.known_files))
-        for tp, names in msg.known_files:
-            _write_tp(buf, tp)
-            serde.write_str_list(buf, list(names))
-    elif isinstance(msg, RestoreTask):
-        buf.append(MSG_RESTORE_TASK)
-        _write_task_checkpoint(buf, msg.frame.checkpoint)
-    elif isinstance(msg, Shutdown):
-        buf.append(MSG_SHUTDOWN)
-    elif isinstance(msg, Crash):
-        buf.append(MSG_CRASH)
-    elif isinstance(msg, CheckpointAck):
-        buf.append(MSG_CHECKPOINT_ACK)
-        serde.write_varint(buf, msg.request_id)
-        serde.write_varint(buf, len(msg.offsets))
-        for tp, next_offset in msg.offsets.items():
-            _write_tp(buf, tp)
-            serde.write_varint(buf, next_offset)
-        serde.write_varint(buf, len(msg.frames))
-        for frame in msg.frames:
-            _write_task_checkpoint(buf, frame.checkpoint)
-    elif isinstance(msg, WorkerError):
-        buf.append(MSG_WORKER_ERROR)
-        serde.write_str(buf, msg.message)
-    elif isinstance(msg, BackfillInstall):
-        buf.append(MSG_BACKFILL_INSTALL)
-        _write_tp(buf, msg.tp)
-        serde.write_varint(buf, msg.at_offset)
-        metric = msg.metric
-        serde.write_varint(buf, metric.metric_id)
-        serde.write_str(buf, metric.query_text)
-        serde.write_str(buf, metric.stream)
-        serde.write_str(buf, metric.topic)
-        serde.write_varint(buf, 1 if metric.backfill else 0)
-        _write_row_pairs(buf, msg.state_rows)
-        _write_row_pairs(buf, msg.distinct_rows)
-        serde.write_varint(buf, len(msg.iterator_positions))
-        for key in sorted(msg.iterator_positions):
-            chunk_id, index = msg.iterator_positions[key]
-            serde.write_str(buf, key)
-            serde.write_signed_varint(buf, chunk_id)
-            serde.write_signed_varint(buf, index)
-    elif isinstance(msg, BackfillInstalled):
-        buf.append(MSG_BACKFILL_INSTALLED)
-        _write_tp(buf, msg.tp)
-        serde.write_varint(buf, msg.metric_id)
-    elif isinstance(msg, BackfillStart):
-        buf.append(MSG_BACKFILL_START)
-        _write_metric_def(buf, msg.metric)
-        serde.write_varint(buf, len(msg.peers))
-        for peer in msg.peers:
-            _write_metric_def(buf, peer)
-        serde.write_varint(buf, len(msg.seeds))
-        for tp, checkpoint in msg.seeds:
-            _write_tp(buf, tp)
-            _write_task_checkpoint(buf, checkpoint)
-    elif isinstance(msg, BackfillStop):
-        buf.append(MSG_BACKFILL_STOP)
-        serde.write_varint(buf, msg.metric_id)
-    elif isinstance(msg, BackfillStale):
-        buf.append(MSG_BACKFILL_STALE)
-        _write_tp(buf, msg.tp)
-        serde.write_varint(buf, msg.metric_id)
-        serde.write_varint(buf, msg.next_offset)
-    elif isinstance(msg, BackfillRead):
-        buf.append(MSG_BACKFILL_READ)
-        _write_tp(buf, msg.tp)
-        serde.write_varint(buf, msg.begin)
-        serde.write_varint(buf, msg.max_records)
-    elif isinstance(msg, BackfillRecords):
-        buf.append(MSG_BACKFILL_RECORDS)
-        _write_tp(buf, msg.tp)
-        serde.write_varint(buf, msg.begin)
-        serde.write_varint(buf, msg.start_offset)
-        serde.write_varint(buf, msg.end_offset)
-        _write_event_records(buf, msg.entries)
-    elif isinstance(msg, IngestBatch):
-        _encode_ingest_batch(buf, msg)
-    elif isinstance(msg, FrontendAssign):
-        buf.append(MSG_FRONTEND_ASSIGN)
-        serde.write_varint(buf, len(msg.routes))
-        for tp, worker_id, addr in msg.routes:
-            _write_tp(buf, tp)
-            serde.write_str(buf, worker_id)
-            serde.write_str(buf, addr)
-        _write_offset_pairs(buf, msg.seeks)
-    elif isinstance(msg, RestoreWatermarks):
-        buf.append(MSG_RESTORE_WATERMARKS)
-        _write_offset_pairs(buf, msg.watermarks)
-        _write_offset_pairs(buf, msg.seeks)
-        serde.write_varint(buf, msg.ingest_base)
-    elif isinstance(msg, TruncateLogs):
-        buf.append(MSG_TRUNCATE_LOGS)
-        _write_offset_pairs(buf, msg.offsets)
-    elif isinstance(msg, WorkerRestarted):
-        buf.append(MSG_WORKER_RESTARTED)
-        serde.write_str(buf, msg.worker_id)
-        serde.write_str(buf, msg.addr)
-        _write_offset_pairs(buf, msg.seeks)
-    elif isinstance(msg, DrainRequest):
-        buf.append(MSG_DRAIN_REQUEST)
-        serde.write_varint(buf, msg.request_id)
-    elif isinstance(msg, ReplyBatch):
-        _encode_reply_batch(buf, msg)
-    elif isinstance(msg, DrainAck):
-        buf.append(MSG_DRAIN_ACK)
-        serde.write_varint(buf, msg.request_id)
-        _write_offset_pairs(buf, msg.watermarks)
-    elif isinstance(msg, Hello):
-        buf.append(MSG_HELLO)
-        serde.write_str(buf, msg.tenant)
-        serde.write_str(buf, msg.token)
-        serde.write_varint(buf, msg.protocol)
-    elif isinstance(msg, HelloAck):
-        buf.append(MSG_HELLO_ACK)
-        buf.append(1 if msg.ok else 0)
-        serde.write_str(buf, msg.session)
-        serde.write_str(buf, msg.error)
-        serde.write_varint(buf, msg.max_in_flight)
-        serde.write_f64(buf, msg.p50_budget_ms)
-        serde.write_f64(buf, msg.p99_budget_ms)
-    elif isinstance(msg, ServerBusy):
-        buf.append(MSG_SERVER_BUSY)
-        serde.write_str(buf, msg.reason)
-        serde.write_varint(buf, msg.retry_after_ms)
-        serde.write_varint(buf, len(msg.correlations))
-        for correlation in msg.correlations:
-            serde.write_varint(buf, correlation)
-    elif isinstance(msg, DdlRequest):
-        buf.append(MSG_DDL_REQUEST)
-        serde.write_varint(buf, msg.request_id)
-        serde.write_str(buf, msg.op)
-        serde.write_str(buf, msg.name)
-        serde.write_str(buf, msg.text)
-        _write_field_pairs(buf, msg.fields)
-        serde.write_str_list(buf, list(msg.names))
-        serde.write_varint(buf, msg.number)
-        buf.append(1 if msg.flag else 0)
-    elif isinstance(msg, DdlReply):
-        buf.append(MSG_DDL_REPLY)
-        serde.write_varint(buf, msg.request_id)
-        buf.append(1 if msg.ok else 0)
-        serde.write_varint(buf, msg.value)
-        serde.write_str(buf, msg.error)
-    elif isinstance(msg, Goodbye):
-        buf.append(MSG_GOODBYE)
-    elif isinstance(msg, StatsRequest):
-        buf.append(MSG_STATS_REQUEST)
-        serde.write_varint(buf, msg.request_id)
-    elif isinstance(msg, StatsReply):
-        buf.append(MSG_STATS_REPLY)
-        serde.write_varint(buf, msg.request_id)
-        serde.write_bytes(buf, msg.payload)
-    else:
+    """Frame a message for the pipe: 1 tag byte + its row's fields."""
+    row = _BY_CLASS.get(type(msg))
+    if row is None:
         raise SerdeError(f"unsupported wire message: {type(msg).__name__}")
+    buf = bytearray((row.tag,))
+    row.codec.write(buf, msg)
     return bytes(buf)
 
 
-def _encode_work_batch(buf: bytearray, msg: WorkBatch) -> None:
-    buf.append(MSG_WORK_BATCH)
-    _write_tp(buf, msg.tp)
-    serde.write_varint(buf, msg.reply_from)
-    # String table: distinct field names in first-seen order.
-    names: dict[str, int] = {}
-    for _, event in msg.records:
-        for name in event:
-            if name not in names:
-                names[name] = len(names)
-    serde.write_str_list(buf, list(names))
-    serde.write_varint(buf, len(msg.records))
-    for offset, event in msg.records:
-        serde.write_varint(buf, offset)
-        serde.write_str(buf, event.event_id)
-        serde.write_varint(buf, event.timestamp)
-        serde.write_varint(buf, event.field_count())
-        for name, value in event.items():
-            serde.write_varint(buf, names[name])
-            serde.write_value(buf, value)
-    _write_telemetry_tail(buf, msg.trace, None)
-
-
-def _encode_batch_done(buf: bytearray, msg: BatchDone) -> None:
-    buf.append(MSG_BATCH_DONE)
-    _write_tp(buf, msg.tp)
-    serde.write_varint(buf, msg.next_offset)
-    serde.write_varint(buf, msg.processed)
-    # String table: distinct reply column names in first-seen order.
-    columns: dict[str, int] = {}
-    for _, results in msg.replies:
-        if results:
-            for values in results.values():
-                for column in values:
-                    if column not in columns:
-                        columns[column] = len(columns)
-    serde.write_str_list(buf, list(columns))
-    serde.write_varint(buf, len(msg.replies))
-    for offset, results in msg.replies:
-        serde.write_varint(buf, offset)
-        if results is None:
-            buf.append(0)
-            continue
-        buf.append(1)
-        serde.write_varint(buf, len(results))
-        for metric_id, values in results.items():
-            serde.write_varint(buf, metric_id)
-            serde.write_varint(buf, len(values))
-            for column, value in values.items():
-                serde.write_varint(buf, columns[column])
-                serde.write_value(buf, value)
-    _write_telemetry_tail(buf, msg.trace, msg.stats)
-
-
-def _encode_ingest_batch(buf: bytearray, msg: IngestBatch) -> None:
-    buf.append(MSG_INGEST_BATCH)
-    serde.write_str(buf, msg.stream)
-    # String table: field names + partitioner names, first-seen order.
-    names: dict[str, int] = {}
-    for _, event, targets in msg.entries:
-        for name in event:
-            if name not in names:
-                names[name] = len(names)
-        for partitioner, _ in targets:
-            if partitioner not in names:
-                names[partitioner] = len(names)
-    serde.write_str_list(buf, list(names))
-    serde.write_varint(buf, len(msg.entries))
-    for correlation_id, event, targets in msg.entries:
-        serde.write_varint(buf, correlation_id)
-        serde.write_str(buf, event.event_id)
-        serde.write_varint(buf, event.timestamp)
-        serde.write_varint(buf, event.field_count())
-        for name, value in event.items():
-            serde.write_varint(buf, names[name])
-            serde.write_value(buf, value)
-        serde.write_varint(buf, len(targets))
-        for partitioner, partition in targets:
-            serde.write_varint(buf, names[partitioner])
-            serde.write_varint(buf, partition)
-    _write_telemetry_tail(buf, msg.trace, None)
-
-
-def _encode_reply_batch(buf: bytearray, msg: ReplyBatch) -> None:
-    buf.append(MSG_REPLY_BATCH)
-    # String table: topics, reply column names and worker ids.
-    table: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        if name not in table:
-            table[name] = len(table)
-        return table[name]
-
-    for _, topic, results in msg.replies:
-        intern(topic)
-        if results:
-            for values in results.values():
-                for column in values:
-                    intern(column)
-    for worker_id, _, _ in msg.processed:
-        intern(worker_id)
-    serde.write_str_list(buf, list(table))
-    serde.write_varint(buf, len(msg.replies))
-    for correlation_id, topic, results in msg.replies:
-        serde.write_varint(buf, correlation_id)
-        serde.write_varint(buf, table[topic])
-        if results is None:
-            buf.append(0)
-            continue
-        buf.append(1)
-        serde.write_varint(buf, len(results))
-        for metric_id, values in results.items():
-            serde.write_varint(buf, metric_id)
-            serde.write_varint(buf, len(values))
-            for column, value in values.items():
-                serde.write_varint(buf, table[column])
-                serde.write_value(buf, value)
-    _write_offset_pairs(buf, msg.watermarks)
-    serde.write_varint(buf, len(msg.processed))
-    for worker_id, records, replies in msg.processed:
-        serde.write_varint(buf, table[worker_id])
-        serde.write_varint(buf, records)
-        serde.write_varint(buf, replies)
-    serde.write_varint(buf, msg.durable_seq)
-    _write_telemetry_tail(buf, msg.trace, msg.stats)
-
-
-# -- decoders -----------------------------------------------------------------
-
-
 def decode(data: bytes) -> object:
-    """Decode one frame produced by :func:`encode`."""
+    """Decode one frame produced by :func:`encode`.
+
+    Raises :class:`SerdeError` — and nothing else — on bytes that are
+    not a frame: a caller holding a connection to the outside (the TCP
+    front door) treats that one exception as a protocol violation.
+    """
     if not data:
         raise SerdeError("empty wire frame")
     view = memoryview(data)
-    tag = view[0]
-    offset = 1
-    if tag == MSG_WORK_BATCH:
-        return _decode_work_batch(view, offset)
-    if tag == MSG_BATCH_DONE:
-        return _decode_batch_done(view, offset)
-    if tag == MSG_CREATE_STREAM:
-        name, offset = serde.read_str(view, offset)
-        fields, offset = _read_field_pairs(view, offset)
-        partitioners, offset = serde.read_str_list(view, offset)
-        partitions, offset = serde.read_varint(view, offset)
-        return CreateStream(StreamDef(name, fields, tuple(partitioners), partitions))
-    if tag == MSG_CREATE_METRIC:
-        metric_id, offset = serde.read_varint(view, offset)
-        query_text, offset = serde.read_str(view, offset)
-        stream, offset = serde.read_str(view, offset)
-        topic, offset = serde.read_str(view, offset)
-        backfill, offset = serde.read_varint(view, offset)
-        count, offset = serde.read_varint(view, offset)
-        activations = []
-        for _ in range(count):
-            tp, offset = _read_tp(view, offset)
-            at_offset, offset = serde.read_varint(view, offset)
-            activations.append((tp, at_offset))
-        return CreateMetric(
-            MetricDef(metric_id, query_text, stream, topic, bool(backfill)),
-            tuple(activations),
-        )
-    if tag == MSG_DELETE_METRIC:
-        metric_id, offset = serde.read_varint(view, offset)
-        return DeleteMetric(metric_id)
-    if tag == MSG_EVOLVE_SCHEMA:
-        stream, offset = serde.read_str(view, offset)
-        new_fields, offset = _read_field_pairs(view, offset)
-        return EvolveSchema(stream, new_fields)
-    if tag == MSG_ADD_PARTITIONER:
-        stream, offset = serde.read_str(view, offset)
-        partitioner, offset = serde.read_str(view, offset)
-        return AddPartitioner(stream, partitioner)
-    if tag == MSG_ASSIGN:
-        count, offset = serde.read_varint(view, offset)
-        partitions = []
-        for _ in range(count):
-            tp, offset = _read_tp(view, offset)
-            partitions.append(tp)
-        return AssignPartitions(tuple(partitions))
-    if tag == MSG_CHECKPOINT_REQUEST:
-        request_id, offset = serde.read_varint(view, offset)
-        with_state = bool(view[offset])
-        offset += 1
-        known_count, offset = serde.read_varint(view, offset)
-        known: list[tuple[TopicPartition, tuple[str, ...]]] = []
-        for _ in range(known_count):
-            tp, offset = _read_tp(view, offset)
-            names, offset = serde.read_str_list(view, offset)
-            known.append((tp, tuple(names)))
-        return CheckpointRequest(request_id, with_state, tuple(known))
-    if tag == MSG_RESTORE_TASK:
-        checkpoint, offset = _read_task_checkpoint(view, offset)
-        return RestoreTask(TaskCheckpointFrame(checkpoint))
-    if tag == MSG_SHUTDOWN:
-        return Shutdown()
-    if tag == MSG_CRASH:
-        return Crash()
-    if tag == MSG_CHECKPOINT_ACK:
-        request_id, offset = serde.read_varint(view, offset)
-        count, offset = serde.read_varint(view, offset)
-        offsets: dict[TopicPartition, int] = {}
-        for _ in range(count):
-            tp, offset = _read_tp(view, offset)
-            next_offset, offset = serde.read_varint(view, offset)
-            offsets[tp] = next_offset
-        frame_count, offset = serde.read_varint(view, offset)
-        frames: list[TaskCheckpointFrame] = []
-        for _ in range(frame_count):
-            checkpoint, offset = _read_task_checkpoint(view, offset)
-            frames.append(TaskCheckpointFrame(checkpoint))
-        return CheckpointAck(request_id, offsets, frames)
-    if tag == MSG_WORKER_ERROR:
-        message, offset = serde.read_str(view, offset)
-        return WorkerError(message)
-    if tag == MSG_BACKFILL_INSTALL:
-        tp, offset = _read_tp(view, offset)
-        at_offset, offset = serde.read_varint(view, offset)
-        metric_id, offset = serde.read_varint(view, offset)
-        query_text, offset = serde.read_str(view, offset)
-        stream, offset = serde.read_str(view, offset)
-        topic, offset = serde.read_str(view, offset)
-        backfill, offset = serde.read_varint(view, offset)
-        state_rows, offset = _read_row_pairs(view, offset)
-        distinct_rows, offset = _read_row_pairs(view, offset)
-        position_count, offset = serde.read_varint(view, offset)
-        positions: dict[str, tuple[int, int]] = {}
-        for _ in range(position_count):
-            key, offset = serde.read_str(view, offset)
-            chunk_id, offset = serde.read_signed_varint(view, offset)
-            index, offset = serde.read_signed_varint(view, offset)
-            positions[key] = (chunk_id, index)
-        return BackfillInstall(
-            tp,
-            at_offset,
-            MetricDef(metric_id, query_text, stream, topic, bool(backfill)),
-            state_rows,
-            distinct_rows,
-            positions,
-        )
-    if tag == MSG_BACKFILL_INSTALLED:
-        tp, offset = _read_tp(view, offset)
-        metric_id, offset = serde.read_varint(view, offset)
-        return BackfillInstalled(tp, metric_id)
-    if tag == MSG_BACKFILL_START:
-        metric, offset = _read_metric_def(view, offset)
-        peer_count, offset = serde.read_varint(view, offset)
-        peers = []
-        for _ in range(peer_count):
-            peer, offset = _read_metric_def(view, offset)
-            peers.append(peer)
-        seed_count, offset = serde.read_varint(view, offset)
-        seeds = []
-        for _ in range(seed_count):
-            tp, offset = _read_tp(view, offset)
-            checkpoint, offset = _read_task_checkpoint(view, offset)
-            seeds.append((tp, checkpoint))
-        return BackfillStart(metric, tuple(peers), tuple(seeds))
-    if tag == MSG_BACKFILL_STOP:
-        metric_id, offset = serde.read_varint(view, offset)
-        return BackfillStop(metric_id)
-    if tag == MSG_BACKFILL_STALE:
-        tp, offset = _read_tp(view, offset)
-        metric_id, offset = serde.read_varint(view, offset)
-        next_offset, offset = serde.read_varint(view, offset)
-        return BackfillStale(tp, metric_id, next_offset)
-    if tag == MSG_BACKFILL_READ:
-        tp, offset = _read_tp(view, offset)
-        begin, offset = serde.read_varint(view, offset)
-        max_records, offset = serde.read_varint(view, offset)
-        return BackfillRead(tp, begin, max_records)
-    if tag == MSG_BACKFILL_RECORDS:
-        tp, offset = _read_tp(view, offset)
-        begin, offset = serde.read_varint(view, offset)
-        start_offset, offset = serde.read_varint(view, offset)
-        end_offset, offset = serde.read_varint(view, offset)
-        entries, offset = _read_event_records(view, offset)
-        return BackfillRecords(tp, begin, entries, start_offset, end_offset)
-    if tag == MSG_INGEST_BATCH:
-        return _decode_ingest_batch(view, offset)
-    if tag == MSG_FRONTEND_ASSIGN:
-        route_count, offset = serde.read_varint(view, offset)
-        routes = []
-        for _ in range(route_count):
-            tp, offset = _read_tp(view, offset)
-            worker_id, offset = serde.read_str(view, offset)
-            addr, offset = serde.read_str(view, offset)
-            routes.append((tp, worker_id, addr))
-        seeks, offset = _read_offset_pairs(view, offset)
-        return FrontendAssign(tuple(routes), seeks)
-    if tag == MSG_RESTORE_WATERMARKS:
-        watermarks, offset = _read_offset_pairs(view, offset)
-        seeks, offset = _read_offset_pairs(view, offset)
-        ingest_base, offset = serde.read_varint(view, offset)
-        return RestoreWatermarks(watermarks, seeks, ingest_base)
-    if tag == MSG_TRUNCATE_LOGS:
-        offsets, offset = _read_offset_pairs(view, offset)
-        return TruncateLogs(offsets)
-    if tag == MSG_WORKER_RESTARTED:
-        worker_id, offset = serde.read_str(view, offset)
-        addr, offset = serde.read_str(view, offset)
-        seeks, offset = _read_offset_pairs(view, offset)
-        return WorkerRestarted(worker_id, addr, seeks)
-    if tag == MSG_DRAIN_REQUEST:
-        request_id, offset = serde.read_varint(view, offset)
-        return DrainRequest(request_id)
-    if tag == MSG_REPLY_BATCH:
-        return _decode_reply_batch(view, offset)
-    if tag == MSG_DRAIN_ACK:
-        request_id, offset = serde.read_varint(view, offset)
-        watermarks, offset = _read_offset_pairs(view, offset)
-        return DrainAck(request_id, watermarks)
-    if tag == MSG_HELLO:
-        tenant, offset = serde.read_str(view, offset)
-        token, offset = serde.read_str(view, offset)
-        protocol, offset = serde.read_varint(view, offset)
-        return Hello(tenant, token, protocol)
-    if tag == MSG_HELLO_ACK:
-        ok = bool(view[offset])
-        offset += 1
-        session, offset = serde.read_str(view, offset)
-        error, offset = serde.read_str(view, offset)
-        max_in_flight, offset = serde.read_varint(view, offset)
-        p50, offset = serde.read_f64(view, offset)
-        p99, offset = serde.read_f64(view, offset)
-        return HelloAck(ok, session, error, max_in_flight, p50, p99)
-    if tag == MSG_SERVER_BUSY:
-        reason, offset = serde.read_str(view, offset)
-        retry_after_ms, offset = serde.read_varint(view, offset)
-        count, offset = serde.read_varint(view, offset)
-        correlations = []
-        for _ in range(count):
-            correlation, offset = serde.read_varint(view, offset)
-            correlations.append(correlation)
-        return ServerBusy(reason, retry_after_ms, tuple(correlations))
-    if tag == MSG_DDL_REQUEST:
-        request_id, offset = serde.read_varint(view, offset)
-        op, offset = serde.read_str(view, offset)
-        name, offset = serde.read_str(view, offset)
-        text, offset = serde.read_str(view, offset)
-        fields, offset = _read_field_pairs(view, offset)
-        names, offset = serde.read_str_list(view, offset)
-        number, offset = serde.read_varint(view, offset)
-        flag = bool(view[offset])
-        offset += 1
-        return DdlRequest(
-            request_id, op, name, text, fields, tuple(names), number, flag
-        )
-    if tag == MSG_DDL_REPLY:
-        request_id, offset = serde.read_varint(view, offset)
-        ok = bool(view[offset])
-        offset += 1
-        value, offset = serde.read_varint(view, offset)
-        error, offset = serde.read_str(view, offset)
-        return DdlReply(request_id, ok, value, error)
-    if tag == MSG_GOODBYE:
-        return Goodbye()
-    if tag == MSG_STATS_REQUEST:
-        request_id, offset = serde.read_varint(view, offset)
-        return StatsRequest(request_id)
-    if tag == MSG_STATS_REPLY:
-        request_id, offset = serde.read_varint(view, offset)
-        payload, offset = serde.read_bytes(view, offset)
-        return StatsReply(request_id, bytes(payload))
-    raise SerdeError(f"unknown wire message tag {tag}")
-
-
-def _decode_ingest_batch(view: memoryview, offset: int) -> IngestBatch:
-    stream, offset = serde.read_str(view, offset)
-    names, offset = serde.read_str_list(view, offset)
-    count, offset = serde.read_varint(view, offset)
-    entries: list[tuple[int, Event, tuple[tuple[str, int], ...]]] = []
-    for _ in range(count):
-        correlation_id, offset = serde.read_varint(view, offset)
-        event_id, offset = serde.read_str(view, offset)
-        timestamp, offset = serde.read_varint(view, offset)
-        field_count, offset = serde.read_varint(view, offset)
-        fields: dict[str, Any] = {}
-        for _ in range(field_count):
-            name_index, offset = serde.read_varint(view, offset)
-            value, offset = serde.read_value(view, offset)
-            fields[names[name_index]] = value
-        target_count, offset = serde.read_varint(view, offset)
-        targets = []
-        for _ in range(target_count):
-            name_index, offset = serde.read_varint(view, offset)
-            partition, offset = serde.read_varint(view, offset)
-            targets.append((names[name_index], partition))
-        entries.append(
-            (correlation_id, Event(event_id, timestamp, fields), tuple(targets))
-        )
-    trace, _ = _read_telemetry_tail(view, offset)
-    return IngestBatch(stream, entries, trace)
-
-
-def _decode_reply_batch(view: memoryview, offset: int) -> ReplyBatch:
-    table, offset = serde.read_str_list(view, offset)
-    count, offset = serde.read_varint(view, offset)
-    replies: list[tuple[int, str, dict[int, dict[str, Any]] | None]] = []
-    for _ in range(count):
-        correlation_id, offset = serde.read_varint(view, offset)
-        topic_index, offset = serde.read_varint(view, offset)
-        present = view[offset]
-        offset += 1
-        if not present:
-            replies.append((correlation_id, table[topic_index], None))
-            continue
-        metric_count, offset = serde.read_varint(view, offset)
-        results: dict[int, dict[str, Any]] = {}
-        for _ in range(metric_count):
-            metric_id, offset = serde.read_varint(view, offset)
-            column_count, offset = serde.read_varint(view, offset)
-            values: dict[str, Any] = {}
-            for _ in range(column_count):
-                column_index, offset = serde.read_varint(view, offset)
-                value, offset = serde.read_value(view, offset)
-                values[table[column_index]] = value
-            results[metric_id] = values
-        replies.append((correlation_id, table[topic_index], results))
-    watermarks, offset = _read_offset_pairs(view, offset)
-    processed_count, offset = serde.read_varint(view, offset)
-    processed = []
-    for _ in range(processed_count):
-        worker_index, offset = serde.read_varint(view, offset)
-        records, offset = serde.read_varint(view, offset)
-        reply_count, offset = serde.read_varint(view, offset)
-        processed.append((table[worker_index], records, reply_count))
-    durable_seq, offset = serde.read_varint(view, offset)
-    trace, stats = _read_telemetry_tail(view, offset)
-    return ReplyBatch(
-        replies, watermarks, tuple(processed), durable_seq, trace, stats
-    )
-
-
-def _decode_work_batch(view: memoryview, offset: int) -> WorkBatch:
-    tp, offset = _read_tp(view, offset)
-    reply_from, offset = serde.read_varint(view, offset)
-    names, offset = serde.read_str_list(view, offset)
-    count, offset = serde.read_varint(view, offset)
-    records: list[tuple[int, Event]] = []
-    for _ in range(count):
-        record_offset, offset = serde.read_varint(view, offset)
-        event_id, offset = serde.read_str(view, offset)
-        timestamp, offset = serde.read_varint(view, offset)
-        field_count, offset = serde.read_varint(view, offset)
-        fields: dict[str, Any] = {}
-        for _ in range(field_count):
-            name_index, offset = serde.read_varint(view, offset)
-            value, offset = serde.read_value(view, offset)
-            fields[names[name_index]] = value
-        records.append((record_offset, Event(event_id, timestamp, fields)))
-    trace, _ = _read_telemetry_tail(view, offset)
-    return WorkBatch(tp, reply_from, records, trace)
-
-
-def _decode_batch_done(view: memoryview, offset: int) -> BatchDone:
-    tp, offset = _read_tp(view, offset)
-    next_offset, offset = serde.read_varint(view, offset)
-    processed, offset = serde.read_varint(view, offset)
-    columns, offset = serde.read_str_list(view, offset)
-    count, offset = serde.read_varint(view, offset)
-    replies: list[tuple[int, dict[int, dict[str, Any]] | None]] = []
-    for _ in range(count):
-        reply_offset, offset = serde.read_varint(view, offset)
-        present = view[offset]
-        offset += 1
-        if not present:
-            replies.append((reply_offset, None))
-            continue
-        metric_count, offset = serde.read_varint(view, offset)
-        results: dict[int, dict[str, Any]] = {}
-        for _ in range(metric_count):
-            metric_id, offset = serde.read_varint(view, offset)
-            column_count, offset = serde.read_varint(view, offset)
-            values: dict[str, Any] = {}
-            for _ in range(column_count):
-                column_index, offset = serde.read_varint(view, offset)
-                value, offset = serde.read_value(view, offset)
-                values[columns[column_index]] = value
-            results[metric_id] = values
-        replies.append((reply_offset, results))
-    trace, stats = _read_telemetry_tail(view, offset)
-    return BatchDone(tp, next_offset, processed, replies, trace, stats)
+    row = _BY_TAG.get(view[0])
+    if row is None:
+        raise SerdeError(f"unknown wire message tag {view[0]}")
+    try:
+        return row.codec.read(view, 1)[0]
+    except (ValueError, IndexError) as exc:
+        # Bad UTF-8 or a value a constructor refuses; a string-table
+        # index past the table.
+        raise SerdeError(f"malformed {row.cls.__name__} frame: {exc}") from exc

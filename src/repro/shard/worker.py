@@ -108,31 +108,29 @@ class ShardWorker:
 
     def handle_control(self, msg: object) -> None:
         """Apply one control message to the local catalogue and tasks."""
-        if isinstance(msg, wire.CreateStream):
-            self.catalog.apply(CreateStreamOp(msg.stream))
-        elif isinstance(msg, wire.CreateMetric):
-            self.catalog.apply(CreateMetricOp(msg.metric, msg.activations))
+        if isinstance(msg, CreateMetricOp):
+            self.catalog.apply(msg)
             for tp, at_offset in msg.activations:
                 self._activations[(tp, msg.metric.metric_id)] = at_offset
             for tp, processor in self.task_processors.items():
                 if tp.topic == msg.metric.topic:
                     processor.add_metric(msg.metric)
-        elif isinstance(msg, wire.DeleteMetric):
-            self.catalog.apply(DeleteMetricOp(msg.metric_id))
+        elif isinstance(msg, DeleteMetricOp):
+            self.catalog.apply(msg)
             for processor in self.task_processors.values():
                 processor.remove_metric(msg.metric_id)
             for pending in self._pending_splices.values():
                 pending.pop(msg.metric_id, None)
             for key in [k for k in self._activations if k[1] == msg.metric_id]:
                 del self._activations[key]
-        elif isinstance(msg, wire.AddPartitioner):
-            self.catalog.apply(AddPartitionerOp(msg.stream, msg.partitioner))
-        elif isinstance(msg, wire.EvolveSchema):
-            self.catalog.apply(EvolveSchemaOp(msg.stream, msg.new_fields))
+        elif isinstance(msg, EvolveSchemaOp):
+            self.catalog.apply(msg)
             stream = self.catalog.streams[msg.stream]
             for processor in self.task_processors.values():
                 if processor.stream_name == msg.stream:
                     processor.evolve_schema(stream)
+        elif isinstance(msg, (CreateStreamOp, AddPartitionerOp)):
+            self.catalog.apply(msg)
         elif isinstance(msg, wire.AssignPartitions):
             self.assigned = set(msg.partitions)
             # Revoked tasks are dropped: the sticky strategy keeps

@@ -54,3 +54,20 @@ def test_at_least_one_executable_snippet_is_guarded():
             if ">>>" in source:
                 executable += 1
     assert executable >= 2
+
+
+def test_architecture_lists_every_wire_message_with_its_layout():
+    """docs/ARCHITECTURE.md names each row of the wire table as
+    ``Name(field, ...)`` in exactly the row's byte order — a field added
+    to, dropped from or reordered in a layout fails here until the
+    message tables say so too."""
+    from repro.shard import wire
+
+    text = (ROOT / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
+    missing = [
+        signature
+        for row in wire.TABLE
+        for signature in [f"`{row.cls.__name__}({', '.join(row.attrs())})`"]
+        if signature not in text
+    ]
+    assert not missing, "\n".join(missing)

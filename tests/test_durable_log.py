@@ -245,6 +245,10 @@ class TestValueCodec:
             DeleteMetricOp(3),
             EvolveSchemaOp("tx", (("country", "string"),)),
             AddPartitionerOp("tx", "country"),
+            CreateMetricOp(
+                MetricDef(2, "SELECT count(*) FROM tx", "tx", "t"),
+                ((TP, 40), (TopicPartition("tx.cardId", 1), 0)),
+            ),
         ],
     )
     def test_roundtrip(self, value):
@@ -253,6 +257,53 @@ class TestValueCodec:
         decoded, end = read_payload(memoryview(bytes(buf)), 0)
         assert decoded == value
         assert end == len(buf)
+
+    #: DDL payloads exactly as commit a2a7e7d (the last one with a
+    #: hand-written op codec) wrote them to the operations log.
+    PARENT_OPS = [
+        (
+            b"\x05\x02tx\x02\x06cardId\x06string\x06amount\x05float"
+            b"\x02\x06cardId\x07__all__\x04",
+            CreateStreamOp(
+                StreamDef(
+                    "tx",
+                    (("cardId", "string"), ("amount", "float")),
+                    ("cardId", "__all__"),
+                    4,
+                )
+            ),
+        ),
+        (b"\x07\x07", DeleteMetricOp(7)),
+        (b"\x08\x02tx\x01\x07country\x06string",
+         EvolveSchemaOp("tx", (("country", "string"),))),
+        (b"\t\x02tx\x07country", AddPartitionerOp("tx", "country")),
+    ]
+    #: tag 6: a metric op without its activation cuts (the layout that
+    #: dropped them); no longer written, must stay readable.
+    PARENT_METRIC = (
+        b"\x06\x03>SELECT count(*) FROM tx GROUP BY cardId OVER sliding 5 "
+        b"minutes\x02tx\ttx.cardId\x01"
+    )
+
+    def test_parent_written_ops_keep_decoding(self):
+        for payload, op in self.PARENT_OPS:
+            assert read_payload(memoryview(payload), 0) == (op, len(payload))
+            buf = bytearray()
+            write_payload(buf, op)
+            assert bytes(buf) == payload
+        metric = MetricDef(
+            3,
+            "SELECT count(*) FROM tx GROUP BY cardId OVER sliding 5 minutes",
+            "tx",
+            "tx.cardId",
+            True,
+        )
+        decoded, end = read_payload(memoryview(self.PARENT_METRIC), 0)
+        assert decoded == CreateMetricOp(metric, activations=())
+        assert end == len(self.PARENT_METRIC)
+        buf = bytearray()
+        write_payload(buf, decoded)
+        assert buf[0] == 10 and buf[1:-1] == self.PARENT_METRIC[1:]
 
 
 class TestDurableLog:

@@ -94,6 +94,41 @@ class TestCoordinatorRestart:
             )
             del first
 
+    def test_metric_created_mid_stream_keeps_its_cut_through_reopen(
+        self, tmp_path
+    ):
+        """A metric created after a checkpoint activates at its DDL cut
+        on the reopened cluster too: the operations log must carry
+        ``CreateMetricOp.activations``, or the task restored from the
+        older checkpoint folds the whole replayed tail into the
+        newcomer (it answered 21 where the uncrashed run answers 7)."""
+        late = "SELECT count(*) FROM tx GROUP BY cardId OVER sliding 400 minutes"
+        events = make_events(120)
+        probe = dict(fields={"cardId": "c0", "amount": 1.0}, timestamp=5000)
+
+        def drive(cluster):
+            cluster.create_stream("tx", ["cardId"], **STREAM_KW)
+            cluster.create_metric(METRIC)
+            cluster.send_batch("tx", events[:60])
+            cluster.checkpoint_now()
+            cluster.send_batch("tx", events[60:100])
+            cluster.create_metric(late)
+            cluster.send_batch("tx", events[100:])
+
+        with create_cluster("process", workers=2, checkpoint_every=None) as ref:
+            drive(ref)
+            expected = ref.send("tx", **probe).results
+
+        durable = str(tmp_path / "cluster")
+        kwargs = dict(workers=2, durable_dir=durable, checkpoint_every=None)
+        with create_cluster("process", **kwargs) as cluster:
+            drive(cluster)
+        with create_cluster("process", **kwargs) as reopened:
+            reopened.run_until_quiet()
+            assert reopened.send("tx", **probe).results == expected
+        late_id = max(expected)
+        assert expected[late_id] == {"count(*)": 7}
+
     def test_watermarks_survive_restart(self, tmp_path):
         """Replies already delivered are suppressed through the reopen:
         the replayed tail must not re-answer them (no pending fan-in

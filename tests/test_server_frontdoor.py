@@ -287,6 +287,41 @@ class TestSlowReader:
             cluster.close()
 
 
+class TestMalformedFrame:
+    def test_undecodable_frame_drops_one_connection_silently(self, caplog):
+        """Bytes that are not a frame are a protocol violation, not a
+        server fault: ``wire.decode`` raises ``SerdeError`` only, so the
+        handler closes that connection, logs nothing, leaks no admission
+        slot, and keeps serving everyone else."""
+        cluster = make_single()
+        handle = serve_cluster(cluster)
+        host, port = handle.address
+        try:
+            with caplog.at_level("ERROR", logger="asyncio"):
+                rogue = socket.create_connection((host, port), timeout=5.0)
+                rogue.sendall(_frame(wire.encode(wire.Hello("rogue", ""))))
+                _read_frame_sync(rogue)  # HelloAck
+                # A DdlRequest whose ``op`` string is invalid UTF-8.
+                rogue.sendall(_frame(bytes([wire.MSG_DDL_REQUEST, 1, 2, 0xFF, 0xFE])))
+                assert rogue.recv(1) == b""  # the server hung up
+                rogue.close()
+                default_time_source().wait_until(
+                    lambda: handle.stats()["admission"]["connections"] == 0,
+                    timeout=5.0,
+                    poll=0.01,
+                )
+            assert [r for r in caplog.records if r.name == "asyncio"] == []
+            assert handle.stats()["admission"]["in_flight"] == 0
+            with RailgunClient(host, port, tenant="next") as client:
+                (reply,) = client.send_batch(
+                    "tx", [{"cardId": "n", "amount": 1.0}], timestamp=1_000
+                )
+                assert count_of(reply) == 1
+        finally:
+            handle.stop()
+            cluster.close()
+
+
 class TestReconnect:
     def test_new_connection_resumes_window_state(self):
         cluster = make_single()

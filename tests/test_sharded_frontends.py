@@ -85,21 +85,6 @@ class TestRoutingWire:
         # Field insertion order survives the string-table interning.
         assert decoded.entries[2][1].field_names() == ["amount", "blob"]
 
-    def test_routing_control_roundtrips(self):
-        tp0 = TopicPartition("tx.cardId", 0)
-        tp1 = TopicPartition("tx.cardId", 1)
-        for msg in [
-            wire.FrontendAssign(
-                ((tp0, "shard-0", "/tmp/s0.sock"), (tp1, "shard-1", "/tmp/s1.sock")),
-                ((tp1, 42),),
-            ),
-            wire.RestoreWatermarks(((tp0, 17),), ((tp0, 5),)),
-            wire.WorkerRestarted("shard-1", "/tmp/s1.sock", ((tp1, 64),)),
-            wire.DrainRequest(3),
-            wire.DrainAck(3, ((tp0, 17), (tp1, 64))),
-        ]:
-            assert self.roundtrip(msg) == msg
-
     def test_reply_batch_roundtrip(self):
         tp = TopicPartition("tx.cardId", 2)
         msg = wire.ReplyBatch(
@@ -123,12 +108,12 @@ class TestRoutingWire:
 class TestFrontendEngine:
     def engine_with_stream(self):
         engine = FrontendEngine("fe-0")
-        from repro.engine.catalog import StreamDef
+        from repro.engine.catalog import CreateStreamOp, StreamDef
 
         stream = StreamDef(
             "tx", (("cardId", "string"), ("amount", "float")), ("cardId",), 4
         )
-        engine.handle(wire.CreateStream(stream))
+        engine.handle(CreateStreamOp(stream))
         return engine
 
     def test_ingest_appends_in_order(self):
