@@ -111,11 +111,7 @@ def sharded_frontend_failover() -> None:
 
         print("\nphase 5: sharded frontends — traffic over 2 frontend processes")
         replies = send_phase(0, 60)
-        stats = cluster.stats()
-        per_frontend = {
-            frontend_id: fe["events_routed"]
-            for frontend_id, fe in stats["frontends"].items()
-        }
+        per_frontend = cluster.metrics.counter_labels("router_events_routed_total")
         print(f"  events per frontend: {per_frontend}")
         assert sum(per_frontend.values()) == 60
 
@@ -134,11 +130,12 @@ def sharded_frontend_failover() -> None:
             card = reply.event.get("cardId")
             per_card[card] = per_card.get(card, 0) + 1
             assert reply.value(metric, "count(*)") == per_card[card]
-        stats = cluster.stats()
-        merged = sum(fe["replies_merged"] for fe in stats["frontends"].values())
+        metrics = cluster.metrics
+        merged = sum(metrics.counter_labels("router_replies_merged_total").values())
         assert merged == len(replies), (merged, len(replies))
+        restarts = metrics.counter_value("router_frontend_restarts_total", victim_frontend)
         print(f"  replies recovered: {merged}/100, "
-              f"frontend restarts: {stats['frontends'][victim_frontend]['restarts']}, "
+              f"frontend restarts: {restarts}, "
               f"worker restarts: {cluster.supervisor.restarts}")
         final = replies[-1]
         print(f"  {final.event.get('cardId')} count after both crashes: "

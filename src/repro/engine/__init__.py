@@ -17,7 +17,8 @@ from repro.engine.assignment import (
     round_robin_task_strategy,
 )
 from repro.engine.catalog import Catalog, MetricDef, StreamDef
-from repro.engine.cluster import RailgunCluster, Reply, create_cluster
+from repro.engine.cluster import RailgunCluster, create_cluster
+from repro.engine.frontend import Reply
 from repro.engine.node import RailgunNode
 from repro.engine.processor import ProcessorUnit
 from repro.engine.task import TaskProcessor

@@ -51,6 +51,10 @@ class StreamDef:
         """All event topics of this stream."""
         return [topic_name(self.name, p) for p in self.partitioners]
 
+    def partition_count(self, partitioner: str) -> int:
+        """Partitions of one partitioner's topic (the global one has one)."""
+        return 1 if partitioner == GLOBAL_PARTITIONER else self.partitions
+
 
 @dataclass(frozen=True)
 class MetricDef:
@@ -179,6 +183,14 @@ class Catalog:
             return self.streams[name]
         except KeyError:
             raise EngineError(f"unknown stream {name!r}") from None
+
+    def event_topics(self) -> dict[str, int]:
+        """Every stream's event topics with their partition counts."""
+        return {
+            topic_name(stream.name, partitioner): stream.partition_count(partitioner)
+            for stream in self.streams.values()
+            for partitioner in stream.partitioners
+        }
 
     def metrics_for_topic(self, topic: str) -> list[MetricDef]:
         """Metrics computed by task processors of ``topic``, id order."""

@@ -11,8 +11,7 @@ multi-node test deterministic.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.common.clock import ManualClock
 from repro.common.errors import EngineError
@@ -37,6 +36,7 @@ from repro.engine.catalog import (
     StreamDef,
     topic_name,
 )
+from repro.engine.frontend import client_event, deliver_batch
 from repro.engine.node import RailgunNode
 from repro.engine.processor import ACTIVE_GROUP, UnitConfig, replica_group
 from repro.engine.task import TaskCheckpoint
@@ -47,24 +47,10 @@ from repro.messaging.groups import GroupCoordinator
 from repro.messaging.log import TopicPartition
 from repro.messaging.producer import Producer
 from repro.query.parser import parse_query
+from repro.telemetry import StageLaps
 
-
-@dataclass
-class Reply:
-    """A completed client response."""
-
-    event: Event
-    stream: str
-    results: dict[int, dict[str, Any]]
-    latency_ms: int
-
-    def metric(self, metric_id: int) -> dict[str, Any]:
-        """All columns of one metric."""
-        return self.results.get(metric_id, {})
-
-    def value(self, metric_id: int, column: str) -> Any:
-        """One aggregation value, e.g. ``reply.value(0, "sum(amount)")``."""
-        return self.results.get(metric_id, {}).get(column)
+if TYPE_CHECKING:
+    from repro.engine.frontend import Reply
 
 
 def _normalize_fields(schema: object) -> tuple[tuple[str, str], ...]:
@@ -335,8 +321,7 @@ class RailgunCluster:
     def add_node(self, processor_units: int = 2) -> str:
         """Add (and start) a node; returns its id."""
         if processor_units <= 0:
-            # Frontend-only nodes exist only in the process-parallel
-            # engine; a cooperative node must do back-end work.
+            # A cooperative node must do back-end work.
             raise ValueError(f"need at least one processor unit: {processor_units}")
         node_id = f"node-{self._next_node}"
         self._next_node += 1
@@ -397,9 +382,9 @@ class RailgunCluster:
             with_global_partitioner,
         )
         for partitioner in stream.partitioners:
-            count = 1 if partitioner == GLOBAL_PARTITIONER else partitions
             self.bus.create_topic(
-                topic_name(name, partitioner), partitions=count,
+                topic_name(name, partitioner),
+                partitions=stream.partition_count(partitioner),
                 replication=min(self.bus.broker_count, 1 + self.replication_factor),
             )
         self._publish_op(CreateStreamOp(stream))
@@ -470,13 +455,13 @@ class RailgunCluster:
     def query_as_of(self, metric_id: int, as_of: int):
         """Time-travel read: the metric's values at event time ``as_of``
         (:func:`repro.replay.asof.as_of_values` over this cluster's bus)."""
-        from repro.replay.asof import as_of_values
+        from repro.replay.asof import as_of_values, read_page
 
         metric = self.catalog.metrics.get(metric_id)
         if metric is None:
             raise EngineError(f"unknown metric id {metric_id}")
         return as_of_values(
-            self.bus,
+            lambda tp, begin, limit: read_page(self.bus, tp, begin, limit),
             self.bus.topic_partitions(metric.topic),
             self.catalog.streams[metric.stream],
             self.catalog.metrics_for_topic(metric.topic),
@@ -499,8 +484,10 @@ class RailgunCluster:
         stream_def = validate_new_partitioner(self.catalog, stream, partitioner)
         if stream_def is None:
             return
-        count = 1 if partitioner == GLOBAL_PARTITIONER else stream_def.partitions
-        self.bus.create_topic(topic_name(stream, partitioner), partitions=count)
+        self.bus.create_topic(
+            topic_name(stream, partitioner),
+            partitions=stream_def.partition_count(partitioner),
+        )
         self._publish_op(AddPartitionerOp(stream, partitioner))
         self._sync_subscriptions()
         self._assignment_dirty = True
@@ -538,30 +525,11 @@ class RailgunCluster:
         max_rounds: int = 500,
     ) -> Reply:
         """Send one event and pump the world until its reply completes."""
-        metrics = self.metrics
-        batch_started = metrics.now()
-        correlation, frontend = self.send_async(
-            stream, fields=fields, timestamp=timestamp, event=event,
-            event_id=event_id, node_id=node_id,
+        event = client_event(
+            self.clock, self.bus.messages_published, fields, timestamp,
+            event, event_id,
         )
-        metrics.counter_add("engine_batches_in_total")
-        metrics.counter_add("engine_events_in_total")
-        for _ in range(max_rounds):
-            completed = frontend.take_completed(correlation)
-            if completed is not None:
-                metrics.counter_add("engine_replies_out_total")
-                metrics.observe_since("engine_batch_ms", batch_started)
-                return Reply(
-                    event=completed.event,
-                    stream=completed.stream,
-                    results=completed.results,
-                    latency_ms=completed.latency_ms,
-                )
-            self.pump()
-        raise EngineError(
-            f"reply for correlation {correlation} did not complete within "
-            f"{max_rounds} pump rounds"
-        )
+        return self.send_batch(stream, [event], node_id, max_rounds)[0]
 
     def send_async(
         self,
@@ -573,14 +541,10 @@ class RailgunCluster:
         node_id: str | None = None,
     ):
         """Publish an event without waiting; returns (corr_id, frontend)."""
-        if event is None:
-            if fields is None:
-                raise EngineError("either fields or event is required")
-            if timestamp is None:
-                timestamp = self.clock.now()
-            if event_id is None:
-                event_id = f"client-{self.bus.messages_published:012d}"
-            event = Event(event_id, timestamp, fields)
+        event = client_event(
+            self.clock, self.bus.messages_published, fields, timestamp,
+            event, event_id,
+        )
         node = self._pick_node(node_id)
         correlation = node.frontend.send(stream, event)
         return correlation, node.frontend
@@ -600,56 +564,12 @@ class RailgunCluster:
         batched ingestion path: the fan-out is published in one shot and
         the cluster then pumps until every fan-in completes.
         """
-        metrics = self.metrics
-        batch_started = metrics.now()
-        with metrics.time_stage("engine_ingest_ms"):
-            events: list[Event] = []
-            base_id = self.bus.messages_published
-            for index, item in enumerate(batch):
-                if isinstance(item, Event):
-                    events.append(item)
-                else:
-                    # Offsetting by the index keeps ids unique within the
-                    # batch and ahead of every id a previous send() minted.
-                    events.append(
-                        Event(
-                            f"client-{base_id + index:012d}",
-                            self.clock.now(),
-                            item,
-                        )
-                    )
-            node = self._pick_node(node_id)
-            correlations = node.frontend.send_batch(stream, events)
-        metrics.counter_add("engine_batches_in_total")
-        metrics.counter_add("engine_events_in_total", len(events))
-        outstanding = set(correlations)
-        for _ in range(max_rounds):
-            if not outstanding:
-                break
-            self.pump()
-            for correlation in list(outstanding):
-                if correlation in node.frontend.completed:
-                    outstanding.discard(correlation)
-        if outstanding:
-            raise EngineError(
-                f"{len(outstanding)} of {len(correlations)} batched replies did "
-                f"not complete within {max_rounds} pump rounds"
-            )
-        replies: list[Reply] = []
-        with metrics.time_stage("engine_reply_ms"):
-            for correlation in correlations:
-                completed = node.frontend.take_completed(correlation)
-                replies.append(
-                    Reply(
-                        event=completed.event,
-                        stream=completed.stream,
-                        results=completed.results,
-                        latency_ms=completed.latency_ms,
-                    )
-                )
-        metrics.counter_add("engine_replies_out_total", len(replies))
-        metrics.observe_since("engine_batch_ms", batch_started)
-        return replies
+        frontend = self._pick_node(node_id).frontend
+        return deliver_batch(
+            self, batch, self.bus.messages_published,
+            lambda events: frontend.send_batch(stream, events),
+            frontend.completed, max_rounds,
+        )
 
     def _pick_node(self, node_id: str | None) -> RailgunNode:
         if node_id is not None:
@@ -668,6 +588,9 @@ class RailgunCluster:
 
     def pump(self) -> int:
         """One cooperative step of every component; returns work count."""
+        return self._round(StageLaps(self.metrics))
+
+    def _round(self, laps: StageLaps) -> int:
         self.clock.advance(self.tick_ms)
         self.coordinator.tick(self.clock.now())
         self._ensure_membership()
@@ -679,11 +602,11 @@ class RailgunCluster:
         for job in self._backfills:
             if not job.done:
                 handled += job.step()
+        for node in self.alive_nodes():
+            handled += node.pump()
         # One cooperative step is dispatch and processing in one: the
         # single-process engine has no finer per-hop boundary to time.
-        with self.metrics.time_stage("engine_dispatch_ms"):
-            for node in self.alive_nodes():
-                handled += node.pump()
+        laps.lap("engine_dispatch_ms")
         return handled
 
     def run_until_quiet(self, max_rounds: int = 300, quiet_rounds: int = 3) -> int:

@@ -4,12 +4,17 @@ Receives client events, fans them out to every partitioner topic of the
 stream (keyed by the partitioner field so entity locality holds), then
 collects the per-task replies from the node's dedicated reply topic and
 assembles the final client response once all expected replies arrived.
+
+The client half every cluster facade shares also lives here: the
+:class:`Reply` a caller gets back, :func:`client_event` /
+:func:`deliver_batch` — ``client-…`` id minting plus the
+pump-until-replied loop behind every facade's ``send``/``send_batch``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.common.errors import EngineError
 from repro.engine.catalog import (
@@ -24,6 +29,100 @@ from repro.events.event import Event
 from repro.messaging.broker import MessageBus
 from repro.messaging.log import TopicPartition
 from repro.messaging.producer import Producer
+from repro.telemetry import StageLaps
+
+
+@dataclass
+class Reply:
+    """A completed client response."""
+
+    event: Event
+    stream: str
+    results: dict[int, dict[str, Any]]
+    latency_ms: int
+
+    def metric(self, metric_id: int) -> dict[str, Any]:
+        """All columns of one metric."""
+        return self.results.get(metric_id, {})
+
+    def value(self, metric_id: int, column: str) -> Any:
+        """One aggregation value, e.g. ``reply.value(0, "sum(amount)")``."""
+        return self.results.get(metric_id, {}).get(column)
+
+
+def client_event(
+    clock,
+    base_id: int,
+    fields: Mapping[str, Any] | None,
+    timestamp: int | None,
+    event: Event | None,
+    event_id: str | None,
+) -> Event:
+    """The event one ``send`` publishes: ``event`` as given, else built
+    from ``fields``, stamped with the facade clock and given the
+    ``client-…`` id ``base_id`` names unless the caller chose them."""
+    if event is not None:
+        return event
+    if fields is None:
+        raise EngineError("either fields or event is required")
+    return Event(
+        event_id if event_id is not None else f"client-{base_id:012d}",
+        timestamp if timestamp is not None else clock.now(),
+        fields,
+    )
+
+
+def deliver_batch(
+    facade,
+    batch: Iterable[Mapping[str, Any] | Event],
+    base_id: int,
+    ship: Callable[[list[Event]], list[int]],
+    completed: dict[int, Reply],
+    max_rounds: int,
+) -> list[Reply]:
+    """Mint, ship and await one client batch — every facade's send path.
+
+    Mapping items become events stamped with the facade clock and ids
+    ``client-<base_id + index>`` (the facade's published-record count,
+    so ids stay unique and match across topologies for the same call
+    sequence). ``ship(events)`` hands them to the transport and returns
+    their correlation ids; ``facade._round(laps)`` runs one pump round
+    until every correlation's :class:`Reply` sits in ``completed``.
+    The stage histograms tile the call: ``engine_ingest_ms`` (mint +
+    ship), the rounds' own ``engine_dispatch_ms``/``engine_collect_ms``
+    laps, ``engine_reply_ms`` (popping the replies) — they sum to
+    ``engine_batch_ms`` exactly.
+    """
+    metrics = facade.metrics
+    laps = StageLaps(metrics)
+    now = facade.clock.now()
+    events = [
+        item
+        if isinstance(item, Event)
+        else Event(f"client-{base_id + index:012d}", now, item)
+        for index, item in enumerate(batch)
+    ]
+    correlations = ship(events)
+    metrics.counter_add("engine_batches_in_total")
+    metrics.counter_add("engine_events_in_total", len(events))
+    laps.lap("engine_ingest_ms")
+    outstanding = set(correlations)
+    for _ in range(max_rounds):
+        if not outstanding:
+            break
+        facade._round(laps)
+        if completed:
+            outstanding.difference_update(completed)
+    if outstanding:
+        raise EngineError(
+            f"{len(outstanding)} of {len(correlations)} replies did not "
+            f"complete within {max_rounds} pump rounds"
+        )
+    replies = [completed.pop(correlation) for correlation in correlations]
+    metrics.counter_add("engine_replies_out_total", len(replies))
+    laps.lap("engine_reply_ms")
+    laps.total("engine_batch_ms")
+    return replies
 
 
 @dataclass
@@ -43,17 +142,6 @@ class PendingRequest:
         return self.received >= self.expected
 
 
-@dataclass
-class CompletedReply:
-    """A fully-assembled client response."""
-
-    correlation_id: int
-    event: Event
-    stream: str
-    results: dict[int, dict[str, Any]]
-    latency_ms: int
-
-
 class FrontEnd:
     """Per-node client entry point."""
 
@@ -70,7 +158,7 @@ class FrontEnd:
         self._ops_offset = 0
         self._next_correlation = 0
         self.pending: dict[int, PendingRequest] = {}
-        self.completed: dict[int, CompletedReply] = {}
+        self.completed: dict[int, Reply] = {}
         self.events_received = 0
 
     # -- step 1-2: receive + fan out ----------------------------------------------
@@ -168,10 +256,10 @@ class FrontEnd:
 
     # -- step 5-6: collect + respond ---------------------------------------------------
 
-    def poll_replies(self) -> list[CompletedReply]:
+    def poll_replies(self) -> list[Reply]:
         """Drain the reply topic; returns requests completed this call."""
         self._consume_ops()
-        finished: list[CompletedReply] = []
+        finished: list[Reply] = []
         messages = self.bus.read(self._reply_tp, self._reply_offset, 1000)
         for message in messages:
             self._reply_offset = message.offset + 1
@@ -183,15 +271,14 @@ class FrontEnd:
                 finished.append(completed)
         return finished
 
-    def deliver_reply(self, reply: ReplyEnvelope) -> CompletedReply | None:
+    def deliver_reply(self, reply: ReplyEnvelope) -> Reply | None:
         """Fan one task reply into its pending request.
 
         The reply-topic poll loop funnels through here; the
         process-parallel engine also calls it directly — the coordinator
-        process hosts both the shard supervisor and the frontend, so a
-        locally-merged reply can skip the bus hop without changing any
-        observable fan-in behavior. Returns the completed response when
-        this reply was the last one expected.
+        process hosts both the shard supervisor and the frontend, so
+        every reply merges in-process without a bus hop. Returns the
+        completed response when this reply was the last one expected.
         """
         request = self.pending.get(reply.correlation_id)
         if request is None:
@@ -202,17 +289,16 @@ class FrontEnd:
         if not request.complete:
             return None
         del self.pending[request.correlation_id]
-        completed = CompletedReply(
-            correlation_id=request.correlation_id,
+        completed = Reply(
             event=request.event,
             stream=request.stream,
             results=request.results,
             latency_ms=self.clock.now() - request.sent_at_ms,
         )
-        self.completed[completed.correlation_id] = completed
+        self.completed[request.correlation_id] = completed
         return completed
 
-    def take_completed(self, correlation_id: int) -> CompletedReply | None:
+    def take_completed(self, correlation_id: int) -> Reply | None:
         """Pop a completed response (step 6: reply to the client)."""
         return self.completed.pop(correlation_id, None)
 

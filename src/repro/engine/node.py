@@ -21,21 +21,14 @@ class RailgunNode:
         self,
         node_id: str,
         bus: MessageBus,
-        coordinator: GroupCoordinator | None,
+        coordinator: GroupCoordinator,
         clock,
         processor_units: int,
         cluster=None,
         unit_config: UnitConfig | None = None,
     ) -> None:
-        if processor_units < 0:
-            raise ValueError(f"negative processor unit count: {processor_units}")
-        if processor_units == 0:
-            # Frontend-only node: the process-parallel engine hosts the
-            # client entry point in the coordinator process while shard
-            # workers do the back-end work in their own processes.
-            coordinator = None
-        elif coordinator is None:
-            raise ValueError("processor units need a group coordinator")
+        if processor_units <= 0:
+            raise ValueError(f"need at least one processor unit: {processor_units}")
         self.node_id = node_id
         self.alive = True
         self.frontend = FrontEnd(node_id, bus, clock)

@@ -13,21 +13,54 @@ clusters checkpoint continuously, so the tail between the newest usable
 checkpoint and the as-of point is short, and
 :attr:`AsOfResult.replayed` (asserted strictly below
 :attr:`AsOfResult.log_records` in the tests) shows the saving.
+
+Records arrive through a *reader*, ``read(tp, begin, max_records)`` →
+:class:`LogPage`: :func:`read_page` over a bus the facade holds, or a
+round trip to whichever process owns the partition log — one replay
+loop for every topology.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.engine.catalog import MetricDef, StreamDef
 from repro.engine.envelope import EventEnvelope
 from repro.engine.task import TaskCheckpoint, TaskProcessor
+from repro.events.event import Event
 from repro.lsm.db import LsmConfig
 from repro.messaging.broker import MessageBus
 from repro.messaging.cursor import LogCursor
 from repro.messaging.log import TopicPartition
+from repro.replay.backfill import ReplayError
 from repro.reservoir.reservoir import ReservoirConfig
+
+
+class LogPage(NamedTuple):
+    """Up to a page of one partition log's ``(offset, event)`` records,
+    plus the offsets the log retains (``start_offset`` rises as
+    retention reclaims segments)."""
+
+    entries: list[tuple[int, Event]]
+    start_offset: int
+    end_offset: int
+
+
+def read_page(
+    bus: MessageBus, tp: TopicPartition, begin: int, max_records: int
+) -> LogPage:
+    """The events of ``tp`` from ``begin`` (clamped to the retained
+    start), unwrapped from their envelopes where the log holds them."""
+    entries: list[tuple[int, Event]] = []
+    with LogCursor(bus, tp, begin) as cursor:
+        for message in cursor.read(max_records):
+            value = message.value
+            if isinstance(value, EventEnvelope):
+                value = value.event
+            entries.append((message.offset, value))
+    start = getattr(bus.log(tp), "start_offset", 0)
+    return LogPage(entries, start, bus.end_offset(tp))
 
 
 @dataclass
@@ -44,7 +77,7 @@ class AsOfResult:
 
 
 def as_of_values(
-    bus: MessageBus,
+    read: Callable[[TopicPartition, int, int], LogPage],
     tps: Sequence[TopicPartition],
     stream: StreamDef,
     metrics: Sequence[MetricDef],
@@ -58,9 +91,12 @@ def as_of_values(
 ) -> AsOfResult:
     """The queried metric's per-group values as of event time ``as_of``.
 
+    ``read`` pages each partition log in (see :class:`LogPage`);
     ``metrics`` is the catalog's metric list for the topic (the shadow
     must register every metric a seeding checkpoint's state contains);
     ``checkpoints`` offers each partition's newest persisted checkpoint.
+    Raises :class:`~repro.replay.backfill.ReplayError` when retention
+    already reclaimed records the replay needs.
     """
     merged: dict[tuple, dict[str, Any]] = {}
     replayed = 0
@@ -68,32 +104,32 @@ def as_of_values(
     seeded = 0
     sorted_metrics = sorted(metrics, key=lambda m: m.metric_id)
     for tp in tps:
-        log_records += bus.end_offset(tp)
-        processor, begin = seed_processor(
+        processor, position = seed_processor(
             tp, stream, sorted_metrics,
             (checkpoints or {}).get(tp), as_of,
             reservoir_config, lsm_config,
         )
-        if begin > 0:
+        if position > 0:
             seeded += 1
-        with LogCursor(bus, tp, begin) as cursor:
-            done = False
-            while not done:
-                messages = cursor.read(batch)
-                if not messages:
+        while True:
+            page = read(tp, position, batch)
+            if position < page.start_offset:
+                raise ReplayError(
+                    f"as-of replay for {tp} needs offset {position} "
+                    f"but the log starts at {page.start_offset}"
+                )
+            records = []
+            for offset, event in page.entries:
+                if event.timestamp > as_of:
                     break
-                records = []
-                for message in messages:
-                    value = message.value
-                    if not isinstance(value, EventEnvelope):
-                        continue
-                    if value.event.timestamp > as_of:
-                        done = True
-                        break
-                    records.append((message.offset, value.event))
-                if records:
-                    processor.process_batch(records)
-                    replayed += len(records)
+                records.append((offset, event))
+            if records:
+                processor.process_batch(records)
+                replayed += len(records)
+                position = records[-1][0] + 1
+            if len(records) < len(page.entries) or not page.entries:
+                break
+        log_records += page.end_offset
         if processor.has_metric(metric_id):
             merged.update(processor.metric_values(metric_id))
     return AsOfResult(

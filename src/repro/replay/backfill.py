@@ -14,18 +14,25 @@ processor the moment the live processor sits at offset ``k``
 
 Two seeding modes:
 
-- **offset 0** (log complete): bit-exact, the default;
+- **offset 0** (log complete): bit-exact, always used while the log
+  still starts at 0;
 - **nearest persisted checkpoint** (history truncated below the
   checkpoint): the shadow restores the checkpoint, registers the new
   metric with reservoir-window priming, and replays the tail. Values
   are window-correct, but float folds may differ in last-bit rounding
   from a metric defined at offset 0 — the trade for bounded replay
   after retention already reclaimed early segments.
+
+:class:`ShadowSet` is the loop every backfill driver runs over its
+shadows — chase the target's frontier, restart when the target was
+rebuilt below the shadow — whatever carries the exported state to the
+target afterwards.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Callable, Iterable
 
 from repro.common.errors import EngineError
 from repro.engine.catalog import CreateMetricOp, MetricDef, StreamDef
@@ -44,7 +51,12 @@ class ReplayError(EngineError):
 
 
 class ShadowReplay:
-    """One partition's backfill reader + shadow processor."""
+    """One partition's backfill reader + shadow processor.
+
+    ``seed_checkpoint`` is only used once retention reclaimed the log's
+    first records; the shadow then restores it with those of
+    ``seed_metrics`` (the topic's other metrics) its state holds.
+    """
 
     def __init__(
         self,
@@ -56,25 +68,13 @@ class ShadowReplay:
         reservoir_config: ReservoirConfig | None = None,
         lsm_config: LsmConfig | None = None,
         seed_checkpoint: TaskCheckpoint | None = None,
-        seed_metrics: tuple[MetricDef, ...] = (),
+        seed_metrics: Iterable[MetricDef] = (),
     ) -> None:
         self.tp = tp
         self.metric = metric
         self.replayed = 0
         start = getattr(bus.log(tp), "start_offset", 0)
-        if seed_checkpoint is not None and seed_checkpoint.offset >= start:
-            self.processor = TaskProcessor.restore(
-                seed_checkpoint,
-                stream,
-                [m for m in seed_metrics if m.metric_id != metric.metric_id],
-                reservoir_config=reservoir_config,
-                lsm_config=lsm_config,
-            )
-            # Window priming from the restored reservoir stands in for
-            # the truncated prefix of the log.
-            self.processor.add_metric(dataclasses.replace(metric, backfill=True))
-            begin = seed_checkpoint.offset
-        elif start == 0:
+        if start == 0:
             self.processor = TaskProcessor.build(
                 tp,
                 stream,
@@ -83,6 +83,22 @@ class ShadowReplay:
                 lsm_config=lsm_config,
             )
             begin = 0
+        elif seed_checkpoint is not None and seed_checkpoint.offset >= start:
+            self.processor = TaskProcessor.restore(
+                seed_checkpoint,
+                stream,
+                [
+                    m for m in seed_metrics
+                    if m.metric_id in seed_checkpoint.metric_ids
+                    and m.metric_id != metric.metric_id
+                ],
+                reservoir_config=reservoir_config,
+                lsm_config=lsm_config,
+            )
+            # Window priming from the restored reservoir stands in for
+            # the truncated prefix of the log.
+            self.processor.add_metric(dataclasses.replace(metric, backfill=True))
+            begin = seed_checkpoint.offset
         else:
             raise ReplayError(
                 f"cannot backfill {tp}: log starts at {start} and no "
@@ -140,6 +156,53 @@ class ShadowReplay:
         self.cursor.close()
 
 
+class ShadowSet:
+    """The shadows of one backfill, each chasing its target's frontier.
+
+    A target — a task processor, or the task a shard worker runs — sits
+    at a frontier offset; its shadow replays toward it and is graftable
+    exactly when it sits there too. A target rebuilt *below* its shadow
+    (a restart from an older checkpoint, a rebalance onto a fresh
+    holder) restarts the replay. Keys are the driver's own (one per
+    task, or per holder of a task).
+    """
+
+    def __init__(self) -> None:
+        self._shadows: dict[object, ShadowReplay] = {}
+
+    def chase(
+        self,
+        key: object,
+        frontier: int,
+        batch: int,
+        open_shadow: Callable[[], ShadowReplay],
+    ) -> tuple[int, ShadowReplay | None]:
+        """Replay ``key``'s shadow up to ``batch`` records toward
+        ``frontier`` (opening it with ``open_shadow`` when there is
+        none); returns the records consumed and, once it sits exactly
+        at the frontier, the shadow."""
+        shadow = self._shadows.get(key)
+        if shadow is not None and shadow.position > frontier:
+            shadow.close()
+            shadow = None
+        if shadow is None:
+            shadow = self._shadows[key] = open_shadow()
+        work = shadow.step(batch, stop=frontier)
+        return work, shadow if shadow.position == frontier else None
+
+    def drop(self, key: object) -> None:
+        """Close and forget ``key``'s shadow, if any."""
+        shadow = self._shadows.pop(key, None)
+        if shadow is not None:
+            shadow.close()
+
+    def close(self) -> None:
+        """Release every shadow's retention pin; idempotent."""
+        for shadow in self._shadows.values():
+            shadow.close()
+        self._shadows.clear()
+
+
 class CooperativeBackfill:
     """Backfill driver for the step-driven ``single`` cluster.
 
@@ -158,7 +221,7 @@ class CooperativeBackfill:
         self.metric = metric
         self.batch = batch
         self.stream = cluster.catalog.streams[metric.stream]
-        self.shadows: dict[tuple[str, TopicPartition], ShadowReplay] = {}
+        self.shadows = ShadowSet()
         self.done = False
 
     def step(self) -> int:
@@ -173,31 +236,22 @@ class CooperativeBackfill:
                 for tp, processor in unit.task_processors.items():
                     if tp.topic == self.metric.topic:
                         targets.append((unit.unit_id, tp, processor))
+        config = self.cluster.unit_config
         for unit_id, tp, processor in targets:
             if processor.has_metric(self.metric.metric_id):
                 continue
-            key = (unit_id, tp)
-            shadow = self.shadows.get(key)
-            if shadow is not None and shadow.position > processor.next_offset:
-                # The target was rebuilt below the shadow (rebalance,
-                # fresh start): restart the replay from genesis.
-                shadow.close()
-                self.shadows.pop(key)
-                shadow = None
-            if shadow is None:
-                config = self.cluster.unit_config
-                shadow = ShadowReplay(
+            replayed, shadow = self.shadows.chase(
+                (unit_id, tp), processor.next_offset, self.batch,
+                lambda: ShadowReplay(
                     self.cluster.bus, tp, self.stream, self.metric,
                     reservoir_config=config.reservoir,
                     lsm_config=config.lsm,
-                )
-                self.shadows[key] = shadow
-            frontier = processor.next_offset
-            work += shadow.step(self.batch, stop=frontier)
-            if shadow.position == frontier:
+                ),
+            )
+            work += replayed
+            if shadow is not None:
                 processor.apply_backfill(self.metric, shadow.export())
-                shadow.close()
-                self.shadows.pop(key)
+                self.shadows.drop((unit_id, tp))
         if targets and all(
             processor.has_metric(self.metric.metric_id)
             for _, _, processor in targets
@@ -212,6 +266,4 @@ class CooperativeBackfill:
         return work
 
     def close(self) -> None:
-        for shadow in self.shadows.values():
-            shadow.close()
-        self.shadows.clear()
+        self.shadows.close()

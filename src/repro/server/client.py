@@ -50,7 +50,8 @@ from typing import Any, Iterable, Mapping
 
 from repro.common.errors import EngineError, ReproError
 from repro.common.timesource import TimeSource, resolve_time_source
-from repro.engine.cluster import Reply, _normalize_fields
+from repro.engine.cluster import _normalize_fields
+from repro.engine.frontend import Reply
 from repro.events.event import Event
 from repro.server.admission import REJECTED, LatencyBudget
 from repro.server.framing import frame, read_frame, take_frame

@@ -2,15 +2,19 @@
 
 Runs Railgun's back-end work — the batched ``poll_batches`` →
 ``process_batch`` path — in separate OS processes so ingestion scales
-past one core. Four layers:
+past one core. The layers:
 
 - :mod:`repro.shard.wire` — serde-based framing for work units, replies,
   checkpoints and control/routing messages crossing process boundaries;
 - :mod:`repro.shard.worker` / :mod:`repro.shard.supervisor` — the worker
   entrypoint and the process that spawns, routes to, monitors, restarts
   and checkpoints workers;
-- :mod:`repro.shard.parallel` — :class:`ParallelCluster`, the
-  RailgunCluster-compatible facade with one in-process coordinator;
+- :mod:`repro.shard.cluster` — :class:`ShardCluster`, the front layer
+  both facades share: the RailgunCluster-compatible client API and the
+  worker half of rebalance and recovery, over a fixed set of transport
+  hooks (:mod:`repro.shard.backfill` is its backfill splice);
+- :mod:`repro.shard.parallel` — :class:`ParallelCluster`, that layer
+  over one in-process coordinator and the supervisor pipes;
 - :mod:`repro.shard.router` — :class:`ClusterRouter` +
   :func:`shard_frontend_main`, the sharded-frontend topology: N frontend
   processes each owning a sticky slice of the partition space, shipping

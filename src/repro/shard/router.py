@@ -13,12 +13,15 @@ the coordinator the same way the engine shards tasks:
   nothing but routing and framing, and ships ``WorkBatch`` frames
   *directly* to the owning shard workers over its own AF_UNIX data
   sockets — the hot path never crosses a shared coordinator loop.
-- **A thin client facade** (:class:`ClusterRouter`) that keeps the
-  ``RailgunCluster`` API: DDL calls, ``send``/``send_batch``, the same
-  :class:`~repro.engine.cluster.Reply` objects. Its per-event work is
-  hashing the partitioner key (the same ``partition_for`` the
-  single-process bus uses, so placement is identical), framing the event
-  to the owning frontend, and merging completed replies.
+- **A thin client facade** (:class:`ClusterRouter`): the routed
+  transport under the shared front layer
+  (:class:`~repro.shard.cluster.ShardCluster` owns the client API —
+  DDL calls, ``send``/``send_batch``, the same
+  :class:`~repro.engine.frontend.Reply` objects — and the worker half of
+  recovery). Its per-event work is hashing the partitioner key (the
+  same ``partition_for`` the single-process bus uses, so placement is
+  identical), framing the event to the owning frontend, and merging
+  completed replies.
 
 Determinism: a partition is owned by exactly one frontend and the
 router routes in client order over FIFO channels, so every partition's
@@ -55,12 +58,12 @@ Recovery:
   in-memory and unbounded for now; checkpoint-aware truncation is a
   named ROADMAP item.
 
-``stats()`` and the checkpoint cadence stay merged at the supervisor:
-frontends report per-worker ``(records, replies)`` deltas inside every
-``ReplyBatch`` and the router credits them via
-:meth:`~repro.shard.supervisor.ShardSupervisor.note_processed`, so
-``checkpoint_every`` fires on cluster-wide progress exactly as in
-single-frontend mode.
+Per-worker progress and the checkpoint cadence stay merged at the
+supervisor: frontends report per-worker ``(records, replies)`` deltas
+inside every ``ReplyBatch`` and the router credits them via
+:meth:`~repro.shard.supervisor.ShardSupervisor.note_processed`, so the
+``supervisor_worker_*_total`` counters and ``checkpoint_every`` track
+cluster-wide progress exactly as in single-frontend mode.
 """
 
 from __future__ import annotations
@@ -72,12 +75,10 @@ import queue
 import shutil
 import socket
 import tempfile
-import threading
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any
 
-from repro.common.clock import ManualClock
 from repro.common.errors import EngineError, ReproError
 from repro.common.hashing import partition_for
 from repro.common.timesource import TimeSource, resolve_time_source
@@ -88,47 +89,26 @@ from repro.engine.assignment import (
 )
 from repro.engine.catalog import (
     GLOBAL_PARTITIONER,
-    AddPartitionerOp,
+    OP_LAYOUTS,
     Catalog,
-    CreateMetricOp,
-    CreateStreamOp,
-    DeleteMetricOp,
-    EvolveSchemaOp,
     topic_name,
 )
-from repro.engine.cluster import (
-    Reply,
-    _normalize_fields,
-    build_metric_def,
-    build_stream_def,
-    validate_new_partitioner,
-)
-from repro.engine.envelope import EventEnvelope
+from repro.engine.frontend import Reply
 from repro.engine.processor import ACTIVE_GROUP, UnitConfig
-from repro.engine.task import TaskProcessor
 from repro.events.event import Event
 from repro.messaging.broker import MessageBus
 from repro.messaging.consumer import PartitionView
-from repro.messaging.durable import (
-    DurableBus,
-    read_cut,
-    resolve_durable_dir,
-    write_cut,
-)
-from repro.messaging.cursor import LogCursor
+from repro.messaging.durable import DurableBus, read_cut, write_cut
 from repro.messaging.log import TopicPartition
-from repro.replay.asof import AsOfResult, seed_processor
-from repro.replay.backfill import ReplayError, ShadowReplay
+from repro.replay.asof import read_page
 from repro.shard import columnar, wire
-from repro.shard.supervisor import ShardSupervisor, _default_context
-from repro.telemetry import (
-    MetricsRegistry,
-    decode_bundle,
-    decode_snapshot,
-    encode_bundle,
-    encode_snapshot,
-    merge_snapshots,
-)
+from repro.shard.backfill import FrontendBackfill, RouterBackfill
+from repro.shard.cluster import ShardCluster
+from repro.shard.supervisor import _default_context
+from repro.telemetry import MetricsRegistry, StageLaps, encode_bundle, encode_snapshot
+
+#: catalogue ops a frontend applies (every DDL op reaches it).
+_CATALOG_OPS = tuple(OP_LAYOUTS)
 
 #: reply entries per ReplyBatch frame (keeps frames under pipe buffers).
 REPLY_CHUNK = 512
@@ -292,12 +272,10 @@ class FrontendEngine:
             self.draining = msg.request_id
         elif isinstance(msg, wire.TruncateLogs):
             self.truncate_logs(msg)
-        elif isinstance(msg, CreateStreamOp):
+        elif isinstance(msg, _CATALOG_OPS):
             self.catalog.apply(msg)
-            self._create_topics(msg.stream.name)
-        elif isinstance(msg, AddPartitionerOp):
-            self.catalog.apply(msg)
-            self._create_topics(msg.stream)
+            for topic, count in self.catalog.event_topics().items():
+                self.bus.create_topic(topic, count)
         elif isinstance(msg, wire.BackfillStart):
             if msg.metric.metric_id not in self.backfills:
                 self.backfills[msg.metric.metric_id] = FrontendBackfill(self, msg)
@@ -306,25 +284,12 @@ class FrontendEngine:
             if job is not None:
                 job.close()
         elif isinstance(msg, wire.BackfillRead):
-            self._records_buf.append(self._read_records(msg))
+            # One page of an owned partition log: the router's as-of
+            # read path (the router holds no logs of its own).
+            page = read_page(self.bus, msg.tp, msg.begin, msg.max_records)
+            self._records_buf.append(wire.BackfillRecords(msg.tp, msg.begin, *page))
         else:
             raise TypeError(f"unexpected frontend message: {type(msg).__name__}")
-
-    def _read_records(self, msg: wire.BackfillRead) -> wire.BackfillRecords:
-        """Serve one page of an owned partition log (the router's as-of
-        read path; the router holds no logs of its own)."""
-        log = self.bus.log(msg.tp)
-        start = getattr(log, "start_offset", 0)
-        end = self.bus.end_offset(msg.tp)
-        begin = max(msg.begin, start)
-        entries: list[tuple[int, Event]] = []
-        with LogCursor(self.bus, msg.tp, begin) as cursor:
-            for message in cursor.read(msg.max_records):
-                value = message.value
-                if isinstance(value, EventEnvelope):
-                    value = value.event
-                entries.append((message.offset, value))
-        return wire.BackfillRecords(msg.tp, msg.begin, entries, start, end)
 
     def step_backfills(self) -> int:
         """Advance every running backfill job one round."""
@@ -332,12 +297,6 @@ class FrontendEngine:
         for job in self.backfills.values():
             work += job.step()
         return work
-
-    def _create_topics(self, stream_name: str) -> None:
-        stream = self.catalog.streams[stream_name]
-        for partitioner in stream.partitioners:
-            count = 1 if partitioner == GLOBAL_PARTITIONER else stream.partitions
-            self.bus.create_topic(topic_name(stream_name, partitioner), count)
 
     def apply_assign(self, msg: wire.FrontendAssign) -> None:
         """Install the owned slice + task→worker routes; apply seeks.
@@ -696,131 +655,6 @@ class FrontendEngine:
         )
 
 
-class FrontendBackfill:
-    """One backfill job's frontend half: shadows + in-line installs.
-
-    In router mode the frontends host the backfill readers — each owns
-    its tasks' partition logs *and* their dispatch position, so the
-    splice point is decided in the loop thread that also ships the
-    work: when a shadow catches the task's
-    :meth:`~repro.messaging.consumer.PartitionView.position`, nothing
-    past that offset has been dispatched yet, and the
-    :class:`~repro.shard.wire.BackfillInstall` sent on the task's data
-    link lands (socket-FIFO) between the batches below the cut and the
-    ones above it. The worker stashes and splices at exactly that
-    offset; its ack flows through the supervisor control pipe to the
-    router, which owns completion.
-
-    Recovery mirrors the other topologies: a worker restart or a route
-    move calls :meth:`forget` for the affected tasks (the fresh worker
-    restored from a checkpoint that may predate the splice), and the
-    next :meth:`step` re-replays to the restored frontier and
-    re-installs — a duplicate install is re-acked without applying.
-    """
-
-    def __init__(self, engine: FrontendEngine, start: wire.BackfillStart) -> None:
-        self.engine = engine
-        self.metric = start.metric
-        self.peers = start.peers
-        self.seeds = dict(start.seeds)
-        self.stream = engine.catalog.streams[start.metric.stream]
-        self.shadows: dict[TopicPartition, ShadowReplay] = {}
-        self.installed: set[TopicPartition] = set()
-        #: per-task minimum splice offset, raised by BackfillStale nacks
-        self.floor: dict[TopicPartition, int] = {}
-        self.batch = 512
-
-    def step(self) -> int:
-        engine = self.engine
-        work = 0
-        for tp in engine.view.assignment():
-            if tp.topic != self.metric.topic or tp in self.installed:
-                continue
-            worker_id = engine.routes.get(tp)
-            if worker_id is None or worker_id in engine.down:
-                continue  # quarantined; WorkerRestarted re-authorizes
-            frontier = engine.view.position(tp)
-            shadow = self.shadows.get(tp)
-            if shadow is not None and shadow.position > frontier:
-                # The task was re-seeked below the shadow (worker
-                # restart from an older checkpoint): restart the replay.
-                shadow.close()
-                del self.shadows[tp]
-                shadow = None
-            if shadow is None:
-                shadow = self._make_shadow(tp)
-                self.shadows[tp] = shadow
-            work += shadow.step(self.batch, stop=frontier)
-            if shadow.position != frontier:
-                continue
-            if frontier < self.floor.get(tp, 0):
-                continue  # worker nacked this cut; wait for dispatch to pass it
-
-            conn = engine._link(worker_id)
-            if conn is None:
-                continue
-            state = shadow.export()
-            install = wire.BackfillInstall(
-                tp,
-                frontier,
-                self.metric,
-                state.state_rows,
-                state.distinct_rows,
-                state.iterator_positions,
-            )
-            try:
-                conn.send_bytes(wire.encode(install))
-            except OSError:
-                engine.link_down(worker_id)
-                continue
-            self.installed.add(tp)
-            shadow.close()
-            del self.shadows[tp]
-            work += 1
-        return work
-
-    def _make_shadow(self, tp: TopicPartition) -> ShadowReplay:
-        """A shadow from offset 0, or — when retention already reclaimed
-        the early segments — seeded from the stored checkpoint the
-        router shipped with the start frame."""
-        engine = self.engine
-        config = engine.unit_config
-        try:
-            return ShadowReplay(
-                engine.bus, tp, self.stream, self.metric,
-                reservoir_config=config.reservoir,
-                lsm_config=config.lsm,
-            )
-        except ReplayError:
-            checkpoint = self.seeds.get(tp)
-            if checkpoint is None:
-                raise
-            seed_metrics = tuple(
-                m for m in self.peers if m.metric_id in checkpoint.metric_ids
-            )
-            return ShadowReplay(
-                engine.bus, tp, self.stream, self.metric,
-                reservoir_config=config.reservoir,
-                lsm_config=config.lsm,
-                seed_checkpoint=checkpoint,
-                seed_metrics=seed_metrics,
-            )
-
-    def forget(self, tasks: set[TopicPartition]) -> None:
-        """Un-install + drop shadows for ``tasks``; they re-replay."""
-        for tp in tasks:
-            self.installed.discard(tp)
-            shadow = self.shadows.pop(tp, None)
-            if shadow is not None:
-                shadow.close()
-
-    def close(self) -> None:
-        """Release every shadow's retention pin; idempotent."""
-        for shadow in self.shadows.values():
-            shadow.close()
-        self.shadows.clear()
-
-
 def shard_frontend_main(
     conn,
     frontend_id: str,
@@ -949,89 +783,20 @@ class FrontendHandle:
         return self.process.is_alive()
 
 
-class RouterBackfill:
-    """The router half of one backfill: watch acks, own completion.
-
-    The frontends do the replaying and splicing
-    (:class:`FrontendBackfill`); worker acks flow through the
-    supervisor control pipes into
-    :attr:`~repro.shard.supervisor.ShardSupervisor.backfill_installed`.
-    Once every task of the metric's topic acked, completion runs
-    checkpoint-then-broadcast — a synchronous with-state checkpoint so
-    the stored state already contains the splice, *then* the
-    ``CreateMetric`` broadcast into the replayable worker control log
-    (the reverse order would let a post-crash restore register the def
-    against pre-splice state) — and finally tells the frontends to
-    stop, pruning the journaled start frame so respawns stop replaying
-    the job.
-    """
-
-    def __init__(self, router: "ClusterRouter", metric, start_frame: bytes) -> None:
-        self.router = router
-        self.metric = metric
-        self.start_frame = start_frame
-        self.done = False
-
-    def step(self) -> int:
-        if self.done:
-            return 0
-        router = self.router
-        metric_id = self.metric.metric_id
-        tasks = [
-            tp for tp in router._event_tasks() if tp.topic == self.metric.topic
-        ]
-        acked = router.supervisor.backfill_installed
-        if not tasks or any((tp, metric_id) not in acked for tp in tasks):
-            return 0
-        try:
-            router.supervisor.request_checkpoints(with_state=True)
-        except EngineError:
-            # A worker vanished mid-completion; its restart resets the
-            # affected acks and the job keeps running.
-            return 0
-        router._publish_op(CreateMetricOp(self.metric))
-        stop = wire.encode(wire.BackfillStop(metric_id))
-        for handle in router._frontends.values():
-            handle.journal = [
-                entry for entry in handle.journal if entry[1] != self.start_frame
-            ]
-            try:
-                handle.conn.send_bytes(stop)
-            except OSError:
-                pass  # dead frontend; its respawn never sees the job
-        for key in [k for k in acked if k[1] == metric_id]:
-            acked.discard(key)
-        self.done = True
-        return 1
-
-    def reset(self, tasks: set[TopicPartition] | None = None) -> None:
-        """Forget acks — all, or just for ``tasks`` — after a worker
-        restart or rebalance rebuilt their state from checkpoints that
-        may predate the splice. The owning frontends re-install
-        autonomously (their ``WorkerRestarted``/``FrontendAssign``
-        handling forgets the same tasks)."""
-        if self.done:
-            return
-        acked = self.router.supervisor.backfill_installed
-        for tp, metric_id in list(acked):
-            if metric_id != self.metric.metric_id:
-                continue
-            if tasks is None or tp in tasks:
-                acked.discard((tp, metric_id))
-
-
-class ClusterRouter:
+class ClusterRouter(ShardCluster):
     """N frontend processes + W shard workers behind the cluster API.
 
     ``create_cluster("process", workers=W, frontends=F)`` returns this
     facade for ``F >= 2`` (and the single-coordinator
     :class:`~repro.shard.parallel.ParallelCluster` otherwise); the bench
     harness constructs it directly with ``frontends=1`` to measure the
-    router architecture's single-frontend baseline. The client API —
-    DDL, ``send``/``send_batch``, ``Reply`` objects, ``stats()`` — is
-    shared with ``RailgunCluster``/``ParallelCluster``, and replies are
-    byte-identical to both.
+    router architecture's single-frontend baseline. The client API is
+    :class:`~repro.shard.cluster.ShardCluster`'s, shared with
+    ``ParallelCluster``, and replies are byte-identical to both
+    ``ParallelCluster`` and ``RailgunCluster``.
     """
+
+    _backfill_job = RouterBackfill
 
     def __init__(
         self,
@@ -1052,41 +817,16 @@ class ClusterRouter:
     ) -> None:
         if frontends <= 0:
             raise EngineError(f"need at least one frontend: {frontends}")
-        self._time = resolve_time_source(time_source)
-        #: router-side registry, shared with the supervisor; the merged
-        #: cluster view (router + frontends + workers) is
-        #: :meth:`telemetry`.
-        self.metrics = MetricsRegistry("router", time_source=self._time)
-        self._span_seq = 0
-        #: latest telemetry bundle per frontend (its own snapshot plus
-        #: forwarded worker snapshots), piggybacked on ``ReplyBatch``.
-        self._frontend_bundles: dict[str, bytes] = {}
-        self.clock = ManualClock(start_ms=1)
-        self.catalog = Catalog()
-        self.tick_ms = tick_ms
-        self.batch_max = batch_max
-        self.ingest_max = ingest_max
-        self.durable_dir = resolve_durable_dir(durable_dir, "router")
-        self.durable_fsync = durable_fsync
-        self.durable_segment_bytes = durable_segment_bytes
         self._ctx = mp_context if mp_context is not None else _default_context()
         self._socket_dir = tempfile.mkdtemp(prefix="railgun-shard-")
-        self.supervisor = ShardSupervisor(
-            workers,
-            unit_config=unit_config,
-            strategy=assignment_strategy,
-            time_source=self._time,
-            checkpoint_interval=checkpoint_every,
-            mp_context=self._ctx,
-            listen_dir=self._socket_dir,
-            checkpoint_dir=(
-                os.path.join(self.durable_dir, "checkpoints")
-                if self.durable_dir is not None
-                else None
-            ),
-            telemetry=self.metrics,
+        super().__init__(
+            "router", workers, unit_config, tick_ms, batch_max,
+            checkpoint_every, assignment_strategy, self._ctx, durable_dir,
+            time_source, listen_dir=self._socket_dir,
         )
-        self.supervisor.on_restart = self._on_worker_restart
+        self.ingest_max = ingest_max
+        self.durable_fsync = durable_fsync
+        self.durable_segment_bytes = durable_segment_bytes
         self.frontend_strategy = (
             frontend_strategy
             if frontend_strategy is not None
@@ -1098,30 +838,20 @@ class ClusterRouter:
             self._frontends[frontend_id] = self._spawn_frontend(frontend_id)
         #: task -> owning frontend (sticky across rebalances).
         self._fe_owner: dict[TopicPartition, str] = {}
-        #: router-side snapshot of replied watermarks (piggybacked on
-        #: every ReplyBatch) — the seed for frontend respawn suppression.
-        self._watermarks: dict[TopicPartition, int] = {}
         self.pending: dict[int, _PendingFanin] = {}
         self.completed: dict[int, Reply] = {}
         self._next_correlation = 0
-        #: mirror of the other facades' ``bus.messages_published`` (one
+        #: mirror of ``ParallelCluster``'s ``bus.messages_published`` (one
         #: per DDL op + one per event per fanned-out topic): auto-minted
-        #: ``client-...`` event ids must match ``ParallelCluster``'s for
-        #: the same call sequence, or dict-input replies would carry
-        #: different event identities across topologies.
+        #: ``client-...`` event ids must match for the same call
+        #: sequence, or dict-input replies would carry different event
+        #: identities across topologies.
         self._published = 0
         self._next_drain = 0
         self._drain_acks: set[tuple[int, str]] = set()
-        #: running/completed backfill jobs (router half of each).
-        self._backfills: list[RouterBackfill] = []
         #: answered log-read pages, keyed by (task, begin offset).
         self._read_pages: dict[tuple[TopicPartition, int], wire.BackfillRecords] = {}
         self.frontend_errors: list[str] = []
-        self.rebalance_count = 0
-        #: checkpoint-store version the logs were last truncated against.
-        self._truncated_at = 0
-        self._closed = False
-        self._close_lock = threading.Lock()
         #: thread-safe handoff from other threads (the asyncio front
         #: door) into the thread that owns this router; drained by
         #: ``service_step``. The queue is the ONLY structure touched
@@ -1133,7 +863,7 @@ class ClusterRouter:
         #: opposed to direct ``send``/``send_batch`` calls).
         self._service_pending: dict[int, tuple[Any, int]] = {}
 
-    # -- topology -------------------------------------------------------------
+    # -- frontends ------------------------------------------------------------
 
     def _spawn_frontend(self, frontend_id: str) -> FrontendHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
@@ -1159,311 +889,13 @@ class ClusterRouter:
         """Current frontend processes, in spawn order."""
         return list(self._frontends)
 
-    def worker_ids(self) -> list[str]:
-        """Current shard workers."""
-        return self.supervisor.worker_ids()
-
-    def kill_worker(self, worker_id: str) -> None:
-        """SIGKILL a shard worker (fault injection for tests)."""
-        self.supervisor.kill_worker(worker_id)
-
     def kill_frontend(self, frontend_id: str) -> None:
         """SIGKILL a frontend process (fault injection for tests)."""
-        handle = self._frontend(frontend_id)
-        handle.process.kill()
-
-    def _frontend(self, frontend_id: str) -> FrontendHandle:
         try:
-            return self._frontends[frontend_id]
+            handle = self._frontends[frontend_id]
         except KeyError:
             raise EngineError(f"unknown frontend {frontend_id!r}") from None
-
-    def add_worker(self) -> str:
-        """Spawn one more shard worker and rebalance onto it.
-
-        The data plane is drained and checkpoints refreshed first, so
-        moved tasks restore on the new worker from up-to-date state and
-        replay nothing.
-        """
-        self.drain()
-        self._refresh_checkpoints()
-        worker_id = self.supervisor.add_worker()
-        self._rebalance()
-        return worker_id
-
-    def remove_worker(self, worker_id: str) -> None:
-        """Retire a worker; its tasks hand state off via the checkpoint
-        store and replay only the (empty, post-drain) tail elsewhere."""
-        self.drain()
-        self._refresh_checkpoints()
-        self.supervisor.remove_worker(worker_id)
-        self._rebalance()
-
-    def _refresh_checkpoints(self) -> None:
-        try:
-            self.supervisor.request_checkpoints(with_state=True)
-        except EngineError:
-            pass  # best effort; stored checkpoints plus replay cover it
-
-    # -- DDL ------------------------------------------------------------------
-
-    def create_stream(
-        self,
-        name: str,
-        partitioners: Iterable[str],
-        partitions: int = 4,
-        schema: object = (),
-        with_global_partitioner: bool = False,
-    ) -> None:
-        """Register a stream: schema + partitioners + topic creation."""
-        stream = build_stream_def(
-            self.catalog, name, partitioners, partitions, schema,
-            with_global_partitioner,
-        )
-        op = CreateStreamOp(stream)
-        self._publish_op(op)
-        self._broadcast_frontends(op)
-        self._rebalance()
-
-    def create_metric(self, query_text: str, backfill: bool = False) -> int:
-        """Register a metric from a Figure 4 statement; returns metric id."""
-        metric = build_metric_def(self.catalog, query_text, backfill)
-        activations = tuple(
-            sorted(
-                ((tp, self._watermarks.get(tp, 0))
-                 for tp in self._event_tasks() if tp.topic == metric.topic),
-                key=lambda pair: str(pair[0]),
-            )
-        )
-        self._publish_op(CreateMetricOp(metric, activations))
-        self._sync_workers()
-        return metric.metric_id
-
-    # -- replay & backfill ----------------------------------------------------
-
-    def backfill_metric(self, query_text: str) -> int:
-        """Define a metric *after the fact* and materialize it from the logs.
-
-        The metric id is reserved immediately; the owning frontends —
-        which host the partition logs — replay each task through a
-        shadow and splice it into the worker at the exact dispatch cut
-        (ingest never pauses), while a router-side
-        :class:`RouterBackfill` job watches the worker acks and runs
-        the completion. Only on completion does the ``CreateMetric``
-        broadcast reach the worker control log — an incomplete backfill
-        does not survive a router restart and must be re-issued. Use
-        :meth:`backfill_status` to observe completion.
-        """
-        metric = build_metric_def(self.catalog, query_text)
-        self.catalog.apply(CreateMetricOp(metric))
-        peers = tuple(
-            m
-            for m in self.catalog.metrics_for_topic(metric.topic)
-            if m.metric_id != metric.metric_id
-        )
-        store = self.supervisor.checkpoints
-        seeds = tuple(
-            (tp, checkpoint)
-            for tp in self._event_tasks()
-            if tp.topic == metric.topic
-            and (checkpoint := store.get(tp)) is not None
-        )
-        frame = self._broadcast_frontends(
-            wire.BackfillStart(metric, peers, seeds)
-        )
-        self._backfills.append(RouterBackfill(self, metric, frame))
-        return metric.metric_id
-
-    def backfill_status(self, metric_id: int) -> str:
-        """``"running"``, ``"complete"``, or ``"unknown"`` for an id."""
-        for job in self._backfills:
-            if job.metric.metric_id == metric_id:
-                return "complete" if job.done else "running"
-        return "unknown"
-
-    def metric_values(self, metric_id: int) -> dict[tuple, dict[str, Any]]:
-        """A metric's current per-group values, merged across partitions.
-
-        Workers hold the live state, so this takes a synchronous
-        with-state checkpoint and reads the values off restored
-        copies — exact, because a restore is byte-faithful to the
-        worker's state at the checkpoint boundary.
-        """
-        metric = self.catalog.metrics.get(metric_id)
-        if metric is None:
-            raise EngineError(f"unknown metric id {metric_id}")
-        self.supervisor.request_checkpoints(with_state=True)
-        stream = self.catalog.streams[metric.stream]
-        config = self.supervisor.unit_config
-        merged: dict[tuple, dict[str, Any]] = {}
-        for tp in self._event_tasks():
-            if tp.topic != metric.topic:
-                continue
-            checkpoint = self.supervisor.checkpoints.get(tp)
-            if checkpoint is None:
-                continue
-            metrics = [
-                m
-                for m in self.catalog.metrics_for_topic(metric.topic)
-                if m.metric_id in checkpoint.metric_ids
-            ]
-            processor = TaskProcessor.restore(
-                checkpoint,
-                stream,
-                metrics,
-                reservoir_config=config.reservoir,
-                lsm_config=config.lsm,
-            )
-            if processor.has_metric(metric_id):
-                merged.update(processor.metric_values(metric_id))
-        return merged
-
-    def query_as_of(
-        self, metric_id: int, as_of: int, batch: int = 256
-    ) -> AsOfResult:
-        """Time-travel read: the metric's values at event time ``as_of``.
-
-        The router owns no partition logs, so the replay tail is paged
-        in from the owning frontends (``BackfillRead`` round-trips);
-        the seeding rule is the shared one — a stored checkpoint is
-        used when every event it folded sits at or before ``as_of``,
-        which is what keeps the replay bounded.
-        """
-        metric = self.catalog.metrics.get(metric_id)
-        if metric is None:
-            raise EngineError(f"unknown metric id {metric_id}")
-        stream = self.catalog.streams[metric.stream]
-        metrics = sorted(
-            self.catalog.metrics_for_topic(metric.topic),
-            key=lambda m: m.metric_id,
-        )
-        config = self.supervisor.unit_config
-        merged: dict[tuple, dict[str, Any]] = {}
-        replayed = 0
-        log_records = 0
-        seeded = 0
-        for tp in self._event_tasks():
-            if tp.topic != metric.topic:
-                continue
-            checkpoint = self.supervisor.checkpoints.get(tp)
-            processor, begin = seed_processor(
-                tp, stream, metrics, checkpoint, as_of,
-                config.reservoir, config.lsm,
-            )
-            if begin > 0:
-                seeded += 1
-            position = begin
-            done = False
-            end_offset = 0
-            while not done:
-                page = self._fetch_page(tp, position, batch)
-                end_offset = page.end_offset
-                if position < page.start_offset:
-                    raise ReplayError(
-                        f"as-of replay for {tp} needs offset {position} "
-                        f"but the log starts at {page.start_offset}"
-                    )
-                if not page.entries:
-                    break
-                records = []
-                for record_offset, event in page.entries:
-                    if event.timestamp > as_of:
-                        done = True
-                        break
-                    records.append((record_offset, event))
-                if records:
-                    processor.process_batch(records)
-                    replayed += len(records)
-                    position = records[-1][0] + 1
-            log_records += end_offset
-            if processor.has_metric(metric_id):
-                merged.update(processor.metric_values(metric_id))
-        return AsOfResult(
-            values=merged,
-            replayed=replayed,
-            log_records=log_records,
-            seeded=seeded,
-        )
-
-    def _fetch_page(
-        self,
-        tp: TopicPartition,
-        begin: int,
-        max_records: int,
-        timeout: float = 10.0,
-    ) -> wire.BackfillRecords:
-        """One ``BackfillRead`` round-trip to the task's owning frontend
-        (re-asked across a frontend respawn)."""
-        owner = self._fe_owner.get(tp)
-        if owner is None:
-            raise EngineError(f"partition {tp} has no frontend owner")
-        handle = self._frontends[owner]
-        key = (tp, begin)
-        self._read_pages.pop(key, None)
-        request = wire.encode(wire.BackfillRead(tp, begin, max_records))
-        asked = handle.restarts
-        try:
-            handle.conn.send_bytes(request)
-        except OSError:
-            pass  # respawn detected below; re-asked then
-        deadline = self._time.deadline(timeout)
-        while True:
-            page = self._read_pages.pop(key, None)
-            if page is not None:
-                return page
-            if deadline.expired():
-                raise EngineError(
-                    f"frontend {owner} did not answer a log read for {tp}"
-                )
-            self.pump()
-            if handle.restarts != asked:
-                asked = handle.restarts
-                try:
-                    handle.conn.send_bytes(request)
-                except OSError:
-                    pass
-
-    def delete_metric(self, metric_id: int) -> None:
-        """Remove a metric cluster-wide."""
-        self._publish_op(DeleteMetricOp(metric_id))
-        self._sync_workers()
-
-    def _sync_workers(self) -> None:
-        """Barrier: every live worker has consumed the control frames
-        broadcast so far.
-
-        Worker control rides the supervisor pipes while work batches
-        ride the frontends' data sockets — two unordered channels. DDL
-        that changes what replies *contain* (a metric appearing or
-        vanishing) must therefore round-trip the control pipe before
-        returning, or an event dispatched right after the DDL could be
-        processed against the old metric set and diverge from the
-        single-process reference.
-        """
-        try:
-            self.supervisor.request_checkpoints(with_state=False)
-        except EngineError:
-            pass  # a worker died mid-barrier; its restart replays the log
-
-    def evolve_schema(self, stream: str, new_fields: object) -> None:
-        """Append fields to a stream schema (old chunks stay readable)."""
-        self._publish_op(EvolveSchemaOp(stream, _normalize_fields(new_fields)))
-
-    def add_partitioner(self, stream: str, partitioner: str) -> None:
-        """Add a top-level partitioner after stream creation (§4)."""
-        if validate_new_partitioner(self.catalog, stream, partitioner) is None:
-            return
-        op = AddPartitionerOp(stream, partitioner)
-        self._publish_op(op)
-        self._broadcast_frontends(op)
-        self._rebalance()
-
-    def _publish_op(self, op: object) -> None:
-        """Count and apply one DDL op, then replicate it to every worker
-        (the op is its own control frame)."""
-        self._published += 1
-        self.catalog.apply(op)
-        self.supervisor.broadcast_control(op)
+        handle.process.kill()
 
     def _broadcast_frontends(self, msg: object) -> bytes:
         frame = wire.encode(msg)
@@ -1475,181 +907,15 @@ class ClusterRouter:
                 pass  # dead frontend; the respawn replays the journal
         return frame
 
-    def _event_tasks(self) -> list[TopicPartition]:
-        tasks: list[TopicPartition] = []
-        for stream in self.catalog.streams.values():
-            for partitioner in stream.partitioners:
-                count = 1 if partitioner == GLOBAL_PARTITIONER else stream.partitions
-                topic = topic_name(stream.name, partitioner)
-                tasks.extend(TopicPartition(topic, i) for i in range(count))
-        return sorted(tasks, key=str)
+    # -- transport hooks ------------------------------------------------------
 
-    # -- the data path --------------------------------------------------------
+    def _publish_transport(self, op: object) -> None:
+        """Count the op (``_published``) and hand it to every frontend:
+        stream DDL gives them the topics their logs need."""
+        self._published += 1
+        self._broadcast_frontends(op)
 
-    def send(
-        self,
-        stream: str,
-        fields: Mapping[str, Any] | None = None,
-        timestamp: int | None = None,
-        event: Event | None = None,
-        event_id: str | None = None,
-        max_rounds: int = 2000,
-    ) -> Reply:
-        """Send one event and pump until its reply completes."""
-        if event is None:
-            if fields is None:
-                raise EngineError("either fields or event is required")
-            if timestamp is None:
-                timestamp = self.clock.now()
-            if event_id is None:
-                event_id = f"client-{self._published:012d}"
-            event = Event(event_id, timestamp, fields)
-        metrics = self.metrics
-        batch_started = metrics.now()
-        correlation = self._route_and_ship(stream, [event])[0]
-        metrics.counter_add("engine_batches_in_total")
-        metrics.counter_add("engine_events_in_total")
-        for _ in range(max_rounds):
-            reply = self.completed.pop(correlation, None)
-            if reply is not None:
-                metrics.counter_add("engine_replies_out_total")
-                metrics.observe_since("engine_batch_ms", batch_started)
-                return reply
-            self.pump()
-        raise EngineError(
-            f"reply for correlation {correlation} did not complete within "
-            f"{max_rounds} pump rounds"
-        )
-
-    def send_batch(
-        self,
-        stream: str,
-        batch: Iterable[Mapping[str, Any] | Event],
-        max_rounds: int = 20000,
-    ) -> list[Reply]:
-        """Send a batch and pump until every reply lands; input order."""
-        metrics = self.metrics
-        batch_started = metrics.now()
-        with metrics.time_stage("engine_ingest_ms"):
-            events: list[Event] = []
-            base_id = self._published
-            for index, item in enumerate(batch):
-                if isinstance(item, Event):
-                    events.append(item)
-                else:
-                    events.append(
-                        Event(
-                            f"client-{base_id + index:012d}",
-                            self.clock.now(),
-                            item,
-                        )
-                    )
-            correlations = self._route_and_ship(stream, events)
-        metrics.counter_add("engine_batches_in_total")
-        metrics.counter_add("engine_events_in_total", len(events))
-        outstanding = set(correlations)
-        for _ in range(max_rounds):
-            if not outstanding:
-                break
-            self.pump()
-            if self.completed:
-                outstanding.difference_update(self.completed)
-        if outstanding:
-            raise EngineError(
-                f"{len(outstanding)} of {len(correlations)} batched replies did "
-                f"not complete within {max_rounds} pump rounds"
-            )
-        with metrics.time_stage("engine_reply_ms"):
-            replies = [
-                self.completed.pop(correlation) for correlation in correlations
-            ]
-        metrics.counter_add("engine_replies_out_total", len(replies))
-        metrics.observe_since("engine_batch_ms", batch_started)
-        return replies
-
-    # -- thread-safe submission (the asyncio front door) ----------------------
-
-    def submit_batch(self, stream: str, events: list[Event], on_reply) -> None:
-        """Queue a batch for routing from another thread.
-
-        ``on_reply(index, reply)`` fires on the thread running
-        :meth:`service_step` once the ``index``-th event's fan-in
-        completes; replies may complete (and fire) in any order. A batch
-        refused whole before anything is routed fires ``on_reply(None,
-        error)`` once instead. May be
-        called from any thread — the ingest server's asyncio loop hands
-        work to the router's service thread through exactly this hook.
-        """
-        self._submissions.put(("batch", stream, list(events), on_reply))
-
-    def submit_call(self, fn, on_done) -> None:
-        """Queue an arbitrary control-plane call (DDL, stats) from
-        another thread; ``on_done(result, error)`` fires on the service
-        thread with whichever of the two the call produced."""
-        self._submissions.put(("call", fn, None, on_done))
-
-    def submission_backlog(self) -> int:
-        """Submissions accepted but not yet routed (queue-depth input
-        for admission control)."""
-        return self._submissions.qsize()
-
-    def service_outstanding(self) -> int:
-        """Submitted work not yet answered: queued submissions plus
-        routed correlations whose fan-in has not completed."""
-        return len(self._service_pending) + self._submissions.qsize()
-
-    def service_step(self) -> int:
-        """One service-thread round: drain submissions, pump, deliver.
-
-        The front-door server runs this in a dedicated thread; the
-        blocking wait inside :meth:`pump` (10ms on reply pipes when
-        idle) doubles as the loop's pacing, so an idle server costs one
-        wakeup per 10ms rather than a spin.
-        """
-        handled = 0
-        while True:
-            try:
-                kind, a, b, callback = self._submissions.get_nowait()
-            except queue.Empty:
-                break
-            if kind == "batch":
-                published = self._published
-                try:
-                    correlations = self._route_and_ship(a, b)
-                except ReproError as exc:
-                    if self._published != published:
-                        raise
-                    # Refused whole before anything was routed (schema
-                    # violation, unknown stream): the submitter's
-                    # problem, not the service thread's.
-                    callback(None, exc)
-                    continue
-                self.metrics.counter_add("engine_batches_in_total")
-                self.metrics.counter_add("engine_events_in_total", len(b))
-                for index, correlation in enumerate(correlations):
-                    self._service_pending[correlation] = (callback, index)
-                handled += len(correlations)
-            else:
-                try:
-                    result = a()
-                except Exception as exc:
-                    callback(None, exc)
-                else:
-                    callback(result, None)
-                handled += 1
-        handled += self.pump()
-        if self._service_pending and self.completed:
-            for correlation in list(self.completed):
-                entry = self._service_pending.pop(correlation, None)
-                if entry is None:
-                    continue  # a direct send/send_batch owns this reply
-                reply = self.completed.pop(correlation)
-                callback, index = entry
-                self.metrics.counter_add("engine_replies_out_total")
-                callback(index, reply)
-        return handled
-
-    def _route_and_ship(self, stream: str, events: list[Event]) -> list[int]:
+    def _ship(self, stream: str, events: list[Event]) -> list[int]:
         """Hash, bucket per frontend, frame and ship a run of events.
 
         The per-event hot path of the router: ``partition_for`` on each
@@ -1658,16 +924,9 @@ class ClusterRouter:
         frontend. Frames are journaled before they are sent, so a
         frontend crash mid-ship loses nothing.
         """
-        with self.metrics.time_stage("engine_dispatch_ms"):
-            return self._route_and_ship_inner(stream, events)
-
-    def _route_and_ship_inner(self, stream: str, events: list[Event]) -> list[int]:
-        span = None
-        if self.metrics.enabled:
-            # One span per routed run; it rides the IngestBatch frames
-            # and the frontends re-stamp it onto their WorkBatches.
-            self._span_seq += 1
-            span = f"router-{self._span_seq}"
+        # One span per routed run; it rides the IngestBatch frames and
+        # the frontends re-stamp it onto their WorkBatches.
+        span = self._mint_span()
         stream_def = self.catalog.streams.get(stream)
         if stream_def is None:
             raise EngineError(f"unknown stream {stream!r}")
@@ -1678,7 +937,7 @@ class ClusterRouter:
         partitioner_meta = [
             (
                 partitioner,
-                1 if partitioner == GLOBAL_PARTITIONER else stream_def.partitions,
+                stream_def.partition_count(partitioner),
                 topic_name(stream, partitioner),
             )
             for partitioner in stream_def.partitioners
@@ -1736,46 +995,309 @@ class ClusterRouter:
                 self._drain_replies()
         return correlations
 
-    # -- the world loop -------------------------------------------------------
-
-    def pump(self) -> int:
-        """One router round: drain replies, police processes, cadence."""
+    def _round(self, laps: StageLaps) -> int:
+        """Control out (backfill completion, retention), then collect:
+        drain replies, police children, respawn dead frontends."""
         self.clock.advance(self.tick_ms)
-        with self.metrics.time_stage("engine_collect_ms"):
-            handled = self._drain_replies()
-            self.supervisor.poll(0.0)
-        for job in self._backfills:
-            handled += job.step()
+        handled = self._step_backfills()
         self._truncate_durable_logs()
-        self._raise_on_errors()
-        self._respawn_dead_frontends()
+        laps.lap("engine_dispatch_ms")
+        handled += self._drain_replies()
+        self.supervisor.poll(0.0)
+        self._raise_worker_errors()
+        if self.frontend_errors:
+            raise EngineError("shard frontend failed:\n" + self.frontend_errors[-1])
+        for handle in self._frontends.values():
+            if not handle.alive:
+                self._respawn_frontend(handle)
         if handled == 0:
             # Nothing moved: block briefly on reply traffic instead of
             # spinning — the router must yield the core to its children.
-            with self.metrics.time_stage("engine_collect_ms"):
-                multiprocessing.connection.wait(
-                    [handle.conn for handle in self._frontends.values()], 0.01
-                )
-                handled += self._drain_replies()
+            multiprocessing.connection.wait(
+                [handle.conn for handle in self._frontends.values()], 0.01
+            )
+            handled += self._drain_replies()
+        laps.lap("engine_collect_ms")
         return handled
 
-    def run_until_quiet(self, max_rounds: int = 20000, quiet_rounds: int = 3) -> int:
-        """Pump until no replies move and no request is pending."""
-        total = 0
-        quiet = 0
-        busy_backfill = any(not job.done for job in self._backfills)
-        for _ in range(max_rounds):
-            handled = self.pump()
-            total += handled
-            if busy_backfill:
-                busy_backfill = any(not job.done for job in self._backfills)
-            if handled == 0 and not self.pending and not busy_backfill:
-                quiet += 1
-                if quiet >= quiet_rounds:
-                    return total
+    def _idle(self) -> bool:
+        # The frontends hold the logs and the in-flight work; every
+        # request they owe is still in ``pending``.
+        return True
+
+    def _quiesce(self) -> None:
+        self.drain()
+
+    def _apply_routes(
+        self,
+        mapping: dict[str, set[TopicPartition]],
+        seeks: dict[TopicPartition, int],
+    ) -> None:
+        """Place tasks on frontends and ship each its routes + seeks.
+
+        The per-task seek offsets travel inside ``FrontendAssign``
+        (control pipes are drained before data sockets, so the
+        checkpoint restore always lands before the task's next batch).
+        Journal copies are seek-stripped: a journal replay must not
+        rewind tasks to offsets that were only ever meaningful at the
+        moment of this rebalance.
+        """
+        owner_of = {tp: worker_id for worker_id, owned in mapping.items() for tp in owned}
+        tasks = sorted(owner_of, key=str)
+        previous = {
+            frontend_id: set(handle.owned)
+            for frontend_id, handle in self._frontends.items()
+        }
+        assignment = self.frontend_strategy.assign(
+            tasks,
+            [
+                ProcessorInfo(frontend_id, frontend_id)
+                for frontend_id in self._frontends
+            ],
+            PreviousState(active=previous),
+        )
+        # Frontend ownership is append-only: a task, once owned, NEVER
+        # moves — the owner hosts the task's only copy of its partition
+        # log and replied watermark, so a move would strand both (the
+        # new owner's log restarts at offset 0 and the worker would
+        # treat the re-appended tail as replays: silently dropped
+        # events). The strategy only places tasks it has never placed
+        # before; the frontend count is fixed for the cluster's
+        # lifetime, so pinning costs nothing but balance on topic
+        # additions.
+        placed: dict[TopicPartition, str] = {}
+        for frontend_id in self._frontends:
+            for tp in assignment.active.get(frontend_id, set()):
+                placed[tp] = frontend_id
+        for tp in tasks:
+            if tp not in self._fe_owner:
+                self._fe_owner[tp] = placed[tp]
+        for frontend_id, handle in self._frontends.items():
+            handle.owned = {
+                tp for tp, owner in self._fe_owner.items() if owner == frontend_id
+            }
+            routes = tuple(
+                (tp, owner_of[tp], self.supervisor.worker_addr(owner_of[tp]))
+                for tp in sorted(handle.owned, key=str)
+            )
+            fe_seeks = tuple(
+                (tp, seeks[tp]) for tp, _, _ in routes if tp in seeks
+            )
+            handle.journal.append(
+                (-1, wire.encode(wire.FrontendAssign(routes, ())))
+            )
+            try:
+                handle.conn.send_bytes(
+                    wire.encode(wire.FrontendAssign(routes, fe_seeks))
+                )
+            except OSError:
+                pass  # dead frontend; the respawn replays the journal
+
+    def _announce_restart(
+        self, worker_id: str, seeks: dict[TopicPartition, int]
+    ) -> None:
+        """Announce a restarted worker to every frontend.
+
+        Each frontend reconnects to the worker's (stable) address,
+        rewinds the listed tasks it owns to their checkpointed offsets
+        and replays the tail. Frontends with none of the worker's tasks
+        hear it too: the announcement is what lifts a crash quarantine,
+        and a later rebalance may route this worker back to any of them.
+        """
+        addr = self.supervisor.worker_addr(worker_id)
+        for handle in self._frontends.values():
+            relevant = sorted(handle.owned & seeks.keys(), key=str)
+            msg = wire.WorkerRestarted(
+                worker_id, addr, tuple((tp, seeks[tp]) for tp in relevant)
+            )
+            try:
+                handle.conn.send_bytes(wire.encode(msg))
+            except OSError:
+                pass  # dead frontend; the respawn re-seeks via journal + seeks
+
+    def _read_page(
+        self,
+        tp: TopicPartition,
+        begin: int,
+        max_records: int,
+        timeout: float = 10.0,
+    ) -> wire.BackfillRecords:
+        """One ``BackfillRead`` round-trip to the task's owning frontend
+        (re-asked across a frontend respawn)."""
+        owner = self._fe_owner.get(tp)
+        if owner is None:
+            raise EngineError(f"partition {tp} has no frontend owner")
+        handle = self._frontends[owner]
+        key = (tp, begin)
+        self._read_pages.pop(key, None)
+        request = wire.encode(wire.BackfillRead(tp, begin, max_records))
+        asked = handle.restarts
+        try:
+            handle.conn.send_bytes(request)
+        except OSError:
+            pass  # respawn detected below; re-asked then
+        deadline = self._time.deadline(timeout)
+        while True:
+            page = self._read_pages.pop(key, None)
+            if page is not None:
+                return page
+            if deadline.expired():
+                raise EngineError(
+                    f"frontend {owner} did not answer a log read for {tp}"
+                )
+            self.pump()
+            if handle.restarts != asked:
+                asked = handle.restarts
+                try:
+                    handle.conn.send_bytes(request)
+                except OSError:
+                    pass
+
+    def _truncate_logs(self, offsets: dict[TopicPartition, int]) -> None:
+        """Fan retention out to the log owners: each frontend deletes
+        its owned tasks' segments wholly below their stored offsets."""
+        for handle in self._frontends.values():
+            owned = tuple(
+                (tp, offsets[tp])
+                for tp in sorted(handle.owned, key=str)
+                if offsets.get(tp, 0) > 0
+            )
+            if not owned:
+                continue
+            try:
+                handle.conn.send_bytes(wire.encode(wire.TruncateLogs(owned)))
+            except OSError:
+                pass  # dead frontend; its respawn reopens truncated logs
+
+    def _teardown(self, drain_timeout: float = 10.0) -> None:
+        """Drain-before-close, then stop the frontends.
+
+        Outstanding fan-ins complete first — direct ``send``/
+        ``send_batch`` correlations and queued front-door submissions
+        alike — so a server shutting down mid-flight answers every
+        accepted request before its processes go away. The drain is
+        bounded: ``drain_timeout`` caps it overall, and a stall (no
+        progress for ~50 idle rounds, e.g. after an unrecovered crash)
+        abandons it early rather than hanging shutdown. A child error
+        raised mid-drain likewise downgrades to an immediate teardown.
+        The caller must stop any thread running :meth:`service_step`
+        first — the drain runs on the calling thread.
+        """
+        deadline = self._time.deadline(drain_timeout)
+        stalled = 0
+        try:
+            while (
+                self.pending
+                or self._service_pending
+                or self._submissions.qsize() > 0
+            ):
+                if deadline.expired() or stalled > 50:
+                    break
+                stalled = 0 if self.service_step() else stalled + 1
+        except EngineError:
+            pass  # dead child mid-drain: fall through to teardown
+        try:
+            for handle in self._frontends.values():
+                try:
+                    handle.conn.send_bytes(wire.encode(wire.Shutdown()))
+                except (OSError, ValueError):
+                    pass
+            for handle in self._frontends.values():
+                handle.process.join(timeout=2.0)
+                if handle.alive:
+                    handle.process.kill()
+                    handle.process.join(timeout=2.0)
+                try:
+                    handle.conn.close()
+                except OSError:
+                    pass
+        finally:
+            # Nothing dials a worker once the frontends are gone.
+            shutil.rmtree(self._socket_dir, ignore_errors=True)
+
+    # -- thread-safe submission (the asyncio front door) ----------------------
+
+    def submit_batch(self, stream: str, events: list[Event], on_reply) -> None:
+        """Queue a batch for routing from another thread.
+
+        ``on_reply(index, reply)`` fires on the thread running
+        :meth:`service_step` once the ``index``-th event's fan-in
+        completes; replies may complete (and fire) in any order. A batch
+        refused whole before anything is routed fires ``on_reply(None,
+        error)`` once instead. May be
+        called from any thread — the ingest server's asyncio loop hands
+        work to the router's service thread through exactly this hook.
+        """
+        self._submissions.put(("batch", stream, list(events), on_reply))
+
+    def submit_call(self, fn, on_done) -> None:
+        """Queue an arbitrary control-plane call (DDL, stats) from
+        another thread; ``on_done(result, error)`` fires on the service
+        thread with whichever of the two the call produced."""
+        self._submissions.put(("call", fn, None, on_done))
+
+    def submission_backlog(self) -> int:
+        """Submissions accepted but not yet routed (queue-depth input
+        for admission control)."""
+        return self._submissions.qsize()
+
+    def service_outstanding(self) -> int:
+        """Submitted work not yet answered: queued submissions plus
+        routed correlations whose fan-in has not completed."""
+        return len(self._service_pending) + self._submissions.qsize()
+
+    def service_step(self) -> int:
+        """One service-thread round: drain submissions, pump, deliver.
+
+        The front-door server runs this in a dedicated thread; the
+        blocking wait inside :meth:`pump` (10ms on reply pipes when
+        idle) doubles as the loop's pacing, so an idle server costs one
+        wakeup per 10ms rather than a spin.
+        """
+        handled = 0
+        while True:
+            try:
+                kind, a, b, callback = self._submissions.get_nowait()
+            except queue.Empty:
+                break
+            if kind == "batch":
+                published = self._published
+                try:
+                    correlations = self._ship(a, b)
+                except ReproError as exc:
+                    if self._published != published:
+                        raise
+                    # Refused whole before anything was routed (schema
+                    # violation, unknown stream): the submitter's
+                    # problem, not the service thread's.
+                    callback(None, exc)
+                    continue
+                self.metrics.counter_add("engine_batches_in_total")
+                self.metrics.counter_add("engine_events_in_total", len(b))
+                for index, correlation in enumerate(correlations):
+                    self._service_pending[correlation] = (callback, index)
+                handled += len(correlations)
             else:
-                quiet = 0
-        return total
+                try:
+                    result = a()
+                except Exception as exc:
+                    callback(None, exc)
+                else:
+                    callback(result, None)
+                handled += 1
+        handled += self.pump()
+        if self._service_pending and self.completed:
+            for correlation in list(self.completed):
+                entry = self._service_pending.pop(correlation, None)
+                if entry is None:
+                    continue  # a direct send/send_batch owns this reply
+                reply = self.completed.pop(correlation)
+                callback, index = entry
+                self.metrics.counter_add("engine_replies_out_total")
+                callback(index, reply)
+        return handled
+
+    # -- router-only: drain, reply merge, frontend respawn --------------------
 
     def drain(self, timeout: float = 30.0) -> None:
         """Quiesce the data plane: every frontend dispatches its backlog
@@ -1820,34 +1342,6 @@ class ClusterRouter:
             ack for ack in self._drain_acks if ack[0] != request_id
         }
 
-    def _truncate_durable_logs(self) -> None:
-        """Checkpoint-aware retention, fanned out to the log owners.
-
-        Whenever the (persistent) checkpoint store advanced, each
-        frontend is told the stored offsets of its owned tasks and
-        deletes every segment wholly below them — the on-disk footprint
-        stays bounded by the segments above the minimum checkpoint.
-        """
-        if self.durable_dir is None:
-            return
-        store = self.supervisor.checkpoints
-        if store.stored == self._truncated_at:
-            return
-        self._truncated_at = store.stored
-        offsets = store.offsets()
-        for handle in self._frontends.values():
-            owned = tuple(
-                (tp, offsets[tp])
-                for tp in sorted(handle.owned, key=str)
-                if offsets.get(tp, 0) > 0
-            )
-            if not owned:
-                continue
-            try:
-                handle.conn.send_bytes(wire.encode(wire.TruncateLogs(owned)))
-            except OSError:
-                pass  # dead frontend; its respawn reopens truncated logs
-
     def _drain_replies(self) -> int:
         handled = 0
         for handle in self._frontends.values():
@@ -1871,10 +1365,8 @@ class ClusterRouter:
                 label=handle.frontend_id,
             )
             if msg.stats is not None:
-                self._frontend_bundles[handle.frontend_id] = msg.stats
-            for tp, offset in msg.watermarks:
-                if offset > self._watermarks.get(tp, 0):
-                    self._watermarks[tp] = offset
+                self._bundles[handle.frontend_id] = msg.stats
+            self._note_watermarks(msg.watermarks)
             for worker_id, records, replies in msg.processed:
                 self.supervisor.note_processed(worker_id, records, replies)
             if msg.durable_seq > handle.durable_seq:
@@ -1891,9 +1383,7 @@ class ClusterRouter:
             return len(msg.replies)
         if isinstance(msg, wire.DrainAck):
             self._drain_acks.add((msg.request_id, handle.frontend_id))
-            for tp, offset in msg.watermarks:
-                if offset > self._watermarks.get(tp, 0):
-                    self._watermarks[tp] = offset
+            self._note_watermarks(msg.watermarks)
             return 1
         if isinstance(msg, wire.BackfillRecords):
             self._read_pages[(msg.tp, msg.begin)] = msg
@@ -1902,6 +1392,12 @@ class ClusterRouter:
             self.frontend_errors.append(msg.message)
             return 0
         raise EngineError(f"unexpected frontend frame: {type(msg).__name__}")
+
+    def _note_watermarks(self, watermarks) -> None:
+        """Snapshot replied watermarks (the seed of respawn suppression)."""
+        for tp, offset in watermarks:
+            if offset > self._watermarks.get(tp, 0):
+                self._watermarks[tp] = offset
 
     def _deliver(
         self, correlation_id: int, topic: str, results: dict | None
@@ -1927,137 +1423,6 @@ class ClusterRouter:
             results=request.results,
             latency_ms=self.clock.now() - request.sent_at_ms,
         )
-
-    def _raise_on_errors(self) -> None:
-        if self.supervisor.worker_errors:
-            raise EngineError(
-                "shard worker failed:\n" + self.supervisor.worker_errors[-1]
-            )
-        if self.frontend_errors:
-            raise EngineError(
-                "shard frontend failed:\n" + self.frontend_errors[-1]
-            )
-
-    # -- rebalance / recovery -------------------------------------------------
-
-    def _rebalance(self) -> None:
-        """(Re)shard tasks over workers *and* frontends, stickily.
-
-        Worker-side moves get their checkpoints shipped to the new owner
-        first (control pipes are drained before data sockets, so the
-        restore always lands before the task's next batch); the per-task
-        seek offsets then travel to the owning frontends inside
-        ``FrontendAssign``. Journal copies are seek-stripped: a journal
-        replay must not rewind tasks to offsets that were only ever
-        meaningful at the moment of this rebalance.
-        """
-        tasks = self._event_tasks()
-        if not tasks:
-            return
-        previous_worker = {
-            worker_id: set(handle.assigned)
-            for worker_id, handle in self.supervisor.handles.items()
-        }
-        worker_map = self.supervisor.assign(tasks)
-        owner_of: dict[TopicPartition, str] = {}
-        seeks: dict[TopicPartition, int] = {}
-        for worker_id, owned in worker_map.items():
-            for tp in owned:
-                owner_of[tp] = worker_id
-            for tp in owned - previous_worker.get(worker_id, set()):
-                if self.supervisor.ship_checkpoint(worker_id, tp):
-                    seeks[tp] = self.supervisor.checkpoints.offset(tp)
-                else:
-                    seeks[tp] = 0
-        previous_fe = {
-            frontend_id: set(handle.owned)
-            for frontend_id, handle in self._frontends.items()
-        }
-        assignment = self.frontend_strategy.assign(
-            tasks,
-            [
-                ProcessorInfo(frontend_id, frontend_id)
-                for frontend_id in self._frontends
-            ],
-            PreviousState(active=previous_fe),
-        )
-        # Frontend ownership is append-only: a task, once owned, NEVER
-        # moves — the owner hosts the task's only copy of its partition
-        # log and replied watermark, so a move would strand both (the
-        # new owner's log restarts at offset 0 and the worker would
-        # treat the re-appended tail as replays: silently dropped
-        # events). The strategy only places tasks it has never placed
-        # before; the frontend count is fixed for the cluster's
-        # lifetime, so pinning costs nothing but balance on topic
-        # additions.
-        placed: dict[TopicPartition, str] = {}
-        for frontend_id in self._frontends:
-            for tp in assignment.active.get(frontend_id, set()):
-                placed[tp] = frontend_id
-        for tp in tasks:
-            if tp not in self._fe_owner:
-                self._fe_owner[tp] = placed[tp]
-        for frontend_id, handle in self._frontends.items():
-            owned = {
-                tp for tp, owner in self._fe_owner.items()
-                if owner == frontend_id
-            }
-            handle.owned = owned
-            routes = tuple(
-                (tp, owner_of[tp], self.supervisor.worker_addr(owner_of[tp]))
-                for tp in sorted(owned, key=str)
-            )
-            fe_seeks = tuple(
-                (tp, seeks[tp]) for tp, _, _ in routes if tp in seeks
-            )
-            handle.journal.append(
-                (-1, wire.encode(wire.FrontendAssign(routes, ())))
-            )
-            try:
-                handle.conn.send_bytes(
-                    wire.encode(wire.FrontendAssign(routes, fe_seeks))
-                )
-            except OSError:
-                pass  # dead frontend; the respawn replays the journal
-        for job in self._backfills:
-            job.reset()
-        self.rebalance_count += 1
-
-    def _on_worker_restart(
-        self, worker_id: str, tasks: set[TopicPartition]
-    ) -> None:
-        """Announce a restarted worker to every frontend owning its tasks.
-
-        The supervisor already replayed the control log and shipped the
-        stored checkpoints into the fresh process; each frontend then
-        reconnects to the worker's (stable) address, rewinds the listed
-        tasks to their checkpointed offsets and replays the tail with
-        the replied watermark suppressing duplicates.
-        """
-        addr = self.supervisor.worker_addr(worker_id)
-        if addr is None:
-            return
-        offsets = self.supervisor.checkpoints.offset
-        for handle in self._frontends.values():
-            # Announce to every frontend, even one with no task of the
-            # restarted worker right now: the announcement is what
-            # lifts a crash quarantine, and a later rebalance may route
-            # this worker's address back to any frontend.
-            relevant = sorted(handle.owned & tasks, key=str)
-            msg = wire.WorkerRestarted(
-                worker_id, addr, tuple((tp, offsets(tp)) for tp in relevant)
-            )
-            try:
-                handle.conn.send_bytes(wire.encode(msg))
-            except OSError:
-                pass  # dead frontend; the respawn re-seeks via journal + seeks
-        for job in self._backfills:
-            job.reset(tasks)
-
-    def _respawn_dead_frontends(self) -> None:
-        for handle in self._frontends.values():
-            if not handle.alive:
-                self._respawn_frontend(handle)
 
     def _respawn_frontend(self, handle: FrontendHandle) -> None:
         """Crash recovery for a frontend: respawn + journal replay.
@@ -2128,130 +1493,3 @@ class ClusterRouter:
             # Keep the reply direction drained mid-replay (same
             # wedge-avoidance as the ingest path).
             self._drain_replies()
-
-    # -- introspection / shutdown ---------------------------------------------
-
-    def total_messages_processed(self) -> int:
-        """Messages processed across workers (replays included)."""
-        return self.supervisor.total_messages_processed()
-
-    def checkpoint_offsets(self) -> dict[TopicPartition, int]:
-        """Consumed offsets per task, straight from the workers."""
-        return self.supervisor.request_checkpoints()
-
-    def checkpoint_now(self) -> dict[TopicPartition, int]:
-        """Take a full checkpoint of every task, synchronously."""
-        return self.supervisor.request_checkpoints(with_state=True)
-
-    def stats(self) -> dict[str, dict[str, dict[str, int]]]:
-        """Merged cluster counters: per-worker and per-frontend.
-
-        Worker counters live at the supervisor (fed by
-        ``note_processed`` in this mode); frontend counters live here.
-        Both halves are thin compat views over the telemetry registry
-        (legacy key names, ``router_*``/``supervisor_*`` counters — see
-        docs/OBSERVABILITY.md). The invariants tests assert: summed
-        ``events_routed`` equals events accepted, summed worker
-        ``processed`` equals records processed (replays included).
-        """
-        metrics = self.metrics
-        return {
-            "workers": self.supervisor.stats(),
-            "frontends": {
-                frontend_id: {
-                    "events_routed": metrics.counter_value(
-                        "router_events_routed_total", frontend_id
-                    ),
-                    "replies_merged": metrics.counter_value(
-                        "router_replies_merged_total", frontend_id
-                    ),
-                    "restarts": handle.restarts,
-                }
-                for frontend_id, handle in self._frontends.items()
-            },
-        }
-
-    def telemetry(self) -> dict:
-        """One merged, stable-schema telemetry snapshot of the cluster.
-
-        Router and supervisor share a registry; each frontend ships a
-        bundle of its own snapshot plus the latest worker snapshots it
-        absorbed, piggybacked on its reply traffic. See
-        docs/OBSERVABILITY.md for the schema and the metric catalog.
-        """
-        snapshots = [self.metrics.snapshot()]
-        for blob in self.supervisor.child_snapshots():
-            try:
-                snapshots.append(decode_snapshot(blob))
-            except Exception:
-                continue  # observation only: a torn snapshot is skipped
-        for bundle in self._frontend_bundles.values():
-            try:
-                snapshots.extend(decode_bundle(bundle))
-            except Exception:
-                continue  # torn bundle: skipped, never raises
-        return merge_snapshots(snapshots)
-
-    def close(self, drain: bool = True, drain_timeout: float = 10.0) -> None:
-        """Stop every frontend and worker process; idempotent.
-
-        Drain-before-close: with ``drain=True`` (the default) the
-        router first completes outstanding fan-ins — both direct
-        ``send``/``send_batch`` correlations and queued front-door
-        submissions — so a server shutting down mid-flight answers
-        every accepted request before its processes go away. The drain
-        is bounded: ``drain_timeout`` caps it overall, and a stall (no
-        progress for ~50 idle rounds, e.g. after an unrecovered crash)
-        abandons it early rather than hanging shutdown. A child error
-        raised mid-drain likewise downgrades to an immediate teardown —
-        close() must always release the process tree, so the supervisor
-        shutdown and socket cleanup run even if stopping the frontends
-        throws.
-
-        Thread-safe and idempotent: concurrent calls race on one lock
-        and every call after the first returns immediately. The caller
-        must stop any thread running :meth:`service_step` first — close
-        drains on the calling thread.
-        """
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        if drain:
-            deadline = self._time.deadline(drain_timeout)
-            stalled = 0
-            try:
-                while (
-                    self.pending
-                    or self._service_pending
-                    or self._submissions.qsize() > 0
-                ):
-                    if deadline.expired() or stalled > 50:
-                        break
-                    stalled = 0 if self.service_step() else stalled + 1
-            except EngineError:
-                pass  # dead child mid-drain: fall through to teardown
-        try:
-            for handle in self._frontends.values():
-                try:
-                    handle.conn.send_bytes(wire.encode(wire.Shutdown()))
-                except (OSError, ValueError):
-                    pass
-            for handle in self._frontends.values():
-                handle.process.join(timeout=2.0)
-                if handle.alive:
-                    handle.process.kill()
-                    handle.process.join(timeout=2.0)
-                try:
-                    handle.conn.close()
-                except OSError:
-                    pass
-        finally:
-            self.supervisor.shutdown()
-            shutil.rmtree(self._socket_dir, ignore_errors=True)
-
-    def __enter__(self) -> "ClusterRouter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

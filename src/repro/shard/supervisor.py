@@ -7,11 +7,11 @@ modelled as its own single-processor node) and replays the full control
 log into any worker it restarts after a crash. In single-coordinator
 mode (:class:`~repro.shard.parallel.ParallelCluster`) it also carries
 the data plane: columnar ``WorkBatch`` frames to the owning worker,
-columnar ``BatchDone`` replies and stats back, over the same pipes. In
+columnar ``BatchDone`` replies and telemetry back, over the same pipes. In
 sharded-frontend mode (``listen_dir`` set) the data plane moves to
 per-frontend AF_UNIX sockets and the pipes carry control only;
 frontends' progress is credited back through
-:meth:`ShardSupervisor.note_processed` so per-worker stats and the
+:meth:`ShardSupervisor.note_processed` so per-worker counters and the
 checkpoint cadence stay merged here either way.
 
 It is also the cluster's checkpoint authority: a
@@ -545,7 +545,7 @@ class ShardSupervisor:
 
         A dropped frame would be a lost checkpoint, so payloads are
         routed into the store even when the ack is late; late acks are
-        counted per worker (visible in :meth:`stats`).
+        counted per worker (``supervisor_checkpoint_acks_late_total``).
         """
         for frame in msg.frames:
             self.checkpoints.ingest(frame)
@@ -627,8 +627,8 @@ class ShardSupervisor:
         frontend↔worker data sockets, so the supervisor never sees them;
         the router reports the per-worker ``(records, replies)`` deltas
         it merged instead. This keeps two supervisor responsibilities
-        whole: the per-worker counters behind :meth:`stats` /
-        :meth:`total_messages_processed`, and the checkpoint cadence —
+        whole: the per-worker ``supervisor_worker_*_total`` counters
+        behind :meth:`total_messages_processed`, and the checkpoint cadence —
         the credited records advance ``checkpoint_interval`` exactly as
         pipe-borne ``BatchDone`` frames do (the next :meth:`poll` fires
         the with-state request once the interval is crossed). Deltas for
@@ -650,7 +650,8 @@ class ShardSupervisor:
         and stragglers from a timed-out :meth:`request_checkpoints` —
         have their checkpoint payloads routed into the store (a dropped
         frame would be a lost checkpoint); late ones are counted in
-        :meth:`stats`. The poll also drives the checkpoint cadence:
+        ``supervisor_checkpoint_acks_late_total``. The poll also drives
+        the checkpoint cadence:
         once ``checkpoint_interval`` records have been processed since
         the last request, a fire-and-forget with-state request goes out.
         """
@@ -780,7 +781,7 @@ class ShardSupervisor:
         if self.on_restart is not None:
             self.on_restart(handle.worker_id, set(handle.assigned))
 
-    # -- stats / shutdown -----------------------------------------------------
+    # -- counters / shutdown --------------------------------------------------
 
     def total_messages_processed(self) -> int:
         """Messages processed across workers, retired ones included
@@ -790,33 +791,6 @@ class ShardSupervisor:
     def child_snapshots(self) -> list[bytes]:
         """Latest encoded worker registry snapshots, for facade merges."""
         return list(self._worker_snapshots.values())
-
-    def stats(self) -> dict[str, dict[str, int]]:
-        """Per-worker counters for tests and benches.
-
-        A thin compat view over the telemetry registry: the legacy key
-        names survive, the numbers come from the worker-labeled
-        ``supervisor_*_total`` counters (see docs/OBSERVABILITY.md).
-        """
-        telemetry = self.telemetry
-        return {
-            worker_id: {
-                "processed": telemetry.counter_value(
-                    "supervisor_worker_records_total", worker_id
-                ),
-                "replies_sent": telemetry.counter_value(
-                    "supervisor_worker_replies_total", worker_id
-                ),
-                "restarts": handle.restarts,
-                "checkpoint_acks": telemetry.counter_value(
-                    "supervisor_checkpoint_acks_total", worker_id
-                ),
-                "late_checkpoint_acks": telemetry.counter_value(
-                    "supervisor_checkpoint_acks_late_total", worker_id
-                ),
-            }
-            for worker_id, handle in self.handles.items()
-        }
 
     def shutdown(self) -> None:
         """Stop every worker; idempotent."""

@@ -9,6 +9,7 @@ from repro.telemetry.registry import (
     SNAPSHOT_SCHEMA,
     TELEMETRY_ENV,
     MetricsRegistry,
+    StageLaps,
     decode_bundle,
     decode_snapshot,
     encode_bundle,
@@ -23,6 +24,7 @@ __all__ = [
     "SNAPSHOT_SCHEMA",
     "TELEMETRY_ENV",
     "MetricsRegistry",
+    "StageLaps",
     "decode_bundle",
     "decode_snapshot",
     "encode_bundle",

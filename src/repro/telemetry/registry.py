@@ -416,6 +416,36 @@ class MetricsRegistry:
             }
 
 
+class StageLaps:
+    """Consecutive stage timers that tile one span of work exactly.
+
+    :meth:`lap` closes the running stage at *now* and opens the next one
+    at the same instant, so nothing between the first and the last lap
+    escapes every stage: the stage histograms sum to :meth:`total`
+    bit-for-bit (what ``check_telemetry_decomposition`` relies on).
+    Free when the registry is disabled.
+    """
+
+    __slots__ = ("_registry", "started", "mark")
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self._registry = registry
+        self.started = self.mark = registry.now() if registry.enabled else 0.0
+
+    def lap(self, stage: str) -> None:
+        """Observe the time since the previous lap into ``stage``."""
+        registry = self._registry
+        if registry.enabled:
+            now = registry.now()
+            registry.observe_ms(stage, (now - self.mark) * 1000.0)
+            self.mark = now
+
+    def total(self, name: str) -> None:
+        """Observe the whole span, first lap to last, into ``name``."""
+        if self._registry.enabled:
+            self._registry.observe_ms(name, (self.mark - self.started) * 1000.0)
+
+
 def _recorder_from_snapshot(hist: dict) -> LatencyRecorder:
     """Rebuild a LatencyRecorder from a snapshot's bucket dict so merged
     percentiles are computed over the union, not averaged."""

@@ -458,73 +458,6 @@ class TestClusterSendBatchEquivalence:
         assert [r.results for r in replies_a] == [r.results for r in replies_b]
         assert [r.event for r in replies_a] == [r.event for r in replies_b]
 
-    def test_process_mode_matches_per_event_replies(self):
-        # The process-parallel engine is held to the same bar as the
-        # batched single-process path: byte-identical reply values and
-        # aggregate stats, with ties, duplicates and all.
-        from repro.shard.parallel import ParallelCluster
-
-        events = [
-            Event(f"b{i}", 1000 + i // 2, {"cardId": f"c{i % 3}", "amount": float(i)})
-            for i in range(40)
-        ]
-        events.append(events[7])  # duplicate id: replies read-only
-        one_by_one = self.build_cluster()
-        replies_a = [one_by_one.send("tx", event=event) for event in events]
-        with ParallelCluster(workers=2) as process_mode:
-            process_mode.create_stream(
-                "tx", ["cardId"], partitions=2,
-                schema={"cardId": "string", "amount": "float"},
-            )
-            process_mode.create_metric(
-                "SELECT sum(amount), count(*) FROM tx GROUP BY cardId "
-                "OVER sliding 5 minutes"
-            )
-            replies_b = process_mode.send_batch("tx", events)
-            processed = process_mode.total_messages_processed()
-        assert [r.results for r in replies_a] == [r.results for r in replies_b]
-        assert [r.event for r in replies_a] == [r.event for r in replies_b]
-        assert processed == len(events) == one_by_one.total_messages_processed()
-
-    def test_sharded_frontend_mode_matches_per_event_replies(self):
-        # Acceptance bar for the sharded-frontend topology: replies from
-        # create_cluster("process", frontends=2) are byte-identical to
-        # create_cluster("single"), including ties and duplicate ids —
-        # per-partition log order equals client order restricted to the
-        # partition, whichever frontend owns it.
-        from repro.engine.cluster import create_cluster
-
-        events = [
-            Event(f"b{i}", 1000 + i // 2, {"cardId": f"c{i % 3}", "amount": float(i)})
-            for i in range(40)
-        ]
-        events.append(events[7])  # duplicate id: replies read-only
-        single = create_cluster("single", nodes=2, processor_units=2)
-        single.create_stream(
-            "tx", ["cardId"], partitions=2,
-            schema={"cardId": "string", "amount": "float"},
-        )
-        single.create_metric(
-            "SELECT sum(amount), count(*) FROM tx GROUP BY cardId "
-            "OVER sliding 5 minutes"
-        )
-        single.run_until_quiet()
-        replies_a = [single.send("tx", event=event) for event in events]
-        with create_cluster("process", workers=2, frontends=2) as sharded:
-            sharded.create_stream(
-                "tx", ["cardId"], partitions=2,
-                schema={"cardId": "string", "amount": "float"},
-            )
-            sharded.create_metric(
-                "SELECT sum(amount), count(*) FROM tx GROUP BY cardId "
-                "OVER sliding 5 minutes"
-            )
-            replies_b = sharded.send_batch("tx", events)
-            processed = sharded.total_messages_processed()
-        assert [r.results for r in replies_a] == [r.results for r in replies_b]
-        assert [r.event for r in replies_a] == [r.event for r in replies_b]
-        assert processed == len(events) == single.total_messages_processed()
-
     def test_tcp_front_door_matches_per_event_replies(self):
         # The front door is held to the same bar as every other plane:
         # replies fetched over TCP through the asyncio server (framed

@@ -294,7 +294,7 @@ class TestShardedFrontendDurability:
             # Ship a run of ingest frames and the crash order in one
             # socket write burst: the frontend appends them and dies at
             # the Crash before its durable sync runs.
-            correlations = cluster._route_and_ship("tx", events[30:60])
+            correlations = cluster._ship("tx", events[30:60])
             handle.conn.send_bytes(wire.encode(wire.Crash()))
             default_time_source().wait_until(
                 lambda: (cluster.pump(), not cluster.pending)[1],

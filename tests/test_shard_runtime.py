@@ -5,7 +5,10 @@ single-process engine: same reply values for the same events, same
 aggregate stats — through worker crashes (checkpointed restart + replay
 of only the uncheckpointed tail, no duplicated client reply), rebalances
 (workers added/removed mid-stream, with checkpoint handoff), schema
-evolution across the process boundary, and checkpoint shipping.
+evolution across the process boundary, and checkpoint shipping. The
+cases every process topology shares live in
+``tests/test_cluster_contract.py``; this file keeps the worker, the
+supervisor and what only ``ParallelCluster`` does.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import pytest
 from repro.common.errors import EngineError
 from repro.common.timesource import default_time_source
 from repro.engine.catalog import CreateMetricOp, CreateStreamOp, MetricDef, StreamDef
-from repro.engine.cluster import RailgunCluster, create_cluster
+from repro.engine.cluster import RailgunCluster
 from repro.engine.processor import UnitConfig
 from repro.events.event import Event
 from repro.messaging.broker import MessageBus
@@ -365,9 +368,11 @@ class TestShardSupervisor:
             assert supervisor.owner_of(tp) is None
             with pytest.raises(EngineError, match="not assigned"):
                 supervisor.submit(tp, [(10, make_events(1, "y")[0])], 0)
-            stats = supervisor.stats()
-            assert victim not in stats
-            assert all(s["processed"] == 0 for s in stats.values())
+            # ... and was never credited to any worker.
+            records = supervisor.telemetry.counter_labels(
+                "supervisor_worker_records_total"
+            )
+            assert sum(records.values()) == 0
 
     def test_request_checkpoints_reaps_dead_worker_without_timeout(self):
         """Satellite regression: a crash during the wait costs one reap,
@@ -409,7 +414,9 @@ class TestShardSupervisor:
             )
             assert supervisor.checkpoints.offset(tp) == 25
             assert supervisor.late_checkpoint_acks == 1
-            assert supervisor.stats()[worker_id]["late_checkpoint_acks"] == 1
+            assert supervisor.telemetry.counter_value(
+                "supervisor_checkpoint_acks_late_total", worker_id
+            ) == 1
 
     def test_periodic_checkpoint_cadence_fills_the_store(self):
         """checkpoint_interval drives fire-and-forget with-state
@@ -426,7 +433,9 @@ class TestShardSupervisor:
             )
             worker_id = supervisor.worker_ids()[0]
             assert supervisor.checkpoints.offset(tp) == 30
-            assert supervisor.stats()[worker_id]["checkpoint_acks"] >= 1
+            assert supervisor.telemetry.counter_value(
+                "supervisor_checkpoint_acks_total", worker_id
+            ) >= 1
             assert supervisor.late_checkpoint_acks == 0
 
 
@@ -460,32 +469,6 @@ class TestPartitionView:
 
 
 class TestParallelClusterEquivalence:
-    def test_replies_and_stats_match_single_process(self):
-        events = make_events(120)
-        expected = single_process_results(events)
-        with ParallelCluster(workers=2) as cluster:
-            cluster.create_stream("tx", ["cardId"], **STREAM_KW)
-            cluster.create_metric(METRIC)
-            replies = cluster.send_batch("tx", events)
-            assert [r.results for r in replies] == expected
-            assert [r.event for r in replies] == events
-            # Same aggregate stats: every event processed exactly once.
-            assert cluster.total_messages_processed() == len(events)
-            assert sum(
-                stats["replies_sent"]
-                for stats in cluster.supervisor.stats().values()
-            ) == len(events)
-
-    def test_single_event_send_and_field_mapping(self):
-        with ParallelCluster(workers=1) as cluster:
-            cluster.create_stream("tx", ["cardId"], **STREAM_KW)
-            cluster.create_metric("SELECT count(*) FROM tx GROUP BY cardId "
-                                  "OVER sliding 1 minutes")
-            first = cluster.send("tx", fields={"cardId": "c1", "amount": 1.0})
-            second = cluster.send("tx", fields={"cardId": "c1", "amount": 2.0})
-            assert first.value(0, "count(*)") == 1
-            assert second.value(0, "count(*)") == 2
-
     def test_delete_metric_applies_to_workers(self):
         with ParallelCluster(workers=2) as cluster:
             cluster.create_stream("tx", ["cardId"], **STREAM_KW)
@@ -501,71 +484,8 @@ class TestParallelClusterEquivalence:
             assert metric_id not in reply.results
             assert keep in reply.results
 
-    def test_factory_modes(self):
-        single = create_cluster("single", nodes=1, processor_units=1)
-        assert isinstance(single, RailgunCluster)
-        with create_cluster("process", workers=1) as parallel:
-            assert isinstance(parallel, ParallelCluster)
-        with pytest.raises(EngineError):
-            create_cluster("threads")
-
 
 class TestParallelClusterFailures:
-    def test_worker_crash_mid_batch_replays_uncommitted(self):
-        events = make_events(300)
-        expected = single_process_results(events)
-        with ParallelCluster(workers=2) as cluster:
-            cluster.create_stream("tx", ["cardId"], **STREAM_KW)
-            cluster.create_metric(METRIC)
-            # Publish everything up front, then crash a worker while its
-            # batches are in flight: the fan-out is on the bus, half the
-            # replies are not.
-            correlations = cluster.frontend.send_batch("tx", events)
-            victim = cluster.worker_ids()[0]
-            # The victim must have acknowledged work of its own before
-            # it dies: only then does its replay count a record twice.
-            assert default_time_source().wait_until(
-                lambda: (
-                    cluster.pump(),
-                    len(cluster.frontend.completed) >= 80
-                    and cluster.supervisor.stats()[victim]["processed"] > 0,
-                )[1],
-                timeout=30.0,
-                poll=0.0,
-            )
-            cluster.kill_worker(victim)
-            default_time_source().wait_until(
-                lambda: (
-                    cluster.pump(),
-                    len(cluster.frontend.completed) >= len(events),
-                )[1],
-                timeout=30.0,
-                poll=0.0,
-            )
-            results = [
-                cluster.frontend.take_completed(c).results for c in correlations
-            ]
-            assert results == expected
-            default_time_source().wait_until(
-                lambda: (
-                    cluster.pump(),
-                    cluster.supervisor.restarts >= 1
-                    and cluster.total_messages_processed() > len(events),
-                )[1],
-                timeout=30.0,
-                poll=0.0,
-            )
-            assert cluster.supervisor.restarts == 1
-            # The uncommitted tail replayed: the restarted worker
-            # reprocessed its partitions from offset zero.
-            assert cluster.total_messages_processed() > len(events)
-            # ... but no client reply was duplicated.
-            assert not cluster.frontend.completed
-            # Replayed sub-watermark offsets never re-enter the pending
-            # map (their replies are suppressed, so they'd leak).
-            cluster.run_until_quiet()
-            assert not cluster._pending
-
     def test_fault_injected_crash_is_equivalent(self):
         events = make_events(150)
         expected = single_process_results(events)
@@ -577,20 +497,6 @@ class TestParallelClusterFailures:
             results += [r.results for r in cluster.send_batch("tx", events[70:])]
             assert results == expected
             assert cluster.supervisor.restarts == 1
-
-    def test_rebalance_mid_stream_grow_and_shrink(self):
-        events = make_events(200)
-        expected = single_process_results(events)
-        with ParallelCluster(workers=1) as cluster:
-            cluster.create_stream("tx", ["cardId"], **STREAM_KW)
-            cluster.create_metric(METRIC)
-            results = [r.results for r in cluster.send_batch("tx", events[:80])]
-            grown = cluster.add_worker()
-            results += [r.results for r in cluster.send_batch("tx", events[80:150])]
-            cluster.remove_worker(grown)
-            results += [r.results for r in cluster.send_batch("tx", events[150:])]
-            assert results == expected
-            assert cluster.rebalance_count >= 3
 
     def test_schema_evolution_across_process_boundary(self):
         plain = make_events(40)
@@ -640,39 +546,6 @@ class TestCheckpointedRecovery:
         )
         assert cluster.supervisor.restarts == count
         cluster.run_until_quiet()
-
-    def test_crash_after_checkpoint_replays_exactly_the_tail(self):
-        """Acceptance: N events, checkpoint at C, crash -> exactly N-C
-        records replay, and replies stay byte-identical."""
-        events = make_events(90)
-        probe = Event("probe", 9000, {"cardId": "c1", "amount": 2.0})
-        expected = self.ground_truth(events + [probe])
-        checkpoint_at = 60
-        tp = TopicPartition("tx.cardId", 0)
-        with ParallelCluster(workers=1, checkpoint_every=None) as cluster:
-            cluster.create_stream("tx", ["cardId"], **self.ONE_PARTITION)
-            cluster.create_metric(METRIC)
-            results = [
-                r.results
-                for r in cluster.send_batch("tx", events[:checkpoint_at])
-            ]
-            assert cluster.checkpoint_now() == {tp: checkpoint_at}
-            assert cluster.supervisor.checkpoints.offset(tp) == checkpoint_at
-            results += [
-                r.results
-                for r in cluster.send_batch("tx", events[checkpoint_at:])
-            ]
-            assert cluster.total_messages_processed() == len(events)
-            cluster.kill_worker(cluster.worker_ids()[0])
-            self.await_restart(cluster)
-            # Recovery replayed exactly the uncheckpointed tail.
-            assert cluster.total_messages_processed() == len(events) + (
-                len(events) - checkpoint_at
-            )
-            # ... without duplicating a single client reply.
-            assert not cluster.frontend.completed
-            results.append(cluster.send("tx", event=probe).results)
-            assert results == expected
 
     def test_crash_mid_checkpoint_falls_back_to_previous_checkpoint(self):
         """A crash racing an in-flight checkpoint request recovers from

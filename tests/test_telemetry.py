@@ -31,6 +31,7 @@ from repro.shard import columnar, wire
 from repro.telemetry import (
     METRICS,
     MetricsRegistry,
+    StageLaps,
     decode_bundle,
     decode_snapshot,
     encode_bundle,
@@ -83,6 +84,34 @@ class TestRegistryDeterministic:
         assert hist["count"] == 1
         assert hist["sum_ms"] == pytest.approx(250.0)
 
+    def test_stage_laps_tile_the_span_exactly(self):
+        # Each lap opens where the previous closed: the stages sum to
+        # the whole with no gap for a slow step to hide in.
+        reg, ts = make_registry()
+        laps = StageLaps(reg)
+        for stage, seconds in (
+            ("engine_ingest_ms", 0.003),
+            ("engine_dispatch_ms", 0.011),
+            ("engine_collect_ms", 0.007),
+            ("engine_dispatch_ms", 0.002),
+            ("engine_reply_ms", 0.001),
+        ):
+            ts.advance(seconds)
+            laps.lap(stage)
+        ts.advance(0.5)  # after the last lap: in no stage, not in the total
+        laps.total("engine_batch_ms")
+        hists = reg.snapshot()["histograms"]
+        assert hists["engine_dispatch_ms"]["count"] == 2
+        parts = sum(
+            hists[name]["sum_ms"]
+            for name in (
+                "engine_ingest_ms", "engine_dispatch_ms",
+                "engine_collect_ms", "engine_reply_ms",
+            )
+        )
+        assert parts == pytest.approx(hists["engine_batch_ms"]["sum_ms"])
+        assert parts == pytest.approx(24.0)
+
     def test_negative_samples_clamp_to_zero(self):
         # Cross-process monotonic deltas can go fractionally negative.
         reg, _ = make_registry()
@@ -93,7 +122,7 @@ class TestRegistryDeterministic:
         assert hist["sum_ms"] == 0.0
 
     def test_disabled_registry_keeps_counters_drops_histograms(self):
-        # Counters back stats() compat views, so they stay on; the
+        # Counters are core accounting, so they stay on; the
         # measurement plane (histograms, time_stage) goes quiet.
         reg, ts = make_registry(enabled=False)
         reg.counter_add("engine_events_in_total", 2)
@@ -303,7 +332,6 @@ class TestClusterTelemetry:
         with ParallelCluster(workers=2) as cluster:
             count = ingest_forty(cluster)
             merged = cluster.telemetry()
-            stats = cluster.supervisor.stats()
         assert set(merged) == {
             "schema", "processes", "counters", "gauges", "histograms",
         }
@@ -320,13 +348,11 @@ class TestClusterTelemetry:
         assert histograms["worker_queue_wait_ms"]["count"] > 0
         assert histograms["worker_process_batch_ms"]["count"] > 0
         assert histograms["engine_batch_ms"]["count"] > 0
-        # The legacy stats() view reads the same registry.
-        assert sum(w["processed"] for w in stats.values()) == count
-        for entry in stats.values():
-            assert set(entry) == {
-                "processed", "replies_sent", "restarts",
-                "checkpoint_acks", "late_checkpoint_acks",
-            }
+        # Per-worker progress is labelled counters in the same snapshot.
+        assert sum(
+            value for name, value in counters.items()
+            if name.startswith("supervisor_worker_records_total[")
+        ) == count
 
     def test_router_frontends_ship_bundles(self, monkeypatch):
         from repro.engine.cluster import create_cluster
@@ -335,18 +361,16 @@ class TestClusterTelemetry:
         with create_cluster("process", workers=2, frontends=2) as cluster:
             count = ingest_forty(cluster)
             merged = cluster.telemetry()
-            stats = cluster.stats()
         assert any(p.startswith("frontend:") for p in merged["processes"])
         assert any(p.startswith("worker:") for p in merged["processes"])
         counters = merged["counters"]
         assert counters["engine_events_in_total"] == count
         assert counters["engine_replies_out_total"] == count
         assert merged["histograms"]["frontend_ingest_ms"]["count"] > 0
-        # Legacy router stats() is a view over the same counters.
-        routed = sum(
-            fe["events_routed"] for fe in stats["frontends"].values()
-        )
-        assert routed == count
+        assert sum(
+            value for name, value in counters.items()
+            if name.startswith("router_events_routed_total[")
+        ) == count
 
     def test_single_facade_merges_one_process(self, monkeypatch):
         from repro.engine.cluster import create_cluster
@@ -430,7 +454,7 @@ class TestFrontDoorStats:
         frame: their difference is the server's own share."""
         from types import SimpleNamespace
 
-        from repro.engine.cluster import Reply
+        from repro.engine.frontend import Reply
         from repro.server.admission import AdmissionController
         from repro.server.client import RailgunClient
         from repro.server.server import serve_cluster
