@@ -169,17 +169,15 @@ def create_cluster(execution: str = "single", **kwargs):
     byte-identical reply semantics; the ``frontends`` keyword picks the
     coordinator topology:
 
-    - ``frontends=1`` (default): one in-process coordinator — a
-      :class:`~repro.shard.parallel.ParallelCluster`.
-    - ``frontends=N >= 2``: the coordinator itself is sharded over N
-      frontend processes behind a
+    - ``frontends=1`` (default): one coordinator running its frontend
+      in process — a :class:`~repro.shard.parallel.ParallelCluster`.
+    - ``frontends=N >= 2``: the frontends run as N processes behind a
       :class:`~repro.shard.router.ClusterRouter`, each owning a sticky
-      slice of the partition space and shipping work to the workers
-      over its own data sockets (see ``docs/ARCHITECTURE.md``).
+      slice of the partition space (see ``docs/ARCHITECTURE.md``).
 
-    Work batches and replies cross every worker link — the supervisor
-    pipes and the frontend↔worker data sockets — as the same columnar
-    frames (:mod:`repro.shard.columnar`).
+    Either way work batches and replies cross only the frontend↔worker
+    data sockets, as columnar frames (:mod:`repro.shard.columnar`); the
+    supervisor's pipes to the workers carry control only.
 
     Every topology accepts ``durable_dir=<path>``: partition logs then
     live in disk-backed segment files

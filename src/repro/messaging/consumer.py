@@ -228,26 +228,22 @@ class Consumer:
 class PartitionView:
     """A coordinator-free reader over an explicitly assigned partition set.
 
-    The process-parallel engine polls the bus *on behalf of* its shard
-    workers: one view per worker tracks read positions for the worker's
-    partitions and commits offsets back to the bus only once the
-    corresponding replies landed. A restarted worker therefore replays
-    exactly the uncommitted tail — the committed offset is the durable
-    record of "replied up to here" that crosses the process boundary.
+    A shard frontend polls its partition logs *on behalf of* the shard
+    workers: the view tracks one read position per owned partition
+    (starting at 0), which recovery seeks back to a checkpointed
+    offset.
 
-    Unlike :class:`Consumer` there is no group membership, heartbeat or
-    rebalance protocol: assignment is installed directly (the shard
-    supervisor is the assignment authority) and reads return raw
-    :class:`~repro.messaging.log.Message` batches without per-record
-    wrapping, keeping the dispatch hot path allocation-light.
+    Unlike :class:`Consumer` there is no group membership, heartbeat,
+    committed offset or rebalance protocol: assignment is installed
+    directly (the front layer is the assignment authority) and reads
+    return raw :class:`~repro.messaging.log.Message` batches without
+    per-record wrapping, keeping the dispatch hot path allocation-light.
     """
 
-    def __init__(self, bus: MessageBus, group_id: str) -> None:
+    def __init__(self, bus: MessageBus) -> None:
         self._bus = bus
-        self.group_id = group_id
         self._positions: dict[TopicPartition, int] = {}
         self._assigned: list[TopicPartition] = []
-        self.records_read = 0
 
     def set_assignment(self, partitions: Iterable[TopicPartition]) -> None:
         """Install the owned partition set (sorted for determinism)."""
@@ -258,10 +254,8 @@ class PartitionView:
         return list(self._assigned)
 
     def position(self, tp: TopicPartition) -> int:
-        """Next offset to read (starts at the group's committed offset)."""
-        if tp not in self._positions:
-            self._positions[tp] = self._bus.committed_offset(self.group_id, tp)
-        return self._positions[tp]
+        """Next offset to read."""
+        return self._positions.get(tp, 0)
 
     def seek(self, tp: TopicPartition, offset: int) -> None:
         """Rewind/forward the read position (replay-after-restart path)."""
@@ -272,35 +266,14 @@ class PartitionView:
     def poll_one(self, tp: TopicPartition, max_records: int = 256) -> list:
         """One contiguous message run from a single partition.
 
-        The parallel dispatcher polls partition-by-partition so it can
-        stop the moment the owning worker runs out of flow-control
-        credits, instead of over-reading the whole assignment.
+        A frontend polls partition-by-partition so it can skip every
+        partition whose worker ran out of flow-control credits, instead
+        of over-reading the whole assignment.
         """
-        position = self.position(tp)
-        messages = self._bus.read(tp, position, max_records)
+        messages = self._bus.read(tp, self.position(tp), max_records)
         if messages:
             self._positions[tp] = messages[-1].offset + 1
-            self.records_read += len(messages)
         return messages
-
-    def poll_batches(
-        self, max_records_per_partition: int = 256
-    ) -> list[tuple[TopicPartition, list]]:
-        """One contiguous message run per non-empty assigned partition."""
-        batches: list[tuple[TopicPartition, list]] = []
-        for tp in self._assigned:
-            messages = self.poll_one(tp, max_records_per_partition)
-            if messages:
-                batches.append((tp, messages))
-        return batches
-
-    def commit(self, tp: TopicPartition, offset: int) -> None:
-        """Record the replied-up-to-here watermark for ``tp``."""
-        self._bus.commit_offset(self.group_id, tp, offset)
-
-    def committed(self, tp: TopicPartition) -> int:
-        """The group's committed offset for ``tp``."""
-        return self._bus.committed_offset(self.group_id, tp)
 
     def lag(self) -> int:
         """Total unread messages across the assignment."""

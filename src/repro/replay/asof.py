@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.engine.catalog import MetricDef, StreamDef
-from repro.engine.envelope import EventEnvelope
 from repro.engine.task import TaskCheckpoint, TaskProcessor
 from repro.events.event import Event
 from repro.lsm.db import LsmConfig
@@ -51,14 +50,12 @@ def read_page(
     bus: MessageBus, tp: TopicPartition, begin: int, max_records: int
 ) -> LogPage:
     """The events of ``tp`` from ``begin`` (clamped to the retained
-    start), unwrapped from their envelopes where the log holds them."""
-    entries: list[tuple[int, Event]] = []
+    start), unwrapped from their envelopes."""
     with LogCursor(bus, tp, begin) as cursor:
-        for message in cursor.read(max_records):
-            value = message.value
-            if isinstance(value, EventEnvelope):
-                value = value.event
-            entries.append((message.offset, value))
+        entries = [
+            (message.offset, message.value.event)
+            for message in cursor.read(max_records)
+        ]
     start = getattr(bus.log(tp), "start_offset", 0)
     return LogPage(entries, start, bus.end_offset(tp))
 

@@ -36,9 +36,7 @@ from typing import Callable, Iterable
 
 from repro.common.errors import EngineError
 from repro.engine.catalog import CreateMetricOp, MetricDef, StreamDef
-from repro.engine.envelope import EventEnvelope
 from repro.engine.task import BackfillState, TaskCheckpoint, TaskProcessor
-from repro.events.event import Event
 from repro.lsm.db import LsmConfig
 from repro.messaging.broker import MessageBus
 from repro.messaging.cursor import LogCursor
@@ -124,15 +122,7 @@ class ShadowReplay:
             if limit <= 0:
                 return 0
         messages = self.cursor.read(limit)
-        # Cluster-bus partitions carry enveloped events; a frontend's
-        # private partition logs carry the raw events. Replay both.
-        records = []
-        for message in messages:
-            value = message.value
-            if isinstance(value, EventEnvelope):
-                records.append((message.offset, value.event))
-            elif isinstance(value, Event):
-                records.append((message.offset, value))
+        records = [(message.offset, message.value.event) for message in messages]
         if records:
             self.processor.process_batch(records)
         self.replayed += len(messages)

@@ -3,43 +3,39 @@
 The process-parallel counterpart of
 :class:`~repro.replay.backfill.CooperativeBackfill`: nothing outside a
 worker can splice into its :class:`~repro.engine.task.TaskProcessor`
-directly, so whoever holds a partition's log replays it through a
-:class:`~repro.replay.backfill.ShadowReplay` (the shared
+directly, so the frontend that holds a partition's log replays it
+through a :class:`~repro.replay.backfill.ShadowReplay` (the shared
 :class:`~repro.replay.backfill.ShadowSet` chase loop), exports the
-state at a **cut offset** — the task's dispatch frontier, the owning
-:class:`~repro.messaging.consumer.PartitionView`'s position — and ships
-it to the owning worker as a :class:`~repro.shard.wire.BackfillInstall`
-(:func:`install_frame`). The cut is always reachable by the worker
-(every record below it was shipped) and never behind it (a record is
-only processed after it was shipped). The worker stashes the install
-until its ``next_offset`` reaches the cut, splitting a work batch
-mid-run when the cut lands inside one, then splices and acks with
+state at a **cut offset** — the task's dispatch frontier, the
+frontend's :class:`~repro.messaging.consumer.PartitionView` position —
+and ships it to the owning worker as a
+:class:`~repro.shard.wire.BackfillInstall` on the task's own data link
+(:func:`install_frame`). The install lands (socket FIFO) between the
+batches below the cut and those above it: the cut is always reachable
+by the worker (every record below it was shipped) and never behind it
+(a record is only processed after it was shipped). The worker stashes
+the install until its ``next_offset`` reaches the cut, splitting a work
+batch mid-run when the cut lands inside one, then splices and acks with
 :class:`~repro.shard.wire.BackfillInstalled` through the supervisor
-control pipe. Ingest never pauses.
+control pipe. A worker whose frontier already passed the cut (possible
+when a restarted frontend's restored snapshot lags it) answers
+:class:`~repro.shard.wire.BackfillStale`, and the frontend re-splices
+at or above that floor. Ingest never pauses.
 
-The install channel is per transport:
+Two halves:
 
-- :class:`ShardBackfill` (``ParallelCluster``): shadows over the
-  coordinator's bus; installs travel the supervisor control pipe, but
-  **outside** the replayable control log
-  (:meth:`~repro.shard.supervisor.ShardSupervisor.send_control`) — their
-  payload is only valid against the recipient incarnation's offset.
-- :class:`FrontendBackfill` (``ClusterRouter``): shadows in the frontend
-  process that owns the log and its dispatch position; the install
-  rides the task's data link, landing (socket FIFO) between the batches
-  below the cut and those above it. A worker whose frontier already
-  passed the cut answers :class:`~repro.shard.wire.BackfillStale`, and
-  the frontend re-splices at or above that floor.
-  :class:`RouterBackfill` is the router's half.
+- :class:`BackfillJob` — the cluster's: it starts the frontends' halves
+  (``BackfillStart``), watches the acks and owns completion;
+- :class:`FrontendBackfill` — a frontend's: shadows + in-line installs.
 
-:class:`BackfillJob` is the cluster half both transports share: it owns
-completion. Recovery is by reset: when a worker restarts or a
-rebalance moves tasks, the cluster calls :meth:`BackfillJob.reset` for
-the affected tasks — acks (and in-flight installs) are forgotten and the
-shadow re-exports at the restored frontier. Re-installing onto a worker
-that already spliced is a harmless identity overwrite (the worker just
-re-acks), because shadow state at a given offset is a deterministic
-function of the arrival sequence.
+Recovery is by reset: when a worker restarts or a rebalance moves
+tasks, the cluster calls :meth:`BackfillJob.reset` for the affected
+tasks and the frontends forget their installs there — acks (and
+in-flight installs) are forgotten and the shadow re-exports at the
+restored frontier. Re-installing onto a worker that already spliced is
+a harmless identity overwrite (the worker just re-acks), because shadow
+state at a given offset is a deterministic function of the arrival
+sequence.
 
 Completion ordering is load-bearing: a synchronous with-state
 checkpoint runs *before* the ``CreateMetricOp`` broadcast enters the
@@ -74,9 +70,14 @@ def install_frame(shadow: ShadowReplay) -> wire.BackfillInstall:
 
 
 class BackfillJob:
-    """The cluster half of one backfill: watch the acks, own completion.
+    """The cluster half of one backfill: start the frontends' halves,
+    watch the acks, own completion.
 
-    Worker acks land in
+    Construction broadcasts the :class:`~repro.shard.wire.BackfillStart`
+    — the metric, its topic's other metrics and each task's stored
+    checkpoint as seeds — so the owning frontends start replaying;
+    :meth:`close` (on completion or shutdown) stops them. Worker acks
+    land in
     :attr:`~repro.shard.supervisor.ShardSupervisor.backfill_installed`;
     once every task of the metric's topic acked, :meth:`step` completes
     the job checkpoint-then-broadcast (see the module docstring).
@@ -86,6 +87,19 @@ class BackfillJob:
         self.cluster = cluster
         self.metric = metric
         self.done = False
+        peers = tuple(
+            m
+            for m in cluster.catalog.metrics_for_topic(metric.topic)
+            if m.metric_id != metric.metric_id
+        )
+        store = cluster.supervisor.checkpoints
+        seeds = tuple(
+            (tp, checkpoint)
+            for tp in cluster._metric_tasks(metric)
+            if (checkpoint := store.get(tp)) is not None
+        )
+        self._running = True
+        cluster._broadcast(wire.BackfillStart(metric, peers, seeds))
 
     def step(self) -> int:
         """Complete once every task acked its splice; 1 when it did."""
@@ -100,9 +114,9 @@ class BackfillJob:
         try:
             cluster.supervisor.request_checkpoints(with_state=True)
         except EngineError:
-            # A worker vanished mid-completion; its restart resets the
-            # affected acks and the job keeps running.
             return 0
+        if any((tp, metric_id) not in acked for tp in tasks):
+            return 0  # a worker restarted mid-checkpoint: re-splice first
         cluster._publish_op(CreateMetricOp(self.metric))
         for key in [k for k in acked if k[1] == metric_id]:
             acked.discard(key)
@@ -125,116 +139,10 @@ class BackfillJob:
                 acked.discard((tp, metric_id))
 
     def close(self) -> None:
-        """Release whatever the job holds; idempotent."""
-
-
-class ShardBackfill(BackfillJob):
-    """A backfill over the coordinator's bus, installed via the
-    supervisor control pipe (``ParallelCluster``)."""
-
-    def __init__(self, cluster, metric: MetricDef, batch: int = 512) -> None:
-        super().__init__(cluster, metric)
-        self.batch = batch
-        self.stream = cluster.catalog.streams[metric.stream]
-        self.shadows = ShadowSet()
-        #: cut offset of the in-flight (unacked) install per task
-        self.sent: dict[TopicPartition, int] = {}
-
-    def step(self) -> int:
-        """Advance every shadow toward its task's submitted frontier;
-        install the caught-up ones; complete once every task acked.
-        Returns a work count (records replayed + protocol actions)."""
-        if self.done:
-            return 0
-        cluster = self.cluster
-        supervisor = cluster.supervisor
-        config = supervisor.unit_config
-        acked = supervisor.backfill_installed
-        work = 0
-        for tp in cluster._metric_tasks(self.metric):
-            if (tp, self.metric.metric_id) in acked:
-                self.shadows.drop(tp)
-                continue
-            if tp in self.sent:
-                continue  # install in flight; the ack (or a reset) resolves it
-            owner = supervisor.owner_of(tp)
-            if owner is None:
-                continue
-            replayed, shadow = self.shadows.chase(
-                tp, cluster._views[owner].position(tp), self.batch,
-                lambda: ShadowReplay(
-                    cluster.bus, tp, self.stream, self.metric,
-                    reservoir_config=config.reservoir,
-                    lsm_config=config.lsm,
-                    seed_checkpoint=supervisor.checkpoints.get(tp),
-                    seed_metrics=cluster.catalog.metrics_for_topic(tp.topic),
-                ),
-            )
-            work += replayed
-            # An unreachable worker is about to be reaped; the restart
-            # hook resets this task and the next step re-exports at the
-            # restored frontier.
-            if shadow is not None and supervisor.send_control(
-                owner, install_frame(shadow)
-            ):
-                self.sent[tp] = shadow.position
-                work += 1
-        return work + super().step()
-
-    def reset(self, tasks: set[TopicPartition] | None = None) -> None:
-        """Forget acks and in-flight installs (see :meth:`BackfillJob.reset`)."""
-        super().reset(tasks)
-        for tp in list(self.sent):
-            if tasks is None or tp in tasks:
-                del self.sent[tp]
-
-    def close(self) -> None:
-        """Release every shadow's retention pin; idempotent."""
-        self.shadows.close()
-
-
-class RouterBackfill(BackfillJob):
-    """The router half of one backfill over the sharded frontends.
-
-    Construction broadcasts (and journals) the
-    :class:`~repro.shard.wire.BackfillStart` — the metric, its topic's
-    other metrics and each task's stored checkpoint as seeds — so the
-    owning frontends start replaying; :meth:`close` (on completion or
-    shutdown) tells them to stop and prunes the journaled start frame so
-    respawns stop replaying the job.
-    """
-
-    def __init__(self, router, metric: MetricDef) -> None:
-        super().__init__(router, metric)
-        peers = tuple(
-            m
-            for m in router.catalog.metrics_for_topic(metric.topic)
-            if m.metric_id != metric.metric_id
-        )
-        store = router.supervisor.checkpoints
-        seeds = tuple(
-            (tp, checkpoint)
-            for tp in router._metric_tasks(metric)
-            if (checkpoint := store.get(tp)) is not None
-        )
-        self.start_frame: bytes | None = router._broadcast_frontends(
-            wire.BackfillStart(metric, peers, seeds)
-        )
-
-    def close(self) -> None:
         """Stop the frontends' halves; idempotent."""
-        start_frame, self.start_frame = self.start_frame, None
-        if start_frame is None:
-            return
-        stop = wire.encode(wire.BackfillStop(self.metric.metric_id))
-        for handle in self.cluster._frontends.values():
-            handle.journal = [
-                entry for entry in handle.journal if entry[1] != start_frame
-            ]
-            try:
-                handle.conn.send_bytes(stop)
-            except OSError:
-                pass  # dead frontend; its respawn never sees the job
+        if self._running:
+            self._running = False
+            self.cluster._broadcast(wire.BackfillStop(self.metric.metric_id))
 
 
 class FrontendBackfill:

@@ -1,57 +1,56 @@
-"""The shard-cluster core: the front layer both process topologies share.
+"""The shard-cluster core: the one front layer both process topologies run.
 
 The paper gives every Railgun node one front layer — fan-out, reply
-fan-in, and the same client API whatever the deployment (§3.1,
-Figure 3). The process-parallel engine runs that layer over two
-transports: :class:`~repro.shard.parallel.ParallelCluster` dispatches
-from its own coordinator loop over the supervisor pipes,
-:class:`~repro.shard.router.ClusterRouter` routes to N frontend
-processes that dispatch over their own worker sockets.
-:class:`ShardCluster` is everything that is not transport, written
-once: the DDL calls (with metric activation cuts and a worker barrier),
-``send``/``send_batch``, metric and as-of reads, backfill start and
-status, worker add/remove/kill, checkpoint and telemetry reads,
-``close``, and the worker half of rebalance and crash recovery —
-assign, ship checkpoints, derive the seeks, reset the backfills.
+fan-in, the same client API whatever the deployment (§3.1, Figure 3).
+:class:`ShardCluster` is that layer, written once: the client API, the
+worker half of rebalance and crash recovery, and the whole protocol
+with its frontends (:class:`~repro.shard.frontend.FrontendEngine`, the
+owners of the partition logs, which dispatch over the workers' data
+sockets; the supervisor's pipes carry control only). ``_ship`` hashes
+each event's partitioner keys into the owning frontend's
+``IngestBatch``, ``_deliver`` fans ``ReplyBatch`` replies into
+topic-deduped requests, and ``FrontendAssign``, ``WorkerRestarted``,
+``TruncateLogs``, ``BackfillStart``, ``BackfillRead`` and
+``DrainRequest`` steer the frontends.
 
-A facade is its constructor, what only it has, and these transport
-hooks (docs/ARCHITECTURE.md tabulates both implementations):
+A facade is its constructor, what only it has, and one kind of frontend
+link in ``_frontends`` — the only transport hooks (docs/ARCHITECTURE.md
+tabulates both links):
 
-- ``_ship(stream, events)`` — hand a batch to the transport; returns
-  one correlation id per event, in order;
-- ``_round(laps)`` — one pump round, lapping ``engine_dispatch_ms``
-  then ``engine_collect_ms`` on the :class:`~repro.telemetry.StageLaps`;
-- ``_quiesce()`` — no work batch in flight (before a topology change);
-- ``_apply_routes(mapping, seeks)`` — install the task → worker map and
-  rewind the moved tasks to their seek offsets;
-- ``_announce_restart(worker_id, seeks)`` — a crashed worker is back:
-  rewind its tasks to their checkpointed offsets;
-- ``_read_page(tp, begin, max_records)`` — one
-  :class:`~repro.replay.asof.LogPage` of a partition log;
-- ``_publish_transport(op)`` — the transport half of publishing a DDL op;
-- ``_idle()`` — nothing queued or in flight below the pending map;
-- ``_truncate_logs(offsets)`` — retention below stored checkpoints on
-  whoever holds the partition logs;
-- ``_teardown()`` — stop the transport (before the workers stop);
-- ``_published`` — records published so far (one per DDL op, one per
-  event per fanned-out topic): the base of auto-minted ``client-…`` ids;
-- ``_backfill_job`` — the :class:`~repro.shard.backfill.BackfillJob`
-  class that installs a backfill over this transport.
+- ``send(msg)`` — hand the frontend one control or ingest frame;
+- ``poll()`` — the frames the frontend owes the host (replies, drain
+  acks, log pages, errors), without blocking;
+- ``waitables()`` — connections worth blocking on while nothing moves;
+- ``idle()`` — no dispatch backlog or batch in flight that ``pending``
+  does not show;
+- ``snapshots()`` — the frontend's and its workers' telemetry;
+- ``close()`` — stop the frontend (before the workers stop).
 
-``pending``/``completed`` are the facade's fan-in tables (correlation →
-request / :class:`~repro.engine.frontend.Reply`).
+A link also carries its ``frontend_id``, the ``owned`` partitions and a
+``restarts`` count (a request re-asks a frontend that restarted).
+``pending``/``completed`` are the fan-in tables (correlation → request /
+:class:`~repro.engine.frontend.Reply`).
 """
 
 from __future__ import annotations
 
+import multiprocessing.connection
 import os
 import threading
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.common.clock import ManualClock
 from repro.common.errors import EngineError
+from repro.common.hashing import partition_for
 from repro.common.timesource import TimeSource, resolve_time_source
+from repro.engine.assignment import (
+    PreviousState,
+    ProcessorInfo,
+    StickyAssignmentStrategy,
+)
 from repro.engine.catalog import (
+    GLOBAL_PARTITIONER,
     AddPartitionerOp,
     Catalog,
     CreateMetricOp,
@@ -59,6 +58,7 @@ from repro.engine.catalog import (
     DeleteMetricOp,
     EvolveSchemaOp,
     MetricDef,
+    topic_name,
 )
 from repro.engine.cluster import (
     _normalize_fields,
@@ -73,14 +73,24 @@ from repro.events.event import Event
 from repro.messaging.durable import resolve_durable_dir
 from repro.messaging.log import TopicPartition
 from repro.replay.asof import AsOfResult, as_of_values
+from repro.shard import wire
+from repro.shard.backfill import BackfillJob
 from repro.shard.supervisor import ShardSupervisor
-from repro.telemetry import (
-    MetricsRegistry,
-    StageLaps,
-    decode_bundle,
-    decode_snapshot,
-    merge_snapshots,
-)
+from repro.telemetry import MetricsRegistry, StageLaps, merge_snapshots
+
+
+@dataclass
+class _PendingFanin:
+    """A client request awaiting replies from its fanned-out topics."""
+
+    event: Event
+    stream: str
+    expected: int
+    sent_at_ms: int
+    results: dict[int, dict[str, Any]] = field(default_factory=dict)
+    #: topics that already answered — the de-dup key that makes replayed
+    #: replies (worker or frontend recovery) count at most once each.
+    replied: set[str] = field(default_factory=set)
 
 
 class ShardCluster:
@@ -98,7 +108,8 @@ class ShardCluster:
         mp_context,
         durable_dir: str | None,
         time_source: TimeSource | None,
-        listen_dir: str | None = None,
+        ingest_max: int = 256,
+        frontend_strategy: object | None = None,
     ) -> None:
         self._time = resolve_time_source(time_source)
         #: front-layer registry (``name`` is its process label), shared
@@ -110,6 +121,7 @@ class ShardCluster:
         self.catalog = Catalog()
         self.tick_ms = tick_ms
         self.batch_max = batch_max
+        self.ingest_max = ingest_max
         self.durable_dir = resolve_durable_dir(durable_dir, name)
         self.supervisor = ShardSupervisor(
             workers,
@@ -118,7 +130,6 @@ class ShardCluster:
             time_source=self._time,
             checkpoint_interval=checkpoint_every,
             mp_context=mp_context,
-            listen_dir=listen_dir,
             checkpoint_dir=(
                 os.path.join(self.durable_dir, "checkpoints")
                 if self.durable_dir is not None
@@ -127,14 +138,33 @@ class ShardCluster:
             telemetry=self.metrics,
         )
         self.supervisor.on_restart = self._on_worker_restart
+        self.frontend_strategy = (
+            frontend_strategy
+            if frontend_strategy is not None
+            else StickyAssignmentStrategy(0)
+        )
+        #: frontend id -> link (filled by the facade).
+        self._frontends: dict[str, Any] = {}
+        #: task -> owning frontend (sticky: once placed, never moved).
+        self._fe_owner: dict[TopicPartition, str] = {}
         #: replied watermark per task: replies below it already reached
         #: the client, so replayed work must not repeat them.
         self._watermarks: dict[TopicPartition, int] = {}
-        #: latest telemetry bundle per transport process that forwards
-        #: one (its own snapshot plus the worker snapshots it absorbed).
-        self._bundles: dict[str, bytes] = {}
+        self.pending: dict[int, _PendingFanin] = {}
+        self.completed: dict[int, Reply] = {}
+        self._next_correlation = 0
+        #: records published so far (one per DDL op, one per event per
+        #: fanned-out topic): the base of auto-minted ``client-…`` ids,
+        #: so the same call sequence mints the same event identities on
+        #: every topology.
+        self._published = 0
+        self._next_drain = 0
+        self._drain_acks: set[tuple[int, str]] = set()
+        #: answered log-read pages, keyed by (task, begin offset).
+        self._read_pages: dict[tuple[TopicPartition, int], wire.BackfillRecords] = {}
+        self.frontend_errors: list[str] = []
         #: running/finished backfill jobs (kept for status queries).
-        self._backfills: list = []
+        self._backfills: list[BackfillJob] = []
         self.rebalance_count = 0
         #: checkpoint-store version the logs were last truncated against.
         self._truncated_at = 0
@@ -232,23 +262,22 @@ class ShardCluster:
         self._rebalance()
 
     def _publish_op(self, op: object) -> None:
-        """Apply one DDL op, replicate it to every worker (the op is its
-        own control frame) and hand it to the transport."""
+        """Apply one DDL op and replicate it — to every worker (the op is
+        its own control frame) and to every frontend (stream DDL gives
+        them the topics their logs need)."""
         self.catalog.apply(op)
         self.supervisor.broadcast_control(op)
-        self._publish_transport(op)
+        self._published += 1
+        self._broadcast(op)
+
+    def _broadcast(self, msg: object) -> None:
+        for link in self._frontends.values():
+            link.send(msg)
 
     def _sync_workers(self) -> None:
-        """Barrier: every live worker has consumed the control frames
-        broadcast so far.
-
-        DDL that changes what replies *contain* (a metric appearing or
-        vanishing) round-trips the control pipe before returning. With
-        work batches on other channels (the frontends' data sockets) the
-        two are unordered, and an event dispatched right after the DDL
-        could otherwise be processed against the old metric set; on a
-        single FIFO pipe the barrier costs one round trip.
-        """
+        """Barrier: every live worker consumed the control frames sent so
+        far — DDL that changes what replies *contain* (a metric appearing
+        or vanishing) is applied everywhere before the call returns."""
         try:
             self.supervisor.request_checkpoints(with_state=False)
         except EngineError:
@@ -278,18 +307,16 @@ class ShardCluster:
     def backfill_metric(self, query_text: str) -> int:
         """Define a metric *after the fact* and materialize it from the logs.
 
-        The metric id is reserved immediately; a background job (stepped
-        from :meth:`pump`, so ingest never pauses) replays each
-        partition log through a shadow and splices the exported state
-        into the owning worker at an exact cut offset — see
-        :mod:`repro.shard.backfill`. Only on completion does the
-        ``CreateMetricOp`` reach the worker control log — an incomplete
-        backfill does not survive a coordinator restart and must be
-        re-issued. Use :meth:`backfill_status` to observe completion.
+        The metric id is reserved immediately; the frontends replay each
+        partition log through a shadow and splice it into the owning
+        worker at an exact cut, ingest never pausing (see
+        :mod:`repro.shard.backfill`). An incomplete backfill does not
+        survive a coordinator restart; :meth:`backfill_status` observes
+        completion.
         """
         metric = build_metric_def(self.catalog, query_text)
         self.catalog.apply(CreateMetricOp(metric))
-        self._backfills.append(self._backfill_job(self, metric))
+        self._backfills.append(BackfillJob(self, metric))
         return metric.metric_id
 
     def backfill_status(self, metric_id: int) -> str:
@@ -341,8 +368,8 @@ class ShardCluster:
     def query_as_of(self, metric_id: int, as_of: int) -> AsOfResult:
         """Time-travel read: the metric's values at event time ``as_of``,
         answered from the supervisor's stored checkpoints plus a bounded
-        replay of each partition log's tail (paged in through the
-        transport's log reader)."""
+        replay of each partition log's tail (paged in from the frontend
+        that owns it)."""
         metric = self._metric(metric_id)
         tps = self._metric_tasks(metric)
         store = self.supervisor.checkpoints
@@ -362,6 +389,44 @@ class ShardCluster:
             reservoir_config=config.reservoir,
             lsm_config=config.lsm,
         )
+
+    def _read_page(
+        self,
+        tp: TopicPartition,
+        begin: int,
+        max_records: int,
+        timeout: float = 10.0,
+    ) -> wire.BackfillRecords:
+        """One ``BackfillRead`` round trip to the task's owning frontend
+        (re-asked across a frontend restart)."""
+        owner = self._fe_owner.get(tp)
+        if owner is None:
+            raise EngineError(f"partition {tp} has no frontend owner")
+        key = (tp, begin)
+        self._read_pages.pop(key, None)
+        self._ask(
+            self._frontends[owner],
+            wire.BackfillRead(tp, begin, max_records),
+            lambda: key in self._read_pages,
+            self._time.deadline(timeout),
+        )
+        return self._read_pages.pop(key)
+
+    def _ask(self, link, request: object, answered, deadline) -> None:
+        """Send ``request`` to a frontend and pump until ``answered()``,
+        re-asking a frontend that restarted meanwhile."""
+        asked = link.restarts
+        link.send(request)
+        while not answered():
+            if deadline.expired():
+                raise EngineError(
+                    f"frontend {link.frontend_id} did not answer "
+                    f"{type(request).__name__}"
+                )
+            self.pump()
+            if link.restarts != asked:
+                asked = link.restarts
+                link.send(request)
 
     # -- the data path --------------------------------------------------------
 
@@ -402,15 +467,88 @@ class ShardCluster:
             self.completed, max_rounds,
         )
 
+    def _ship(self, stream: str, events: list[Event]) -> list[int]:
+        """Hash, bucket per frontend and send a run of events.
+
+        The per-event hot path of the front layer: ``partition_for`` on
+        each partitioner key (identical placement to the single-process
+        bus), a pending fan-in entry, and one ``IngestBatch`` entry per
+        owning frontend. A batch is validated whole before its first
+        pending entry.
+        """
+        # One span per shipped run; it rides the IngestBatch frames and
+        # the frontends re-stamp it onto their WorkBatches.
+        span = self._mint_span()
+        stream_def = self.catalog.streams.get(stream)
+        if stream_def is None:
+            raise EngineError(f"unknown stream {stream!r}")
+        stream_def.schema().validate_events(events)
+        expected = len(stream_def.topics())
+        now = self.clock.now()
+        routes = []
+        for partitioner in stream_def.partitioners:
+            topic = topic_name(stream, partitioner)
+            owners = [
+                self._fe_owner.get(TopicPartition(topic, index))
+                for index in range(stream_def.partition_count(partitioner))
+            ]
+            if None in owners:
+                raise EngineError(
+                    f"partition {topic}-{owners.index(None)} has no frontend owner"
+                )
+            routes.append((partitioner, len(owners), owners))
+        buckets: dict[str, list] = {}
+        correlations = list(
+            range(self._next_correlation, self._next_correlation + len(events))
+        )
+        self._next_correlation += len(events)
+        self._published += expected * len(events)
+        pending = self.pending
+        for correlation, event in zip(correlations, events):
+            per_frontend: dict[str, list[tuple[str, int]]] = {}
+            for partitioner, partitions, owners in routes:
+                key = (
+                    "__global__"
+                    if partitioner == GLOBAL_PARTITIONER
+                    else event.get(partitioner)
+                )
+                partition = partition_for(key, partitions)
+                per_frontend.setdefault(owners[partition], []).append(
+                    (partitioner, partition)
+                )
+            pending[correlation] = _PendingFanin(event, stream, expected, now)
+            for owner, targets in per_frontend.items():
+                buckets.setdefault(owner, []).append(
+                    (correlation, event, tuple(targets))
+                )
+        trace = (span, ()) if span is not None else None
+        for frontend_id, entries in buckets.items():
+            link = self._frontends[frontend_id]
+            self.metrics.counter_add(
+                "router_events_routed_total", len(entries), label=frontend_id
+            )
+            for start in range(0, len(entries), self.ingest_max):
+                link.send(
+                    wire.IngestBatch(
+                        stream, entries[start:start + self.ingest_max], trace
+                    )
+                )
+                # Keep the reply direction drained while flooding the
+                # ingest direction: a full reply pipe would wedge a
+                # frontend process and, transitively, this send; in
+                # process it is the pass that dispatches the run at once.
+                self._drain_replies()
+        return correlations
+
     # -- the world loop -------------------------------------------------------
 
     def pump(self) -> int:
-        """One round of the front layer: dispatch, collect, police."""
+        """One round of the front layer: frontends, workers, backfills."""
         return self._round(StageLaps(self.metrics))
 
     def run_until_quiet(self, max_rounds: int = 20000, quiet_rounds: int = 3) -> int:
         """Pump until nothing moves for ``quiet_rounds`` consecutive
-        rounds: no reply merged, no request pending, the transport idle
+        rounds: no reply merged, no request pending, every frontend idle
         and every backfill done."""
         total = 0
         quiet = 0
@@ -431,6 +569,121 @@ class ShardCluster:
                 quiet = 0
         return total
 
+    def _round(self, laps: StageLaps) -> int:
+        """Control out (backfill completion, retention) and the
+        frontends' frames in, then police the children; when nothing
+        moved, block briefly on the links instead of spinning — the
+        front layer must yield the core to its children."""
+        self.clock.advance(self.tick_ms)
+        handled = self._step_backfills()
+        self._truncate_durable_logs()
+        handled += self._drain_replies()
+        laps.lap("engine_dispatch_ms")
+        self.supervisor.poll(0.0)
+        self._raise_worker_errors()
+        if self.frontend_errors:
+            raise EngineError("shard frontend failed:\n" + self.frontend_errors[-1])
+        if handled == 0:
+            waitables = [
+                conn for link in self._frontends.values() for conn in link.waitables()
+            ]
+            if waitables:
+                multiprocessing.connection.wait(waitables, 0.01)
+                handled += self._drain_replies()
+        laps.lap("engine_collect_ms")
+        return handled
+
+    def _idle(self) -> bool:
+        return all(link.idle() for link in self._frontends.values())
+
+    def _quiesce(self) -> None:
+        self.drain()
+
+    def drain(self, timeout: float = 30.0) -> None:
+        """Quiesce the data plane: every frontend dispatches its backlog
+        and waits out its outstanding batches before acking.
+
+        Recovery-aware: a frontend that is mid-replay after a worker
+        crash acks only once the replay finished, and a frontend that
+        restarts while draining is re-asked.
+        """
+        request_id = self._next_drain
+        self._next_drain += 1
+        deadline = self._time.deadline(timeout)
+        for frontend_id, link in self._frontends.items():
+            self._ask(
+                link,
+                wire.DrainRequest(request_id),
+                lambda: (request_id, frontend_id) in self._drain_acks,
+                deadline,
+            )
+        self._drain_acks = {
+            ack for ack in self._drain_acks if ack[0] != request_id
+        }
+
+    def _drain_replies(self) -> int:
+        handled = 0
+        for link in self._frontends.values():
+            for msg in link.poll():
+                handled += self._on_frontend_msg(link, msg)
+        return handled
+
+    def _on_frontend_msg(self, link, msg: object) -> int:
+        if isinstance(msg, wire.ReplyBatch):
+            for correlation_id, topic, results in msg.replies:
+                self._deliver(correlation_id, topic, results)
+            self.metrics.counter_add(
+                "router_replies_merged_total",
+                len(msg.replies),
+                label=link.frontend_id,
+            )
+            self._note_watermarks(msg.watermarks)
+            for worker_id, records, replies in msg.processed:
+                self.supervisor.note_processed(worker_id, records, replies)
+            return len(msg.replies)
+        if isinstance(msg, wire.DrainAck):
+            self._drain_acks.add((msg.request_id, link.frontend_id))
+            self._note_watermarks(msg.watermarks)
+            return 1
+        if isinstance(msg, wire.BackfillRecords):
+            self._read_pages[(msg.tp, msg.begin)] = msg
+            return 1
+        if isinstance(msg, wire.WorkerError):
+            self.frontend_errors.append(msg.message)
+            return 0
+        raise EngineError(f"unexpected frontend frame: {type(msg).__name__}")
+
+    def _note_watermarks(self, watermarks) -> None:
+        """Snapshot replied watermarks (the seed of respawn suppression)."""
+        for tp, offset in watermarks:
+            if offset > self._watermarks.get(tp, 0):
+                self._watermarks[tp] = offset
+
+    def _deliver(
+        self, correlation_id: int, topic: str, results: dict | None
+    ) -> None:
+        """Fan one task reply into its pending request, topic-deduped.
+
+        Replayed replies (worker restarts, frontend journal replays) may
+        repeat a topic that already answered; counting topics — not raw
+        replies — keeps the fan-in exact for multi-partitioner streams.
+        """
+        request = self.pending.get(correlation_id)
+        if request is None or results is None or topic in request.replied:
+            return
+        request.replied.add(topic)
+        for metric_id, values in results.items():
+            request.results[metric_id] = values
+        if len(request.replied) < request.expected:
+            return
+        del self.pending[correlation_id]
+        self.completed[correlation_id] = Reply(
+            event=request.event,
+            stream=request.stream,
+            results=request.results,
+            latency_ms=self.clock.now() - request.sent_at_ms,
+        )
+
     def _raise_worker_errors(self) -> None:
         if self.supervisor.worker_errors:
             raise EngineError(
@@ -439,30 +692,35 @@ class ShardCluster:
 
     def _truncate_durable_logs(self) -> None:
         """Checkpoint-aware retention: whenever the (persistent)
-        checkpoint store advanced, every segment wholly below each
-        task's stored checkpoint offset goes — the logs no longer grow
-        without bound."""
+        checkpoint store advanced, each frontend deletes every segment
+        wholly below its owned tasks' stored checkpoint offsets — the
+        logs no longer grow without bound."""
         if self.durable_dir is None:
             return
         store = self.supervisor.checkpoints
         if store.stored == self._truncated_at:
             return
         self._truncated_at = store.stored
-        self._truncate_logs(store.offsets())
+        offsets = store.offsets()
+        for link in self._frontends.values():
+            owned = tuple(
+                (tp, offsets[tp])
+                for tp in sorted(link.owned, key=str)
+                if offsets.get(tp, 0) > 0
+            )
+            if owned:
+                link.send(wire.TruncateLogs(owned))
 
     # -- rebalance / recovery -------------------------------------------------
 
     def _rebalance(self) -> None:
         """(Re)shard the tasks over the workers, stickily.
 
-        A task's new owner gets the supervisor's stored checkpoint
-        shipped first (worker-to-worker state handoff; the control pipe
-        is FIFO, so the restore lands before the task's next batch) and
-        replays only the tail past its offset — the whole log where no
-        checkpoint exists; the replied watermark suppresses replayed
-        replies either way. Moved tasks were rebuilt from checkpoints
-        that may predate a splice still in flight, so every backfill
-        re-derives its installs.
+        A task's new owner gets the stored checkpoint shipped first (a
+        worker applies control before the data sent after it) and
+        replays only the tail past its offset — the whole log without
+        one — under the replied watermark. Moved tasks may predate a
+        splice in flight, so every backfill re-derives its installs.
         """
         tasks = self._event_tasks()
         if not tasks:
@@ -483,23 +741,80 @@ class ShardCluster:
             job.reset()
         self.rebalance_count += 1
 
+    def _apply_routes(
+        self,
+        mapping: dict[str, set[TopicPartition]],
+        seeks: dict[TopicPartition, int],
+    ) -> None:
+        """Place tasks on frontends and send each its routes + seeks.
+
+        Frontend ownership is append-only: a task, once owned, NEVER
+        moves — its owner hosts the task's only log and replied
+        watermark, so a move would strand both (silently dropped
+        events). The frontend count is fixed, so pinning costs nothing
+        but balance on topic additions.
+        """
+        owner_of = {
+            tp: worker_id for worker_id, owned in mapping.items() for tp in owned
+        }
+        tasks = sorted(owner_of, key=str)
+        assignment = self.frontend_strategy.assign(
+            tasks,
+            [
+                ProcessorInfo(frontend_id, frontend_id)
+                for frontend_id in self._frontends
+            ],
+            PreviousState(
+                active={
+                    frontend_id: set(link.owned)
+                    for frontend_id, link in self._frontends.items()
+                }
+            ),
+        )
+        placed: dict[TopicPartition, str] = {}
+        for frontend_id in self._frontends:
+            for tp in assignment.active.get(frontend_id, set()):
+                placed[tp] = frontend_id
+        for tp in tasks:
+            if tp not in self._fe_owner:
+                self._fe_owner[tp] = placed[tp]
+        for frontend_id, link in self._frontends.items():
+            link.owned = {
+                tp for tp, owner in self._fe_owner.items() if owner == frontend_id
+            }
+            routes = tuple(
+                (tp, owner_of[tp], self.supervisor.worker_addr(owner_of[tp]))
+                for tp in sorted(link.owned, key=str)
+            )
+            link.send(
+                wire.FrontendAssign(
+                    routes,
+                    tuple((tp, seeks[tp]) for tp, _, _ in routes if tp in seeks),
+                )
+            )
+
     def _on_worker_restart(
         self, worker_id: str, tasks: set[TopicPartition]
     ) -> None:
         """Crash recovery: replay each owned task's uncheckpointed tail.
 
-        The supervisor already replayed the control log and shipped
-        each owned task's stored checkpoint into the fresh process, so
-        the tasks rewind to the checkpointed offset (zero when no
-        checkpoint exists yet) and only the tail replays. The replied
-        watermark keeps the replay silent up to the last reply the
-        client saw; the records whose replies never landed reply again,
-        byte-identical. The fresh incarnation may lack an in-flight
-        splice (its stash died with the old process): those installs
-        and acks are forgotten and re-derived.
+        The supervisor already shipped each task's stored checkpoint
+        into the fresh process, so the tasks rewind to the checkpointed
+        offset (zero without one); the replied watermark keeps the
+        replay silent up to the last reply the client saw. Every
+        frontend hears the restart — it lifts a crash quarantine. An
+        in-flight splice died with the old process: its installs and
+        acks are re-derived.
         """
         offset = self.supervisor.checkpoints.offset
-        self._announce_restart(worker_id, {tp: offset(tp) for tp in tasks})
+        addr = self.supervisor.worker_addr(worker_id)
+        for link in self._frontends.values():
+            relevant = sorted(link.owned & tasks, key=str)
+            link.send(
+                wire.WorkerRestarted(
+                    worker_id, addr, tuple((tp, offset(tp)) for tp in relevant)
+                )
+            )
         for job in self._backfills:
             job.reset(tasks)
 
@@ -529,25 +844,18 @@ class ShardCluster:
         """One merged, stable-schema telemetry snapshot of the cluster.
 
         The front layer and the supervisor share a registry; each
-        worker's latest snapshot rides its ``BatchDone`` frames, and a
-        transport process that forwards a bundle adds its own. See
-        docs/OBSERVABILITY.md for the schema and the metric catalog.
+        frontend link adds its own snapshot (an in-process frontend
+        records into the shared one) and the latest snapshot of every
+        worker it dispatches to. See docs/OBSERVABILITY.md for the
+        schema and the metric catalog.
         """
         snapshots = [self.metrics.snapshot()]
-        for blob in self.supervisor.child_snapshots():
-            try:
-                snapshots.append(decode_snapshot(blob))
-            except Exception:
-                continue  # torn/foreign snapshot: observation only, skip
-        for bundle in self._bundles.values():
-            try:
-                snapshots.extend(decode_bundle(bundle))
-            except Exception:
-                continue  # torn bundle: skipped, never raises
+        for link in self._frontends.values():
+            snapshots.extend(link.snapshots())
         return merge_snapshots(snapshots)
 
     def close(self) -> None:
-        """Stop the transport and every worker process; idempotent and
+        """Stop the frontends and every worker process; idempotent and
         thread-safe (concurrent calls race on one lock, every call after
         the first returns at once)."""
         with self._close_lock:
@@ -557,9 +865,30 @@ class ShardCluster:
         for job in self._backfills:
             job.close()
         try:
-            self._teardown()
+            self._settle()
+            for link in self._frontends.values():
+                link.close()
         finally:
             self.supervisor.shutdown()
+
+    def _settle(self, timeout: float = 10.0) -> None:
+        """Drain-before-close: complete the fan-ins still pending, so a
+        server shutting down mid-flight answers every accepted request.
+        Bounded by ``timeout`` and by a stall of ~50 idle rounds; a child
+        error mid-drain downgrades to an immediate teardown."""
+        deadline = self._time.deadline(timeout)
+        stalled = 0
+        try:
+            while self._unsettled() and not deadline.expired() and stalled <= 50:
+                stalled = 0 if self._settle_step() else stalled + 1
+        except EngineError:
+            pass  # dead child mid-drain: fall through to teardown
+
+    def _unsettled(self) -> bool:
+        return bool(self.pending)
+
+    def _settle_step(self) -> int:
+        return self.pump()
 
     def __enter__(self) -> "ShardCluster":
         return self

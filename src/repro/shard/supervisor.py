@@ -1,18 +1,17 @@
-"""The shard supervisor: spawn, route, monitor, restart.
+"""The shard supervisor: spawn, assign, monitor, restart — control only.
 
 The supervisor owns N :mod:`~repro.shard.worker` processes connected by
 duplex control pipes. It shards tasks over workers with the engine's
 :class:`~repro.engine.assignment.StickyAssignmentStrategy` (each worker
 modelled as its own single-processor node) and replays the full control
-log into any worker it restarts after a crash. In single-coordinator
-mode (:class:`~repro.shard.parallel.ParallelCluster`) it also carries
-the data plane: columnar ``WorkBatch`` frames to the owning worker,
-columnar ``BatchDone`` replies and telemetry back, over the same pipes. In
-sharded-frontend mode (``listen_dir`` set) the data plane moves to
-per-frontend AF_UNIX sockets and the pipes carry control only;
-frontends' progress is credited back through
+log into any worker it restarts after a crash. The pipes carry control
+only — spawn/restart, DDL and assignment, ``RestoreTask``, checkpoint
+request/ack, ``BackfillInstalled`` and ``WorkerError``. Work batches
+never touch them: every worker listens on an AF_UNIX data socket at
+:meth:`ShardSupervisor.worker_addr`, where the frontends connect, and
+the frontends credit the work back through
 :meth:`ShardSupervisor.note_processed` so per-worker counters and the
-checkpoint cadence stay merged here either way.
+checkpoint cadence stay merged here.
 
 It is also the cluster's checkpoint authority: a
 :class:`CheckpointStore` keeps the latest materialized
@@ -24,16 +23,11 @@ is a stored checkpoint, whoever asked for it). A restarted worker gets
 the control log, its assignment, and then one ``RestoreTask`` per owned
 task, so recovery replays only the tail past the checkpointed offset.
 
-Flow control is a small credit scheme: at most ``max_outstanding``
-un-acked work batches per worker. Combined with the cluster's bounded
-batch size this keeps the hot-path pipe traffic strictly below OS
-buffer capacity, so neither side blocks on a full pipe (a blocked
-supervisor plus a blocked worker would be a classic cross-pipe
-deadlock). Checkpoint frames can exceed the buffer, but they only flow
-when the peer is guaranteed to be reading: ``RestoreTask`` goes to a
-freshly spawned worker draining its setup messages, or after a quiesce
-plus checkpoint refresh has emptied both directions; large acks are
-absorbed by the supervisor's regular :meth:`poll` drain.
+Checkpoint frames can exceed a pipe buffer, but they only flow when the
+peer is guaranteed to be reading: ``RestoreTask`` goes to a freshly
+spawned worker draining its setup messages, or after a quiesce plus
+checkpoint refresh has emptied the data plane; large acks are absorbed
+by the supervisor's regular :meth:`poll` drain.
 """
 
 from __future__ import annotations
@@ -41,6 +35,8 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -54,7 +50,7 @@ from repro.engine.assignment import (
 from repro.engine.processor import UnitConfig
 from repro.engine.task import TASK_CHECKPOINT, TaskCheckpoint
 from repro.messaging.log import TopicPartition
-from repro.shard import columnar, wire
+from repro.shard import wire
 from repro.shard.worker import shard_worker_main
 from repro.telemetry import MetricsRegistry
 
@@ -201,14 +197,12 @@ def _default_context() -> multiprocessing.context.BaseContext:
 
 @dataclass
 class WorkerHandle:
-    """One live worker process and its routing state."""
+    """One live worker process and its assignment."""
 
     worker_id: str
     process: multiprocessing.process.BaseProcess
     conn: multiprocessing.connection.Connection
     assigned: set[TopicPartition] = field(default_factory=set)
-    outstanding: int = 0
-    restarts: int = 0
 
     @property
     def alive(self) -> bool:
@@ -223,10 +217,8 @@ class ShardSupervisor:
         workers: int = 2,
         unit_config: UnitConfig | None = None,
         strategy: object | None = None,
-        max_outstanding: int = 2,
         checkpoint_interval: int | None = None,
         mp_context: multiprocessing.context.BaseContext | None = None,
-        listen_dir: str | None = None,
         checkpoint_dir: str | None = None,
         time_source: TimeSource | None = None,
         telemetry: MetricsRegistry | None = None,
@@ -243,28 +235,14 @@ class ShardSupervisor:
             if telemetry is not None
             else MetricsRegistry("supervisor", time_source=self._time)
         )
-        #: span id minted by the facade for the batch currently being
-        #: dispatched; :meth:`submit` stamps it (plus a send timestamp)
-        #: onto outgoing ``WorkBatch`` frames so workers attribute their
-        #: queue wait to the right span.
-        self.active_span: str | None = None
-        #: latest encoded registry snapshot per worker, piggybacked on
-        #: ``BatchDone`` frames. Replace semantics: a restarted worker's
-        #: fresh snapshot supersedes its predecessor's.
-        self._worker_snapshots: dict[str, bytes] = {}
         self._ctx = mp_context if mp_context is not None else _default_context()
-        #: directory for per-worker AF_UNIX data-socket addresses. Set by
-        #: the sharded-frontend router: each worker then listens for
-        #: frontend data connections at :meth:`worker_addr`, and the
-        #: supervisor pipe carries only the control plane. ``None``
-        #: (classic ``ParallelCluster`` mode) keeps work batches on the
-        #: supervisor pipe.
-        self.listen_dir = listen_dir
+        #: directory of the workers' data-socket addresses (removed with
+        #: the workers on :meth:`shutdown`).
+        self.listen_dir = tempfile.mkdtemp(prefix="railgun-shard-")
         self.unit_config = unit_config if unit_config is not None else UnitConfig()
         self.strategy = (
             strategy if strategy is not None else StickyAssignmentStrategy(0)
         )
-        self.max_outstanding = max_outstanding
         #: records processed between automatic with-state checkpoint
         #: requests; None disables the cadence (explicit requests only).
         self.checkpoint_interval = checkpoint_interval
@@ -274,7 +252,6 @@ class ShardSupervisor:
         self.checkpoints = CheckpointStore(checkpoint_dir)
         self._control_log: list[bytes] = []
         self._buffered: list[tuple[object, WorkerHandle]] = []
-        self._owners: dict[TopicPartition, str] = {}
         self._next_worker = 0
         self._next_checkpoint_request = 0
         #: fire-and-forget checkpoint requests: request id -> worker ids
@@ -316,11 +293,8 @@ class ShardSupervisor:
         """Gracefully retire a worker (call :meth:`assign` afterwards).
 
         All trace of the handle goes with it: frames parked in the
-        internal buffer (e.g. a ``BatchDone`` set aside while a
-        checkpoint request drained the pipes) would otherwise be
-        delivered by a later :meth:`poll` and mutate a dead handle's
-        counters, and stale ``_owners`` entries would keep routing
-        :meth:`submit` at a worker that no longer exists.
+        internal buffer while a checkpoint request drained the pipes
+        would otherwise be delivered by a later :meth:`poll`.
         """
         handle = self._handle(worker_id)
         self._stop_handle(handle)
@@ -329,9 +303,6 @@ class ShardSupervisor:
         self._buffered = [
             (msg, owner) for msg, owner in self._buffered if owner is not handle
         ]
-        self._owners = {
-            tp: owner for tp, owner in self._owners.items() if owner != worker_id
-        }
 
     def kill_worker(self, worker_id: str) -> None:
         """SIGKILL a worker (tests: crash without cleanup)."""
@@ -351,11 +322,8 @@ class ShardSupervisor:
         except KeyError:
             raise EngineError(f"unknown shard worker {worker_id!r}") from None
 
-    def worker_addr(self, worker_id: str) -> str | None:
-        """Data-socket address of a worker (stable across restarts), or
-        ``None`` when the supervisor runs without ``listen_dir``."""
-        if self.listen_dir is None:
-            return None
+    def worker_addr(self, worker_id: str) -> str:
+        """Data-socket address of a worker (stable across restarts)."""
         return os.path.join(self.listen_dir, f"{worker_id}.sock")
 
     def _spawn(self, worker_id: str) -> WorkerHandle:
@@ -389,24 +357,6 @@ class ShardSupervisor:
                 except OSError:
                     pass  # dead worker; the restart replays the log
 
-    def send_control(self, worker_id: str, msg: object) -> bool:
-        """Send one control frame to one worker, outside the control log.
-
-        For per-worker, per-incarnation traffic (backfill installs):
-        the frame must *not* replay into a restarted process — its
-        payload is only valid against the state the recipient held when
-        it was built. Returns False when the worker is unreachable (the
-        caller re-derives and re-sends after the restart).
-        """
-        handle = self._handle(worker_id)
-        if not handle.alive:
-            return False
-        try:
-            handle.conn.send_bytes(wire.encode(msg))
-        except OSError:
-            return False
-        return True
-
     def assign(self, tasks: list[TopicPartition]) -> dict[str, set[TopicPartition]]:
         """(Re)shard ``tasks`` over the current workers, stickily.
 
@@ -425,13 +375,10 @@ class ShardSupervisor:
         )
         assignment = self.strategy.assign(tasks, processors, previous)
         result: dict[str, set[TopicPartition]] = {}
-        self._owners.clear()
         for worker_id, handle in self.handles.items():
             owned = set(assignment.active.get(worker_id, set()))
             result[worker_id] = owned
             handle.assigned = owned
-            for tp in owned:
-                self._owners[tp] = worker_id
             if handle.alive:
                 try:
                     handle.conn.send_bytes(
@@ -443,22 +390,28 @@ class ShardSupervisor:
                     pass  # dead worker; the restart resends its assignment
         return result
 
-    def owner_of(self, tp: TopicPartition) -> str | None:
-        """Worker currently owning a task."""
-        return self._owners.get(tp)
-
-    def _checkpoint_request_for(
-        self, request_id: int, handle: WorkerHandle, with_state: bool
-    ) -> bytes:
-        """Encode one worker's request, advertising files we hold."""
-        known: tuple[tuple[TopicPartition, tuple[str, ...]], ...] = ()
-        if with_state:
+    def _send_checkpoint_requests(self, with_state: bool) -> tuple[int, set[str]]:
+        """Send every live worker a fresh checkpoint request, advertising
+        the files we hold; returns the request id and who got it (a dead
+        worker is reaped later, and its restart reships its state)."""
+        request_id = self._next_checkpoint_request
+        self._next_checkpoint_request += 1
+        sent: set[str] = set()
+        for handle in self.handles.values():
+            if not handle.alive:
+                continue
             known = tuple(
                 (tp, names)
                 for tp in sorted(handle.assigned, key=str)
-                if (names := self.checkpoints.known_files(tp))
+                if with_state and (names := self.checkpoints.known_files(tp))
             )
-        return wire.encode(wire.CheckpointRequest(request_id, with_state, known))
+            request = wire.CheckpointRequest(request_id, with_state, known)
+            try:
+                handle.conn.send_bytes(wire.encode(request))
+            except OSError:
+                continue
+            sent.add(handle.worker_id)
+        return request_id, sent
 
     def begin_checkpoint(self) -> int:
         """Fire-and-forget a with-state checkpoint request to every worker.
@@ -467,19 +420,7 @@ class ShardSupervisor:
         into the checkpoint store — no waiting, no quiesce. Returns the
         request id (or -1 when no worker was reachable).
         """
-        request_id = self._next_checkpoint_request
-        self._next_checkpoint_request += 1
-        sent: set[str] = set()
-        for handle in self.handles.values():
-            if not handle.alive:
-                continue
-            try:
-                handle.conn.send_bytes(
-                    self._checkpoint_request_for(request_id, handle, True)
-                )
-            except OSError:
-                continue  # dead worker; the restart reships its state
-            sent.add(handle.worker_id)
+        request_id, sent = self._send_checkpoint_requests(with_state=True)
         if not sent:
             return -1
         self._inflight_checkpoints[request_id] = sent
@@ -490,30 +431,16 @@ class ShardSupervisor:
     ) -> dict[TopicPartition, int]:
         """Ask every worker for its consumed offsets; merge the acks.
 
-        With ``with_state`` the acks also carry full (delta) checkpoint
-        frames, which land in the checkpoint store. Outstanding work is
-        allowed: the pipe is FIFO, so each ack reflects every batch
-        submitted before the request. ``BatchDone`` frames drained while
-        waiting are parked and returned by the next :meth:`poll`.
-
-        A worker that dies during the wait is reaped and restarted
-        inside the loop and its ack is no longer waited for — restart +
-        checkpointed replay will satisfy whatever the caller needed —
-        so a crash costs one reap, not the whole timeout.
+        With ``with_state`` the acks also carry (delta) checkpoint
+        frames for the store. Each ack reflects every control frame sent
+        before the request and the work processed before it was read;
+        frames
+        drained while waiting are parked for the next :meth:`poll`. A
+        worker that dies during the wait is restarted inside the loop
+        and no longer waited for — a crash costs one reap, not the
+        whole timeout.
         """
-        request_id = self._next_checkpoint_request
-        self._next_checkpoint_request += 1
-        waiting = set()
-        for handle in self.handles.values():
-            if not handle.alive:
-                continue
-            try:
-                handle.conn.send_bytes(
-                    self._checkpoint_request_for(request_id, handle, with_state)
-                )
-            except OSError:
-                continue  # already dead: reaped below, never waited for
-            waiting.add(handle.worker_id)
+        request_id, waiting = self._send_checkpoint_requests(with_state)
         offsets: dict[TopicPartition, int] = {}
         parked: list[tuple[object, WorkerHandle]] = []
         deadline = self._time.deadline(timeout)
@@ -550,22 +477,21 @@ class ShardSupervisor:
         for frame in msg.frames:
             self.checkpoints.ingest(frame)
         expected = self._inflight_checkpoints.get(msg.request_id)
+        late = msg.request_id != expected_id
         if expected is not None and handle.worker_id in expected:
+            late = False
             expected.discard(handle.worker_id)
             if not expected:
                 del self._inflight_checkpoints[msg.request_id]
-            self.telemetry.counter_add(
-                "supervisor_checkpoint_acks_total", label=handle.worker_id
-            )
-        elif expected_id is not None and msg.request_id == expected_id:
-            self.telemetry.counter_add(
-                "supervisor_checkpoint_acks_total", label=handle.worker_id
-            )
-        else:
+        if late:
+            self.late_checkpoint_acks += 1
             self.telemetry.counter_add(
                 "supervisor_checkpoint_acks_late_total", label=handle.worker_id
             )
-            self.late_checkpoint_acks += 1
+        else:
+            self.telemetry.counter_add(
+                "supervisor_checkpoint_acks_total", label=handle.worker_id
+            )
 
     def _forget_expected_acks(self, worker_id: str) -> None:
         """Stop expecting checkpoint acks from a dead/removed worker —
@@ -576,65 +502,13 @@ class ShardSupervisor:
             if not expected:
                 del self._inflight_checkpoints[request_id]
 
-    # -- data plane -----------------------------------------------------------
-
-    def can_submit(self, worker_id: str) -> bool:
-        """True while the worker has spare outstanding-batch credits."""
-        handle = self._handle(worker_id)
-        return handle.alive and handle.outstanding < self.max_outstanding
-
-    def submit(
-        self,
-        tp: TopicPartition,
-        records: list,
-        reply_from: int,
-    ) -> None:
-        """Ship one contiguous offset run to the task's owning worker.
-
-        A send into a worker that just died (``is_alive`` lags the
-        kernel reaping a SIGKILLed process) is swallowed: the next
-        :meth:`poll` restarts the worker and the restart hook replays
-        the partition, which re-covers the dropped records.
-        """
-        worker_id = self.owner_of(tp)
-        if worker_id is None:
-            raise EngineError(f"task {tp} is not assigned to any worker")
-        handle = self._handle(worker_id)
-        trace = None
-        if self.telemetry.enabled:
-            # Stamp the facade's span plus our send time (source-seconds
-            # on the shared monotonic clock, in ms); the worker turns
-            # the delta into its queue-wait observation.
-            trace = (
-                self.active_span or "",
-                (("sent_ms", self.telemetry.now() * 1000.0),),
-            )
-        frame = columnar.encode(wire.WorkBatch(tp, reply_from, records, trace))
-        try:
-            handle.conn.send_bytes(frame)
-        except OSError:
-            return  # dead worker; _reap_dead restarts + replays
-        handle.outstanding += 1
-
-    def outstanding(self) -> int:
-        """Un-acked work batches across all workers."""
-        return sum(handle.outstanding for handle in self.handles.values())
-
     def note_processed(self, worker_id: str, records: int, replies: int) -> None:
-        """Credit work that bypassed the supervisor pipe (router mode).
-
-        In sharded-frontend mode ``BatchDone`` frames flow over the
-        frontend↔worker data sockets, so the supervisor never sees them;
-        the router reports the per-worker ``(records, replies)`` deltas
-        it merged instead. This keeps two supervisor responsibilities
-        whole: the per-worker ``supervisor_worker_*_total`` counters
-        behind :meth:`total_messages_processed`, and the checkpoint cadence —
-        the credited records advance ``checkpoint_interval`` exactly as
-        pipe-borne ``BatchDone`` frames do (the next :meth:`poll` fires
-        the with-state request once the interval is crossed). Deltas for
-        a worker that died or was retired meanwhile still count toward
-        the cluster totals.
-        """
+        """Credit the work a frontend merged from one worker (the
+        ``processed`` deltas of its ``ReplyBatch``es — ``BatchDone``
+        frames never cross the supervisor): the per-worker counters
+        behind :meth:`total_messages_processed`, and the checkpoint
+        cadence :meth:`poll` fires on. Deltas of a worker that died or
+        was retired meanwhile still count."""
         self.telemetry.counter_add(
             "supervisor_worker_records_total", records, label=worker_id
         )
@@ -643,53 +517,30 @@ class ShardSupervisor:
         )
         self._records_since_checkpoint += records
 
-    def poll(self, timeout: float = 0.0) -> list[wire.BatchDone]:
-        """Collect finished batches; detect and restart dead workers.
+    def poll(self, timeout: float = 0.0) -> None:
+        """Drain the control pipes; detect and restart dead workers.
 
-        ``CheckpointAck`` frames arriving here — periodic cadence acks
-        and stragglers from a timed-out :meth:`request_checkpoints` —
-        have their checkpoint payloads routed into the store (a dropped
-        frame would be a lost checkpoint); late ones are counted in
-        ``supervisor_checkpoint_acks_late_total``. The poll also drives
-        the checkpoint cadence:
-        once ``checkpoint_interval`` records have been processed since
-        the last request, a fire-and-forget with-state request goes out.
+        ``CheckpointAck`` payloads arriving here — cadence acks and
+        stragglers of a timed-out :meth:`request_checkpoints` — land in
+        the store (a dropped frame would be a lost checkpoint). The poll
+        also drives the cadence: once ``checkpoint_interval`` records
+        were credited since the last request, a fire-and-forget
+        with-state request goes out.
         """
-        done: list[wire.BatchDone] = []
         for msg, handle in self._drain(timeout):
-            if isinstance(msg, wire.BatchDone):
-                handle.outstanding = max(0, handle.outstanding - 1)
-                self.telemetry.counter_add(
-                    "supervisor_worker_records_total",
-                    msg.processed,
-                    label=handle.worker_id,
-                )
-                self.telemetry.counter_add(
-                    "supervisor_worker_replies_total",
-                    len(msg.replies),
-                    label=handle.worker_id,
-                )
-                if msg.stats is not None:
-                    self._worker_snapshots[handle.worker_id] = msg.stats
-                self._records_since_checkpoint += msg.processed
-                done.append(msg)
-            elif isinstance(msg, wire.CheckpointAck):
+            if isinstance(msg, wire.CheckpointAck):
                 self._ingest_ack(msg, handle)
             elif isinstance(msg, wire.BackfillInstalled):
                 self.backfill_installed.add((msg.tp, msg.metric_id))
             elif isinstance(msg, wire.WorkerError):
                 self.worker_errors.append(msg.message)
         self._reap_dead()
-        self.telemetry.gauge_set(
-            "supervisor_outstanding_batches", self.outstanding()
-        )
         if (
             self.checkpoint_interval is not None
             and self._records_since_checkpoint >= self.checkpoint_interval
         ):
             self._records_since_checkpoint = 0
             self.begin_checkpoint()
-        return done
 
     def _drain(self, timeout: float) -> list[tuple[object, WorkerHandle]]:
         out = list(self._buffered)
@@ -702,7 +553,7 @@ class ShardSupervisor:
             handle = by_conn[conn]
             try:
                 while True:
-                    out.append((columnar.decode(conn.recv_bytes()), handle))
+                    out.append((wire.decode(conn.recv_bytes()), handle))
                     # Only keep reading while more frames are buffered;
                     # otherwise recv would block.
                     if not conn.poll(0):
@@ -724,9 +575,10 @@ class ShardSupervisor:
     def ship_checkpoint(self, worker_id: str, tp: TopicPartition) -> bool:
         """Send a task's stored checkpoint into a worker, if we hold one.
 
-        Pipe FIFO guarantees the ``RestoreTask`` lands before any
-        subsequent ``WorkBatch``, so the worker seeds the task processor
-        from the checkpoint and the tail replay starts from its offset.
+        The worker drains its control pipe before its data sockets, so
+        the ``RestoreTask`` lands before any later ``WorkBatch`` for the
+        task: the worker seeds the task processor from the checkpoint
+        and the tail replay starts from its offset.
         """
         checkpoint = self.checkpoints.get(tp)
         if checkpoint is None:
@@ -743,28 +595,25 @@ class ShardSupervisor:
         return True
 
     def _restart(self, handle: WorkerHandle) -> None:
-        """Respawn a dead worker and rebuild its world.
-
-        The fresh process gets the full control log (catalogue), its
-        previous assignment, and one ``RestoreTask`` per owned task the
-        checkpoint store holds; the cluster's ``on_restart`` hook then
-        replays each owned partition's tail — from the checkpointed
-        offset where a checkpoint was shipped, from offset zero where
-        none exists — so task state is rebuilt deterministically.
-        In-flight batches died with the process; the replay covers them
-        too.
-        """
+        """Respawn a dead worker and rebuild its world: the control log,
+        its assignment and one ``RestoreTask`` per owned task the store
+        holds; the cluster's ``on_restart`` hook then replays each owned
+        partition's tail (in-flight batches died with the process; the
+        replay covers them too)."""
         handle.process.join(timeout=1.0)
         try:
             handle.conn.close()
         except OSError:
             pass
         self._forget_expected_acks(handle.worker_id)
+        # The dead incarnation's parked splice acks are void (re-spliced).
+        self._buffered = [
+            (msg, owner) for msg, owner in self._buffered
+            if owner is not handle or not isinstance(msg, wire.BackfillInstalled)
+        ]
         fresh = self._spawn(handle.worker_id)
         handle.process = fresh.process
         handle.conn = fresh.conn
-        handle.outstanding = 0
-        handle.restarts += 1
         self.restarts += 1
         self.telemetry.counter_add(
             "supervisor_worker_restarts_total", label=handle.worker_id
@@ -788,15 +637,12 @@ class ShardSupervisor:
         (replays count too)."""
         return self.telemetry.counter_sum("supervisor_worker_records_total")
 
-    def child_snapshots(self) -> list[bytes]:
-        """Latest encoded worker registry snapshots, for facade merges."""
-        return list(self._worker_snapshots.values())
-
     def shutdown(self) -> None:
-        """Stop every worker; idempotent."""
+        """Stop every worker and remove their socket directory; idempotent."""
         for handle in self.handles.values():
             self._stop_handle(handle)
         self.handles.clear()
+        shutil.rmtree(self.listen_dir, ignore_errors=True)
 
     def _stop_handle(self, handle: WorkerHandle) -> None:
         if handle.alive:

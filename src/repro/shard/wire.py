@@ -141,7 +141,7 @@ class AssignPartitions:
 class WorkBatch:
     """One contiguous offset run of one partition, shipped for processing.
 
-    ``reply_from`` is the supervisor's replied watermark: the worker
+    ``reply_from`` is the frontend's replied watermark: the worker
     processes every record (state must replay deterministically after a
     restart) but only returns replies for offsets at or above it, so a
     replayed tail never duplicates a reply the client already saw.
@@ -200,7 +200,7 @@ class TaskCheckpointFrame:
 class RestoreTask:
     """Seed a worker's task processor from a stored checkpoint.
 
-    Sent before any :class:`WorkBatch` for the task (pipe FIFO), with
+    Sent before any :class:`WorkBatch` for the task (control first), with
     fully materialized file maps: the fresh process holds nothing, so
     delta exclusion never applies in this direction.
     """

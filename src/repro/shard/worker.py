@@ -4,23 +4,22 @@ A worker is the process-parallel counterpart of a
 :class:`~repro.engine.processor.ProcessorUnit`: it runs the batched
 consume→process loop (``WorkBatch`` in, ``BatchDone`` out) over its own
 :class:`~repro.engine.task.TaskProcessor` per owned partition. It holds
-no connection to the message bus — the coordinator side (the
-``ParallelCluster`` dispatcher, or each sharded frontend process) polls
-the log on its behalf and ships contiguous offset runs as columnar
-frames across a pipe or data socket — so the whole data path of a
-worker is: decode batch, ``process_batch``, encode replies.
+no connection to the message bus — the frontends poll the logs on its
+behalf and ship contiguous offset runs as columnar frames over the data
+sockets they connect to the worker's listener — so the whole data path
+of a worker is: decode batch, ``process_batch``, encode replies. Its
+supervisor pipe carries control only.
 
 Workers are born empty. Catalogue state (streams, metrics, schema
 evolutions) arrives as control messages; task state either accumulates
 from work batches or arrives wholesale as a
 :class:`~repro.shard.wire.RestoreTask` checkpoint frame. After a crash
-the supervisor replays the control log into a fresh process, ships each
-owned task's latest stored checkpoint, and the cluster replays only the
-partition tail past the checkpointed offset with ``reply_from`` set to
-the replied watermark — bounded-replay recovery that never duplicates a
-client reply. On ``CheckpointRequest(with_state=True)`` the worker
-snapshots every owned task and ships the frames back inside the ack,
-omitting immutable files the supervisor advertised it already holds.
+the supervisor replays the control log into a fresh process and ships
+each owned task's stored checkpoint, and the frontends replay only the
+tail past it, under ``reply_from`` = the replied watermark. On
+``CheckpointRequest(with_state=True)`` the worker ships every owned
+task's snapshot inside the ack, minus the immutable files the
+supervisor advertised it holds.
 """
 
 from __future__ import annotations
@@ -106,9 +105,21 @@ class ShardWorker:
 
     # -- control plane --------------------------------------------------------
 
-    def handle_control(self, msg: object) -> None:
-        """Apply one control message to the local catalogue and tasks."""
-        if isinstance(msg, CreateMetricOp):
+    def handle_control(self, msg: object) -> wire.CheckpointAck | None:
+        """Apply one control message to the local catalogue and tasks;
+        returns the ack a checkpoint request is owed."""
+        if isinstance(msg, wire.CheckpointRequest):
+            frames = (
+                self.build_checkpoints(msg.known_files_map())
+                if msg.with_state
+                else []
+            )
+            return wire.CheckpointAck(
+                msg.request_id, self.checkpoint_offsets(), frames
+            )
+        if isinstance(msg, wire.RestoreTask):
+            self.restore_task(msg.frame)
+        elif isinstance(msg, CreateMetricOp):
             self.catalog.apply(msg)
             for tp, at_offset in msg.activations:
                 self._activations[(tp, msg.metric.metric_id)] = at_offset
@@ -143,10 +154,9 @@ class ShardWorker:
             for tp in list(self._pending_splices):
                 if tp not in self.assigned:
                     del self._pending_splices[tp]
-        elif isinstance(msg, wire.BackfillInstall):
-            self.handle_backfill_install(msg)
         else:
             raise TypeError(f"unexpected control message: {type(msg).__name__}")
+        return None
 
     # -- backfill splice -------------------------------------------------------
 
@@ -263,7 +273,7 @@ class ShardWorker:
         if measured and batch.trace is not None:
             # The dispatcher stamped its send time in source-seconds on
             # the system-wide monotonic clock; the delta is how long the
-            # frame sat in the pipe/socket plus the worker's loop latency.
+            # frame sat in the socket plus the worker's loop latency.
             for stage, stamp in batch.trace[1]:
                 if stage == "sent_ms":
                     wait_ms = max(0.0, started * 1000.0 - stamp)
@@ -467,58 +477,26 @@ def _bind_listener(addr: str) -> socket.socket:
     return sock
 
 
-def _handle_one(
-    worker: ShardWorker, conn: Connection, msg: object
-) -> bool:
-    """Dispatch one frame; replies go back on the conn it arrived on.
-
-    Returns False when the worker should exit (graceful shutdown).
-    """
-    if isinstance(msg, wire.WorkBatch):
-        conn.send_bytes(columnar.encode(worker.handle_work(msg)))
-    elif isinstance(msg, wire.CheckpointRequest):
-        frames = (
-            worker.build_checkpoints(msg.known_files_map())
-            if msg.with_state
-            else []
-        )
-        conn.send_bytes(
-            wire.encode(
-                wire.CheckpointAck(
-                    msg.request_id, worker.checkpoint_offsets(), frames
-                )
-            )
-        )
-    elif isinstance(msg, wire.RestoreTask):
-        worker.restore_task(msg.frame)
-    elif isinstance(msg, wire.Shutdown):
-        return False
-    elif isinstance(msg, wire.Crash):
-        os._exit(17)  # fault injection: die without cleanup
-    else:
-        worker.handle_control(msg)
-    return True
-
-
 def shard_worker_main(
     conn: Connection,
     worker_id: str,
-    config: UnitConfig | None = None,
-    listen_addr: str | None = None,
+    config: UnitConfig | None,
+    listen_addr: str,
 ) -> None:
     """Worker process entrypoint: decode → dispatch → reply, until told to stop.
 
     The supervisor's duplex pipe (``conn``) is the control channel:
     DDL replay, assignment, checkpoint requests, restore frames,
-    shutdown. With ``listen_addr`` set (sharded-frontend mode) the
-    worker additionally listens on an AF_UNIX socket where frontend
-    processes connect their data channels; ``WorkBatch`` frames then
-    arrive on those sockets and each ``BatchDone`` is answered on the
-    socket its batch came from. Whenever both channels are readable the
-    control channel is drained *completely first* — that ordering is
-    what guarantees a restarted worker applies its replayed control log
-    and ``RestoreTask`` checkpoints before any replayed work batch, and
-    a rebalanced task's checkpoint lands before its new traffic.
+    shutdown. The worker listens on an AF_UNIX socket at
+    ``listen_addr`` where frontends connect their data channels;
+    ``WorkBatch`` frames (and backfill installs) arrive on those
+    sockets and each ``BatchDone`` is answered on the socket its batch
+    came from. The control channel is drained *completely* before each
+    data frame is handled, so a control frame sent before a data frame
+    is applied before it: a restarted worker applies its replayed
+    control log and ``RestoreTask`` checkpoints before any replayed work
+    batch, a rebalanced task's checkpoint lands before its new traffic,
+    and DDL lands before the batches sent after it.
 
     Any exception is reported as a :class:`~repro.shard.wire.WorkerError`
     frame on the control channel before the process exits non-zero, so
@@ -526,35 +504,41 @@ def shard_worker_main(
     pipe.
     """
     worker = ShardWorker(worker_id, config)
-    listener = _bind_listener(listen_addr) if listen_addr is not None else None
+    listener = _bind_listener(listen_addr)
     data_conns: list[Connection] = []
 
     def drop_data_conn(data_conn: Connection) -> None:
         data_conns.remove(data_conn)
         data_conn.close()
 
+    def drain_control() -> bool:
+        """Apply every waiting control frame; False on a shutdown."""
+        while conn.poll(0):
+            msg = wire.decode(conn.recv_bytes())
+            if isinstance(msg, wire.Shutdown):
+                return False
+            if isinstance(msg, wire.Crash):
+                os._exit(17)  # fault injection: die without cleanup
+            ack = worker.handle_control(msg)
+            if ack is not None:
+                conn.send_bytes(wire.encode(ack))
+        return True
+
     parent_pid = os.getppid()
     try:
         while True:
-            wait_on: list = [conn, *data_conns]
-            if listener is not None:
-                wait_on.append(listener)
             # The wait times out so the orphan check below runs on an
             # idle worker.
-            ready = set(connection.wait(wait_on, 1.0))
+            ready = set(connection.wait([conn, listener, *data_conns], 1.0))
             if os.getppid() != parent_pid:
                 # The owning process was killed without cleanup. Pipe
                 # EOF cannot signal this: forked siblings inherit each
                 # other's pipe ends and keep them open, so reparenting
                 # is the only reliable death signal.
                 return
-            # Drain the control channel fully before touching data.
-            if conn in ready:
-                while conn.poll(0):
-                    msg = columnar.decode(conn.recv_bytes())
-                    if not _handle_one(worker, conn, msg):
-                        return
-            if listener is not None and listener in ready:
+            if conn in ready and not drain_control():
+                return
+            if listener in ready:
                 accepted, _ = listener.accept()
                 data_conns.append(Connection(accepted.detach()))
             for data_conn in [c for c in data_conns if c in ready]:
@@ -569,6 +553,10 @@ def shard_worker_main(
                     except (EOFError, OSError):
                         drop_data_conn(data_conn)
                         break
+                    # Control sent before this frame is readable by now:
+                    # apply it first (DDL, restores, a crash order).
+                    if not drain_control():
+                        return
                     msg = columnar.decode(payload)
                     frame = None  # what this link is owed for ``msg``
                     if isinstance(msg, wire.WorkBatch):
@@ -582,8 +570,10 @@ def shard_worker_main(
                             frame = wire.encode(wire.BackfillStale(
                                 msg.tp, msg.metric.metric_id, stale
                             ))
-                    elif not _handle_one(worker, data_conn, msg):
-                        return
+                    else:
+                        raise TypeError(
+                            f"unexpected data frame: {type(msg).__name__}"
+                        )
                     if frame is not None:
                         try:
                             data_conn.send_bytes(frame)

@@ -178,11 +178,7 @@ METRICS: dict[str, tuple[str, str, str, str]] = {
         "Checkpoint acks that arrived after their barrier retired "
         "(label = worker id).",
     ),
-    "supervisor_outstanding_batches": (
-        GAUGE, "batches", "supervisor",
-        "WorkBatch frames in flight across all workers right now.",
-    ),
-    # -- router frontends ----------------------------------------------------
+    # -- frontends ------------------------------------------------------------
     "frontend_events_ingested_total": (
         COUNTER, "events", "frontend ingest",
         "Events accepted by this frontend process.",
@@ -207,14 +203,21 @@ METRICS: dict[str, tuple[str, str, str, str]] = {
         HISTOGRAM, "ms", "frontend durability",
         "sync_durable(): durable-bus flush plus consistent-cut write.",
     ),
-    # -- router coordinator --------------------------------------------------
+    "frontend_outstanding_batches": (
+        GAUGE, "batches", "frontend dispatch",
+        "WorkBatch frames this frontend has in flight to its workers "
+        "right now (its credit count).",
+    ),
+    # -- front layer ---------------------------------------------------------
     "router_events_routed_total": (
         COUNTER, "events", "router",
-        "Events routed to each frontend (label = frontend id).",
+        "Events the front layer routed to each frontend (label = "
+        "frontend id).",
     ),
     "router_replies_merged_total": (
         COUNTER, "replies", "router",
-        "Replies merged from each frontend (label = frontend id).",
+        "Replies the front layer merged from each frontend (label = "
+        "frontend id).",
     ),
     "router_frontend_restarts_total": (
         COUNTER, "restarts", "router",

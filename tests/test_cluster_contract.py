@@ -1,9 +1,10 @@
 """The shard-cluster contract: every process topology passes the same suite.
 
-``create_cluster("process")`` has two transports under one front layer
-(:class:`~repro.shard.cluster.ShardCluster`): the coordinator pipes of
-``ParallelCluster`` (``process``) and the sharded frontends of
-``ClusterRouter`` (``process-2f``). Each case here runs on both and
+``create_cluster("process")`` is one front layer
+(:class:`~repro.shard.cluster.ShardCluster`) over two frontend links:
+``ParallelCluster``'s in-process frontend (``process``) and
+``ClusterRouter``'s frontend processes (``process-2f``). Each case here
+runs on both and
 holds them to the same bar — replies byte-identical to the per-event
 single-process engine, through worker crashes mid-batch, checkpointed
 tail replay and rebalances. Topology-specific behaviour (frontend
@@ -210,6 +211,55 @@ def test_rebalance_mid_stream_grow_and_shrink(topology):
         results += [r.results for r in cluster.send_batch("tx", events[150:])]
         assert results == expected
         assert cluster.rebalance_count >= 3
+
+
+def test_metric_created_between_two_batches(topology):
+    """Work rides the frontends' data sockets, unordered against the
+    control pipes: only the worker barrier after metric DDL keeps the
+    next batch from being processed against the old metric set."""
+    second = "SELECT count(*) FROM tx GROUP BY cardId OVER sliding 1 minutes"
+    events = make_events(160)
+    reference = RailgunCluster(nodes=1, processor_units=2)
+    reference.create_stream("tx", ["cardId"], **STREAM_KW)
+    reference.create_metric(METRIC)
+    reference.run_until_quiet()
+    expected = [reference.send("tx", event=e).results for e in events[:80]]
+    reference.create_metric(second)
+    reference.run_until_quiet()
+    expected += [reference.send("tx", event=e).results for e in events[80:]]
+    with open_cluster(topology) as cluster:
+        results = [r.results for r in cluster.send_batch("tx", events[:80])]
+        cluster.create_metric(second)
+        results += [r.results for r in cluster.send_batch("tx", events[80:])]
+    assert results == expected
+
+
+def test_backfill_survives_a_worker_killed_mid_backfill(topology):
+    """A worker dies while a backfill is splicing into it: its restart
+    restores before any replayed batch and re-derives the installs, so
+    live replies stay byte-identical and the backfilled values equal a
+    metric defined at genesis on the single-process engine."""
+    late = "SELECT max(amount), count(*) FROM tx GROUP BY cardId OVER sliding 5 minutes"
+    events = make_events(200)
+    reference = RailgunCluster(nodes=1, processor_units=2)
+    reference.create_stream("tx", ["cardId"], **STREAM_KW)
+    reference.create_metric(METRIC)
+    late_id = reference.create_metric(late)
+    reference.run_until_quiet()
+    expected = [reference.send("tx", event=e).results[0] for e in events]
+    with open_cluster(topology) as cluster:
+        results = [r.results[0] for r in cluster.send_batch("tx", events[:100])]
+        assert cluster.backfill_metric(late) == late_id
+        cluster.pump()  # the frontends open their shadows
+        cluster.kill_worker(cluster.worker_ids()[0])
+        results += [r.results[0] for r in cluster.send_batch("tx", events[100:])]
+        assert pump_until(
+            cluster, lambda: cluster.backfill_status(late_id) == "complete"
+        )
+        cluster.run_until_quiet()
+        assert cluster.supervisor.restarts == 1
+        assert results == expected
+        assert cluster.metric_values(late_id) == reference.metric_values(late_id)
 
 
 def test_factory_dispatches_on_execution_and_frontends(topology):

@@ -18,10 +18,10 @@ The acceptance bar for the durable segmented log bus:
 from __future__ import annotations
 
 import os
+import shutil
 
 from repro.common.timesource import default_time_source
 from repro.engine.cluster import create_cluster
-from repro.engine.processor import ACTIVE_GROUP
 from repro.events.event import Event
 from repro.messaging.durable import DurableBus
 from repro.shard import wire
@@ -130,9 +130,9 @@ class TestCoordinatorRestart:
         assert expected[late_id] == {"count(*)": 7}
 
     def test_watermarks_survive_restart(self, tmp_path):
-        """Replies already delivered are suppressed through the reopen:
-        the replayed tail must not re-answer them (no pending fan-in
-        exists, but the committed watermark keeps workers silent too)."""
+        """Every logged record was owed to a client of the dead
+        incarnation: the reopened coordinator starts each task's replied
+        watermark at its log end, so the replayed tail answers no one."""
         durable = str(tmp_path / "cluster")
         with create_cluster(
             "process", workers=1, durable_dir=durable, checkpoint_every=None
@@ -144,9 +144,36 @@ class TestCoordinatorRestart:
         with create_cluster(
             "process", workers=1, durable_dir=durable, checkpoint_every=None
         ) as reopened:
+            ends = event_task_lengths(reopened.bus)
+            assert sum(ends.values()) == 40
+            assert reopened._watermarks == ends
             for tp, offset in watermarks.items():
-                assert reopened.bus.committed_offset(ACTIVE_GROUP, tp) == offset
-                assert reopened._watermarks.get(tp, 0) == offset
+                assert reopened._watermarks[tp] == offset
+
+    def test_reopen_never_answers_with_a_dead_incarnations_replies(
+        self, tmp_path
+    ):
+        """Records the dead coordinator logged but never answered must
+        not answer a new request: correlation ids restart with the
+        process, and a replayed reply carrying an old id would land in
+        whichever new request reused it (replies 120–139 of the batch
+        below came back with the old events' counts)."""
+        events = make_events(396)
+        single = create_cluster("single", nodes=1, processor_units=2)
+        single.create_stream("tx", ["cardId"], **STREAM_KW)
+        single.create_metric(METRIC)
+        single.run_until_quiet()
+        expected = [r.results for r in single.send_batch("tx", events)]
+        durable = str(tmp_path / "cluster")
+        kwargs = dict(workers=2, durable_dir=durable, checkpoint_every=None)
+        with create_cluster("process", **kwargs) as cluster:
+            cluster.create_stream("tx", ["cardId"], **STREAM_KW)
+            cluster.create_metric(METRIC)
+            cluster.send_batch("tx", events[:120])
+            cluster._ship("tx", events[120:140])  # logged, never answered
+        with create_cluster("process", **kwargs) as reopened:
+            replies = reopened.send_batch("tx", events[140:])
+        assert [r.results for r in replies] == expected[140:]
 
     def test_checkpoint_store_persists_and_reloads(self, tmp_path):
         durable = str(tmp_path / "cluster")
@@ -167,6 +194,55 @@ class TestCoordinatorRestart:
             assert store.loaded == len(names)
             for tp, offset in offsets.items():
                 assert store.offset(tp) == offset
+
+
+class TestGoldenDurableDir:
+    """A directory an older build wrote keeps reopening as it did.
+
+    ``tests/data/durable_golden/`` was written by
+    ``tools/durable_golden.py`` (a stream with a global partitioner, a
+    checkpoint, a metric created mid-stream, a schema evolution, an
+    added partitioner and 20 events logged but never answered). The
+    values below are what the writing build's own reopen saw.
+    """
+
+    GOLDEN = os.path.join(os.path.dirname(__file__), "data", "durable_golden")
+
+    def test_reopens_with_the_recorded_catalogue_replay_and_probe(self, tmp_path):
+        durable = str(tmp_path / "golden")
+        shutil.copytree(self.GOLDEN, durable)
+        with create_cluster(
+            "process", workers=2, durable_dir=durable, checkpoint_every=None
+        ) as reopened:
+            (stream,) = reopened.catalog.streams.values()
+            assert (stream.name, stream.partitioners) == (
+                "tx", ("cardId", "__all__", "country"),
+            )
+            assert stream.fields == (
+                ("cardId", "string"), ("amount", "float"), ("country", "string"),
+            )
+            assert {
+                metric_id: metric.query_text
+                for metric_id, metric in reopened.catalog.metrics.items()
+            } == {
+                0: "SELECT sum(amount), count(*) FROM tx GROUP BY cardId "
+                "OVER sliding 500 minutes",
+                1: "SELECT count(*), max(amount) FROM tx OVER sliding 400 minutes",
+            }
+            assert reopened.supervisor.checkpoints.loaded == 3
+            reopened.run_until_quiet()
+            # The uncheckpointed tail: 40 events past the checkpoint on
+            # the two checkpointed topics, 20 on the new partitioner's.
+            assert reopened.total_messages_processed() == 100
+            probe = reopened.send(
+                "tx", {"cardId": "c1", "amount": 5.0, "country": "pt"},
+                timestamp=200_000,
+            )
+            assert probe.event.event_id == "client-000000000305"
+            assert probe.results == {
+                0: {"sum(amount)": 145.0, "count(*)": 48},
+                1: {"count(*)": 41, "max(amount)": 6.0},
+            }
 
 
 class TestCheckpointTruncation:

@@ -18,7 +18,6 @@ from multiprocessing.connection import Client
 
 import pytest
 
-from repro.common.errors import EngineError
 from repro.common.timesource import default_time_source
 from repro.engine.catalog import CreateMetricOp, CreateStreamOp, MetricDef, StreamDef
 from repro.engine.cluster import RailgunCluster
@@ -29,6 +28,7 @@ from repro.messaging.consumer import PartitionView
 from repro.messaging.log import TopicPartition
 from repro.reservoir.reservoir import ReservoirConfig
 from repro.shard import columnar, wire
+from repro.shard.frontend import _connect
 from repro.shard.parallel import ParallelCluster
 from repro.shard.supervisor import CheckpointStore, ShardSupervisor
 from repro.shard.worker import ShardWorker, shard_worker_main
@@ -318,16 +318,43 @@ class TestShardSupervisor:
                 assert len(owned & second[worker_id]) >= 2
             assert set().union(*second.values()) == set(tasks)
 
+    @staticmethod
+    def _link(supervisor, tp):
+        """A frontend's data socket to the worker owning ``tp``."""
+        (owner,) = [
+            worker_id
+            for worker_id, handle in supervisor.handles.items()
+            if tp in handle.assigned
+        ]
+        addr = supervisor.worker_addr(owner)
+        link = _connect(addr, deadline_s=10.0)
+        assert link is not None, f"no listener at {addr}"
+        return link
+
+    def _work(self, supervisor, tp, records):
+        """Ship one WorkBatch over a data socket; its BatchDone."""
+        link = self._link(supervisor, tp)
+        try:
+            link.send_bytes(columnar.encode(wire.WorkBatch(tp, 0, records)))
+            assert link.poll(10.0)
+            return columnar.decode(link.recv_bytes())
+        finally:
+            link.close()
+
     def test_worker_error_is_captured_and_worker_restarted(self):
         with ShardSupervisor(workers=1) as supervisor:
             tp = TopicPartition("ghost", 0)
             supervisor.assign([tp])
-            supervisor.submit(tp, [(0, Event("x", 1, {}))], 0)
+            link = self._link(supervisor, tp)
+            link.send_bytes(
+                columnar.encode(wire.WorkBatch(tp, 0, [(0, Event("x", 1, {}))]))
+            )
             default_time_source().wait_until(
                 lambda: (supervisor.poll(timeout=0.05), supervisor.restarts)[1],
                 timeout=10.0,
                 poll=0.0,
             )
+            link.close()
             assert supervisor.restarts == 1
             assert any("ghost" in err for err in supervisor.worker_errors)
 
@@ -343,36 +370,25 @@ class TestShardSupervisor:
     def test_remove_worker_purges_buffered_frames_and_owners(self):
         """Satellite regression: a retired handle leaves nothing behind.
 
-        A ``BatchDone`` parked in the internal buffer while
-        ``request_checkpoints`` drained the pipes must not be delivered
-        by a later ``poll`` (it would mutate a dead handle's counters),
-        and ``_owners`` must stop routing at the removed worker — an
-        interleaved ``submit`` gets a clean "not assigned" error, not
-        "unknown shard worker".
+        A frame parked in the internal buffer while
+        ``request_checkpoints`` drained the pipes (here a backfill ack)
+        must not be delivered by a later ``poll``, and no handle may
+        still own the removed worker's task.
         """
         with ShardSupervisor(workers=1) as supervisor:
             self._stream_controls(supervisor)
             tp = TopicPartition("tx.cardId", 0)
             supervisor.assign([tp])
             victim = supervisor.worker_ids()[0]
-            supervisor.submit(tp, list(enumerate(make_events(10))), 0)
-            # Pipe FIFO: the BatchDone precedes the ack, so by the time
-            # the ack lands the BatchDone has been drained and parked.
-            supervisor.request_checkpoints()
-            assert any(
-                isinstance(msg, wire.BatchDone) for msg, _ in supervisor._buffered
+            supervisor._buffered.append(
+                (wire.BackfillInstalled(tp, 0), supervisor.handles[victim])
             )
             supervisor.add_worker()
             supervisor.remove_worker(victim)
-            assert supervisor.poll() == []  # parked frame was purged
-            assert supervisor.owner_of(tp) is None
-            with pytest.raises(EngineError, match="not assigned"):
-                supervisor.submit(tp, [(10, make_events(1, "y")[0])], 0)
-            # ... and was never credited to any worker.
-            records = supervisor.telemetry.counter_labels(
-                "supervisor_worker_records_total"
-            )
-            assert sum(records.values()) == 0
+            supervisor.poll()
+            assert not supervisor.backfill_installed  # parked frame purged
+            assert victim not in supervisor.handles
+            assert all(not h.assigned for h in supervisor.handles.values())
 
     def test_request_checkpoints_reaps_dead_worker_without_timeout(self):
         """Satellite regression: a crash during the wait costs one reap,
@@ -399,7 +415,7 @@ class TestShardSupervisor:
             self._stream_controls(supervisor)
             tp = TopicPartition("tx.cardId", 0)
             supervisor.assign([tp])
-            supervisor.submit(tp, list(enumerate(make_events(25))), 0)
+            self._work(supervisor, tp, list(enumerate(make_events(25))))
             worker_id = supervisor.worker_ids()[0]
             handle = supervisor.handles[worker_id]
             # A with-state request with an id the supervisor never
@@ -420,12 +436,17 @@ class TestShardSupervisor:
 
     def test_periodic_checkpoint_cadence_fills_the_store(self):
         """checkpoint_interval drives fire-and-forget with-state
-        requests through poll(); acks are counted as expected, not late."""
+        requests through poll() once the credited work crosses it; acks
+        are counted as expected, not late."""
         with ShardSupervisor(workers=1, checkpoint_interval=20) as supervisor:
             self._stream_controls(supervisor)
             tp = TopicPartition("tx.cardId", 0)
             supervisor.assign([tp])
-            supervisor.submit(tp, list(enumerate(make_events(30))), 0)
+            done = self._work(supervisor, tp, list(enumerate(make_events(30))))
+            # What a frontend reports inside its ReplyBatch.
+            supervisor.note_processed(
+                supervisor.worker_ids()[0], done.processed, len(done.replies)
+            )
             default_time_source().wait_until(
                 lambda: (supervisor.poll(timeout=0.05), len(supervisor.checkpoints))[1],
                 timeout=10.0,
@@ -443,26 +464,22 @@ class TestShardSupervisor:
 
 
 class TestPartitionView:
-    def test_poll_commit_seek(self):
+    def test_poll_seek_lag(self):
         bus = MessageBus()
         bus.create_topic("t", partitions=1)
         tp = TopicPartition("t", 0)
         for i in range(5):
             bus.publish("t", key=None, value=i, timestamp=i)
-        view = PartitionView(bus, "g")
+        view = PartitionView(bus)
         view.set_assignment([tp])
+        assert view.position(tp) == 0
         messages = view.poll_one(tp, 3)
         assert [m.value for m in messages] == [0, 1, 2]
         assert view.position(tp) == 3
-        view.commit(tp, 3)
-        assert view.committed(tp) == 3
         assert view.lag() == 2
         view.seek(tp, 0)
         assert [m.value for m in view.poll_one(tp, 10)] == [0, 1, 2, 3, 4]
-        # A fresh view starts at the committed offset (cross-restart).
-        fresh = PartitionView(bus, "g")
-        fresh.set_assignment([tp])
-        assert fresh.position(tp) == 3
+        assert view.lag() == 0
 
 
 # -- ParallelCluster ----------------------------------------------------------

@@ -21,12 +21,16 @@ bar on both process topologies in ``tests/test_cluster_contract.py``.
 
 from __future__ import annotations
 
+import socket
+from multiprocessing.connection import Connection
+
 from repro.engine.cluster import RailgunCluster, create_cluster
 from repro.events.event import Event
 from repro.messaging.log import TopicPartition
-from repro.shard import wire
+from repro.shard import columnar, wire
+from repro.shard.frontend import FrontendEngine
 from repro.shard.parallel import ParallelCluster
-from repro.shard.router import ClusterRouter, FrontendEngine
+from repro.shard.router import ClusterRouter
 
 STREAM_KW = dict(partitions=4, schema={"cardId": "string", "amount": "float"})
 METRIC = (
@@ -123,10 +127,59 @@ class TestFrontendEngine:
                 [(i, event, (("cardId", 1),)) for i, event in enumerate(events)],
             )
         )
-        log = engine.bus.log(tp)
-        assert [m.value for m in log.read(0, 10)] == events
-        assert [m.key for m in log.read(0, 10)] == [0, 1, 2, 3, 4]
-        assert engine.events_ingested == 5
+        # The single-process engine's record: the envelope keyed by the
+        # partitioner value, carrying the correlation and the fan-out.
+        records = engine.bus.log(tp).read(0, 10)
+        assert [m.value.event for m in records] == events
+        assert [m.value.correlation_id for m in records] == [0, 1, 2, 3, 4]
+        assert [m.key for m in records] == [e.get("cardId") for e in events]
+        assert {(m.value.stream, m.value.fanout) for m in records} == {("tx", 1)}
+        assert engine.telemetry.counter_value("frontend_events_ingested_total") == 5
+
+    def test_outstanding_gauge_follows_the_credits(self):
+        """``frontend_outstanding_batches`` is the engine's credit
+        count: one after dispatching a run to a (socketpair) worker,
+        zero once its BatchDone is merged."""
+        engine = self.engine_with_stream()
+        tp = TopicPartition("tx.cardId", 1)
+        engine.apply_assign(
+            wire.FrontendAssign(((tp, "shard-0", "/unused.sock"),))
+        )
+        worker_end, frontend_end = socket.socketpair()
+        worker = Connection(worker_end.detach())
+        engine.conns["shard-0"] = Connection(frontend_end.detach())
+        engine.outstanding["shard-0"] = 0
+        events = make_events(3)
+        engine.handle(
+            wire.IngestBatch(
+                "tx", [(i, e, (("cardId", 1),)) for i, e in enumerate(events)]
+            )
+        )
+
+        def gauge():
+            return engine.telemetry.snapshot()["gauges"][
+                "frontend_outstanding_batches"
+            ]
+
+        try:
+            assert engine.dispatch() == 3
+            assert gauge() == 1
+            batch = columnar.decode(worker.recv_bytes())
+            assert [offset for offset, _ in batch.records] == [0, 1, 2]
+            engine.handle_batch_done(
+                "shard-0",
+                wire.BatchDone(
+                    tp, 3, 3,
+                    [(offset, {0: {"count(*)": offset + 1}})
+                     for offset, _ in batch.records],
+                ),
+            )
+            assert gauge() == 0
+            (reply,) = engine.flush()
+            assert [c for c, _, _ in reply.replies] == [0, 1, 2]
+        finally:
+            worker.close()
+            engine._close_conn("shard-0")
 
     def test_downed_worker_is_not_redialed_until_restart_message(self):
         """The recovery invariant behind byte-identical replies: after a

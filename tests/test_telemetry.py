@@ -62,9 +62,9 @@ class TestRegistryDeterministic:
 
     def test_gauge_keeps_last_write(self):
         reg, _ = make_registry()
-        reg.gauge_set("supervisor_outstanding_batches", 4)
-        reg.gauge_set("supervisor_outstanding_batches", 1)
-        assert reg.snapshot()["gauges"] == {"supervisor_outstanding_batches": 1}
+        reg.gauge_set("frontend_outstanding_batches", 4)
+        reg.gauge_set("frontend_outstanding_batches", 1)
+        assert reg.snapshot()["gauges"] == {"frontend_outstanding_batches": 1}
 
     def test_time_stage_records_exact_virtual_delta(self):
         reg, ts = make_registry()

@@ -155,9 +155,11 @@ def run_gate() -> list[str]:
             backfill_id = cluster.backfill_metric(BACKFILL_QUERY)
             # Small replay steps so a single pump leaves the cursors
             # strictly behind the live frontier (same spirit as the
-            # tiny segment_bytes override above).
-            for job in cluster._backfills:
-                job.batch = 64
+            # tiny segment_bytes override above). The shadows run in
+            # the cluster's in-process frontend.
+            for link in cluster._frontends.values():
+                for job in link.engine.backfills.values():
+                    job.batch = 64
             cluster.pump()  # opens the shadow cursors mid-replay
             pinned = {
                 tp: cluster.bus.log(tp).pinned_floor for tp in tasks
