@@ -153,7 +153,10 @@ class FrontEnd:
         self.producer = Producer(bus, clock)
         self.reply_topic = REPLY_TOPIC_PREFIX + node_id
         self._reply_tp = TopicPartition(self.reply_topic, 0)
-        self._reply_offset = 0
+        #: replies already in the topic (a reopened durable bus) belong
+        #: to requests of an earlier process; this frontend reads on
+        #: from the end.
+        self._reply_offset = bus.end_offset(self._reply_tp)
         self._ops_tp = TopicPartition(OPERATIONS_TOPIC, 0)
         self._ops_offset = 0
         self._next_correlation = 0
@@ -257,10 +260,16 @@ class FrontEnd:
     # -- step 5-6: collect + respond ---------------------------------------------------
 
     def poll_replies(self) -> list[Reply]:
-        """Drain the reply topic; returns requests completed this call."""
+        """Drain the reply topic; returns requests completed this call.
+
+        This frontend is the topic's only reader, so every reply it has
+        consumed is truncated away (whole segments on a durable bus).
+        """
         self._consume_ops()
         finished: list[Reply] = []
         messages = self.bus.read(self._reply_tp, self._reply_offset, 1000)
+        if not messages:
+            return finished
         for message in messages:
             self._reply_offset = message.offset + 1
             reply = message.value
@@ -269,6 +278,7 @@ class FrontEnd:
             completed = self.deliver_reply(reply)
             if completed is not None:
                 finished.append(completed)
+        self.bus.log(self._reply_tp).truncate_below(self._reply_offset)
         return finished
 
     def deliver_reply(self, reply: ReplyEnvelope) -> Reply | None:

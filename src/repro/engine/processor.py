@@ -104,7 +104,6 @@ class ProcessorUnit:
         self._known_active: set[TopicPartition] = set()
         self._known_replica: set[TopicPartition] = set()
         self._checkpoint_counters: dict[TopicPartition, int] = {}
-        self.checkpoints: dict[TopicPartition, TaskCheckpoint] = {}
         self.messages_processed = 0
         self.replies_sent = 0
 
@@ -336,7 +335,6 @@ class ProcessorUnit:
         if advanced // interval == counter // interval:
             return
         checkpoint = processor.checkpoint()
-        self.checkpoints[tp] = checkpoint
         self.stats.checkpoints_taken += 1
         self.producer.send(
             CHECKPOINTS_TOPIC,

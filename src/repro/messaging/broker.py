@@ -64,10 +64,6 @@ class MessageBus:
         """All (topic, partition) pairs of a topic."""
         return [TopicPartition(topic, i) for i in range(self.partitions_for(topic))]
 
-    def all_topics(self) -> list[str]:
-        """Sorted topic names."""
-        return sorted(self._topics)
-
     def leader_of(self, tp: TopicPartition) -> int:
         """Broker id leading a partition (used by the simulator)."""
         return self._leaders[tp]

@@ -154,10 +154,6 @@ class Consumer:
             raise MessagingError(f"cannot seek to negative offset {offset}")
         self._positions[tp] = offset
 
-    def seek_to_end(self, tp: TopicPartition) -> None:
-        """Skip to the log end (replica bootstrap fast-path)."""
-        self._positions[tp] = self._bus.end_offset(tp)
-
     def commit(self, tp: TopicPartition | None = None) -> None:
         """Commit current position(s) for this group."""
         targets = [tp] if tp is not None else self.assignment()

@@ -2,16 +2,12 @@
 
 A :class:`LogCursor` is the second reader of a partition log: while the
 live consumer tails the head, a cursor replays history (backfill, as-of
-queries, migration export) from an arbitrary start offset. On durable
-logs the cursor *pins retention* — checkpoint truncation clamps to the
-lowest open pin (:meth:`~repro.messaging.durable.DurableLog.pin`), so
-the segments between the cursor and the live frontier cannot be deleted
-while the replay is in flight. Reading advances the pin in lock-step,
-so retention resumes reclaiming behind the cursor as it catches up.
-
-In-memory :class:`~repro.messaging.log.PartitionLog` partitions never
-truncate, so the pin calls degrade to no-ops and the cursor is just a
-positioned reader — one code path for every bus.
+queries, migration export) from an arbitrary start offset. The cursor
+*pins retention* — truncation clamps to the lowest open pin
+(:meth:`~repro.messaging.log.PartitionLog.pin`), so the records between
+the cursor and the live frontier cannot be deleted while the replay is
+in flight. Reading advances the pin in lock-step, so retention resumes
+reclaiming behind the cursor as it catches up.
 """
 
 from __future__ import annotations
@@ -28,12 +24,9 @@ class LogCursor:
         self.tp = tp
         log = bus.log(tp)
         # Reads below the retention start are gone; clamp like the log does.
-        self.position = max(start, getattr(log, "start_offset", 0))
+        self.position = max(start, log.start_offset)
         self.closed = False
-        self._pin_token: int | None = None
-        pin = getattr(log, "pin", None)
-        if pin is not None:
-            self._pin_token = pin(self.position)
+        self._pin_token: int | None = log.pin(self.position)
 
     def lag(self) -> int:
         """Records between the cursor and the live log end."""
@@ -55,8 +48,7 @@ class LogCursor:
 
     def _advance_pin(self) -> None:
         if self._pin_token is not None:
-            log = self.bus.log(self.tp)
-            log.advance_pin(self._pin_token, self.position)
+            self.bus.log(self.tp).advance_pin(self._pin_token, self.position)
 
     def close(self) -> None:
         """Release the retention pin; idempotent."""

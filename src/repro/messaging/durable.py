@@ -9,9 +9,8 @@ This module closes that gap:
 - :class:`DurableLog` is a drop-in :class:`~repro.messaging.log.PartitionLog`
   whose records are also appended to a :class:`~repro.messaging.segments.SegmentedLog`
   on disk. The hot path stays in memory (appends buffer their encoded
-  form; reads serve the in-memory tail), the disk is the recovery story,
-  and checkpoint-aware truncation trims both in lock-step so neither
-  grows without bound.
+  form; reads serve the retained records), the disk is the recovery
+  story, and truncation trims both so neither grows without bound.
 - :class:`DurableBus` is a drop-in :class:`~repro.messaging.broker.MessageBus`
   hosting :class:`DurableLog` partitions under one directory, plus two
   tiny CRC-framed side logs: ``topics.log`` (topic name, partitions,
@@ -208,12 +207,14 @@ class DurableLog(PartitionLog):
     """A partition log whose records also live in segment files on disk.
 
     Appends encode the record once (``svarint timestamp | key | value``)
-    into the segment store's buffer and keep the original objects in an
-    in-memory window, so live reads never touch disk or the codec.
-    Opening a ``DurableLog`` over an existing directory replays the
-    segment files (torn tail truncated) to rebuild the window; the
-    window's base then tracks the store's retention start, so
-    :meth:`truncate_below` bounds memory and disk together.
+    into the segment store's buffer and keep the original objects in
+    memory, so live reads never touch disk or the codec. Opening a
+    ``DurableLog`` over an existing directory replays the segment files
+    (torn tail truncated) into memory. :meth:`truncate_below` cuts
+    memory exactly where :class:`PartitionLog` does but deletes only the
+    segments wholly below the cut: the retention start is the first
+    surviving segment's base, and a read between it and the memory cut
+    decodes from the segment files.
     """
 
     def __init__(
@@ -226,20 +227,11 @@ class DurableLog(PartitionLog):
         super().__init__(tp, replication)
         self.segments = SegmentedLog(root, config)
         self._base = self.segments.start_offset
-        self._pins: dict[int, int] = {}
-        self._next_pin = 0
-        for offset, payload in self.segments.records(self._base):
-            view = memoryview(payload)
-            timestamp, at = serde.read_signed_varint(view, 0)
-            key, at = read_payload(view, at)
-            value, at = read_payload(view, at)
-            self._messages.append(Message(offset, key, value, timestamp))
-
-    # -- the PartitionLog surface ---------------------------------------------
+        self._messages = [_decode(*record) for record in self.segments.records(0)]
 
     def append(self, key: Any, value: Any, timestamp: int) -> int:
         """Append in memory and to the segment buffer; returns the offset."""
-        offset = self._base + len(self._messages)
+        offset = self.end_offset
         buf = bytearray()
         serde.write_signed_varint(buf, timestamp)
         write_payload(buf, key)
@@ -254,80 +246,47 @@ class DurableLog(PartitionLog):
         return offset
 
     def read(self, from_offset: int, max_records: int) -> list[Message]:
-        """Messages with ``offset >= from_offset``; reads below the
-        retention start clamp to it (truncated records are gone)."""
-        if from_offset < self._base:
-            from_offset = self._base
-        start = from_offset - self._base
-        return self._messages[start : start + max_records]
-
-    @property
-    def end_offset(self) -> int:
-        return self._base + len(self._messages)
+        """As :meth:`PartitionLog.read`; records below the memory cut
+        that disk still retains are decoded from their segments."""
+        if from_offset >= self._base or self.start_offset == self._base:
+            return super().read(from_offset, max_records)
+        below = min(max_records, self._base - max(from_offset, self.start_offset))
+        messages = [
+            _decode(*record) for record in self.segments.records(from_offset, below)
+        ]
+        return messages + super().read(self._base, max_records - len(messages))
 
     @property
     def start_offset(self) -> int:
-        """Lowest retained offset (advances with truncation)."""
-        return self._base
+        return self.segments.start_offset
 
-    # -- durability controls --------------------------------------------------
+    def truncate_below(self, offset: int) -> int:
+        """Cut memory at ``offset`` (pins and the log end clamp it) and
+        delete the segments wholly below the cut; returns the new
+        retention start."""
+        return self.segments.truncate_below(super().truncate_below(offset))
+
+    def truncate_to(self, end_offset: int) -> None:
+        """Roll the tail back so the next append gets ``end_offset``."""
+        self.segments.truncate_to(end_offset)
+        if end_offset < self.end_offset:
+            del self._messages[max(0, end_offset - self._base) :]
+            self._base = min(self._base, end_offset)
 
     def flush(self) -> None:
         """Write out buffered records (fsync per the store's policy)."""
         self.segments.flush()
 
-    # -- retention pins --------------------------------------------------------
-    #
-    # A pin is a reader's claim on history: while any pin is open,
-    # checkpoint-driven truncation clamps to the lowest pinned offset,
-    # so a backfill replaying the log behind the live writer never sees
-    # its unread records deleted under it. Pins are in-process state —
-    # they protect *live* readers, not crashed ones — so a reopen starts
-    # with none.
-
-    def pin(self, offset: int) -> int:
-        """Hold retention at ``offset``; returns a token for the holder."""
-        token = self._next_pin
-        self._next_pin += 1
-        self._pins[token] = max(offset, self._base)
-        return token
-
-    def advance_pin(self, token: int, offset: int) -> None:
-        """Move a pin forward as its reader consumes (never backward)."""
-        if token in self._pins:
-            self._pins[token] = max(self._pins[token], offset)
-
-    def unpin(self, token: int) -> None:
-        """Release a pin; idempotent."""
-        self._pins.pop(token, None)
-
-    @property
-    def pinned_floor(self) -> int | None:
-        """Lowest offset any open pin protects (``None`` when unpinned)."""
-        return min(self._pins.values()) if self._pins else None
-
-    def truncate_below(self, offset: int) -> int:
-        """Drop whole segments (and their in-memory window) below
-        ``offset``; returns the new retention start. Open pins clamp the
-        cut — segments a backfill cursor still needs survive until it
-        advances past them or closes."""
-        floor = self.pinned_floor
-        if floor is not None:
-            offset = min(offset, floor)
-        start = self.segments.truncate_below(min(offset, self.end_offset))
-        if start > self._base:
-            self._messages = self._messages[start - self._base :]
-            self._base = start
-        return start
-
-    def truncate_to(self, end_offset: int) -> None:
-        """Roll the tail back so the next append gets ``end_offset``."""
-        self.segments.truncate_to(end_offset)
-        if end_offset < self._base + len(self._messages):
-            del self._messages[max(0, end_offset - self._base) :]
-
     def close(self) -> None:
         self.segments.close()
+
+
+def _decode(offset: int, payload: bytes) -> Message:
+    view = memoryview(payload)
+    timestamp, at = serde.read_signed_varint(view, 0)
+    key, at = read_payload(view, at)
+    value, at = read_payload(view, at)
+    return Message(offset, key, value, timestamp)
 
 
 # -- tiny CRC-framed side logs ------------------------------------------------
@@ -551,8 +510,8 @@ class DurableBus(MessageBus):
             self._commit_buffer.clear()
 
     def truncate_below(self, offsets: Mapping[TopicPartition, int]) -> None:
-        """Checkpoint-aware retention: per task, delete whole segments
-        entirely below its stored checkpoint offset."""
+        """Checkpoint-aware retention: per task, cut the log at its
+        stored checkpoint offset (:meth:`DurableLog.truncate_below`)."""
         for tp, offset in offsets.items():
             log = self._logs.get(tp)
             if log is not None and offset > 0:

@@ -225,10 +225,6 @@ class GroupCoordinator:
             if group.needs_rebalance:
                 self._rebalance(group)
 
-    def request_rebalance(self, group_id: str) -> None:
-        """Force a rebalance on next tick (metadata change, new topics)."""
-        self._group(group_id).needs_rebalance = True
-
     # -- assignment ------------------------------------------------------------------
 
     def _rebalance(self, group: _Group) -> None:

@@ -56,7 +56,7 @@ def read_page(
             (message.offset, message.value.event)
             for message in cursor.read(max_records)
         ]
-    start = getattr(bus.log(tp), "start_offset", 0)
+    start = bus.log(tp).start_offset
     return LogPage(entries, start, bus.end_offset(tp))
 
 

@@ -71,7 +71,7 @@ class ShadowReplay:
         self.tp = tp
         self.metric = metric
         self.replayed = 0
-        start = getattr(bus.log(tp), "start_offset", 0)
+        start = bus.log(tp).start_offset
         if start == 0:
             self.processor = TaskProcessor.build(
                 tp,

@@ -22,8 +22,9 @@ class CacheStats:
     hits: int = 0
     demand_misses: int = 0
     prefetch_loads: int = 0
-    prefetch_wasted: int = 0  # prefetched but evicted before first use
-    evictions: int = 0
+    prefetch_wasted: int = 0  # prefetched but evicted or dropped before first use
+    evictions: int = 0  # capacity (LRU) evictions
+    passed_drops: int = 0  # chunks dropped once every iterator passed them
 
     @property
     def total_requests(self) -> int:
@@ -95,6 +96,17 @@ class ChunkCache:
         self._entries[chunk_id] = events
         if prefetched:
             self._never_used.add(chunk_id)
+
+    def drop_below(self, chunk_id: int) -> None:
+        """Drop every chunk whose id is below ``chunk_id`` — the chunks
+        every live iterator has already passed. Random reads reload them
+        from storage, as after an eviction."""
+        for passed in [cid for cid in self._entries if cid < chunk_id]:
+            del self._entries[passed]
+            self.stats.passed_drops += 1
+            if passed in self._never_used:
+                self._never_used.discard(passed)
+                self.stats.prefetch_wasted += 1
 
     def invalidate(self, chunk_id: int) -> None:
         """Drop one chunk (used when a transition chunk is re-persisted)."""

@@ -406,8 +406,15 @@ class EventReservoir:
             )
         )
         # Keep the freshly closed chunk warm: tail iterators of short
-        # windows will reach it soon.
+        # windows will reach it soon. Iterators only move forward, so a
+        # chunk below the lowest of them is never read by one again.
         self.cache.put_demand(chunk.chunk_id, chunk.events)
+        self.cache.drop_below(
+            min(
+                (iterator.chunk_id for iterator in self._iterators),
+                default=self._open.chunk_id,
+            )
+        )
         for event in chunk.events:
             self._dedup.pop(event.event_id, None)
         self.stats.chunks_closed += 1

@@ -23,6 +23,12 @@ backfill is left mid-flight while a checkpoint truncates, the pinned
 history must survive, and once the backfill completes the pins must be
 gone and reclamation must catch back up.
 
+A last phase serves a durable ``create_cluster("single")`` over the TCP
+front door with tiny segments. Its frontend is the only reader of its
+reply topic, so no completed ``__reply.*`` segment may survive wholly
+below the frontend's read offset; the event topics, which ``single``
+replays from offset 0, must keep every record.
+
 Run from the repository root (CI's ``durable-bus`` job)::
 
     PYTHONPATH=src python tools/durable_gate.py
@@ -38,6 +44,7 @@ import tempfile
 
 from repro.engine.cluster import create_cluster
 from repro.events.event import Event
+from repro.server.client import RailgunClient
 
 SEGMENT_BYTES = 2048
 ROUNDS = 4
@@ -214,15 +221,90 @@ def run_gate() -> list[str]:
     return failures
 
 
+def run_single_phase() -> list[str]:
+    """Serve a durable ``single`` cluster: its reply topic is truncated
+    behind the frontend, its event topics keep everything."""
+    failures: list[str] = []
+    root = tempfile.mkdtemp(prefix="railgun-durable-gate-single-")
+    cluster = create_cluster(
+        "single", durable_dir=root, serve="tcp://127.0.0.1:0"
+    )
+    try:
+        cluster.bus.config.segment_bytes = SEGMENT_BYTES
+        host, port = cluster.server.address
+        sent = 0
+        with RailgunClient(host, port, tenant="gate") as client:
+            client.create_stream(
+                "tx", ["cardId"], partitions=2,
+                schema={"cardId": "string", "amount": "float"},
+            )
+            client.create_metric(
+                "SELECT sum(amount), count(*) FROM tx GROUP BY cardId "
+                "OVER sliding 500 minutes"
+            )
+            for round_index in range(ROUNDS):
+                replies = client.send_batch(
+                    "tx",
+                    [
+                        {"cardId": f"c{i % 5}", "amount": float(i)}
+                        for i in range(EVENTS_PER_ROUND)
+                    ],
+                    timestamp=round_index + 1,
+                )
+                sent += len(replies)
+        frontend = cluster.nodes["node-0"].frontend
+        reply_tp = frontend._reply_tp
+        read_offset = frontend._reply_offset
+        spans = cluster.bus.segment_spans()
+        if read_offset != sent:
+            failures.append(
+                f"single {reply_tp}: frontend read {read_offset} of "
+                f"{sent} replies"
+            )
+        if spans[reply_tp][-1][0] == 0:
+            failures.append(
+                f"single {reply_tp}: never rolled a segment — the phase "
+                f"exercises nothing"
+            )
+        for base, seg_end in spans[reply_tp][:-1]:
+            if seg_end <= read_offset:
+                failures.append(
+                    f"single {reply_tp}: segment [{base},{seg_end}) survives "
+                    f"wholly below the read offset {read_offset}"
+                )
+        events = 0
+        for tp in cluster.bus.topic_partitions("tx.cardId"):
+            log = cluster.bus.log(tp)
+            events += log.end_offset
+            if log.start_offset != 0 or spans[tp][0][0] != 0:
+                failures.append(
+                    f"single {tp}: event topic lost records (start "
+                    f"{log.start_offset}, first segment {spans[tp][0]})"
+                )
+            if len(log.read(0, log.end_offset)) != log.end_offset:
+                failures.append(f"single {tp}: event records unreadable")
+        if events != sent:
+            failures.append(f"single: {events} event records for {sent} sent")
+        print(
+            f"single {reply_tp}: replies={sent} read={read_offset} "
+            f"segments={spans[reply_tp]}"
+        )
+    finally:
+        cluster.close()
+        shutil.rmtree(root, ignore_errors=True)
+    return failures
+
+
 def main() -> int:
-    failures = run_gate()
+    failures = run_gate() + run_single_phase()
     for failure in failures:
         print(f"TRUNCATION GATE: {failure}", file=sys.stderr)
     if not failures:
         print(
             "truncation gate: on-disk bytes bounded by segments above "
             "the horizon (checkpoint offsets, clamped to open replay "
-            "pins); pins released on backfill completion"
+            "pins); pins released on backfill completion; a served "
+            "single cluster's reply topic truncated behind its frontend"
         )
     return 1 if failures else 0
 
