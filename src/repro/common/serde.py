@@ -4,8 +4,8 @@ The reservoir persists chunks of events in a binary format (paper §4.1.1:
 "define a data format and compression for efficient storage, both in
 terms of deserialization time and size"). These helpers implement the
 primitive encoders that the chunk codec and the LSM store build on:
-varints, zig-zag signed ints, length-prefixed bytes/strings, and tagged
-scalar values.
+varints, zig-zag signed ints, length-prefixed bytes/strings, tagged
+scalar values, and the one CRC frame every durable format is made of.
 
 All functions either append to a ``bytearray`` (writers) or read from a
 ``memoryview``/``bytes`` at an offset and return ``(value, new_offset)``
@@ -15,7 +15,8 @@ All functions either append to a ``bytearray`` (writers) or read from a
 from __future__ import annotations
 
 import struct
-from typing import Sequence
+import zlib
+from typing import Iterator, Sequence
 
 from repro.common.errors import SerdeError
 
@@ -223,7 +224,47 @@ def read_value(data: bytes | memoryview, offset: int) -> tuple[object, int]:
 
 
 def crc32_of(data: bytes | memoryview) -> int:
-    """CRC-32 checksum used to detect torn writes in WAL and segments."""
-    import zlib
-
+    """CRC-32 checksum used to detect torn writes in logs and files."""
     return zlib.crc32(data) & 0xFFFFFFFF
+
+
+# CRC frames. Every durable record format in the tree — log segments,
+# the bus side logs and cut, checkpoints, reservoir chunks, the LSM WAL
+# and manifest — is a sequence of (or a single) frame::
+#
+#     u32 crc | varint len | payload          (crc over payload)
+#
+# so a torn or bit-flipped write is detected at the frame it hit.
+
+
+def write_frame(buf: bytearray, payload: bytes | bytearray) -> None:
+    """Append one CRC frame around ``payload``."""
+    write_u32(buf, crc32_of(payload))
+    write_bytes(buf, payload)
+
+
+def read_frame(data: bytes | memoryview, offset: int) -> tuple[bytes, int]:
+    """Read one CRC frame; :class:`SerdeError` if it is torn or corrupt."""
+    crc, offset = read_u32(data, offset)
+    payload, offset = read_bytes(data, offset)
+    if crc32_of(payload) != crc:
+        raise SerdeError("frame checksum mismatch")
+    return payload, offset
+
+
+def iter_frames(
+    data: bytes | memoryview, offset: int = 0
+) -> Iterator[tuple[int, int, bytes]]:
+    """Yield ``(start, end, payload)`` per intact frame from ``offset``.
+
+    Stops silently at the first torn or corrupt frame — the tail of an
+    interrupted write; everything before it is durable.
+    """
+    size = len(data)
+    while offset < size:
+        try:
+            payload, end = read_frame(data, offset)
+        except SerdeError:
+            return
+        yield offset, end, payload
+        offset = end

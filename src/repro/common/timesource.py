@@ -34,7 +34,7 @@ infrastructure wall-time from one deterministic object.
 The three deadline-loop idioms that used to be hand-rolled per call
 site (compute ``deadline``, compare, ``sleep`` a poll) are provided
 once as :meth:`TimeSource.deadline` and :meth:`TimeSource.wait_until`.
-``tools/check_time.py`` lints that no module under ``src/repro`` other
+``tools/check_planes.py`` lints that no module under ``src/repro`` other
 than this one calls ``time.time``/``time.monotonic``/``time.sleep``.
 """
 

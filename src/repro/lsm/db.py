@@ -34,7 +34,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.common import serde
-from repro.common.errors import StorageError
+from repro.common.errors import SerdeError, StorageError
 from repro.common.storage import MemoryStorage, StorageBackend
 from repro.lsm.memtable import TOMBSTONE, MemTable
 from repro.lsm.sstable import SSTable
@@ -444,14 +444,17 @@ class LsmDb:
         self._write_manifest()
 
     def _max_file_number(self) -> int:
+        """Highest table number in storage — the manifest's tables and
+        any orphan a crashed flush wrote but never published."""
         best = -1
-        for family in self._cfs.values():
-            for table in family.runs:
-                try:
-                    number = int(table.name.split("-")[-1].split(".")[0])
-                except ValueError:
-                    continue
-                best = max(best, number)
+        for name in self.storage.list():
+            if not name.endswith(".sst"):
+                continue
+            try:
+                number = int(name.split("-")[-1].split(".")[0])
+            except ValueError:
+                continue
+            best = max(best, number)
         return best
 
     # -- manifest & recovery ------------------------------------------------------
@@ -466,21 +469,17 @@ class LsmDb:
         )
 
     def _write_manifest(self) -> None:
-        blob = self._snapshot().to_bytes()
+        """Publish the table layout atomically: a crash mid-write leaves
+        the previous manifest, never an empty or torn one."""
         buf = bytearray()
-        serde.write_u32(buf, serde.crc32_of(blob))
-        serde.write_bytes(buf, blob)
-        if self.storage.exists(_MANIFEST):
-            self.storage.delete(_MANIFEST)
-        self.storage.create(_MANIFEST)
-        self.storage.append(_MANIFEST, bytes(buf))
+        serde.write_frame(buf, self._snapshot().to_bytes())
+        self.storage.replace(_MANIFEST, bytes(buf))
 
     def _recover(self) -> None:
-        raw = self.storage.read_all(_MANIFEST)
-        crc, offset = serde.read_u32(raw, 0)
-        blob, _ = serde.read_bytes(raw, offset)
-        if serde.crc32_of(blob) != crc:
-            raise StorageError("corrupt manifest")
+        try:
+            blob, _ = serde.read_frame(self.storage.read_all(_MANIFEST), 0)
+        except SerdeError as exc:
+            raise StorageError("corrupt manifest") from exc
         snapshot = Checkpoint.from_bytes(blob)
         self._restore_from_checkpoint(snapshot)
         # Replay the WAL into fresh memtables.

@@ -5,7 +5,7 @@ unflushed memtable can be rebuilt after a crash. Records carry a CRC-32
 so a torn tail write is detected and replay stops cleanly at the last
 complete record (instead of resurrecting garbage).
 
-Record wire format::
+Record wire format (one :func:`repro.common.serde.write_frame` frame)::
 
     u32 crc | varint len | payload
     payload := varint cf_id | u8 kind | bytes key | [bytes value]
@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from repro.common import serde
-from repro.common.errors import StorageError
+from repro.common.errors import SerdeError
 from repro.common.storage import StorageBackend
 
 _KIND_PUT = 0
@@ -41,7 +41,7 @@ class WriteAheadLog:
         payload.append(_KIND_PUT)
         serde.write_bytes(payload, key)
         serde.write_bytes(payload, value)
-        self._append_record(bytes(payload))
+        self._append_record(payload)
 
     def append_delete(self, cf_id: int, key: bytes) -> None:
         """Log a delete."""
@@ -49,50 +49,33 @@ class WriteAheadLog:
         serde.write_varint(payload, cf_id)
         payload.append(_KIND_DELETE)
         serde.write_bytes(payload, key)
-        self._append_record(bytes(payload))
+        self._append_record(payload)
 
-    def _append_record(self, payload: bytes) -> None:
+    def _append_record(self, payload: bytearray) -> None:
         record = bytearray()
-        serde.write_u32(record, serde.crc32_of(payload))
-        serde.write_varint(record, len(payload))
-        record.extend(payload)
-        self._storage.append(self.name, bytes(record))
+        serde.write_frame(record, payload)
+        self._storage.append(self.name, record)
 
     def replay(self) -> Iterator[tuple[int, int, bytes, bytes | None]]:
         """Yield ``(cf_id, kind, key, value_or_None)`` for intact records.
 
-        Stops silently at the first corrupt/truncated record — that is
-        the torn tail of an interrupted write, and everything before it
-        is durable.
+        Stops silently at the first torn frame or undecodable record —
+        that is the tail of an interrupted write, and everything before
+        it is durable.
         """
-        data = self._storage.read_all(self.name)
-        offset = 0
-        while offset < len(data):
+        for _start, _end, payload in serde.iter_frames(self._storage.read_all(self.name)):
             try:
-                crc, offset2 = serde.read_u32(data, offset)
-                length, offset2 = serde.read_varint(data, offset2)
-                end = offset2 + length
-                if end > len(data):
-                    return
-                payload = data[offset2:end]
-                if serde.crc32_of(payload) != crc:
-                    return
                 cf_id, poff = serde.read_varint(payload, 0)
                 kind = payload[poff]
-                poff += 1
-                key, poff = serde.read_bytes(payload, poff)
+                key, poff = serde.read_bytes(payload, poff + 1)
                 value: bytes | None = None
                 if kind == _KIND_PUT:
                     value, poff = serde.read_bytes(payload, poff)
                 elif kind != _KIND_DELETE:
                     return
-                yield cf_id, kind, key, value
-                offset = end
-            except StorageError:
+            except (SerdeError, IndexError):
                 return
-            except Exception:
-                # Any decode failure inside a record means a torn write.
-                return
+            yield cf_id, kind, key, value
 
     def size(self) -> int:
         """Current log size in bytes."""

@@ -8,12 +8,14 @@ This module closes that gap:
 
 - :class:`DurableLog` is a drop-in :class:`~repro.messaging.log.PartitionLog`
   whose records are also appended to a :class:`~repro.messaging.segments.SegmentedLog`
-  on disk. The hot path stays in memory (appends buffer their encoded
+  on disk (a ``FileStorage`` rooted at the partition's own
+  subdirectory). The hot path stays in memory (appends buffer their encoded
   form; reads serve the retained records), the disk is the recovery
   story, and truncation trims both so neither grows without bound.
 - :class:`DurableBus` is a drop-in :class:`~repro.messaging.broker.MessageBus`
   hosting :class:`DurableLog` partitions under one directory, plus two
-  tiny CRC-framed side logs: ``topics.log`` (topic name, partitions,
+  tiny CRC-framed side logs in that directory's ``FileStorage``
+  (:attr:`DurableBus.storage`): ``topics.log`` (topic name, partitions,
   replication — so a reopen recreates the topology) and ``commits.log``
   (group committed offsets — so a reopened consumer resumes where it
   replied). Constructing a ``DurableBus`` over a non-empty directory
@@ -21,11 +23,16 @@ This module closes that gap:
   and ``messages_published`` are all rebuilt from disk.
 - :func:`write_cut` / :func:`read_cut` persist a **consistent cut** —
   an applied-frame counter plus per-partition end offsets, written
-  atomically (tmp + rename) *after* the log data is fsynced. A
+  atomically (``StorageBackend.replace``: tmp + fsync + rename +
+  directory fsync) *after* the log data is fsynced. A
   recovering sharded frontend rolls every log back to the cut
   (:meth:`DurableLog.truncate_to`) and replays its write-ahead journal
   from the cut's frame counter, which makes journal replay idempotent
   without any per-record dedup.
+
+No code here opens a file: every byte goes through
+:class:`~repro.common.storage.StorageBackend`, in the one CRC frame of
+:func:`repro.common.serde.write_frame`.
 
 Values crossing the durable boundary are encoded with a small tagged
 codec (scalars, tuples, :class:`~repro.events.event.Event`, the engine
@@ -42,6 +49,7 @@ from typing import Any, Iterable, Mapping
 from repro.common import serde
 from repro.common.errors import MessagingError, SerdeError
 from repro.common.layout import STR, VALUE, VARINT, mapping, struct
+from repro.common.storage import FileStorage, StorageBackend
 from repro.engine.catalog import (
     METRIC_DEF,
     OP_LAYOUTS,
@@ -65,7 +73,6 @@ from repro.messaging.segments import (
     FsyncPolicy,
     SegmentConfig,
     SegmentedLog,
-    fsync_dir,
     fsync_policy,
 )
 
@@ -225,7 +232,7 @@ class DurableLog(PartitionLog):
         config: SegmentConfig | None = None,
     ) -> None:
         super().__init__(tp, replication)
-        self.segments = SegmentedLog(root, config)
+        self.segments = SegmentedLog(FileStorage(root), config)
         self._base = self.segments.start_offset
         self._messages = [_decode(*record) for record in self.segments.records(0)]
 
@@ -289,89 +296,39 @@ def _decode(offset: int, payload: bytes) -> Message:
     return Message(offset, key, value, timestamp)
 
 
-# -- tiny CRC-framed side logs ------------------------------------------------
-
-
-def _append_frames(path: str, frames: Iterable[bytes], fsync: bool) -> None:
-    encoded = bytearray()
-    for payload in frames:
-        serde.write_u32(encoded, serde.crc32_of(payload))
-        serde.write_varint(encoded, len(payload))
-        encoded.extend(payload)
-    if not encoded:
-        return
-    with open(path, "ab") as handle:
-        handle.write(encoded)
-        if fsync:
-            handle.flush()
-            os.fsync(handle.fileno())
-
-
-def _read_frames(path: str) -> list[bytes]:
-    """Intact frames of a side log; stops at the first torn record."""
-    if not os.path.exists(path):
-        return []
-    with open(path, "rb") as handle:
-        data = handle.read()
-    frames: list[bytes] = []
-    offset = 0
-    while offset < len(data):
-        try:
-            crc, offset2 = serde.read_u32(data, offset)
-            length, offset2 = serde.read_varint(data, offset2)
-        except Exception:
-            break
-        end = offset2 + length
-        if end > len(data):
-            break
-        payload = data[offset2:end]
-        if serde.crc32_of(payload) != crc:
-            break
-        frames.append(payload)
-        offset = end
-    return frames
+# -- the consistent cut --------------------------------------------------------
 
 
 def write_cut(
-    root: str, frames_applied: int, ends: Mapping[TopicPartition, int]
+    storage: StorageBackend,
+    frames_applied: int,
+    ends: Mapping[TopicPartition, int],
 ) -> None:
     """Atomically persist a consistent cut: applied ingest-frame count +
-    per-partition end offsets.
+    per-partition end offsets, as one CRC frame in the bus directory.
 
-    Written *after* the log data it describes is flushed, via tmp +
-    rename, so a crash leaves either the previous cut or this one —
-    never a torn file. Recovery truncates each log back to the recorded
-    end (:meth:`DurableLog.truncate_to`) and replays the write-ahead
-    journal from ``frames_applied``.
+    Written *after* the log data it describes is flushed, with
+    :meth:`~repro.common.storage.StorageBackend.replace`, so a crash
+    leaves either the previous cut or this one — never a torn file.
+    Recovery truncates each log back to the recorded end
+    (:meth:`DurableLog.truncate_to`) and replays the write-ahead journal
+    from ``frames_applied``.
     """
     payload = bytearray()
     serde.write_varint(payload, frames_applied)
     OFFSET_PAIRS.write(payload, sorted(ends.items(), key=lambda pair: str(pair[0])))
     framed = bytearray()
-    serde.write_u32(framed, serde.crc32_of(payload))
-    serde.write_bytes(framed, bytes(payload))
-    tmp = os.path.join(root, _CUT_FILE + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(framed)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, os.path.join(root, _CUT_FILE))
-    fsync_dir(root)  # the rename itself must survive power loss
+    serde.write_frame(framed, payload)
+    storage.replace(_CUT_FILE, bytes(framed))
 
 
-def read_cut(root: str) -> tuple[int, dict[TopicPartition, int]]:
+def read_cut(storage: StorageBackend) -> tuple[int, dict[TopicPartition, int]]:
     """Read the consistent cut; ``(0, {})`` when none was ever written."""
-    path = os.path.join(root, _CUT_FILE)
-    if not os.path.exists(path):
+    if not storage.exists(_CUT_FILE):
         return 0, {}
-    with open(path, "rb") as handle:
-        data = handle.read()
     try:
-        crc, offset = serde.read_u32(data, 0)
-        payload, _ = serde.read_bytes(data, offset)
-    except Exception:
-        return 0, {}
-    if serde.crc32_of(payload) != crc:
+        payload, _ = serde.read_frame(storage.read_all(_CUT_FILE), 0)
+    except SerdeError:
         return 0, {}
     view = memoryview(payload)
     frames_applied, offset = serde.read_varint(view, 0)
@@ -409,7 +366,9 @@ class DurableBus(MessageBus):
             index_interval=index_interval,
             fsync=fsync_policy(fsync),
         )
-        os.makedirs(root, exist_ok=True)
+        #: the bus directory: side logs and the cut (partition logs
+        #: each get their own namespace, one subdirectory per partition).
+        self.storage = FileStorage(root)
         self._commit_buffer: list[bytes] = []
         self.recovered = False
         self._recover_topics()
@@ -418,7 +377,7 @@ class DurableBus(MessageBus):
     # -- recovery --------------------------------------------------------------
 
     def _recover_topics(self) -> None:
-        for payload in _read_frames(os.path.join(self.root, _TOPICS_FILE)):
+        for payload in self._side_log(_TOPICS_FILE):
             view = memoryview(payload)
             name, offset = serde.read_str(view, 0)
             partitions, offset = serde.read_varint(view, offset)
@@ -431,12 +390,34 @@ class DurableBus(MessageBus):
             )
 
     def _recover_commits(self) -> None:
-        for payload in _read_frames(os.path.join(self.root, _COMMITS_FILE)):
+        for payload in self._side_log(_COMMITS_FILE):
             view = memoryview(payload)
             group, offset = serde.read_str(view, 0)
             tp, offset = TP.read(view, offset)
             committed, offset = serde.read_varint(view, offset)
             self._committed[(group, tp)] = committed  # last record wins
+
+    # -- tiny CRC-framed side logs ----------------------------------------------
+
+    def _side_log(self, name: str) -> list[bytes]:
+        """Intact frames of a side log; stops at the first torn record."""
+        if not self.storage.exists(name):
+            return []
+        return [
+            payload
+            for _start, _end, payload in serde.iter_frames(self.storage.read_all(name))
+        ]
+
+    def _append_side_log(self, name: str, payloads: Iterable[bytes]) -> None:
+        """Append frames to a side log; synced unless the policy is NEVER."""
+        encoded = bytearray()
+        for payload in payloads:
+            serde.write_frame(encoded, payload)
+        if not self.storage.exists(name):
+            self.storage.create(name)
+        self.storage.append(name, encoded)
+        if self.config.fsync is not FsyncPolicy.NEVER:
+            self.storage.sync(name)
 
     # -- topic management ------------------------------------------------------
 
@@ -460,11 +441,7 @@ class DurableBus(MessageBus):
             serde.write_str(payload, name)
             serde.write_varint(payload, partitions)
             serde.write_varint(payload, replication)
-            _append_frames(
-                os.path.join(self.root, _TOPICS_FILE),
-                [bytes(payload)],
-                fsync=self.config.fsync is not FsyncPolicy.NEVER,
-            )
+            self._append_side_log(_TOPICS_FILE, [payload])
 
     def _register_topic(self, name: str, partitions: int, replication: int) -> None:
         """Recreate a recovered topic without re-writing the meta log."""
@@ -502,11 +479,7 @@ class DurableBus(MessageBus):
         for log in self._logs.values():
             log.flush()
         if self._commit_buffer:
-            _append_frames(
-                os.path.join(self.root, _COMMITS_FILE),
-                self._commit_buffer,
-                fsync=self.config.fsync is not FsyncPolicy.NEVER,
-            )
+            self._append_side_log(_COMMITS_FILE, self._commit_buffer)
             self._commit_buffer.clear()
 
     def truncate_below(self, offsets: Mapping[TopicPartition, int]) -> None:

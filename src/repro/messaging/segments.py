@@ -3,13 +3,17 @@
 Kafka's durability story (paper §3.3) is offset-addressed partition logs
 on disk: consumers rewind to a committed offset and replay exactly the
 uncommitted tail, and retention deletes whole segments from the front.
-:class:`SegmentedLog` implements that file layout for one partition:
+:class:`SegmentedLog` implements that file layout for one partition,
+inside one :class:`~repro.common.storage.StorageBackend` namespace (a
+``FileStorage`` rooted at the partition's directory on disk, or a
+``MemoryStorage``): every create, append, truncate, delete and sync
+goes through the backend, and the log only decides *when* to sync.
 
 - **Segments**: fixed-size append-only files named by their base offset
   (``seg-<base>.log``). The highest-base segment is *active* (the only
   one written); lower segments are complete and immutable.
-- **Records**: CRC-framed via :mod:`repro.common.serde`, so torn tail
-  writes are detected::
+- **Records**: one :func:`repro.common.serde.write_frame` CRC frame
+  each, so torn tail writes are detected::
 
       u32 crc | varint length | body          (crc over body)
       body := varint rel_offset | payload     (payload = caller bytes)
@@ -42,13 +46,13 @@ uncommitted tail, and retention deletes whole segments from the front.
 from __future__ import annotations
 
 import enum
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
 from repro.common import serde
-from repro.common.errors import MessagingError
+from repro.common.errors import MessagingError, SerdeError
+from repro.common.storage import StorageBackend
 
 _SEG_SUFFIX = ".log"
 _IDX_SUFFIX = ".idx"
@@ -85,8 +89,12 @@ class SegmentConfig:
     fsync: FsyncPolicy = FsyncPolicy.BATCH
 
 
-def _segment_path(root: str, base: int) -> str:
-    return os.path.join(root, f"{_SEG_PREFIX}{base:020d}{_SEG_SUFFIX}")
+def _segment_file(base: int) -> str:
+    return f"{_SEG_PREFIX}{base:020d}{_SEG_SUFFIX}"
+
+
+def _index_file(base: int) -> str:
+    return f"{_SEG_PREFIX}{base:020d}{_IDX_SUFFIX}"
 
 
 def _base_of(name: str) -> int | None:
@@ -96,94 +104,30 @@ def _base_of(name: str) -> int | None:
     return int(digits) if digits.isdigit() else None
 
 
-def _fsync_file(path: str) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def fsync_dir(path: str) -> None:
-    """Make file creations/renames/deletions in a directory durable.
-
-    fsync on a file covers its *contents*; the directory entry itself
-    needs its own fsync or a rename/create can vanish on power loss.
-    Best effort: some filesystems refuse directory fsync, and the
-    fallback there is the same torn-state recovery the CRC framing
-    already provides.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-def _frame(rel_offset: int, payload: bytes) -> bytes:
-    body = bytearray()
-    serde.write_varint(body, rel_offset)
-    body.extend(payload)
-    record = bytearray()
-    serde.write_u32(record, serde.crc32_of(body))
-    serde.write_varint(record, len(body))
-    record.extend(body)
-    return bytes(record)
-
-
-def _scan_frames(data: bytes) -> Iterator[tuple[int, int, int, bytes]]:
-    """Yield ``(file_pos, end_pos, rel_offset, payload)`` for intact frames.
-
-    Stops silently at the first truncated or corrupt frame — the torn
-    tail of an interrupted write; everything before it is durable.
-    """
-    position = 0
-    size = len(data)
-    while position < size:
-        try:
-            crc, after_crc = serde.read_u32(data, position)
-            length, body_start = serde.read_varint(data, after_crc)
-        except Exception:
-            return
-        end = body_start + length
-        if end > size:
-            return
-        body = data[body_start:end]
-        if serde.crc32_of(body) != crc:
-            return
+def _read_records(data: bytes) -> Iterator[tuple[int, int, int, bytes]]:
+    """Yield ``(file_pos, end_pos, rel_offset, payload)`` per intact
+    record; stops at the first torn frame (:func:`serde.iter_frames`)."""
+    for start, end, body in serde.iter_frames(data):
         try:
             rel_offset, payload_start = serde.read_varint(body, 0)
-        except Exception:
+        except SerdeError:
             return
-        yield position, end, rel_offset, body[payload_start:]
-        position = end
-
-
-class _Segment:
-    """One completed (read-only) segment file."""
-
-    __slots__ = ("base", "end", "path")
-
-    def __init__(self, base: int, end: int, path: str) -> None:
-        self.base = base
-        self.end = end  # first offset past this segment
-        self.path = path
+        yield start, end, rel_offset, body[payload_start:]
 
 
 class SegmentedLog:
-    """One partition's records on disk, split into offset-named segments."""
+    """One partition's records in a storage namespace, split into
+    offset-named segments."""
 
-    def __init__(self, root: str, config: SegmentConfig | None = None) -> None:
-        self.root = root
+    def __init__(
+        self, storage: StorageBackend, config: SegmentConfig | None = None
+    ) -> None:
+        self.storage = storage
         self.config = config if config is not None else SegmentConfig()
-        os.makedirs(root, exist_ok=True)
-        #: completed segments, ascending base offset.
-        self._segments: list[_Segment] = []
+        #: bases of the completed segments, ascending; segments are
+        #: contiguous, so each one ends where the next (or the active
+        #: segment) begins.
+        self._bases: list[int] = []
         self._active_base = 0
         self._active_size = 0  # durable bytes already in the active file
         self._active_count = 0  # records in the active segment (incl. buffered)
@@ -200,7 +144,7 @@ class SegmentedLog:
         """Rebuild segment metadata; truncate the active segment's torn tail."""
         bases = sorted(
             base
-            for name in os.listdir(self.root)
+            for name in self.storage.list()
             if (base := _base_of(name)) is not None
         )
         if not bases:
@@ -210,58 +154,33 @@ class SegmentedLog:
         # roll writes + fsyncs the old file before creating the new one);
         # their record counts define the chain of end offsets. The active
         # segment gets the torn-tail scan + truncate.
-        for position, base in enumerate(bases):
-            path = _segment_path(self.root, base)
-            if position < len(bases) - 1:
-                end = bases[position + 1]
-                self._segments.append(_Segment(base, end, path))
-            else:
-                self._active_base = base
-                good_end, count = self._scan_active(path)
-                self._active_size = good_end
-                self._active_count = count
-
-    def _scan_active(self, path: str) -> tuple[int, int]:
-        with open(path, "rb") as handle:
-            data = handle.read()
-        good_end = 0
-        count = 0
-        expected_rel = 0
-        for _pos, end, rel_offset, _payload in _scan_frames(data):
-            if rel_offset != expected_rel:
+        *self._bases, self._active_base = bases
+        name = self._active_name()
+        data = self.storage.read_all(name)
+        for _pos, end, rel_offset, _payload in _read_records(data):
+            if rel_offset != self._active_count:
                 break  # misplaced frame: treat like a torn tail
-            good_end = end
-            count += 1
-            expected_rel += 1
-        if good_end < len(data):
-            with open(path, "r+b") as handle:
-                handle.truncate(good_end)
-            _fsync_file(path)
+            self._active_size = end
+            self._active_count += 1
+        if self._active_size < len(data):
+            self.storage.truncate(name, self._active_size)
+            self.storage.sync(name)
             # The index may point past the truncated tail; drop it — it
             # is advisory and rebuilt as appends resume.
-            idx = path[: -len(_SEG_SUFFIX)] + _IDX_SUFFIX
-            if os.path.exists(idx):
-                os.remove(idx)
-        return good_end, count
+            self._remove_index()
 
     def _create_active(self, base: int) -> None:
         self._active_base = base
         self._active_size = 0
         self._active_count = 0
         self._records_since_index = 0
-        path = _segment_path(self.root, base)
-        with open(path, "ab"):
-            pass
+        self._remove_index()  # an orphan of an interrupted truncation
+        self.storage.create(self._active_name())
         if self.config.fsync is not FsyncPolicy.NEVER:
-            fsync_dir(self.root)
+            self.storage.sync()
 
-    def _active_path(self) -> str:
-        return _segment_path(self.root, self._active_base)
-
-    def _index_path(self) -> str:
-        return os.path.join(
-            self.root, f"{_SEG_PREFIX}{self._active_base:020d}{_IDX_SUFFIX}"
-        )
+    def _active_name(self) -> str:
+        return _segment_file(self._active_base)
 
     def close(self) -> None:
         """Write out buffered records (fsynced unless policy NEVER)."""
@@ -272,9 +191,7 @@ class SegmentedLog:
     @property
     def start_offset(self) -> int:
         """Lowest offset still retained (advances with truncation)."""
-        if self._segments:
-            return self._segments[0].base
-        return self._active_base
+        return self._bases[0] if self._bases else self._active_base
 
     @property
     def end_offset(self) -> int:
@@ -285,15 +202,18 @@ class SegmentedLog:
         """Frame and buffer one record; returns its assigned offset."""
         rel = self._active_count
         if self._records_since_index == 0:
-            entry = bytearray()
-            serde.write_varint(entry, rel)
-            serde.write_varint(entry, self._active_size + len(self._buffer))
-            self._index_buffer.extend(entry)
+            serde.write_varint(self._index_buffer, rel)
+            serde.write_varint(
+                self._index_buffer, self._active_size + len(self._buffer)
+            )
         self._records_since_index = (
             self._records_since_index + 1
         ) % max(1, self.config.index_interval)
         offset = self._active_base + rel
-        self._buffer.extend(_frame(rel, payload))
+        body = bytearray()
+        serde.write_varint(body, rel)
+        body.extend(payload)
+        serde.write_frame(self._buffer, body)
         self._active_count += 1
         self.appends += 1
         policy = self.config.fsync
@@ -309,20 +229,21 @@ class SegmentedLog:
         """Write buffered records out; fsync unless the policy is NEVER."""
         wrote = self._write_out()
         if wrote and self.config.fsync is not FsyncPolicy.NEVER:
-            _fsync_file(self._active_path())
+            self.storage.sync(self._active_name())
             self.fsyncs += 1
 
     def _write_out(self) -> bool:
         if not self._buffer and not self._index_buffer:
             return False
         if self._buffer:
-            with open(self._active_path(), "ab") as handle:
-                handle.write(self._buffer)
+            self.storage.append(self._active_name(), self._buffer)
             self._active_size += len(self._buffer)
             self._buffer.clear()
         if self._index_buffer:
-            with open(self._index_path(), "ab") as handle:
-                handle.write(self._index_buffer)
+            index = _index_file(self._active_base)
+            if not self.storage.exists(index):
+                self.storage.create(index)
+            self.storage.append(index, self._index_buffer)
             self._index_buffer.clear()
         return True
 
@@ -335,11 +256,9 @@ class SegmentedLog:
         """
         self._write_out()
         if self.config.fsync is not FsyncPolicy.NEVER:
-            _fsync_file(self._active_path())
+            self.storage.sync(self._active_name())
             self.fsyncs += 1
-        self._segments.append(
-            _Segment(self._active_base, self.end_offset, self._active_path())
-        )
+        self._bases.append(self._active_base)
         self._create_active(self.end_offset)
 
     # -- read path -------------------------------------------------------------
@@ -354,8 +273,8 @@ class SegmentedLog:
         from_offset = max(from_offset, self.start_offset)
         remaining = max_records if max_records is not None else -1
         while from_offset < self.end_offset and remaining != 0:
-            base, path, seg_end = self._locate(from_offset)
-            for offset, payload in self._scan_segment(path, base, from_offset):
+            base, seg_end = self._locate(from_offset)
+            for offset, payload in self._scan_segment(base, from_offset):
                 yield offset, payload
                 from_offset = offset + 1
                 if remaining > 0:
@@ -367,42 +286,36 @@ class SegmentedLog:
             else:
                 return  # segment exhausted early (shouldn't happen)
 
-    def _locate(self, offset: int) -> tuple[int, str, int]:
-        bases = [segment.base for segment in self._segments]
-        position = bisect_right(bases, offset) - 1
-        if 0 <= position < len(self._segments):
-            segment = self._segments[position]
-            if offset < segment.end:
-                return segment.base, segment.path, segment.end
-        return self._active_base, self._active_path(), self.end_offset
+    def _locate(self, offset: int) -> tuple[int, int]:
+        """``(base, end)`` of the segment holding ``offset``."""
+        spans = self.segment_spans()
+        return spans[bisect_right([base for base, _ in spans], offset) - 1]
 
-    def _scan_segment(self, path: str, base: int, from_offset: int):
-        target_rel = from_offset - base
-        start_pos = self._index_seek(path, target_rel)
-        with open(path, "rb") as handle:
-            handle.seek(start_pos)
-            data = handle.read()
-        for _pos, _end, rel, payload in _scan_frames(data):
+    def _scan_segment(self, base: int, from_offset: int):
+        name = _segment_file(base)
+        size = self.storage.size(name)
+        start_pos = min(self._index_seek(base, from_offset - base), size)
+        data = self.storage.read(name, start_pos, size - start_pos)
+        for _pos, _end, rel, payload in _read_records(data):
             offset = base + rel
             if offset >= self.end_offset:
                 return
             if offset >= from_offset:
                 yield offset, payload
 
-    def _index_seek(self, path: str, target_rel: int) -> int:
+    def _index_seek(self, base: int, target_rel: int) -> int:
         """Best index position at or before ``target_rel`` (0 if no index)."""
-        idx_path = path[: -len(_SEG_SUFFIX)] + _IDX_SUFFIX
-        if not os.path.exists(idx_path):
+        name = _index_file(base)
+        if not self.storage.exists(name):
             return 0
-        with open(idx_path, "rb") as handle:
-            data = handle.read()
+        data = self.storage.read_all(name)
         best = 0
         position = 0
         while position < len(data):
             try:
                 rel, position2 = serde.read_varint(data, position)
                 pos, position2 = serde.read_varint(data, position2)
-            except Exception:
+            except SerdeError:
                 break  # torn index tail: advisory, ignore
             if rel > target_rel:
                 break
@@ -420,13 +333,13 @@ class SegmentedLog:
         appends at :attr:`end_offset`; a record at ``offset`` itself is
         always retained.
         """
-        removed = False
-        while self._segments and self._segments[0].end <= offset:
-            segment = self._segments.pop(0)
-            self._remove_segment_files(segment.path)
-            removed = True
-        if removed and self.config.fsync is not FsyncPolicy.NEVER:
-            fsync_dir(self.root)
+        completed = self.segment_spans()[:-1]
+        drop = sum(1 for _base, end in completed if end <= offset)
+        for base in self._bases[:drop]:
+            self._remove_segment_files(base)
+        del self._bases[:drop]
+        if drop and self.config.fsync is not FsyncPolicy.NEVER:
+            self.storage.sync()
         return self.start_offset
 
     def truncate_to(self, end_offset: int) -> None:
@@ -448,68 +361,64 @@ class SegmentedLog:
         if end_offset <= self._active_base:
             # The whole active file is past the cut; so are completed
             # segments whose base is at or past it.
-            self._remove_segment_files(self._active_path())
-            while self._segments and self._segments[-1].base >= end_offset:
-                self._remove_segment_files(self._segments.pop().path)
+            self._remove_segment_files(self._active_base)
+            end = self._active_base
+            while self._bases and self._bases[-1] >= end_offset:
+                end = self._bases.pop()
+                self._remove_segment_files(end)
             if self.config.fsync is not FsyncPolicy.NEVER:
-                fsync_dir(self.root)
-            if self._segments and self._segments[-1].end > end_offset:
-                # The cut lands inside this completed segment: it
-                # becomes the active segment again and is trimmed below.
-                segment = self._segments.pop()
-                self._active_base = segment.base
-                self._active_size = os.path.getsize(segment.path)
-                self._active_count = segment.end - segment.base
-            else:
-                # The cut is exactly a segment boundary (or the log is
-                # now empty): fresh, empty active file at the cut.
+                self.storage.sync()
+            if end == end_offset:
+                # The cut is exactly a segment boundary: fresh, empty
+                # active file at the cut.
                 self._create_active(end_offset)
                 return
+            # The cut lands inside the last completed segment: it
+            # becomes the active segment again and is trimmed below.
+            self._active_base = self._bases.pop()
+            self._active_size = self.storage.size(self._active_name())
+            self._active_count = end - self._active_base
         self._truncate_active_at(end_offset)
 
     def _truncate_active_at(self, end_offset: int) -> None:
         target_rel = end_offset - self._active_base
-        path = self._active_path()
-        with open(path, "rb") as handle:
-            data = handle.read()
+        name = self._active_name()
+        data = self.storage.read_all(name)
         cut_pos = len(data)
         count = 0
-        for pos, _end, rel, _payload in _scan_frames(data):
+        for pos, _end, rel, _payload in _read_records(data):
             if rel >= target_rel:
                 cut_pos = pos
                 break
             count = rel + 1
-        with open(path, "r+b") as handle:
-            handle.truncate(cut_pos)
-        _fsync_file(path)
+        self.storage.truncate(name, cut_pos)
+        self.storage.sync(name)
         self._active_size = cut_pos
         self._active_count = count
         self._records_since_index = 0
         self._remove_index()
 
     def _remove_index(self) -> None:
-        idx = self._index_path()
-        if os.path.exists(idx):
-            os.remove(idx)
+        index = _index_file(self._active_base)
+        if self.storage.exists(index):
+            self.storage.delete(index)
 
-    @staticmethod
-    def _remove_segment_files(path: str) -> None:
-        for target in (path, path[: -len(_SEG_SUFFIX)] + _IDX_SUFFIX):
-            if os.path.exists(target):
-                os.remove(target)
+    def _remove_segment_files(self, base: int) -> None:
+        for name in (_segment_file(base), _index_file(base)):
+            if self.storage.exists(name):
+                self.storage.delete(name)
 
     # -- introspection ---------------------------------------------------------
 
     def segment_spans(self) -> list[tuple[int, int]]:
         """``(base, end)`` per on-disk segment, active last."""
-        spans = [(segment.base, segment.end) for segment in self._segments]
-        spans.append((self._active_base, self.end_offset))
-        return spans
+        bases = self._bases + [self._active_base]
+        return list(zip(bases, bases[1:] + [self.end_offset]))
 
     def disk_bytes(self) -> int:
         """Bytes currently on disk (excluding unwritten buffer)."""
-        total = 0
-        for name in os.listdir(self.root):
-            if name.endswith((_SEG_SUFFIX, _IDX_SUFFIX)):
-                total += os.path.getsize(os.path.join(self.root, name))
-        return total
+        return sum(
+            self.storage.size(name)
+            for name in self.storage.list()
+            if name.endswith((_SEG_SUFFIX, _IDX_SUFFIX))
+        )

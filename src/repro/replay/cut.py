@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import shutil
 
+from repro.common.storage import FileStorage
 from repro.messaging.durable import DurableBus, read_cut, write_cut
 from repro.messaging.log import TopicPartition
 from repro.replay.backfill import ReplayError
@@ -42,7 +43,7 @@ def export_cut(cluster, dest: str) -> str:
     bus = cluster.bus
     bus.flush()
     ends = {tp: bus.log(tp).end_offset for tp in bus.all_partitions()}
-    write_cut(bus.root, 0, ends)
+    write_cut(bus.storage, 0, ends)
     shutil.copytree(durable_dir, dest)
     return dest
 
@@ -57,7 +58,7 @@ def import_cut(root: str) -> dict[TopicPartition, int]:
     bus_root = os.path.join(root, "bus")
     if not os.path.isdir(bus_root):
         bus_root = root
-    _, ends = read_cut(bus_root)
+    _, ends = read_cut(FileStorage(bus_root))
     if not ends:
         raise ReplayError(f"no consistent cut found under {root!r}")
     bus = DurableBus(bus_root)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from repro.common import serde
 from repro.common.compression import Codec, codec_by_name
-from repro.common.errors import SchemaError, StorageError
+from repro.common.errors import SchemaError, SerdeError, StorageError
 from repro.common.storage import MemoryStorage, StorageBackend
 from repro.events.event import Event
 from repro.events.schema import SchemaRegistry
@@ -390,10 +390,9 @@ class EventReservoir:
         schema = self.registry.get(chunk.schema_id)
         payload = chunk.serialize(schema, self._codec)
         record = bytearray()
-        serde.write_u32(record, serde.crc32_of(payload))
-        serde.write_bytes(record, payload)
+        serde.write_frame(record, payload)
         file_name = self._file_for_next_chunk()
-        offset = self.storage.append(file_name, bytes(record))
+        offset = self.storage.append(file_name, record)
         self.index.add(
             ChunkMeta(
                 chunk_id=chunk.chunk_id,
@@ -487,12 +486,12 @@ class EventReservoir:
     def _load_chunk(self, position: int) -> list[Event]:
         meta = self.index.get(position)
         record = self.storage.read(meta.file_name, meta.offset, meta.length)
-        crc, offset = serde.read_u32(record, 0)
-        payload, _ = serde.read_bytes(record, offset)
-        if serde.crc32_of(payload) != crc:
+        try:
+            payload, _ = serde.read_frame(record, 0)
+        except SerdeError as exc:
             raise StorageError(
                 f"corrupt chunk {meta.chunk_id} in {meta.file_name}@{meta.offset}"
-            )
+            ) from exc
         chunk = Chunk.deserialize(payload, self.registry.get)
         return chunk.events
 

@@ -125,7 +125,7 @@ class FrontendEngine:
                 fsync=durable_fsync,
                 segment_bytes=durable_segment_bytes,
             )
-            self._durable_applied, ends = read_cut(self.durable_dir)
+            self._durable_applied, ends = read_cut(self.bus.storage)
             self._ingest_seq = self._durable_applied
             for tp in self.bus.all_partitions():
                 # Roll every log back to the cut: appends past it came
@@ -401,7 +401,7 @@ class FrontendEngine:
                 tp: self.bus.log(tp).end_offset
                 for tp in self.bus.all_partitions()
             }
-            write_cut(self.durable_dir, self._ingest_seq, ends)
+            write_cut(self.bus.storage, self._ingest_seq, ends)
         if self._ingest_seq > self._durable_applied:
             self._durable_applied = self._ingest_seq
             self._durable_dirty = True

@@ -22,6 +22,9 @@ late after their request timed out (never dropped: a stored checkpoint
 is a stored checkpoint, whoever asked for it). A restarted worker gets
 the control log, its assignment, and then one ``RestoreTask`` per owned
 task, so recovery replays only the tail past the checkpointed offset.
+With a durable directory the store persists every checkpoint through a
+:class:`~repro.common.storage.FileStorage` — the supervisor itself
+opens no file.
 
 Checkpoint frames can exceed a pipe buffer, but they only flow when the
 peer is guaranteed to be reading: ``RestoreTask`` goes to a freshly
@@ -40,7 +43,9 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.common import serde
 from repro.common.errors import EngineError
+from repro.common.storage import FileStorage
 from repro.common.timesource import TimeSource, resolve_time_source
 from repro.engine.assignment import (
     PreviousState,
@@ -68,8 +73,9 @@ class CheckpointStore:
     checkpoint request and ack needs.
 
     With ``durable_dir`` set, every stored checkpoint is also persisted
-    to ``<durable_dir>/<task>.ckpt`` (CRC-guarded, written via tmp +
-    atomic rename, always fully materialized) and loaded back on
+    to ``<durable_dir>/<task>.ckpt`` (one CRC frame, written with
+    :meth:`~repro.common.storage.StorageBackend.replace` on a
+    ``FileStorage``, always fully materialized) and loaded back on
     construction — a restarted coordinator recovers its whole store from
     disk and ships checkpoints into fresh workers without replaying any
     history. A checkpoint that fails its CRC on load is skipped: the
@@ -80,52 +86,31 @@ class CheckpointStore:
 
     def __init__(self, durable_dir: str | None = None) -> None:
         self._checkpoints: dict[TopicPartition, TaskCheckpoint] = {}
-        self.durable_dir = durable_dir
         self.stored = 0
         self.rejected = 0
         self.loaded = 0
-        if durable_dir is not None:
-            os.makedirs(durable_dir, exist_ok=True)
+        self._storage = FileStorage(durable_dir) if durable_dir is not None else None
+        if self._storage is not None:
             self._load()
 
     def _load(self) -> None:
-        from repro.common import serde
-
-        for name in sorted(os.listdir(self.durable_dir)):
+        for name in self._storage.list():
             if not name.endswith(self._SUFFIX):
                 continue
-            path = os.path.join(self.durable_dir, name)
-            with open(path, "rb") as handle:
-                data = handle.read()
             try:
-                crc, offset = serde.read_u32(data, 0)
-                payload, _ = serde.read_bytes(data, offset)
-                if serde.crc32_of(payload) != crc:
-                    continue  # torn write: replay-from-zero covers the task
+                payload, _ = serde.read_frame(self._storage.read_all(name), 0)
                 checkpoint, _ = TASK_CHECKPOINT.read(memoryview(payload), 0)
             except Exception:
-                continue
+                continue  # torn write: replay-from-zero covers the task
             self._checkpoints[checkpoint.tp] = checkpoint
             self.loaded += 1
 
     def _persist(self, checkpoint: TaskCheckpoint) -> None:
-        from repro.common import serde
-
         payload = bytearray()
         TASK_CHECKPOINT.write(payload, checkpoint)
         framed = bytearray()
-        serde.write_u32(framed, serde.crc32_of(payload))
-        serde.write_bytes(framed, bytes(payload))
-        path = os.path.join(self.durable_dir, f"{checkpoint.tp}{self._SUFFIX}")
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(framed)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        from repro.messaging.segments import fsync_dir
-
-        fsync_dir(self.durable_dir)  # make the rename itself durable
+        serde.write_frame(framed, payload)
+        self._storage.replace(f"{checkpoint.tp}{self._SUFFIX}", bytes(framed))
 
     def __len__(self) -> int:
         return len(self._checkpoints)
@@ -184,7 +169,7 @@ class CheckpointStore:
         checkpoint.state_files = state_files
         self._checkpoints[checkpoint.tp] = checkpoint
         self.stored += 1
-        if self.durable_dir is not None:
+        if self._storage is not None:
             self._persist(checkpoint)
         return True
 

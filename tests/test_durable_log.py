@@ -17,8 +17,17 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import Phase, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.common import serde
+from repro.common.storage import FileStorage, MemoryStorage
 from repro.engine.catalog import (
     AddPartitionerOp,
     CreateMetricOp,
@@ -55,7 +64,7 @@ def small_config(**overrides) -> SegmentConfig:
 
 class TestSegmentedLog:
     def test_append_read_roundtrip_across_segments(self, tmp_path):
-        log = SegmentedLog(str(tmp_path / "log"), small_config())
+        log = SegmentedLog(FileStorage(str(tmp_path / "log")), small_config())
         payloads = [f"payload-{i:04d}".encode() for i in range(100)]
         for index, payload in enumerate(payloads):
             assert log.append(payload) == index
@@ -68,11 +77,11 @@ class TestSegmentedLog:
 
     def test_reopen_recovers_counts_and_contents(self, tmp_path):
         root = str(tmp_path / "log")
-        log = SegmentedLog(root, small_config())
+        log = SegmentedLog(FileStorage(root), small_config())
         for i in range(57):
             log.append(f"r{i}".encode())
         log.close()
-        reopened = SegmentedLog(root, small_config())
+        reopened = SegmentedLog(FileStorage(root), small_config())
         assert reopened.end_offset == 57
         assert [p for _, p in reopened.records(50)] == [
             f"r{i}".encode() for i in range(50, 57)
@@ -82,20 +91,20 @@ class TestSegmentedLog:
 
     def test_index_is_advisory(self, tmp_path):
         root = str(tmp_path / "log")
-        log = SegmentedLog(root, small_config())
+        log = SegmentedLog(FileStorage(root), small_config())
         for i in range(40):
             log.append(f"r{i}".encode())
         log.close()
         for name in os.listdir(root):
             if name.endswith(".idx"):
                 os.remove(os.path.join(root, name))
-        reopened = SegmentedLog(root, small_config())
+        reopened = SegmentedLog(FileStorage(root), small_config())
         assert [p for _, p in reopened.records(31)] == [
             f"r{i}".encode() for i in range(31, 40)
         ]
 
     def test_truncate_below_deletes_whole_segments_only(self, tmp_path):
-        log = SegmentedLog(str(tmp_path / "log"), small_config())
+        log = SegmentedLog(FileStorage(str(tmp_path / "log")), small_config())
         for i in range(100):
             log.append(f"r{i}".encode())
         log.flush()
@@ -116,7 +125,7 @@ class TestSegmentedLog:
 
     def test_truncate_to_rolls_back_the_tail(self, tmp_path):
         root = str(tmp_path / "log")
-        log = SegmentedLog(root, small_config())
+        log = SegmentedLog(FileStorage(root), small_config())
         for i in range(90):
             log.append(f"r{i}".encode())
         log.flush()
@@ -125,12 +134,12 @@ class TestSegmentedLog:
         assert [o for o, _ in log.records(38)] == [38, 39, 40]
         assert log.append(b"new") == 41
         log.flush()
-        reopened = SegmentedLog(root, small_config())
+        reopened = SegmentedLog(FileStorage(root), small_config())
         records = dict(reopened.records(0))
         assert records[41] == b"new" and max(records) == 41
 
     def test_truncate_to_segment_boundary_and_zero(self, tmp_path):
-        log = SegmentedLog(str(tmp_path / "log"), small_config())
+        log = SegmentedLog(FileStorage(str(tmp_path / "log")), small_config())
         for i in range(60):
             log.append(f"r{i}".encode())
         log.flush()
@@ -163,7 +172,7 @@ class TestTornWriteFuzz:
     def build(self, tmp_path):
         cfg = small_config(segment_bytes=4096)  # one (active) segment
         root = str(tmp_path / "log")
-        log = SegmentedLog(root, cfg)
+        log = SegmentedLog(FileStorage(root), cfg)
         payloads = [f"record-{i:03d}-{'x' * (i % 7)}".encode() for i in range(24)]
         for payload in payloads:
             log.append(payload)
@@ -183,7 +192,7 @@ class TestTornWriteFuzz:
         for cut in range(len(original) + 1):
             with open(seg_file, "wb") as handle:
                 handle.write(original[:cut])
-            reopened = SegmentedLog(root, cfg)
+            reopened = SegmentedLog(FileStorage(root), cfg)
             expected = sum(1 for end in ends if end <= cut)
             recovered = [payload for _, payload in reopened.records(0)]
             assert recovered == payloads[:expected], f"cut at byte {cut}"
@@ -201,7 +210,7 @@ class TestTornWriteFuzz:
             corrupted[position] ^= 0x5A
             with open(seg_file, "wb") as handle:
                 handle.write(bytes(corrupted))
-            reopened = SegmentedLog(root, cfg)
+            reopened = SegmentedLog(FileStorage(root), cfg)
             # Recovery stops at the frame containing the flipped byte:
             # exactly the frames wholly before it survive.
             expected = sum(1 for end in ends if end <= position)
@@ -212,12 +221,133 @@ class TestTornWriteFuzz:
         cfg, root, payloads, seg_file, original = self.build(tmp_path)
         with open(seg_file, "wb") as handle:
             handle.write(original[:-3])  # torn final record
-        reopened = SegmentedLog(root, cfg)
+        reopened = SegmentedLog(FileStorage(root), cfg)
         offset = reopened.append(b"after-recovery")
         assert offset == len(payloads) - 1  # replaces the torn record
         reopened.flush()
-        final = SegmentedLog(root, cfg)
+        final = SegmentedLog(FileStorage(root), cfg)
         assert dict(final.records(0))[offset] == b"after-recovery"
+
+
+class SegmentedLogMachine(RuleBasedStateMachine):
+    """``SegmentedLog`` over ``MemoryStorage`` against a list of
+    payloads. Segments of a few records, a two-record index interval and
+    payloads of varied length make rolls, index seeks, retention and
+    rollbacks collide constantly."""
+
+    @initialize(policy=st.sampled_from(list(FsyncPolicy)))
+    def open(self, policy):
+        self.config = SegmentConfig(
+            segment_bytes=64, flush_bytes=24, index_interval=2, fsync=policy
+        )
+        self.storage = MemoryStorage()
+        self.log = SegmentedLog(self.storage, self.config)
+        self.model = []  # payload per offset
+        #: the rollback primitives (truncate_to, torn-tail recovery)
+        #: sync the segment they cut under every policy, NEVER included.
+        self.rollback_syncs = 0
+
+    @rule(payloads=st.lists(st.binary(max_size=12), min_size=1, max_size=8))
+    def append(self, payloads):
+        for payload in payloads:
+            assert self.log.append(payload) == len(self.model)
+            self.model.append(payload)
+
+    @rule()
+    def flush(self):
+        self.log.flush()
+
+    @rule(data=st.data())
+    def truncate_below(self, data):
+        target = data.draw(st.integers(0, len(self.model) + 2))
+        spans = self.log.segment_spans()
+        # Whole segments below the target go; the active one never does.
+        expected = next((base for base, end in spans[:-1] if end > target), spans[-1][0])
+        assert self.log.truncate_below(target) == expected
+
+    @rule(data=st.data())
+    def truncate_to(self, data):
+        target = data.draw(st.integers(self.log.start_offset, len(self.model)))
+        bases = {base for base, _ in self.log.segment_spans()}
+        if target < len(self.model) and target not in bases:
+            self.rollback_syncs += 1  # the cut lands inside a segment
+        self.log.truncate_to(target)
+        del self.model[target:]
+
+    @rule()
+    def reopen(self):
+        self.log.close()
+        self.log = SegmentedLog(self.storage, self.config)
+
+    @rule(data=st.data())
+    def tear_the_tail(self, data):
+        """Crash mid-write: cut inside the active segment's last frame."""
+        self.log.flush()
+        name = "seg-%020d.log" % self.log.segment_spans()[-1][0]
+        frames = list(serde.iter_frames(self.storage.read_all(name)))
+        if not frames:
+            return
+        start, end, _ = frames[-1]
+        self.storage.truncate(name, data.draw(st.integers(start + 1, end - 1)))
+        self.log = SegmentedLog(self.storage, self.config)  # no close: a crash
+        self.model.pop()
+        self.rollback_syncs += 1
+
+    @invariant()
+    def records_match_the_model(self):
+        start = self.log.start_offset
+        assert self.log.end_offset == len(self.model)
+        assert list(self.log.records(0)) == list(enumerate(self.model))[start:]
+        for offset in range(start, len(self.model)):  # every index seek
+            assert list(self.log.records(offset, 1)) == [(offset, self.model[offset])]
+
+    @invariant()
+    def syncs_follow_the_policy(self):
+        syncs = self.storage.stats.syncs
+        if self.config.fsync is FsyncPolicy.NEVER:
+            assert self.log.fsyncs == 0
+            assert syncs == self.rollback_syncs
+        else:
+            assert syncs >= self.log.fsyncs + self.rollback_syncs
+        if self.config.fsync is FsyncPolicy.ALWAYS:
+            assert self.log.fsyncs >= self.log.appends
+
+
+MACHINE_SETTINGS = settings(max_examples=100, stateful_step_count=50, deadline=None)
+TestSegmentedLogMachine = SegmentedLogMachine.TestCase
+TestSegmentedLogMachine.settings = MACHINE_SETTINGS
+
+
+class TestSegmentedLogMachineCatchesMutants:
+    """The machine is only worth its run time if it fails on the
+    retention and rollback bugs it exists for."""
+
+    HUNT = settings(
+        MACHINE_SETTINGS, max_examples=400, derandomize=True, database=None,
+        phases=[Phase.generate], report_multiple_bugs=False,
+    )
+
+    def test_truncate_to_keeping_the_stale_index(self, monkeypatch):
+        truncate = SegmentedLog._truncate_active_at
+
+        def keep_index(log, end_offset):
+            log._remove_index = lambda: None
+            try:
+                truncate(log, end_offset)
+            finally:
+                del log._remove_index
+
+        monkeypatch.setattr(SegmentedLog, "_truncate_active_at", keep_index)
+        with pytest.raises(AssertionError):
+            run_state_machine_as_test(SegmentedLogMachine, settings=self.HUNT)
+
+    def test_truncate_below_one_past_the_offset(self, monkeypatch):
+        truncate_below = SegmentedLog.truncate_below
+        monkeypatch.setattr(
+            SegmentedLog, "truncate_below", lambda log, offset: truncate_below(log, offset + 1)
+        )
+        with pytest.raises(AssertionError):
+            run_state_machine_as_test(SegmentedLogMachine, settings=self.HUNT)
 
 
 class TestValueCodec:
@@ -334,19 +464,22 @@ class TestDurableLog:
 class TestConsistentCut:
     def test_cut_roundtrip_and_missing(self, tmp_path):
         root = str(tmp_path)
-        assert read_cut(root) == (0, {})
-        write_cut(root, 7, {TP: 31})
-        assert read_cut(root) == (7, {TP: 31})
-        write_cut(root, 9, {TP: 40})  # atomically replaced
-        assert read_cut(root) == (9, {TP: 40})
+        storage = FileStorage(root)
+        assert read_cut(storage) == (0, {})
+        write_cut(storage, 7, {TP: 31})
+        assert read_cut(storage) == (7, {TP: 31})
+        write_cut(storage, 9, {TP: 40})  # atomically replaced
+        assert read_cut(storage) == (9, {TP: 40})
+        assert storage.list() == ["cut.meta"]  # no tmp left behind
 
     def test_torn_cut_is_ignored(self, tmp_path):
         root = str(tmp_path)
-        write_cut(root, 7, {TP: 31})
+        storage = FileStorage(root)
+        write_cut(storage, 7, {TP: 31})
         path = os.path.join(root, "cut.meta")
         with open(path, "r+b") as handle:
             handle.truncate(os.path.getsize(path) - 2)
-        assert read_cut(root) == (0, {})
+        assert read_cut(storage) == (0, {})
 
 
 class TestDurableBus:

@@ -376,6 +376,43 @@ class TestLsmDb:
         assert recovered.get(b"a") is None
         assert recovered.get(b"b") == b"2"
 
+    def test_interrupted_manifest_write_keeps_the_previous_manifest(self):
+        class CrashingStorage(MemoryStorage):
+            """Raises on the next write to the MANIFEST once armed."""
+
+            armed = False
+
+            def _write(self, name):
+                if self.armed and name == "MANIFEST":
+                    self.armed = False
+                    raise OSError("crash while writing the manifest")
+
+            def append(self, name, data):
+                self._write(name)
+                return super().append(name, data)
+
+            def replace(self, name, data):
+                self._write(name)
+                return super().replace(name, data)
+
+        storage = CrashingStorage()
+        db = LsmDb(storage=storage, config=LsmConfig(memtable_flush_bytes=64))
+        db.put(b"flushed", b"1")
+        db.flush()
+        storage.armed = True
+        with pytest.raises(OSError):
+            for i in range(10):  # fills the memtable: flush, then crash
+                db.put(b"big-%d" % i, b"x" * 16)
+        db.put(b"logged", b"2")  # lands in the WAL after the crash
+        reopened = LsmDb(storage=storage)
+        # The tables of the last good manifest, plus the WAL replay.
+        assert dict(reopened.scan()) == {b"flushed": b"1", b"logged": b"2"}
+        # The table the crashed flush wrote is an orphan; the reopened
+        # store must not collide with it on its own next flush.
+        reopened.put(b"after", b"3")
+        reopened.flush()
+        assert LsmDb(storage=storage).get(b"after") == b"3"
+
     def test_ingest_sorted_equals_puts_then_flush(self):
         run = [(f"k{i:03d}".encode(), f"new{i}".encode()) for i in range(0, 60, 2)]
         dbs = [LsmDb(config=LsmConfig(l0_compaction_threshold=3)) for _ in range(2)]

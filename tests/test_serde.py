@@ -161,3 +161,56 @@ class TestCrc:
 
     def test_crc_stable(self):
         assert serde.crc32_of(b"x") == serde.crc32_of(b"x")
+
+
+class TestFrames:
+    PAYLOADS = [b"", b"a", b"x" * 200, bytes(range(256))]
+
+    def framed(self, payloads):
+        buf = bytearray()
+        for payload in payloads:
+            serde.write_frame(buf, payload)
+        return bytes(buf)
+
+    def test_layout_is_crc_then_length_prefixed_payload(self):
+        buf = bytearray()
+        serde.write_frame(buf, b"abc")
+        assert bytes(buf) == serde.crc32_of(b"abc").to_bytes(4, "little") + b"\x03abc"
+
+    def test_roundtrip(self):
+        data = self.framed(self.PAYLOADS)
+        offset = 0
+        for payload in self.PAYLOADS:
+            decoded, offset = serde.read_frame(data, offset)
+            assert decoded == payload
+        assert offset == len(data)
+        frames = list(serde.iter_frames(data))
+        assert [payload for _, _, payload in frames] == self.PAYLOADS
+        assert [start for start, _, _ in frames[1:]] == [end for _, end, _ in frames[:-1]]
+        assert frames[-1][1] == len(data)
+
+    def test_iter_frames_from_an_offset(self):
+        data = self.framed(self.PAYLOADS)
+        second = serde.read_frame(data, 0)[1]
+        assert [p for _, _, p in serde.iter_frames(data, second)] == self.PAYLOADS[1:]
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_iter_frames_stops_at_the_first_torn_frame(self, flip):
+        data = self.framed(self.PAYLOADS)
+        ends = [end for _, end, _ in serde.iter_frames(data)]
+        for cut in range(len(data)):
+            damaged = bytearray(data[: cut + 1] if not flip else data)
+            if flip:
+                damaged[cut] ^= 0x5A
+            # Exactly the frames wholly before the damage survive.
+            survivors = sum(1 for end in ends if end <= (cut if flip else cut + 1))
+            decoded = [p for _, _, p in serde.iter_frames(bytes(damaged))]
+            assert decoded == self.PAYLOADS[:survivors], cut
+
+    def test_read_frame_raises_on_damage(self):
+        data = bytearray(self.framed([b"payload"]))
+        with pytest.raises(SerdeError):
+            serde.read_frame(bytes(data[:-1]), 0)
+        data[-1] ^= 1
+        with pytest.raises(SerdeError):
+            serde.read_frame(bytes(data), 0)

@@ -1,5 +1,7 @@
 """Storage backend tests (memory and file parity)."""
 
+import os
+
 import pytest
 
 from repro.common.errors import StorageError
@@ -97,6 +99,43 @@ class TestSealing:
         assert not storage.exists("a.seg")
 
 
+class TestReplaceTruncateSync:
+    def test_replace_creates_then_overwrites(self, storage):
+        storage.replace("MANIFEST", b"first")
+        storage.replace("MANIFEST", b"second!")
+        assert storage.read_all("MANIFEST") == b"second!"
+        assert storage.size("MANIFEST") == 7
+        assert storage.list() == ["MANIFEST"]  # no .tmp name left behind
+
+    def test_truncate_shortens_and_appends_resume_at_the_cut(self, storage):
+        storage.create("a.seg")
+        storage.append("a.seg", b"0123456789")
+        storage.truncate("a.seg", 4)
+        assert storage.size("a.seg") == 4
+        assert storage.read_all("a.seg") == b"0123"
+        assert storage.append("a.seg", b"xy") == 4
+        assert storage.read_all("a.seg") == b"0123xy"
+
+    def test_truncate_cannot_grow_or_touch_missing_files(self, storage):
+        storage.create("a.seg")
+        storage.append("a.seg", b"abc")
+        with pytest.raises(StorageError):
+            storage.truncate("a.seg", 4)
+        with pytest.raises(StorageError):
+            storage.truncate("nope", 0)
+        with pytest.raises(StorageError):
+            storage.sync("nope")
+
+    def test_syncs_are_counted(self, storage):
+        storage.create("a.seg")
+        storage.sync("a.seg")
+        storage.sync()
+        assert storage.stats.syncs == 2
+        storage.replace("MANIFEST", b"x")  # the file, then its directory
+        assert storage.stats.snapshot()["syncs"] == 4
+        assert storage.stats.appends == 1
+
+
 class TestStats:
     def test_counters_track_operations(self, storage):
         storage.create("a.seg")
@@ -127,3 +166,37 @@ class TestFileStorageSpecifics:
         storage.create("sub/dir/file.seg")
         storage.append("sub/dir/file.seg", b"x")
         assert storage.list() == ["sub/dir/file.seg"]
+
+
+class TestFileStorageContainment:
+    """Names resolve under the root by path components, not by string
+    prefix, for absolute and relative roots alike."""
+
+    @pytest.mark.parametrize(
+        "root, name, inside",
+        [
+            ("store", "x", True),
+            ("store", "sub/../x", True),
+            ("store", "../store2/x", False),  # sibling sharing the prefix
+            ("store", "../x", False),
+            ("store", "/tmp/x", False),
+            ("./rel", "x", True),
+            ("./rel", "sub/dir/x", True),
+            ("./rel", "../rel2/x", False),
+        ],
+    )
+    def test_names_stay_under_the_root(self, tmp_path, monkeypatch, root, name, inside):
+        monkeypatch.chdir(tmp_path)
+        if not root.startswith("."):
+            root = str(tmp_path / root)
+        storage = FileStorage(root)
+        if inside:
+            storage.create(name)
+            storage.append(name, b"data")
+            expected = os.path.normpath(name)
+            assert storage.list() == [expected]
+            assert (tmp_path / os.path.basename(root) / expected).read_bytes() == b"data"
+        else:
+            with pytest.raises(StorageError):
+                storage.create(name)
+            assert sorted(os.listdir(tmp_path)) == [os.path.basename(root)]

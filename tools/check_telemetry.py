@@ -8,11 +8,11 @@ passed as the metric-name argument to a :class:`MetricsRegistry` call
 against ``repro.telemetry.METRICS``. An unregistered literal is how
 metric catalogs rot — a typo'd name records silently and dashboards
 read zeros forever — so the catalog is enforced at lint time, the same
-way ``check_time.py`` enforces the time plane.
+way ``check_planes.py`` enforces the time plane.
 
 Also refuses raw ``time.*`` clock reads inside ``src/repro/telemetry``
 itself: the telemetry package's whole claim is that stamps flow through
-the TimeSource plane (``check_time.py`` covers the rest of the tree;
+the TimeSource plane (``check_planes.py`` covers the rest of the tree;
 this keeps the rule visible where it matters most).
 
 Usage: ``python tools/check_telemetry.py [root ...]`` (default
