@@ -109,7 +109,6 @@ def main() -> None:
         ),
         max_connections=2_048,
         max_in_flight=1 << 20,
-        max_queue_depth=1 << 20,
     )
     cluster = create_cluster("single", processor_units=2)
     cluster.create_stream(

@@ -668,7 +668,6 @@ def _bench_server_ingest_async(
             events_per_sec=1e9, burst=1 << 20, max_in_flight=1 << 20,
         ),
         max_in_flight=1 << 20,
-        max_queue_depth=1 << 20,
     )
     with ClusterRouter(workers=2, frontends=2, checkpoint_every=None) as cluster:
         cluster.create_stream("tx", ["cardId"], **_ENGINE_STREAM)

@@ -9,16 +9,16 @@ package turns the cluster into a *service*:
 
 - :mod:`repro.server.server` — an asyncio TCP server multiplexing
   thousands of connections onto one shared cluster facade. Its loop
-  thread calls the blocking facades itself (a trip crosses no thread
-  boundary); only the pipelined ``ClusterRouter`` keeps a driver thread.
+  thread calls the blocking facades itself and drives the pipelined
+  ``ClusterRouter`` from a task (a trip crosses no thread boundary).
 - :mod:`repro.server.client` — one sans-IO :class:`ClientProtocol`
   driven by :class:`AsyncRailgunClient` (asyncio streams) and
   :class:`RailgunClient` (a blocking socket, no thread), speaking
   length-prefixed ``shard.wire`` frames: DDL, ``send``/``send_batch``,
   byte-identical :class:`~repro.engine.cluster.Reply` objects.
 - :mod:`repro.server.admission` — token-bucket per-tenant quotas,
-  connection/in-flight caps, queue-depth shedding with explicit
-  ``ServerBusy`` frames, and per-tenant :class:`LatencyBudget` targets
+  connection/in-flight caps, shedding with explicit ``ServerBusy``
+  frames, and per-tenant :class:`LatencyBudget` targets
   with observed p50/p99 exported via ``stats()``.
 """
 

@@ -4,18 +4,16 @@ The server's contract is *bounded* intake: every accepted event is
 tracked until its reply ships, and an ``IngestBatch`` that would push a
 tenant (or the whole server) past its limits is answered with an
 explicit ``ServerBusy`` frame naming the rejected correlations — never
-buffered without bound, never silently dropped. Four checks gate each
-batch, cheapest first:
+buffered without bound, never silently dropped. Three checks gate each
+batch, cheapest first (nothing queues between the server's loop and the
+cluster, so unread socket data is the only queue and TCP its
+back-pressure):
 
-1. **dispatch queue depth** — submissions accepted but not yet routed
-   into the cluster; a deep queue means the router thread is behind and
-   taking more work only adds latency (the paper's MAD framing: a late
-   answer is a wrong answer).
-2. **server-wide in-flight cap** — total events accepted and not yet
+1. **server-wide in-flight cap** — total events accepted and not yet
    replied, across all tenants.
-3. **per-tenant in-flight cap** — one tenant cannot occupy the whole
+2. **per-tenant in-flight cap** — one tenant cannot occupy the whole
    pipeline.
-4. **per-tenant token bucket** — sustained events/second with a burst
+3. **per-tenant token bucket** — sustained events/second with a burst
    allowance; the refusal carries ``retry_after_ms`` computed from the
    refill rate, so clients back off exactly as long as needed.
 
@@ -82,8 +80,8 @@ ADMITTED = Decision(True)
 REJECTED = "rejected: "
 
 #: Retry hint for refusals that depend on in-flight work completing
-#: (caps, queue depth) rather than on token refill — there is no exact
-#: schedule, so hint one router wakeup period.
+#: (connection and in-flight caps) rather than on token refill — there
+#: is no exact schedule, so hint a short, fixed backoff.
 _BACKOFF_MS = 25
 
 
@@ -148,9 +146,9 @@ class _TenantState:
 class AdmissionController:
     """Server-wide admission state: caps, per-tenant quotas, latency.
 
-    Thread-safe (one lock around every decision): decisions come from
-    the asyncio loop thread while completions arrive on the cluster's
-    service thread. Tenants not named in ``quotas`` get
+    Thread-safe (one lock around every decision): the server's loop
+    thread decides and completes, while ``stats()`` may be read from any
+    thread. Tenants not named in ``quotas`` get
     ``default_quota``; state is created lazily on first contact.
     """
 
@@ -160,12 +158,10 @@ class AdmissionController:
         default_quota: TenantQuota = TenantQuota(),
         max_connections: int = 1_024,
         max_in_flight: int = 16_384,
-        max_queue_depth: int = 64,
         time_source: TimeSource | None = None,
     ) -> None:
         self.max_connections = max_connections
         self.max_in_flight = max_in_flight
-        self.max_queue_depth = max_queue_depth
         self._quotas = dict(quotas or {})
         self._default_quota = default_quota
         self._time = resolve_time_source(time_source)
@@ -213,7 +209,7 @@ class AdmissionController:
 
     # -- batches --------------------------------------------------------------
 
-    def admit(self, tenant: str, events: int, queue_depth: int = 0) -> Decision:
+    def admit(self, tenant: str, events: int) -> Decision:
         """Admit or shed a batch of ``events`` for ``tenant``.
 
         All-or-nothing: a batch is either fully accepted (and debited
@@ -223,8 +219,6 @@ class AdmissionController:
         """
         with self._lock:
             state = self._state(tenant)
-            if queue_depth >= self.max_queue_depth:
-                return self._shed(state, events, "queue-depth", _BACKOFF_MS)
             if self.in_flight + events > self.max_in_flight:
                 return self._shed(state, events, "server-in-flight", _BACKOFF_MS)
             if state.in_flight + events > state.quota.max_in_flight:

@@ -2,25 +2,25 @@
 
 One thread — the asyncio loop — accepts connections, parses
 length-prefixed ``shard.wire`` frames, runs admission control, **calls
-the cluster**, and writes replies back out per connection:
+the cluster**, and writes replies back out per connection. No other
+thread exists, so a trip hops none:
 
 - The blocking facades (``RailgunCluster``, ``ParallelCluster``) are
   called right where the frame was decoded; the whole batch's replies
   go onto the connection's outbox as one ``ReplyBatch`` with one
-  admission completion. No other thread exists, so a trip hops none.
-  The price, stated plainly: while a call runs (a 256-event batch, a
-  DDL settling, a worker restart inside ``ParallelCluster.send_batch``)
-  the loop reads no socket, so handshakes and ``ServerBusy`` frames on
-  other connections wait as long as their replies always did behind the
-  old serial driver thread; and with no dispatch queue the
-  ``queue-depth`` admission signal reads 0 — unread socket data is the
-  queue, TCP is the back-pressure.
+  admission completion. The price, stated plainly: while a call runs (a
+  256-event batch, a DDL settling, a worker restart inside
+  ``ParallelCluster.send_batch``) the loop reads no socket, so
+  handshakes and ``ServerBusy`` frames on other connections wait behind
+  it — unread socket data is the queue, TCP is the back-pressure.
 - A ``ClusterRouter`` is genuinely pipelined (many connections' batches
-  in flight at once), so it keeps the one threaded driver:
-  :class:`_RouterDriver` spins ``service_step``, the loop hands it work
-  through the router's thread-safe ``submit_batch`` / ``submit_call``
-  hooks, and whatever one step completed comes back in a single
-  ``call_soon_threadsafe``.
+  in flight at once): a decoded batch is shipped to its frontend
+  processes at once and its correlations go into the server's
+  unanswered map. One drive task turns the router while that map is
+  non-empty or a backfill runs, hands each completed reply to its
+  connection, and between idle turns awaits the frontend pipes on this
+  loop (``add_reader``, one 10 ms tick at most). ``ParallelCluster``
+  stays inline because no served workload measures it.
 
 A slow reader blocks only its own connection's writer task (TCP
 backpressure on ``drain()``); its outbox is bounded by the tenant's
@@ -30,13 +30,15 @@ stop draining.
 A batch the cluster rejects *before publishing anything* (schema
 violation, unknown stream) is its sender's problem alone: answered
 ``ServerBusy("rejected: ...")``, ledger released, server carries on. A
-failure after publish is recorded as ``driver_error`` and every later
-batch is answered ``ServerBusy("cluster-error")``.
+failure after publish is recorded as ``driver_error``; every request
+still unanswered and every later batch is answered
+``ServerBusy("cluster-error")``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import threading
 import traceback
@@ -48,10 +50,15 @@ from repro.common.timesource import TimeSource, resolve_time_source
 from repro.server.admission import REJECTED, AdmissionController
 from repro.server.framing import FrameError, read_frame, write_frame
 from repro.shard import wire
-from repro.telemetry import MetricsRegistry, merge_snapshots
+from repro.shard.router import ClusterRouter
+from repro.telemetry import MetricsRegistry, StageLaps, merge_snapshots
 
 #: Replies coalesced into one ReplyBatch frame per writer wakeup.
 REPLY_CHUNK = 256
+
+#: Longest idle wait between two turns of a served router; a reply on
+#: one of its frontend pipes ends the wait sooner.
+TICK_S = 0.01
 
 
 def parse_url(url: str) -> tuple[str, int]:
@@ -66,65 +73,6 @@ def parse_url(url: str) -> tuple[str, int]:
         return host, int(port)
     except ValueError:
         raise EngineError(f"bad port in serve url {url!r}") from None
-
-
-# -- the one threaded driver --------------------------------------------------
-
-
-class _RouterDriver(threading.Thread):
-    """Drives a ``ClusterRouter`` through its thread-safe service hooks;
-    submissions from every connection pipeline through the router. The
-    only thread besides the loop that a server ever starts."""
-
-    def __init__(self, router, loop, time_source: TimeSource) -> None:
-        super().__init__(name="railgun-server-driver", daemon=True)
-        self._router = router
-        self._loop = loop
-        self._time = time_source
-        self._stop_event = threading.Event()
-        self._drain = True
-        #: loop-thread calls collected during the current service_step.
-        self._posts: list[tuple] = []
-        self.error: str | None = None
-
-    def post(self, fn, *args) -> None:
-        """Queue ``fn(*args)`` for the loop thread. Called from router
-        callbacks, i.e. inside ``service_step`` on this thread; the
-        step's calls reach the loop together, in one wake-up."""
-        self._posts.append((fn, *args))
-
-    def _step(self) -> None:
-        try:
-            self._router.service_step()
-        finally:
-            if self._posts:
-                posts, self._posts = self._posts, []
-                try:
-                    self._loop.call_soon_threadsafe(_run_posts, posts)
-                except RuntimeError:
-                    pass  # loop closed during shutdown; clients saw EOF
-
-    def run(self) -> None:
-        router = self._router
-        try:
-            while not self._stop_event.is_set():
-                self._step()
-            if self._drain:
-                deadline = self._time.deadline(10.0)
-                while router.service_outstanding() and not deadline.expired():
-                    self._step()
-        except Exception:
-            self.error = traceback.format_exc(limit=8)
-
-    def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
-        self._drain = drain
-        self._stop_event.set()
-        self.join(timeout=timeout)
-
-
-def _run_posts(posts: list[tuple]) -> None:
-    for fn, *args in posts:
-        fn(*args)
 
 
 def _rejected(exc: Exception) -> str:
@@ -198,9 +146,13 @@ class RailgunServer:
         )
         #: when set, Hello.token must match tokens[tenant] exactly.
         self._tokens = tokens
-        #: the router's service thread, started with the server; None on
-        #: the blocking facades, which the loop thread calls itself.
-        self._driver: _RouterDriver | None = None
+        #: the cluster when it is a router, driven from this loop by
+        #: :meth:`_drive`; None for the blocking facades, called inline.
+        self._router = cluster if isinstance(cluster, ClusterRouter) else None
+        #: routed correlation -> (connection, client correlation,
+        #: admitted at): the replies the router owes this server.
+        self._unanswered: dict[int, tuple[_Connection, int, float]] = {}
+        self._drive_task: asyncio.Task | None = None
         #: traceback of a cluster call that failed after publishing.
         self._call_error: str | None = None
         self._server: asyncio.Server | None = None
@@ -208,6 +160,8 @@ class RailgunServer:
         self._connections: set[_Connection] = set()
         self._tasks: set[asyncio.Task] = set()
         self._stopped = False
+        #: resolved once :meth:`stop` finished.
+        self._closed: asyncio.Future | None = None
         self.address: tuple[str, int] | None = None
         self.metrics = MetricsRegistry("server", time_source=self._time)
 
@@ -215,11 +169,7 @@ class RailgunServer:
 
     async def start(self) -> "RailgunServer":
         self._loop = asyncio.get_running_loop()
-        if hasattr(self._cluster, "submit_batch") and hasattr(
-            self._cluster, "service_step"
-        ):
-            self._driver = _RouterDriver(self._cluster, self._loop, self._time)
-            self._driver.start()
+        self._closed = self._loop.create_future()
         self._server = await asyncio.start_server(
             self._handle, self._host, self._port
         )
@@ -230,35 +180,42 @@ class RailgunServer:
     async def stop(self, drain: bool = True) -> None:
         """Stop accepting, optionally drain in-flight work, close all.
 
-        ``drain=True`` completes every admitted batch and flushes every
+        ``drain=True`` answers every admitted batch and flushes every
         outbox before the sockets close; ``drain=False`` is the abrupt
         path — clients see EOF on their in-flight requests.
         """
         if self._stopped:
             return
         self._stopped = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._driver is not None:
-            # Blocking join of the service thread. Completions it posts
-            # via call_soon_threadsafe queue up and flush right after.
-            # (A blocking facade has nothing in flight between frames.)
-            self._driver.stop(drain=drain)
-        if drain:
-            deadline = self._loop.time() + 10.0
-            while (
-                any(conn.outbox for conn in self._connections)
-                and self._loop.time() < deadline
-            ):
-                await asyncio.sleep(0.005)
-        for conn in list(self._connections):
-            conn.close()
-        for task in list(self._tasks):
-            task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._connections.clear()
+        try:
+            if self._server is not None:
+                self._server.close()
+                await self._server.wait_closed()
+            if drain:
+                deadline = self._loop.time() + 10.0
+                while (
+                    self._unanswered
+                    or any(conn.outbox for conn in self._connections)
+                ) and self._loop.time() < deadline:
+                    await asyncio.sleep(0.005)
+            for conn in list(self._connections):
+                conn.close()
+            for task in list(self._tasks):
+                task.cancel()
+            if self._tasks:
+                await asyncio.gather(*self._tasks, return_exceptions=True)
+            self._connections.clear()
+            drive = self._drive_task
+            if drive is not None:
+                drive.cancel()
+                await asyncio.gather(drive, return_exceptions=True)
+        finally:
+            if self._closed is not None and not self._closed.done():
+                self._closed.set_result(None)
+
+    async def wait_closed(self) -> None:
+        """Return once :meth:`stop` has finished."""
+        await self._closed
 
     def stats(self) -> dict:
         """Admission counters (quotas, latency vs budget) + server-side
@@ -270,20 +227,9 @@ class RailgunServer:
                 "frames_in": self.metrics.counter_value("server_frames_in_total"),
                 "frames_out": self.metrics.counter_value("server_frames_out_total"),
                 "busy_frames": self.metrics.counter_value("server_frames_busy_total"),
-                "dispatch_backlog": self._backlog(),
-                "driver_error": self._cluster_error(),
+                "driver_error": self._call_error,
             },
         }
-
-    def _backlog(self) -> int:
-        """Submissions accepted but not yet routed: the router's queue,
-        or 0 — a blocking facade is called as its frame is decoded."""
-        if self._driver is None:
-            return 0
-        return self._cluster.submission_backlog()
-
-    def _cluster_error(self) -> str | None:
-        return self._call_error if self._driver is None else self._driver.error
 
     def telemetry_snapshot(self) -> dict:
         """The server's own registry snapshot (loop-thread counters);
@@ -397,37 +343,40 @@ class RailgunServer:
         started = self._time.monotonic()
         correlations = [correlation for correlation, _, _ in msg.entries]
         events = [event for _, event, _ in msg.entries]
-        if self._cluster_error() is not None:
+        if self._call_error is not None:
             self._shed(conn, "cluster-error", 0, correlations)
             return
         admit_started = self._time.monotonic()
-        decision = self.admission.admit(conn.tenant, len(events), self._backlog())
+        decision = self.admission.admit(conn.tenant, len(events))
         self.metrics.observe_since("server_admission_wait_ms", admit_started)
         if not decision.ok:
             self._shed(conn, decision.reason, decision.retry_after_ms, correlations)
-        elif self._driver is None:
-            self._ingest_now(conn, msg.stream, correlations, events, started)
-        else:
-            self._ingest_routed(conn, msg.stream, correlations, events, started)
-
-    def _ingest_now(self, conn, stream, correlations, events, started) -> None:
-        """The blocking facades: call the cluster here, on the loop
-        thread, and settle the whole batch in one step."""
-        cluster = self._cluster
+            return
+        router = self._router
+        published = self._published()
         called = self._time.monotonic()
-        published = cluster.bus.messages_published
         try:
-            replies = cluster.send_batch(stream, events)
+            if router is None:
+                replies = self._cluster.send_batch(msg.stream, events)
+            else:
+                routed = router._ship(msg.stream, events)
         except Exception as exc:
             self.admission.complete(conn.tenant, len(events))
-            if (
-                isinstance(exc, ReproError)
-                and cluster.bus.messages_published == published
-            ):
+            if isinstance(exc, ReproError) and self._published() == published:
                 self._shed(conn, _rejected(exc), 0, correlations)
             else:
-                self._call_error = traceback.format_exc(limit=8)
                 self._shed(conn, "cluster-error", 0, correlations)
+                self._fail()
+            return
+        if router is not None:
+            # The router answers each event as its fan-in completes, in
+            # any order; the drive task collects them.
+            router.metrics.counter_add("engine_batches_in_total")
+            router.metrics.counter_add("engine_events_in_total", len(events))
+            for ours, theirs in zip(routed, correlations):
+                self._unanswered[ours] = (conn, theirs, started)
+            self._collect()
+            self._kick()
             return
         self.metrics.observe_since("server_cluster_call_ms", called)
         conn.enqueue_msg(
@@ -442,51 +391,121 @@ class RailgunServer:
         self.admission.complete(conn.tenant, len(events), elapsed_ms)
         self.metrics.observe_ms("server_request_ms", elapsed_ms)
 
-    def _ingest_routed(self, conn, stream, correlations, events, started) -> None:
-        """The router: submit, and let its service thread report each
-        reply as its fan-in completes (any order)."""
-        tenant, driver = conn.tenant, self._driver
+    def _published(self) -> int:
+        """Records the cluster published so far; a batch it refused
+        whole before publishing leaves the count where it was."""
+        if self._router is not None:
+            return self._router._published
+        return self._cluster.bus.messages_published
 
-        def on_reply(index: int | None, reply) -> None:
-            # Runs on the service thread: account first (the admission
-            # ledger must not leak even if the client is gone), then
-            # post the reply to the loop.
-            if index is None:  # refused before routing; reply is the error
-                self.admission.complete(tenant, len(events))
-                driver.post(self._shed, conn, _rejected(reply), 0, correlations)
-                return
-            elapsed_ms = (self._time.monotonic() - started) * 1000.0
-            self.admission.complete(tenant, 1, elapsed_ms)
+    # -- driving a router -----------------------------------------------------
+
+    def _kick(self) -> None:
+        """Start the drive task if the router owes work and none runs."""
+        if self._drive_task is None and (
+            self._unanswered or self._router._backfilling()
+        ):
+            self._drive_task = self._loop.create_task(self._drive())
+
+    async def _drive(self) -> None:
+        """Turn the router while it owes a reply or runs a backfill.
+
+        Every turn is non-blocking and followed by :meth:`_collect`; an
+        idle turn is followed by a wait on the frontend pipes. A turn
+        that raises fails every unanswered request (:meth:`_fail`) and
+        ends the task.
+        """
+        router = self._router
+        try:
+            while self._call_error is None and (
+                self._unanswered or router._backfilling()
+            ):
+                handled = router._turn(StageLaps(router.metrics))
+                self._collect()
+                if handled:
+                    await asyncio.sleep(0)  # let the sockets have the loop
+                else:
+                    await self._await_pipes(router._waitables())
+        except Exception:
+            self._fail()
+        finally:
+            self._drive_task = None
+
+    async def _await_pipes(self, conns: list) -> None:
+        """Sleep until one of ``conns`` is readable or ``TICK_S`` passed;
+        the readers never outlive the wait."""
+        loop = self._loop
+        woke = loop.create_future()
+
+        def wake() -> None:
+            if not woke.done():
+                woke.set_result(None)
+
+        timer = loop.call_later(TICK_S, wake)
+        fds = [conn.fileno() for conn in conns]
+        try:
+            for fd in fds:
+                loop.add_reader(fd, wake)
+            await woke
+        finally:
+            timer.cancel()
+            for fd in fds:
+                loop.remove_reader(fd)
+
+    def _collect(self) -> None:
+        """Hand each reply the router completed to its connection."""
+        completed = self._router.completed
+        done = [c for c in completed if c in self._unanswered]
+        if not done:
+            return
+        now = self._time.monotonic()
+        for correlation in done:
+            reply = completed.pop(correlation)
+            conn, theirs, started = self._unanswered.pop(correlation)
+            elapsed_ms = (now - started) * 1000.0
+            self.admission.complete(conn.tenant, 1, elapsed_ms)
             self.metrics.observe_ms("server_request_ms", elapsed_ms)
-            driver.post(
-                conn.enqueue_reply, correlations[index], reply.stream, reply.results
-            )
+            conn.enqueue_reply(theirs, reply.stream, reply.results)
+        self._router.metrics.counter_add("engine_replies_out_total", len(done))
 
-        self._cluster.submit_batch(stream, events, on_reply)
+    def _fail(self) -> None:
+        """A cluster call failed after publishing (call from an
+        ``except`` block): record it, answer every unanswered request
+        ``cluster-error`` and release its admission. Later batches are
+        answered the same way."""
+        self._call_error = traceback.format_exc(limit=8)
+        owed: dict[_Connection, list[int]] = {}
+        for conn, theirs, _ in self._unanswered.values():
+            owed.setdefault(conn, []).append(theirs)
+        self._unanswered.clear()
+        for conn, correlations in owed.items():
+            self.admission.complete(conn.tenant, len(correlations))
+            self._shed(conn, "cluster-error", 0, correlations)
 
     def _shed(self, conn, reason: str, retry_ms: int, correlations: list) -> None:
         self.metrics.counter_add("server_frames_busy_total")
         conn.enqueue_msg(wire.ServerBusy(reason, retry_ms, tuple(correlations)))
 
     def _call(self, fn, on_done) -> None:
-        """Run a control-plane call against the cluster and hand
-        ``on_done(result, error)`` the outcome on the loop thread: here
-        and now on a blocking facade (settled with ``run_until_quiet``
-        so a following send lands on rebalanced assignments), on the
-        service thread and posted back for the router."""
-        driver = self._driver
-        if driver is not None:
-            self._cluster.submit_call(
-                fn, lambda result, error: driver.post(on_done, result, error)
-            )
-            return
+        """Run a control-plane call against the cluster, here on the
+        loop thread, and hand ``on_done(result, error)`` its outcome. A
+        blocking facade is settled with ``run_until_quiet`` so a
+        following send lands on rebalanced assignments; a router is
+        driven on instead (its backfills' clients poll the status), so
+        what the call completed is collected and the drive task kicked."""
+        router = self._router
         try:
             result = fn()
-            self._cluster.run_until_quiet()
+            if router is None:
+                self._cluster.run_until_quiet()
         except Exception as exc:
-            on_done(None, exc)
+            result, error = None, exc
         else:
-            on_done(result, None)
+            error = None
+        if router is not None:
+            self._collect()
+            self._kick()
+        on_done(result, error)
 
     def _on_ddl(self, conn: _Connection, msg: wire.DdlRequest) -> None:
         def on_done(result, error) -> None:
@@ -639,7 +658,7 @@ class ServerHandle:
         return self._server.stats()
 
     def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
-        """Stop the server and its loop thread; idempotent."""
+        """Stop the server; its loop thread ends with it. Idempotent."""
         if self._stopped:
             return
         self._stopped = True
@@ -649,9 +668,9 @@ class ServerHandle:
         try:
             future.result(timeout=timeout)
         finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
             self._thread.join(timeout=timeout)
-            self._loop.close()
+            if not self._thread.is_alive():
+                self._loop.close()
 
 
 def serve_cluster(
@@ -663,28 +682,36 @@ def serve_cluster(
 ) -> ServerHandle:
     """Start a front-door server over ``cluster`` on a background loop
     thread and return its :class:`ServerHandle` (``.address`` carries
-    the bound port when the url asked for port 0)."""
+    the bound port when the url asked for port 0). The thread runs the
+    server from :meth:`RailgunServer.start` to the end of
+    :meth:`RailgunServer.stop`."""
     host, port = parse_url(url)
-    loop = asyncio.new_event_loop()
-    ready = threading.Event()
-
-    def runner() -> None:
-        asyncio.set_event_loop(loop)
-        ready.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=runner, name="railgun-server", daemon=True)
-    thread.start()
-    ready.wait(timeout=10.0)
     server = RailgunServer(
         cluster, host, port, admission=admission, tokens=tokens,
         time_source=time_source,
     )
-    future = asyncio.run_coroutine_threadsafe(server.start(), loop)
+    loop = asyncio.new_event_loop()
+    started: concurrent.futures.Future = concurrent.futures.Future()
+
+    async def serve() -> None:
+        try:
+            await server.start()
+        except BaseException as exc:
+            started.set_exception(exc)
+            return
+        started.set_result(None)
+        await server.wait_closed()
+
+    thread = threading.Thread(
+        target=loop.run_until_complete, args=(serve(),),
+        name="railgun-server", daemon=True,
+    )
+    thread.start()
     try:
-        future.result(timeout=10.0)
+        started.result(timeout=10.0)
     except Exception:
-        loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=5.0)
+        if not thread.is_alive():
+            loop.close()
         raise
     return ServerHandle(server, loop, thread)

@@ -555,12 +555,7 @@ class ShardCluster:
         for _ in range(max_rounds):
             handled = self.pump()
             total += handled
-            busy = (
-                handled
-                or self.pending
-                or not self._idle()
-                or any(not job.done for job in self._backfills)
-            )
+            busy = handled or self.pending or not self._idle() or self._backfilling()
             if not busy:
                 quiet += 1
                 if quiet >= quiet_rounds:
@@ -570,10 +565,23 @@ class ShardCluster:
         return total
 
     def _round(self, laps: StageLaps) -> int:
-        """Control out (backfill completion, retention) and the
-        frontends' frames in, then police the children; when nothing
-        moved, block briefly on the links instead of spinning — the
-        front layer must yield the core to its children."""
+        """One :meth:`_turn`; when nothing moved, block briefly on the
+        links instead of spinning — the front layer must yield the core
+        to its children."""
+        handled = self._turn(laps)
+        if handled == 0:
+            waitables = self._waitables()
+            if waitables:
+                multiprocessing.connection.wait(waitables, 0.01)
+                handled += self._drain_replies()
+        laps.lap("engine_collect_ms")
+        return handled
+
+    def _turn(self, laps: StageLaps) -> int:
+        """The non-blocking part of a round: control out (backfill
+        completion, retention) and the frontends' frames in, then police
+        the children. The front-door server drives a router with turns,
+        awaiting :meth:`_waitables` on its own loop in between."""
         self.clock.advance(self.tick_ms)
         handled = self._step_backfills()
         self._truncate_durable_logs()
@@ -583,15 +591,13 @@ class ShardCluster:
         self._raise_worker_errors()
         if self.frontend_errors:
             raise EngineError("shard frontend failed:\n" + self.frontend_errors[-1])
-        if handled == 0:
-            waitables = [
-                conn for link in self._frontends.values() for conn in link.waitables()
-            ]
-            if waitables:
-                multiprocessing.connection.wait(waitables, 0.01)
-                handled += self._drain_replies()
-        laps.lap("engine_collect_ms")
         return handled
+
+    def _waitables(self) -> list:
+        return [conn for link in self._frontends.values() for conn in link.waitables()]
+
+    def _backfilling(self) -> bool:
+        return any(not job.done for job in self._backfills)
 
     def _idle(self) -> bool:
         return all(link.idle() for link in self._frontends.values())
@@ -872,23 +878,17 @@ class ShardCluster:
             self.supervisor.shutdown()
 
     def _settle(self, timeout: float = 10.0) -> None:
-        """Drain-before-close: complete the fan-ins still pending, so a
-        server shutting down mid-flight answers every accepted request.
-        Bounded by ``timeout`` and by a stall of ~50 idle rounds; a child
-        error mid-drain downgrades to an immediate teardown."""
+        """Drain-before-close: complete the fan-ins still pending before
+        the children stop. Bounded by ``timeout`` and by a stall of ~50
+        idle rounds; a child error mid-drain downgrades to an immediate
+        teardown."""
         deadline = self._time.deadline(timeout)
         stalled = 0
         try:
-            while self._unsettled() and not deadline.expired() and stalled <= 50:
-                stalled = 0 if self._settle_step() else stalled + 1
+            while self.pending and not deadline.expired() and stalled <= 50:
+                stalled = 0 if self.pump() else stalled + 1
         except EngineError:
             pass  # dead child mid-drain: fall through to teardown
-
-    def _unsettled(self) -> bool:
-        return bool(self.pending)
-
-    def _settle_step(self) -> int:
-        return self.pump()
 
     def __enter__(self) -> "ShardCluster":
         return self

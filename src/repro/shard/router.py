@@ -28,12 +28,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue
 
-from repro.common.errors import EngineError, ReproError
+from repro.common.errors import EngineError
 from repro.common.timesource import TimeSource
 from repro.engine.processor import UnitConfig
-from repro.events.event import Event
 from repro.messaging.log import TopicPartition
 from repro.shard import wire
 from repro.shard.cluster import ShardCluster
@@ -294,16 +292,6 @@ class ClusterRouter(ShardCluster):
         for index in range(frontends):
             link = ChildFrontend(self, f"fe-{index}")
             self._frontends[link.frontend_id] = link
-        #: thread-safe handoff from other threads (the asyncio front
-        #: door) into the thread that owns this router; drained by
-        #: ``service_step``. The queue is the ONLY structure touched
-        #: from foreign threads — routing, pending state and reply
-        #: delivery all stay on the servicing thread.
-        self._submissions: queue.SimpleQueue = queue.SimpleQueue()
-        #: correlation -> (on_reply, index in the submitted batch);
-        #: tracks which completed replies belong to submitted work (as
-        #: opposed to direct ``send``/``send_batch`` calls).
-        self._service_pending: dict[int, tuple[object, int]] = {}
 
     def frontend_ids(self) -> list[str]:
         """Current frontend processes, in spawn order."""
@@ -316,92 +304,3 @@ class ClusterRouter(ShardCluster):
         except KeyError:
             raise EngineError(f"unknown frontend {frontend_id!r}") from None
         link.process.kill()
-
-    # -- thread-safe submission (the asyncio front door) ----------------------
-
-    def submit_batch(self, stream: str, events: list[Event], on_reply) -> None:
-        """Queue a batch for routing from another thread.
-
-        ``on_reply(index, reply)`` fires on the thread running
-        :meth:`service_step` once the ``index``-th event's fan-in
-        completes; replies may complete (and fire) in any order. A batch
-        refused whole before anything is routed fires ``on_reply(None,
-        error)`` once instead. May be
-        called from any thread — the ingest server's asyncio loop hands
-        work to the router's service thread through exactly this hook.
-        """
-        self._submissions.put(("batch", stream, list(events), on_reply))
-
-    def submit_call(self, fn, on_done) -> None:
-        """Queue an arbitrary control-plane call (DDL, stats) from
-        another thread; ``on_done(result, error)`` fires on the service
-        thread with whichever of the two the call produced."""
-        self._submissions.put(("call", fn, None, on_done))
-
-    def submission_backlog(self) -> int:
-        """Submissions accepted but not yet routed (queue-depth input
-        for admission control)."""
-        return self._submissions.qsize()
-
-    def service_outstanding(self) -> int:
-        """Submitted work not yet answered: queued submissions plus
-        routed correlations whose fan-in has not completed."""
-        return len(self._service_pending) + self._submissions.qsize()
-
-    def _unsettled(self) -> bool:
-        # Close also answers queued and routed front-door submissions.
-        return bool(self.pending) or self.service_outstanding() > 0
-
-    def _settle_step(self) -> int:
-        return self.service_step()
-
-    def service_step(self) -> int:
-        """One service-thread round: drain submissions, pump, deliver.
-
-        The front-door server runs this in a dedicated thread; the
-        blocking wait inside :meth:`pump` (10ms on reply pipes when
-        idle) doubles as the loop's pacing, so an idle server costs one
-        wakeup per 10ms rather than a spin.
-        """
-        handled = 0
-        while True:
-            try:
-                kind, a, b, callback = self._submissions.get_nowait()
-            except queue.Empty:
-                break
-            if kind == "batch":
-                published = self._published
-                try:
-                    correlations = self._ship(a, b)
-                except ReproError as exc:
-                    if self._published != published:
-                        raise
-                    # Refused whole before anything was routed (schema
-                    # violation, unknown stream): the submitter's
-                    # problem, not the service thread's.
-                    callback(None, exc)
-                    continue
-                self.metrics.counter_add("engine_batches_in_total")
-                self.metrics.counter_add("engine_events_in_total", len(b))
-                for index, correlation in enumerate(correlations):
-                    self._service_pending[correlation] = (callback, index)
-                handled += len(correlations)
-            else:
-                try:
-                    result = a()
-                except Exception as exc:
-                    callback(None, exc)
-                else:
-                    callback(result, None)
-                handled += 1
-        handled += self.pump()
-        if self._service_pending and self.completed:
-            for correlation in list(self.completed):
-                entry = self._service_pending.pop(correlation, None)
-                if entry is None:
-                    continue  # a direct send/send_batch owns this reply
-                reply = self.completed.pop(correlation)
-                callback, index = entry
-                self.metrics.counter_add("engine_replies_out_total")
-                callback(index, reply)
-        return handled

@@ -72,7 +72,6 @@ def make_controller(clock, **overrides) -> AdmissionController:
         ),
         max_connections=3,
         max_in_flight=60,
-        max_queue_depth=4,
         time_source=clock,
     )
     defaults.update(overrides)
@@ -109,19 +108,16 @@ class TestBatchAdmission:
     def test_checks_fire_in_documented_order(self):
         clock = FakeClock()
         admission = make_controller(clock)
-        # 1. queue depth wins over everything else.
-        shed = admission.admit("a", 1, queue_depth=4)
-        assert shed.reason == "queue-depth"
-        # 2. server in-flight: two tenants together exceed the server cap
+        # 1. server in-flight: two tenants together exceed the server cap
         #    while each stays under its own.
         assert admission.admit("a", 35).ok
-        assert admission.admit("b", 30, queue_depth=0).reason == "server-in-flight"
+        assert admission.admit("b", 30).reason == "server-in-flight"
         admission.complete("a", 35)
-        # 3. tenant in-flight.
+        # 2. tenant in-flight.
         assert admission.admit("b", 30).ok
         assert admission.admit("b", 20).reason == "tenant-in-flight"
         admission.complete("b", 30)
-        # 4. token bucket: b already spent 30 of its 50-token burst, so
+        # 3. token bucket: b already spent 30 of its 50-token burst, so
         #    25 more exceed the tokens left while staying under the caps.
         shed = admission.admit("b", 25)
         assert shed.reason == "tenant-rate"

@@ -19,8 +19,9 @@ on:
 - **Clean teardown**: a stopped server refuses new connections, fails
   in-flight requests with an error (not a hang), and leaves no server
   threads behind.
-- **No thread hops**: a blocking facade is served by the loop thread
-  alone (one ``ReplyBatch`` frame per ``IngestBatch``), and the
+- **No thread hops**: every facade is served by the loop thread alone
+  (a blocking facade answers one ``ReplyBatch`` frame per
+  ``IngestBatch``; a router is driven by a task on that loop), and the
   blocking client starts no thread at all.
 - **One bad batch is one connection's problem**: a batch the cluster
   rejects before publishing is answered to its sender and the server
@@ -396,6 +397,34 @@ class TestShutdown:
         assert server_threads() == []
         cluster.close()
 
+    def test_drain_stop_answers_routed_requests_in_flight(self):
+        # A front door stopping mid-traffic must not strand the
+        # correlations its router still owes.
+        cluster, handle = serve_router()
+        events = [{"cardId": f"c{i % 3}", "amount": 1.0} for i in range(40)]
+        replies: list = []
+        with RailgunClient(*handle.address, tenant="drain") as client:
+            sender = threading.Thread(
+                target=lambda: replies.extend(
+                    client.send_batch("tx", events, timestamp=1_000)
+                ),
+                daemon=True,
+            )
+            sender.start()
+            assert default_time_source().wait_until(
+                lambda: handle.stats()["admission"]["tenants"]
+                .get("drain", {})
+                .get("admitted_events") == len(events),
+                timeout=5.0,
+                poll=0.0005,
+            )
+            handle.stop(drain=True)
+            sender.join(timeout=10.0)
+        assert len(replies) == len(events)
+        assert all(reply.results for reply in replies)
+        assert server_threads() == []
+        cluster.close()
+
     def test_served_cluster_close_stops_the_server(self):
         cluster = create_cluster("single", serve="tcp://127.0.0.1:0")
         host, port = cluster.server.address
@@ -407,7 +436,13 @@ class TestShutdown:
 
 class TestNoThreadHops:
     @pytest.mark.parametrize(
-        "topology, kwargs", [("single", {}), ("process", {"workers": 2})]
+        "topology, kwargs",
+        [
+            ("single", {}),
+            ("process", {"workers": 2}),
+            # The router too: the loop drives it, no thread of its own.
+            ("process", {"workers": 2, "frontends": 2}),
+        ],
     )
     def test_blocking_facades_run_on_the_loop_thread_alone(self, topology, kwargs):
         before = set(threading.enumerate())
@@ -431,10 +466,12 @@ class TestNoThreadHops:
         assert server_threads() == []
 
     def test_router_keeps_its_one_driver_thread(self):
+        # The one thread that drives a served router is the server's
+        # loop thread: no driver thread and no queue sit beside it.
         cluster = ClusterRouter(workers=2, frontends=2)
         handle = serve_cluster(cluster)
         try:
-            assert server_threads() == ["railgun-server", "railgun-server-driver"]
+            assert server_threads() == ["railgun-server"]
         finally:
             handle.stop()
             cluster.close()
@@ -468,7 +505,6 @@ class TestNoThreadHops:
                     assert len(replies) == size
                     sent += frames
                     assert frames_out(sent) == sent
-            assert handle.stats()["server"]["dispatch_backlog"] == 0
         finally:
             handle.stop()
             cluster.close()
@@ -763,41 +799,110 @@ class TestBlockingClientClose:
         )
 
 
-class TestRouterServiceHooks:
-    def test_close_with_replies_outstanding_drains_first(self):
-        # Pin: close() must answer every submitted batch before tearing
-        # the processes down — a front door stopping mid-traffic must
-        # not strand its clients' correlations.
+def serve_router(cluster: ClusterRouter | None = None):
+    """A served ``ClusterRouter(workers=2, frontends=2)`` with the
+    count metric defined."""
+    if cluster is None:
         cluster = ClusterRouter(workers=2, frontends=2)
-        cluster.create_stream("tx", ["cardId"], **STREAM_KW)
-        cluster.create_metric(METRIC)
-        replies: dict[int, object] = {}
-        events = [
-            Event(f"d{i}", 1_000 + i, {"cardId": f"c{i % 3}", "amount": 1.0})
-            for i in range(40)
-        ]
-        cluster.submit_batch("tx", events, lambda i, r: replies.__setitem__(i, r))
-        # No service_step() calls: everything is still queued or in
-        # flight when close() begins.
-        cluster.close()
-        assert sorted(replies) == list(range(40))
-        assert all(r.results for r in replies.values())
-        cluster.close()  # idempotent
+    cluster.create_stream("tx", ["cardId"], **STREAM_KW)
+    cluster.create_metric(METRIC)
+    return cluster, serve_cluster(cluster)
 
-    def test_submit_call_runs_ddl_on_service_thread(self):
-        cluster = ClusterRouter(workers=2, frontends=2)
-        done: list[object] = []
-        cluster.submit_call(
-            lambda: cluster.create_stream("tx", ["cardId"], **STREAM_KW),
-            lambda result, error: done.append((result, error)),
-        )
-        default_time_source().wait_until(
-            lambda: (cluster.service_step(), done)[1],
-            timeout=10.0,
-            poll=0.0,
-        )
-        assert done and done[0][1] is None
-        cluster.close()
+
+class TestDrivenRouter:
+    """The server's loop drives a ``ClusterRouter``: its drive task must
+    run while any request is unanswered or a backfill runs — keyed on
+    anything narrower, replies and backfills strand."""
+
+    def test_inline_ddl_keeps_inflight_replies_flowing(self):
+        # A metric DDL runs inline on the loop while the other
+        # connection's batch is in flight. A drive task keyed on
+        # cluster.pending strands those replies as soon as a DDL moves
+        # their fan-ins into completed outside a turn.
+        cluster, handle = serve_router()
+        host, port = handle.address
+        events = [{"cardId": f"c{i % 7}", "amount": 1.0} for i in range(200)]
+
+        async def run() -> float:
+            async with AsyncRailgunClient(host, port, tenant="ingest") as ingest, \
+                    AsyncRailgunClient(host, port, tenant="ddl") as ddl:
+                started = default_time_source().monotonic()
+                batch = asyncio.ensure_future(
+                    ingest.send_batch("tx", events, timestamp=1_000)
+                )
+                await asyncio.sleep(0)  # the batch's frame goes out first
+                await ddl.create_metric(
+                    "SELECT sum(amount) FROM tx GROUP BY cardId "
+                    "OVER sliding 5 minutes"
+                )
+                replies = await asyncio.wait_for(batch, 5.0)
+                assert len(replies) == len(events)
+                return default_time_source().monotonic() - started
+
+        try:
+            assert asyncio.run(run()) < 1.0
+            assert handle.stats()["admission"]["in_flight"] == 0
+        finally:
+            handle.stop()
+            cluster.close()
+
+    def test_backfill_completes_with_no_further_traffic(self):
+        cluster, handle = serve_router()
+        try:
+            with RailgunClient(*handle.address) as client:
+                client.send_batch(
+                    "tx",
+                    [{"cardId": f"c{i % 5}", "amount": float(i)} for i in range(50)],
+                    timestamp=1_000,
+                )
+                metric_id = client.backfill_metric(
+                    "SELECT sum(amount) FROM tx GROUP BY cardId "
+                    "OVER sliding 5 minutes"
+                )
+                assert default_time_source().wait_until(
+                    lambda: client.backfill_status(metric_id) == "complete",
+                    timeout=5.0,
+                    poll=0.05,
+                )
+        finally:
+            handle.stop()
+            cluster.close()
+
+    def test_failed_turn_answers_every_request_and_stops_driving(self):
+        class FailingRouter(ClusterRouter):
+            turns = 0
+
+            def _turn(self, laps):
+                # Never drains: the frontends' replies stay readable on
+                # their pipes, the state a hot loop would spin on.
+                self.turns += 1
+                if self.turns >= 3:
+                    raise EngineError("injected turn failure")
+                return 0
+
+        cluster, handle = serve_router(FailingRouter(workers=2, frontends=2))
+        cluster.turns = 0
+        clock = default_time_source()
+        events = [{"cardId": "k", "amount": 1.0} for _ in range(16)]
+        try:
+            with RailgunClient(*handle.address) as client:
+                started = clock.monotonic()
+                with pytest.raises(ServerBusyError, match="cluster-error"):
+                    client.send_batch("tx", events, timestamp=1_000)
+                assert clock.monotonic() - started < 1.0
+                stats = handle.stats()
+                assert stats["admission"]["in_flight"] == 0
+                assert "injected turn failure" in stats["server"]["driver_error"]
+                turns = cluster.turns
+                assert turns == 3
+                with pytest.raises(ServerBusyError, match="cluster-error"):
+                    client.send_batch("tx", events, timestamp=1_001)
+                clock.sleep(0.1)
+                assert cluster.turns == turns
+                assert handle.server.admission.in_flight == 0
+        finally:
+            handle.stop()
+            cluster.close()
 
 
 def _frame(payload: bytes) -> bytes:

@@ -463,9 +463,9 @@ class TestFrontDoorStats:
         ts = DeterministicTimeSource()
 
         class SlowAdmission(AdmissionController):
-            def admit(self, tenant, events, queue_depth=0):
+            def admit(self, tenant, events):
                 ts.advance(0.002)
-                return super().admit(tenant, events, queue_depth)
+                return super().admit(tenant, events)
 
         class SevenMsCluster:
             bus = SimpleNamespace(messages_published=0)

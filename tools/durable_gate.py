@@ -146,7 +146,12 @@ def run_gate() -> list[str]:
 
             # Phase 2: pile on fresh history, then leave a backfill
             # mid-replay — its cursors must pin segments *below* the
-            # next checkpoint until the replay passes them.
+            # next checkpoint until the replay passes them. The shadows
+            # replay from the latest stored checkpoint, so the cadence
+            # pauses while the history piles on: a periodic checkpoint
+            # landing at the frontier would leave them nothing to replay.
+            cadence = cluster.supervisor.checkpoint_interval
+            cluster.supervisor.checkpoint_interval = None
             for round_index in range(ROUNDS, ROUNDS + 2):
                 cluster.send_batch(
                     "tx",
@@ -160,14 +165,17 @@ def run_gate() -> list[str]:
                     ],
                 )
             backfill_id = cluster.backfill_metric(BACKFILL_QUERY)
-            # Small replay steps so a single pump leaves the cursors
+            # One small replay step per shadow leaves the cursors
             # strictly behind the live frontier (same spirit as the
             # tiny segment_bytes override above). The shadows run in
-            # the cluster's in-process frontend.
+            # the cluster's in-process frontend; stepping them directly
+            # rather than through pump(), which may step them twice,
+            # fixes how far they got.
             for link in cluster._frontends.values():
                 for job in link.engine.backfills.values():
                     job.batch = 64
-            cluster.pump()  # opens the shadow cursors mid-replay
+                    job.step()  # opens the shadow cursors mid-replay
+            cluster.supervisor.checkpoint_interval = cadence
             pinned = {
                 tp: cluster.bus.log(tp).pinned_floor for tp in tasks
             }
