@@ -430,7 +430,7 @@ def bench_frontend_send_batch(events: list[Event], batch_size: int) -> dict[str,
 
 # -- worker-link batch codecs (columnar vs the serde reference) ---------------
 
-#: events per codec batch: the dispatchers' default ``batch_max``
+#: events per codec batch: the dispatchers' ``BATCH_MAX``
 _CODEC_BATCH = 256
 _CODEC_TP = TopicPartition("tx.cardId", 0)
 

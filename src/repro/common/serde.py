@@ -229,8 +229,8 @@ def crc32_of(data: bytes | memoryview) -> int:
 
 
 # CRC frames. Every durable record format in the tree — log segments,
-# the bus side logs and cut, checkpoints, reservoir chunks, the LSM WAL
-# and manifest — is a sequence of (or a single) frame::
+# the bus side logs and cut, checkpoints, reservoir chunks — is a
+# sequence of (or a single) frame::
 #
 #     u32 crc | varint len | payload          (crc over payload)
 #

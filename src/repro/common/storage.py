@@ -16,7 +16,7 @@ files, side logs and cut file, and the supervisor's checkpoint store:
 
 Files are append-only while *open* and become immutable once *sealed* —
 the same life-cycle the paper gives reservoir files. Small metadata
-files (the LSM manifest, the cut, checkpoints) are rewritten whole with
+files (the cut, checkpoints) are rewritten whole with
 :meth:`StorageBackend.replace`, which is atomic: a crash leaves the old
 bytes or the new ones. Nothing is durable until :meth:`StorageBackend.sync`
 says so; what the caller syncs, and when, is its fsync policy.

@@ -265,9 +265,7 @@ class RailgunCluster:
         processor_units: int = 2,
         replication_factor: int = 0,
         brokers: int = 1,
-        session_timeout_ms: int = 10_000,
         unit_config: UnitConfig | None = None,
-        tick_ms: int = 1,
         assignment_strategy: object | None = None,
         durable_dir: str | None = None,
         durable_fsync: str = "batch",
@@ -287,7 +285,7 @@ class RailgunCluster:
             self.bus = DurableBus(durable_dir, brokers=brokers, fsync=durable_fsync)
         else:
             self.bus = MessageBus(brokers=brokers)
-        self.coordinator = GroupCoordinator(self.bus, session_timeout_ms)
+        self.coordinator = GroupCoordinator(self.bus)
         self.coordinator.external_authority = self._on_group_change
         # Any object with .assign(tasks, processors, previous) works —
         # the ablation bench swaps in the non-sticky baseline here.
@@ -298,7 +296,6 @@ class RailgunCluster:
         )
         self.replication_factor = replication_factor
         self.unit_config = unit_config if unit_config is not None else UnitConfig()
-        self.tick_ms = tick_ms
         self.catalog = Catalog()
         self.nodes: dict[str, RailgunNode] = {}
         self._backfills: list = []
@@ -589,7 +586,7 @@ class RailgunCluster:
         return self._round(StageLaps(self.metrics))
 
     def _round(self, laps: StageLaps) -> int:
-        self.clock.advance(self.tick_ms)
+        self.clock.advance(1)  # one virtual millisecond per round
         self.coordinator.tick(self.clock.now())
         self._ensure_membership()
         if self._assignment_dirty:

@@ -42,6 +42,12 @@ if TYPE_CHECKING:  # pragma: no cover - circular-import guard
 #: Railgun active task consumers belong to the same consumer group")
 ACTIVE_GROUP = "railgun-active"
 
+#: records one consumer poll takes, split over its partitions.
+POLL_MAX_RECORDS = 64
+
+#: revoked task processors kept for delta recovery, oldest dropped first.
+MAX_STALE_TASKS = 16
+
 
 def replica_group(unit_id: str) -> str:
     """Each unit's replica consumer gets its own group (§3.3)."""
@@ -65,10 +71,8 @@ class UnitConfig:
     """Per-unit tuning."""
 
     checkpoint_interval: int = 200  # messages per task between checkpoints
-    poll_max_records: int = 64
     reservoir: ReservoirConfig = field(default_factory=ReservoirConfig)
     lsm: LsmConfig = field(default_factory=LsmConfig)
-    max_stale_tasks: int = 16
 
 
 class ProcessorUnit:
@@ -126,8 +130,8 @@ class ProcessorUnit:
         self._reconcile_assignments()
         handled = 0
         active_tps = set(self.active_consumer.assignment())
-        active_batches = self.active_consumer.poll_batches(self.config.poll_max_records)
-        replica_batches = self.replica_consumer.poll_batches(self.config.poll_max_records)
+        active_batches = self.active_consumer.poll_batches(POLL_MAX_RECORDS)
+        replica_batches = self.replica_consumer.poll_batches(POLL_MAX_RECORDS)
         for tp, records in active_batches + replica_batches:
             event_records = [
                 record for record in records if isinstance(record.value, EventEnvelope)
@@ -199,7 +203,7 @@ class ProcessorUnit:
         self._known_replica = current_replica
 
     def _trim_stale(self) -> None:
-        while len(self.stale) > self.config.max_stale_tasks:
+        while len(self.stale) > MAX_STALE_TASKS:
             oldest = next(iter(self.stale))
             del self.stale[oldest]
 

@@ -8,7 +8,7 @@ slice of RocksDB the paper uses (§4.1.3):
   counts in an auxiliary column family and scans them by prefix);
 - ``ingest_sorted``: a sorted run written straight to one table (how
   the state store writes its resident set back at a checkpoint);
-- cheap **checkpoints**: flush memtables, snapshot the manifest — all
+- cheap **checkpoints**: flush memtables, snapshot the table list — all
   table files are immutable, so a checkpoint is just a list of names;
 - **delta transfer**: given a previous checkpoint, only the files the
   receiver is missing need to be copied (the engine's stale-task
@@ -26,6 +26,10 @@ the oldest, biggest run is rewritten only once the runs above it have
 grown to its size, and a family holds at most
 ``width * (1 + ceil(log2(total / smallest)))`` runs. Tombstones are
 dropped only by a merge that includes the oldest run.
+
+The store keeps no log or manifest of its own: its storage is volatile,
+and a task's state recovers one way — from its last checkpoint
+(:meth:`LsmDb.import_checkpoint`) plus a replay of the input log tail.
 """
 
 from __future__ import annotations
@@ -34,14 +38,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.common import serde
-from repro.common.errors import SerdeError, StorageError
+from repro.common.errors import StorageError
 from repro.common.storage import MemoryStorage, StorageBackend
 from repro.lsm.memtable import TOMBSTONE, MemTable
 from repro.lsm.sstable import SSTable
-from repro.lsm.wal import WriteAheadLog
-
-_MANIFEST = "MANIFEST"
-_WAL = "WAL"
 
 
 @dataclass
@@ -55,9 +55,6 @@ class LsmConfig:
 
     memtable_flush_bytes: int = 256 * 1024
     l0_compaction_threshold: int = 4
-    index_interval: int = 16
-    bloom_fp_rate: float = 0.01
-    wal_enabled: bool = True
 
 
 @dataclass
@@ -82,7 +79,7 @@ class Checkpoint:
         }
 
     def to_bytes(self) -> bytes:
-        """Serialize (for the checkpoint topic and recovery transfer)."""
+        """Serialize (for the task checkpoint frame and recovery transfer)."""
         buf = bytearray()
         serde.write_varint(buf, self.sequence)
         serde.write_varint(buf, len(self.files))
@@ -140,7 +137,6 @@ class LsmStats:
     bloom_skips: int = 0
     flushes: int = 0
     compactions: int = 0
-    checkpoint_count: int = 0
 
 
 class LsmDb:
@@ -152,17 +148,9 @@ class LsmDb:
         self.config = config if config is not None else LsmConfig()
         self.stats = LsmStats()
         self._cfs: dict[str, _ColumnFamily] = {}
-        self._cf_by_id: dict[int, _ColumnFamily] = {}
         self._next_file = 0
         self._sequence = 0
-        self._wal: WriteAheadLog | None = None
-        if self.storage.exists(_MANIFEST):
-            self._recover()
-        else:
-            self.create_column_family("default")
-            self._write_manifest()
-        if self.config.wal_enabled and self._wal is None:
-            self._wal = WriteAheadLog(self.storage, _WAL)
+        self.create_column_family("default")
 
     # -- column families ---------------------------------------------------
 
@@ -170,9 +158,7 @@ class LsmDb:
         """Create a keyspace; no-op if it already exists."""
         if name in self._cfs:
             return
-        cf = _ColumnFamily(name, cf_id=len(self._cfs))
-        self._cfs[name] = cf
-        self._cf_by_id[cf.cf_id] = cf
+        self._cfs[name] = _ColumnFamily(name, cf_id=len(self._cfs))
 
     def column_families(self) -> list[str]:
         """Names of all column families."""
@@ -189,8 +175,6 @@ class LsmDb:
     def put(self, key: bytes, value: bytes, cf: str = "default") -> None:
         """Insert or overwrite a key."""
         family = self._cf(cf)
-        if self._wal is not None:
-            self._wal.append_put(family.cf_id, key, value)
         family.memtable.put(key, value)
         self.stats.puts += 1
         self._maybe_flush(family)
@@ -198,8 +182,6 @@ class LsmDb:
     def delete(self, key: bytes, cf: str = "default") -> None:
         """Delete a key (write a tombstone)."""
         family = self._cf(cf)
-        if self._wal is not None:
-            self._wal.append_delete(family.cf_id, key)
         family.memtable.delete(key)
         self.stats.deletes += 1
         self._maybe_flush(family)
@@ -211,10 +193,11 @@ class LsmDb:
 
         Equivalent to a :meth:`put` per pair followed by :meth:`flush`,
         in one sorted pass: the run is merged with its column family's
-        memtable (the run is newer) straight into one table — no WAL
-        record and no skip-list insert per key. The other memtables are
-        flushed with it, so the WAL, which never saw the run, is reset
-        rather than left to shadow it on replay. An empty run is a no-op.
+        memtable (the run is newer) straight into one table — no
+        skip-list insert per key. The other memtables are flushed first,
+        as :meth:`flush` would: stored checkpoints name tables, so tables
+        are numbered in flush order on either path. An empty run is a
+        no-op.
         """
         family = self._cf(cf)
         run = list(entries)
@@ -223,7 +206,7 @@ class LsmDb:
         self.stats.puts += len(run)
         for other in self._cfs.values():
             if other is not family:
-                self._flush_family(other, finish=False)
+                self._flush_family(other)
         self._flush_family(family, newer=run)
 
     # -- reads ----------------------------------------------------------------
@@ -269,29 +252,20 @@ class LsmDb:
             self._flush_family(family)
 
     def flush(self) -> None:
-        """Flush every memtable to a new run and reset the WAL (nothing to do
-        when every memtable is empty: the WAL is too, and the manifest
-        is current)."""
-        flushed = [
-            self._flush_family(family, finish=False)
-            for family in self._cfs.values()
-        ]
-        if any(flushed):
-            self._finish_flush()
+        """Flush every non-empty memtable to a new run."""
+        for family in self._cfs.values():
+            self._flush_family(family)
 
     def _flush_family(
         self,
         family: _ColumnFamily,
-        finish: bool = True,
         newer: list[tuple[bytes, bytes]] | None = None,
-    ) -> bool:
+    ) -> None:
         """Write the memtable — under ``newer``, a sorted run that wins
-        on equal keys — as the newest run; False when there was nothing to
-        write. A caller flushing several families passes
-        ``finish=False`` and calls :meth:`_finish_flush` once itself."""
+        on equal keys — as the newest run (nothing when both are empty)."""
         if not newer:
             if not len(family.memtable):
-                return False
+                return
             entries = family.memtable.items()
         elif len(family.memtable):
             entries = _merge_entries(
@@ -303,29 +277,11 @@ class LsmDb:
         family.memtable = MemTable(seed=family.cf_id)
         self.stats.flushes += 1
         self._compact(family)
-        if finish:
-            self._finish_flush()
-        return True
-
-    def _finish_flush(self) -> None:
-        """Reset the WAL once no memtable holds a record of it; publish
-        the new table layout."""
-        if self._wal is not None and all(
-            not len(family.memtable) for family in self._cfs.values()
-        ):
-            self._wal.reset()
-        self._write_manifest()
 
     def _write_table(self, family: _ColumnFamily, entries) -> SSTable:
         name = f"sst-{family.name}-{self._next_file:08d}.sst"
         self._next_file += 1
-        return SSTable.write(
-            self.storage,
-            name,
-            entries,
-            index_interval=self.config.index_interval,
-            bloom_fp_rate=self.config.bloom_fp_rate,
-        )
+        return SSTable.write(self.storage, name, entries)
 
     def _compact(self, family: _ColumnFamily) -> None:
         """Merge windows of adjacent, similar-sized runs until none is
@@ -377,13 +333,21 @@ class LsmDb:
             files |= checkpoint.all_files()
         return files
 
+    def _snapshot(self) -> Checkpoint:
+        return Checkpoint(
+            sequence=self._sequence,
+            files={
+                name: [[table.name for table in family.runs]]
+                for name, family in self._cfs.items()
+            },
+        )
+
     def checkpoint(self) -> Checkpoint:
-        """Flush and snapshot the manifest; cheap because files are immutable."""
+        """Flush and snapshot the table list; cheap because files are immutable."""
         self.flush()
         self._sequence += 1
         snapshot = self._snapshot()
         self._live_checkpoints.append(snapshot)
-        self.stats.checkpoint_count += 1
         return snapshot
 
     def release_checkpoint(self, checkpoint: Checkpoint) -> None:
@@ -413,23 +377,20 @@ class LsmDb:
         cls,
         checkpoint: Checkpoint,
         files: dict[str, bytes],
-        storage: StorageBackend | None = None,
         config: LsmConfig | None = None,
     ) -> "LsmDb":
         """Materialize a DB from a checkpoint + transferred file contents."""
-        storage = storage if storage is not None else MemoryStorage()
+        storage = MemoryStorage()
         for name, data in files.items():
-            if not storage.exists(name):
-                storage.create(name)
-                storage.append(name, data)
-                storage.seal(name)
+            storage.create(name)
+            storage.append(name, data)
+            storage.seal(name)
         db = cls(storage=storage, config=config)
         db._restore_from_checkpoint(checkpoint)
         return db
 
     def _restore_from_checkpoint(self, checkpoint: Checkpoint) -> None:
         self._cfs.clear()
-        self._cf_by_id.clear()
         for cf_name in sorted(checkpoint.files):
             self.create_column_family(cf_name)
             self._cfs[cf_name].runs = [
@@ -441,11 +402,9 @@ class LsmDb:
             self.create_column_family("default")
         self._sequence = checkpoint.sequence
         self._next_file = self._max_file_number() + 1
-        self._write_manifest()
 
     def _max_file_number(self) -> int:
-        """Highest table number in storage — the manifest's tables and
-        any orphan a crashed flush wrote but never published."""
+        """Highest table number in storage (every imported table)."""
         best = -1
         for name in self.storage.list():
             if not name.endswith(".sst"):
@@ -457,49 +416,7 @@ class LsmDb:
             best = max(best, number)
         return best
 
-    # -- manifest & recovery ------------------------------------------------------
-
-    def _snapshot(self) -> Checkpoint:
-        return Checkpoint(
-            sequence=self._sequence,
-            files={
-                name: [[table.name for table in family.runs]]
-                for name, family in self._cfs.items()
-            },
-        )
-
-    def _write_manifest(self) -> None:
-        """Publish the table layout atomically: a crash mid-write leaves
-        the previous manifest, never an empty or torn one."""
-        buf = bytearray()
-        serde.write_frame(buf, self._snapshot().to_bytes())
-        self.storage.replace(_MANIFEST, bytes(buf))
-
-    def _recover(self) -> None:
-        try:
-            blob, _ = serde.read_frame(self.storage.read_all(_MANIFEST), 0)
-        except SerdeError as exc:
-            raise StorageError("corrupt manifest") from exc
-        snapshot = Checkpoint.from_bytes(blob)
-        self._restore_from_checkpoint(snapshot)
-        # Replay the WAL into fresh memtables.
-        if self.config.wal_enabled and self.storage.exists(_WAL):
-            self._wal = WriteAheadLog(self.storage, _WAL)
-            for cf_id, kind, key, value in self._wal.replay():
-                family = self._cf_by_id.get(cf_id)
-                if family is None:
-                    continue
-                if WriteAheadLog.kind_is_put(kind):
-                    family.memtable.put(key, value)  # type: ignore[arg-type]
-                else:
-                    family.memtable.delete(key)
-
     # -- introspection -----------------------------------------------------------
-
-    def total_entries_estimate(self, cf: str = "default") -> int:
-        """Upper bound on live entries (duplicates across runs counted)."""
-        family = self._cf(cf)
-        return len(family.memtable) + sum(table.count for table in family.runs)
 
     def run_sizes(self, cf: str = "default") -> list[int]:
         """Entries per run, newest first — what compaction decides on."""

@@ -57,7 +57,7 @@ from repro.server.admission import REJECTED, LatencyBudget
 from repro.server.framing import frame, read_frame, take_frame
 from repro.shard import wire
 
-#: Events per IngestBatch frame (mirrors the router's ingest_max).
+#: Events per IngestBatch frame (mirrors ``repro.shard.cluster.INGEST_MAX``).
 INGEST_CHUNK = 256
 
 

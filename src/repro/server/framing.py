@@ -16,7 +16,7 @@ import struct
 from repro.common.errors import EngineError
 
 #: Upper bound on a single frame's payload (32 MiB — far above any
-#: sane IngestBatch at the default ``ingest_max`` chunking).
+#: sane IngestBatch at the ``INGEST_MAX`` chunking of the shard cluster).
 MAX_FRAME_BYTES = 32 << 20
 
 _LEN = struct.Struct(">I")

@@ -78,6 +78,9 @@ from repro.shard.backfill import BackfillJob
 from repro.shard.supervisor import ShardSupervisor
 from repro.telemetry import MetricsRegistry, StageLaps, merge_snapshots
 
+#: events per ``IngestBatch`` frame: a shipment is cut into runs this long.
+INGEST_MAX = 256
+
 
 @dataclass
 class _PendingFanin:
@@ -101,15 +104,9 @@ class ShardCluster:
         name: str,
         workers: int,
         unit_config: UnitConfig | None,
-        tick_ms: int,
-        batch_max: int,
         checkpoint_every: int | None,
-        assignment_strategy: object | None,
-        mp_context,
         durable_dir: str | None,
         time_source: TimeSource | None,
-        ingest_max: int = 256,
-        frontend_strategy: object | None = None,
     ) -> None:
         self._time = resolve_time_source(time_source)
         #: front-layer registry (``name`` is its process label), shared
@@ -119,17 +116,12 @@ class ShardCluster:
         self._span_seq = 0
         self.clock = ManualClock(start_ms=1)
         self.catalog = Catalog()
-        self.tick_ms = tick_ms
-        self.batch_max = batch_max
-        self.ingest_max = ingest_max
         self.durable_dir = resolve_durable_dir(durable_dir, name)
         self.supervisor = ShardSupervisor(
             workers,
             unit_config=unit_config,
-            strategy=assignment_strategy,
             time_source=self._time,
             checkpoint_interval=checkpoint_every,
-            mp_context=mp_context,
             checkpoint_dir=(
                 os.path.join(self.durable_dir, "checkpoints")
                 if self.durable_dir is not None
@@ -138,11 +130,7 @@ class ShardCluster:
             telemetry=self.metrics,
         )
         self.supervisor.on_restart = self._on_worker_restart
-        self.frontend_strategy = (
-            frontend_strategy
-            if frontend_strategy is not None
-            else StickyAssignmentStrategy(0)
-        )
+        self.frontend_strategy = StickyAssignmentStrategy(0)
         #: frontend id -> link (filled by the facade).
         self._frontends: dict[str, Any] = {}
         #: task -> owning frontend (sticky: once placed, never moved).
@@ -527,10 +515,10 @@ class ShardCluster:
             self.metrics.counter_add(
                 "router_events_routed_total", len(entries), label=frontend_id
             )
-            for start in range(0, len(entries), self.ingest_max):
+            for start in range(0, len(entries), INGEST_MAX):
                 link.send(
                     wire.IngestBatch(
-                        stream, entries[start:start + self.ingest_max], trace
+                        stream, entries[start:start + INGEST_MAX], trace
                     )
                 )
                 # Keep the reply direction drained while flooding the
@@ -582,7 +570,7 @@ class ShardCluster:
         completion, retention) and the frontends' frames in, then police
         the children. The front-door server drives a router with turns,
         awaiting :meth:`_waitables` on its own loop in between."""
-        self.clock.advance(self.tick_ms)
+        self.clock.advance(1)  # one virtual millisecond per round
         handled = self._step_backfills()
         self._truncate_durable_logs()
         handled += self._drain_replies()

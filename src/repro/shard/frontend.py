@@ -56,6 +56,9 @@ CATALOG_OPS = tuple(OP_LAYOUTS)
 #: reply entries per ReplyBatch frame (keeps frames under pipe buffers).
 REPLY_CHUNK = 512
 
+#: records per WorkBatch: the most one dispatch polls from a partition.
+BATCH_MAX = 256
+
 
 def _connect(
     addr: str, deadline_s: float = 0.25, time_source: TimeSource | None = None
@@ -92,7 +95,6 @@ class FrontendEngine:
     def __init__(
         self,
         frontend_id: str,
-        batch_max: int = 256,
         max_outstanding: int = 2,
         durable_dir: str | None = None,
         durable_fsync: str = "batch",
@@ -104,7 +106,6 @@ class FrontendEngine:
     ) -> None:
         self._time = resolve_time_source(time_source)
         self.frontend_id = frontend_id
-        self.batch_max = batch_max
         self.max_outstanding = max_outstanding
         self.catalog = Catalog()
         #: the write-ahead cut's directory (a frontend over its own logs).
@@ -428,7 +429,7 @@ class FrontendEngine:
             conn = self._link(worker_id)
             if conn is None:
                 continue
-            messages = self.view.poll_one(tp, self.batch_max)
+            messages = self.view.poll_one(tp, BATCH_MAX)
             if not messages:
                 continue
             watermark = self.watermarks.get(tp, 0)
@@ -596,7 +597,6 @@ class FrontendEngine:
 def shard_frontend_main(
     conn,
     frontend_id: str,
-    batch_max: int = 256,
     max_outstanding: int = 2,
     durable_dir: str | None = None,
     durable_fsync: str = "batch",
@@ -616,7 +616,7 @@ def shard_frontend_main(
     mirroring the shard worker contract.
     """
     engine = FrontendEngine(
-        frontend_id, batch_max, max_outstanding, durable_dir,
+        frontend_id, max_outstanding, durable_dir,
         durable_fsync=durable_fsync,
         durable_segment_bytes=durable_segment_bytes,
         unit_config=unit_config,

@@ -32,7 +32,6 @@ single-process engine runs — so replies and stats match it exactly.
 
 from __future__ import annotations
 
-import multiprocessing
 import multiprocessing.connection
 import os
 
@@ -62,11 +61,9 @@ class LocalFrontend:
     restarts = 0
 
     def __init__(self, cluster: "ParallelCluster") -> None:
-        self.clock = cluster.clock
         self.owned: set[TopicPartition] = set()
         self.engine = FrontendEngine(
             self.frontend_id,
-            cluster.batch_max,
             time_source=cluster._time,
             unit_config=cluster.supervisor.unit_config,
             bus=cluster.bus,
@@ -76,7 +73,10 @@ class LocalFrontend:
     def send(self, msg: object) -> None:
         self.engine.handle(msg)
         if isinstance(msg, CATALOG_OPS):
-            self.engine.bus.publish(OPERATIONS_TOPIC, None, msg, self.clock.now())
+            # Stamped 0, not with the facade clock: the clock moves once
+            # per pump round, so its reading would depend on process
+            # timing, and a reopen reads only the op itself.
+            self.engine.bus.publish(OPERATIONS_TOPIC, None, msg, 0)
 
     def poll(self) -> list:
         conns = list(self.engine.conns.values())
@@ -116,18 +116,13 @@ class ParallelCluster(ShardCluster):
         self,
         workers: int = 2,
         unit_config: UnitConfig | None = None,
-        tick_ms: int = 1,
-        batch_max: int = 256,
         checkpoint_every: int | None = 2048,
-        assignment_strategy: object | None = None,
-        mp_context: multiprocessing.context.BaseContext | None = None,
         durable_dir: str | None = None,
         durable_fsync: str = "batch",
         time_source: TimeSource | None = None,
     ) -> None:
         super().__init__(
-            "coordinator", workers, unit_config, tick_ms, batch_max,
-            checkpoint_every, assignment_strategy, mp_context, durable_dir,
+            "coordinator", workers, unit_config, checkpoint_every, durable_dir,
             time_source,
         )
         if self.durable_dir is not None:

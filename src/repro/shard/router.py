@@ -26,7 +26,6 @@ past the cut it reported.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 
 from repro.common.errors import EngineError
@@ -78,7 +77,7 @@ class ChildFrontend:
         self.process = router._ctx.Process(
             target=shard_frontend_main,
             args=(
-                child_conn, self.frontend_id, router.batch_max, 2, frontend_dir,
+                child_conn, self.frontend_id, 2, frontend_dir,
                 router.durable_fsync, router.durable_segment_bytes,
                 router.supervisor.unit_config,
             ),
@@ -266,13 +265,7 @@ class ClusterRouter(ShardCluster):
         workers: int = 2,
         frontends: int = 2,
         unit_config: UnitConfig | None = None,
-        tick_ms: int = 1,
-        batch_max: int = 256,
-        ingest_max: int = 256,
         checkpoint_every: int | None = 2048,
-        assignment_strategy: object | None = None,
-        frontend_strategy: object | None = None,
-        mp_context: multiprocessing.context.BaseContext | None = None,
         durable_dir: str | None = None,
         durable_fsync: str = "batch",
         durable_segment_bytes: int = 1 << 20,
@@ -280,12 +273,10 @@ class ClusterRouter(ShardCluster):
     ) -> None:
         if frontends <= 0:
             raise EngineError(f"need at least one frontend: {frontends}")
-        self._ctx = mp_context if mp_context is not None else _default_context()
+        self._ctx = _default_context()
         super().__init__(
-            "router", workers, unit_config, tick_ms, batch_max,
-            checkpoint_every, assignment_strategy, self._ctx, durable_dir,
-            time_source, ingest_max=ingest_max,
-            frontend_strategy=frontend_strategy,
+            "router", workers, unit_config, checkpoint_every, durable_dir,
+            time_source,
         )
         self.durable_fsync = durable_fsync
         self.durable_segment_bytes = durable_segment_bytes

@@ -201,9 +201,7 @@ class ShardSupervisor:
         self,
         workers: int = 2,
         unit_config: UnitConfig | None = None,
-        strategy: object | None = None,
         checkpoint_interval: int | None = None,
-        mp_context: multiprocessing.context.BaseContext | None = None,
         checkpoint_dir: str | None = None,
         time_source: TimeSource | None = None,
         telemetry: MetricsRegistry | None = None,
@@ -220,14 +218,12 @@ class ShardSupervisor:
             if telemetry is not None
             else MetricsRegistry("supervisor", time_source=self._time)
         )
-        self._ctx = mp_context if mp_context is not None else _default_context()
+        self._ctx = _default_context()
         #: directory of the workers' data-socket addresses (removed with
         #: the workers on :meth:`shutdown`).
         self.listen_dir = tempfile.mkdtemp(prefix="railgun-shard-")
         self.unit_config = unit_config if unit_config is not None else UnitConfig()
-        self.strategy = (
-            strategy if strategy is not None else StickyAssignmentStrategy(0)
-        )
+        self.strategy = StickyAssignmentStrategy(0)
         #: records processed between automatic with-state checkpoint
         #: requests; None disables the cadence (explicit requests only).
         self.checkpoint_interval = checkpoint_interval

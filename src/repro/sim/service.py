@@ -30,7 +30,7 @@ class RailgunServiceConfig:
     dispatch_us: float = 70.0
     #: events consumed per poll batch. 1 models the per-event engine
     #: (every event pays the full dispatch); the batched engine polls
-    #: up to ``poll_max_records`` at a time, amortizing ``dispatch_us``
+    #: up to ``POLL_MAX_RECORDS`` at a time, amortizing ``dispatch_us``
     #: across every queued event that rides the same batch.
     poll_batch_events: int = 1
     per_state_key_us: float = 35.0  # one RocksDB get+put per DAG leaf

@@ -23,9 +23,8 @@ serialised only at a **barrier** — before anything reads LSM rows
 ``metric_values``), as one sorted bulk write — or one at a time when
 the bounded set evicts them, so LSM contents stay a function of the
 arrival sequence. State newer than the last checkpoint therefore lives
-only in this process, which is what it always did (the LSM's own WAL
-sits in process memory too): recovery everywhere is checkpoint +
-log-tail replay.
+only in this process, as do the LSM's memtables, and the LSM keeps no
+log of its own: recovery everywhere is checkpoint + log-tail replay.
 
 ``apply``/``peek`` address one leaf; the task plan's per-event program
 addresses a :class:`Cell` — the resident aggregators of every leaf of
@@ -344,7 +343,7 @@ class MetricStateStore:
     # -- checkpoints -----------------------------------------------------------------
 
     def checkpoint(self) -> Checkpoint:
-        """Write back the resident set and snapshot the LSM manifest."""
+        """Write back the resident set and snapshot the LSM table list."""
         self._write_back()
         return self.db.checkpoint()
 

@@ -266,9 +266,15 @@ def test_factory_dispatches_on_execution_and_frontends(topology):
     facade = {"process": ParallelCluster, "process-2f": ClusterRouter}[topology]
     with create_cluster("process", workers=1, **TOPOLOGIES[topology]) as cluster:
         assert isinstance(cluster, facade)
-    # ``transport`` is no keyword of either process topology.
-    with pytest.raises(ValueError, match="'transport'"):
-        create_cluster("process", transport="shm", **TOPOLOGIES[topology])
+    # ``transport`` is no keyword of either process topology, and
+    # neither is a knob that became a constant.
+    for keyword in ("transport", "tick_ms", "batch_max", "mp_context",
+                    "assignment_strategy", "ingest_max", "frontend_strategy"):
+        with pytest.raises(ValueError, match=f"'{keyword}'"):
+            create_cluster("process", **{keyword: None}, **TOPOLOGIES[topology])
+    for keyword in ("tick_ms", "session_timeout_ms"):
+        with pytest.raises(ValueError, match=f"'{keyword}'"):
+            create_cluster("single", **{keyword: 1})
     assert isinstance(create_cluster("single", nodes=1, processor_units=1), RailgunCluster)
     with pytest.raises(EngineError):
         create_cluster("threads")

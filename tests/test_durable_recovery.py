@@ -17,6 +17,7 @@ The acceptance bar for the durable segmented log bus:
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import shutil
 
@@ -243,6 +244,35 @@ class TestGoldenDurableDir:
                 0: {"sum(amount)": 145.0, "count(*)": 48},
                 1: {"count(*)": 41, "max(amount)": 6.0},
             }
+
+    def test_scenario_writes_identical_bytes_twice(self, tmp_path):
+        """The golden scenario's bytes depend on nothing but the build:
+        two runs write the same files, byte for byte (so a format change
+        shows up as a ``diff -r`` between builds and nowhere else)."""
+        spec = importlib.util.spec_from_file_location(
+            "durable_golden",
+            os.path.join(os.path.dirname(__file__), "..", "tools", "durable_golden.py"),
+        )
+        golden = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(golden)
+        runs = [str(tmp_path / name) for name in ("first", "second")]
+        for dest in runs:
+            golden.write(dest)
+
+        def contents(root):
+            files = {}
+            for folder, _dirs, names in os.walk(root):
+                for name in names:
+                    path = os.path.join(folder, name)
+                    with open(path, "rb") as handle:
+                        files[os.path.relpath(path, root)] = handle.read()
+            return files
+
+        first, second = map(contents, runs)
+        assert any(name.startswith("checkpoints") for name in first)
+        assert sorted(first) == sorted(second)
+        for name in first:
+            assert first[name] == second[name], name
 
 
 class TestCheckpointTruncation:

@@ -1,4 +1,4 @@
-"""LSM store tests: memtable, WAL, SSTable, bloom, and the full DB."""
+"""LSM store tests: memtable, SSTable, bloom, and the full DB."""
 
 import math
 
@@ -14,7 +14,7 @@ from hypothesis.stateful import (
 
 from repro.common.errors import StorageError
 from repro.common.storage import MemoryStorage
-from repro.lsm import BloomFilter, LsmConfig, LsmDb, MemTable, SSTable, TOMBSTONE, WriteAheadLog
+from repro.lsm import BloomFilter, LsmConfig, LsmDb, MemTable, SSTable, TOMBSTONE
 from repro.lsm import db as lsm_db
 from repro.lsm.db import Checkpoint
 
@@ -187,53 +187,6 @@ class TestMemTable:
             assert table.get(key) == model[key]
 
 
-class TestWal:
-    def test_replay_returns_appended_records(self):
-        storage = MemoryStorage()
-        wal = WriteAheadLog(storage, "WAL")
-        wal.append_put(0, b"a", b"1")
-        wal.append_delete(1, b"b")
-        wal.append_put(0, b"c", b"3")
-        records = list(wal.replay())
-        assert records == [
-            (0, 0, b"a", b"1"),
-            (1, 1, b"b", None),
-            (0, 0, b"c", b"3"),
-        ]
-
-    def test_torn_tail_is_dropped(self):
-        storage = MemoryStorage()
-        wal = WriteAheadLog(storage, "WAL")
-        wal.append_put(0, b"a", b"1")
-        wal.append_put(0, b"b", b"2")
-        data = storage.read_all("WAL")
-        storage.delete("WAL")
-        storage.create("WAL")
-        storage.append("WAL", data[:-3])  # tear the final record
-        torn = WriteAheadLog(storage, "WAL")
-        records = list(torn.replay())
-        assert records == [(0, 0, b"a", b"1")]
-
-    def test_corrupt_crc_stops_replay(self):
-        storage = MemoryStorage()
-        wal = WriteAheadLog(storage, "WAL")
-        wal.append_put(0, b"a", b"1")
-        data = bytearray(storage.read_all("WAL"))
-        data[-1] ^= 0xFF
-        storage.delete("WAL")
-        storage.create("WAL")
-        storage.append("WAL", bytes(data))
-        assert list(WriteAheadLog(storage, "WAL").replay()) == []
-
-    def test_reset_truncates(self):
-        storage = MemoryStorage()
-        wal = WriteAheadLog(storage, "WAL")
-        wal.append_put(0, b"a", b"1")
-        wal.reset()
-        assert wal.size() == 0
-        assert list(wal.replay()) == []
-
-
 class TestSSTable:
     def _write(self, entries, storage=None):
         storage = storage or MemoryStorage()
@@ -365,54 +318,6 @@ class TestLsmDb:
         with pytest.raises(StorageError):
             LsmDb().get(b"k", cf="nope")
 
-    def test_wal_recovery_after_crash(self):
-        storage = MemoryStorage()
-        db = LsmDb(storage=storage, config=LsmConfig(memtable_flush_bytes=10_000))
-        db.put(b"a", b"1")
-        db.put(b"b", b"2")
-        db.delete(b"a")
-        # "Crash": reopen from the same storage without flushing.
-        recovered = LsmDb(storage=storage)
-        assert recovered.get(b"a") is None
-        assert recovered.get(b"b") == b"2"
-
-    def test_interrupted_manifest_write_keeps_the_previous_manifest(self):
-        class CrashingStorage(MemoryStorage):
-            """Raises on the next write to the MANIFEST once armed."""
-
-            armed = False
-
-            def _write(self, name):
-                if self.armed and name == "MANIFEST":
-                    self.armed = False
-                    raise OSError("crash while writing the manifest")
-
-            def append(self, name, data):
-                self._write(name)
-                return super().append(name, data)
-
-            def replace(self, name, data):
-                self._write(name)
-                return super().replace(name, data)
-
-        storage = CrashingStorage()
-        db = LsmDb(storage=storage, config=LsmConfig(memtable_flush_bytes=64))
-        db.put(b"flushed", b"1")
-        db.flush()
-        storage.armed = True
-        with pytest.raises(OSError):
-            for i in range(10):  # fills the memtable: flush, then crash
-                db.put(b"big-%d" % i, b"x" * 16)
-        db.put(b"logged", b"2")  # lands in the WAL after the crash
-        reopened = LsmDb(storage=storage)
-        # The tables of the last good manifest, plus the WAL replay.
-        assert dict(reopened.scan()) == {b"flushed": b"1", b"logged": b"2"}
-        # The table the crashed flush wrote is an orphan; the reopened
-        # store must not collide with it on its own next flush.
-        reopened.put(b"after", b"3")
-        reopened.flush()
-        assert LsmDb(storage=storage).get(b"after") == b"3"
-
     def test_ingest_sorted_equals_puts_then_flush(self):
         run = [(f"k{i:03d}".encode(), f"new{i}".encode()) for i in range(0, 60, 2)]
         dbs = [LsmDb(config=LsmConfig(l0_compaction_threshold=3)) for _ in range(2)]
@@ -436,15 +341,6 @@ class TestLsmDb:
         assert bulk.stats.flushes == one_by_one.stats.flushes
         assert bulk.get(b"side", cf="aux") == b"effect"
         assert bulk.run_sizes("aux") == [1]  # every memtable went with it
-
-    def test_ingest_sorted_is_not_shadowed_by_wal_replay(self):
-        storage = MemoryStorage()
-        db = LsmDb(storage=storage)
-        db.put(b"a", b"stale")  # in the WAL and the memtable
-        db.ingest_sorted([(b"a", b"fresh"), (b"b", b"2")])
-        db.put(b"c", b"3")
-        recovered = LsmDb(storage=storage)  # "crash": replay the WAL
-        assert dict(recovered.scan()) == {b"a": b"fresh", b"b": b"2", b"c": b"3"}
 
     def test_ingest_sorted_rejects_unsorted_runs(self):
         with pytest.raises(StorageError):
@@ -565,7 +461,6 @@ class TestLsmDb:
         db.flush()
         assert db.run_sizes() == [] and db.stats.compactions == 1
         assert [name for name in db.storage.list() if name.endswith(".sst")] == []
-        assert LsmDb(storage=db.storage).get(b"a") is None  # the manifest agrees
 
     def test_leveled_checkpoint_restores_newest_first(self):
         # The layout checkpoints had while runs were grouped into levels:
