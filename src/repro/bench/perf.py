@@ -1,7 +1,9 @@
 """Micro-benchmark harness for the ingestion hot path.
 
 Times the per-event vs batched variants of the reservoir append loop,
-the aggregate inner loops, the state store (``state_apply_resident`` vs
+the reservoir chunk codec (``reservoir_chunk_codec_{narrow,wide}``:
+serialize + deserialize of 512-event chunks), the aggregate inner
+loops, the state store (``state_apply_resident`` vs
 ``state_apply_evicting``, ``state_checkpoint_writeback``,
 ``state_checkpoint_steady_{4k,32k}``), the
 task-processor ingestion path and the frontend fan-out, the worker-link
@@ -72,14 +74,16 @@ from typing import Callable, Sequence
 
 from repro.aggregates.basic import AvgAggregator, CountAggregator, SumAggregator
 from repro.aggregates.minmax import MaxAggregator, MinAggregator
+from repro.common.compression import codec_by_name
 from repro.engine.catalog import MetricDef, StreamDef
 from repro.engine.cluster import RailgunCluster
 from repro.engine.task import TaskProcessor
 from repro.events.event import Event
-from repro.events.generators import FraudWorkload
+from repro.events.generators import FraudWorkload, fraud_schema
 from repro.events.schema import FieldType, Schema, SchemaField, SchemaRegistry
 from repro.lsm.db import Checkpoint
 from repro.messaging.log import TopicPartition
+from repro.reservoir.chunk import Chunk
 from repro.reservoir.reservoir import EventReservoir, ReservoirConfig
 from repro.shard import columnar, wire
 from repro.shard.parallel import ParallelCluster
@@ -217,6 +221,35 @@ def bench_reservoir_append_ties_batch(
     ties = _tie_events(len(events))
     reservoir = EventReservoir(_registry(), config=_reservoir_config())
     return _measure_slices(_slices(ties, batch_size), reservoir.append_batch)
+
+
+# -- reservoir chunk codec ----------------------------------------------------
+
+
+def _bench_chunk_codec(registry: SchemaRegistry, events: list[Event]) -> dict[str, float]:
+    """Serialize + deserialize per 512-event chunk: what sealing a chunk
+    and loading it back costs, with the reservoir's default codec."""
+    schema = registry.current()
+    config = ReservoirConfig()
+    codec = codec_by_name(config.codec)
+
+    def run_slice(slab: list[Event]) -> None:
+        chunk = Chunk(0, schema.schema_id)
+        chunk.events = slab
+        Chunk.deserialize(chunk.serialize(schema, codec), registry.get)
+
+    return _measure_slices(_slices(events, config.chunk_max_events), run_slice)
+
+
+def bench_reservoir_chunk_codec_narrow(events: list[Event], batch_size: int) -> dict[str, float]:
+    return _bench_chunk_codec(_registry(), events)
+
+
+def bench_reservoir_chunk_codec_wide(events: list[Event], batch_size: int) -> dict[str, float]:
+    """32-field events, the shape ``bench/``'s ``shard_wide`` stores."""
+    registry = SchemaRegistry()
+    registry.register(fraud_schema(32))
+    return _bench_chunk_codec(registry, FraudWorkload(total_fields=32).take(len(events)))
 
 
 # -- aggregate inner loops ----------------------------------------------------
@@ -949,6 +982,8 @@ BENCHES: dict[str, Callable[[list[Event], int], dict[str, float]]] = {
     "reservoir_append_batch": bench_reservoir_append_batch,
     "reservoir_append_ties_per_event": bench_reservoir_append_ties_per_event,
     "reservoir_append_ties_batch": bench_reservoir_append_ties_batch,
+    "reservoir_chunk_codec_narrow": bench_reservoir_chunk_codec_narrow,
+    "reservoir_chunk_codec_wide": bench_reservoir_chunk_codec_wide,
     "aggregate_update_per_event": bench_aggregate_update_per_event,
     "aggregate_update_batch": bench_aggregate_update_batch,
     "state_apply_resident": bench_state_apply_resident,

@@ -58,7 +58,7 @@ def read_varint(data: bytes | memoryview, offset: int) -> tuple[int, int]:
 
 def zigzag_encode(value: int) -> int:
     """Map a signed int to an unsigned one with small absolute values small."""
-    return (value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1
+    return value << 1 if value >= 0 else ((-value) << 1) - 1
 
 
 def zigzag_decode(value: int) -> int:

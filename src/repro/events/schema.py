@@ -163,15 +163,10 @@ class Schema:
         for event in events:
             self.validate_event(event)
 
-    def encode_event(self, event: Event, buf: bytearray) -> None:
-        """Append a positional binary encoding of ``event`` to ``buf``."""
-        serde.write_str(buf, event.event_id)
-        serde.write_varint(buf, event.timestamp)
-        for field in self.fields:
-            serde.write_value(buf, event.get(field.name))
-
     def decode_event(self, data: bytes | memoryview, offset: int) -> tuple[Event, int]:
-        """Decode one event; returns ``(event, new_offset)``."""
+        """Decode one event of a row-format chunk; returns
+        ``(event, new_offset)``. Only chunks written before the columnar
+        format (:mod:`repro.reservoir.chunk`) hold rows."""
         event_id, offset = serde.read_str(data, offset)
         timestamp, offset = serde.read_varint(data, offset)
         fields: dict[str, Any] = {}

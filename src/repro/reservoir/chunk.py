@@ -5,18 +5,58 @@ fixed size, after which they are closed, serialized, compressed, and
 persisted to disk" (§4.1.1). A chunk may pass through a *transition*
 state — closed for recent events but still open for late ones — when the
 reservoir is configured with an out-of-order grace period.
+
+A chunk is stored one column at a time, with the column codec of
+:mod:`repro.events.columns` (the one the worker links use)::
+
+    u8 0x40 | u8 codec id | compressed(
+        varint chunk_id | varint schema_id | varint count | varint first_ts |
+        event-id string column |
+        timestamp steps: a value column of each timestamp minus the one
+            before it (the first minus 0) — i64, and small numbers that
+            compress well since a chunk is in timestamp order |
+        one value column per schema field, in schema order)
+
+An event without a field, or with it set to None, stores None in that
+field's column; decoding drops None-valued fields again, so a chunk
+reads back as the row format below did.
+
+Chunks written before the columnar format are *row* payloads, read
+through :meth:`Schema.decode_event` and never written any more::
+
+    u8 codec id (0-9) | compressed(
+        varint chunk_id | varint schema_id | varint count | varint first_ts |
+        count x (str event_id | varint timestamp |
+                 one tagged serde value per schema field))
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
+import operator
+import struct
+from itertools import accumulate
 
 from repro.common import serde
 from repro.common.compression import Codec, compress_with_header, decompress_with_header
 from repro.common.errors import SerdeError
+from repro.events.columns import (
+    COL_TAGGED,
+    events_from_columns,
+    read_str_column,
+    read_value_column,
+    write_str_column,
+    write_value_column,
+)
 from repro.events.event import Event
 from repro.events.schema import Schema
+
+#: first byte of a columnar payload; a row-format payload starts with its
+#: codec id (0-9), so the two never collide
+_COLUMNAR_TAG = b"\x40"
+
+_timestamp = operator.attrgetter("timestamp")
 
 
 class ChunkState(enum.Enum):
@@ -79,7 +119,7 @@ class Chunk:
             position = len(self.events) - 1
         else:
             position = bisect.bisect_right(
-                [e.timestamp for e in self.events], event.timestamp
+                self.events, event.timestamp, key=_timestamp
             )
             self.events.insert(position, event)
         self._approx_bytes += 32 + 8 * event.field_count()
@@ -114,48 +154,57 @@ class Chunk:
     # -- serialization --------------------------------------------------------
 
     def serialize(self, schema: Schema, codec: Codec) -> bytes:
-        """Encode and compress the chunk for persistence.
-
-        Wire format (pre-compression)::
-
-            varint chunk_id | varint schema_id | varint count |
-            varint first_ts | count x event
-
-        The compressed payload is prefixed with the codec wire id.
-        """
+        """Encode and compress the chunk for persistence (columnar format,
+        see the module docstring)."""
         if schema.schema_id != self.schema_id:
             raise SerdeError(
                 f"chunk {self.chunk_id} encoded with schema {self.schema_id}, "
                 f"got schema {schema.schema_id}"
             )
+        events = self.events
+        names = schema.field_names()
         buf = bytearray()
         serde.write_varint(buf, self.chunk_id)
         serde.write_varint(buf, self.schema_id)
-        serde.write_varint(buf, len(self.events))
-        serde.write_varint(buf, self.events[0].timestamp if self.events else 0)
-        for event in self.events:
-            schema.encode_event(event, buf)
-        return compress_with_header(codec, bytes(buf))
+        serde.write_varint(buf, len(events))
+        serde.write_varint(buf, events[0].timestamp if events else 0)
+        write_str_column(buf, [event.event_id for event in events])
+        stamps = [event.timestamp for event in events]
+        write_value_column(buf, list(map(operator.sub, stamps, [0, *stamps[:-1]])))
+        rows = [event._fields for event in events]
+        if not rows:
+            columns = [()] * len(names)
+        elif set(map(tuple, rows)) == {tuple(names)}:
+            # every event carries exactly the schema's fields, in order
+            columns = zip(*map(tuple, map(dict.values, rows)))
+        else:
+            columns = zip(*[tuple(map(fields.get, names)) for fields in rows])
+        for column in columns:
+            write_value_column(buf, column)
+        return _COLUMNAR_TAG + compress_with_header(codec, bytes(buf))
 
     @staticmethod
     def deserialize(payload: bytes, schema_lookup) -> "Chunk":
-        """Inverse of :meth:`serialize`.
+        """Inverse of :meth:`serialize`; also reads row-format payloads.
 
         ``schema_lookup`` maps a schema id to a :class:`Schema` — the
         schema-registry hook that makes old chunks readable after the
-        event schema evolves.
+        event schema evolves. Fields stored as None come back absent.
         """
-        raw = decompress_with_header(payload)
-        offset = 0
-        chunk_id, offset = serde.read_varint(raw, offset)
+        columnar = payload[:1] == _COLUMNAR_TAG
+        raw = decompress_with_header(payload[1:] if columnar else payload)
+        chunk_id, offset = serde.read_varint(raw, 0)
         schema_id, offset = serde.read_varint(raw, offset)
         count, offset = serde.read_varint(raw, offset)
         _first_ts, offset = serde.read_varint(raw, offset)
         schema = schema_lookup(schema_id)
         chunk = Chunk(chunk_id, schema_id)
-        for _ in range(count):
-            event, offset = schema.decode_event(raw, offset)
-            chunk.events.append(event)
+        if columnar:
+            chunk.events = _read_columns(raw, offset, count, schema.field_names())
+        else:
+            for _ in range(count):
+                event, offset = schema.decode_event(raw, offset)
+                chunk.events.append(event)
         chunk.mark_closed()
         return chunk
 
@@ -165,3 +214,26 @@ class Chunk:
             f"Chunk(id={self.chunk_id}, state={self.state.value}, "
             f"n={len(self.events)}, ts={span})"
         )
+
+
+def _read_columns(raw, offset: int, count: int, names: list[str]) -> list[Event]:
+    """The events of a columnar chunk body, None-valued fields dropped."""
+    try:
+        ids, offset = read_str_column(raw, offset, count)
+        steps, offset = read_value_column(raw, offset, count)
+        columns = []
+        nullable = []
+        for name in names:
+            tagged = raw[offset] == COL_TAGGED
+            column, offset = read_value_column(raw, offset, count)
+            columns.append(column)
+            if tagged and None in column:
+                nullable.append((name, column))
+    except (struct.error, IndexError, UnicodeDecodeError) as exc:
+        raise SerdeError(f"corrupt columnar chunk: {exc}") from exc
+    events = events_from_columns(ids, accumulate(steps), names, columns)
+    for name, column in nullable:
+        for event, value in zip(events, column):
+            if value is None:
+                del event._fields[name]
+    return events

@@ -23,10 +23,11 @@ Frame layout (``WORK_BATCH_COLUMNAR``)::
       field names | varint group_count | [group row indexes u32 x n]
       one value column per field
 
-A value column is ``u8 kind`` + packed payload: ``i64`` / ``f64`` /
-``str`` fast paths (exact round-trip, one ``struct`` call), with a
-``tagged`` fallback (the wire codec's per-value encoding) for columns
-mixing types, ``None``, bools, bytes or out-of-range ints. Anything the
+Value and string columns are :mod:`repro.events.columns`'s, the codec
+reservoir chunks use too: ``i64`` / ``f64`` / ``str`` fast paths
+(exact round-trip, one ``struct`` call), with a ``tagged`` fallback
+(the wire codec's per-value encoding) for columns mixing types,
+``None``, bools, bytes or out-of-range ints. Anything the
 columnar form cannot represent at all falls back to the standard wire
 frame for the *whole message* — :func:`decode` dispatches on the tag
 byte, so both forms (and every control frame) coexist on one link and
@@ -43,90 +44,23 @@ from __future__ import annotations
 import struct
 
 from repro.common import serde
+from repro.events.columns import (
+    I64_MAX,
+    I64_MIN,
+    events_from_columns,
+    read_str_column,
+    read_value_column,
+    write_str_column,
+    write_value_column,
+)
 from repro.events.event import Event
 from repro.shard import wire
 
 MSG_WORK_BATCH_COLUMNAR = 29
 MSG_BATCH_DONE_COLUMNAR = 30
 
-COL_TAGGED = 0
-COL_I64 = 1
-COL_F64 = 2
-COL_STR = 3
 
-_I64_MIN = -(2**63)
-_I64_MAX = 2**63 - 1
-
-
-# -- columns ------------------------------------------------------------------
-
-
-def _write_str_column(buf: bytearray, values) -> None:
-    encoded = [v.encode("utf-8") for v in values]
-    blob = b"".join(encoded)
-    serde.write_varint(buf, len(blob))
-    buf += blob
-    buf += struct.pack(f"<{len(encoded)}I", *map(len, encoded))
-
-
-def _read_str_column(data, offset: int, count: int):
-    total, offset = serde.read_varint(data, offset)
-    blob = bytes(data[offset : offset + total])
-    offset += total
-    lengths = struct.unpack_from(f"<{count}I", data, offset)
-    offset += 4 * count
-    text = blob.decode("utf-8")
-    out = []
-    pos = 0
-    if len(text) == total:  # pure ASCII: byte lengths are char lengths
-        for length in lengths:
-            out.append(text[pos : pos + length])
-            pos += length
-    else:
-        for length in lengths:
-            out.append(blob[pos : pos + length].decode("utf-8"))
-            pos += length
-    return out, offset
-
-
-def _write_value_column(buf: bytearray, values) -> None:
-    kinds = set(map(type, values))  # type(), not isinstance: bool is not int here
-    if kinds == {int}:
-        if min(values) >= _I64_MIN and max(values) <= _I64_MAX:
-            buf.append(COL_I64)
-            buf += struct.pack(f"<{len(values)}q", *values)
-            return
-    elif kinds == {float}:
-        buf.append(COL_F64)
-        buf += struct.pack(f"<{len(values)}d", *values)
-        return
-    elif kinds == {str}:
-        buf.append(COL_STR)
-        _write_str_column(buf, values)
-        return
-    buf.append(COL_TAGGED)
-    for value in values:
-        serde.write_value(buf, value)
-
-
-def _read_value_column(data, offset: int, count: int):
-    kind = data[offset]
-    offset += 1
-    if kind == COL_I64:
-        values = struct.unpack_from(f"<{count}q", data, offset)
-        return values, offset + 8 * count
-    if kind == COL_F64:
-        values = struct.unpack_from(f"<{count}d", data, offset)
-        return values, offset + 8 * count
-    if kind == COL_STR:
-        return _read_str_column(data, offset, count)
-    if kind == COL_TAGGED:
-        values = []
-        for _ in range(count):
-            value, offset = serde.read_value(data, offset)
-            values.append(value)
-        return values, offset
-    raise serde.SerdeError(f"unknown column kind: {kind}")
+# -- offsets ------------------------------------------------------------------
 
 
 def _write_offsets(buf: bytearray, offsets, count: int) -> bool:
@@ -140,7 +74,7 @@ def _write_offsets(buf: bytearray, offsets, count: int) -> bool:
         buf.append(1)
         serde.write_varint(buf, first)
         return True
-    if min(offsets) < _I64_MIN or max(offsets) > _I64_MAX:
+    if min(offsets) < I64_MIN or max(offsets) > I64_MAX:
         return False
     buf.append(0)
     buf += struct.pack(f"<{count}q", *offsets)
@@ -177,7 +111,7 @@ def _encode_work_batch(msg: wire.WorkBatch) -> bytes:
         buf += struct.pack(f"<{count}q", *[ev.timestamp for ev in events])
     except struct.error:
         return wire.encode(msg)
-    _write_str_column(buf, [ev.event_id for ev in events])
+    write_str_column(buf, [ev.event_id for ev in events])
     shapes: dict[tuple, list[int]] = {}
     for index, ev in enumerate(events):
         shapes.setdefault(tuple(ev._fields), []).append(index)
@@ -195,7 +129,7 @@ def _encode_work_batch(msg: wire.WorkBatch) -> bytes:
         else:
             matrix = [tuple(events[i]._fields.values()) for i in rows]
         for column in zip(*matrix):
-            _write_value_column(buf, column)
+            write_value_column(buf, column)
     wire.TELEMETRY_TAIL.write(buf, (msg.trace,))
     return bytes(buf)
 
@@ -208,36 +142,27 @@ def _decode_work_batch(data) -> wire.WorkBatch:
     offsets, offset = _read_offsets(data, offset, count)
     timestamps = struct.unpack_from(f"<{count}q", data, offset)
     offset += 8 * count
-    ids, offset = _read_str_column(data, offset, count)
+    ids, offset = read_str_column(data, offset, count)
     n_shapes, offset = serde.read_varint(data, offset)
     events: list[Event] = [None] * count  # type: ignore[list-item]
-    blank = Event.__new__
     for _ in range(n_shapes):
         names, offset = serde.read_str_list(data, offset)
         group_count, offset = serde.read_varint(data, offset)
-        if n_shapes == 1:
-            rows = range(count)
-        else:
+        if n_shapes > 1:
             rows = struct.unpack_from(f"<{group_count}I", data, offset)
             offset += 4 * group_count
-        if names:
-            columns = []
-            for _ in names:
-                column, offset = _read_value_column(data, offset, group_count)
-                columns.append(column)
-            for i, values in zip(rows, zip(*columns)):
-                ev = blank(Event)
-                ev.event_id = ids[i]
-                ev.timestamp = timestamps[i]
-                ev._fields = dict(zip(names, values))
-                events[i] = ev
-        else:
-            for i in rows:
-                ev = blank(Event)
-                ev.event_id = ids[i]
-                ev.timestamp = timestamps[i]
-                ev._fields = {}
-                events[i] = ev
+        columns = []
+        for _ in names:
+            column, offset = read_value_column(data, offset, group_count)
+            columns.append(column)
+        if n_shapes == 1:
+            events = events_from_columns(ids, timestamps, names, columns)
+            continue
+        group = events_from_columns(
+            [ids[i] for i in rows], [timestamps[i] for i in rows], names, columns
+        )
+        for i, event in zip(rows, group):
+            events[i] = event
     (trace, _), offset = wire.TELEMETRY_TAIL.read(data, offset)
     return wire.WorkBatch(tp, reply_from, list(zip(offsets, events)), trace)
 
@@ -288,7 +213,7 @@ def _encode_batch_done(msg: wire.BatchDone) -> bytes:
         group_results = [replies[i][1] for i in rows]
         for metric_id, columns in key:
             for column in columns:
-                _write_value_column(
+                write_value_column(
                     buf, [results[metric_id][column] for results in group_results]
                 )
     wire.TELEMETRY_TAIL.write(buf, (msg.trace, msg.stats))
@@ -328,7 +253,7 @@ def _decode_batch_done(data) -> wire.BatchDone:
         for metric_id, columns in shape:
             matrix = []
             for _ in columns:
-                column, offset = _read_value_column(data, offset, group_count)
+                column, offset = read_value_column(data, offset, group_count)
                 matrix.append(column)
             value_rows = (
                 list(zip(*matrix)) if columns else [()] * group_count

@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.common.compression import codec_by_name
 from repro.common.errors import SchemaError
 from repro.events import Event, FieldType, Schema, SchemaField, SchemaRegistry
+from repro.reservoir import Chunk
 
 
 def _schema(*fields):
@@ -17,6 +19,18 @@ PAYMENTS = _schema(
     ("count", FieldType.INT),
     ("flag", FieldType.BOOL),
 )
+
+
+def _chunk_roundtrip(events):
+    """Events through the reservoir's chunk codec, the one place events
+    are encoded positionally against a schema."""
+    registry = SchemaRegistry()
+    schema = registry.register(PAYMENTS)
+    chunk = Chunk(0, schema.schema_id)
+    for event in events:
+        chunk.append(event)
+    payload = chunk.serialize(schema, codec_by_name("zlib:6"))
+    return Chunk.deserialize(payload, registry.get).events
 
 
 class TestEvent:
@@ -157,17 +171,11 @@ class TestSchema:
 
     def test_encode_decode_roundtrip(self):
         event = Event("e9", 123, {"cardId": "c1", "amount": 9.5, "flag": True})
-        buf = bytearray()
-        PAYMENTS.encode_event(event, buf)
-        decoded, offset = PAYMENTS.decode_event(bytes(buf), 0)
-        assert decoded == event
-        assert offset == len(buf)
+        assert _chunk_roundtrip([event]) == [event]
 
     def test_absent_fields_stay_absent(self):
         event = Event("e9", 1, {"cardId": "c1"})
-        buf = bytearray()
-        PAYMENTS.encode_event(event, buf)
-        decoded, _ = PAYMENTS.decode_event(bytes(buf), 0)
+        (decoded,) = _chunk_roundtrip([event])
         assert "amount" not in decoded
 
     @given(
@@ -177,10 +185,7 @@ class TestSchema:
     )
     def test_roundtrip_property(self, card, timestamp, amount):
         event = Event("id", timestamp, {"cardId": card, "amount": amount})
-        buf = bytearray()
-        PAYMENTS.encode_event(event, buf)
-        decoded, _ = PAYMENTS.decode_event(bytes(buf), 0)
-        assert decoded == event
+        assert _chunk_roundtrip([event]) == [event]
 
     def test_schema_serde_roundtrip(self):
         restored = Schema.from_bytes(PAYMENTS.to_bytes())

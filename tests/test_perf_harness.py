@@ -59,6 +59,7 @@ class TestRunBenches:
         assert set(results) == {
             "reservoir_append_per_event", "reservoir_append_batch",
             "reservoir_append_ties_per_event", "reservoir_append_ties_batch",
+            "reservoir_chunk_codec_narrow", "reservoir_chunk_codec_wide",
         }
 
     def test_engine_benches_are_registered(self):

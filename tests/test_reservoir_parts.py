@@ -1,11 +1,17 @@
 """Chunk, index and cache unit tests (reservoir building blocks)."""
 
+import json
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.compression import codec_by_name
 from repro.common.errors import SerdeError
-from repro.events import Event, FieldType, Schema, SchemaField
+from repro.common.storage import MemoryStorage
+from repro.events import Event, FieldType, Schema, SchemaField, SchemaRegistry
 from repro.reservoir import Chunk, ChunkCache, ChunkMeta, ChunkState, ReservoirIndex
+from repro.reservoir.reservoir import EventReservoir, ReservoirConfig
 
 SCHEMA = Schema(
     [SchemaField("v", FieldType.INT), SchemaField("s", FieldType.STRING)],
@@ -81,6 +87,158 @@ class TestChunk:
         compressed = chunk.serialize(SCHEMA, codec_by_name("zlib:6"))
         raw = chunk.serialize(SCHEMA, codec_by_name("none"))
         assert len(compressed) < len(raw) / 2
+
+
+def _canonical(events):
+    """Events as comparable data: each value as (exact type, repr), so
+    NaN equals NaN and -0.0 differs from 0.0."""
+    return [
+        (e.event_id, e.timestamp, {k: (type(v), repr(v)) for k, v in e.items()})
+        for e in events
+    ]
+
+
+def _without_none(event):
+    return Event(
+        event.event_id,
+        event.timestamp,
+        {k: v for k, v in event.items() if v is not None},
+    )
+
+
+CODEC_FIELDS = [
+    SchemaField("s", FieldType.STRING),
+    SchemaField("i", FieldType.INT),
+    SchemaField("f", FieldType.FLOAT),
+    SchemaField("b", FieldType.BOOL),
+]
+
+_FIELD_VALUES = {
+    "s": st.none() | st.text(max_size=6),  # empty and non-ASCII included
+    "i": st.none()
+    | st.integers(min_value=-(2**63), max_value=2**63 - 1)
+    # beyond i64 either way, up to what a tagged serde int holds
+    | st.integers(min_value=2**63, max_value=2**75)
+    | st.integers(min_value=-(2**75), max_value=-(2**63) - 1)
+    | st.booleans(),  # a bool in an int field
+    "f": st.none()
+    | st.floats()  # NaN and ±inf included
+    | st.sampled_from([-0.0, float("nan")])
+    | st.integers(min_value=-(2**53), max_value=2**53),  # an int in a float field
+    "b": st.none() | st.booleans(),
+}
+
+
+@st.composite
+def _codec_chunks(draw):
+    """Chunks of 0, 1, 512 or a few events: rows cycle through a small
+    drawn pool (fields may be absent, None or any value above, in any
+    order), timestamps rise in runs of ties."""
+    count = draw(st.sampled_from([0, 1, 512]) | st.integers(2, 40))
+    pool = draw(
+        st.lists(
+            st.fixed_dictionaries({}, optional=_FIELD_VALUES).flatmap(
+                lambda row: st.permutations(list(row.items())).map(dict)
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    ids = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4))
+    start = draw(st.integers(0, 2**50))
+    ties = draw(st.integers(1, 8))
+    return [
+        Event(f"{ids[i % len(ids)]}{i}", start + i // ties, pool[i % len(pool)])
+        for i in range(count)
+    ]
+
+
+class TestChunkCodec:
+    @settings(max_examples=60, deadline=None)
+    @given(_codec_chunks(), st.sampled_from(["zlib:6", "none"]))
+    def test_roundtrip_drops_none_fields(self, events, codec):
+        registry = SchemaRegistry()
+        schema = registry.register(Schema(CODEC_FIELDS))
+        # The registry evolves after the chunk's schema: the chunk must
+        # still decode through the schema id it references.
+        registry.register(Schema(CODEC_FIELDS + [SchemaField("x", FieldType.STRING)]))
+        chunk = Chunk(3, schema.schema_id)
+        for event in events:
+            chunk.append(event)
+        payload = chunk.serialize(schema, codec_by_name(codec))
+        restored = Chunk.deserialize(payload, registry.get)
+        assert restored.chunk_id == 3
+        assert restored.schema_id == schema.schema_id
+        assert restored.state is ChunkState.CLOSED
+        assert _canonical(restored.events) == _canonical(
+            [_without_none(e) for e in events]
+        )
+        # decoded fields keep schema order, as the row format's did
+        for event in restored.events:
+            assert list(event) == [
+                f.name for f in CODEC_FIELDS if f.name in event
+            ]
+
+    def test_payload_never_starts_with_a_codec_id(self):
+        chunk = Chunk(0, 0)
+        chunk.append(_event(1))
+        for name in ("none", "zlib:1", "zlib:9"):
+            assert chunk.serialize(SCHEMA, codec_by_name(name))[0] > 9
+
+    def test_corrupt_columns_raise_serde_error(self):
+        chunk = Chunk(0, 0)
+        for i in range(4):
+            chunk.append(_event(i))
+        payload = chunk.serialize(SCHEMA, codec_by_name("none"))
+        with pytest.raises(SerdeError):
+            Chunk.deserialize(payload[:-3], lambda sid: SCHEMA)
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "chunk_golden.json").read_text()
+)
+
+
+def _golden_events(rows):
+    return [Event(event_id, ts, fields) for event_id, ts, fields in rows]
+
+
+class TestRowFormatChunks:
+    """Chunks written by the row-format codec, checked in at
+    ``tests/data/chunk_golden.json``, still read to the same events."""
+
+    def test_row_payload_decodes(self):
+        golden = GOLDEN["chunk"]
+        registry = SchemaRegistry.from_bytes(bytes.fromhex(golden["registry"]))
+        payload = bytes.fromhex(golden["payload"])
+        assert payload[0] <= 9  # a codec id: the row format
+        chunk = Chunk.deserialize(payload, registry.get)
+        assert chunk.chunk_id == 5
+        assert chunk.state is ChunkState.CLOSED
+        assert _canonical(chunk.events) == _canonical(_golden_events(golden["events"]))
+
+    def test_checkpoint_with_open_chunk_restores(self):
+        golden = GOLDEN["checkpoint"]
+        storage = MemoryStorage()
+        for name, data in golden["files"].items():
+            storage.create(name)
+            storage.append(name, bytes.fromhex(data))
+        metadata = bytes.fromhex(golden["metadata"])
+        config = ReservoirConfig(**golden["reservoir"])
+        reservoir = EventReservoir.restore(metadata, storage, config)
+        in_memory = list(reservoir._transitions) + [reservoir._open]
+        assert [
+            (c.chunk_id, c.state.value, _canonical(c.events)) for c in in_memory
+        ] == [
+            (c["chunk_id"], c["state"], _canonical(_golden_events(c["events"])))
+            for c in golden["in_memory"]
+        ]
+        expected = _canonical(_golden_events(golden["events"]))
+        assert _canonical(reservoir.read_range(-1, reservoir.max_seen_ts)) == expected
+        # Checkpointing again writes the in-memory chunks columnar; the
+        # mix of row-format segment files and columnar chunks restores.
+        again = EventReservoir.restore(reservoir.checkpoint_metadata(), storage, config)
+        assert _canonical(again.read_range(-1, again.max_seen_ts)) == expected
 
 
 class TestReservoirIndex:

@@ -59,6 +59,14 @@ class TestSignedVarint:
     def test_zigzag_inverse(self, value):
         assert serde.zigzag_decode(serde.zigzag_encode(value)) == value
 
+    @given(st.integers(min_value=-(2**75), max_value=2**75))
+    def test_roundtrip_beyond_i64(self, value):
+        """Python ints are unbounded: a tagged int past the i64 range
+        (up to what ``read_varint`` accepts) reads back unchanged."""
+        buf = bytearray()
+        serde.write_value(buf, value)
+        assert serde.read_value(bytes(buf), 0) == (value, len(buf))
+
 
 class TestBytesAndStrings:
     @given(st.binary(max_size=200))
