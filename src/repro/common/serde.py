@@ -167,6 +167,12 @@ def read_u64(data: bytes | memoryview, offset: int) -> tuple[int, int]:
 # pin field types but nullable fields and the generic state store need a
 # self-describing encoding.
 
+#: The ints :func:`read_value` reads back: :func:`read_varint` stops at
+#: 11 bytes (77 bits), and the zig-zag map spends one of them on the
+#: sign. :func:`write_value` writes larger ones that no reader takes.
+VALUE_INT_MIN = -(2**76)
+VALUE_INT_MAX = 2**76 - 1
+
 _TAG_NONE = 0
 _TAG_BOOL_FALSE = 1
 _TAG_BOOL_TRUE = 2

@@ -39,16 +39,34 @@ def _check_bool(value: Any) -> bool:
     return isinstance(value, bool)
 
 
-def _check_int(value: Any) -> bool:
+def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_int(value: Any) -> bool:
+    return _is_int(value) and _INT_MIN <= value <= _INT_MAX
+
+
 def _check_float(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, float) or _check_int(value)
 
 
 def _check_str(value: Any) -> bool:
     return isinstance(value, str)
+
+
+#: An int field holds what a chunk, a checkpoint or a wire frame can
+#: read back (:data:`repro.common.serde.VALUE_INT_MIN` .. ``MAX``).
+_INT_MIN = serde.VALUE_INT_MIN
+_INT_MAX = serde.VALUE_INT_MAX
+
+
+def _ints_in_range(column: list, kinds: set) -> bool:
+    """True when the ints of a column (its exact value types ``kinds``)
+    all lie within the range an int field holds."""
+    if kinds != {int}:
+        column = [value for value in column if type(value) is int]
+    return _INT_MIN <= min(column) and max(column) <= _INT_MAX
 
 
 #: per-type non-None checkers, precomputed so the validation hot loop
@@ -125,6 +143,11 @@ class Schema:
             if spec is None:
                 raise SchemaError(f"event carries undeclared field {name!r}")
             if value is not None and not spec[1](value):
+                if spec[0] in ("int", "float") and _is_int(value):
+                    raise SchemaError(
+                        f"field {name!r} holds an int outside "
+                        f"[-2**76, 2**76 - 1]: {value!r}"
+                    )
                 raise SchemaError(
                     f"field {name!r} expects {spec[0]}, "
                     f"got {type(value).__name__}: {value!r}"
@@ -136,7 +159,8 @@ class Schema:
 
         The batch is first decided by column: when every event has the
         same ordered field names, all declared, and each column's set of
-        exact value types lies within its declared type ∪ ``NoneType``,
+        exact value types lies within its declared type ∪ ``NoneType``
+        (and a column holding ints has its min and max in range),
         nothing can raise and the per-field pass is skipped. The column
         pass only ever *accepts*: anything else (mixed shapes, an ``int``
         subclass, a real violation, a batch too short to be worth
@@ -155,10 +179,15 @@ class Schema:
                 # a view per row would trip the cyclic GC every batch.)
                 kinds = list(map(type, chain.from_iterable(map(dict.values, rows))))
                 width = len(names)
-                if all(
-                    set(kinds[i::width]) <= accepted[name]
-                    for i, name in enumerate(names)
-                ):
+                for i, name in enumerate(names):
+                    column_kinds = set(kinds[i::width])
+                    if not column_kinds <= accepted[name]:
+                        break
+                    if int in column_kinds and not _ints_in_range(
+                        [row[name] for row in rows], column_kinds
+                    ):
+                        break
+                else:
                     return
         for event in events:
             self.validate_event(event)

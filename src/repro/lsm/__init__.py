@@ -5,7 +5,8 @@ LSM-trees"; this package implements that substrate from scratch:
 
 - :class:`~repro.lsm.memtable.MemTable` — skip-list in-memory buffer;
 - :class:`~repro.lsm.sstable.SSTable` — immutable sorted files with a
-  sparse index and bloom filter;
+  sparse index; a table builds its bloom filter in memory on its first
+  point lookup, never on write, and no filter is stored in a file;
 - :class:`~repro.lsm.db.LsmDb` — column families, size-tiered compaction,
   cheap checkpoints (flush + a snapshot of the table list over
   immutable files), the property the engine's recovery path relies on

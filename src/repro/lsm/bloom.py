@@ -8,11 +8,10 @@ is a single C call whatever the key length, where a byte-at-a-time
 Python hash (FNV, as partition routing uses) costs a loop per key byte
 on every table build and every probe.
 
-The serialized form is tagged with the hash scheme. Tables persist
-inside durable checkpoints, and a filter built with another hash (the
-untagged FNV filters of older tables) would answer "definitely absent"
-for keys the table holds; :meth:`BloomFilter.from_bytes` loads such a
-filter saturated instead, so every lookup falls through to the table.
+A filter lives only in memory. An SSTable builds its own with
+:meth:`BloomFilter.from_keys` on its first probe, so a table that is
+merged away before anyone reads it never pays for one, and no filter
+is ever written to a file: the bits depend on nothing but the keys.
 """
 
 from __future__ import annotations
@@ -21,15 +20,7 @@ import math
 from collections.abc import Sequence
 from hashlib import blake2b
 
-from repro.common import serde
-
 _MASK_64 = 0xFFFFFFFFFFFFFFFF
-
-#: Serialized filters open with a zero byte — never the first byte of
-#: an untagged filter, whose leading varint is ``num_bits >= 1`` — and
-#: the id of the hash scheme their bits were set with.
-_TAG = 0
-_HASH_BLAKE2B_16 = 1
 
 #: Copying an unkeyed hasher skips the constructor's keyword parsing,
 #: a third of the cost of hashing a short key.
@@ -127,30 +118,3 @@ class BloomFilter:
             if bit >= num_bits:
                 bit -= num_bits
         return True
-
-    def to_bytes(self) -> bytes:
-        """Serialize for embedding in an SSTable."""
-        buf = bytearray((_TAG, _HASH_BLAKE2B_16))
-        serde.write_varint(buf, self.num_bits)
-        serde.write_varint(buf, self.num_hashes)
-        serde.write_bytes(buf, bytes(self._bits))
-        return bytes(buf)
-
-    @classmethod
-    def from_bytes(cls, data: bytes | memoryview, offset: int = 0) -> tuple["BloomFilter", int]:
-        """Inverse of :meth:`to_bytes`.
-
-        A filter whose bits were set with a different hash (untagged, or
-        an unknown scheme id) comes back with every bit set: it can no
-        longer rule a key out, but it never hides one either.
-        """
-        same_hash = False
-        if data[offset] == _TAG:
-            same_hash = data[offset + 1] == _HASH_BLAKE2B_16
-            offset += 2
-        num_bits, offset = serde.read_varint(data, offset)
-        num_hashes, offset = serde.read_varint(data, offset)
-        raw, offset = serde.read_bytes(data, offset)
-        bloom = cls(num_bits, num_hashes)
-        bloom._bits = bytearray(raw) if same_hash else bytearray(b"\xff" * len(raw))
-        return bloom, offset

@@ -135,6 +135,8 @@ class LsmStats:
     memtable_hits: int = 0
     sstable_reads: int = 0
     bloom_skips: int = 0
+    #: table filters built by a first probe (none are built on write)
+    bloom_builds: int = 0
     flushes: int = 0
     compactions: int = 0
 
@@ -281,7 +283,7 @@ class LsmDb:
     def _write_table(self, family: _ColumnFamily, entries) -> SSTable:
         name = f"sst-{family.name}-{self._next_file:08d}.sst"
         self._next_file += 1
-        return SSTable.write(self.storage, name, entries)
+        return SSTable.write(self.storage, name, entries, stats=self.stats)
 
     def _compact(self, family: _ColumnFamily) -> None:
         """Merge windows of adjacent, similar-sized runs until none is
@@ -394,7 +396,7 @@ class LsmDb:
         for cf_name in sorted(checkpoint.files):
             self.create_column_family(cf_name)
             self._cfs[cf_name].runs = [
-                SSTable.open(self.storage, name)
+                SSTable.open(self.storage, name, stats=self.stats)
                 for level in checkpoint.files[cf_name]
                 for name in level
             ]

@@ -7,17 +7,25 @@ lets the engine's recovery transfer files wholesale.
 File layout::
 
     data region  : N x [ u8 kind | bytes key | [bytes value] ]
-    index region : sparse index, every `index_interval`-th key -> offset
-    bloom region : serialized bloom filter over all keys
+    index region : sparse index, every `INDEX_INTERVAL`-th key -> offset
+    bloom region : empty (tables written before filters were built on
+                   demand hold a serialized filter here; it is skipped)
     footer       : varint data_end | varint index_off | varint bloom_off |
                    varint count | min_key | max_key | u32 crc(footer body)
     trailer      : u32 footer_length (fixed width, read from file end)
+
+A table's bloom filter is built in memory on its first probe
+(:meth:`SSTable.might_contain`, which :meth:`SSTable.get` calls), from
+the keys in its data region. Writing a table builds none: most tables
+are merged away by compaction before any point lookup reaches them, and
+the state store looks up only keys that may have left its resident set.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, islice
+from typing import TYPE_CHECKING
 
 from repro.common import serde
 from repro.common.errors import StorageError
@@ -25,8 +33,16 @@ from repro.common.storage import StorageBackend
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.memtable import TOMBSTONE
 
+if TYPE_CHECKING:
+    from repro.lsm.db import LsmStats
+
 _KIND_PUT = 0
 _KIND_DELETE = 1
+
+#: keys between two sparse-index entries
+INDEX_INTERVAL = 16
+#: false-positive rate each table's bloom filter is sized for
+BLOOM_FP_RATE = 0.01
 
 #: a varint below 128 is its own single byte
 _ONE_BYTE = [bytes((n,)) for n in range(128)]
@@ -49,16 +65,18 @@ class SSTable:
         name: str,
         *,
         index: list[tuple[bytes, int]],
-        bloom: BloomFilter,
         count: int,
         min_key: bytes,
         max_key: bytes,
         data_end: int,
+        stats: "LsmStats | None" = None,
     ) -> None:
         self._storage = storage
         self.name = name
         self._index = index
-        self._bloom = bloom
+        #: built by the first probe that passes the key-range check
+        self._bloom: BloomFilter | None = None
+        self._stats = stats
         self.count = count
         self.min_key = min_key
         self.max_key = max_key
@@ -72,13 +90,14 @@ class SSTable:
         storage: StorageBackend,
         name: str,
         entries: Iterable[tuple[bytes, object]],
-        index_interval: int = 16,
-        bloom_fp_rate: float = 0.01,
+        stats: "LsmStats | None" = None,
     ) -> "SSTable":
         """Write sorted ``(key, value_or_TOMBSTONE)`` entries to a new file.
 
         Entries must be strictly increasing by key; violations raise
-        :class:`StorageError` (they would corrupt binary search).
+        :class:`StorageError` (they would corrupt binary search). No
+        bloom filter is built here; ``stats.bloom_builds`` counts the
+        ones the table's probes build later.
         """
         materialized = list(entries)
         keys = [key for key, _ in materialized]
@@ -98,9 +117,8 @@ class SSTable:
         offsets = list(accumulate(map(len, records), initial=0))
         index = [
             (keys[position], offsets[position])
-            for position in range(0, len(keys), index_interval)
+            for position in range(0, len(keys), INDEX_INTERVAL)
         ]
-        bloom = BloomFilter.from_keys(keys, bloom_fp_rate)
         min_key = keys[0] if keys else b""
         max_key = keys[-1] if keys else b""
 
@@ -109,12 +127,11 @@ class SSTable:
         for key, offset in index:
             serde.write_bytes(index_blob, key)
             serde.write_varint(index_blob, offset)
-        bloom_blob = bloom.to_bytes()
 
         footer = bytearray()
         serde.write_varint(footer, len(data))
         serde.write_varint(footer, len(data))  # index offset == data end
-        serde.write_varint(footer, len(data) + len(index_blob))
+        serde.write_varint(footer, len(data) + len(index_blob))  # empty bloom region
         serde.write_varint(footer, len(materialized))
         serde.write_bytes(footer, min_key)
         serde.write_bytes(footer, max_key)
@@ -123,7 +140,6 @@ class SSTable:
         blob = bytearray()
         blob.extend(data)
         blob.extend(index_blob)
-        blob.extend(bloom_blob)
         blob.extend(footer)
         trailer = bytearray()
         serde.write_u32(trailer, len(footer))
@@ -136,18 +152,21 @@ class SSTable:
             storage,
             name,
             index=index,
-            bloom=bloom,
             count=len(materialized),
             min_key=min_key,
             max_key=max_key,
             data_end=len(data),
+            stats=stats,
         )
 
     # -- opening ---------------------------------------------------------
 
     @classmethod
-    def open(cls, storage: StorageBackend, name: str) -> "SSTable":
-        """Open an existing table, reading its index/bloom/footer."""
+    def open(
+        cls, storage: StorageBackend, name: str, stats: "LsmStats | None" = None
+    ) -> "SSTable":
+        """Open an existing table, reading its index and footer (a
+        stored bloom region is skipped: the first probe builds one)."""
         size = storage.size(name)
         if size < 4:
             raise StorageError(f"sstable too small: {name}")
@@ -177,28 +196,32 @@ class SSTable:
             key, ioff = serde.read_bytes(index_blob, ioff)
             rec_off, ioff = serde.read_varint(index_blob, ioff)
             index.append((key, rec_off))
-
-        bloom_blob = storage.read(name, bloom_off, footer_off - bloom_off)
-        bloom, _ = BloomFilter.from_bytes(bloom_blob, 0)
         return cls(
             storage,
             name,
             index=index,
-            bloom=bloom,
             count=count,
             min_key=min_key,
             max_key=max_key,
             data_end=data_end,
+            stats=stats,
         )
 
     # -- reading ---------------------------------------------------------
 
     def might_contain(self, key: bytes) -> bool:
-        """Bloom + key-range pre-check (False is authoritative)."""
+        """Key-range + bloom pre-check (False is authoritative); the
+        first call past the range check builds the table's filter."""
         if self.count == 0:
             return False
         if key < self.min_key or key > self.max_key:
             return False
+        if self._bloom is None:
+            self._bloom = BloomFilter.from_keys(
+                [entry_key for entry_key, _ in self.entries()], BLOOM_FP_RATE
+            )
+            if self._stats is not None:
+                self._stats.bloom_builds += 1
         return self._bloom.might_contain(key)
 
     def _seek_slot(self, key: bytes) -> int:

@@ -17,7 +17,9 @@ The paper's RocksDB puts a native memtable and block cache under every
 access; this pure-Python LSM cannot, so the store keeps the *decoded*
 aggregators of its working set **resident** and the LSM off the
 per-event path. ``apply``/``peek`` are a dict hit, a fold and
-``result()``; a miss loads the row from the LSM. Mutated entries are
+``result()``; a miss loads the row from the LSM — or, while the LSM
+cannot hold a row that is not resident, skips the lookup and starts a
+fresh aggregator (below). Mutated entries are
 serialised only at a **barrier** — before anything reads LSM rows
 (:meth:`MetricStateStore.checkpoint`, ``export_metric_rows``,
 ``metric_values``), as one sorted bulk write — or one at a time when
@@ -42,6 +44,15 @@ entries before it writes back, evicts or forgets anything, so dirtiness
 is tracked per cell on the hot path and per entry everywhere else.
 Loads still happen one leaf at a time through ``apply``/``peek``, in
 the order they always did — load order is eviction order.
+
+The miss path asks the LSM only when the answer can be a row. Every row
+a barrier writes belongs to an entry that is resident, so the LSM can
+hold a row that is not resident only once an entry has left the set
+(eviction, ``forget_metric`` and therefore ``import_metric_rows``) or
+when the store was built over a db that already held rows (``restore``).
+Until then a miss creates a fresh aggregator without a ``db.get`` —
+which, besides the lookup, would build the bloom filter of every table
+it probed.
 """
 
 from __future__ import annotations
@@ -173,6 +184,11 @@ class MetricStateStore:
         #: Cells folded since the last barrier (the plan appends, setting
         #: ``cell.dirty``); drained into ``_dirty`` by :meth:`_settle_cells`.
         self.dirty_cells: list[Cell] = []
+        #: False while every row in the LSM is resident, so a miss has no
+        #: row to load; once true, stays true (see the module docstring).
+        self._lsm_may_hold_nonresident = bool(
+            self.db.stats.puts or self.db.run_sizes(_CF_STATE)
+        )
 
     # -- key plumbing ------------------------------------------------------------
 
@@ -198,13 +214,15 @@ class MetricStateStore:
         key = self.state_key(*entry)
         if aggregator.needs_aux:
             aggregator.bind_aux(LsmAuxStore(self.db, key))
-        raw = self.db.get(key, cf=_CF_STATE)
-        if raw is not None:
-            aggregator.state_from_bytes(raw)
+        if self._lsm_may_hold_nonresident:
+            raw = self.db.get(key, cf=_CF_STATE)
+            if raw is not None:
+                aggregator.state_from_bytes(raw)
         self._resident[entry] = (key, aggregator)
         if len(self._resident) > self._resident_cap:
             self._settle_cells()
             self.epoch += 1
+            self._lsm_may_hold_nonresident = True
             victim, (victim_key, evicted) = self._resident.popitem(last=False)
             if victim in self._dirty:
                 self._dirty.remove(victim)
@@ -291,6 +309,7 @@ class MetricStateStore:
         (the metric is going away, or its rows are being replaced)."""
         self._settle_cells()
         self.epoch += 1
+        self._lsm_may_hold_nonresident = True
         for entry in [e for e in self._resident if e[0] == metric_id]:
             del self._resident[entry]
             self._dirty.discard(entry)

@@ -413,3 +413,32 @@ class TestCheckpointPins:
         width = db.config.l0_compaction_threshold
         bound = width * (1 + math.ceil(math.log2(sum(runs) / min(runs))))
         assert len(runs) <= bound and len(tables) <= 2 * bound
+
+    def test_a_run_without_eviction_builds_no_aggstate_filter(self):
+        # New keys keep arriving after checkpoints, but every row the
+        # LSM holds is resident: no miss reads it, so no table ever
+        # builds its bloom filter.
+        from repro.engine import create_cluster
+
+        cluster = create_cluster(
+            "single", unit_config=UnitConfig(checkpoint_interval=20)
+        )
+        cluster.create_stream(
+            "payments", partitioners=["cardId"], partitions=1,
+            schema=[("cardId", "string"), ("amount", "float")],
+        )
+        cluster.create_metric(
+            "SELECT sum(amount), max(amount) FROM payments GROUP BY cardId "
+            "OVER sliding 5 minutes"
+        )
+        for i in range(1000):
+            cluster.send("payments", {"cardId": f"c{i // 3}", "amount": float(i)},
+                         timestamp=(i + 1) * 1_000)
+        units = [unit for node in cluster.nodes.values() for unit in node.units]
+        assert sum(unit.stats.checkpoints_taken for unit in units) >= 40
+        (processor,) = [p for unit in units for p in unit.task_processors.values()]
+        state = processor.state
+        assert state.epoch == 0  # nothing left the resident set
+        assert sum(state.db.run_sizes("aggstate")) >= 300
+        assert state.db.stats.gets == 0
+        assert state.db.stats.bloom_builds == 0

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.common import serde
 from repro.common.compression import codec_by_name
-from repro.common.errors import SchemaError
+from repro.common.errors import SchemaError, SerdeError
 from repro.events import Event, FieldType, Schema, SchemaField, SchemaRegistry
 from repro.reservoir import Chunk
 
@@ -168,6 +169,48 @@ class TestSchema:
         schema.validate_events([*plenty, Event("e1", 8, {"b": "y", "a": 2})])
         with pytest.raises(SchemaError, match="field 'b' expects string, got int: 2"):
             schema.validate_events([*plenty, Event("e1", 8, {"b": 2, "a": "y"})])
+
+    # -- ints: bounded by what the codecs read back --
+
+    def test_the_largest_int_magnitudes_that_round_trip_are_accepted(self):
+        for value in (serde.VALUE_INT_MAX, serde.VALUE_INT_MIN):
+            buf = bytearray()
+            serde.write_value(buf, value)
+            assert serde.read_value(bytes(buf), 0) == (value, len(buf))
+            event = Event("e", 1, {"count": value, "amount": value})
+            PAYMENTS.validate_event(event)
+            PAYMENTS.validate_events([event] * 9)
+            assert _chunk_roundtrip([event]) == [event]
+
+    def test_the_next_int_past_them_is_rejected(self):
+        for value in (serde.VALUE_INT_MAX + 1, serde.VALUE_INT_MIN - 1):
+            buf = bytearray()
+            serde.write_value(buf, value)
+            with pytest.raises(SerdeError):
+                serde.read_value(bytes(buf), 0)
+            for name in ("count", "amount"):  # a float field takes ints too
+                event = Event("e", 1, {name: value})
+                with pytest.raises(SchemaError, match="outside"):
+                    PAYMENTS.validate_event(event)
+                with pytest.raises(SchemaError, match="outside"):
+                    PAYMENTS.validate_events([event] * 9)
+
+    def test_a_batch_with_an_out_of_range_int_takes_the_per_event_path(self, monkeypatch):
+        checked = []
+        validate_event = Schema.validate_event
+        monkeypatch.setattr(
+            Schema,
+            "validate_event",
+            lambda schema, event: (checked.append(event), validate_event(schema, event)),
+        )
+        good = {"cardId": "c", "amount": 1.5, "count": serde.VALUE_INT_MAX, "flag": True}
+        plenty = [Event(f"g{i}", i, good) for i in range(8)]
+        PAYMENTS.validate_events(plenty)  # decided by column
+        assert checked == []
+        bad = Event("e1", 8, dict(good, count=serde.VALUE_INT_MAX + 1))
+        with pytest.raises(SchemaError, match="field 'count' holds an int outside"):
+            PAYMENTS.validate_events([*plenty, bad])
+        assert checked == [*plenty, bad]
 
     def test_encode_decode_roundtrip(self):
         event = Event("e9", 123, {"cardId": "c1", "amount": 9.5, "flag": True})

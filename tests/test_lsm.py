@@ -12,11 +12,12 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from repro.common import serde
 from repro.common.errors import StorageError
 from repro.common.storage import MemoryStorage
 from repro.lsm import BloomFilter, LsmConfig, LsmDb, MemTable, SSTable, TOMBSTONE
 from repro.lsm import db as lsm_db
-from repro.lsm.db import Checkpoint
+from repro.lsm.db import Checkpoint, LsmStats
 
 
 def run_bound(sizes, width):
@@ -52,59 +53,31 @@ class TestBloomFilter:
         one_by_one = BloomFilter.for_capacity(len(keys), fp_rate)
         for key in keys:
             one_by_one.add(key)
-        assert BloomFilter.from_keys(sorted(keys), fp_rate).to_bytes() == one_by_one.to_bytes()
-
-    def test_serde_roundtrip(self):
-        bloom = BloomFilter.for_capacity(100)
-        bloom.add(b"alpha")
-        restored, _ = BloomFilter.from_bytes(bloom.to_bytes())
-        assert restored.might_contain(b"alpha")
-        assert restored.num_bits == bloom.num_bits
-
-    def test_serde_roundtrip_still_rules_keys_out(self):
-        bloom = BloomFilter.for_capacity(100)
-        bloom.add(b"alpha")
-        restored, _ = BloomFilter.from_bytes(bloom.to_bytes())
-        assert not all(
-            restored.might_contain(f"out-{i}".encode()) for i in range(50)
+        at_once = BloomFilter.from_keys(sorted(keys), fp_rate)
+        assert (at_once.num_bits, at_once.num_hashes, at_once._bits) == (
+            one_by_one.num_bits,
+            one_by_one.num_hashes,
+            one_by_one._bits,
         )
 
-    @staticmethod
-    def untagged_bytes(bloom):
-        """The pre-tag layout (FNV-era tables): no scheme header."""
-        from repro.common import serde
-
-        buf = bytearray()
-        serde.write_varint(buf, bloom.num_bits)
-        serde.write_varint(buf, bloom.num_hashes)
-        serde.write_bytes(buf, bytes(bloom._bits))
-        return bytes(buf)
-
-    def test_filter_from_another_hash_never_hides_a_key(self):
-        """Bits set by a different hash say nothing about ours: an
-        untagged or unknown-scheme filter must answer 'maybe' always."""
-        bloom = BloomFilter.for_capacity(100)  # no key added: all clear
-        tagged = bytearray(bloom.to_bytes())
-        tagged[1] = 99  # a scheme id this code does not know
-        for blob in (self.untagged_bytes(bloom), bytes(tagged)):
-            restored, end = BloomFilter.from_bytes(blob)
-            assert end == len(blob)
-            assert restored.num_bits == bloom.num_bits
-            assert restored.might_contain(b"alpha")
-
-    def test_table_with_untagged_bloom_still_serves_reads(self, monkeypatch):
-        """A checkpointed SSTable written before the hash change reopens
-        with its keys readable (the bloom no longer skips, never lies)."""
-        storage = MemoryStorage()
+    def test_table_with_untagged_bloom_still_serves_reads(self):
+        """A checkpointed SSTable written when filters were stored — an
+        untagged FNV-era filter or a tagged one, here with no bit set —
+        reopens with its keys readable: the stored region is skipped and
+        the first probe builds a filter from the table's keys."""
         entries = [(f"k{i:03d}".encode(), b"v%d" % i) for i in range(40)]
-        with monkeypatch.context() as patch:
-            # Old writer: untagged filter whose bits our hash never set.
-            patch.setattr(BloomFilter, "add", lambda self, key: None)
-            patch.setattr(BloomFilter, "to_bytes", self.untagged_bytes)
-            SSTable.write(storage, "old.sst", entries)
-        table = SSTable.open(storage, "old.sst")
-        assert [table.get(key) for key, _ in entries] == [v for _, v in entries]
-        assert table.get(b"k0005") is None
+        filter_body = b"\x80\x03\x07\x30" + bytes(48)  # 384 bits, 7 hashes
+        for region in (filter_body, b"\x00\x01" + filter_body):
+            storage = MemoryStorage()
+            SSTable.write(storage, "new.sst", entries)
+            blob = storage.read_all("new.sst")
+            footer_len = int.from_bytes(blob[-4:], "little")
+            footer_off = len(blob) - 4 - footer_len
+            storage.create("old.sst")
+            storage.append("old.sst", blob[:footer_off] + region + blob[footer_off:])
+            table = SSTable.open(storage, "old.sst")
+            assert [table.get(key) for key, _ in entries] == [v for _, v in entries]
+            assert table.get(b"k0005") is None
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -256,6 +229,38 @@ class TestSSTable:
     def test_file_is_sealed(self):
         _, storage = self._write([(b"a", b"1")])
         assert storage.is_sealed("t.sst")
+
+    def test_file_stores_no_bloom_filter(self):
+        """The bloom region is empty: the footer follows the index."""
+        storage = MemoryStorage()
+        entries = [(f"k{i:03d}".encode(), b"v") for i in range(100)]
+        SSTable.write(storage, "t.sst", entries)
+        blob = storage.read_all("t.sst")
+        footer_off = len(blob) - 4 - int.from_bytes(blob[-4:], "little")
+        footer = blob[footer_off:]
+        _, offset = serde.read_varint(footer, 0)  # data_end
+        index_off, offset = serde.read_varint(footer, offset)
+        bloom_off, _ = serde.read_varint(footer, offset)
+        assert index_off < bloom_off == footer_off
+
+    def test_write_builds_no_filter_and_the_first_probe_builds_one(self):
+        entries = [(f"k{i:03d}".encode(), f"v{i}".encode()) for i in range(100)]
+        for probe in ("get", "might_contain"):
+            stats = LsmStats()
+            storage = MemoryStorage()
+            table = SSTable.write(storage, "t.sst", entries, stats=stats)
+            assert stats.bloom_builds == 0 and table._bloom is None
+            assert table.might_contain(b"zzz") is False  # past max_key: no filter
+            assert stats.bloom_builds == 0
+            getattr(table, probe)(b"k042")
+            assert stats.bloom_builds == 1
+            assert table.get(b"k007") == b"v7" and table.get(b"k0405") is None
+            assert table.might_contain(b"k099")
+            assert stats.bloom_builds == 1
+            reopened = SSTable.open(storage, "t.sst", stats=stats)
+            assert stats.bloom_builds == 1
+            assert reopened.get(b"k042") == b"v42"
+            assert stats.bloom_builds == 2
 
 
 class TestLsmDb:

@@ -190,6 +190,55 @@ class TestResidentSet:
         assert store.export_metric_rows(0) == rows
 
 
+class TestMissPath:
+    """A miss asks the LSM only once it may hold a row that is not resident."""
+
+    def test_a_store_that_never_evicted_makes_no_lsm_reads(self):
+        store = MetricStateStore()
+        for round_no in range(4):
+            for i in range(round_no * 50, round_no * 50 + 100):  # half new keys
+                key = encode_group_key((f"c{i}",))
+                store.apply(0, 0, "sum", key, [(1.0, _event(i))], [])
+                store.peek(0, 1, "count", key)
+            store.checkpoint()
+        assert store.db.run_sizes("aggstate")  # rows were written back
+        assert store.db.stats.gets == 0 and store.db.stats.bloom_builds == 0
+        assert store.peek(0, 0, "sum", encode_group_key(("c99",))) == 2.0
+
+    def test_a_miss_after_an_eviction_loads_the_written_row(self):
+        store = MetricStateStore(resident_cap=1)
+        a, b = encode_group_key(("a",)), encode_group_key(("b",))
+        store.apply(0, 0, "sum", a, [(5.0, _event(0))], [])
+        store.checkpoint()  # a's row is written; a stays resident, clean
+        store.apply(0, 0, "sum", b, [(7.0, _event(1))], [])  # evicts a, no write
+        assert store.resident(0, 0, a) is None
+        assert store.peek(0, 0, "sum", a) == 5.0
+        assert store.db.stats.gets > 0
+
+    def test_a_miss_after_an_import_loads_the_imported_row(self):
+        source = MetricStateStore()
+        key = encode_group_key(("c1",))
+        source.apply(3, 0, "sum", key, [(4.0, _event(0))], [])
+        rows = source.export_metric_rows(3)
+        store = MetricStateStore()
+        store.import_metric_rows(3, *rows)
+        assert store.peek(3, 0, "sum", key) == 4.0
+
+    def test_a_miss_after_a_restore_loads_the_checkpointed_row(self):
+        store = MetricStateStore()
+        key = encode_group_key(("c1",))
+        store.apply(0, 0, "sum", key, [(6.0, _event(0))], [])
+        checkpoint = store.checkpoint()
+        restored = MetricStateStore.restore(checkpoint, store.export_checkpoint(checkpoint))
+        assert restored.apply(0, 0, "sum", key, [(1.0, _event(1))], []) == 7.0
+        # a restore of a store that wrote nothing has no row to look up
+        empty = MetricStateStore()
+        checkpoint = empty.checkpoint()
+        restored = MetricStateStore.restore(checkpoint, empty.export_checkpoint(checkpoint))
+        assert restored.peek(0, 0, "sum", key) == 0.0
+        assert restored.db.stats.gets == 0
+
+
 class TestCells:
     """What the task plan's cell index relies on."""
 
