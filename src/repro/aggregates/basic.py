@@ -43,9 +43,7 @@ class CountAggregator(Aggregator):
         return self._count
 
     def state_to_bytes(self) -> bytes:
-        buf = bytearray()
-        serde.write_signed_varint(buf, self._count)
-        return bytes(buf)
+        return serde.signed_varint_bytes(self._count)
 
     def state_from_bytes(self, data: bytes) -> None:
         self._count, _ = serde.read_signed_varint(data, 0)
@@ -83,9 +81,7 @@ class SumAggregator(Aggregator):
         return self._sum
 
     def state_to_bytes(self) -> bytes:
-        buf = bytearray()
-        serde.write_f64(buf, self._sum)
-        return bytes(buf)
+        return serde.pack_f64(self._sum)
 
     def state_from_bytes(self, data: bytes) -> None:
         self._sum, _ = serde.read_f64(data, 0)
@@ -131,10 +127,7 @@ class AvgAggregator(Aggregator):
         return self._sum / self._count
 
     def state_to_bytes(self) -> bytes:
-        buf = bytearray()
-        serde.write_f64(buf, self._sum)
-        serde.write_signed_varint(buf, self._count)
-        return bytes(buf)
+        return serde.pack_f64(self._sum) + serde.signed_varint_bytes(self._count)
 
     def state_from_bytes(self, data: bytes) -> None:
         self._sum, offset = serde.read_f64(data, 0)

@@ -18,6 +18,7 @@ from typing import Any
 
 from repro.aggregates.base import Aggregator
 from repro.common import serde
+from repro.common.errors import SerdeError
 from repro.events.event import Event
 
 
@@ -102,12 +103,24 @@ class _ExtremeAggregator(Aggregator):
         return len(self._deque)
 
     def state_to_bytes(self) -> bytes:
-        buf = bytearray()
-        serde.write_varint(buf, len(self._deque))
+        # The serde writers' bytes (varint count, then per candidate
+        # varint timestamp | str event_id | f64 value), written in one
+        # buffer: an epoch-ms timestamp is a six-byte varint, and its
+        # loop inlined here is most of what a candidate costs.
+        varint = serde.varint_bytes
+        buf = bytearray(varint(len(self._deque)))
+        append, extend, pack_f64 = buf.append, buf.extend, serde.pack_f64
         for timestamp, event_id, value in self._deque:
-            serde.write_varint(buf, timestamp)
-            serde.write_str(buf, event_id)
-            serde.write_f64(buf, value)
+            if timestamp < 0:
+                raise SerdeError(f"varint cannot encode negative value {timestamp}")
+            while timestamp >= 128:
+                append(timestamp & 0x7F | 0x80)
+                timestamp >>= 7
+            append(timestamp)
+            raw = event_id.encode()
+            extend(varint(len(raw)))
+            extend(raw)
+            extend(pack_f64(value))
         return bytes(buf)
 
     def state_from_bytes(self, data: bytes) -> None:

@@ -67,11 +67,11 @@ class StdDevAggregator(Aggregator):
         return self._m2 / (self._count - 1)
 
     def state_to_bytes(self) -> bytes:
-        buf = bytearray()
-        serde.write_signed_varint(buf, self._count)
-        serde.write_f64(buf, self._mean)
-        serde.write_f64(buf, self._m2)
-        return bytes(buf)
+        return (
+            serde.signed_varint_bytes(self._count)
+            + serde.pack_f64(self._mean)
+            + serde.pack_f64(self._m2)
+        )
 
     def state_from_bytes(self, data: bytes) -> None:
         self._count, offset = serde.read_signed_varint(data, 0)

@@ -5,7 +5,7 @@ the reservoir chunk codec (``reservoir_chunk_codec_{narrow,wide}``:
 serialize + deserialize of 512-event chunks), the aggregate inner
 loops, the state store (``state_apply_resident`` vs
 ``state_apply_evicting``, ``state_checkpoint_writeback``,
-``state_checkpoint_steady_{4k,32k}``), the
+``state_checkpoint_steady_{4k,32k}``, ``state_checkpoint_mixed``), the
 task-processor ingestion path and the frontend fan-out, the worker-link
 batch codecs (``codec_{work_batch,batch_done}_{columnar,serde}``), the
 ``IngestBatch``/``ReplyBatch`` codec round of a front-door trip
@@ -328,13 +328,38 @@ def bench_state_apply_evicting(events: list[Event], batch_size: int) -> dict[str
     return _bench_state_apply(events, batch_size, len(_STATE_KEYS) // 4)
 
 
+#: the six aggregations of ``bench/workloads.py``'s FRAUD3 metrics, as
+#: ``(metric_id, agg_index, name)``
+_FRAUD3_AGGREGATIONS = (
+    (0, 0, "sum"), (0, 1, "count"), (1, 0, "avg"),
+    (1, 1, "max"), (2, 0, "min"), (2, 1, "stdDev"),
+)
+
+
+def _fold_fraud3(
+    store: MetricStateStore, chunk: Sequence[Event], keys: Sequence[bytes] = _STATE_KEYS
+) -> None:
+    """The six FRAUD3 folds per event into one group key (``count(*)``
+    folds the constant the plan feeds it)."""
+    apply = store.apply
+    for event in chunk:
+        key = keys[event.timestamp % len(keys)]
+        amount, star = [(event.get("amount"), event)], [(True, event)]
+        for metric_id, agg_index, name in _FRAUD3_AGGREGATIONS:
+            apply(metric_id, agg_index, name, key, star if name == "count" else amount, ())
+
+
 def _bench_state_checkpoint(
-    store: MetricStateStore, slices: Sequence[Sequence[Event]], keys: Sequence[bytes]
+    store: MetricStateStore,
+    slices: Sequence[Sequence[Event]],
+    keys: Sequence[bytes],
+    fold: Callable[..., None] = _fold_sums,
 ) -> dict[str, float]:
-    """``checkpoint()`` alone, per dirty entry: each slice first dirties
-    one entry per event off the clock, then times the sorted bulk
-    write-back plus the LSM snapshot (``events_per_sec`` = entries/s).
-    Each checkpoint releases the pin of the one before, as a task does."""
+    """``checkpoint()`` alone: each slice first runs ``fold`` over its
+    events off the clock (by default one ``sum`` entry per event, so
+    ``events_per_sec`` = dirty entries/s), then times the sorted bulk
+    write-back plus the LSM snapshot. Each checkpoint releases the pin
+    of the one before, as a task does."""
     pinned: list[Checkpoint] = []
 
     def run_slice(chunk: Sequence[Event]) -> None:
@@ -343,7 +368,7 @@ def _bench_state_checkpoint(
             store.db.release_checkpoint(pinned.pop(0))
 
     return _measure_slices(
-        slices, run_slice, prepare=lambda chunk: _fold_sums(store, chunk, keys)
+        slices, run_slice, prepare=lambda chunk: fold(store, chunk, keys)
     )
 
 
@@ -353,6 +378,17 @@ def bench_state_checkpoint_writeback(
     """From an empty store: the first checkpoints write new keys."""
     return _bench_state_checkpoint(
         MetricStateStore(), _slices(events, batch_size), _STATE_KEYS
+    )
+
+
+def bench_state_checkpoint_mixed(
+    events: list[Event], batch_size: int
+) -> dict[str, float]:
+    """As ``state_checkpoint_writeback``, with the six aggregations the
+    bench's FRAUD3 metrics keep per group (six entries per event): what
+    the count/avg/min/max/stdDev state encoders add to a checkpoint."""
+    return _bench_state_checkpoint(
+        MetricStateStore(), _slices(events, batch_size), _STATE_KEYS, _fold_fraud3
     )
 
 
@@ -991,6 +1027,7 @@ BENCHES: dict[str, Callable[[list[Event], int], dict[str, float]]] = {
     "state_checkpoint_writeback": bench_state_checkpoint_writeback,
     "state_checkpoint_steady_4k": bench_state_checkpoint_steady_4k,
     "state_checkpoint_steady_32k": bench_state_checkpoint_steady_32k,
+    "state_checkpoint_mixed": bench_state_checkpoint_mixed,
     "task_ingest_per_event": bench_task_ingest_per_event,
     "task_ingest_batch": bench_task_ingest_batch,
     "frontend_send_per_event": bench_frontend_send_per_event,

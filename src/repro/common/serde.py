@@ -56,6 +56,34 @@ def read_varint(data: bytes | memoryview, offset: int) -> tuple[int, int]:
             raise SerdeError("varint too long")
 
 
+#: a varint below 128 is its own single byte
+_ONE_BYTE = [bytes((n,)) for n in range(128)]
+
+
+def varint_bytes(value: int) -> bytes:
+    """The bytes :func:`write_varint` appends for ``value``, as one
+    object (for encoders that build a record in one expression)."""
+    if 0 <= value < 128:
+        return _ONE_BYTE[value]
+    if value < 0:
+        raise SerdeError(f"varint cannot encode negative value {value}")
+    out = bytearray()
+    while value >= 128:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def signed_varint_bytes(value: int) -> bytes:
+    """The bytes :func:`write_signed_varint` appends for ``value``."""
+    return varint_bytes(zigzag_encode(value))
+
+
+#: the bytes :func:`write_f64` appends for a float
+pack_f64 = _F64.pack
+
+
 def zigzag_encode(value: int) -> int:
     """Map a signed int to an unsigned one with small absolute values small."""
     return value << 1 if value >= 0 else ((-value) << 1) - 1

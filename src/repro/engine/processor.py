@@ -338,12 +338,13 @@ class ProcessorUnit:
         interval = self.config.checkpoint_interval
         if advanced // interval == counter // interval:
             return
-        checkpoint = processor.checkpoint()
+        # Only the offset is announced: the barrier runs, no payload is built.
+        processor.checkpoint(barrier_only=True)
         self.stats.checkpoints_taken += 1
         self.producer.send(
             CHECKPOINTS_TOPIC,
             key=str(tp),
-            value=(self.unit_id, self.node_id, str(tp), checkpoint.offset),
+            value=(self.unit_id, self.node_id, str(tp), processor.next_offset),
             timestamp=self.clock.now(),
         )
 

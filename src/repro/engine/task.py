@@ -5,7 +5,9 @@ independently of other task processors": it owns its event reservoir,
 its metric state store, and the shared task-plan DAG for all metrics of
 its (topic, partition). Checkpoints capture reservoir + state + iterator
 positions + the next message offset atomically (taken between messages),
-so recovery is: copy data, seek the consumer, replay the tail.
+so recovery is: copy data, seek the consumer, replay the tail. A caller
+that keeps only the offset (the in-process engine's periodic checkpoint)
+runs the same barrier without building the payload.
 """
 
 from __future__ import annotations
@@ -353,7 +355,9 @@ class TaskProcessor:
 
     # -- checkpoint / restore --------------------------------------------------------------
 
-    def checkpoint(self, exclude_files: set[str] | None = None) -> TaskCheckpoint:
+    def checkpoint(
+        self, exclude_files: set[str] | None = None, *, barrier_only: bool = False
+    ) -> TaskCheckpoint | None:
         """Snapshot reservoir + state + cursors + offset, atomically.
 
         ``exclude_files`` names immutable files the receiver already
@@ -365,24 +369,24 @@ class TaskProcessor:
         The returned checkpoint carries its file contents, so the LSM
         pin of the checkpoint it supersedes is released here: table
         files compacted away since then are deleted, not kept forever.
+
+        ``barrier_only`` is for a caller that keeps only the offset (the
+        in-process engine's periodic checkpoint): the same barrier runs
+        — state write-back, LSM snapshot, pin rotation — but no payload
+        is built (no reservoir metadata, no file read) and the call
+        returns None; the offset it stands for is :attr:`next_offset`.
         """
-        exclude = exclude_files or set()
         telemetry = self.telemetry
         lsm_stats = self.state.db.stats
         if telemetry is not None:
             started = telemetry.now()
             puts, compactions = lsm_stats.puts, lsm_stats.compactions
-        reservoir_meta = self.reservoir.checkpoint_metadata()
-        reservoir_storage = self.reservoir.storage
-        names = reservoir_storage.list()
-        sealed = {name for name in names if reservoir_storage.is_sealed(name)}
-        reservoir_files = {
-            name: reservoir_storage.read_all(name)
-            for name in names
-            if name not in exclude or name not in sealed
-        }
-        state_cp = self.state.checkpoint()
-        state_files = self.state.export_checkpoint(state_cp, exclude=exclude)
+        if barrier_only:
+            checkpoint = None
+            state_cp = self.state.checkpoint()
+        else:
+            checkpoint = self._full_checkpoint(exclude_files or set())
+            state_cp = checkpoint.state_checkpoint
         if self._pinned_state is not None:
             self.state.db.release_checkpoint(self._pinned_state)
         self._pinned_state = state_cp
@@ -394,6 +398,20 @@ class TaskProcessor:
             telemetry.counter_add(
                 "worker_lsm_compactions_total", lsm_stats.compactions - compactions
             )
+        return checkpoint
+
+    def _full_checkpoint(self, exclude: set[str]) -> TaskCheckpoint:
+        """What :meth:`checkpoint` returns, its LSM snapshot taken here."""
+        reservoir_meta = self.reservoir.checkpoint_metadata()
+        reservoir_storage = self.reservoir.storage
+        names = reservoir_storage.list()
+        sealed = {name for name in names if reservoir_storage.is_sealed(name)}
+        reservoir_files = {
+            name: reservoir_storage.read_all(name)
+            for name in names
+            if name not in exclude or name not in sealed
+        }
+        state_cp = self.state.checkpoint()
         return TaskCheckpoint(
             tp=self.tp,
             offset=self.next_offset,
@@ -401,7 +419,7 @@ class TaskProcessor:
             reservoir_files=reservoir_files,
             reservoir_sealed=sealed,
             state_checkpoint=state_cp,
-            state_files=state_files,
+            state_files=self.state.export_checkpoint(state_cp, exclude=exclude),
             iterator_positions=self.plan.iterator_positions(),
             metric_ids=self.metric_ids(),
         )

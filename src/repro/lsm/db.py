@@ -25,7 +25,9 @@ power-of-two size class, and is merged once it spans
 the oldest, biggest run is rewritten only once the runs above it have
 grown to its size, and a family holds at most
 ``width * (1 + ceil(log2(total / smallest)))`` runs. Tombstones are
-dropped only by a merge that includes the oldest run.
+dropped only by a merge that includes the oldest run. A merge overlays
+its runs' encoded records by key and writes them as they are (see
+:mod:`repro.lsm.sstable`): no value is decoded or re-encoded.
 
 The store keeps no log or manifest of its own: its storage is volatile,
 and a task's state recovers one way — from its last checkpoint
@@ -41,7 +43,7 @@ from repro.common import serde
 from repro.common.errors import StorageError
 from repro.common.storage import MemoryStorage, StorageBackend
 from repro.lsm.memtable import TOMBSTONE, MemTable
-from repro.lsm.sstable import SSTable
+from repro.lsm.sstable import KIND_DELETE, Records, SSTable
 
 
 @dataclass
@@ -275,15 +277,18 @@ class LsmDb:
             )
         else:
             entries = newer
-        family.runs.insert(0, self._write_table(family, entries))
+        family.runs.insert(
+            0,
+            SSTable.write(self.storage, self._table_name(family), entries, self.stats),
+        )
         family.memtable = MemTable(seed=family.cf_id)
         self.stats.flushes += 1
         self._compact(family)
 
-    def _write_table(self, family: _ColumnFamily, entries) -> SSTable:
+    def _table_name(self, family: _ColumnFamily) -> str:
         name = f"sst-{family.name}-{self._next_file:08d}.sst"
         self._next_file += 1
-        return SSTable.write(self.storage, name, entries, stats=self.stats)
+        return name
 
     def _compact(self, family: _ColumnFamily) -> None:
         """Merge windows of adjacent, similar-sized runs until none is
@@ -313,12 +318,16 @@ class LsmDb:
         nothing when every entry cancelled out)."""
         runs = family.runs
         stale = runs[start:end]
-        merged = _merge_entries(
-            [table.entries() for table in stale],
+        merged = _merge_records(
+            [table.records() for table in stale],
             # Nothing older is left for a tombstone to shadow.
             drop_tombstones=end == len(runs),
         )
-        runs[start:end] = [self._write_table(family, merged)] if merged else []
+        runs[start:end] = (
+            [SSTable.write_records(self.storage, self._table_name(family), merged, self.stats)]
+            if merged[0]
+            else []
+        )
         pinned = self._checkpointed_files()
         for table in stale:
             # Checkpoints may still reference the file; keep it if so.
@@ -452,3 +461,21 @@ def _merge_entries(sources: list, drop_tombstones: bool) -> list[tuple[bytes, ob
         for key in sorted(newest)
         if not (drop_tombstones and newest[key] is TOMBSTONE)
     ]
+
+
+def _merge_records(runs: list[Records], drop_tombstones: bool) -> Records:
+    """Merge tables' encoded records into one run, in key order.
+
+    :func:`_merge_entries` over already-encoded records: runs are
+    ordered newest-first, and for duplicate keys only the record from
+    the earliest run survives. A record is a pure function of its
+    ``(key, value)``, so the merged table's bytes equal those
+    :meth:`SSTable.write` would produce from the decoded entries.
+    """
+    newest: dict[bytes, bytes] = {}
+    for keys, records in reversed(runs):
+        newest.update(zip(keys, records))
+    keys = sorted(newest)
+    if drop_tombstones:
+        keys = [key for key in keys if newest[key][0] != KIND_DELETE]
+    return keys, list(map(newest.__getitem__, keys))

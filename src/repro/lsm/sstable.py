@@ -14,11 +14,20 @@ File layout::
                    varint count | min_key | max_key | u32 crc(footer body)
     trailer      : u32 footer_length (fixed width, read from file end)
 
+A record is a pure function of its ``(key, value)``, so a table this
+process wrote keeps the keys and encoded records
+:meth:`SSTable.write_records` joined into its data region
+(:meth:`SSTable.records`; a table opened from storage parses them once,
+on its first merge). Compaction splices those records into the merged
+table without decoding a value, and the file is the one
+:meth:`SSTable.write` would write from the decoded entries.
+
 A table's bloom filter is built in memory on its first probe
 (:meth:`SSTable.might_contain`, which :meth:`SSTable.get` calls), from
-the keys in its data region. Writing a table builds none: most tables
-are merged away by compaction before any point lookup reaches them, and
-the state store looks up only keys that may have left its resident set.
+the keys it holds (an opened table reads them from its data region).
+Writing a table builds none: most tables are merged away by compaction
+before any point lookup reaches them, and the state store looks up only
+keys that may have left its resident set.
 """
 
 from __future__ import annotations
@@ -36,24 +45,17 @@ from repro.lsm.memtable import TOMBSTONE
 if TYPE_CHECKING:
     from repro.lsm.db import LsmStats
 
-_KIND_PUT = 0
-_KIND_DELETE = 1
+#: a record's first byte: what follows its key
+KIND_PUT = 0
+KIND_DELETE = 1
 
 #: keys between two sparse-index entries
 INDEX_INTERVAL = 16
 #: false-positive rate each table's bloom filter is sized for
 BLOOM_FP_RATE = 0.01
 
-#: a varint below 128 is its own single byte
-_ONE_BYTE = [bytes((n,)) for n in range(128)]
-
-
-def _varint(value: int) -> bytes:
-    if value < 128:
-        return _ONE_BYTE[value]
-    buf = bytearray()
-    serde.write_varint(buf, value)
-    return bytes(buf)
+#: a table's keys and, at the same positions, their encoded records
+Records = tuple[list[bytes], list[bytes]]
 
 
 class SSTable:
@@ -70,6 +72,7 @@ class SSTable:
         max_key: bytes,
         data_end: int,
         stats: "LsmStats | None" = None,
+        records: Records | None = None,
     ) -> None:
         self._storage = storage
         self.name = name
@@ -81,6 +84,8 @@ class SSTable:
         self.min_key = min_key
         self.max_key = max_key
         self._data_end = data_end
+        #: keys and encoded records of the data region (see :meth:`records`)
+        self._records = records
 
     # -- writing ---------------------------------------------------------
 
@@ -106,13 +111,28 @@ class SSTable:
                 raise StorageError(
                     f"sstable entries out of order: {key!r} after {prev_key!r}"
                 )
+        varint = serde.varint_bytes
         records = [
-            b"%c%b%b" % (_KIND_DELETE, _varint(len(key)), key)
+            b"%c%b%b" % (KIND_DELETE, varint(len(key)), key)
             if value is TOMBSTONE
             else b"%c%b%b%b%b"
-            % (_KIND_PUT, _varint(len(key)), key, _varint(len(value)), value)  # type: ignore[arg-type]
+            % (KIND_PUT, varint(len(key)), key, varint(len(value)), value)  # type: ignore[arg-type]
             for key, value in materialized
         ]
+        return cls.write_records(storage, name, (keys, records), stats)
+
+    @classmethod
+    def write_records(
+        cls,
+        storage: StorageBackend,
+        name: str,
+        held: Records,
+        stats: "LsmStats | None" = None,
+    ) -> "SSTable":
+        """Write already-encoded records (strictly increasing ``keys``,
+        ``records[i]`` the record of ``keys[i]``) to a new file; the
+        table holds them for its filter and its merge."""
+        keys, records = held
         data = b"".join(records)
         offsets = list(accumulate(map(len, records), initial=0))
         index = [
@@ -132,7 +152,7 @@ class SSTable:
         serde.write_varint(footer, len(data))
         serde.write_varint(footer, len(data))  # index offset == data end
         serde.write_varint(footer, len(data) + len(index_blob))  # empty bloom region
-        serde.write_varint(footer, len(materialized))
+        serde.write_varint(footer, len(keys))
         serde.write_bytes(footer, min_key)
         serde.write_bytes(footer, max_key)
         serde.write_u32(footer, serde.crc32_of(bytes(footer)))
@@ -152,11 +172,12 @@ class SSTable:
             storage,
             name,
             index=index,
-            count=len(materialized),
+            count=len(keys),
             min_key=min_key,
             max_key=max_key,
             data_end=len(data),
             stats=stats,
+            records=held,
         )
 
     # -- opening ---------------------------------------------------------
@@ -217,9 +238,12 @@ class SSTable:
         if key < self.min_key or key > self.max_key:
             return False
         if self._bloom is None:
-            self._bloom = BloomFilter.from_keys(
-                [entry_key for entry_key, _ in self.entries()], BLOOM_FP_RATE
+            keys = (
+                self._records[0]
+                if self._records is not None
+                else [entry_key for entry_key, _ in self.entries()]
             )
+            self._bloom = BloomFilter.from_keys(keys, BLOOM_FP_RATE)
             if self._stats is not None:
                 self._stats.bloom_builds += 1
         return self._bloom.might_contain(key)
@@ -258,7 +282,7 @@ class SSTable:
             kind = data[offset]
             offset += 1
             entry_key, offset = serde.read_bytes(data, offset)
-            if kind == _KIND_PUT:
+            if kind == KIND_PUT:
                 value, offset = serde.read_bytes(data, offset)
             else:
                 value = TOMBSTONE  # type: ignore[assignment]
@@ -285,7 +309,7 @@ class SSTable:
                 length, offset = read_varint(data, offset + 1)
             key = data[offset : offset + length]
             offset += length
-            if kind == _KIND_PUT:
+            if kind == KIND_PUT:
                 length = data[offset]
                 if length < 128:
                     offset += 1
@@ -300,6 +324,29 @@ class SSTable:
             if end is not None and key >= end:
                 return
             yield key, value
+
+    def records(self) -> Records:
+        """The table's keys and encoded records, in key order — what a
+        merge splices into its output without decoding a value. A table
+        this process wrote holds them from :meth:`write_records`; an
+        opened one parses its data region here, once."""
+        if self._records is None:
+            data = self._read_data()
+            keys: list[bytes] = []
+            records: list[bytes] = []
+            offset, data_end = 0, len(data)
+            read_varint = serde.read_varint
+            while offset < data_end:
+                start = offset
+                length, offset = read_varint(data, offset + 1)
+                keys.append(data[offset : offset + length])
+                offset += length
+                if data[start] == KIND_PUT:
+                    length, offset = read_varint(data, offset)
+                    offset += length
+                records.append(data[start:offset])
+            self._records = (keys, records)
+        return self._records
 
     def _read_data(self) -> bytes:
         return self._storage.read(self.name, 0, self._data_end)

@@ -22,7 +22,8 @@ from repro.aggregates import (
     aggregator_requires_numeric,
     create_aggregator,
 )
-from repro.common.errors import QueryError
+from repro.common import serde
+from repro.common.errors import QueryError, SerdeError
 from repro.events.event import Event
 
 
@@ -286,6 +287,88 @@ class TestStateSerde:
             return
         clone.state_from_bytes(agg.state_to_bytes())
         assert clone.result() == pytest.approx(agg.result())
+
+
+COUNTS = st.integers(-(2**40), 2**40) | st.sampled_from([0, -1, 63, -64, 64, 2**62])
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, math.nan, 2.0**-1074]
+)
+CANDIDATES = st.lists(
+    st.tuples(
+        st.integers(0, 2**36) | st.sampled_from([127, 128, 2**35, 2**63]),
+        st.text(max_size=12),  # non-ASCII ids: the prefix is a byte length
+        FLOATS,
+    ),
+    max_size=8,
+)
+
+
+def _written(*writes):
+    """The bytes the serde writers append, in order."""
+    buf = bytearray()
+    for write, value in writes:
+        write(buf, value)
+    return bytes(buf)
+
+
+def _assert_roundtrip(agg, name):
+    clone = create_aggregator(name)
+    clone.state_from_bytes(agg.state_to_bytes())
+    assert clone.state_to_bytes() == agg.state_to_bytes()
+
+
+class TestOneCallStateEncoders:
+    """Each ``state_to_bytes`` builds its bytes in one expression; they
+    must equal what the serde writers it replaced append."""
+
+    @given(COUNTS, FLOATS)
+    @settings(max_examples=150, deadline=None)
+    def test_scalar_accumulators(self, count, total):
+        agg = create_aggregator("count")
+        agg._count = count
+        assert agg.state_to_bytes() == _written((serde.write_signed_varint, count))
+        _assert_roundtrip(agg, "count")
+        agg = create_aggregator("sum")
+        agg._sum = total
+        assert agg.state_to_bytes() == _written((serde.write_f64, total))
+        _assert_roundtrip(agg, "sum")
+        agg = create_aggregator("avg")
+        agg._sum, agg._count = total, count
+        assert agg.state_to_bytes() == _written(
+            (serde.write_f64, total), (serde.write_signed_varint, count)
+        )
+        _assert_roundtrip(agg, "avg")
+
+    @given(COUNTS, FLOATS, FLOATS)
+    @settings(max_examples=150, deadline=None)
+    def test_stddev(self, count, mean, m2):
+        agg = create_aggregator("stdDev")
+        agg._count, agg._mean, agg._m2 = count, mean, m2
+        assert agg.state_to_bytes() == _written(
+            (serde.write_signed_varint, count), (serde.write_f64, mean), (serde.write_f64, m2)
+        )
+        _assert_roundtrip(agg, "stdDev")
+
+    @given(st.sampled_from(["min", "max"]), CANDIDATES)
+    @settings(max_examples=150, deadline=None)
+    def test_min_max_candidates(self, name, candidates):
+        agg = create_aggregator(name)
+        agg._deque = list(candidates)
+        writes = [(serde.write_varint, len(candidates))]
+        for timestamp, event_id, value in candidates:
+            writes += [
+                (serde.write_varint, timestamp),
+                (serde.write_str, event_id),
+                (serde.write_f64, value),
+            ]
+        assert agg.state_to_bytes() == _written(*writes)
+        _assert_roundtrip(agg, name)
+
+    def test_negative_timestamp_is_refused_like_the_writer(self):
+        agg = create_aggregator("max")
+        agg._deque = [(-1, "e", 1.0)]
+        with pytest.raises(SerdeError):
+            agg.state_to_bytes()
 
 
 class TestRegistry:

@@ -442,3 +442,78 @@ class TestCheckpointPins:
         assert sum(state.db.run_sizes("aggstate")) >= 300
         assert state.db.stats.gets == 0
         assert state.db.stats.bloom_builds == 0
+
+
+class TestPeriodicCheckpoints:
+    def test_build_no_payload_while_full_checkpoints_still_restore(self, monkeypatch):
+        # `single` keeps only a periodic checkpoint's offset: the barrier
+        # runs (state write-back, LSM snapshot, pin) but no reservoir
+        # metadata is encoded and no segment or table is read.
+        from repro.engine import create_cluster
+        from repro.engine.task import TaskProcessor
+        from repro.events.event import Event
+        from repro.reservoir.reservoir import EventReservoir
+
+        encoded = []
+        metadata = EventReservoir.checkpoint_metadata
+        monkeypatch.setattr(
+            EventReservoir, "checkpoint_metadata",
+            lambda self: encoded.append(self) or metadata(self),
+        )
+        read_bytes = []
+        checkpoint = TaskProcessor.checkpoint
+
+        def measured(self, *args, **kwargs):
+            storages = (self.reservoir.storage, self.state.db.storage)
+            before = [storage.stats.read_bytes for storage in storages]
+            taken = checkpoint(self, *args, **kwargs)
+            read_bytes.append(
+                [s.stats.read_bytes - b for s, b in zip(storages, before)]
+            )
+            return taken
+
+        monkeypatch.setattr(TaskProcessor, "checkpoint", measured)
+        cluster = create_cluster(
+            "single", unit_config=UnitConfig(checkpoint_interval=20)
+        )
+        cluster.create_stream(
+            "payments", partitioners=["cardId"], partitions=1,
+            schema=[("cardId", "string"), ("amount", "float")],
+        )
+        cluster.create_metric(
+            "SELECT sum(amount), avg(amount), max(amount), min(amount), "
+            "stddev(amount) FROM payments GROUP BY cardId OVER sliding 5 minutes"
+        )
+        for i in range(1200):
+            cluster.send("payments", {"cardId": f"c{i % 7}", "amount": float(i % 13)},
+                         timestamp=(i + 1) * 1_000)
+        units = [unit for node in cluster.nodes.values() for unit in node.units]
+        taken = sum(unit.stats.checkpoints_taken for unit in units)
+        assert taken >= 50 and len(read_bytes) == taken
+        assert read_bytes == [[0, 0]] * taken
+        assert encoded == []
+        monkeypatch.undo()
+
+        ((unit, tp, processor),) = [
+            (unit, tp, processor)
+            for unit in units
+            for tp, processor in unit.task_processors.items()
+        ]
+        reservoir_storage = processor.reservoir.storage
+        assert reservoir_storage.list()  # segments the periodic checkpoints did not read
+        full = processor.checkpoint()
+        donated = unit.donate_checkpoint(tp, set())
+        for copy in (full, donated):
+            assert copy.offset == processor.next_offset == 1200
+            assert copy.reservoir_files and copy.state_files
+        stream = unit.catalog.stream_of_topic(tp.topic)
+        metrics = unit.catalog.metrics_for_topic(tp.topic)
+        restored = [TaskProcessor.restore(copy, stream, metrics) for copy in (full, donated)]
+        records = [
+            (1200 + k, Event(f"next{k}", (1201 + k) * 1_000,
+                             {"cardId": f"c{k % 7}", "amount": float(k)}))
+            for k in range(60)
+        ]
+        expected = processor.process_batch(records)
+        for copy in restored:
+            assert copy.process_batch(records) == expected

@@ -490,6 +490,78 @@ class TestLsmDb:
         assert db.get(b"e") == b"fresh"
 
 
+RUN_ROWS = st.dictionaries(
+    st.binary(max_size=140),
+    st.one_of(st.just(TOMBSTONE), st.binary(max_size=140)),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestMergeSplicesRecords:
+    """A merge writes the records its input tables hold; the file must
+    be the one :meth:`SSTable.write` writes from the decoded entries."""
+
+    @given(
+        st.lists(RUN_ROWS, min_size=2, max_size=5),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_merged_table_bytes_equal_a_write_of_the_merged_entries(
+        self, runs, reopen, data
+    ):
+        # lengths up to 140 bytes: one- and two-byte varints
+        db = LsmDb(config=LsmConfig(l0_compaction_threshold=64))
+        for rows in reversed(runs):  # the last run is the oldest
+            for key, value in sorted(rows.items()):
+                if value is TOMBSTONE:
+                    db.delete(key)
+                else:
+                    db.put(key, value)
+            db.flush()
+        if reopen:  # tables opened from storage parse their records
+            snapshot = db.checkpoint()
+            db = LsmDb.import_checkpoint(
+                snapshot, db.export_checkpoint(snapshot), config=db.config
+            )
+        family = db._cfs["default"]
+        count = len(family.runs)
+        start = data.draw(st.integers(0, count - 2), label="start")
+        end = data.draw(st.integers(start + 2, count), label="end")  # end == count: oldest run
+        stale = family.runs[start:end]
+        expected_entries = lsm_db._merge_entries(
+            [table.entries() for table in stale], drop_tombstones=end == count
+        )
+        reference = MemoryStorage()
+        if expected_entries:
+            SSTable.write(reference, "ref.sst", expected_entries)
+        read_before = db.storage.stats.read_bytes
+        db._merge_runs(family, start, end)
+        if not expected_entries:
+            assert len(family.runs) == count - (end - start)
+            return
+        merged = family.runs[start]
+        assert merged.name not in {table.name for table in stale}
+        if not reopen:  # the input tables held their records: nothing read
+            assert db.storage.stats.read_bytes == read_before
+        assert db.storage.read_all(merged.name) == reference.read_all("ref.sst")
+        assert list(merged.entries()) == expected_entries
+
+    def test_opened_table_parses_the_records_it_was_written_with(self):
+        storage = MemoryStorage()
+        entries = [(b"a", b""), (b"b" * 200, TOMBSTONE), (b"c", b"v" * 300)]
+        written = SSTable.write(storage, "t.sst", entries)
+        assert SSTable.open(storage, "t.sst").records() == written.records()
+
+    def test_first_probe_of_a_written_table_reads_no_bytes(self):
+        storage = MemoryStorage()
+        table = SSTable.write(storage, "t.sst", [(b"k%03d" % i, b"v") for i in range(100)])
+        before = storage.stats.read_bytes
+        assert table.might_contain(b"k042")
+        assert storage.stats.read_bytes == before
+
+
 FAMILIES = ("default", "aux")
 MACHINE_KEYS = st.sampled_from([b"k%02d" % i for i in range(12)])
 MACHINE_VALUES = st.binary(min_size=1, max_size=4)
@@ -619,9 +691,9 @@ class TestLsmDbMachineCatchesMutants:
             run_state_machine_as_test(LsmDbMachine, settings=self.HUNT)
 
     def test_dropping_tombstones_above_the_oldest_run(self, monkeypatch):
-        merge = lsm_db._merge_entries
+        merge = lsm_db._merge_records
         monkeypatch.setattr(
-            lsm_db, "_merge_entries", lambda sources, drop_tombstones: merge(sources, True)
+            lsm_db, "_merge_records", lambda runs, drop_tombstones: merge(runs, True)
         )
         with pytest.raises(AssertionError):
             run_state_machine_as_test(LsmDbMachine, settings=self.HUNT)
