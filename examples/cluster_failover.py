@@ -30,7 +30,6 @@ def main() -> None:
         nodes=3,
         processor_units=2,
         replication_factor=1,
-        brokers=3,
         unit_config=UnitConfig(checkpoint_interval=20),
     )
     cluster.create_stream(

@@ -25,7 +25,7 @@ def main() -> None:
     workload = FraudWorkload(
         cards=500, merchants=40, events_per_second=100.0, seed=11
     )
-    cluster = RailgunCluster(nodes=2, processor_units=2, brokers=2)
+    cluster = RailgunCluster(nodes=2, processor_units=2)
     cluster.create_stream(
         "payments",
         partitioners=["cardId", "merchantId"],

@@ -32,10 +32,6 @@ class HoppingStats:
     panes_expired: int = 0
     fired_windows: int = 0
 
-    @property
-    def updates_per_event(self) -> float:
-        return self.pane_updates / self.events if self.events else 0.0
-
 
 class HoppingWindowEngine:
     """``sum``/``count`` per key over hopping windows."""

@@ -23,10 +23,6 @@ class ScanStats:
     events_scanned: int = 0
     stored_events: int = 0
 
-    @property
-    def scans_per_event(self) -> float:
-        return self.events_scanned / self.events if self.events else 0.0
-
 
 class PerEventScanEngine:
     """Exact sliding ``sum``/``count`` by full rescan per event."""

@@ -39,7 +39,6 @@ def _run_scenario(strategy: object | None, events: int) -> dict[str, float]:
         nodes=3,
         processor_units=2,
         replication_factor=1,
-        brokers=3,
         unit_config=UnitConfig(checkpoint_interval=50),
         assignment_strategy=strategy,
     )

@@ -40,17 +40,9 @@ class MessagingError(ReproError):
     """Messaging layer failure (unknown topic, fenced consumer, ...)."""
 
 
-class RebalanceInProgress(MessagingError):
-    """Raised when an operation races a consumer-group rebalance."""
-
-
 class EngineError(ReproError):
     """Engine-level failure (bad stream, missing task, recovery error)."""
 
 
 class CheckpointError(EngineError):
     """Checkpoint creation or restore failure."""
-
-
-class BackfillError(EngineError):
-    """Metric backfill failure (reservoir data missing for range)."""

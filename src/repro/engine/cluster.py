@@ -45,7 +45,6 @@ from repro.events.schema import Schema
 from repro.messaging.broker import MessageBus
 from repro.messaging.groups import GroupCoordinator
 from repro.messaging.log import TopicPartition
-from repro.messaging.producer import Producer
 from repro.query.parser import parse_query
 from repro.telemetry import StageLaps
 
@@ -264,7 +263,6 @@ class RailgunCluster:
         nodes: int = 1,
         processor_units: int = 2,
         replication_factor: int = 0,
-        brokers: int = 1,
         unit_config: UnitConfig | None = None,
         assignment_strategy: object | None = None,
         durable_dir: str | None = None,
@@ -282,10 +280,10 @@ class RailgunCluster:
         if durable_dir is not None:
             from repro.messaging.durable import DurableBus
 
-            self.bus = DurableBus(durable_dir, brokers=brokers, fsync=durable_fsync)
+            self.bus = DurableBus(durable_dir, fsync=durable_fsync)
         else:
-            self.bus = MessageBus(brokers=brokers)
-        self.coordinator = GroupCoordinator(self.bus)
+            self.bus = MessageBus()
+        self.coordinator = GroupCoordinator()
         self.coordinator.external_authority = self._on_group_change
         # Any object with .assign(tasks, processors, previous) works —
         # the ablation bench swaps in the non-sticky baseline here.
@@ -307,7 +305,6 @@ class RailgunCluster:
 
         self.bus.create_topic(OPERATIONS_TOPIC, partitions=1)
         self.bus.create_topic(CHECKPOINTS_TOPIC, partitions=1)
-        self._ops_producer = Producer(self.bus, self.clock)
         for _ in range(nodes):
             self.add_node(processor_units)
 
@@ -368,7 +365,6 @@ class RailgunCluster:
         partitioners: Iterable[str],
         partitions: int = 4,
         schema: object = (),
-        replication: int = 1,
         with_global_partitioner: bool = False,
     ) -> None:
         """Register a stream: schema + partitioners + topic creation."""
@@ -378,9 +374,7 @@ class RailgunCluster:
         )
         for partitioner in stream.partitioners:
             self.bus.create_topic(
-                topic_name(name, partitioner),
-                partitions=stream.partition_count(partitioner),
-                replication=min(self.bus.broker_count, 1 + self.replication_factor),
+                topic_name(name, partitioner), stream.partition_count(partitioner)
             )
         self._publish_op(CreateStreamOp(stream))
         self._sync_subscriptions()
@@ -489,7 +483,7 @@ class RailgunCluster:
 
     def _publish_op(self, op: object) -> None:
         self.catalog.apply(op)
-        self._ops_producer.send(OPERATIONS_TOPIC, key=None, value=op)
+        self.bus.publish(OPERATIONS_TOPIC, None, op, self.clock.now())
 
     def _event_topics(self) -> list[str]:
         return sorted(
@@ -627,15 +621,13 @@ class RailgunCluster:
     def _ensure_membership(self) -> None:
         """Revived nodes rejoin their groups; dead nodes stay out."""
         topics = self._event_topics()
-        from repro.engine.processor import _keep_previous_assignor
-
         for node in self.alive_nodes():
             for unit in node.units:
                 if not unit.active_consumer.is_member():
-                    unit.active_consumer.rejoin(topics, strategy=_keep_previous_assignor)
+                    unit.active_consumer.rejoin(topics)
                     self._assignment_dirty = True
                 if not unit.replica_consumer.is_member():
-                    unit.replica_consumer.rejoin(topics, strategy=_keep_previous_assignor)
+                    unit.replica_consumer.rejoin(topics)
 
     # -- the Figure 7 authority ---------------------------------------------------------------
 
@@ -738,11 +730,6 @@ class RailgunCluster:
         return snapshot
 
     # -- durability -----------------------------------------------------------------
-
-    def flush_logs(self) -> None:
-        """Write out the durable bus's buffers (no-op without ``durable_dir``)."""
-        if self.durable_dir is not None:
-            self.bus.flush()
 
     def truncate_logs_below_committed(self) -> None:
         """Checkpoint-aware retention for the cooperative topology.

@@ -28,7 +28,6 @@ from repro.engine.envelope import EventEnvelope, ReplyEnvelope
 from repro.events.event import Event
 from repro.messaging.broker import MessageBus
 from repro.messaging.log import TopicPartition
-from repro.messaging.producer import Producer
 from repro.telemetry import StageLaps
 
 
@@ -150,7 +149,6 @@ class FrontEnd:
         self.bus = bus
         self.clock = clock
         self.catalog = Catalog()
-        self.producer = Producer(bus, clock)
         self.reply_topic = REPLY_TOPIC_PREFIX + node_id
         self._reply_tp = TopicPartition(self.reply_topic, 0)
         #: replies already in the topic (a reopened durable bus) belong
@@ -189,11 +187,8 @@ class FrontEnd:
                 if partitioner == GLOBAL_PARTITIONER
                 else event.get(partitioner)
             )
-            self.producer.send(
-                topic_name(stream_name, partitioner),
-                key=key,
-                value=envelope,
-                timestamp=self.clock.now(),
+            self.bus.publish(
+                topic_name(stream_name, partitioner), key, envelope, self.clock.now()
             )
         self.pending[correlation_id] = PendingRequest(
             correlation_id=correlation_id,
@@ -227,7 +222,7 @@ class FrontEnd:
             (partitioner, topic_name(stream_name, partitioner))
             for partitioner in stream.partitioners
         ]
-        send = self.producer.send
+        publish = self.bus.publish
         correlation_ids: list[int] = []
         for event in events:
             correlation_id = self._next_correlation
@@ -245,7 +240,7 @@ class FrontEnd:
                     if partitioner == GLOBAL_PARTITIONER
                     else event.get(partitioner)
                 )
-                send(topic, key=key, value=envelope, timestamp=now)
+                publish(topic, key, envelope, now)
             self.pending[correlation_id] = PendingRequest(
                 correlation_id=correlation_id,
                 event=event,

@@ -32,7 +32,6 @@ from repro.messaging.broker import MessageBus
 from repro.messaging.consumer import Consumer
 from repro.messaging.groups import GroupCoordinator
 from repro.messaging.log import TopicPartition
-from repro.messaging.producer import Producer
 from repro.reservoir.reservoir import ReservoirConfig
 
 if TYPE_CHECKING:  # pragma: no cover - circular-import guard
@@ -98,7 +97,6 @@ class ProcessorUnit:
         self.stats = RecoveryStats()
         self._ops_offset = 0
         self._ops_tp = TopicPartition(OPERATIONS_TOPIC, 0)
-        self.producer = Producer(bus, clock)
         self.active_consumer = Consumer(bus, coordinator, ACTIVE_GROUP, unit_id, clock)
         self.replica_consumer = Consumer(
             bus, coordinator, replica_group(unit_id), unit_id, clock
@@ -113,8 +111,8 @@ class ProcessorUnit:
 
     def subscribe(self, topics: list[str]) -> None:
         """Join the active and replica groups for the event topics."""
-        self.active_consumer.subscribe(topics, strategy=_keep_previous_assignor)
-        self.replica_consumer.subscribe(topics, strategy=_keep_previous_assignor)
+        self.active_consumer.subscribe(topics)
+        self.replica_consumer.subscribe(topics)
 
     # -- Algorithm 1 -----------------------------------------------------------------
 
@@ -312,11 +310,8 @@ class ProcessorUnit:
             task=tp,
             results=results,
         )
-        self.producer.send(
-            REPLY_TOPIC_PREFIX + envelope.origin_node,
-            key=None,
-            value=reply,
-            timestamp=self.clock.now(),
+        self.bus.publish(
+            REPLY_TOPIC_PREFIX + envelope.origin_node, None, reply, self.clock.now()
         )
         self.replies_sent += 1
 
@@ -341,11 +336,11 @@ class ProcessorUnit:
         # Only the offset is announced: the barrier runs, no payload is built.
         processor.checkpoint(barrier_only=True)
         self.stats.checkpoints_taken += 1
-        self.producer.send(
+        self.bus.publish(
             CHECKPOINTS_TOPIC,
-            key=str(tp),
-            value=(self.unit_id, self.node_id, str(tp), processor.next_offset),
-            timestamp=self.clock.now(),
+            str(tp),
+            (self.unit_id, self.node_id, str(tp), processor.next_offset),
+            self.clock.now(),
         )
 
     # -- recovery donor side ------------------------------------------------------------------
@@ -356,44 +351,15 @@ class ProcessorUnit:
         Live task processors are preferred (a consistent checkpoint is
         taken on the spot); stale leftovers serve their last state.
         ``exclude_files`` implements the delta copy: immutable files the
-        receiver already holds are stripped from the payload.
+        receiver already holds are neither read nor shipped.
         """
         processor = self.task_processors.get(tp) or self.stale.get(tp)
         if processor is None:
             return None
-        checkpoint = processor.checkpoint()
-        if exclude_files:
-            checkpoint.reservoir_files = {
-                name: data
-                for name, data in checkpoint.reservoir_files.items()
-                if not (name in exclude_files and name in checkpoint.reservoir_sealed)
-            }
-            checkpoint.state_files = {
-                name: data
-                for name, data in checkpoint.state_files.items()
-                if name not in exclude_files
-            }
-        return checkpoint
+        return processor.checkpoint(exclude_files)
 
     def data_offset_for(self, tp: TopicPartition) -> int | None:
         """Highest offset this unit holds data for (donor ranking)."""
         processor = self.task_processors.get(tp) or self.stale.get(tp)
         return processor.next_offset if processor is not None else None
 
-
-def _keep_previous_assignor(subscriptions, partitions, previous):
-    """Placeholder strategy: engine installs assignments externally.
-
-    Keeps whatever each member had (minus partitions that vanished), so
-    the coordinator's internal rebalance never fights the Figure 7
-    authority. Marked ``allows_incomplete``: partitions may be briefly
-    unowned until the authority installs the real assignment.
-    """
-    valid = set(partitions)
-    return {
-        member: {tp for tp in previous.get(member, set()) if tp in valid}
-        for member in subscriptions
-    }
-
-
-_keep_previous_assignor.allows_incomplete = True  # type: ignore[attr-defined]

@@ -148,11 +148,6 @@ class FraudWorkload:
         ]
         self._pad_types = {f.name: f.field_type for f in self.schema.fields}
 
-    @property
-    def events_generated(self) -> int:
-        """Number of events produced so far."""
-        return self._seq
-
     def _next_interarrival_ms(self) -> float:
         mean = 1000.0 / self._rate
         if self._jitter == 0:

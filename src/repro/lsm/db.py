@@ -164,10 +164,6 @@ class LsmDb:
             return
         self._cfs[name] = _ColumnFamily(name, cf_id=len(self._cfs))
 
-    def column_families(self) -> list[str]:
-        """Names of all column families."""
-        return sorted(self._cfs)
-
     def _cf(self, name: str) -> _ColumnFamily:
         try:
             return self._cfs[name]

@@ -1,9 +1,7 @@
-"""The message bus: topics, partitions, brokers and committed offsets.
+"""The message bus: topics, partitions and committed offsets.
 
-A single in-process object stands in for the Kafka cluster. Brokers are
-modelled as leader assignments over partitions — enough to reason about
-replication placement and to let the simulator charge per-broker costs —
-while the data path is the shared partition logs.
+A single in-process object stands in for the Kafka cluster: the data
+path is the shared partition logs, one per (topic, partition).
 """
 
 from __future__ import annotations
@@ -18,26 +16,18 @@ from repro.messaging.log import Message, PartitionLog, TopicPartition
 class MessageBus:
     """Topic registry + partition logs + committed-offset store."""
 
-    def __init__(self, brokers: int = 1) -> None:
-        if brokers <= 0:
-            raise ValueError(f"need at least one broker: {brokers}")
-        self.broker_count = brokers
+    def __init__(self) -> None:
         self._logs: dict[TopicPartition, PartitionLog] = {}
         self._topics: dict[str, int] = {}  # topic -> partition count
-        self._leaders: dict[TopicPartition, int] = {}
         self._committed: dict[tuple[str, TopicPartition], int] = {}
         self.messages_published = 0
 
     # -- topic management --------------------------------------------------------
 
-    def create_topic(self, name: str, partitions: int, replication: int = 1) -> None:
+    def create_topic(self, name: str, partitions: int) -> None:
         """Create a topic; adding partitions to an existing one is allowed."""
         if partitions <= 0:
             raise MessagingError(f"topic {name!r} needs at least one partition")
-        if replication > self.broker_count:
-            raise MessagingError(
-                f"replication {replication} exceeds broker count {self.broker_count}"
-            )
         existing = self._topics.get(name, 0)
         if existing > partitions:
             raise MessagingError(
@@ -46,8 +36,11 @@ class MessageBus:
         self._topics[name] = partitions
         for index in range(existing, partitions):
             tp = TopicPartition(name, index)
-            self._logs[tp] = PartitionLog(tp, replication)
-            self._leaders[tp] = (hash(name) + index) % self.broker_count
+            self._logs[tp] = self._build_log(tp)
+
+    def _build_log(self, tp: TopicPartition) -> PartitionLog:
+        """The log behind a new partition (a durable bus builds its own)."""
+        return PartitionLog(tp)
 
     def has_topic(self, name: str) -> bool:
         """True when the topic exists."""
@@ -63,14 +56,6 @@ class MessageBus:
     def topic_partitions(self, topic: str) -> list[TopicPartition]:
         """All (topic, partition) pairs of a topic."""
         return [TopicPartition(topic, i) for i in range(self.partitions_for(topic))]
-
-    def leader_of(self, tp: TopicPartition) -> int:
-        """Broker id leading a partition (used by the simulator)."""
-        return self._leaders[tp]
-
-    def total_partitions(self) -> int:
-        """Total partitions across topics (Kafka-load proxy in §5.3)."""
-        return sum(self._topics.values())
 
     # -- data path -----------------------------------------------------------------
 

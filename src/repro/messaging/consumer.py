@@ -9,55 +9,13 @@ engine can rewind to a checkpointed offset during recovery.
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from repro.common.clock import Clock, SystemClock
 from repro.common.errors import MessagingError
 from repro.messaging.broker import MessageBus
-from repro.messaging.groups import AssignmentStrategy, GroupCoordinator
-from repro.messaging.log import TopicPartition
-
-
-class RebalanceListener(Protocol):
-    """Callbacks invoked around assignment changes (Kafka-style)."""
-
-    def on_partitions_revoked(self, partitions: list[TopicPartition]) -> None:
-        """Partitions leaving this consumer."""
-
-    def on_partitions_assigned(self, partitions: list[TopicPartition]) -> None:
-        """Partitions newly owned by this consumer."""
-
-
-class ConsumerRecord:
-    """A polled message with its provenance."""
-
-    __slots__ = ("tp", "offset", "key", "value", "timestamp")
-
-    def __init__(self, tp: TopicPartition, offset: int, key, value, timestamp: int) -> None:
-        self.tp = tp
-        self.offset = offset
-        self.key = key
-        self.value = value
-        self.timestamp = timestamp
-
-    @property
-    def topic(self) -> str:
-        return self.tp.topic
-
-    @property
-    def partition(self) -> int:
-        return self.tp.partition
-
-    def __repr__(self) -> str:
-        return f"ConsumerRecord({self.tp}@{self.offset})"
-
-
-class _NullListener:
-    def on_partitions_revoked(self, partitions: list[TopicPartition]) -> None:
-        pass
-
-    def on_partitions_assigned(self, partitions: list[TopicPartition]) -> None:
-        pass
+from repro.messaging.groups import GroupCoordinator
+from repro.messaging.log import Message, TopicPartition
 
 
 class Consumer:
@@ -78,28 +36,15 @@ class Consumer:
         self._clock = clock if clock is not None else SystemClock()
         self._positions: dict[TopicPartition, int] = {}
         self._subscribed = False
-        self.records_polled = 0
 
     # -- membership -----------------------------------------------------------------
 
-    def subscribe(
-        self,
-        topics: Iterable[str],
-        listener: RebalanceListener | None = None,
-        strategy: AssignmentStrategy | None = None,
-    ) -> None:
-        """Join the group for ``topics``; assignment arrives on next tick."""
+    def subscribe(self, topics: Iterable[str]) -> None:
+        """Join the group for ``topics``; assignment arrives from the
+        engine's authority."""
         if self._subscribed:
             raise MessagingError(f"consumer {self.member_id!r} already subscribed")
-        self._coordinator.join(
-            self.group_id,
-            self.member_id,
-            topics,
-            self._clock.now(),
-            listener=listener if listener is not None else _NullListener(),
-            strategy=strategy,
-        )
-        self._subscribed = True
+        self.rejoin(topics)
 
     def update_subscription(self, topics: Iterable[str]) -> None:
         """Change the subscribed topic set (triggers a rebalance)."""
@@ -111,17 +56,9 @@ class Consumer:
         """True while the coordinator still counts us in (not expired)."""
         return self.member_id in self._coordinator.members_of(self.group_id)
 
-    def rejoin(self, topics: Iterable[str], listener: RebalanceListener | None = None,
-               strategy: AssignmentStrategy | None = None) -> None:
+    def rejoin(self, topics: Iterable[str]) -> None:
         """Re-enter the group after expiry (node revival path)."""
-        self._coordinator.join(
-            self.group_id,
-            self.member_id,
-            topics,
-            self._clock.now(),
-            listener=listener if listener is not None else _NullListener(),
-            strategy=strategy,
-        )
+        self._coordinator.join(self.group_id, self.member_id, topics, self._clock.now())
         self._subscribed = True
 
     def close(self) -> None:
@@ -162,63 +99,29 @@ class Consumer:
 
     # -- the data path ------------------------------------------------------------------
 
-    def poll(self, max_records: int = 100) -> list[ConsumerRecord]:
-        """Heartbeat + read from every assigned partition, round-robin.
+    def poll_batches(self, max_records: int = 100) -> list[tuple[TopicPartition, list[Message]]]:
+        """Heartbeat + read from every assigned partition, one run each.
 
-        A consumer expelled by the coordinator (missed heartbeats) polls
+        Each run is a contiguous offset run from one partition — the
+        batched engine hot path hands whole runs to a task processor
+        without re-bucketing. Empty partitions produce no run. A
+        consumer expelled by the coordinator (missed heartbeats) polls
         nothing until it rejoins — mirroring a fenced Kafka consumer.
-        """
-        records: list[ConsumerRecord] = []
-        for _tp, batch in self.poll_batches(max_records):
-            records.extend(batch)
-        return records
-
-    def poll_batches(
-        self, max_records: int = 100
-    ) -> list[tuple[TopicPartition, list[ConsumerRecord]]]:
-        """Like :meth:`poll`, but grouped per partition.
-
-        Each group is a contiguous offset run from one partition, in the
-        same order :meth:`poll` would interleave them — the batched
-        engine hot path hands whole runs to a task processor without
-        re-bucketing. Empty partitions produce no group.
         """
         if not self.is_member():
             return []
         self.heartbeat()
-        batches: list[tuple[TopicPartition, list[ConsumerRecord]]] = []
+        batches: list[tuple[TopicPartition, list[Message]]] = []
         assigned = self.assignment()
         if not assigned:
             return batches
         per_partition = max(1, max_records // len(assigned))
-        total = 0
         for tp in assigned:
-            position = self.position(tp)
-            messages = self._bus.read(tp, position, per_partition)
-            if not messages:
-                continue
-            batches.append(
-                (
-                    tp,
-                    [
-                        ConsumerRecord(
-                            tp, message.offset, message.key, message.value,
-                            message.timestamp,
-                        )
-                        for message in messages
-                    ],
-                )
-            )
-            self._positions[tp] = messages[-1].offset + 1
-            total += len(messages)
-        self.records_polled += total
+            messages = self._bus.read(tp, self.position(tp), per_partition)
+            if messages:
+                batches.append((tp, messages))
+                self._positions[tp] = messages[-1].offset + 1
         return batches
-
-    def lag(self) -> int:
-        """Total unread messages across the assignment."""
-        return sum(
-            self._bus.end_offset(tp) - self.position(tp) for tp in self.assignment()
-        )
 
 
 class PartitionView:
@@ -232,8 +135,8 @@ class PartitionView:
     Unlike :class:`Consumer` there is no group membership, heartbeat,
     committed offset or rebalance protocol: assignment is installed
     directly (the front layer is the assignment authority) and reads
-    return raw :class:`~repro.messaging.log.Message` batches without
-    per-record wrapping, keeping the dispatch hot path allocation-light.
+    return raw :class:`~repro.messaging.log.Message` runs, as
+    :meth:`Consumer.poll_batches` does.
     """
 
     def __init__(self, bus: MessageBus) -> None:

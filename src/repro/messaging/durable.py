@@ -15,8 +15,8 @@ This module closes that gap:
 - :class:`DurableBus` is a drop-in :class:`~repro.messaging.broker.MessageBus`
   hosting :class:`DurableLog` partitions under one directory, plus two
   tiny CRC-framed side logs in that directory's ``FileStorage``
-  (:attr:`DurableBus.storage`): ``topics.log`` (topic name, partitions,
-  replication — so a reopen recreates the topology) and ``commits.log``
+  (:attr:`DurableBus.storage`): ``topics.log`` (topic name and
+  partitions — so a reopen recreates the topology) and ``commits.log``
   (group committed offsets — so a reopened consumer resumes where it
   replied). Constructing a ``DurableBus`` over a non-empty directory
   *is* recovery: topics, logs (torn tails truncated), committed offsets
@@ -228,10 +228,9 @@ class DurableLog(PartitionLog):
         self,
         tp: TopicPartition,
         root: str,
-        replication: int = 1,
         config: SegmentConfig | None = None,
     ) -> None:
-        super().__init__(tp, replication)
+        super().__init__(tp)
         self.segments = SegmentedLog(FileStorage(root), config)
         self._base = self.segments.start_offset
         self._messages = [_decode(*record) for record in self.segments.records(0)]
@@ -352,20 +351,12 @@ class DurableBus(MessageBus):
     def __init__(
         self,
         root: str,
-        brokers: int = 1,
         fsync: FsyncPolicy | str = FsyncPolicy.BATCH,
         segment_bytes: int = 1 << 20,
-        flush_bytes: int = 1 << 16,
-        index_interval: int = 64,
     ) -> None:
-        super().__init__(brokers)
+        super().__init__()
         self.root = root
-        self.config = SegmentConfig(
-            segment_bytes=segment_bytes,
-            flush_bytes=flush_bytes,
-            index_interval=index_interval,
-            fsync=fsync_policy(fsync),
-        )
+        self.config = SegmentConfig(segment_bytes=segment_bytes, fsync=fsync_policy(fsync))
         #: the bus directory: side logs and the cut (partition logs
         #: each get their own namespace, one subdirectory per partition).
         self.storage = FileStorage(root)
@@ -380,9 +371,9 @@ class DurableBus(MessageBus):
         for payload in self._side_log(_TOPICS_FILE):
             view = memoryview(payload)
             name, offset = serde.read_str(view, 0)
-            partitions, offset = serde.read_varint(view, offset)
-            replication, offset = serde.read_varint(view, offset)
-            self._register_topic(name, partitions, replication)
+            # A replication varint follows; nothing reads it.
+            partitions, _ = serde.read_varint(view, offset)
+            super().create_topic(name, partitions)  # no new meta record
             self.recovered = True
         if self.recovered:
             self.messages_published = sum(
@@ -421,46 +412,20 @@ class DurableBus(MessageBus):
 
     # -- topic management ------------------------------------------------------
 
-    def create_topic(self, name: str, partitions: int, replication: int = 1) -> None:
-        if partitions <= 0:
-            raise MessagingError(f"topic {name!r} needs at least one partition")
-        if replication > self.broker_count:
-            raise MessagingError(
-                f"replication {replication} exceeds broker count {self.broker_count}"
-            )
+    def create_topic(self, name: str, partitions: int) -> None:
         existing = self._topics.get(name, 0)
-        if existing > partitions:
-            raise MessagingError(
-                f"cannot shrink topic {name!r} from {existing} to {partitions}"
-            )
-        self._register_topic(name, partitions, replication)
+        super().create_topic(name, partitions)
         # Re-creating an already-recovered topic (a reopened coordinator
         # re-running its DDL path) must not duplicate the meta record.
         if partitions > existing:
             payload = bytearray()
             serde.write_str(payload, name)
             serde.write_varint(payload, partitions)
-            serde.write_varint(payload, replication)
+            serde.write_varint(payload, 1)  # replication, kept for the format
             self._append_side_log(_TOPICS_FILE, [payload])
 
-    def _register_topic(self, name: str, partitions: int, replication: int) -> None:
-        """Recreate a recovered topic without re-writing the meta log."""
-        existing = self._topics.get(name, 0)
-        if existing >= partitions:
-            return
-        self._topics[name] = partitions
-        for index in range(existing, partitions):
-            tp = TopicPartition(name, index)
-            self._logs[tp] = self._build_log(tp, replication)
-            self._leaders[tp] = (hash(name) + index) % self.broker_count
-
-    def _build_log(self, tp: TopicPartition, replication: int) -> DurableLog:
-        return DurableLog(
-            tp,
-            os.path.join(self.root, str(tp)),
-            replication,
-            self.config,
-        )
+    def _build_log(self, tp: TopicPartition) -> DurableLog:
+        return DurableLog(tp, os.path.join(self.root, str(tp)), self.config)
 
     # -- committed offsets -----------------------------------------------------
 

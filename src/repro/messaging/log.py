@@ -45,9 +45,8 @@ class PartitionLog:
     read below the start clamps to it (truncated records are gone).
     """
 
-    def __init__(self, tp: TopicPartition, replication: int = 1) -> None:
+    def __init__(self, tp: TopicPartition) -> None:
         self.tp = tp
-        self.replication = replication
         self._messages: list[Message] = []
         #: offset of ``_messages[0]``: the retention start
         self._base = 0

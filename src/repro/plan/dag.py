@@ -48,10 +48,6 @@ class MetricHandle:
     group_by: GroupByNode
     aggregators: list[AggregatorNode] = field(default_factory=list)
 
-    def display_names(self) -> list[str]:
-        """Reply column names."""
-        return [node.display_name for node in self.aggregators]
-
 
 def _pairs(field_name: str | None, events) -> list[tuple[Any, Event]]:
     """``(value, event)`` per event for one leaf (``count(*)`` counts

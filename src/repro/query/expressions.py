@@ -193,10 +193,9 @@ def _comparable(left: Any, right: Any) -> bool:
 class _Parser:
     """Pratt-style recursive descent over a token list."""
 
-    def __init__(self, tokens: list[Token], stop_keywords: frozenset[str]) -> None:
+    def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._position = 0
-        self._stop = stop_keywords
 
     def peek(self) -> Token:
         return self._tokens[self._position]
@@ -205,12 +204,6 @@ class _Parser:
         token = self._tokens[self._position]
         self._position += 1
         return token
-
-    def at_end(self) -> bool:
-        token = self.peek()
-        if token.kind is TokenKind.EOF:
-            return True
-        return token.kind is TokenKind.IDENT and token.text.lower() in self._stop
 
     def parse(self) -> Expression:
         expr = self.parse_ternary()
@@ -298,7 +291,7 @@ class _Parser:
 def parse_expression(text: str) -> Expression:
     """Parse a standalone filter expression."""
     tokens = tokenize(text)
-    parser = _Parser(tokens, frozenset())
+    parser = _Parser(tokens)
     expr = parser.parse()
     trailing = parser.peek()
     if trailing.kind is not TokenKind.EOF:
@@ -308,13 +301,12 @@ def parse_expression(text: str) -> Expression:
     return expr
 
 
-def parse_embedded_expression(
-    tokens: list[Token], start: int, stop_keywords: frozenset[str]
-) -> tuple[Expression, int]:
-    """Parse an expression inside a query until a stop keyword.
+def parse_embedded_expression(tokens: list[Token], start: int) -> tuple[Expression, int]:
+    """Parse an expression inside a query; it ends at the first token
+    that cannot continue it (the next clause keyword).
 
     Returns the expression and the index of the first unconsumed token.
     """
-    parser = _Parser(tokens[start:] , stop_keywords)
+    parser = _Parser(tokens[start:])
     expr = parser.parse()
     return expr, start + parser._position

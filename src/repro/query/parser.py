@@ -28,7 +28,6 @@ from repro.query.expressions import parse_embedded_expression
 from repro.query.tokens import Token, TokenKind, tokenize
 from repro.windows.spec import WindowKind, WindowSpec
 
-_CLAUSE_KEYWORDS = frozenset({"from", "where", "group", "over"})
 _CANONICAL_AGGS = {name.lower(): name for name in AGGREGATOR_NAMES}
 
 
@@ -72,9 +71,7 @@ class _QueryParser:
         where = None
         if self._peek().is_keyword("where"):
             self._advance()
-            where, self._position = parse_embedded_expression(
-                self._tokens, self._position, _CLAUSE_KEYWORDS
-            )
+            where, self._position = parse_embedded_expression(self._tokens, self._position)
         group_by: tuple[str, ...] = ()
         if self._peek().is_keyword("group"):
             self._advance()

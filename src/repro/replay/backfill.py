@@ -128,15 +128,6 @@ class ShadowReplay:
         self.replayed += len(messages)
         return len(messages)
 
-    def run_to(self, stop: int, max_records: int = 256) -> None:
-        """Replay until the shadow sits exactly at ``stop``."""
-        while self.position < stop:
-            if self.step(max_records, stop=stop) == 0:
-                raise ReplayError(
-                    f"shadow for {self.tp} stalled at {self.position} "
-                    f"before reaching {stop}"
-                )
-
     def export(self) -> BackfillState:
         """The graftable state at the shadow's current offset."""
         return self.processor.export_backfill(self.metric.metric_id)

@@ -603,11 +603,6 @@ class EventReservoir:
         """Largest event timestamp observed (event-time 'now')."""
         return self._max_seen_ts
 
-    def file_names(self) -> list[str]:
-        """All segment files backing this reservoir."""
-        names = {meta.file_name for meta in self.index}
-        return sorted(names)
-
     # -- checkpoint / restore ---------------------------------------------------------
 
     def checkpoint_metadata(self) -> bytes:

@@ -512,6 +512,52 @@ class TestDurableBus:
         third = DurableBus(root)
         assert third.partitions_for("tx.cardId") == 2
 
+    @staticmethod
+    def _topics_log(records) -> bytes:
+        """``topics.log`` as written: one frame of name | partitions |
+        replication per record."""
+        framed = bytearray()
+        for name, partitions, replication in records:
+            payload = bytearray()
+            serde.write_str(payload, name)
+            serde.write_varint(payload, partitions)
+            serde.write_varint(payload, replication)
+            serde.write_frame(framed, payload)
+        return bytes(framed)
+
+    def test_topics_log_replication_varint_is_skipped(self, tmp_path):
+        root = str(tmp_path / "bus")
+        bus = DurableBus(root)
+        bus.create_topic("tx.cardId", 2)
+        bus.create_topic("tx.cardId", 4)
+        bus.create_topic("__operations", 1)
+        for i in range(20):
+            bus.publish("tx.cardId", f"c{i}", ("r", i), i)
+        bus.close()
+        storage = FileStorage(root)
+        # The writer keeps the replication field, as the constant 1.
+        assert storage.read_all("topics.log") == self._topics_log(
+            [("tx.cardId", 2, 1), ("tx.cardId", 4, 1), ("__operations", 1, 1)]
+        )
+        # A bus that modelled brokers wrote other replication values
+        # (2 for brokers=3 and replication_factor=1); they reopen alike.
+        storage.replace(
+            "topics.log",
+            self._topics_log(
+                [("tx.cardId", 2, 2), ("tx.cardId", 4, 2), ("__operations", 1, 1)]
+            ),
+        )
+        reopened = DurableBus(root)
+        assert reopened.recovered
+        assert reopened.partitions_for("tx.cardId") == 4
+        assert reopened.partitions_for("__operations") == 1
+        assert reopened.all_partitions() == sorted(
+            reopened.topic_partitions("tx.cardId")
+            + reopened.topic_partitions("__operations"),
+            key=str,
+        )
+        assert reopened.messages_published == 20
+
     def test_truncate_below_bounds_disk(self, tmp_path):
         root = str(tmp_path / "bus")
         bus = DurableBus(root, segment_bytes=512)

@@ -12,7 +12,7 @@ from repro.engine.processor import UnitConfig
 
 
 def _cluster(**kwargs):
-    defaults = dict(nodes=2, processor_units=2, replication_factor=1, brokers=3)
+    defaults = dict(nodes=2, processor_units=2, replication_factor=1)
     defaults.update(kwargs)
     return RailgunCluster(**defaults)
 

@@ -83,7 +83,7 @@ class TestCheckpointsInCluster:
     def test_replicas_track_actives(self):
         config = UnitConfig(checkpoint_interval=10)
         cluster = RailgunCluster(
-            nodes=2, processor_units=1, replication_factor=1, brokers=2,
+            nodes=2, processor_units=1, replication_factor=1,
             unit_config=config,
         )
         cluster.create_stream(

@@ -16,12 +16,11 @@ from repro.engine import RailgunCluster
 from repro.events.event import Event
 from repro.messaging.broker import MessageBus
 from repro.messaging.log import TopicPartition
-from repro.messaging.producer import Producer
 
 
 def _world():
     clock = ManualClock(1)
-    bus = MessageBus(brokers=1)
+    bus = MessageBus()
     bus.create_topic(OPERATIONS_TOPIC, 1)
     bus.create_topic(REPLY_TOPIC_PREFIX + "n1", 1)
     stream = StreamDef(
@@ -32,8 +31,7 @@ def _world():
     )
     bus.create_topic("payments.cardId", 2)
     bus.create_topic("payments.merchantId", 2)
-    ops = Producer(bus, clock)
-    ops.send(OPERATIONS_TOPIC, None, CreateStreamOp(stream))
+    bus.publish(OPERATIONS_TOPIC, None, CreateStreamOp(stream), clock.now())
     frontend = FrontEnd("n1", bus, clock)
     return clock, bus, frontend
 
@@ -160,19 +158,20 @@ class TestFanIn:
             "payments",
             Event("e1", 10, {"cardId": "c1", "merchantId": "m1", "amount": 1.0}),
         )
-        reply_producer = Producer(bus, clock)
         reply_topic = REPLY_TOPIC_PREFIX + "n1"
-        reply_producer.send(
+        bus.publish(
             reply_topic, None,
             ReplyEnvelope(correlation, "e1", TopicPartition("payments.cardId", 0),
                           {0: {"count(*)": 1}}),
+            clock.now(),
         )
         assert frontend.poll_replies() == []
         assert correlation in frontend.pending
-        reply_producer.send(
+        bus.publish(
             reply_topic, None,
             ReplyEnvelope(correlation, "e1", TopicPartition("payments.merchantId", 0),
                           {1: {"avg(amount)": 1.0}}),
+            clock.now(),
         )
         completed = frontend.poll_replies()
         assert len(completed) == 1
@@ -186,16 +185,16 @@ class TestFanIn:
             "payments",
             Event("e1", 10, {"cardId": "c1", "merchantId": "m1", "amount": 1.0}),
         )
-        producer = Producer(bus, clock)
         reply = ReplyEnvelope(
             correlation, "e1", TopicPartition("payments.cardId", 0), {0: {}}
         )
         for _ in range(3):
-            producer.send(REPLY_TOPIC_PREFIX + "n1", None, reply)
-        producer.send(
+            bus.publish(REPLY_TOPIC_PREFIX + "n1", None, reply, clock.now())
+        bus.publish(
             REPLY_TOPIC_PREFIX + "n1", None,
             ReplyEnvelope(correlation, "e1",
                           TopicPartition("payments.merchantId", 0), {1: {}}),
+            clock.now(),
         )
         completed = frontend.poll_replies()
         assert len(completed) == 1
@@ -207,11 +206,11 @@ class TestFanIn:
             Event("e1", 10, {"cardId": "c1", "merchantId": "m1", "amount": 1.0}),
         )
         clock.advance(25)
-        producer = Producer(bus, clock)
         for topic in ("payments.cardId", "payments.merchantId"):
-            producer.send(
+            bus.publish(
                 REPLY_TOPIC_PREFIX + "n1", None,
                 ReplyEnvelope(correlation, "e1", TopicPartition(topic, 0), {}),
+                clock.now(),
             )
         completed = frontend.poll_replies()
         assert completed[0].latency_ms == 25

@@ -25,7 +25,6 @@ def run():
         nodes=2,
         processor_units=2,
         replication_factor=1,
-        brokers=2,
         unit_config=UnitConfig(checkpoint_interval=25),
     )
     cluster.create_stream(
