@@ -422,23 +422,29 @@ def bench_state_checkpoint_steady_32k(events: list[Event], batch_size: int) -> d
 # -- task-processor ingestion (reservoir + plan + state) ----------------------
 
 
-def _task_processor() -> TaskProcessor:
+_SUM_COUNT = (
+    "SELECT sum(amount), count(*) FROM tx GROUP BY cardId OVER sliding 5 minutes",
+)
+#: ``bench/workloads.py``'s FRAUD3: three sliding windows (one shared
+#: head iterator, three tails), six aggregations, one group-by field
+_FRAUD3 = _SUM_COUNT + (
+    "SELECT avg(amount), max(amount) FROM tx GROUP BY cardId OVER sliding 1 minutes",
+    "SELECT min(amount), stddev(amount) FROM tx GROUP BY cardId OVER sliding 20 minutes",
+)
+#: events per ``process_batch`` call in ``task_ingest_fraud3`` (a
+#: dispatcher's ``BATCH_MAX``)
+_PLAN_BATCH = 256
+
+
+def _task_processor(queries: tuple[str, ...] = _SUM_COUNT) -> TaskProcessor:
     stream = StreamDef(
         "tx", tuple((f.name, f.field_type.value) for f in _FIELDS), ("cardId",), 1
     )
     processor = TaskProcessor(
         TopicPartition("tx.cardId", 0), stream, reservoir_config=_reservoir_config()
     )
-    processor.add_metric(
-        MetricDef(
-            0,
-            "SELECT sum(amount), count(*) FROM tx GROUP BY cardId "
-            "OVER sliding 5 minutes",
-            "tx",
-            "tx.cardId",
-            False,
-        )
-    )
+    for metric_id, query in enumerate(queries):
+        processor.add_metric(MetricDef(metric_id, query, "tx", "tx.cardId", False))
     return processor
 
 
@@ -462,6 +468,21 @@ def bench_task_ingest_batch(events: list[Event], batch_size: int) -> dict[str, f
         processor.process_batch([(next(offsets), event) for event in chunk])
 
     return _measure_slices(_slices(events, batch_size), run_slice)
+
+
+def bench_task_ingest_fraud3(events: list[Event], batch_size: int) -> dict[str, float]:
+    """``process_batch`` over FRAUD3 in in-order 256-event batches, the
+    events 100 ms of event time apart so every window fills and expires
+    (about one exit per window per event once full): the plan's rung,
+    which one sum/count leaf cannot show."""
+    processor = _task_processor(_FRAUD3)
+    spaced = [Event(e.event_id, 100 * e.timestamp, e.fields) for e in events]
+    offsets = iter(range(len(spaced)))
+
+    def run_slice(chunk: Sequence[Event]) -> None:
+        processor.process_batch([(next(offsets), event) for event in chunk])
+
+    return _measure_slices(_slices(spaced, _PLAN_BATCH), run_slice)
 
 
 # -- frontend fan-out ---------------------------------------------------------
@@ -1030,6 +1051,7 @@ BENCHES: dict[str, Callable[[list[Event], int], dict[str, float]]] = {
     "state_checkpoint_mixed": bench_state_checkpoint_mixed,
     "task_ingest_per_event": bench_task_ingest_per_event,
     "task_ingest_batch": bench_task_ingest_batch,
+    "task_ingest_fraud3": bench_task_ingest_fraud3,
     "frontend_send_per_event": bench_frontend_send_per_event,
     "frontend_send_batch": bench_frontend_send_batch,
     "codec_work_batch_columnar": bench_codec_work_batch_columnar,

@@ -22,7 +22,6 @@ from repro.common.errors import SerdeError
 
 _F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
 
 
 def write_varint(buf: bytearray, value: int) -> None:
@@ -176,19 +175,6 @@ def read_u32(data: bytes | memoryview, offset: int) -> tuple[int, int]:
     if end > len(data):
         raise SerdeError("truncated uint32")
     return _U32.unpack_from(data, offset)[0], end
-
-
-def write_u64(buf: bytearray, value: int) -> None:
-    """Append a fixed-width little-endian uint64."""
-    buf.extend(_U64.pack(value))
-
-
-def read_u64(data: bytes | memoryview, offset: int) -> tuple[int, int]:
-    """Read a fixed-width little-endian uint64."""
-    end = offset + 8
-    if end > len(data):
-        raise SerdeError("truncated uint64")
-    return _U64.unpack_from(data, offset)[0], end
 
 
 # Tagged scalar values. Events carry heterogeneous field values; schemas

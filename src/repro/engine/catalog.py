@@ -9,6 +9,7 @@ the client"), so all processor units converge on the same catalogue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.common.errors import EngineError, QueryError
 from repro.common.layout import STR, VARFLAG, VARINT, seq, struct, tuple_of
@@ -42,7 +43,11 @@ class StreamDef:
     partitions: int
 
     def schema(self) -> Schema:
-        """Materialize the stream's (current) schema."""
+        """The stream's (current) schema, built once per definition."""
+        return self._schema
+
+    @cached_property
+    def _schema(self) -> Schema:
         return Schema(
             [SchemaField(name, FieldType(type_name)) for name, type_name in self.fields]
         )

@@ -10,6 +10,7 @@ multi-node test deterministic.
 
 from __future__ import annotations
 
+import gc
 import inspect
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
@@ -754,11 +755,15 @@ class RailgunCluster:
         self.bus.truncate_below(offsets)
 
     def close(self) -> None:
-        """Flush and release the durable bus (no-op when in-memory)."""
+        """Flush and release the durable bus (no-op when in-memory), and
+        hand what checkpoint barriers froze back to the collector
+        (``gc.unfreeze()``): the engine's own reference cycles are then
+        collected once the caller drops it."""
         for job in self._backfills:
             job.close()
         if self.durable_dir is not None:
             self.bus.close()
+        gc.unfreeze()
 
     def total_messages_processed(self) -> int:
         """Sum over all units (actives + replicas double-count by design)."""

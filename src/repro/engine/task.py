@@ -12,6 +12,7 @@ runs the same barrier without building the payload.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -273,22 +274,23 @@ class TaskProcessor:
         same reservoir bytes, same iterator positions — but runs of
         *fresh* messages (non-replay offsets, non-decreasing timestamps
         ahead of the reservoir frontier, unseen event ids) are appended
-        through the reservoir's amortized batch path before the plan
-        advances once per event. Replays, duplicates and out-of-order
-        events fall back to the per-event path, which handles them
-        bit-for-bit as before.
+        through the reservoir's amortized batch path, and a run the
+        reservoir stored event for event as itself is handed to the plan
+        once (:meth:`TaskPlan.process_run`: each iterator advances once
+        per run). Replays, duplicates and out-of-order events fall back
+        to the per-event path, which handles them bit-for-bit as before.
 
         Timestamp-tie semantics (pinned here, mirrored from the
         per-event path): within a tie group the *k*-th event's reply
         window contains tie members ``0..k`` and excludes members
         ``k+1..`` — each event sees everything appended before it plus
         itself, never later arrivals. Tie runs therefore batch through
-        the reservoir like strict runs, while the plan advance passes
-        ``tie_cap=1`` so each turn consumes exactly its own event at
-        the evaluation timestamp. A tie that lands exactly on a sealed
-        chunk boundary follows the out-of-order policy (rewrite or
-        discard), again matching :meth:`process` byte-for-byte via the
-        reservoir's per-event append results.
+        the reservoir like strict runs, while each plan turn consumes
+        exactly its own event at the evaluation timestamp (``tie_cap=1``).
+        A tie that lands exactly on a sealed chunk boundary follows the
+        out-of-order policy (rewrite or discard), again matching
+        :meth:`process` byte-for-byte via the reservoir's per-event
+        append results; such a run takes one plan turn per event.
         """
         replies: list[dict[int, dict[str, Any]] | None] = []
         reservoir = self.reservoir
@@ -318,28 +320,32 @@ class TaskProcessor:
                 last_offset, last_ts = next_offset, next_event.timestamp
                 run_end += 1
             run = records[index:run_end]
+            events = [e for _, e in run]
             telemetry = self.telemetry
             if telemetry is not None:
                 started = telemetry.now()
-            results = reservoir.append_batch([e for _, e in run])
+            results = reservoir.append_batch(events)
             if telemetry is not None:
                 telemetry.observe_since("worker_reservoir_append_ms", started)
                 started = telemetry.now()
-            for (run_offset, run_event), result in zip(run, results):
-                self.next_offset = run_offset + 1
-                self.messages_processed += 1
-                if result.stored:
-                    # In-order events see eval_ts == the stored event's
-                    # timestamp on the per-event path (its own, or the
-                    # rewrite target for a sealed-boundary tie); pin it
-                    # because the batch append already advanced the
-                    # reservoir frontier.
-                    stored = result.event
-                    replies.append(plan.process_event(stored, stored.timestamp, 1))
-                else:
-                    # Discarded sealed-boundary tie: reply read-only,
-                    # exactly like the per-event path.
-                    replies.append(plan.process_event_readonly(run_event))
+            self.next_offset = last_offset + 1
+            self.messages_processed += len(run)
+            if all(result.event is e for result, e in zip(results, events)):
+                replies.extend(plan.process_run(events))
+            else:
+                for run_event, result in zip(events, results):
+                    if result.stored:
+                        # In-order events see eval_ts == the stored
+                        # event's timestamp on the per-event path (its
+                        # own, or the rewrite target for a sealed-boundary
+                        # tie); pin it because the batch append already
+                        # advanced the reservoir frontier.
+                        stored = result.event
+                        replies.append(plan.process_event(stored, stored.timestamp, 1))
+                    else:
+                        # Discarded sealed-boundary tie: reply read-only,
+                        # exactly like the per-event path.
+                        replies.append(plan.process_event_readonly(run_event))
             if telemetry is not None:
                 telemetry.observe_since("worker_plan_ms", started)
             index = run_end
@@ -375,6 +381,13 @@ class TaskProcessor:
         — state write-back, LSM snapshot, pin rotation — but no payload
         is built (no reservoir metadata, no file read) and the call
         returns None; the offset it stands for is :attr:`next_offset`.
+
+        After the barrier everything alive is frozen out of the cyclic
+        collector's reach (``gc.freeze()``): the state a barrier just
+        settled would otherwise be re-walked by every full collection.
+        Frozen objects are still freed by reference counting; the data
+        path makes no reference cycles (``tests/test_gc_gate.py`` pins
+        that), so nothing it drops waits on the collector.
         """
         telemetry = self.telemetry
         lsm_stats = self.state.db.stats
@@ -390,6 +403,7 @@ class TaskProcessor:
         if self._pinned_state is not None:
             self.state.db.release_checkpoint(self._pinned_state)
         self._pinned_state = state_cp
+        gc.freeze()
         if telemetry is not None:
             telemetry.observe_since("worker_checkpoint_ms", started)
             telemetry.counter_add(

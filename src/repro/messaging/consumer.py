@@ -54,7 +54,7 @@ class Consumer:
 
     def is_member(self) -> bool:
         """True while the coordinator still counts us in (not expired)."""
-        return self.member_id in self._coordinator.members_of(self.group_id)
+        return self._coordinator.has_member(self.group_id, self.member_id)
 
     def rejoin(self, topics: Iterable[str]) -> None:
         """Re-enter the group after expiry (node revival path)."""

@@ -172,6 +172,11 @@ class GroupCoordinator:
         group = self._groups.get(group_id)
         return sorted(group.members) if group else []
 
+    def has_member(self, group_id: str, member_id: str) -> bool:
+        """True while ``member_id`` is a live member of the group."""
+        group = self._groups.get(group_id)
+        return group is not None and member_id in group.members
+
     def _group(self, group_id: str) -> _Group:
         try:
             return self._groups[group_id]

@@ -1,18 +1,25 @@
 """The task-plan runtime.
 
 ``TaskPlan`` owns the reservoir iterators and the operator DAG for one
-task processor. Per processed event it advances each *distinct* iterator
-exactly once ("every time a plan advances time, the Window operator
+task processor. Each event's *turn* sees what each distinct iterator
+produced for it ("every time a plan advances time, the Window operator
 produces the events that arrive and expire, to the downstream operators
 of the DAG", §4.1.2), fans the entering/expiring batches through shared
 filters and group-bys, folds them into the per-entity aggregator states,
-and assembles the reply for the event's own entity.
+and assembles the reply for the event's own entity. A run of fresh
+in-order events advances each distinct iterator once per run and cuts
+the batches per turn (:meth:`TaskPlan.process_run`); any other event
+advances them once for itself (:meth:`TaskPlan.process_event`).
 
 The DAG is walked when it *changes*, not per event: every
 ``add_metric``/``remove_metric`` compiles it into a flat program —
 iterators with their limit arithmetic, windows as index pairs over the
 iterator batches, group-by nodes with their leaf tables, a reply plan
-per metric — and ``process_event`` runs that program. Its unit of state
+per metric — and every turn runs that program. When every window is one
+filter without a predicate over one group-by node (the common shape), a
+second program folds a fresh run's turns with each event's group keys
+computed once and no per-key grouping built; a window it cannot serve
+from indexed cells takes the generic fold. Its unit of state
 access is the :class:`~repro.state.store.Cell`: one dict hit per
 (group-by node, touched key) finds the resident aggregators of all the
 node's leaves, folds go straight to them, and the reply reads
@@ -25,8 +32,9 @@ loads happen and load order is the store's eviction order.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from repro.events.event import Event
 from repro.plan.operators import AggregatorNode, FilterNode, GroupByNode, WindowNode
@@ -55,6 +63,87 @@ def _pairs(field_name: str | None, events) -> list[tuple[Any, Event]]:
     if field_name is None:
         return [(True, event) for event in events]
     return [(event.get(field_name), event) for event in events]
+
+
+def _cuts(
+    batch: list[Event], stamps: list[int], offset_ms: int, tumbling: WindowSpec | None
+) -> list[int]:
+    """Where each event's turn ends in an iterator's run batch: entry
+    ``i + 1`` of the result is the cut after turn ``i`` (entry 0 is 0).
+
+    Turn ``i`` consumes what :meth:`TaskPlan.process_event` would with
+    ``eval_ts=stamps[i]`` and ``tie_cap=1``: everything up to the limit,
+    or — when the limit is the evaluation time itself — everything below
+    it and one event at it.
+    """
+    marks = [event.timestamp for event in batch]
+    size = len(marks)
+    cut = 0
+    bound = [0]
+    for stamp in stamps:
+        limit = stamp - offset_ms if tumbling is None else tumbling.tail_limit(stamp)
+        if limit == stamp:
+            cut = bisect_left(marks, limit, cut)
+            if cut < size and marks[cut] == limit:
+                cut += 1
+        else:
+            cut = bisect_right(marks, limit, cut)
+        bound.append(cut)
+    # The last turn's limit is the one the batch was advanced to.
+    assert cut == size, f"run cuts consumed {cut} of {size} events"
+    return bound
+
+
+def _is_run(batch: list[Event], events: Sequence[Event]) -> bool:
+    """True when an iterator's run batch is exactly the run's events."""
+    return len(batch) == len(events) and all(
+        mine is theirs for mine, theirs in zip(batch, events)
+    )
+
+
+def _fold_on_cells(
+    group: GroupByNode, key: Any, event: Event, gone: Sequence[Event]
+) -> tuple[Cell, ...] | None:
+    """Fold ``event`` into its own cell of ``group`` and the window's
+    exits ``gone`` out of theirs, in the generic fold's order: keys in
+    order of first appearance (the event's own first), per key its exits
+    before its enter, leaf by leaf. Returns the cells folded, or None —
+    having folded nothing — when one of them is not indexed.
+    """
+    cells = group.cells
+    cell = cells.get(key)
+    if cell is None:
+        return None
+    if not gone:
+        for aggregator, name in zip(cell.aggregators, group.value_fields):
+            aggregator.add(True if name is None else event.get(name), event)
+        return (cell,)
+    key_of = group.key_of
+    own: list[Event] = []
+    others: dict[Any, tuple[Cell, list[Event]]] = {}
+    for e in gone:
+        gone_key = key_of(e)
+        if gone_key == key:
+            own.append(e)
+            continue
+        held = others.get(gone_key)
+        if held is None:
+            other = cells.get(gone_key)
+            if other is None:
+                return None
+            held = others[gone_key] = (other, [])
+        held[1].append(e)
+    for aggregator, name in zip(cell.aggregators, group.value_fields):
+        for e in own:
+            aggregator.evict(True if name is None else e.get(name), e)
+        aggregator.add(True if name is None else event.get(name), event)
+    if not others:
+        return (cell,)
+    for other, exits in others.values():
+        for aggregator, name in zip(other.aggregators, group.value_fields):
+            for e in exits:
+                aggregator.evict(True if name is None else e.get(name), e)
+    return (cell, *[other for other, _ in others.values()])
 
 
 class TaskPlan:
@@ -144,7 +233,7 @@ class TaskPlan:
         self._iterators[tail_key] = iterator
 
     def _compile(self) -> None:
-        """Flatten the DAG into the program :meth:`process_event` runs:
+        """Flatten the DAG into the programs the turns run:
         index-addressed tuples, nothing left to look up per event. Every
         group-by node drops its cells (its leaf list may have changed
         under them).
@@ -196,7 +285,42 @@ class TaskPlan:
             )
             for handle in self._metrics.values()
         )
+        self._fast_program = self._compile_fast()
         self._cells_epoch = self.state.epoch
+
+    def _compile_fast(self) -> tuple | None:
+        """The program of :meth:`_fast_run`, or None when the plan does
+        not have the common shape: every window one filter without a
+        predicate over one group-by node. Its head batches are checked
+        per run (a delayed window's head is never the run).
+
+        ``(head batch indices, key extractors, ((tail batch index or -1,
+        group-by node, key slot, filters), ...) per window, ((metric_id,
+        group-by node, key slot, columns), ...) per metric)`` — one key
+        slot per distinct group-by field tuple.
+        """
+        slots: dict[tuple[str, ...], int] = {}
+        extractors = []
+        heads = set()
+        windows = []
+        for head, tail, filters in self._window_program:
+            if len(filters) != 1:
+                return None
+            predicate, groups = filters[0]
+            if predicate is not None or len(groups) != 1:
+                return None
+            (group,) = groups
+            slot = slots.get(group.fields)
+            if slot is None:
+                slot = slots[group.fields] = len(extractors)
+                extractors.append(group.key_of)
+            heads.add(head)
+            windows.append((tail, group, slot, filters))
+        replies = tuple(
+            (metric_id, group, slots[group.fields], columns)
+            for metric_id, group, columns in self._reply_program
+        )
+        return (tuple(sorted(heads)), tuple(extractors), tuple(windows), replies)
 
     def _backfill(self, handle: MetricHandle) -> None:
         """Prime a new metric's state with the current window contents."""
@@ -312,38 +436,24 @@ class TaskPlan:
         event's* group key — "all the aggregations computed for that
         particular event" (§3.1).
 
-        ``eval_ts`` pins the evaluation time explicitly. The batched
-        ingestion path appends a whole run to the reservoir before the
-        plan advances, which pushes ``reservoir.max_seen_ts`` past the
-        events still awaiting their plan turn — the caller passes each
-        event's own in-order timestamp to keep replies identical to the
-        per-event interleaving.
-
+        ``eval_ts`` pins the evaluation time explicitly (default: the
+        event's timestamp or the reservoir frontier, whichever is later).
         ``tie_cap`` bounds, for iterators whose limit is exactly
         ``eval_ts`` (delay-0 window heads), how many events *at* that
-        timestamp one advance may consume. The batched path passes 1:
-        a timestamp-tied run is fully in the reservoir before any plan
-        turn, and on the per-event path each tie member's reply sees
-        only the members appended before it — the cap reproduces that
-        cut-off exactly. Iterators whose limit falls below ``eval_ts``
-        are unaffected: every event at or below their limit is already
-        visible on both paths.
+        timestamp one advance may consume: with 1, a timestamp-tied
+        group already in the reservoir is consumed one member per turn,
+        so each member's reply sees only the members before it and
+        itself. Iterators whose limit falls below ``eval_ts`` are
+        unaffected. A run of fresh events the reservoir stored as
+        themselves goes through :meth:`process_run` instead, which
+        advances each iterator once per run, not once per event.
 
         Fold order is part of the contract (float accumulation is
         order-sensitive): per (group-by node, key) all exits fold before
         all enters, left to right, leaf by leaf in node order.
         """
-        self.events_processed = turn = self.events_processed + 1
         if eval_ts is None:
             eval_ts = max(event.timestamp, self.reservoir.max_seen_ts)
-        state = self.state
-        epoch = self._current_epoch()
-        # False once this event's own loads evicted something: from then
-        # on a cell may index aggregators that are no longer resident,
-        # so folds go back through the store (only a cell this turn
-        # stamped still serves — its reply).
-        live = True
-
         # 1. Advance each distinct iterator exactly once.
         batches = []
         for iterator, offset_ms, tumbling in self._iterator_program:
@@ -355,67 +465,214 @@ class TaskPlan:
                 batches.append(iterator.advance_upto(limit, tie_cap))
             else:
                 batches.append(iterator.advance_upto(limit))
+        return self._turn(event, batches)
 
-        # 2..4. Window -> Filter -> GroupBy -> Aggregator, sharing prefixes.
-        folded = 0  # leaves folded on cells: one logical read + write each
-        dirty_cells = state.dirty_cells
+    def process_run(self, events: Sequence[Event]) -> list[dict[int, dict[str, Any]]]:
+        """Turns for a run of fresh events, in order, that the reservoir
+        has just stored as themselves; the replies :meth:`process_event`
+        would give each one with ``eval_ts`` its timestamp and
+        ``tie_cap=1``, with the same state, cursors and key counts.
+
+        The sweep advances each distinct iterator once, to the last
+        event's limit, and cuts its batch at every event's limit
+        (``tie_cap=1`` becomes "one event at the limit" per turn). Late
+        events parked in a missed queue belong to the first turn alone,
+        so a run that finds any takes the per-event turns.
+
+        When the plan has the common shape (see :meth:`_compile_fast`)
+        and every window head's batch is the run itself, each turn
+        folds its event and its exits straight onto the cells it hits;
+        a window with a cell not indexed, or a turn past an eviction,
+        takes the generic fold of :meth:`_turn`.
+        """
+        if any(iterator.missed for iterator, _, _ in self._iterator_program):
+            return [self.process_event(e, e.timestamp, 1) for e in events]
+        return self._sweep(events)
+
+    def _sweep(self, events: Sequence[Event]) -> list[dict[int, dict[str, Any]]]:
+        """:meth:`process_run` once the missed queues are known empty.
+
+        Reads of chunks through the reservoir's cache are
+        order-sensitive (LRU), and one advance per iterator reorders
+        them across iterators: while more than one iterator may page
+        (:meth:`ReservoirIterator.may_page`), the run splits in two.
+        """
+        program = self._iterator_program
+        stamps = [event.timestamp for event in events]
+        last = stamps[-1]
+        limits = [
+            last - offset_ms if tumbling is None else tumbling.tail_limit(last)
+            for _, offset_ms, tumbling in program
+        ]
+        if len(events) > 1 and sum(
+            iterator.may_page(limit) for (iterator, _, _), limit in zip(program, limits)
+        ) > 1:
+            middle = len(events) // 2
+            return self._sweep(events[:middle]) + self._sweep(events[middle:])
+        # A limit at the last timestamp itself consumes one event there
+        # per turn at that timestamp: the run's tail ties, not the later
+        # members of its tie group the reservoir may already hold.
+        ties = len(stamps) - bisect_left(stamps, last)
+        batches = []
+        bounds = []
+        for (iterator, offset_ms, tumbling), limit in zip(program, limits):
+            batch = iterator.advance_upto(limit, ties if limit == last else None)
+            batches.append(batch)
+            bounds.append(_cuts(batch, stamps, offset_ms, tumbling))
+        fast = self._fast_program
+        if fast is not None and all(
+            _is_run(batches[head], events) for head in fast[0]
+        ):
+            return self._fast_run(events, batches, bounds)
+        return [
+            self._turn(
+                event,
+                [batch[bound[i]:bound[i + 1]] for batch, bound in zip(batches, bounds)],
+            )
+            for i, event in enumerate(events)
+        ]
+
+    def _turn(self, event: Event, batches: list[list[Event]]) -> dict[int, dict[str, Any]]:
+        """One event's turn over its iterator batches: Window -> Filter
+        -> GroupBy -> Aggregator, sharing prefixes, then the reply."""
+        self.events_processed = turn = self.events_processed + 1
+        epoch = self._current_epoch()
+        # False once this event's own loads evicted something: from then
+        # on a cell may index aggregators that are no longer resident,
+        # so folds go back through the store (only a cell this turn
+        # stamped still serves — its reply).
+        live = True
         for head, tail, filters in self._window_program:
             enters = batches[head]
             exits = batches[tail] if tail >= 0 else ()
-            if not enters and not exits:
-                continue
-            for predicate, groups in filters:
-                if predicate is None:
-                    f_enters, f_exits = enters, exits
-                else:
-                    f_enters = [e for e in enters if predicate(e)]
-                    f_exits = [e for e in exits if predicate(e)]
-                    if not f_enters and not f_exits:
+            if enters or exits:
+                live = self._fold(filters, enters, exits, turn, epoch, live)
+        return self._reply(event, turn, live)
+
+    def _fold(
+        self,
+        filters: tuple,
+        enters: Sequence[Event],
+        exits: Sequence[Event],
+        turn: int,
+        epoch: int,
+        live: bool,
+    ) -> bool:
+        """Fold one window's enters and exits through its filters and
+        group-by nodes; returns ``live`` after the loads it made."""
+        state = self.state
+        folded = 0  # leaves folded on cells: one logical read + write each
+        dirty_cells = state.dirty_cells
+        for predicate, groups in filters:
+            if predicate is None:
+                f_enters, f_exits = enters, exits
+            else:
+                f_enters = [e for e in enters if predicate(e)]
+                f_exits = [e for e in exits if predicate(e)]
+                if not f_enters and not f_exits:
+                    continue
+            for group in groups:
+                key_of = group.key_of
+                # key -> (its enters, its exits), keys in order of
+                # first appearance
+                per_key: dict[Any, tuple[list, list]] = {}
+                for side, events in ((0, f_enters), (1, f_exits)):
+                    for e in events:
+                        key = key_of(e)
+                        held = per_key.get(key)
+                        if held is None:
+                            held = per_key[key] = ([], [])
+                        held[side].append(e)
+                cells = group.cells
+                value_fields = group.value_fields
+                for key, (k_enters, k_exits) in per_key.items():
+                    cell = cells.get(key) if live else None
+                    if cell is None:
+                        self._first_fold(group, key, k_enters, k_exits, turn)
+                        live = state.epoch == epoch
                         continue
-                for group in groups:
-                    key_of = group.key_of
-                    # key -> (its enters, its exits), keys in order of
-                    # first appearance
-                    per_key: dict[Any, tuple[list, list]] = {}
-                    for side, events in ((0, f_enters), (1, f_exits)):
-                        for e in events:
-                            key = key_of(e)
-                            held = per_key.get(key)
-                            if held is None:
-                                held = per_key[key] = ([], [])
-                            held[side].append(e)
-                    cells = group.cells
-                    value_fields = group.value_fields
-                    for key, (k_enters, k_exits) in per_key.items():
-                        cell = cells.get(key) if live else None
-                        if cell is None:
-                            self._first_fold(group, key, k_enters, k_exits, turn)
-                            live = state.epoch == epoch
-                            continue
-                        aggregators = cell.aggregators
-                        if not k_exits and len(k_enters) == 1:
-                            e = k_enters[0]
-                            for aggregator, name in zip(aggregators, value_fields):
-                                aggregator.add(True if name is None else e.get(name), e)
-                        elif not k_enters and len(k_exits) == 1:
-                            e = k_exits[0]
-                            for aggregator, name in zip(aggregators, value_fields):
-                                aggregator.evict(True if name is None else e.get(name), e)
-                        else:
-                            for aggregator, name in zip(aggregators, value_fields):
-                                aggregator.update_batch(
-                                    _pairs(name, k_enters), _pairs(name, k_exits)
-                                )
-                        cell.turn = turn
-                        if not cell.dirty:
-                            cell.dirty = True
-                            dirty_cells.append(cell)
-                        folded += len(aggregators)
+                    aggregators = cell.aggregators
+                    if not k_exits and len(k_enters) == 1:
+                        e = k_enters[0]
+                        for aggregator, name in zip(aggregators, value_fields):
+                            aggregator.add(True if name is None else e.get(name), e)
+                    elif not k_enters and len(k_exits) == 1:
+                        e = k_exits[0]
+                        for aggregator, name in zip(aggregators, value_fields):
+                            aggregator.evict(True if name is None else e.get(name), e)
+                    else:
+                        for aggregator, name in zip(aggregators, value_fields):
+                            aggregator.update_batch(
+                                _pairs(name, k_enters), _pairs(name, k_exits)
+                            )
+                    cell.turn = turn
+                    if not cell.dirty:
+                        cell.dirty = True
+                        dirty_cells.append(cell)
+                    folded += len(aggregators)
         state.key_reads += folded
         state.key_writes += folded
+        return live
 
-        # 5. Assemble the reply for this event's own keys.
-        return self._reply(event, turn, live)
+    def _fast_run(
+        self,
+        events: Sequence[Event],
+        batches: list[list[Event]],
+        bounds: list[list[int]],
+    ) -> list[dict[int, dict[str, Any]]]:
+        """:meth:`process_run`'s turns on the common shape: each event
+        enters every window as itself, so its group keys are computed
+        once, and a window whose cells are all indexed folds on them
+        in the generic fold's order — per key exits before the enter,
+        keys in order of first appearance (the event's own first)."""
+        _, extractors, windows, reply_program = self._fast_program
+        state = self.state
+        dirty_cells = state.dirty_cells
+        turn = self.events_processed
+        folded = 0
+        replies = []
+        keys: list[Any] = [None] * len(extractors)
+        for i, event in enumerate(events):
+            turn += 1
+            epoch = state.epoch
+            if epoch != self._cells_epoch:
+                self._current_epoch()
+            live = True
+            for slot, key_of in enumerate(extractors):
+                keys[slot] = key_of(event)
+            for tail, group, slot, filters in windows:
+                gone = ()
+                if tail >= 0:
+                    bound = bounds[tail]
+                    lo, hi = bound[i], bound[i + 1]
+                    if hi > lo:
+                        gone = batches[tail][lo:hi]
+                if live:
+                    touched = _fold_on_cells(group, keys[slot], event, gone)
+                    if touched is not None:
+                        for cell in touched:
+                            cell.turn = turn
+                            if not cell.dirty:
+                                cell.dirty = True
+                                dirty_cells.append(cell)
+                            folded += len(cell.aggregators)
+                        continue
+                live = self._fold(filters, [event], gone, turn, epoch, live)
+            reply: dict[int, dict[str, Any]] = {}
+            for metric_id, group, slot, columns in reply_program:
+                cell = group.cells.get(keys[slot])
+                if cell is None or cell.turn != turn:
+                    reply = self._reply(event, turn, live)
+                    break
+                aggregators = cell.aggregators
+                values = reply[metric_id] = {}
+                for name, index in columns:
+                    values[name] = aggregators[index].result()
+            replies.append(reply)
+        self.events_processed = turn
+        state.key_reads += folded
+        state.key_writes += folded
+        return replies
 
     def process_event_readonly(self, event: Event) -> dict[int, dict[str, Any]]:
         """Reply for an event without advancing time or mutating state.

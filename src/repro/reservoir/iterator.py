@@ -15,6 +15,7 @@ survives late data (see :meth:`EventReservoir._fixup_iterators`).
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import TYPE_CHECKING
 
@@ -35,7 +36,10 @@ class ReservoirIterator:
         index: int,
         name: str = "",
     ) -> None:
-        self._reservoir = reservoir
+        # A proxy, not a reference: the reservoir lists its iterators, and
+        # a cycle between them would outlive a dropped task processor
+        # once a checkpoint barrier froze it (see TaskProcessor.checkpoint).
+        self._reservoir = weakref.proxy(reservoir)
         self.offset_ms = offset_ms
         self.chunk_id = chunk_id
         self.index = index
@@ -114,6 +118,24 @@ class ReservoirIterator:
                     break
         self.events_emitted += len(batch)
         return batch
+
+    def may_page(self, limit_ts: int) -> bool:
+        """True unless advancing to ``limit_ts`` surely reads no chunk
+        through the reservoir's cache: it stops inside the chunk the
+        cursor holds, or rolls from there into the open chunk. Cache
+        reads are order-sensitive (LRU), so a caller that advances
+        several cursors out of their per-event order checks this first.
+        """
+        reservoir = self._reservoir
+        chunk_id = self.chunk_id
+        if self._current_chunk_id != chunk_id or self._current_events is None:
+            return not reservoir.chunk_can_grow(chunk_id)
+        events = self._current_events
+        if self.index < len(events) and events[-1].timestamp > limit_ts:
+            return False
+        return not (
+            reservoir.chunk_can_grow(chunk_id) or reservoir.chunk_can_grow(chunk_id + 1)
+        )
 
     def _events_for(self, chunk_id: int) -> list[Event] | None:
         if self._current_chunk_id == chunk_id and self._current_events is not None:

@@ -103,12 +103,6 @@ class TestFixedWidth:
         serde.write_u32(buf, value)
         assert serde.read_u32(bytes(buf), 0)[0] == value
 
-    @given(st.integers(min_value=0, max_value=2**64 - 1))
-    def test_u64_roundtrip(self, value):
-        buf = bytearray()
-        serde.write_u64(buf, value)
-        assert serde.read_u64(bytes(buf), 0)[0] == value
-
     def test_truncated_f64(self):
         with pytest.raises(SerdeError):
             serde.read_f64(b"\x00" * 7, 0)

@@ -154,20 +154,21 @@ class TestCheckpointRestore:
         from repro.telemetry import MetricsRegistry
 
         # Virtual time moves only inside the two timed regions: 1 ms per
-        # reservoir batch append, 2 ms per plan turn.
+        # reservoir batch append, 2 ms per plan turn — a fresh run enters
+        # the plan once, so its entry is charged per event of the run.
         clock = DeterministicTimeSource()
 
-        def costing(method, seconds):
-            def wrapper(*args, **kwargs):
-                clock.advance(seconds)
-                return method(*args, **kwargs)
+        def costing(method, seconds, per_event=False):
+            def wrapper(self, events, *args, **kwargs):
+                clock.advance(seconds * (len(events) if per_event else 1))
+                return method(self, events, *args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(
             EventReservoir, "append_batch", costing(EventReservoir.append_batch, 0.001)
         )
         monkeypatch.setattr(
-            TaskPlan, "process_event", costing(TaskPlan.process_event, 0.002)
+            TaskPlan, "process_run", costing(TaskPlan.process_run, 0.002, per_event=True)
         )
         observed, plain = _processor(), _processor()
         observed.telemetry = registry = MetricsRegistry(
