@@ -1,6 +1,6 @@
 """Micro-benchmark harness for the ingestion hot path.
 
-Times the per-event vs batched variants of the reservoir append loop,
+Times the batched reservoir append loop (in order and in tie groups),
 the reservoir chunk codec (``reservoir_chunk_codec_{narrow,wide}``:
 serialize + deserialize of 512-event chunks), the aggregate inner
 loops, the state store (``state_apply_resident`` vs
@@ -36,9 +36,7 @@ variant to replay strictly fewer events and recover a minimum factor
 faster than from-zero.
 
 Latency percentiles are per-event microseconds derived from per-slice
-wall times (a slice is one batch for the batched variants and an
-equally-sized run of single calls for the per-event variants), so the
-two variants are directly comparable.
+wall times (a slice is one batch).
 
 Run as a module::
 
@@ -47,13 +45,12 @@ Run as a module::
 CI gating::
 
     python -m repro.bench.perf --baseline benchmarks/baseline_micro.json \
-        --tolerance 0.2 --min-speedup 1.1
+        --tolerance 0.2
 
 ``--baseline`` fails the run when a bench's throughput drops more than
-``--tolerance`` below the checked-in floor; ``--min-speedup`` fails it
-when the batched reservoir append stops beating the per-event append by
-the required factor. A baseline may also declare ``_speedup_floors`` —
-required throughput ratios between measured benches, each with a
+``--tolerance`` below the checked-in floor. A baseline may also declare
+``_speedup_floors`` — required throughput ratios between measured
+benches, each with a
 ``min_cpus`` guard: the multi-process floors only assert on hosts with
 enough cores for the workers to actually run in parallel (a 1-core
 container time-slices them, which measures scheduling, not scaling).
@@ -89,9 +86,6 @@ from repro.shard import columnar, wire
 from repro.shard.parallel import ParallelCluster
 from repro.shard.router import ClusterRouter
 from repro.state.store import MetricStateStore, encode_group_key
-
-#: the bench pair the CI speedup gate compares (reservoir append path)
-SPEEDUP_PAIR = ("reservoir_append_batch", "reservoir_append_per_event")
 
 _FIELDS = [
     SchemaField("cardId", FieldType.STRING),
@@ -185,34 +179,9 @@ def _slices(events: list[Event], batch_size: int) -> list[list[Event]]:
 # -- reservoir append ---------------------------------------------------------
 
 
-def bench_reservoir_append_per_event(events: list[Event], batch_size: int) -> dict[str, float]:
-    reservoir = EventReservoir(_registry(), config=_reservoir_config())
-
-    def run_slice(chunk: Sequence[Event]) -> None:
-        append = reservoir.append
-        for event in chunk:
-            append(event)
-
-    return _measure_slices(_slices(events, batch_size), run_slice)
-
-
 def bench_reservoir_append_batch(events: list[Event], batch_size: int) -> dict[str, float]:
     reservoir = EventReservoir(_registry(), config=_reservoir_config())
     return _measure_slices(_slices(events, batch_size), reservoir.append_batch)
-
-
-def bench_reservoir_append_ties_per_event(
-    events: list[Event], batch_size: int
-) -> dict[str, float]:
-    ties = _tie_events(len(events))
-    reservoir = EventReservoir(_registry(), config=_reservoir_config())
-
-    def run_slice(chunk: Sequence[Event]) -> None:
-        append = reservoir.append
-        for event in chunk:
-            append(event)
-
-    return _measure_slices(_slices(ties, batch_size), run_slice)
 
 
 def bench_reservoir_append_ties_batch(
@@ -263,19 +232,6 @@ def _aggregators():
         MaxAggregator(),
         MinAggregator(),
     ]
-
-
-def bench_aggregate_update_per_event(events: list[Event], batch_size: int) -> dict[str, float]:
-    aggregators = _aggregators()
-
-    def run_slice(chunk: Sequence[Event]) -> None:
-        pairs = [(event.get("amount"), event) for event in chunk]
-        for aggregator in aggregators:
-            add = aggregator.add
-            for value, event in pairs:
-                add(value, event)
-
-    return _measure_slices(_slices(events, batch_size), run_slice)
 
 
 def bench_aggregate_update_batch(events: list[Event], batch_size: int) -> dict[str, float]:
@@ -448,18 +404,6 @@ def _task_processor(queries: tuple[str, ...] = _SUM_COUNT) -> TaskProcessor:
     return processor
 
 
-def bench_task_ingest_per_event(events: list[Event], batch_size: int) -> dict[str, float]:
-    processor = _task_processor()
-    offsets = iter(range(len(events)))
-
-    def run_slice(chunk: Sequence[Event]) -> None:
-        process = processor.process
-        for event in chunk:
-            process(next(offsets), event)
-
-    return _measure_slices(_slices(events, batch_size), run_slice)
-
-
 def bench_task_ingest_batch(events: list[Event], batch_size: int) -> dict[str, float]:
     processor = _task_processor()
     offsets = iter(range(len(events)))
@@ -496,17 +440,6 @@ def _frontend_cluster() -> RailgunCluster:
     )
     cluster.run_until_quiet(max_rounds=50)
     return cluster
-
-
-def bench_frontend_send_per_event(events: list[Event], batch_size: int) -> dict[str, float]:
-    frontend = _frontend_cluster().nodes["node-0"].frontend
-
-    def run_slice(chunk: Sequence[Event]) -> None:
-        send = frontend.send
-        for event in chunk:
-            send("tx", event)
-
-    return _measure_slices(_slices(events, batch_size), run_slice)
 
 
 def bench_frontend_send_batch(events: list[Event], batch_size: int) -> dict[str, float]:
@@ -1035,13 +968,10 @@ def bench_recovery_from_checkpoint(events: list[Event], batch_size: int) -> dict
 
 
 BENCHES: dict[str, Callable[[list[Event], int], dict[str, float]]] = {
-    "reservoir_append_per_event": bench_reservoir_append_per_event,
     "reservoir_append_batch": bench_reservoir_append_batch,
-    "reservoir_append_ties_per_event": bench_reservoir_append_ties_per_event,
     "reservoir_append_ties_batch": bench_reservoir_append_ties_batch,
     "reservoir_chunk_codec_narrow": bench_reservoir_chunk_codec_narrow,
     "reservoir_chunk_codec_wide": bench_reservoir_chunk_codec_wide,
-    "aggregate_update_per_event": bench_aggregate_update_per_event,
     "aggregate_update_batch": bench_aggregate_update_batch,
     "state_apply_resident": bench_state_apply_resident,
     "state_apply_evicting": bench_state_apply_evicting,
@@ -1049,10 +979,8 @@ BENCHES: dict[str, Callable[[list[Event], int], dict[str, float]]] = {
     "state_checkpoint_steady_4k": bench_state_checkpoint_steady_4k,
     "state_checkpoint_steady_32k": bench_state_checkpoint_steady_32k,
     "state_checkpoint_mixed": bench_state_checkpoint_mixed,
-    "task_ingest_per_event": bench_task_ingest_per_event,
     "task_ingest_batch": bench_task_ingest_batch,
     "task_ingest_fraud3": bench_task_ingest_fraud3,
-    "frontend_send_per_event": bench_frontend_send_per_event,
     "frontend_send_batch": bench_frontend_send_batch,
     "codec_work_batch_columnar": bench_codec_work_batch_columnar,
     "codec_work_batch_serde": bench_codec_work_batch_serde,
@@ -1366,22 +1294,6 @@ def check_telemetry_overhead(
     return [], overhead
 
 
-def check_speedup(
-    results: dict[str, dict[str, float]], min_speedup: float
-) -> list[str]:
-    """Failure messages when batched append stops beating per-event."""
-    batched, per_event = SPEEDUP_PAIR
-    ratio = (
-        results[batched]["events_per_sec"] / results[per_event]["events_per_sec"]
-    )
-    if ratio < min_speedup:
-        return [
-            f"{batched} is only {ratio:.2f}x {per_event} "
-            f"(required {min_speedup:.2f}x)"
-        ]
-    return []
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_micro.json", help="output JSON path")
@@ -1401,10 +1313,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="baseline JSON to gate events_per_sec against",
     )
     parser.add_argument("--tolerance", type=float, default=0.2)
-    parser.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="required reservoir_append_batch / per_event throughput ratio",
-    )
     parser.add_argument(
         "--check-telemetry-overhead", action="store_true",
         help="paired engine_ingest_process_4w runs with RAILGUN_TELEMETRY "
@@ -1453,13 +1361,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"{name}: {stats['overhead_frac']:.0%} of a trip is front door "
                 f"(in-process {stats['direct_events_per_sec']:,.0f} events/s)"
             )
-    batched, per_event = SPEEDUP_PAIR
-    if batched in results and per_event in results:
-        ratio = (
-            results[batched]["events_per_sec"] / results[per_event]["events_per_sec"]
-        )
-        print(f"{batched} / {per_event} = {ratio:.2f}x")
-
     failures: list[str] = []
     if args.baseline:
         with open(args.baseline, "r", encoding="utf-8") as handle:
@@ -1482,8 +1383,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         failures.extend(recovery_failures)
         for skip in recovery_skips:
             print(f"RECOVERY FLOOR SKIPPED: {skip}", file=sys.stderr)
-    if args.min_speedup is not None and batched in results and per_event in results:
-        failures.extend(check_speedup(results, args.min_speedup))
     failures.extend(check_telemetry_decomposition(results))
     if args.check_telemetry_overhead:
         overhead_failures, overhead = check_telemetry_overhead(

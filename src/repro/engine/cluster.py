@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import inspect
+import weakref
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.common.clock import ManualClock
@@ -285,7 +286,10 @@ class RailgunCluster:
         else:
             self.bus = MessageBus()
         self.coordinator = GroupCoordinator()
-        self.coordinator.external_authority = self._on_group_change
+        # Held weakly, like the units' back-references: no cycle keeps a
+        # dropped cluster alive.
+        on_group_change = weakref.WeakMethod(self._on_group_change)
+        self.coordinator.external_authority = lambda group_id: on_group_change()(group_id)
         # Any object with .assign(tasks, processors, previous) works —
         # the ablation bench swaps in the non-sticky baseline here.
         self.strategy = (
@@ -520,24 +524,6 @@ class RailgunCluster:
             event, event_id,
         )
         return self.send_batch(stream, [event], node_id, max_rounds)[0]
-
-    def send_async(
-        self,
-        stream: str,
-        fields: Mapping[str, Any] | None = None,
-        timestamp: int | None = None,
-        event: Event | None = None,
-        event_id: str | None = None,
-        node_id: str | None = None,
-    ):
-        """Publish an event without waiting; returns (corr_id, frontend)."""
-        event = client_event(
-            self.clock, self.bus.messages_published, fields, timestamp,
-            event, event_id,
-        )
-        node = self._pick_node(node_id)
-        correlation = node.frontend.send(stream, event)
-        return correlation, node.frontend
 
     def send_batch(
         self,

@@ -164,42 +164,6 @@ class FrontEnd:
 
     # -- step 1-2: receive + fan out ----------------------------------------------
 
-    def send(self, stream_name: str, event: Event) -> int:
-        """Publish an event to all of its stream's topics; returns corr id."""
-        self._consume_ops()
-        stream = self.catalog.streams.get(stream_name)
-        if stream is None:
-            raise EngineError(f"unknown stream {stream_name!r}")
-        stream.schema().validate_event(event)
-        correlation_id = self._next_correlation
-        self._next_correlation += 1
-        topics = stream.topics()
-        envelope = EventEnvelope(
-            stream=stream_name,
-            event=event,
-            origin_node=self.node_id,
-            correlation_id=correlation_id,
-            fanout=len(topics),
-        )
-        for partitioner in stream.partitioners:
-            key = (
-                "__global__"
-                if partitioner == GLOBAL_PARTITIONER
-                else event.get(partitioner)
-            )
-            self.bus.publish(
-                topic_name(stream_name, partitioner), key, envelope, self.clock.now()
-            )
-        self.pending[correlation_id] = PendingRequest(
-            correlation_id=correlation_id,
-            event=event,
-            stream=stream_name,
-            expected=len(topics),
-            sent_at_ms=self.clock.now(),
-        )
-        self.events_received += 1
-        return correlation_id
-
     def send_batch(self, stream_name: str, events: Sequence[Event]) -> list[int]:
         """Publish a batch of events; returns their correlation ids.
 

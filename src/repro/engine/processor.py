@@ -10,6 +10,7 @@ future reassignments into cheap delta recoveries.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -91,7 +92,10 @@ class ProcessorUnit:
         self.node_id = node_id
         self.bus = bus
         self.clock = clock
-        self.cluster = cluster
+        # The cluster owns its units through its nodes: held weakly, a
+        # dropped cluster dies by reference counting even after a
+        # checkpoint barrier froze it (see TaskProcessor.checkpoint).
+        self.cluster = None if cluster is None else weakref.proxy(cluster)
         self.config = config if config is not None else UnitConfig()
         self.catalog = Catalog()
         self.stats = RecoveryStats()

@@ -15,11 +15,13 @@ The DAG is walked when it *changes*, not per event: every
 ``add_metric``/``remove_metric`` compiles it into a flat program —
 iterators with their limit arithmetic, windows as index pairs over the
 iterator batches, group-by nodes with their leaf tables, a reply plan
-per metric — and every turn runs that program. When every window is one
-filter without a predicate over one group-by node (the common shape), a
-second program folds a fresh run's turns with each event's group keys
-computed once and no per-key grouping built; a window it cannot serve
-from indexed cells takes the generic fold. Its unit of state
+per metric, one key slot per group-by field tuple — and one turn loop
+(:meth:`TaskPlan._turns`) runs that program for every event, one or a
+run at a time. Each turn computes the event's group key once per key
+slot. A window of one filter without a predicate over one group-by
+node, whose only enter is the turn's own event, folds the event and its
+exits straight onto indexed cells (:func:`_fold_on_cells`); any other
+window takes the generic fold. Its unit of state
 access is the :class:`~repro.state.store.Cell`: one dict hit per
 (group-by node, touched key) finds the resident aggregators of all the
 node's leaves, folds go straight to them, and the reply reads
@@ -92,13 +94,6 @@ def _cuts(
     # The last turn's limit is the one the batch was advanced to.
     assert cut == size, f"run cuts consumed {cut} of {size} events"
     return bound
-
-
-def _is_run(batch: list[Event], events: Sequence[Event]) -> bool:
-    """True when an iterator's run batch is exactly the run's events."""
-    return len(batch) == len(events) and all(
-        mine is theirs for mine, theirs in zip(batch, events)
-    )
 
 
 def _fold_on_cells(
@@ -250,6 +245,8 @@ class TaskPlan:
             for key, iterator in self._iterators.items()
         )
         slot = {key: index for index, key in enumerate(self._iterators)}
+        key_slots: dict[tuple[str, ...], int] = {}
+        extractors = []
         windows = []
         self._groups: list[GroupByNode] = []
         for spec, window in self._windows.items():
@@ -259,21 +256,34 @@ class TaskPlan:
                 groups = tuple(filter_node.group_bys.values())
                 for group in groups:
                     group.compile()
+                    if group.fields not in key_slots:
+                        key_slots[group.fields] = len(extractors)
+                        extractors.append(group.key_of)
                 self._groups.extend(groups)
                 expression = filter_node.expression
                 filters.append(
                     (None if expression is None else expression.matches, groups)
                 )
+            # the group-by node a turn may fold on cells directly: the
+            # window's only filter has no predicate and one node
+            cheap = None
+            if len(filters) == 1 and filters[0][0] is None and len(filters[0][1]) == 1:
+                cheap = filters[0][1][0]
             windows.append((
                 slot[spec.head_share_key()],
                 -1 if tail_key is None else slot[tail_key],
                 tuple(filters),
+                cheap,
+                -1 if cheap is None else key_slots[cheap.fields],
             ))
+        #: the group key of every distinct group-by field tuple, by key slot
+        self._key_program = tuple(extractors)
         #: ``(head batch index, tail batch index or -1, ((predicate |
-        #: None, group-by nodes), ...))`` per window, registration order
+        #: None, group-by nodes), ...), group-by node folded on cells or
+        #: None, its key slot or -1)`` per window, registration order
         self._window_program = tuple(windows)
         #: ``(metric_id, group-by node, ((display name, leaf index),
-        #: ...))`` per metric, registration order
+        #: ...), key slot)`` per metric, registration order
         self._reply_program = tuple(
             (
                 handle.metric_id,
@@ -282,45 +292,11 @@ class TaskPlan:
                     (node.display_name, handle.group_by.aggregators.index(node))
                     for node in handle.aggregators
                 ),
+                key_slots[handle.group_by.fields],
             )
             for handle in self._metrics.values()
         )
-        self._fast_program = self._compile_fast()
         self._cells_epoch = self.state.epoch
-
-    def _compile_fast(self) -> tuple | None:
-        """The program of :meth:`_fast_run`, or None when the plan does
-        not have the common shape: every window one filter without a
-        predicate over one group-by node. Its head batches are checked
-        per run (a delayed window's head is never the run).
-
-        ``(head batch indices, key extractors, ((tail batch index or -1,
-        group-by node, key slot, filters), ...) per window, ((metric_id,
-        group-by node, key slot, columns), ...) per metric)`` — one key
-        slot per distinct group-by field tuple.
-        """
-        slots: dict[tuple[str, ...], int] = {}
-        extractors = []
-        heads = set()
-        windows = []
-        for head, tail, filters in self._window_program:
-            if len(filters) != 1:
-                return None
-            predicate, groups = filters[0]
-            if predicate is not None or len(groups) != 1:
-                return None
-            (group,) = groups
-            slot = slots.get(group.fields)
-            if slot is None:
-                slot = slots[group.fields] = len(extractors)
-                extractors.append(group.key_of)
-            heads.add(head)
-            windows.append((tail, group, slot, filters))
-        replies = tuple(
-            (metric_id, group, slots[group.fields], columns)
-            for metric_id, group, columns in self._reply_program
-        )
-        return (tuple(sorted(heads)), tuple(extractors), tuple(windows), replies)
 
     def _backfill(self, handle: MetricHandle) -> None:
         """Prime a new metric's state with the current window contents."""
@@ -465,7 +441,7 @@ class TaskPlan:
                 batches.append(iterator.advance_upto(limit, tie_cap))
             else:
                 batches.append(iterator.advance_upto(limit))
-        return self._turn(event, batches)
+        return self._turns((event,), batches, [[0, len(batch)] for batch in batches])[0]
 
     def process_run(self, events: Sequence[Event]) -> list[dict[int, dict[str, Any]]]:
         """Turns for a run of fresh events, in order, that the reservoir
@@ -477,13 +453,8 @@ class TaskPlan:
         event's limit, and cuts its batch at every event's limit
         (``tie_cap=1`` becomes "one event at the limit" per turn). Late
         events parked in a missed queue belong to the first turn alone,
-        so a run that finds any takes the per-event turns.
-
-        When the plan has the common shape (see :meth:`_compile_fast`)
-        and every window head's batch is the run itself, each turn
-        folds its event and its exits straight onto the cells it hits;
-        a window with a cell not indexed, or a turn past an eviction,
-        takes the generic fold of :meth:`_turn`.
+        so a run that finds any takes the per-event turns. Either way
+        the turns themselves are :meth:`_turns`.
         """
         if any(iterator.missed for iterator, _, _ in self._iterator_program):
             return [self.process_event(e, e.timestamp, 1) for e in events]
@@ -519,35 +490,85 @@ class TaskPlan:
             batch = iterator.advance_upto(limit, ties if limit == last else None)
             batches.append(batch)
             bounds.append(_cuts(batch, stamps, offset_ms, tumbling))
-        fast = self._fast_program
-        if fast is not None and all(
-            _is_run(batches[head], events) for head in fast[0]
-        ):
-            return self._fast_run(events, batches, bounds)
-        return [
-            self._turn(
-                event,
-                [batch[bound[i]:bound[i + 1]] for batch, bound in zip(batches, bounds)],
-            )
-            for i, event in enumerate(events)
-        ]
+        return self._turns(events, batches, bounds)
 
-    def _turn(self, event: Event, batches: list[list[Event]]) -> dict[int, dict[str, Any]]:
-        """One event's turn over its iterator batches: Window -> Filter
-        -> GroupBy -> Aggregator, sharing prefixes, then the reply."""
-        self.events_processed = turn = self.events_processed + 1
-        epoch = self._current_epoch()
-        # False once this event's own loads evicted something: from then
-        # on a cell may index aggregators that are no longer resident,
-        # so folds go back through the store (only a cell this turn
-        # stamped still serves — its reply).
-        live = True
-        for head, tail, filters in self._window_program:
-            enters = batches[head]
-            exits = batches[tail] if tail >= 0 else ()
-            if enters or exits:
-                live = self._fold(filters, enters, exits, turn, epoch, live)
-        return self._reply(event, turn, live)
+    def _turns(
+        self,
+        events: Sequence[Event],
+        batches: list[list[Event]],
+        bounds: list[list[int]],
+    ) -> list[dict[int, dict[str, Any]]]:
+        """Each event's turn, in order: turn ``i`` sees
+        ``batches[k][bounds[k][i]:bounds[k][i + 1]]`` of each iterator
+        ``k`` and walks Window -> Filter -> GroupBy -> Aggregator,
+        sharing prefixes, then the reply.
+
+        A window of one filter without a predicate over one group-by
+        node, whose only enter is the turn's own event, folds it and its
+        exits straight onto indexed cells (:func:`_fold_on_cells`), keyed
+        by the event's key slot. Any other window, a cell not indexed or
+        a turn past an eviction takes the generic :meth:`_fold`. The
+        reply reads the cells the turn stamped, else :meth:`_reply`.
+        """
+        state = self.state
+        dirty_cells = state.dirty_cells
+        extractors = self._key_program
+        window_program = self._window_program
+        reply_program = self._reply_program
+        turn = self.events_processed
+        folded = 0  # leaves folded on cells: one logical read + write each
+        replies = []
+        keys: list[Any] = [None] * len(extractors)
+        for i, event in enumerate(events):
+            turn += 1
+            epoch = state.epoch
+            if epoch != self._cells_epoch:
+                self._current_epoch()
+            # False once this event's own loads evicted something: from
+            # then on a cell may index aggregators that are no longer
+            # resident, so folds go back through the store (only a cell
+            # this turn stamped still serves — its reply).
+            live = True
+            for slot, key_of in enumerate(extractors):
+                keys[slot] = key_of(event)
+            for head, tail, filters, group, slot in window_program:
+                exits = ()
+                if tail >= 0:
+                    bound = bounds[tail]
+                    lo, hi = bound[i], bound[i + 1]
+                    if hi > lo:
+                        exits = batches[tail][lo:hi]
+                bound = bounds[head]
+                lo, hi = bound[i], bound[i + 1]
+                if live and group is not None and hi - lo == 1 and batches[head][lo] is event:
+                    touched = _fold_on_cells(group, keys[slot], event, exits)
+                    if touched is not None:
+                        for cell in touched:
+                            cell.turn = turn
+                            if not cell.dirty:
+                                cell.dirty = True
+                                dirty_cells.append(cell)
+                            folded += len(cell.aggregators)
+                        continue
+                if hi > lo or exits:
+                    live = self._fold(
+                        filters, batches[head][lo:hi], exits, turn, epoch, live
+                    )
+            reply: dict[int, dict[str, Any]] = {}
+            for metric_id, group, columns, slot in reply_program:
+                cell = group.cells.get(keys[slot])
+                if cell is None or cell.turn != turn:
+                    reply = self._reply(event, turn, live)
+                    break
+                aggregators = cell.aggregators
+                values = reply[metric_id] = {}
+                for name, index in columns:
+                    values[name] = aggregators[index].result()
+            replies.append(reply)
+        self.events_processed = turn
+        state.key_reads += folded
+        state.key_writes += folded
+        return replies
 
     def _fold(
         self,
@@ -614,66 +635,6 @@ class TaskPlan:
         state.key_writes += folded
         return live
 
-    def _fast_run(
-        self,
-        events: Sequence[Event],
-        batches: list[list[Event]],
-        bounds: list[list[int]],
-    ) -> list[dict[int, dict[str, Any]]]:
-        """:meth:`process_run`'s turns on the common shape: each event
-        enters every window as itself, so its group keys are computed
-        once, and a window whose cells are all indexed folds on them
-        in the generic fold's order — per key exits before the enter,
-        keys in order of first appearance (the event's own first)."""
-        _, extractors, windows, reply_program = self._fast_program
-        state = self.state
-        dirty_cells = state.dirty_cells
-        turn = self.events_processed
-        folded = 0
-        replies = []
-        keys: list[Any] = [None] * len(extractors)
-        for i, event in enumerate(events):
-            turn += 1
-            epoch = state.epoch
-            if epoch != self._cells_epoch:
-                self._current_epoch()
-            live = True
-            for slot, key_of in enumerate(extractors):
-                keys[slot] = key_of(event)
-            for tail, group, slot, filters in windows:
-                gone = ()
-                if tail >= 0:
-                    bound = bounds[tail]
-                    lo, hi = bound[i], bound[i + 1]
-                    if hi > lo:
-                        gone = batches[tail][lo:hi]
-                if live:
-                    touched = _fold_on_cells(group, keys[slot], event, gone)
-                    if touched is not None:
-                        for cell in touched:
-                            cell.turn = turn
-                            if not cell.dirty:
-                                cell.dirty = True
-                                dirty_cells.append(cell)
-                            folded += len(cell.aggregators)
-                        continue
-                live = self._fold(filters, [event], gone, turn, epoch, live)
-            reply: dict[int, dict[str, Any]] = {}
-            for metric_id, group, slot, columns in reply_program:
-                cell = group.cells.get(keys[slot])
-                if cell is None or cell.turn != turn:
-                    reply = self._reply(event, turn, live)
-                    break
-                aggregators = cell.aggregators
-                values = reply[metric_id] = {}
-                for name, index in columns:
-                    values[name] = aggregators[index].result()
-            replies.append(reply)
-        self.events_processed = turn
-        state.key_reads += folded
-        state.key_writes += folded
-        return replies
-
     def process_event_readonly(self, event: Event) -> dict[int, dict[str, Any]]:
         """Reply for an event without advancing time or mutating state.
 
@@ -730,7 +691,7 @@ class TaskPlan:
         state = self.state
         replies: dict[int, dict[str, Any]] = {}
         peeked = 0
-        for metric_id, group, columns in self._reply_program:
+        for metric_id, group, columns, _ in self._reply_program:
             key = group.key_of(event)
             cell = group.cells.get(key)
             values: dict[str, Any] = {}

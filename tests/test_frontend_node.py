@@ -39,9 +39,9 @@ def _world():
 class TestFanOut:
     def test_event_published_to_every_partitioner_topic(self):
         _, bus, frontend = _world()
-        frontend.send(
+        frontend.send_batch(
             "payments",
-            Event("e1", 10, {"cardId": "c1", "merchantId": "m1", "amount": 1.0}),
+            [Event("e1", 10, {"cardId": "c1", "merchantId": "m1", "amount": 1.0})],
         )
         card_total = sum(
             bus.end_offset(tp) for tp in bus.topic_partitions("payments.cardId")
@@ -54,9 +54,9 @@ class TestFanOut:
 
     def test_envelope_carries_fanout_and_origin(self):
         _, bus, frontend = _world()
-        frontend.send(
+        frontend.send_batch(
             "payments",
-            Event("e1", 10, {"cardId": "c1", "merchantId": "m1", "amount": 1.0}),
+            [Event("e1", 10, {"cardId": "c1", "merchantId": "m1", "amount": 1.0})],
         )
         tp = next(
             tp for tp in bus.topic_partitions("payments.cardId")
@@ -70,14 +70,14 @@ class TestFanOut:
     def test_unknown_stream_rejected(self):
         _, _, frontend = _world()
         with pytest.raises(EngineError):
-            frontend.send("ghost", Event("e", 1, {}))
+            frontend.send_batch("ghost", [Event("e", 1, {})])
 
     def test_schema_validated_at_entry(self):
         from repro.common.errors import SchemaError
 
         _, _, frontend = _world()
         with pytest.raises(SchemaError):
-            frontend.send("payments", Event("e", 1, {"bogus": 1}))
+            frontend.send_batch("payments", [Event("e", 1, {"bogus": 1})])
 
 
     def test_invalid_event_rejects_the_whole_batch(self):
@@ -154,9 +154,9 @@ class TestFanOut:
 class TestFanIn:
     def test_reply_completes_after_all_tasks_answer(self):
         clock, bus, frontend = _world()
-        correlation = frontend.send(
+        (correlation,) = frontend.send_batch(
             "payments",
-            Event("e1", 10, {"cardId": "c1", "merchantId": "m1", "amount": 1.0}),
+            [Event("e1", 10, {"cardId": "c1", "merchantId": "m1", "amount": 1.0})],
         )
         reply_topic = REPLY_TOPIC_PREFIX + "n1"
         bus.publish(
@@ -181,9 +181,9 @@ class TestFanIn:
 
     def test_duplicate_replies_ignored(self):
         clock, bus, frontend = _world()
-        correlation = frontend.send(
+        (correlation,) = frontend.send_batch(
             "payments",
-            Event("e1", 10, {"cardId": "c1", "merchantId": "m1", "amount": 1.0}),
+            [Event("e1", 10, {"cardId": "c1", "merchantId": "m1", "amount": 1.0})],
         )
         reply = ReplyEnvelope(
             correlation, "e1", TopicPartition("payments.cardId", 0), {0: {}}
@@ -201,9 +201,9 @@ class TestFanIn:
 
     def test_latency_measured_from_send(self):
         clock, bus, frontend = _world()
-        correlation = frontend.send(
+        (correlation,) = frontend.send_batch(
             "payments",
-            Event("e1", 10, {"cardId": "c1", "merchantId": "m1", "amount": 1.0}),
+            [Event("e1", 10, {"cardId": "c1", "merchantId": "m1", "amount": 1.0})],
         )
         clock.advance(25)
         for topic in ("payments.cardId", "payments.merchantId"):
@@ -242,7 +242,7 @@ class TestNodeLifecycle:
     def test_send_requires_fields_or_event(self):
         cluster = RailgunCluster(nodes=1, processor_units=1)
         with pytest.raises(EngineError):
-            cluster.send_async("s")
+            cluster.send("s")
 
     def test_cluster_requires_nodes(self):
         with pytest.raises(EngineError):

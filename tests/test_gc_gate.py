@@ -171,3 +171,22 @@ def test_a_dropped_task_processor_makes_no_cycles(cyclic_garbage):
     collect()
     del processor, restored
     assert collect() == 0
+
+
+def test_a_dropped_single_cluster_makes_no_cycles(cyclic_garbage):
+    # An application may drop an engine without close() after a barrier
+    # has frozen it: the whole cluster (bus, nodes, units, task
+    # processors) must die by reference counting alone.
+    collect, _ = cyclic_garbage
+    cluster = create_cluster(
+        "single", unit_config=UnitConfig(reservoir=ReservoirConfig(cache_capacity=4))
+    )
+    cluster.create_stream("tx", ["cardId"], partitions=4, schema=SCHEMA)
+    for query in FRAUD3:
+        cluster.create_metric(query)
+    traffic = Traffic(seed=17, messy=False)
+    for _ in range(8):
+        assert len(cluster.send_batch("tx", traffic.take(256))) == 256
+    collect()
+    del cluster
+    assert collect() == 0

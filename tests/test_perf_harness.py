@@ -46,19 +46,13 @@ class TestRunBenches:
             assert stats["events_per_sec"] > 0, name
             assert 0 < stats["p50_us"] <= stats["p99_us"], name
 
-    def test_speedup_pair_names_are_real_benches(self):
-        batched, per_event = perf.SPEEDUP_PAIR
-        assert batched in perf.BENCHES
-        assert per_event in perf.BENCHES
-
     def test_select_runs_matching_subset(self):
         results = perf.run_benches(
             event_count=600, batch_size=128, warmup=False,
             engine_event_count=300, select="reservoir",
         )
         assert set(results) == {
-            "reservoir_append_per_event", "reservoir_append_batch",
-            "reservoir_append_ties_per_event", "reservoir_append_ties_batch",
+            "reservoir_append_batch", "reservoir_append_ties_batch",
             "reservoir_chunk_codec_narrow", "reservoir_chunk_codec_wide",
         }
 
@@ -104,12 +98,6 @@ class TestGates:
         assert failures == [
             "task_ingest_batch: present in baseline but not measured"
         ]
-
-    def test_speedup_gate(self):
-        batched, per_event = perf.SPEEDUP_PAIR
-        results = {batched: self.sample(300.0), per_event: self.sample(100.0)}
-        assert perf.check_speedup(results, 1.5) == []
-        assert len(perf.check_speedup(results, 4.0)) == 1
 
     def test_baseline_missing_tolerated_under_select(self):
         baseline = {"task_ingest_batch": self.sample(1.0)}

@@ -3,8 +3,9 @@
 ``TaskProcessor.process_batch`` hands a run of fresh in-order events the
 reservoir stored as themselves to ``TaskPlan.process_run``: each
 iterator advances once per run, its batch is cut at every event's limit,
-and on the common plan shape (every window one filter without a
-predicate over one group-by node) each turn folds straight onto cells.
+and every turn — of a run or of one event — folds a window of one filter
+without a predicate over one group-by node straight onto cells when the
+event is its only enter.
 None of that may be observable: replies, full ``TASK_CHECKPOINT`` bytes,
 logical key reads/writes, iterator positions and ``ReservoirStats`` must
 equal those of ``TaskProcessor.process`` called per event.
@@ -22,7 +23,7 @@ from repro.engine.catalog import MetricDef, StreamDef
 from repro.engine.task import TASK_CHECKPOINT, TaskProcessor
 from repro.events.event import Event
 from repro.messaging.log import TopicPartition
-from repro.plan.dag import TaskPlan
+from repro.plan import dag
 from repro.reservoir.reservoir import OutOfOrderPolicy, ReservoirConfig
 from repro.state import store as state_store
 
@@ -45,13 +46,14 @@ FAST_PLAN = (
     "GROUP BY cardId, country OVER sliding 90 ms",
     "SELECT sum(amount) FROM tx OVER sliding 25 ms",
 )
-#: the fast program is compiled, but the delayed window's head batch is
-#: never the run: every run takes the generic turn
+#: the delayed window's enters are older events: it takes the generic
+#: fold, the other two fold on cells
 DELAYED_PLAN = FAST_PLAN[:2] + (
     "SELECT max(amount), countDistinct(cardId) FROM tx GROUP BY country "
     "OVER sliding 60 ms delayed by 10 ms",
 )
-#: a filtered metric shares a window with an unfiltered one: no fast program
+#: a filtered metric shares a window with an unfiltered one: only the
+#: tumbling window folds on cells
 FILTERED_PLAN = (
     "SELECT sum(amount), count(*) FROM tx GROUP BY cardId OVER sliding 40 ms",
     "SELECT avg(amount), last(amount) FROM tx WHERE amount > 5 "
@@ -200,12 +202,6 @@ class TestSweepEqualsPerEventTurns:
             PLANS[plan], _records(steps), sizes, config, resident_cap
         )
 
-    def test_plans_cover_both_shapes(self):
-        config = ReservoirConfig()
-        assert _processor(FAST_PLAN, config).plan._fast_program is not None
-        assert _processor(DELAYED_PLAN, config).plan._fast_program is not None
-        assert _processor(FILTERED_PLAN, config).plan._fast_program is None
-
     def test_ties_evictions_and_a_sealed_boundary_tie(self):
         # Tie groups of three at 4-event chunks: a group straddles every
         # chunk close, so its late members tie a sealed timestamp and
@@ -225,17 +221,18 @@ class TestSweepEqualsPerEventTurns:
             assert stats.demand_chunk_loads > 0
             assert batched.state.db.stats.puts > 0  # evictions wrote back
 
-    def test_steady_runs_take_the_fast_turn(self):
-        calls = []
-        original = TaskPlan._fast_run
-
-        def spy(plan, events, *args):
-            calls.append(len(events))
-            return original(plan, events, *args)
-
+    def test_every_turn_folds_its_own_event_on_cells(self):
+        # Per-event turns and sweeps alike fold a window of one
+        # predicate-free filter over one group-by node on cells; a
+        # delayed window (its enters are older events) and a filtered
+        # one take the generic fold. Three processors, 400 events.
         steps = [("fresh", 1 + i % 3, i % 5, i % 7, "PT") for i in range(400)]
-        with mock.patch.object(TaskPlan, "_fast_run", spy):
-            assert_batches_equal_per_event(
-                FAST_PLAN, _records(steps), [64], ReservoirConfig(chunk_max_events=32)
-            )
-        assert sum(calls) > 300
+        calls = {}
+        for name, plan in PLANS.items():
+            spy = mock.Mock(wraps=dag._fold_on_cells)
+            with mock.patch.object(dag, "_fold_on_cells", spy):
+                assert_batches_equal_per_event(
+                    plan, _records(steps), [64], ReservoirConfig(chunk_max_events=32)
+                )
+            calls[name] = spy.call_count
+        assert calls == {"fast": 4 * 1200, "delayed": 2 * 1200, "filtered": 1200}

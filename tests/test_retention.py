@@ -19,6 +19,7 @@ import tracemalloc
 
 import pytest
 
+from repro.common.errors import EngineError
 from repro.engine import create_cluster
 from repro.engine.catalog import MetricDef, StreamDef, topic_name
 from repro.engine.task import TaskProcessor
@@ -176,10 +177,12 @@ def test_reply_topic_forgets_what_the_frontend_consumed(durable, tmp_path):
         assert log.end_offset == sent
         assert log.start_offset <= sent
         assert reopened.nodes["node-0"].frontend._reply_offset == sent
-        correlation, reopened_frontend = reopened.send_async(
-            "tx", {"cardId": "c1", "amount": 5.0}
-        )
-        event = reopened_frontend.pending[correlation].event
+        # No pump round runs: the event is minted and published, and its
+        # request is left pending.
+        with pytest.raises(EngineError):
+            reopened.send("tx", {"cardId": "c1", "amount": 5.0}, max_rounds=0)
+        (request,) = reopened.nodes["node-0"].frontend.pending.values()
+        event = request.event
         assert event.event_id == f"client-{published:012d}"
     finally:
         reopened.close()
