@@ -20,10 +20,6 @@ from repro.query.parser import parse_query
 
 #: Topic that carries DDL operations (single partition: total order).
 OPERATIONS_TOPIC = "__operations"
-#: Topic that carries checkpoint announcements.
-CHECKPOINTS_TOPIC = "__checkpoints"
-#: Prefix for per-node reply topics.
-REPLY_TOPIC_PREFIX = "__reply."
 #: Implicit partitioner used by metrics with no GROUP BY (single partition).
 GLOBAL_PARTITIONER = "__all__"
 
@@ -144,6 +140,8 @@ OP_LAYOUTS = {
     EvolveSchemaOp: (("stream", STR), ("new_fields", FIELD_PAIRS)),
     AddPartitionerOp: (("stream", STR), ("partitioner", STR)),
 }
+#: every DDL op class.
+CATALOG_OPS = tuple(OP_LAYOUTS)
 
 
 @dataclass

@@ -24,10 +24,8 @@ from repro.engine.assignment import (
     StickyAssignmentStrategy,
 )
 from repro.engine.catalog import (
-    CHECKPOINTS_TOPIC,
     GLOBAL_PARTITIONER,
     OPERATIONS_TOPIC,
-    REPLY_TOPIC_PREFIX,
     AddPartitionerOp,
     Catalog,
     CreateMetricOp,
@@ -198,8 +196,8 @@ def create_cluster(execution: str = "single", **kwargs):
     an ephemeral port): the cluster is then additionally exposed over
     TCP through the asyncio front door
     (:func:`repro.server.server.serve_cluster`); the handle is attached
-    as ``cluster.server`` and stopped automatically by
-    ``cluster.close()``.
+    as ``cluster.server``, and the facade's own ``close()`` stops it
+    first and drops it.
 
     Unknown keyword arguments raise :class:`ValueError` naming the bad
     keywords and the full matrix of valid ones for each topology —
@@ -247,13 +245,6 @@ def create_cluster(execution: str = "single", **kwargs):
         except Exception:
             cluster.close()
             raise
-        original_close = cluster.close
-
-        def _close_with_server(*args, **close_kwargs):
-            cluster.server.stop()
-            original_close(*args, **close_kwargs)
-
-        cluster.close = _close_with_server
     return cluster
 
 
@@ -307,9 +298,10 @@ class RailgunCluster:
         self._next_node = 0
         self._rr_cursor = 0
         self.rebalance_count = 0
+        #: the front-door handle when served (``create_cluster(serve=…)``).
+        self.server = None
 
         self.bus.create_topic(OPERATIONS_TOPIC, partitions=1)
-        self.bus.create_topic(CHECKPOINTS_TOPIC, partitions=1)
         for _ in range(nodes):
             self.add_node(processor_units)
 
@@ -322,7 +314,6 @@ class RailgunCluster:
             raise ValueError(f"need at least one processor unit: {processor_units}")
         node_id = f"node-{self._next_node}"
         self._next_node += 1
-        self.bus.create_topic(REPLY_TOPIC_PREFIX + node_id, partitions=1)
         node = RailgunNode(
             node_id,
             self.bus,
@@ -741,10 +732,14 @@ class RailgunCluster:
         self.bus.truncate_below(offsets)
 
     def close(self) -> None:
-        """Flush and release the durable bus (no-op when in-memory), and
-        hand what checkpoint barriers froze back to the collector
-        (``gc.unfreeze()``): the engine's own reference cycles are then
-        collected once the caller drops it."""
+        """Stop the front door when served, flush and release the
+        durable bus (no-op when in-memory), and hand what checkpoint
+        barriers froze back to the collector (``gc.unfreeze()``): the
+        engine's own reference cycles are then collected once the
+        caller drops it."""
+        server, self.server = self.server, None
+        if server is not None:
+            server.stop()
         for job in self._backfills:
             job.close()
         if self.durable_dir is not None:

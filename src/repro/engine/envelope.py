@@ -1,8 +1,11 @@
 """Message envelopes flowing through the bus (Figure 3).
 
 Events travel from a front-end to event topics wrapped in
-:class:`EventEnvelope` (steps 2–3); task processors answer to the origin
-node's reply topic with :class:`ReplyEnvelope` (steps 4–5).
+:class:`EventEnvelope` (steps 2–3). Task processors hand their replies
+to the origin node's frontend in process (steps 4–5), so no reply
+crosses the bus; :class:`ReplyEnvelope` is the record older durable
+directories hold in their ``__reply.<node>`` topics, kept so they still
+decode.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ class EventEnvelope:
 
 @dataclass(frozen=True)
 class ReplyEnvelope:
-    """Aggregation results from one task processor for one event."""
+    """Aggregation results from one task processor for one event (the
+    reply record of older durable directories; nothing writes it now)."""
 
     correlation_id: int
     event_id: str

@@ -1,14 +1,17 @@
 """The front-end layer (paper §3.1, Figure 3 steps 1–2 and 5–6).
 
-Receives client events, fans them out to every partitioner topic of the
-stream (keyed by the partitioner field so entity locality holds), then
-collects the per-task replies from the node's dedicated reply topic and
-assembles the final client response once all expected replies arrived.
+Receives client events and fans them out to every partitioner topic of
+the stream (keyed by the partitioner field so entity locality holds).
+The processor units hand each task reply to the origin node's frontend
+in process (its ``inbox``; replies never cross the bus), and the
+frontend assembles the final client response once every topic answered.
 
 The client half every cluster facade shares also lives here: the
 :class:`Reply` a caller gets back, :func:`client_event` /
 :func:`deliver_batch` — ``client-…`` id minting plus the
-pump-until-replied loop behind every facade's ``send``/``send_batch``.
+pump-until-replied loop behind every facade's ``send``/``send_batch`` —
+and :func:`fan_in`, the one topic-deduped merge of task replies into
+:class:`PendingRequest` entries that every topology runs.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ from repro.common.errors import EngineError
 from repro.engine.catalog import (
     GLOBAL_PARTITIONER,
     OPERATIONS_TOPIC,
-    REPLY_TOPIC_PREFIX,
     Catalog,
     topic_name,
 )
-from repro.engine.envelope import EventEnvelope, ReplyEnvelope
+from repro.engine.envelope import EventEnvelope
 from repro.events.event import Event
 from repro.messaging.broker import MessageBus
 from repro.messaging.log import TopicPartition
@@ -126,19 +128,54 @@ def deliver_batch(
 
 @dataclass
 class PendingRequest:
-    """A client request awaiting its fan-in of task replies."""
+    """A client request awaiting the replies of its fanned-out topics."""
 
-    correlation_id: int
     event: Event
     stream: str
     expected: int
     sent_at_ms: int
     results: dict[int, dict[str, Any]] = field(default_factory=dict)
-    received: int = 0
+    #: topics that already answered — the de-dup key that makes replayed
+    #: replies (promotions, worker or frontend recovery) count at most
+    #: once each.
+    replied: set[str] = field(default_factory=set)
 
-    @property
-    def complete(self) -> bool:
-        return self.received >= self.expected
+
+def fan_in(
+    pending: dict[int, PendingRequest],
+    completed: dict[int, Reply],
+    now: int,
+    correlation_id: int,
+    topic: str,
+    results: dict | None,
+) -> Reply | None:
+    """Fan one task reply into its pending request, topic-deduped.
+
+    Every topology's fan-in: a :class:`FrontEnd` drains its inbox
+    through here, a :class:`~repro.shard.cluster.ShardCluster` its
+    frontends' ``ReplyBatch`` frames. A reply for an unknown request, a
+    reply without results, or a repeat of a topic that already answered
+    counts for nothing; counting topics, not raw replies, keeps the
+    fan-in exact for multi-partitioner streams. Returns the completed
+    response (also filed in ``completed``) when this reply was the last
+    one expected.
+    """
+    request = pending.get(correlation_id)
+    if request is None or results is None or topic in request.replied:
+        return None
+    request.replied.add(topic)
+    for metric_id, values in results.items():
+        request.results[metric_id] = values
+    if len(request.replied) < request.expected:
+        return None
+    del pending[correlation_id]
+    reply = completed[correlation_id] = Reply(
+        event=request.event,
+        stream=request.stream,
+        results=request.results,
+        latency_ms=now - request.sent_at_ms,
+    )
+    return reply
 
 
 class FrontEnd:
@@ -149,12 +186,9 @@ class FrontEnd:
         self.bus = bus
         self.clock = clock
         self.catalog = Catalog()
-        self.reply_topic = REPLY_TOPIC_PREFIX + node_id
-        self._reply_tp = TopicPartition(self.reply_topic, 0)
-        #: replies already in the topic (a reopened durable bus) belong
-        #: to requests of an earlier process; this frontend reads on
-        #: from the end.
-        self._reply_offset = bus.end_offset(self._reply_tp)
+        #: ``(correlation_id, topic, results)`` task replies handed over
+        #: in process by the processor units, awaiting :meth:`poll_replies`.
+        self.inbox: list[tuple[int, str, dict]] = []
         self._ops_tp = TopicPartition(OPERATIONS_TOPIC, 0)
         self._ops_offset = 0
         self._next_correlation = 0
@@ -206,11 +240,7 @@ class FrontEnd:
                 )
                 publish(topic, key, envelope, now)
             self.pending[correlation_id] = PendingRequest(
-                correlation_id=correlation_id,
-                event=event,
-                stream=stream_name,
-                expected=fanout,
-                sent_at_ms=now,
+                event, stream_name, fanout, now
             )
             correlation_ids.append(correlation_id)
         self.events_received += len(correlation_ids)
@@ -219,53 +249,21 @@ class FrontEnd:
     # -- step 5-6: collect + respond ---------------------------------------------------
 
     def poll_replies(self) -> list[Reply]:
-        """Drain the reply topic; returns requests completed this call.
-
-        This frontend is the topic's only reader, so every reply it has
-        consumed is truncated away (whole segments on a durable bus).
-        """
+        """Fan the inbox into the pending requests; returns the requests
+        completed this call."""
         self._consume_ops()
-        finished: list[Reply] = []
-        messages = self.bus.read(self._reply_tp, self._reply_offset, 1000)
-        if not messages:
-            return finished
-        for message in messages:
-            self._reply_offset = message.offset + 1
-            reply = message.value
-            if not isinstance(reply, ReplyEnvelope):
-                continue
-            completed = self.deliver_reply(reply)
-            if completed is not None:
-                finished.append(completed)
-        self.bus.log(self._reply_tp).truncate_below(self._reply_offset)
+        inbox = self.inbox
+        if not inbox:
+            return []
+        pending, completed = self.pending, self.completed
+        now = self.clock.now()
+        finished = []
+        for correlation_id, topic, results in inbox:
+            reply = fan_in(pending, completed, now, correlation_id, topic, results)
+            if reply is not None:
+                finished.append(reply)
+        inbox.clear()
         return finished
-
-    def deliver_reply(self, reply: ReplyEnvelope) -> Reply | None:
-        """Fan one task reply into its pending request.
-
-        The reply-topic poll loop funnels through here; the
-        process-parallel engine also calls it directly — the coordinator
-        process hosts both the shard supervisor and the frontend, so
-        every reply merges in-process without a bus hop. Returns the
-        completed response when this reply was the last one expected.
-        """
-        request = self.pending.get(reply.correlation_id)
-        if request is None:
-            return None  # duplicate reply after completion
-        for metric_id, values in reply.results.items():
-            request.results[metric_id] = values
-        request.received += 1
-        if not request.complete:
-            return None
-        del self.pending[request.correlation_id]
-        completed = Reply(
-            event=request.event,
-            stream=request.stream,
-            results=request.results,
-            latency_ms=self.clock.now() - request.sent_at_ms,
-        )
-        self.completed[request.correlation_id] = completed
-        return completed
 
     def take_completed(self, correlation_id: int) -> Reply | None:
         """Pop a completed response (step 6: reply to the client)."""

@@ -24,7 +24,7 @@ class RailgunNode:
         coordinator: GroupCoordinator,
         clock,
         processor_units: int,
-        cluster=None,
+        cluster,
         unit_config: UnitConfig | None = None,
     ) -> None:
         if processor_units <= 0:

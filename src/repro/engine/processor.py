@@ -12,21 +12,17 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from repro.common.errors import EngineError
 from repro.engine.catalog import (
-    CHECKPOINTS_TOPIC,
     OPERATIONS_TOPIC,
-    REPLY_TOPIC_PREFIX,
-    AddPartitionerOp,
     Catalog,
     CreateMetricOp,
-    CreateStreamOp,
     DeleteMetricOp,
     EvolveSchemaOp,
 )
-from repro.engine.envelope import EventEnvelope, ReplyEnvelope
+from repro.engine.envelope import EventEnvelope
 from repro.engine.task import TaskCheckpoint, TaskProcessor
 from repro.lsm.db import LsmConfig
 from repro.messaging.broker import MessageBus
@@ -52,6 +48,30 @@ MAX_STALE_TASKS = 16
 def replica_group(unit_id: str) -> str:
     """Each unit's replica consumer gets its own group (§3.3)."""
     return f"railgun-replica.{unit_id}"
+
+
+def apply_op(
+    catalog: Catalog,
+    task_processors: Mapping[TopicPartition, TaskProcessor],
+    op: object,
+) -> None:
+    """Fold one DDL op into ``catalog`` and onto the task processors it
+    touches: a new metric joins the tasks of its topic, a deleted one
+    leaves every task, an evolved schema reaches the tasks of its
+    stream. Processor units and shard workers both apply ops here."""
+    catalog.apply(op)
+    if isinstance(op, CreateMetricOp):
+        for tp, processor in task_processors.items():
+            if tp.topic == op.metric.topic:
+                processor.add_metric(op.metric)
+    elif isinstance(op, DeleteMetricOp):
+        for processor in task_processors.values():
+            processor.remove_metric(op.metric_id)
+    elif isinstance(op, EvolveSchemaOp):
+        stream = catalog.streams[op.stream]
+        for processor in task_processors.values():
+            if processor.stream_name == op.stream:
+                processor.evolve_schema(stream)
 
 
 @dataclass
@@ -85,7 +105,7 @@ class ProcessorUnit:
         bus: MessageBus,
         coordinator: GroupCoordinator,
         clock,
-        cluster: "RailgunCluster | None" = None,
+        cluster: "RailgunCluster",
         config: UnitConfig | None = None,
     ) -> None:
         self.unit_id = unit_id
@@ -95,7 +115,7 @@ class ProcessorUnit:
         # The cluster owns its units through its nodes: held weakly, a
         # dropped cluster dies by reference counting even after a
         # checkpoint barrier froze it (see TaskProcessor.checkpoint).
-        self.cluster = None if cluster is None else weakref.proxy(cluster)
+        self.cluster = weakref.proxy(cluster)
         self.config = config if config is not None else UnitConfig()
         self.catalog = Catalog()
         self.stats = RecoveryStats()
@@ -163,22 +183,9 @@ class ProcessorUnit:
         records = self.bus.read(self._ops_tp, self._ops_offset, 1000)
         for message in records:
             self._ops_offset = message.offset + 1
-            op = message.value
-            self.catalog.apply(op)
-            if isinstance(op, CreateMetricOp):
-                for tp, processor in self.task_processors.items():
-                    if tp.topic == op.metric.topic:
-                        processor.add_metric(op.metric)
-            elif isinstance(op, DeleteMetricOp):
-                for processor in self.task_processors.values():
-                    processor.remove_metric(op.metric_id)
-            elif isinstance(op, EvolveSchemaOp):
-                stream = self.catalog.streams[op.stream]
-                for tp, processor in self.task_processors.items():
-                    if processor.stream_name == op.stream:
-                        processor.evolve_schema(stream)
-            elif isinstance(op, (CreateStreamOp, AddPartitionerOp)):
-                pass  # topics/partitions handled by the cluster harness
+            # Topics and partitions of new streams and partitioners are
+            # the cluster harness's part.
+            apply_op(self.catalog, self.task_processors, message.value)
 
     # -- assignment reconciliation ---------------------------------------------------------
 
@@ -223,12 +230,10 @@ class ProcessorUnit:
             # The catalogue may lag the topic creation; retry next loop.
             return
         metrics = self.catalog.metrics_for_topic(tp.topic)
-        donor_checkpoint = None
-        if self.cluster is not None:
-            donor_checkpoint = self.cluster.request_recovery_data(
-                tp, exclude_unit=self.unit_id,
-                local_sealed=self._stale_sealed_files(tp),
-            )
+        donor_checkpoint = self.cluster.request_recovery_data(
+            tp, exclude_unit=self.unit_id,
+            local_sealed=self._stale_sealed_files(tp),
+        )
         if donor_checkpoint is not None:
             local_files = self._stale_files(tp)
             processor = TaskProcessor.restore(
@@ -308,14 +313,10 @@ class ProcessorUnit:
     # -- replies & checkpoints ---------------------------------------------------------------
 
     def _send_reply(self, envelope: EventEnvelope, tp: TopicPartition, results) -> None:
-        reply = ReplyEnvelope(
-            correlation_id=envelope.correlation_id,
-            event_id=envelope.event.event_id,
-            task=tp,
-            results=results,
-        )
-        self.bus.publish(
-            REPLY_TOPIC_PREFIX + envelope.origin_node, None, reply, self.clock.now()
+        """Hand one task reply to the origin node's frontend in process;
+        it fans in at that node's next :meth:`FrontEnd.poll_replies`."""
+        self.cluster.nodes[envelope.origin_node].frontend.inbox.append(
+            (envelope.correlation_id, tp.topic, results)
         )
         self.replies_sent += 1
 
@@ -337,15 +338,10 @@ class ProcessorUnit:
         interval = self.config.checkpoint_interval
         if advanced // interval == counter // interval:
             return
-        # Only the offset is announced: the barrier runs, no payload is built.
+        # The barrier runs, no payload is built: a recovering task asks
+        # a live donor for a fresh checkpoint instead.
         processor.checkpoint(barrier_only=True)
         self.stats.checkpoints_taken += 1
-        self.bus.publish(
-            CHECKPOINTS_TOPIC,
-            str(tp),
-            (self.unit_id, self.node_id, str(tp), processor.next_offset),
-            self.clock.now(),
-        )
 
     # -- recovery donor side ------------------------------------------------------------------
 

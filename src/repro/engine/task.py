@@ -376,7 +376,7 @@ class TaskProcessor:
         pin of the checkpoint it supersedes is released here: table
         files compacted away since then are deleted, not kept forever.
 
-        ``barrier_only`` is for a caller that keeps only the offset (the
+        ``barrier_only`` is for a caller that keeps no payload (the
         in-process engine's periodic checkpoint): the same barrier runs
         — state write-back, LSM snapshot, pin rotation — but no payload
         is built (no reservoir metadata, no file read) and the call

@@ -123,8 +123,8 @@ class _Connection:
 class RailgunServer:
     """Accepts front-door connections and multiplexes them onto one
     cluster facade. The server borrows the cluster — ``stop()`` leaves
-    it open for its owner (``create_cluster(serve=...)`` wraps the
-    cluster's ``close`` to stop the server first)."""
+    it open for its owner (a facade served by ``create_cluster(serve=...)``
+    stops its server first in its own ``close``)."""
 
     def __init__(
         self,
@@ -191,6 +191,8 @@ class RailgunServer:
             if self._server is not None:
                 self._server.close()
                 await self._server.wait_closed()
+                # Its protocol factory holds our _handle: drop the cycle.
+                self._server = None
             if drain:
                 deadline = self._loop.time() + 10.0
                 while (

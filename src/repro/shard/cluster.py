@@ -8,8 +8,8 @@ with its frontends (:class:`~repro.shard.frontend.FrontendEngine`, the
 owners of the partition logs, which dispatch over the workers' data
 sockets; the supervisor's pipes carry control only). ``_ship`` hashes
 each event's partitioner keys into the owning frontend's
-``IngestBatch``, ``_deliver`` fans ``ReplyBatch`` replies into
-topic-deduped requests, and ``FrontendAssign``, ``WorkerRestarted``,
+``IngestBatch``, :func:`~repro.engine.frontend.fan_in` merges
+``ReplyBatch`` replies into topic-deduped requests, and ``FrontendAssign``, ``WorkerRestarted``,
 ``TruncateLogs``, ``BackfillStart``, ``BackfillRead`` and
 ``DrainRequest`` steer the frontends.
 
@@ -37,7 +37,6 @@ from __future__ import annotations
 import multiprocessing.connection
 import os
 import threading
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.common.clock import ManualClock
@@ -66,7 +65,13 @@ from repro.engine.cluster import (
     build_stream_def,
     validate_new_partitioner,
 )
-from repro.engine.frontend import Reply, client_event, deliver_batch
+from repro.engine.frontend import (
+    PendingRequest,
+    Reply,
+    client_event,
+    deliver_batch,
+    fan_in,
+)
 from repro.engine.processor import UnitConfig
 from repro.engine.task import TaskProcessor
 from repro.events.event import Event
@@ -80,20 +85,6 @@ from repro.telemetry import MetricsRegistry, StageLaps, merge_snapshots
 
 #: events per ``IngestBatch`` frame: a shipment is cut into runs this long.
 INGEST_MAX = 256
-
-
-@dataclass
-class _PendingFanin:
-    """A client request awaiting replies from its fanned-out topics."""
-
-    event: Event
-    stream: str
-    expected: int
-    sent_at_ms: int
-    results: dict[int, dict[str, Any]] = field(default_factory=dict)
-    #: topics that already answered — the de-dup key that makes replayed
-    #: replies (worker or frontend recovery) count at most once each.
-    replied: set[str] = field(default_factory=set)
 
 
 class ShardCluster:
@@ -138,7 +129,7 @@ class ShardCluster:
         #: replied watermark per task: replies below it already reached
         #: the client, so replayed work must not repeat them.
         self._watermarks: dict[TopicPartition, int] = {}
-        self.pending: dict[int, _PendingFanin] = {}
+        self.pending: dict[int, PendingRequest] = {}
         self.completed: dict[int, Reply] = {}
         self._next_correlation = 0
         #: records published so far (one per DDL op, one per event per
@@ -158,6 +149,8 @@ class ShardCluster:
         self._truncated_at = 0
         self._closed = False
         self._close_lock = threading.Lock()
+        #: the front-door handle when served (``create_cluster(serve=…)``).
+        self.server = None
 
     # -- topology -------------------------------------------------------------
 
@@ -504,7 +497,7 @@ class ShardCluster:
                 per_frontend.setdefault(owners[partition], []).append(
                     (partitioner, partition)
                 )
-            pending[correlation] = _PendingFanin(event, stream, expected, now)
+            pending[correlation] = PendingRequest(event, stream, expected, now)
             for owner, targets in per_frontend.items():
                 buckets.setdefault(owner, []).append(
                     (correlation, event, tuple(targets))
@@ -624,8 +617,10 @@ class ShardCluster:
 
     def _on_frontend_msg(self, link, msg: object) -> int:
         if isinstance(msg, wire.ReplyBatch):
+            pending, completed = self.pending, self.completed
+            now = self.clock.now()
             for correlation_id, topic, results in msg.replies:
-                self._deliver(correlation_id, topic, results)
+                fan_in(pending, completed, now, correlation_id, topic, results)
             self.metrics.counter_add(
                 "router_replies_merged_total",
                 len(msg.replies),
@@ -652,31 +647,6 @@ class ShardCluster:
         for tp, offset in watermarks:
             if offset > self._watermarks.get(tp, 0):
                 self._watermarks[tp] = offset
-
-    def _deliver(
-        self, correlation_id: int, topic: str, results: dict | None
-    ) -> None:
-        """Fan one task reply into its pending request, topic-deduped.
-
-        Replayed replies (worker restarts, frontend journal replays) may
-        repeat a topic that already answered; counting topics — not raw
-        replies — keeps the fan-in exact for multi-partitioner streams.
-        """
-        request = self.pending.get(correlation_id)
-        if request is None or results is None or topic in request.replied:
-            return
-        request.replied.add(topic)
-        for metric_id, values in results.items():
-            request.results[metric_id] = values
-        if len(request.replied) < request.expected:
-            return
-        del self.pending[correlation_id]
-        self.completed[correlation_id] = Reply(
-            event=request.event,
-            stream=request.stream,
-            results=request.results,
-            latency_ms=self.clock.now() - request.sent_at_ms,
-        )
 
     def _raise_worker_errors(self) -> None:
         if self.supervisor.worker_errors:
@@ -849,9 +819,12 @@ class ShardCluster:
         return merge_snapshots(snapshots)
 
     def close(self) -> None:
-        """Stop the frontends and every worker process; idempotent and
-        thread-safe (concurrent calls race on one lock, every call after
-        the first returns at once)."""
+        """Stop the front door when served, then the frontends and every
+        worker process; idempotent and thread-safe (concurrent calls
+        race on one lock, every call after the first returns at once)."""
+        server, self.server = self.server, None
+        if server is not None:
+            server.stop()
         with self._close_lock:
             if self._closed:
                 return

@@ -38,7 +38,7 @@ import traceback
 from multiprocessing.connection import Connection
 
 from repro.common.timesource import TimeSource, resolve_time_source
-from repro.engine.catalog import GLOBAL_PARTITIONER, OP_LAYOUTS, Catalog, topic_name
+from repro.engine.catalog import CATALOG_OPS, GLOBAL_PARTITIONER, Catalog, topic_name
 from repro.engine.envelope import EventEnvelope
 from repro.engine.processor import UnitConfig
 from repro.messaging.broker import MessageBus
@@ -49,9 +49,6 @@ from repro.replay.asof import read_page
 from repro.shard import columnar, wire
 from repro.shard.backfill import FrontendBackfill
 from repro.telemetry import MetricsRegistry, encode_bundle, encode_snapshot
-
-#: catalogue ops a frontend applies (every DDL op reaches it).
-CATALOG_OPS = tuple(OP_LAYOUTS)
 
 #: reply entries per ReplyBatch frame (keeps frames under pipe buffers).
 REPLY_CHUNK = 512

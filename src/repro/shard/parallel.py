@@ -36,14 +36,14 @@ import multiprocessing.connection
 import os
 
 from repro.common.timesource import TimeSource
-from repro.engine.catalog import OPERATIONS_TOPIC
+from repro.engine.catalog import CATALOG_OPS, OPERATIONS_TOPIC
 from repro.engine.processor import UnitConfig
 from repro.messaging.broker import MessageBus
 from repro.messaging.durable import DurableBus
 from repro.messaging.log import TopicPartition
 from repro.shard import wire
 from repro.shard.cluster import ShardCluster
-from repro.shard.frontend import CATALOG_OPS, FrontendEngine
+from repro.shard.frontend import FrontendEngine
 from repro.telemetry import decode_snapshot
 
 

@@ -30,11 +30,12 @@ import os
 
 from repro.common.errors import EngineError
 from repro.common.timesource import TimeSource
+from repro.engine.catalog import CATALOG_OPS
 from repro.engine.processor import UnitConfig
 from repro.messaging.log import TopicPartition
 from repro.shard import wire
 from repro.shard.cluster import ShardCluster
-from repro.shard.frontend import CATALOG_OPS, shard_frontend_main
+from repro.shard.frontend import shard_frontend_main
 from repro.shard.supervisor import _default_context
 from repro.telemetry import decode_bundle
 

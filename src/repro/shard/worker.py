@@ -32,15 +32,13 @@ from multiprocessing import connection
 from multiprocessing.connection import Connection
 
 from repro.engine.catalog import (
-    AddPartitionerOp,
+    CATALOG_OPS,
     Catalog,
     CreateMetricOp,
-    CreateStreamOp,
     DeleteMetricOp,
-    EvolveSchemaOp,
     MetricDef,
 )
-from repro.engine.processor import UnitConfig
+from repro.engine.processor import UnitConfig, apply_op
 from repro.engine.task import BackfillState, TaskProcessor
 from repro.messaging.log import TopicPartition
 from repro.shard import columnar, wire
@@ -119,29 +117,16 @@ class ShardWorker:
             )
         if isinstance(msg, wire.RestoreTask):
             self.restore_task(msg.frame)
-        elif isinstance(msg, CreateMetricOp):
-            self.catalog.apply(msg)
-            for tp, at_offset in msg.activations:
-                self._activations[(tp, msg.metric.metric_id)] = at_offset
-            for tp, processor in self.task_processors.items():
-                if tp.topic == msg.metric.topic:
-                    processor.add_metric(msg.metric)
-        elif isinstance(msg, DeleteMetricOp):
-            self.catalog.apply(msg)
-            for processor in self.task_processors.values():
-                processor.remove_metric(msg.metric_id)
-            for pending in self._pending_splices.values():
-                pending.pop(msg.metric_id, None)
-            for key in [k for k in self._activations if k[1] == msg.metric_id]:
-                del self._activations[key]
-        elif isinstance(msg, EvolveSchemaOp):
-            self.catalog.apply(msg)
-            stream = self.catalog.streams[msg.stream]
-            for processor in self.task_processors.values():
-                if processor.stream_name == msg.stream:
-                    processor.evolve_schema(stream)
-        elif isinstance(msg, (CreateStreamOp, AddPartitionerOp)):
-            self.catalog.apply(msg)
+        elif isinstance(msg, CATALOG_OPS):
+            apply_op(self.catalog, self.task_processors, msg)
+            if isinstance(msg, CreateMetricOp):
+                for tp, at_offset in msg.activations:
+                    self._activations[(tp, msg.metric.metric_id)] = at_offset
+            elif isinstance(msg, DeleteMetricOp):
+                for pending in self._pending_splices.values():
+                    pending.pop(msg.metric_id, None)
+                for key in [k for k in self._activations if k[1] == msg.metric_id]:
+                    del self._activations[key]
         elif isinstance(msg, wire.AssignPartitions):
             self.assigned = set(msg.partitions)
             # Revoked tasks are dropped: the sticky strategy keeps

@@ -7,22 +7,19 @@ from repro.common.errors import EngineError
 from repro.engine.catalog import (
     CreateStreamOp,
     OPERATIONS_TOPIC,
-    REPLY_TOPIC_PREFIX,
     StreamDef,
 )
-from repro.engine.envelope import EventEnvelope, ReplyEnvelope
+from repro.engine.envelope import EventEnvelope
 from repro.engine.frontend import FrontEnd
 from repro.engine import RailgunCluster
 from repro.events.event import Event
 from repro.messaging.broker import MessageBus
-from repro.messaging.log import TopicPartition
 
 
 def _world():
     clock = ManualClock(1)
     bus = MessageBus()
     bus.create_topic(OPERATIONS_TOPIC, 1)
-    bus.create_topic(REPLY_TOPIC_PREFIX + "n1", 1)
     stream = StreamDef(
         "payments",
         (("cardId", "string"), ("merchantId", "string"), ("amount", "float")),
@@ -152,52 +149,47 @@ class TestFanOut:
 
 
 class TestFanIn:
+    """Task replies reach the frontend in process, through its inbox."""
+
     def test_reply_completes_after_all_tasks_answer(self):
         clock, bus, frontend = _world()
         (correlation,) = frontend.send_batch(
             "payments",
             [Event("e1", 10, {"cardId": "c1", "merchantId": "m1", "amount": 1.0})],
         )
-        reply_topic = REPLY_TOPIC_PREFIX + "n1"
-        bus.publish(
-            reply_topic, None,
-            ReplyEnvelope(correlation, "e1", TopicPartition("payments.cardId", 0),
-                          {0: {"count(*)": 1}}),
-            clock.now(),
-        )
+        frontend.inbox.append((correlation, "payments.cardId", {0: {"count(*)": 1}}))
         assert frontend.poll_replies() == []
         assert correlation in frontend.pending
-        bus.publish(
-            reply_topic, None,
-            ReplyEnvelope(correlation, "e1", TopicPartition("payments.merchantId", 0),
-                          {1: {"avg(amount)": 1.0}}),
-            clock.now(),
+        frontend.inbox.append(
+            (correlation, "payments.merchantId", {1: {"avg(amount)": 1.0}})
         )
         completed = frontend.poll_replies()
         assert len(completed) == 1
         assert completed[0].results == {0: {"count(*)": 1}, 1: {"avg(amount)": 1.0}}
+        assert not frontend.inbox
         assert frontend.take_completed(correlation) is not None
         assert frontend.take_completed(correlation) is None  # popped
 
     def test_duplicate_replies_ignored(self):
+        # A topic answering twice (a replayed reply) must not stand in
+        # for the topic still owed: the request completes only once
+        # every topic answered, with every topic's results.
         clock, bus, frontend = _world()
         (correlation,) = frontend.send_batch(
             "payments",
             [Event("e1", 10, {"cardId": "c1", "merchantId": "m1", "amount": 1.0})],
         )
-        reply = ReplyEnvelope(
-            correlation, "e1", TopicPartition("payments.cardId", 0), {0: {}}
-        )
-        for _ in range(3):
-            bus.publish(REPLY_TOPIC_PREFIX + "n1", None, reply, clock.now())
-        bus.publish(
-            REPLY_TOPIC_PREFIX + "n1", None,
-            ReplyEnvelope(correlation, "e1",
-                          TopicPartition("payments.merchantId", 0), {1: {}}),
-            clock.now(),
-        )
+        for _ in range(2):
+            frontend.inbox.append(
+                (correlation, "payments.cardId", {0: {"count(*)": 1}})
+            )
+        assert frontend.poll_replies() == []
+        frontend.inbox.append((correlation, "payments.merchantId", {1: {"count(*)": 1}}))
+        frontend.inbox.append((correlation, "payments.cardId", {0: {"count(*)": 1}}))
         completed = frontend.poll_replies()
         assert len(completed) == 1
+        assert completed[0].results == {0: {"count(*)": 1}, 1: {"count(*)": 1}}
+        assert not frontend.pending
 
     def test_latency_measured_from_send(self):
         clock, bus, frontend = _world()
@@ -207,11 +199,7 @@ class TestFanIn:
         )
         clock.advance(25)
         for topic in ("payments.cardId", "payments.merchantId"):
-            bus.publish(
-                REPLY_TOPIC_PREFIX + "n1", None,
-                ReplyEnvelope(correlation, "e1", TopicPartition(topic, 0), {}),
-                clock.now(),
-            )
+            frontend.inbox.append((correlation, topic, {}))
         completed = frontend.poll_replies()
         assert completed[0].latency_ms == 25
 

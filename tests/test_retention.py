@@ -4,8 +4,9 @@ Two rules keep what no reader can ask for again out of memory:
 
 - the reservoir's chunk cache drops every chunk below the lowest live
   iterator whenever a chunk closes (random reads reload from storage);
-- a partition log truncates below what its reader consumed — the
-  ``single`` frontend truncates its reply topic after every poll.
+- a partition log truncates below a cut no reader will ask for again,
+  and a ``single`` cluster's bus holds no reply or checkpoint record
+  to cut at all.
 
 Neither may change a reply; these tests pin the retention contract and
 the memory it saves.
@@ -14,6 +15,7 @@ the memory it saves.
 from __future__ import annotations
 
 import gc
+import os
 import random
 import tracemalloc
 
@@ -21,13 +23,21 @@ import pytest
 
 from repro.common.errors import EngineError
 from repro.engine import create_cluster
-from repro.engine.catalog import MetricDef, StreamDef, topic_name
+from repro.engine.catalog import (
+    OPERATIONS_TOPIC,
+    CreateStreamOp,
+    MetricDef,
+    StreamDef,
+    topic_name,
+)
+from repro.engine.envelope import ReplyEnvelope
 from repro.engine.task import TaskProcessor
 from repro.events.event import Event
-from repro.messaging.durable import DurableLog
+from repro.messaging.durable import DurableBus, DurableLog
 from repro.messaging.log import PartitionLog, TopicPartition
 from repro.messaging.segments import FsyncPolicy, SegmentConfig
 from repro.reservoir.reservoir import ReservoirConfig
+from repro.server.client import RailgunClient
 
 SCHEMA = {"cardId": "string", "amount": "float"}
 SUM1 = "SELECT sum(amount), count(*) FROM tx GROUP BY cardId OVER sliding 5 minutes"
@@ -141,51 +151,92 @@ def test_durable_cut_deletes_only_whole_segments(tmp_path):
     reopened.close()
 
 
-# -- the single frontend's reply topic ------------------------------------------
+# -- what a served single keeps on its bus --------------------------------------
 
 
 @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
-def test_reply_topic_forgets_what_the_frontend_consumed(durable, tmp_path):
+def test_served_single_publishes_only_ops_and_events(durable, tmp_path):
+    # Replies reach their frontend in process and checkpoints keep no
+    # announcement, so the bus of a served ``single`` holds the DDL ops
+    # and the fanned-out events only: no record grows per reply.
     root = str(tmp_path / "single") if durable else None
-    cluster = create_cluster("single", durable_dir=root)
-    cluster.create_stream("tx", ["cardId"], partitions=4, schema=SCHEMA)
-    metric = cluster.create_metric(SUM1)
-    frontend = cluster.nodes["node-0"].frontend
-    reply_log = cluster.bus.log(frontend._reply_tp)
+    cluster = create_cluster("single", durable_dir=root, serve="tcp://127.0.0.1:0")
+    host, port = cluster.server.address
     sent = 0
-    for batch in range(6):
-        replies = cluster.send_batch(
-            "tx",
-            [{"cardId": f"c{i % 7}", "amount": float(i)} for i in range(48)],
-        )
-        sent += len(replies)
-        assert len(reply_log) == 0
-        assert reply_log.end_offset == sent
+    with RailgunClient(host, port, tenant="retention") as client:
+        client.create_stream("tx", ["cardId"], partitions=4, schema=SCHEMA)
+        metric = client.create_metric(SUM1)
+        for batch in range(6):
+            replies = client.send_batch(
+                "tx",
+                [{"cardId": f"c{i % 7}", "amount": float(i)} for i in range(48)],
+                timestamp=batch + 1,
+            )
+            sent += len(replies)
     assert replies[-1].value(metric, "count(*)") == 6 * 7  # c5, 7 per batch
     published = cluster.bus.messages_published
+    assert published == 2 + sent  # two DDL ops, one record per event
+    assert not cluster.bus.has_topic("__checkpoints")
+    assert not any(cluster.bus.has_topic(f"__reply.{node}") for node in cluster.nodes)
     cluster.close()
+    assert cluster.server is None
     if not durable:
         return
+    assert sorted(os.listdir(root)) == [
+        "__operations-0", "commits.log", "topics.log",
+        "tx.cardId-0", "tx.cardId-1", "tx.cardId-2", "tx.cardId-3",
+    ]
     reopened = create_cluster("single", durable_dir=root)
     try:
-        # Offsets stay absolute through truncation: the reopen mints the
-        # next client id exactly where the closed cluster stopped, and
-        # the frontend reads on from the end instead of re-delivering
-        # the replies of the closed cluster's requests.
+        # The reopen mints the next client id exactly where the closed
+        # cluster stopped.
         assert reopened.bus.messages_published == published
-        log = reopened.bus.log(frontend._reply_tp)
-        assert log.end_offset == sent
-        assert log.start_offset <= sent
-        assert reopened.nodes["node-0"].frontend._reply_offset == sent
         # No pump round runs: the event is minted and published, and its
         # request is left pending.
         with pytest.raises(EngineError):
             reopened.send("tx", {"cardId": "c1", "amount": 5.0}, max_rounds=0)
         (request,) = reopened.nodes["node-0"].frontend.pending.values()
-        event = request.event
-        assert event.event_id == f"client-{published:012d}"
+        assert request.event.event_id == f"client-{published:012d}"
     finally:
         reopened.close()
+
+
+def test_reopens_a_directory_with_reply_and_checkpoint_topics(tmp_path):
+    # Directories written before replies left the bus hold a
+    # ``__reply.<node>`` topic of reply records and a ``__checkpoints``
+    # topic of announcement tuples. They still open; nothing reads
+    # those records, and no request or reply appears from them.
+    root = str(tmp_path / "old")
+    bus = DurableBus(root)
+    bus.create_topic(OPERATIONS_TOPIC, partitions=1)
+    bus.create_topic("__checkpoints", partitions=1)
+    bus.create_topic("__reply.node-0", partitions=1)
+    stream = StreamDef("tx", tuple(SCHEMA.items()), ("cardId",), partitions=2)
+    bus.create_topic("tx.cardId", partitions=2)
+    bus.publish(OPERATIONS_TOPIC, None, CreateStreamOp(stream), 1)
+    tp = TopicPartition("tx.cardId", 0)
+    for correlation in range(3):
+        bus.publish(
+            "__reply.node-0", None,
+            ReplyEnvelope(correlation, f"client-{correlation:012d}", tp,
+                          {0: {"count(*)": correlation + 1}}),
+            2,
+        )
+    bus.publish("__checkpoints", str(tp), ("node-0/pu0", "node-0", str(tp), 3), 3)
+    total = bus.messages_published
+    assert total == 5
+    bus.close()
+    cluster = create_cluster("single", durable_dir=root)
+    try:
+        assert cluster.bus.messages_published == total
+        cluster.run_until_quiet()
+        frontend = cluster.nodes["node-0"].frontend
+        assert not frontend.pending
+        assert not frontend.inbox
+        assert not frontend.completed
+        assert cluster.bus.messages_published == total
+    finally:
+        cluster.close()
 
 
 # -- the reservoir chunk cache ---------------------------------------------------
@@ -260,10 +311,10 @@ class TestChunkCacheTracksTheWindow:
 
 #: Retained bytes per event of a default ``single`` cluster (sum1
 #: metric, 256-event batches). Measured on CPython 3.11: 1 430-1 500
-#: B/event while reply topics kept every reply, 730-810 B/event once the
-#: frontend truncates what it consumed (what remains is mostly the
-#: event topics, which ``single`` replays from offset 0). The bound
-#: sits midway.
+#: B/event while reply topics kept every reply, 730-810 B/event once
+#: replies stopped being retained (what remains is mostly the event
+#: topics, which ``single`` replays from offset 0). The bound sits
+#: midway.
 RETAINED_BYTES_PER_EVENT = 1_100
 
 

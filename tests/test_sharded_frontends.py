@@ -277,7 +277,9 @@ class TestClusterRouterEquivalence:
         """Dict (non-Event) inputs get ``client-...`` ids minted from
         the same published-message arithmetic as ParallelCluster, so the
         same call sequence yields identical event identities whichever
-        process topology serves it."""
+        topology serves it — ``single`` included: its bus carries no
+        reply or checkpoint record that would shift the count, even
+        past its periodic checkpoints."""
         def ids(cluster):
             cluster.create_stream("tx", ["cardId"], **STREAM_KW)
             cluster.create_metric(METRIC)
@@ -293,12 +295,24 @@ class TestClusterRouterEquivalence:
                 cluster.send("tx", fields={"cardId": "c1", "amount": 3.0})
                 .event.event_id
             )
+            for i in range(250):
+                cluster.send("tx", fields={"cardId": f"c{i % 5}", "amount": 1.0})
+            minted.append(
+                cluster.send("tx", fields={"cardId": "c1", "amount": 3.0})
+                .event.event_id
+            )
             return minted
 
         with ParallelCluster(workers=1) as parallel:
             expected = ids(parallel)
+        assert expected == [f"client-{n:012d}" for n in (2, 3, 4, 255)]
         with ClusterRouter(workers=1, frontends=2) as sharded:
             assert ids(sharded) == expected
+        single = create_cluster("single")
+        try:
+            assert ids(single) == expected
+        finally:
+            single.close()
 
     def test_multi_partitioner_fanin_across_frontends(self):
         """An event fanning out to two topics may span two frontends;

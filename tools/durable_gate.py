@@ -24,10 +24,14 @@ history must survive, and once the backfill completes the pins must be
 gone and reclamation must catch back up.
 
 A last phase serves a durable ``create_cluster("single")`` over the TCP
-front door with tiny segments. Its frontend is the only reader of its
-reply topic, so no completed ``__reply.*`` segment may survive wholly
-below the frontend's read offset; the event topics, which ``single``
-replays from offset 0, must keep every record.
+front door with tiny segments. Its replies reach the frontend in
+process and its checkpoints publish nothing, so its directory may hold
+only the event topics, ``__operations``, ``topics.log`` and
+``commits.log`` — no ``__reply.*`` or ``__checkpoints`` topic, nothing
+that grows per reply. The event topics, which ``single`` replays from
+offset 0, must keep every record, and a reopen must resume
+``messages_published`` at the total and mint the next ``client-…`` id
+from it.
 
 Run from the repository root (CI's ``durable-bus`` job)::
 
@@ -38,10 +42,12 @@ Exit code 1 on any violated bound, with the offending partition named.
 
 from __future__ import annotations
 
+import os
 import shutil
 import sys
 import tempfile
 
+from repro.common.errors import EngineError
 from repro.engine.cluster import create_cluster
 from repro.events.event import Event
 from repro.server.client import RailgunClient
@@ -230,8 +236,9 @@ def run_gate() -> list[str]:
 
 
 def run_single_phase() -> list[str]:
-    """Serve a durable ``single`` cluster: its reply topic is truncated
-    behind the frontend, its event topics keep everything."""
+    """Serve a durable ``single`` cluster: its directory holds the ops
+    and event topics only, its event topics keep everything, and a
+    reopen mints ids where the served cluster stopped."""
     failures: list[str] = []
     root = tempfile.mkdtemp(prefix="railgun-durable-gate-single-")
     cluster = create_cluster(
@@ -260,26 +267,7 @@ def run_single_phase() -> list[str]:
                     timestamp=round_index + 1,
                 )
                 sent += len(replies)
-        frontend = cluster.nodes["node-0"].frontend
-        reply_tp = frontend._reply_tp
-        read_offset = frontend._reply_offset
         spans = cluster.bus.segment_spans()
-        if read_offset != sent:
-            failures.append(
-                f"single {reply_tp}: frontend read {read_offset} of "
-                f"{sent} replies"
-            )
-        if spans[reply_tp][-1][0] == 0:
-            failures.append(
-                f"single {reply_tp}: never rolled a segment — the phase "
-                f"exercises nothing"
-            )
-        for base, seg_end in spans[reply_tp][:-1]:
-            if seg_end <= read_offset:
-                failures.append(
-                    f"single {reply_tp}: segment [{base},{seg_end}) survives "
-                    f"wholly below the read offset {read_offset}"
-                )
         events = 0
         for tp in cluster.bus.topic_partitions("tx.cardId"):
             log = cluster.bus.log(tp)
@@ -293,12 +281,50 @@ def run_single_phase() -> list[str]:
                 failures.append(f"single {tp}: event records unreadable")
         if events != sent:
             failures.append(f"single: {events} event records for {sent} sent")
-        print(
-            f"single {reply_tp}: replies={sent} read={read_offset} "
-            f"segments={spans[reply_tp]}"
-        )
+        published = cluster.bus.messages_published
     finally:
         cluster.close()
+    try:
+        expected = {
+            "__operations-0", "commits.log", "topics.log",
+            "tx.cardId-0", "tx.cardId-1",
+        }
+        entries = set(os.listdir(root))
+        if entries != expected:
+            failures.append(
+                f"single: directory holds {sorted(entries - expected)} "
+                f"beyond, and lacks {sorted(expected - entries)} of, the "
+                f"event topics, __operations, topics.log and commits.log"
+            )
+        reopened = create_cluster("single", durable_dir=root)
+        try:
+            if reopened.bus.messages_published != published:
+                failures.append(
+                    f"single reopen: messages_published "
+                    f"{reopened.bus.messages_published}, closed at {published}"
+                )
+            try:  # no pump round: the event is minted, published, left pending
+                reopened.send(
+                    "tx", {"cardId": "c1", "amount": 5.0}, max_rounds=0
+                )
+            except EngineError:
+                pass
+            minted = [
+                request.event.event_id
+                for request in reopened.nodes["node-0"].frontend.pending.values()
+            ]
+            if minted != [f"client-{published:012d}"]:
+                failures.append(
+                    f"single reopen: minted {minted}, expected "
+                    f"client-{published:012d}"
+                )
+        finally:
+            reopened.close()
+        print(
+            f"single: replies={sent} published={published} "
+            f"directory={sorted(entries)}"
+        )
+    finally:
         shutil.rmtree(root, ignore_errors=True)
     return failures
 
@@ -312,7 +338,7 @@ def main() -> int:
             "truncation gate: on-disk bytes bounded by segments above "
             "the horizon (checkpoint offsets, clamped to open replay "
             "pins); pins released on backfill completion; a served "
-            "single cluster's reply topic truncated behind its frontend"
+            "single cluster's directory holds only its ops and event topics"
         )
     return 1 if failures else 0
 
