@@ -665,13 +665,14 @@ class RailgunCluster:
         self,
         tp: TopicPartition,
         exclude_unit: str,
-        local_sealed: set[str],
+        held: dict[str, int],
     ) -> TaskCheckpoint | None:
         """Find the best donor for a task and fetch its checkpoint (§4.2).
 
         Donors are ranked by how far their data reaches (highest next
-        offset); the receiver's sealed files are excluded from the
-        payload (delta copy for stale holders).
+        offset); the immutable files the receiver holds (``held``: name
+        -> size) are left out of the payload (delta copy for stale
+        holders).
         """
         best_unit = None
         best_offset = -1
@@ -685,7 +686,7 @@ class RailgunCluster:
                     best_unit = unit
         if best_unit is None:
             return None
-        return best_unit.donate_checkpoint(tp, exclude_files=local_sealed)
+        return best_unit.donate_checkpoint(tp, held)
 
     # -- introspection ------------------------------------------------------------------------------
 

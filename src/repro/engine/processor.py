@@ -131,7 +131,6 @@ class ProcessorUnit:
         self._known_replica: set[TopicPartition] = set()
         self._checkpoint_counters: dict[TopicPartition, int] = {}
         self.messages_processed = 0
-        self.replies_sent = 0
 
     def subscribe(self, topics: list[str]) -> None:
         """Join the active and replica groups for the event topics."""
@@ -231,8 +230,7 @@ class ProcessorUnit:
             return
         metrics = self.catalog.metrics_for_topic(tp.topic)
         donor_checkpoint = self.cluster.request_recovery_data(
-            tp, exclude_unit=self.unit_id,
-            local_sealed=self._stale_sealed_files(tp),
+            tp, exclude_unit=self.unit_id, held=self._stale_held_files(tp)
         )
         if donor_checkpoint is not None:
             local_files = self._stale_files(tp)
@@ -280,20 +278,22 @@ class ProcessorUnit:
                 files[name] = storage.read_all(name)
         return files
 
-    def _stale_sealed_files(self, tp: TopicPartition) -> set[str]:
+    def _stale_held_files(self, tp: TopicPartition) -> dict[str, int]:
+        """Sizes of the immutable files a stale leftover holds (sealed
+        reservoir segments, LSM tables): what a donor need not ship."""
         processor = self.stale.get(tp)
         if processor is None:
-            return set()
-        sealed = set()
+            return {}
+        held: dict[str, int] = {}
         storage = processor.reservoir.storage
         for name in storage.list():
             if storage.is_sealed(name):
-                sealed.add(name)
+                held[name] = storage.size(name)
         state_storage = processor.state.db.storage
         for name in state_storage.list():
             if name.endswith(".sst"):
-                sealed.add(name)
-        return sealed
+                held[name] = state_storage.size(name)
+        return held
 
     def _processor_for(self, tp: TopicPartition) -> TaskProcessor:
         processor = self.task_processors.get(tp)
@@ -318,7 +318,6 @@ class ProcessorUnit:
         self.cluster.nodes[envelope.origin_node].frontend.inbox.append(
             (envelope.correlation_id, tp.topic, results)
         )
-        self.replies_sent += 1
 
     def _note_processed(
         self, tp: TopicPartition, processor: TaskProcessor, count: int
@@ -345,18 +344,20 @@ class ProcessorUnit:
 
     # -- recovery donor side ------------------------------------------------------------------
 
-    def donate_checkpoint(self, tp: TopicPartition, exclude_files: set[str]) -> TaskCheckpoint | None:
+    def donate_checkpoint(
+        self, tp: TopicPartition, held: dict[str, int]
+    ) -> TaskCheckpoint | None:
         """Serve a (fresh) checkpoint of a task this unit has data for.
 
         Live task processors are preferred (a consistent checkpoint is
         taken on the spot); stale leftovers serve their last state.
-        ``exclude_files`` implements the delta copy: immutable files the
-        receiver already holds are neither read nor shipped.
+        ``held`` implements the delta copy: immutable files the receiver
+        already holds whole are neither read nor shipped.
         """
         processor = self.task_processors.get(tp) or self.stale.get(tp)
         if processor is None:
             return None
-        return processor.checkpoint(exclude_files)
+        return processor.checkpoint(held)
 
     def data_offset_for(self, tp: TopicPartition) -> int | None:
         """Highest offset this unit holds data for (donor ranking)."""

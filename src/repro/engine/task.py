@@ -13,8 +13,8 @@ runs the same barrier without building the payload.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
-from typing import Any, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Mapping, Sequence
 
 from repro.common import serde
 from repro.common.errors import CheckpointError
@@ -53,6 +53,11 @@ class TaskCheckpoint:
     state_files: dict[str, bytes]
     iterator_positions: dict[str, tuple[int, int]]
     metric_ids: tuple[int, ...]
+    #: Where each shipped file's bytes start in the file: a name listed
+    #: here carries only its tail past that offset (the receiver holds
+    #: the prefix); an unlisted name carries the whole file. Empty on a
+    #: materialized checkpoint, and not part of :data:`TASK_CHECKPOINT`.
+    file_bases: dict[str, int] = field(default_factory=dict)
 
     def data_bytes(self, exclude_files: set[str] | None = None) -> int:
         """Transfer size in bytes, optionally after delta exclusion."""
@@ -65,10 +70,6 @@ class TaskCheckpoint:
             if name not in exclude:
                 total += len(data)
         return total
-
-    def transferable_files(self) -> set[str]:
-        """Immutable files a stale holder may already have (delta copy)."""
-        return set(self.reservoir_sealed) | set(self.state_files)
 
 
 def _write_lsm_checkpoint(buf: bytearray, checkpoint: Checkpoint) -> None:
@@ -85,11 +86,7 @@ FILE_MAP = mapping(STR, BYTES, sort=True)
 #: reservoir iterator cursors ``key -> (chunk_id, index)``; both signed
 #: (a cursor parked before the first chunk is ``(-1, -1)``).
 ITERATOR_POSITIONS = mapping(STR, tuple_of(SVARINT, SVARINT), sort=True)
-#: The one binary layout of a task checkpoint: what crosses the shard
-#: wire in either direction and what the supervisor's checkpoint store
-#: keeps on disk.
-TASK_CHECKPOINT = struct(
-    TaskCheckpoint,
+_TASK_CHECKPOINT_FIELDS = (
     ("tp", TP),
     ("offset", VARINT),
     ("reservoir_meta", BYTES),
@@ -99,6 +96,17 @@ TASK_CHECKPOINT = struct(
     ("state_files", FILE_MAP),
     ("iterator_positions", ITERATOR_POSITIONS),
     ("metric_ids", seq(VARINT)),
+)
+#: The one binary layout of a materialized task checkpoint: what a
+#: worker is restored from and what the supervisor's checkpoint store
+#: keeps on disk.
+TASK_CHECKPOINT = struct(TaskCheckpoint, *_TASK_CHECKPOINT_FIELDS)
+#: A checkpoint as a worker ships it: the same fields, then
+#: ``file_bases`` — which shipped files are tails, and from where.
+TASK_CHECKPOINT_TAILS = struct(
+    TaskCheckpoint,
+    *_TASK_CHECKPOINT_FIELDS,
+    ("file_bases", mapping(STR, VARINT, sort=True)),
 )
 
 
@@ -362,15 +370,19 @@ class TaskProcessor:
     # -- checkpoint / restore --------------------------------------------------------------
 
     def checkpoint(
-        self, exclude_files: set[str] | None = None, *, barrier_only: bool = False
+        self, held: Mapping[str, int] | None = None, *, barrier_only: bool = False
     ) -> TaskCheckpoint | None:
         """Snapshot reservoir + state + cursors + offset, atomically.
 
-        ``exclude_files`` names immutable files the receiver already
-        holds (sealed reservoir segments, LSM tables): they stay
-        referenced by the metadata but their contents are neither read
-        nor copied, so a delta checkpoint costs O(new state), not
-        O(total state). Mutable (unsealed) files always ship.
+        ``held`` maps each file the receiver already holds to how many
+        of its bytes it holds, and the checkpoint ships only the bytes
+        past that point: nothing for a sealed reservoir segment held
+        whole or for a held LSM table (tables never change), the new
+        tail of a segment held in part (``file_bases`` says where each
+        tail starts), and every other file whole. A held file is never
+        read whole, so a steady-state checkpoint costs the bytes
+        appended since the receiver's copy plus the reservoir metadata
+        and the new tables — not the open segment again.
 
         The returned checkpoint carries its file contents, so the LSM
         pin of the checkpoint it supersedes is released here: table
@@ -398,7 +410,7 @@ class TaskProcessor:
             checkpoint = None
             state_cp = self.state.checkpoint()
         else:
-            checkpoint = self._full_checkpoint(exclude_files or set())
+            checkpoint = self._full_checkpoint(held or {})
             state_cp = checkpoint.state_checkpoint
         if self._pinned_state is not None:
             self.state.db.release_checkpoint(self._pinned_state)
@@ -414,17 +426,27 @@ class TaskProcessor:
             )
         return checkpoint
 
-    def _full_checkpoint(self, exclude: set[str]) -> TaskCheckpoint:
+    def _full_checkpoint(self, held: Mapping[str, int]) -> TaskCheckpoint:
         """What :meth:`checkpoint` returns, its LSM snapshot taken here."""
         reservoir_meta = self.reservoir.checkpoint_metadata()
-        reservoir_storage = self.reservoir.storage
-        names = reservoir_storage.list()
-        sealed = {name for name in names if reservoir_storage.is_sealed(name)}
-        reservoir_files = {
-            name: reservoir_storage.read_all(name)
-            for name in names
-            if name not in exclude or name not in sealed
-        }
+        storage = self.reservoir.storage
+        sealed: set[str] = set()
+        reservoir_files: dict[str, bytes] = {}
+        file_bases: dict[str, int] = {}
+        for name in storage.list():
+            size = storage.size(name)
+            base = held.get(name, 0)
+            if base > size:
+                base = 0  # the receiver's copy is not a prefix of ours
+            if storage.is_sealed(name):
+                sealed.add(name)
+                if name in held and base == size:
+                    continue  # held whole: the sealed list names it
+            if base:
+                reservoir_files[name] = storage.read(name, base, size - base)
+                file_bases[name] = base
+            else:
+                reservoir_files[name] = storage.read_all(name)
         state_cp = self.state.checkpoint()
         return TaskCheckpoint(
             tp=self.tp,
@@ -433,9 +455,10 @@ class TaskProcessor:
             reservoir_files=reservoir_files,
             reservoir_sealed=sealed,
             state_checkpoint=state_cp,
-            state_files=self.state.export_checkpoint(state_cp, exclude=exclude),
+            state_files=self.state.export_checkpoint(state_cp, exclude=held.keys()),
             iterator_positions=self.plan.iterator_positions(),
             metric_ids=self.metric_ids(),
+            file_bases=file_bases,
         )
 
     @classmethod
@@ -452,7 +475,8 @@ class TaskProcessor:
 
         ``local_files`` supplies file contents the receiving processor
         already holds (stale data), enabling delta transfers: the
-        checkpoint may omit those files.
+        checkpoint may omit those files, or ship only their tails past
+        ``file_bases``.
         """
         processor = cls.__new__(cls)
         processor.tp = checkpoint.tp
@@ -467,7 +491,17 @@ class TaskProcessor:
         processor.telemetry = None
 
         merged: dict[str, bytes] = dict(local_files or {})
-        merged.update(checkpoint.reservoir_files)
+        for name, data in checkpoint.reservoir_files.items():
+            base = checkpoint.file_bases.get(name, 0)
+            if base:
+                prefix = merged.get(name, b"")
+                if len(prefix) < base:
+                    raise CheckpointError(
+                        f"reservoir file {name} has a tail from byte {base} "
+                        f"but only {len(prefix)} bytes held"
+                    )
+                data = prefix[:base] + data
+            merged[name] = data
         reservoir_storage = MemoryStorage()
         for name, data in merged.items():
             if name in checkpoint.reservoir_files or name in checkpoint.reservoir_sealed:

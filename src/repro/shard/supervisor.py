@@ -35,13 +35,14 @@ by the supervisor's regular :meth:`poll` drain.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import multiprocessing.connection
 import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.common import serde
 from repro.common.errors import EngineError
@@ -63,13 +64,16 @@ from repro.telemetry import MetricsRegistry
 class CheckpointStore:
     """Latest materialized checkpoint per task.
 
-    Incoming :class:`~repro.shard.wire.TaskCheckpointFrame` payloads may
-    be deltas (immutable files the worker knew we already hold are
-    omitted); :meth:`ingest` merges them with the previously stored
-    files into a fully materialized :class:`TaskCheckpoint`, so restore
-    shipping never depends on history. A frame that references a file
-    we neither received nor hold is rejected — the previous checkpoint
-    stays authoritative, which is exactly the fallback a crash between
+    Incoming :class:`~repro.shard.wire.TaskCheckpointFrame` payloads
+    carry only what the store lacked when it advertised :meth:`held`:
+    files held whole are left out, and a held segment that grew ships
+    its new tail. :meth:`ingest` merges them with the stored files into
+    a fully materialized :class:`TaskCheckpoint` — extending the held
+    copy of a growing segment in place, so no held file is copied whole
+    — and restore shipping never depends on history. A frame that names
+    a file we neither received nor hold, or a tail that does not line up
+    with our copy, is rejected: the previous checkpoint stays
+    authoritative, which is exactly the fallback a crash between
     checkpoint request and ack needs.
 
     With ``durable_dir`` set, every stored checkpoint is also persisted
@@ -102,6 +106,9 @@ class CheckpointStore:
                 checkpoint, _ = TASK_CHECKPOINT.read(memoryview(payload), 0)
             except Exception:
                 continue  # torn write: replay-from-zero covers the task
+            files = checkpoint.reservoir_files
+            for file_name in files.keys() - checkpoint.reservoir_sealed:
+                files[file_name] = bytearray(files[file_name])
             self._checkpoints[checkpoint.tp] = checkpoint
             self.loaded += 1
 
@@ -116,8 +123,21 @@ class CheckpointStore:
         return len(self._checkpoints)
 
     def get(self, tp: TopicPartition) -> TaskCheckpoint | None:
-        """The latest materialized checkpoint of a task, if any."""
-        return self._checkpoints.get(tp)
+        """The latest materialized checkpoint of a task, if any.
+
+        Its growing segments are snapshots: a later :meth:`ingest`
+        extends the store's own copies, never what this returned.
+        """
+        checkpoint = self._checkpoints.get(tp)
+        if checkpoint is None:
+            return None
+        return dataclasses.replace(
+            checkpoint,
+            reservoir_files={
+                name: bytes(data) if isinstance(data, bytearray) else data
+                for name, data in checkpoint.reservoir_files.items()
+            },
+        )
 
     def offset(self, tp: TopicPartition) -> int:
         """Replay start for a task: checkpointed offset, or 0."""
@@ -131,12 +151,14 @@ class CheckpointStore:
             for tp, checkpoint in self._checkpoints.items()
         }
 
-    def known_files(self, tp: TopicPartition) -> tuple[str, ...]:
-        """Immutable file names held for a task (delta advertisement)."""
+    def held(self, tp: TopicPartition) -> tuple[tuple[str, int], ...]:
+        """``(name, size)`` of every file held for a task, in name order:
+        the advertisement a worker ships against."""
         checkpoint = self._checkpoints.get(tp)
         if checkpoint is None:
             return ()
-        return tuple(sorted(checkpoint.transferable_files()))
+        files = {**checkpoint.reservoir_files, **checkpoint.state_files}
+        return tuple((name, len(files[name])) for name in sorted(files))
 
     def ingest(self, frame: wire.TaskCheckpointFrame) -> bool:
         """Materialize and store one frame; False when rejected."""
@@ -145,33 +167,91 @@ class CheckpointStore:
         if stored is not None and checkpoint.offset < stored.offset:
             self.rejected += 1  # late frame older than what we hold
             return False
-        reservoir_cache = stored.reservoir_files if stored is not None else {}
-        state_cache = stored.state_files if stored is not None else {}
-        reservoir_files = dict(checkpoint.reservoir_files)
-        for name in checkpoint.reservoir_sealed:
-            if name in reservoir_files:
-                continue
-            cached = reservoir_cache.get(name)
-            if cached is None:
-                self.rejected += 1
-                return False
-            reservoir_files[name] = cached
-        state_files = dict(checkpoint.state_files)
-        for name in checkpoint.state_checkpoint.all_files():
-            if name in state_files:
-                continue
-            cached = state_cache.get(name)
-            if cached is None:
-                self.rejected += 1
-                return False
-            state_files[name] = cached
-        checkpoint.reservoir_files = reservoir_files
-        checkpoint.state_files = state_files
+        held_reservoir = stored.reservoir_files if stored is not None else {}
+        held_state = stored.state_files if stored is not None else {}
+        reservoir_names = checkpoint.reservoir_sealed | checkpoint.reservoir_files.keys()
+        state_names = checkpoint.state_checkpoint.all_files()
+        bases = checkpoint.file_bases
+        if not (
+            _lines_up(reservoir_names, checkpoint.reservoir_files, bases, held_reservoir)
+            and _lines_up(state_names, checkpoint.state_files, bases, held_state)
+        ):
+            self.rejected += 1
+            return False
+        growing = checkpoint.reservoir_files.keys() - checkpoint.reservoir_sealed
+        checkpoint.reservoir_files = _merge(
+            reservoir_names, checkpoint.reservoir_files, bases, held_reservoir, growing
+        )
+        checkpoint.state_files = _merge(
+            state_names, checkpoint.state_files, bases, held_state, set()
+        )
+        checkpoint.file_bases = {}
         self._checkpoints[checkpoint.tp] = checkpoint
         self.stored += 1
         if self._storage is not None:
             self._persist(checkpoint)
         return True
+
+
+def _lines_up(
+    names: Iterable[str],
+    shipped: dict[str, bytes],
+    bases: dict[str, int],
+    held: dict[str, bytes | bytearray],
+) -> bool:
+    """True when every file in ``names`` can be materialized from what
+    a frame shipped plus the copies held.
+
+    A file not shipped must be held; one shipped without a base is
+    whole. A tail from ``base`` must start within a held copy that can
+    grow (a bytearray: sealed copies never do) and agree with its bytes
+    past ``base`` — two requests in flight advertise the same size, so a
+    later ack may repeat what an earlier one already appended.
+    """
+    for name in names:
+        data = shipped.get(name)
+        copy = held.get(name)
+        base = bases.get(name, 0)
+        if data is None:
+            if copy is None:
+                return False
+        elif base:
+            if copy is None or not base <= len(copy) <= base + len(data):
+                return False
+            if len(copy) < base + len(data) and not isinstance(copy, bytearray):
+                return False
+            with memoryview(copy) as mine, memoryview(data) as theirs:
+                if mine[base:] != theirs[: len(copy) - base]:
+                    return False
+    return True
+
+
+def _merge(
+    names: Iterable[str],
+    shipped: dict[str, bytes],
+    bases: dict[str, int],
+    held: dict[str, bytes | bytearray],
+    growing: set[str],
+) -> dict[str, bytes | bytearray]:
+    """The materialized file map of a frame :func:`_lines_up` accepted.
+
+    A tail extends its held copy in place; a whole file that can still
+    grow (``growing``: the open segments) is kept as a bytearray so the
+    next tail can do the same.
+    """
+    merged: dict[str, bytes | bytearray] = {}
+    for name in names:
+        data = shipped.get(name)
+        if data is None:
+            merged[name] = held[name]
+        elif base := bases.get(name, 0):
+            copy = held[name]
+            with memoryview(data) as tail:
+                copy.extend(tail[len(copy) - base :])
+            merged[name] = copy
+        else:
+            merged[name] = bytearray(data) if name in growing else data
+    return merged
 
 
 def _default_context() -> multiprocessing.context.BaseContext:
@@ -381,12 +461,12 @@ class ShardSupervisor:
         for handle in self.handles.values():
             if not handle.alive:
                 continue
-            known = tuple(
-                (tp, names)
+            held = tuple(
+                (tp, files)
                 for tp in sorted(handle.assigned, key=str)
-                if with_state and (names := self.checkpoints.known_files(tp))
+                if with_state and (files := self.checkpoints.held(tp))
             )
-            request = wire.CheckpointRequest(request_id, with_state, known)
+            request = wire.CheckpointTailRequest(request_id, with_state, held)
             try:
                 handle.conn.send_bytes(wire.encode(request))
             except OSError:
@@ -412,8 +492,8 @@ class ShardSupervisor:
     ) -> dict[TopicPartition, int]:
         """Ask every worker for its consumed offsets; merge the acks.
 
-        With ``with_state`` the acks also carry (delta) checkpoint
-        frames for the store. Each ack reflects every control frame sent
+        With ``with_state`` the acks also carry checkpoint frames for
+        the store, holding only what it lacks. Each ack reflects every control frame sent
         before the request and the work processed before it was read;
         frames
         drained while waiting are parked for the next :meth:`poll`. A
@@ -453,10 +533,18 @@ class ShardSupervisor:
 
         A dropped frame would be a lost checkpoint, so payloads are
         routed into the store even when the ack is late; late acks are
-        counted per worker (``supervisor_checkpoint_acks_late_total``).
+        counted per worker (``supervisor_checkpoint_acks_late_total``),
+        and so are the bytes the frames carried
+        (``supervisor_checkpoint_bytes_total``).
         """
+        shipped = 0
         for frame in msg.frames:
+            shipped += frame.checkpoint.data_bytes()
             self.checkpoints.ingest(frame)
+        if shipped:
+            self.telemetry.counter_add(
+                "supervisor_checkpoint_bytes_total", shipped, label=handle.worker_id
+            )
         expected = self._inflight_checkpoints.get(msg.request_id)
         late = msg.request_id != expected_id
         if expected is not None and handle.worker_id in expected:

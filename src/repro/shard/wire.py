@@ -25,11 +25,14 @@ and :class:`BatchDone` cross every worker link as
 that codec's whole-message fallback and the reference the bench ladder
 prices it against.
 
-Recovery framing ships whole task checkpoints: a
-:class:`TaskCheckpointFrame` crosses worker→supervisor inside a
-:class:`CheckpointAck` and supervisor→worker as a :class:`RestoreTask`;
-frames are delta-aware (a :class:`CheckpointRequest` advertises the
-immutable files the supervisor already holds). Frontend recovery is
+Recovery framing ships task checkpoints: a :class:`TaskCheckpointFrame`
+crosses worker→supervisor inside a :class:`CheckpointTailAck` and
+supervisor→worker, fully materialized, as a :class:`RestoreTask`. The
+worker ships only the bytes the supervisor lacks: a
+:class:`CheckpointTailRequest` advertises the size of every file the
+supervisor's store holds, and the ack carries each held file's new tail
+(the older :class:`CheckpointRequest`/:class:`CheckpointAck` pair still
+decodes and is answered with whole frames). Frontend recovery is
 journal-based (:class:`RestoreWatermarks` seeds reply suppression
 before the router replays its journal); :class:`WorkerRestarted`,
 :class:`DrainRequest`/:class:`DrainAck` and :class:`FrontendAssign`
@@ -66,7 +69,12 @@ from repro.engine.catalog import (
     EvolveSchemaOp,
     MetricDef,
 )
-from repro.engine.task import ITERATOR_POSITIONS, TASK_CHECKPOINT, TaskCheckpoint
+from repro.engine.task import (
+    ITERATOR_POSITIONS,
+    TASK_CHECKPOINT,
+    TASK_CHECKPOINT_TAILS,
+    TaskCheckpoint,
+)
 from repro.events.event import Event
 from repro.messaging.log import OFFSET_PAIRS, TP, TopicPartition
 
@@ -129,6 +137,11 @@ MSG_BACKFILL_STALE = 43
 MSG_STATS_REQUEST = 44
 MSG_STATS_REPLY = 45
 
+# Supervisor <-> worker checkpoints that ship only the bytes the store
+# lacks (tags 7/17 are the older whole-file pair).
+MSG_CHECKPOINT_TAIL_REQUEST = 46
+MSG_CHECKPOINT_TAIL_ACK = 47
+
 
 @dataclass(frozen=True)
 class AssignPartitions:
@@ -160,29 +173,49 @@ class WorkBatch:
 @dataclass(frozen=True)
 class CheckpointRequest:
     """Ask a worker for its per-task consumed offsets — and, with
-    ``with_state``, full :class:`TaskCheckpointFrame` payloads.
+    ``with_state``, whole :class:`TaskCheckpointFrame` payloads.
 
-    ``known_files`` maps each task to the immutable file names the
-    supervisor's checkpoint store already holds; the worker strips those
-    from its frames so steady-state checkpoints ship only new files.
+    The supervisor sends :class:`CheckpointTailRequest` instead; this
+    older frame still decodes and a worker answers it with a
+    :class:`CheckpointAck` of whole frames (``known_files``, the
+    immutable names an old store held, is not consulted — a whole frame
+    materializes in any store).
     """
 
     request_id: int
     with_state: bool = False
     known_files: tuple[tuple[TopicPartition, tuple[str, ...]], ...] = ()
 
-    def known_files_map(self) -> dict[TopicPartition, frozenset[str]]:
-        """The delta-exclusion sets, keyed by task."""
-        return {tp: frozenset(names) for tp, names in self.known_files}
+
+@dataclass(frozen=True)
+class CheckpointTailRequest:
+    """Ask a worker for its per-task consumed offsets — and, with
+    ``with_state``, checkpoint frames holding only what the store lacks.
+
+    ``held`` maps each task to ``(name, size)`` for every file the
+    supervisor's checkpoint store holds for it. The worker ships nothing
+    for a sealed segment or LSM table held whole, the bytes past
+    ``size`` of a segment held in part (the open one keeps growing), and
+    every other file whole; the ack is a :class:`CheckpointTailAck`.
+    """
+
+    request_id: int
+    with_state: bool = False
+    held: tuple[tuple[TopicPartition, tuple[tuple[str, int], ...]], ...] = ()
+
+    def held_map(self) -> dict[TopicPartition, dict[str, int]]:
+        """Held file sizes, keyed by task."""
+        return {tp: dict(files) for tp, files in self.held}
 
 
 @dataclass
 class TaskCheckpointFrame:
     """One task's checkpoint crossing the process boundary.
 
-    Wraps the engine's :class:`~repro.engine.task.TaskCheckpoint`; the
-    file maps may be partial (delta transfer) — the receiver merges them
-    with files it already holds before restoring.
+    Wraps the engine's :class:`~repro.engine.task.TaskCheckpoint`; in a
+    :class:`CheckpointTailAck` the file maps may be partial — held files
+    left out, held segments shipped as tails from their
+    ``file_bases`` — and the receiver merges them with what it holds.
     """
 
     checkpoint: TaskCheckpoint
@@ -238,13 +271,20 @@ class BatchDone:
 class CheckpointAck:
     """Per-task consumed offsets at a consistent message boundary.
 
-    When the request asked ``with_state``, ``frames`` carries one
-    (possibly delta) :class:`TaskCheckpointFrame` per owned task.
+    When the request asked ``with_state``, ``frames`` carries one whole
+    :class:`TaskCheckpointFrame` per owned task.
     """
 
     request_id: int
     offsets: dict[TopicPartition, int]
     frames: list[TaskCheckpointFrame] = field(default_factory=list)
+
+
+@dataclass
+class CheckpointTailAck(CheckpointAck):
+    """A :class:`CheckpointAck` answering a :class:`CheckpointTailRequest`:
+    its frames leave out what the store holds and carry each held
+    segment's new tail with the offset it starts at."""
 
 
 @dataclass(frozen=True)
@@ -608,6 +648,9 @@ class StatsReply:
 #: raw state-store ``(key, value)`` byte rows.
 ROW_PAIRS = seq(tuple_of(BYTES, BYTES), build=list)
 CHECKPOINT_FRAME = struct(TaskCheckpointFrame, ("checkpoint", TASK_CHECKPOINT))
+CHECKPOINT_TAIL_FRAME = struct(
+    TaskCheckpointFrame, ("checkpoint", TASK_CHECKPOINT_TAILS)
+)
 
 
 # -- string-table blocks ------------------------------------------------------
@@ -899,6 +942,21 @@ TABLE: tuple[Row, ...] = (
         ("frames", seq(CHECKPOINT_FRAME, build=list)),
     ),
     Row(MSG_WORKER_ERROR, WorkerError, ("message", STR)),
+    # Supervisor <-> worker, shipping only what the store lacks.
+    Row(
+        MSG_CHECKPOINT_TAIL_REQUEST,
+        CheckpointTailRequest,
+        ("request_id", VARINT),
+        ("with_state", FLAG),
+        ("held", seq(tuple_of(TP, seq(tuple_of(STR, VARINT))))),
+    ),
+    Row(
+        MSG_CHECKPOINT_TAIL_ACK,
+        CheckpointTailAck,
+        ("request_id", VARINT),
+        ("offsets", mapping(TP, VARINT)),
+        ("frames", seq(CHECKPOINT_TAIL_FRAME, build=list)),
+    ),
     # Router -> frontend.
     Row(
         MSG_INGEST_BATCH,

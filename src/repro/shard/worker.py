@@ -17,9 +17,10 @@ from work batches or arrives wholesale as a
 the supervisor replays the control log into a fresh process and ships
 each owned task's stored checkpoint, and the frontends replay only the
 tail past it, under ``reply_from`` = the replied watermark. On
-``CheckpointRequest(with_state=True)`` the worker ships every owned
-task's snapshot inside the ack, minus the immutable files the
-supervisor advertised it holds.
+``CheckpointTailRequest(with_state=True)`` the worker ships every owned
+task's snapshot inside the ack, holding only the bytes the supervisor's
+store lacks: of each file it advertised, nothing if held whole, else the
+tail past the advertised size.
 """
 
 from __future__ import annotations
@@ -106,12 +107,13 @@ class ShardWorker:
     def handle_control(self, msg: object) -> wire.CheckpointAck | None:
         """Apply one control message to the local catalogue and tasks;
         returns the ack a checkpoint request is owed."""
-        if isinstance(msg, wire.CheckpointRequest):
-            frames = (
-                self.build_checkpoints(msg.known_files_map())
-                if msg.with_state
-                else []
+        if isinstance(msg, wire.CheckpointTailRequest):
+            frames = self.build_checkpoints(msg.held_map()) if msg.with_state else []
+            return wire.CheckpointTailAck(
+                msg.request_id, self.checkpoint_offsets(), frames
             )
+        if isinstance(msg, wire.CheckpointRequest):
+            frames = self.build_checkpoints() if msg.with_state else []
             return wire.CheckpointAck(
                 msg.request_id, self.checkpoint_offsets(), frames
             )
@@ -342,25 +344,29 @@ class ShardWorker:
     # -- checkpoint shipping ---------------------------------------------------
 
     def build_checkpoints(
-        self, known_files: dict[TopicPartition, frozenset[str]] | None = None
+        self, held: dict[TopicPartition, dict[str, int]] | None = None
     ) -> list[wire.TaskCheckpointFrame]:
-        """Snapshot every owned task as (delta) checkpoint frames.
+        """Snapshot every owned task as checkpoint frames.
 
-        ``known_files`` lists immutable files the receiver already holds
-        per task; their contents are never read or copied (sealed
-        reservoir segments and LSM tables never change, so the name is
-        enough for the receiver to reuse its copy) — a steady-state
-        snapshot costs O(new state).
+        ``held`` maps each task to the files the receiver holds and how
+        many bytes of each; a frame carries only the bytes past that
+        (see :meth:`~repro.engine.task.TaskProcessor.checkpoint`), so a
+        steady-state snapshot costs the segment bytes appended since the
+        receiver's copy, the reservoir metadata and the new LSM tables —
+        flat in the stream's length. Without ``held`` every file ships
+        whole. The bytes shipped count into
+        ``worker_checkpoint_bytes_total``.
         """
-        known = known_files or {}
+        held = held or {}
         frames: list[wire.TaskCheckpointFrame] = []
+        shipped = 0
         for tp, processor in sorted(
             self.task_processors.items(), key=lambda item: str(item[0])
         ):
-            checkpoint = processor.checkpoint(
-                exclude_files=set(known.get(tp, ()))
-            )
+            checkpoint = processor.checkpoint(held.get(tp))
+            shipped += checkpoint.data_bytes()
             frames.append(wire.TaskCheckpointFrame(checkpoint))
+        self.telemetry.counter_add("worker_checkpoint_bytes_total", shipped)
         return frames
 
     def restore_task(self, frame: wire.TaskCheckpointFrame) -> None:

@@ -150,6 +150,11 @@ METRICS: dict[str, tuple[str, str, str, str]] = {
         "LSM run merges checkpoints triggered — what they rewrote on "
         "top of the dirty entries.",
     ),
+    "worker_checkpoint_bytes_total": (
+        COUNTER, "bytes", "worker checkpoint",
+        "Reservoir metadata and file bytes this worker shipped in "
+        "checkpoint frames: only what the supervisor's store lacked.",
+    ),
     "worker_reply_merge_ms": (
         HISTOGRAM, "ms", "worker",
         "Filtering processor output against reply_from and building "
@@ -172,6 +177,11 @@ METRICS: dict[str, tuple[str, str, str, str]] = {
     "supervisor_checkpoint_acks_total": (
         COUNTER, "acks", "supervisor",
         "Checkpoint acknowledgements received (label = worker id).",
+    ),
+    "supervisor_checkpoint_bytes_total": (
+        COUNTER, "bytes", "supervisor",
+        "Reservoir metadata and file bytes the checkpoint store ingested "
+        "from acks (label = worker id).",
     ),
     "supervisor_checkpoint_acks_late_total": (
         COUNTER, "acks", "supervisor",

@@ -196,6 +196,31 @@ class TestCoordinatorRestart:
             for tp, offset in offsets.items():
                 assert store.offset(tp) == offset
 
+    def test_reloaded_store_keeps_taking_tails(self, tmp_path):
+        """A store loaded from disk extends its open-segment copies with
+        the tails the restored workers ship, as a live one does."""
+        durable = str(tmp_path / "cluster")
+        events = make_events(6_000)
+        kwargs = dict(workers=1, durable_dir=durable, checkpoint_every=None)
+        with create_cluster("process", **kwargs) as cluster:
+            cluster.create_stream("tx", ["cardId"], **STREAM_KW)
+            cluster.create_metric(METRIC)
+            cluster.send_batch("tx", events[:3_000])
+            cluster.checkpoint_now()
+            held = {
+                tp: dict(cluster.supervisor.checkpoints.held(tp))
+                for tp in cluster.checkpoint_offsets()
+            }
+        assert any(name.endswith(".seg") for files in held.values() for name in files)
+        with create_cluster("process", **kwargs) as reopened:
+            reopened.send_batch("tx", events[3_000:])
+            offsets = reopened.checkpoint_now()
+            store = reopened.supervisor.checkpoints
+            assert store.rejected == 0
+            assert sum(offsets.values()) == len(events)
+            for tp, offset in offsets.items():
+                assert store.offset(tp) == offset
+
 
 class TestGoldenDurableDir:
     """A directory an older build wrote keeps reopening as it did.

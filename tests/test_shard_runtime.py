@@ -245,20 +245,22 @@ class TestShardWorker:
                 tp, 0, [(120 + i, e) for i, e in enumerate(events[120:])]
             )
         )
-        known = {tp: frozenset(store.known_files(tp))}
-        second = worker.build_checkpoints(known)[0]
+        held = dict(store.held(tp))
+        second = worker.build_checkpoints({tp: held})[0]
         shipped = set(second.checkpoint.reservoir_files) | set(
             second.checkpoint.state_files
         )
-        # Immutable files already held by the store were omitted ...
-        held_immutables = set(store.known_files(tp))
+        # Files already held whole by the store were omitted ...
         omitted = (
             second.checkpoint.reservoir_sealed
             | second.checkpoint.state_checkpoint.all_files()
         ) - shipped
         assert omitted  # the delta actually omitted something
-        assert omitted <= held_immutables
+        assert omitted <= set(held)
         assert shipped != first_files
+        # ... and a held file that grew shipped only its tail.
+        for name, base in second.checkpoint.file_bases.items():
+            assert base == held[name]
         # ... and the store still materializes a full, restorable state.
         assert store.ingest(second)
         stored = store.get(tp)
@@ -292,7 +294,7 @@ class TestShardWorker:
         )
         # Pretend the store held files it does not have: the worker
         # omits them, and ingest must reject the hole.
-        bogus = {tp: frozenset({"sst-aggstate-L9-99999999.sst"})}
+        bogus = {tp: {"sst-aggstate-L9-99999999.sst": 100}}
         broken = worker.build_checkpoints(bogus)[0]
         broken.checkpoint.state_files = {}
         broken.checkpoint.state_checkpoint.files.setdefault("aggstate", [[]])[
@@ -300,6 +302,137 @@ class TestShardWorker:
         ].append("sst-aggstate-L9-99999999.sst")
         assert not store.ingest(broken)
         assert store.offset(tp) == 30  # previous checkpoint retained
+
+
+class TestCheckpointTails:
+    """Periodic checkpoints ship only the bytes the store lacks: with the
+    shipped reservoir layout (64-chunk segments) a task's open segment
+    grows for tens of thousands of events, and each ack carries only
+    its new tail."""
+
+    EVERY = 1_000
+    TOTAL = 16_000
+
+    def checkpoint_round(self, worker, store, request_id):
+        """One cadence round through the wire rows: advertise what the
+        store holds, let the worker answer, ingest the ack's frames.
+        Returns the ack as shipped (ingest takes over the frames it is
+        handed, so the store gets its own decoded copy)."""
+        request = wire.CheckpointTailRequest(
+            request_id,
+            with_state=True,
+            held=tuple((tp, store.held(tp)) for tp in sorted(worker.assigned, key=str)),
+        )
+        frame = wire.encode(worker.handle_control(wire.decode(wire.encode(request))))
+        for shipped in wire.decode(frame).frames:
+            assert store.ingest(shipped)
+        ack = wire.decode(frame)
+        assert isinstance(ack, wire.CheckpointTailAck)
+        return ack
+
+    def stream_with_checkpoints(self):
+        """Process TOTAL events, checkpointing every EVERY; returns the
+        worker, its task, the store, and per ack its checkpoint as
+        shipped, how many segment bytes the task appended since the
+        previous ack, and what the store advertised for it."""
+        worker, tp = TestShardWorker().worker_with_stream()
+        store = CheckpointStore()
+        events = make_events(self.TOTAL)
+        rounds = []
+        previous_size = 0
+        for start in range(0, self.TOTAL, self.EVERY):
+            worker.handle_work(
+                wire.WorkBatch(
+                    tp, 0,
+                    [(start + i, e) for i, e in enumerate(events[start:start + self.EVERY])],
+                )
+            )
+            storage = worker.task_processors[tp].reservoir.storage
+            size = sum(storage.size(name) for name in storage.list())
+            held = dict(store.held(tp))
+            ack = self.checkpoint_round(worker, store, start)
+            rounds.append((ack.frames[0].checkpoint, size - previous_size, held))
+            previous_size = size
+        return worker, tp, store, rounds
+
+    def test_acks_ship_only_the_bytes_appended_since_the_last(self):
+        worker, tp, store, rounds = self.stream_with_checkpoints()
+        storage = worker.task_processors[tp].reservoir.storage
+        # The whole run fits in one open segment that keeps growing ...
+        assert storage.list() == ["res-000000.seg"]
+        assert not storage.is_sealed("res-000000.seg")
+        assert storage.size("res-000000.seg") > 10 * max(a for _, a, _ in rounds)
+        for checkpoint, appended, held in rounds[1:]:
+            # ... yet every ack after the first carries only its new tail
+            # (besides the reservoir metadata), not the segment again.
+            assert sum(map(len, checkpoint.reservoir_files.values())) <= appended
+            assert checkpoint.file_bases == {
+                "res-000000.seg": held["res-000000.seg"]
+            }
+            # LSM tables ship only when new.
+            assert not set(checkpoint.state_files) & set(held)
+        # The store still holds the whole file, byte for byte.
+        stored = store.get(tp)
+        assert stored.offset == self.TOTAL
+        assert stored.reservoir_files == {
+            name: storage.read_all(name) for name in storage.list()
+        }
+
+    def test_store_rejects_a_tail_that_does_not_line_up(self):
+        worker, tp = TestShardWorker().worker_with_stream()
+        store = CheckpointStore()
+        events = make_events(3_000)
+        worker.handle_work(wire.WorkBatch(tp, 0, list(enumerate(events[:2_000]))))
+        self.checkpoint_round(worker, store, 0)
+        before = store.get(tp)
+        worker.handle_work(
+            wire.WorkBatch(tp, 0, [(2_000 + i, e) for i, e in enumerate(events[2_000:])])
+        )
+        held = {tp: dict(store.held(tp))}
+        (name, base), = worker.build_checkpoints(held)[0].checkpoint.file_bases.items()
+        assert base == len(before.reservoir_files[name])
+
+        def tampered(shift, tail_prefix=b""):
+            frame = worker.build_checkpoints(held)[0]
+            frame.checkpoint.file_bases[name] += shift
+            files = frame.checkpoint.reservoir_files
+            files[name] = tail_prefix + files[name]
+            return frame
+
+        # A tail starting past our copy's end leaves a hole; one starting
+        # inside it must agree with the bytes we hold.
+        assert not store.ingest(tampered(+1))
+        last = before.reservoir_files[name][-1]
+        assert not store.ingest(tampered(-1, bytes([last ^ 0xFF])))
+        assert store.rejected == 2
+        after = store.get(tp)
+        assert after.offset == before.offset
+        assert after.reservoir_files == before.reservoir_files
+        assert after.state_files == before.state_files
+        # Two requests in flight advertise the same size, so the later
+        # ack repeats what the earlier one appended: that overlap agrees
+        # with our copy and is accepted.
+        first, second = (worker.build_checkpoints(held)[0] for _ in range(2))
+        assert store.ingest(first) and store.ingest(second)
+        assert store.get(tp).reservoir_files == {
+            n: worker.task_processors[tp].reservoir.storage.read_all(n)
+            for n in worker.task_processors[tp].reservoir.storage.list()
+        }
+
+    def test_restore_from_merged_tails_answers_like_the_original(self):
+        worker, tp, store, rounds = self.stream_with_checkpoints()
+        assert sum(1 for checkpoint, *_ in rounds if checkpoint.file_bases) >= 3
+        fresh, _ = TestShardWorker().worker_with_stream()
+        fresh.restore_task(wire.TaskCheckpointFrame(store.get(tp)))
+        probes = [
+            (self.TOTAL + i, Event(f"probe{i}", 1000 + self.TOTAL + i,
+                                    {"cardId": f"c{i % 5}", "amount": 2.5}))
+            for i in range(3)
+        ]
+        original = worker.handle_work(wire.WorkBatch(tp, 0, probes))
+        restored = fresh.handle_work(wire.WorkBatch(tp, 0, probes))
+        assert restored.replies == original.replies
+        assert restored.next_offset == original.next_offset
 
 
 # -- supervisor ---------------------------------------------------------------

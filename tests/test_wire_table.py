@@ -61,7 +61,7 @@ def test_golden_set_covers_the_table():
 
 class TestTableInvariants:
     def test_tags_and_classes_are_unique(self):
-        assert len(wire.TABLE) == 37
+        assert len(wire.TABLE) == 39
         assert len({row.tag for row in wire.TABLE}) == len(wire.TABLE)
         assert len({row.cls for row in wire.TABLE}) == len(wire.TABLE)
 
