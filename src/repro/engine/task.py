@@ -475,8 +475,7 @@ class TaskProcessor:
 
         ``local_files`` supplies file contents the receiving processor
         already holds (stale data), enabling delta transfers: the
-        checkpoint may omit those files, or ship only their tails past
-        ``file_bases``.
+        checkpoint may omit those files.
         """
         processor = cls.__new__(cls)
         processor.tp = checkpoint.tp
@@ -491,17 +490,7 @@ class TaskProcessor:
         processor.telemetry = None
 
         merged: dict[str, bytes] = dict(local_files or {})
-        for name, data in checkpoint.reservoir_files.items():
-            base = checkpoint.file_bases.get(name, 0)
-            if base:
-                prefix = merged.get(name, b"")
-                if len(prefix) < base:
-                    raise CheckpointError(
-                        f"reservoir file {name} has a tail from byte {base} "
-                        f"but only {len(prefix)} bytes held"
-                    )
-                data = prefix[:base] + data
-            merged[name] = data
+        merged.update(checkpoint.reservoir_files)
         reservoir_storage = MemoryStorage()
         for name, data in merged.items():
             if name in checkpoint.reservoir_files or name in checkpoint.reservoir_sealed:

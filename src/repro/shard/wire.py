@@ -31,8 +31,8 @@ supervisor→worker, fully materialized, as a :class:`RestoreTask`. The
 worker ships only the bytes the supervisor lacks: a
 :class:`CheckpointTailRequest` advertises the size of every file the
 supervisor's store holds, and the ack carries each held file's new tail
-(the older :class:`CheckpointRequest`/:class:`CheckpointAck` pair still
-decodes and is answered with whole frames). Frontend recovery is
+(the older :class:`CheckpointRequest`/:class:`CheckpointAck` rows still
+decode). Frontend recovery is
 journal-based (:class:`RestoreWatermarks` seeds reply suppression
 before the router replays its journal); :class:`WorkerRestarted`,
 :class:`DrainRequest`/:class:`DrainAck` and :class:`FrontendAssign`
@@ -175,11 +175,9 @@ class CheckpointRequest:
     """Ask a worker for its per-task consumed offsets — and, with
     ``with_state``, whole :class:`TaskCheckpointFrame` payloads.
 
-    The supervisor sends :class:`CheckpointTailRequest` instead; this
-    older frame still decodes and a worker answers it with a
-    :class:`CheckpointAck` of whole frames (``known_files``, the
-    immutable names an old store held, is not consulted — a whole frame
-    materializes in any store).
+    The supervisor sends :class:`CheckpointTailRequest` instead and no
+    worker answers this older frame; its row stays so the frame still
+    decodes.
     """
 
     request_id: int

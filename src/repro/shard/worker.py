@@ -104,17 +104,12 @@ class ShardWorker:
 
     # -- control plane --------------------------------------------------------
 
-    def handle_control(self, msg: object) -> wire.CheckpointAck | None:
+    def handle_control(self, msg: object) -> wire.CheckpointTailAck | None:
         """Apply one control message to the local catalogue and tasks;
         returns the ack a checkpoint request is owed."""
         if isinstance(msg, wire.CheckpointTailRequest):
             frames = self.build_checkpoints(msg.held_map()) if msg.with_state else []
             return wire.CheckpointTailAck(
-                msg.request_id, self.checkpoint_offsets(), frames
-            )
-        if isinstance(msg, wire.CheckpointRequest):
-            frames = self.build_checkpoints() if msg.with_state else []
-            return wire.CheckpointAck(
                 msg.request_id, self.checkpoint_offsets(), frames
             )
         if isinstance(msg, wire.RestoreTask):

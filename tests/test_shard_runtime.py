@@ -554,7 +554,7 @@ class TestShardSupervisor:
             # A with-state request with an id the supervisor never
             # registered: its ack is by definition late.
             handle.conn.send_bytes(
-                wire.encode(wire.CheckpointRequest(999, with_state=True))
+                wire.encode(wire.CheckpointTailRequest(999, with_state=True))
             )
             default_time_source().wait_until(
                 lambda: (supervisor.poll(timeout=0.05), len(supervisor.checkpoints))[1],
@@ -790,7 +790,7 @@ def test_worker_drops_a_link_whose_peer_hung_up(tmp_path):
 
     def checkpoint_ack(request_id):
         control.send_bytes(
-            wire.encode(wire.CheckpointRequest(request_id, False, ()))
+            wire.encode(wire.CheckpointTailRequest(request_id, False, ()))
         )
         assert control.poll(10.0)
         ack = wire.decode(control.recv_bytes())
