@@ -7,7 +7,7 @@ loops, the state store (``state_apply_resident`` vs
 ``state_apply_evicting``, ``state_checkpoint_writeback``,
 ``state_checkpoint_steady_{4k,32k}``, ``state_checkpoint_mixed``), the
 task-processor ingestion path and the frontend fan-out, the worker-link
-batch codecs (``codec_{work_batch,batch_done}_{columnar,serde}``), the
+batch codec (``codec_{work_batch,batch_done}_columnar``), the
 ``IngestBatch``/``ReplyBatch`` codec round of a front-door trip
 (``codec_trip_ingest_reply``), plus
 the end-to-end engine ingest in single-process,
@@ -82,7 +82,7 @@ from repro.lsm.db import Checkpoint
 from repro.messaging.log import TopicPartition
 from repro.reservoir.chunk import Chunk
 from repro.reservoir.reservoir import EventReservoir, ReservoirConfig
-from repro.shard import columnar, wire
+from repro.shard import wire
 from repro.shard.parallel import ParallelCluster
 from repro.shard.router import ClusterRouter
 from repro.state.store import MetricStateStore, encode_group_key
@@ -451,7 +451,7 @@ def bench_frontend_send_batch(events: list[Event], batch_size: int) -> dict[str,
     return _measure_slices(_slices(events, batch_size), run_slice)
 
 
-# -- worker-link batch codecs (columnar vs the serde reference) ---------------
+# -- worker-link batch codec ---------------------------------------------------
 
 #: events per codec batch: the dispatchers' ``BATCH_MAX``
 _CODEC_BATCH = 256
@@ -482,11 +482,11 @@ def _done_replies(events: list[Event]) -> list[list]:
     return _slices(replies, _CODEC_BATCH)
 
 
-def _bench_codec(codec, build, slices: list[list]) -> dict[str, float]:
+def _bench_codec(build, slices: list[list]) -> dict[str, float]:
     """Encode + decode round trips of one message per slice."""
 
     def run_slice(chunk: list) -> None:
-        codec.decode(codec.encode(build(chunk)))
+        wire.decode(wire.encode(build(chunk)))
 
     return _measure_slices(slices, run_slice)
 
@@ -501,22 +501,11 @@ def _batch_done(replies: list) -> wire.BatchDone:
 
 def bench_codec_work_batch_columnar(events: list[Event], batch_size: int) -> dict[str, float]:
     """What every worker link pays per shipped event (encode + decode)."""
-    return _bench_codec(columnar, _work_batch, _work_records(events))
-
-
-def bench_codec_work_batch_serde(events: list[Event], batch_size: int) -> dict[str, float]:
-    """The same batches through the per-field reference codec; the
-    ``columnar >= 2.5x serde`` floor gates the link codec's speed
-    directly, on any host."""
-    return _bench_codec(wire, _work_batch, _work_records(events))
+    return _bench_codec(_work_batch, _work_records(events))
 
 
 def bench_codec_batch_done_columnar(events: list[Event], batch_size: int) -> dict[str, float]:
-    return _bench_codec(columnar, _batch_done, _done_replies(events))
-
-
-def bench_codec_batch_done_serde(events: list[Event], batch_size: int) -> dict[str, float]:
-    return _bench_codec(wire, _batch_done, _done_replies(events))
+    return _bench_codec(_batch_done, _done_replies(events))
 
 
 def bench_codec_trip_ingest_reply(events: list[Event], batch_size: int) -> dict[str, float]:
@@ -983,9 +972,7 @@ BENCHES: dict[str, Callable[[list[Event], int], dict[str, float]]] = {
     "task_ingest_fraud3": bench_task_ingest_fraud3,
     "frontend_send_batch": bench_frontend_send_batch,
     "codec_work_batch_columnar": bench_codec_work_batch_columnar,
-    "codec_work_batch_serde": bench_codec_work_batch_serde,
     "codec_batch_done_columnar": bench_codec_batch_done_columnar,
-    "codec_batch_done_serde": bench_codec_batch_done_serde,
     "codec_trip_ingest_reply": bench_codec_trip_ingest_reply,
     "engine_ingest_single_process": bench_engine_ingest_single_process,
     "engine_ingest_process_1w": bench_engine_ingest_process_1w,

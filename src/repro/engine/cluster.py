@@ -175,7 +175,7 @@ def create_cluster(execution: str = "single", **kwargs):
       slice of the partition space (see ``docs/ARCHITECTURE.md``).
 
     Either way work batches and replies cross only the frontend↔worker
-    data sockets, as columnar frames (:mod:`repro.shard.columnar`); the
+    data sockets, their rows as columns (:mod:`repro.shard.columnar`); the
     supervisor's pipes to the workers carry control only.
 
     Every topology accepts ``durable_dir=<path>``: partition logs then

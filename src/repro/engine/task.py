@@ -59,17 +59,14 @@ class TaskCheckpoint:
     #: materialized checkpoint, and not part of :data:`TASK_CHECKPOINT`.
     file_bases: dict[str, int] = field(default_factory=dict)
 
-    def data_bytes(self, exclude_files: set[str] | None = None) -> int:
-        """Transfer size in bytes, optionally after delta exclusion."""
-        exclude = exclude_files or set()
-        total = len(self.reservoir_meta)
-        for name, data in self.reservoir_files.items():
-            if name not in exclude:
-                total += len(data)
-        for name, data in self.state_files.items():
-            if name not in exclude:
-                total += len(data)
-        return total
+    def data_bytes(self) -> int:
+        """Transfer size in bytes: the reservoir metadata and every
+        file this checkpoint carries."""
+        return (
+            len(self.reservoir_meta)
+            + sum(map(len, self.reservoir_files.values()))
+            + sum(map(len, self.state_files.values()))
+        )
 
 
 def _write_lsm_checkpoint(buf: bytearray, checkpoint: Checkpoint) -> None:

@@ -53,6 +53,8 @@ def write_str_column(buf: bytearray, values) -> None:
 def read_str_column(data, offset: int, count: int):
     """Read ``count`` strings; returns ``(values, new_offset)``."""
     total, offset = serde.read_varint(data, offset)
+    if total > len(data) - offset:
+        raise serde.SerdeError("truncated string column")
     blob = bytes(data[offset : offset + total])
     offset += total
     lengths = struct.unpack_from(f"<{count}I", data, offset)

@@ -125,18 +125,11 @@ class Chunk:
         self._approx_bytes += 32 + 8 * event.field_count()
         return position
 
-    def append_tail(self, event: Event) -> None:
-        """O(1) append of an event known to be in-order (open chunk only).
-
-        Equivalent to :meth:`append` when ``event.timestamp >= last_ts``;
-        the batched reservoir path uses it to skip the ordering probe.
-        """
-        self.events.append(event)
-        self._approx_bytes += 32 + 8 * event.field_count()
-
     def extend_tail(self, events: list[Event]) -> None:
-        """Bulk :meth:`append_tail`: ``events`` must be in timestamp order
-        and not precede the current tail."""
+        """Append events known to be in order (open chunk only): they
+        must be in timestamp order and not precede the current tail.
+        Equivalent to :meth:`append` per event; the batched reservoir
+        path uses it to skip the ordering probe."""
         self.events.extend(events)
         self._approx_bytes += sum(32 + 8 * e.field_count() for e in events)
 

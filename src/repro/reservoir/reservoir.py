@@ -182,18 +182,17 @@ class EventReservoir:
         duplicated, or tie a timestamp something already sealed at fall
         back to :meth:`append`, so results stay byte-identical to the
         per-event path for every input. With an out-of-order grace
-        period the per-event expiry cadence is kept (transition chunks
-        must persist mid-batch exactly when the per-event path would
-        persist them), amortizing only the schema and targeting checks.
+        period (or transition chunks a restore brought) the whole batch
+        takes :meth:`append`: transition chunks must persist mid-batch
+        exactly when the per-event path persists them.
         """
+        if self.config.transition_grace_ms > 0 or self._transitions:
+            return [self.append(event) for event in events]
         results: list[AppendResult] = []
         if not events:
             return results
         self._roll_open_chunk_on_schema_change()
-        if self.config.transition_grace_ms == 0 and not self._transitions:
-            self._append_batch_bulk(events, results)
-        else:
-            self._append_batch_graced(events, results)
+        self._append_batch_bulk(events, results)
         return results
 
     def _append_batch_bulk(
@@ -278,37 +277,6 @@ class EventReservoir:
                 if len(open_events) >= chunk_max:
                     self._close_open_chunk()
                 start = stop
-
-    def _append_batch_graced(
-        self, events: Sequence[Event], results: list[AppendResult]
-    ) -> None:
-        """Batch append preserving the per-event transition-expiry cadence."""
-        schema = self.registry.current()
-        chunk_max = self.config.chunk_max_events
-        dedup = self._dedup
-        stats = self.stats
-        open_chunk = self._open
-        for event in events:
-            timestamp = event.timestamp
-            if (
-                timestamp <= self._max_seen_ts
-                or event.event_id in dedup
-                or timestamp <= self._closed_horizon()
-            ):
-                results.append(self.append(event))
-                open_chunk = self._open
-                continue
-            schema.validate_event(event)
-            self._max_seen_ts = timestamp
-            if self._transitions:
-                self._expire_transitions()
-            open_chunk.append_tail(event)
-            dedup[event.event_id] = open_chunk.chunk_id
-            stats.appended += 1
-            if len(open_chunk.events) >= chunk_max:
-                self._close_open_chunk()
-                open_chunk = self._open
-            results.append(AppendResult(AppendStatus.APPENDED, event))
 
     def _roll_open_chunk_on_schema_change(self) -> None:
         current = self.registry.current()

@@ -3,9 +3,10 @@
 Runs Railgun's back-end work — the batched ``process_batch`` path — in
 separate OS processes so ingestion scales past one core. The layers:
 
-- :mod:`repro.shard.wire` / :mod:`repro.shard.columnar` — the framing
-  of work units, replies, checkpoints and control/routing messages
-  crossing process boundaries;
+- :mod:`repro.shard.wire` — the framing of work units, replies,
+  checkpoints and control/routing messages crossing process
+  boundaries (:mod:`repro.shard.columnar` holds its batch rows' column
+  codecs);
 - :mod:`repro.shard.worker` / :mod:`repro.shard.supervisor` — the worker
   entrypoint and the process that spawns, assigns, monitors, restarts
   and checkpoints workers over control-only pipes;

@@ -223,13 +223,11 @@ class ShardCluster:
             (tp, self._watermarks.get(tp, 0)) for tp in self._metric_tasks(metric)
         )
         self._publish_op(CreateMetricOp(metric, activations))
-        self._sync_workers()
         return metric.metric_id
 
     def delete_metric(self, metric_id: int) -> None:
         """Remove a metric cluster-wide."""
         self._publish_op(DeleteMetricOp(metric_id))
-        self._sync_workers()
 
     def evolve_schema(self, stream: str, new_fields: object) -> None:
         """Append fields to a stream schema (old chunks stay readable)."""
@@ -254,15 +252,6 @@ class ShardCluster:
     def _broadcast(self, msg: object) -> None:
         for link in self._frontends.values():
             link.send(msg)
-
-    def _sync_workers(self) -> None:
-        """Barrier: every live worker consumed the control frames sent so
-        far — DDL that changes what replies *contain* (a metric appearing
-        or vanishing) is applied everywhere before the call returns."""
-        try:
-            self.supervisor.request_checkpoints(with_state=False)
-        except EngineError:
-            pass  # a worker died mid-barrier; its restart replays the log
 
     def _event_tasks(self) -> list[TopicPartition]:
         return sorted(

@@ -1,42 +1,49 @@
-"""Columnar struct-packed batch encoding for every worker data link.
+"""Column codecs for the batch rows of :data:`repro.shard.wire.TABLE`.
 
-``WorkBatch`` and ``BatchDone`` cross the supervisor pipe and the
-frontend↔worker data sockets in this form. Their
-:mod:`repro.shard.wire` encoding (only the fallback below and the
-bench ladder's reference codec) spends its time in per-event, per-field
-pure-Python serde: a varint call per offset, a tagged-value call per
-field, a dict walk per reply. Events are transposed into *columns* —
-one packed ``struct`` array per field — so a 256-event batch costs a
-handful of C-level ``struct.pack``/``unpack`` calls instead of ~2000
-Python ones, and the consumer materializes events in bulk (``zip`` of
-unpacked columns straight into ``Event`` slots) before handing the batch
-to ``EventReservoir.append_batch`` / ``Aggregator.update_batch`` untouched.
+Two field codecs, one per kind of batch the shard links carry:
 
-Frame layout (``WORK_BATCH_COLUMNAR``)::
+- :data:`RECORD_COLUMNS`, ``[(offset, Event)]`` — the records of a
+  ``WorkBatch`` (tag 29) and of a ``BackfillRecords`` page (tag 48);
+- :data:`REPLY_COLUMNS`, ``[(offset, results)]`` — the replies of a
+  ``BatchDone`` (tag 30).
 
-    u8 tag=29 | tp | varint reply_from | varint count
+Rows are transposed into *columns* — one packed array per field — so a
+256-event batch costs a handful of C-level ``struct.pack``/``unpack``
+calls instead of a tagged-value call per field, and the reader
+materialises events in bulk (``zip`` of unpacked columns straight into
+``Event`` slots) before the batch reaches
+``EventReservoir.append_batch`` untouched. Value and string columns are
+:mod:`repro.events.columns`'s, the codec reservoir chunks use too:
+``i64`` / ``f64`` / ``str`` fast paths with a ``tagged`` column for
+anything else (``None``, bools, bytes, mixed types, ints outside i64 —
+a timestamp at or past 2**63 included).
+
+Records::
+
+    varint count, then (when count > 0)
     u8 contiguous? (1: varint first_offset, 0: count x i64 offsets)
-    count x i64 timestamps
-    event-id string column (varint blob_len | blob | count x u32 lens)
+    timestamp value column
+    event-id string column
     varint n_shapes, then per shape (a *shape* = one ordered field-name
     tuple; steady-state batches have exactly one):
       field names | varint group_count | [group row indexes u32 x n]
       one value column per field
 
-Value and string columns are :mod:`repro.events.columns`'s, the codec
-reservoir chunks use too: ``i64`` / ``f64`` / ``str`` fast paths
-(exact round-trip, one ``struct`` call), with a ``tagged`` fallback
-(the wire codec's per-value encoding) for columns mixing types,
-``None``, bools, bytes or out-of-range ints. Anything the
-columnar form cannot represent at all falls back to the standard wire
-frame for the *whole message* — :func:`decode` dispatches on the tag
-byte, so both forms (and every control frame) coexist on one link and
-correctness never depends on the fast path being taken.
+Replies group rows by result shape ``((metric_id, columns...), ...)``::
 
-``BATCH_DONE_COLUMNAR`` (tag 30) applies the same trick to replies:
-group rows by result shape ``((metric_id, columns...), ...)``, one
-value column per (metric, column) pair, ``None`` results as a marker
-group.
+    varint count, then (when count > 0)
+    offsets as above
+    varint n_groups, then per group:
+      varint group_count | [group row indexes u32 x n]
+      u8 present (0: the rows' results are None) | varint n_metrics |
+      per metric: varint metric_id, column names
+      one value column per (metric, column) pair
+
+Row indexes are written only when a batch has more than one shape or
+group. The readers trust no count: a batch holds at most
+:data:`MAX_ROWS` rows, a record costs at least one byte of what follows
+its count, and a group never outnumbers its batch — so a hostile frame
+raises :class:`SerdeError` before any list is sized from it.
 """
 
 from __future__ import annotations
@@ -44,6 +51,8 @@ from __future__ import annotations
 import struct
 
 from repro.common import serde
+from repro.common.errors import SerdeError
+from repro.common.layout import Codec
 from repro.events.columns import (
     I64_MAX,
     I64_MIN,
@@ -54,31 +63,42 @@ from repro.events.columns import (
     write_value_column,
 )
 from repro.events.event import Event
-from repro.shard import wire
 
-MSG_WORK_BATCH_COLUMNAR = 29
-MSG_BATCH_DONE_COLUMNAR = 30
+#: Rows one batch field carries at most. The dispatchers ship 256
+#: records a batch, backfill pages default to 256, and a reply batch
+#: answers one work batch.
+MAX_ROWS = 1 << 16
+
+
+def _write_count(buf: bytearray, count: int) -> None:
+    if count > MAX_ROWS:
+        raise SerdeError(f"a batch of {count} rows exceeds {MAX_ROWS}")
+    serde.write_varint(buf, count)
+
+
+def _read_count(data, offset: int, row_bytes: int) -> tuple[int, int]:
+    """A row count, refused when it exceeds :data:`MAX_ROWS` or when
+    ``row_bytes`` per row would not fit in the rest of the frame."""
+    count, offset = serde.read_varint(data, offset)
+    if count > MAX_ROWS or count * row_bytes > len(data) - offset:
+        raise SerdeError(f"batch row count {count} exceeds the frame")
+    return count, offset
 
 
 # -- offsets ------------------------------------------------------------------
 
 
-def _write_offsets(buf: bytearray, offsets, count: int) -> bool:
-    """Contiguous runs cost one varint; anything else packs explicitly.
-
-    Returns False when the offsets cannot be represented (caller falls
-    back to the standard wire frame).
-    """
+def _write_offsets(buf: bytearray, offsets: list[int], count: int) -> None:
+    """Contiguous runs cost one varint; anything else packs explicitly."""
     first = offsets[0]
-    if first >= 0 and list(offsets) == list(range(first, first + count)):
+    if first >= 0 and offsets == list(range(first, first + count)):
         buf.append(1)
         serde.write_varint(buf, first)
-        return True
+        return
     if min(offsets) < I64_MIN or max(offsets) > I64_MAX:
-        return False
+        raise SerdeError("a gapped offset run outside the i64 range")
     buf.append(0)
     buf += struct.pack(f"<{count}q", *offsets)
-    return True
 
 
 def _read_offsets(data, offset: int, count: int):
@@ -91,26 +111,17 @@ def _read_offsets(data, offset: int, count: int):
     return values, offset + 8 * count
 
 
-# -- WorkBatch ----------------------------------------------------------------
+# -- records ------------------------------------------------------------------
 
 
-def _encode_work_batch(msg: wire.WorkBatch) -> bytes:
-    records = msg.records
+def _write_records(buf: bytearray, records: list[tuple[int, Event]]) -> None:
     count = len(records)
+    _write_count(buf, count)
     if count == 0:
-        return wire.encode(msg)
-    buf = bytearray()
-    buf.append(MSG_WORK_BATCH_COLUMNAR)
-    wire.TP.write(buf, msg.tp)
-    serde.write_varint(buf, msg.reply_from)
-    serde.write_varint(buf, count)
-    if not _write_offsets(buf, [record[0] for record in records], count):
-        return wire.encode(msg)
+        return
+    _write_offsets(buf, [record[0] for record in records], count)
     events = [record[1] for record in records]
-    try:
-        buf += struct.pack(f"<{count}q", *[ev.timestamp for ev in events])
-    except struct.error:
-        return wire.encode(msg)
+    write_value_column(buf, [ev.timestamp for ev in events])
     write_str_column(buf, [ev.event_id for ev in events])
     shapes: dict[tuple, list[int]] = {}
     for index, ev in enumerate(events):
@@ -130,18 +141,14 @@ def _encode_work_batch(msg: wire.WorkBatch) -> bytes:
             matrix = [tuple(events[i]._fields.values()) for i in rows]
         for column in zip(*matrix):
             write_value_column(buf, column)
-    wire.TELEMETRY_TAIL.write(buf, (msg.trace,))
-    return bytes(buf)
 
 
-def _decode_work_batch(data) -> wire.WorkBatch:
-    offset = 1
-    tp, offset = wire.TP.read(data, offset)
-    reply_from, offset = serde.read_varint(data, offset)
-    count, offset = serde.read_varint(data, offset)
+def _read_records(data, offset: int) -> tuple[list[tuple[int, Event]], int]:
+    count, offset = _read_count(data, offset, 1)
+    if count == 0:
+        return [], offset
     offsets, offset = _read_offsets(data, offset, count)
-    timestamps = struct.unpack_from(f"<{count}q", data, offset)
-    offset += 8 * count
+    timestamps, offset = read_value_column(data, offset, count)
     ids, offset = read_str_column(data, offset, count)
     n_shapes, offset = serde.read_varint(data, offset)
     events: list[Event] = [None] * count  # type: ignore[list-item]
@@ -163,35 +170,25 @@ def _decode_work_batch(data) -> wire.WorkBatch:
         )
         for i, event in zip(rows, group):
             events[i] = event
-    (trace, _), offset = wire.TELEMETRY_TAIL.read(data, offset)
-    return wire.WorkBatch(tp, reply_from, list(zip(offsets, events)), trace)
+    return list(zip(offsets, events)), offset
 
 
-# -- BatchDone ----------------------------------------------------------------
+# -- replies ------------------------------------------------------------------
 
 
-def _encode_batch_done(msg: wire.BatchDone) -> bytes:
-    replies = msg.replies
+def _write_replies(buf: bytearray, replies: list) -> None:
     count = len(replies)
-    buf = bytearray()
-    buf.append(MSG_BATCH_DONE_COLUMNAR)
-    wire.TP.write(buf, msg.tp)
-    serde.write_varint(buf, msg.next_offset)
-    serde.write_varint(buf, msg.processed)
-    serde.write_varint(buf, count)
+    _write_count(buf, count)
     if count == 0:
-        wire.TELEMETRY_TAIL.write(buf, (msg.trace, msg.stats))
-        return bytes(buf)
-    if not _write_offsets(buf, [reply[0] for reply in replies], count):
-        return wire.encode(msg)
+        return
+    _write_offsets(buf, [reply[0] for reply in replies], count)
     groups: dict[object, list[int]] = {}
     for index, (_, results) in enumerate(replies):
         if results is None:
             key = None
         else:
             key = tuple(
-                (metric_id, tuple(values))
-                for metric_id, values in results.items()
+                (metric_id, tuple(values)) for metric_id, values in results.items()
             )
         groups.setdefault(key, []).append(index)
     serde.write_varint(buf, len(groups))
@@ -206,8 +203,6 @@ def _encode_batch_done(msg: wire.BatchDone) -> bytes:
         buf.append(1)
         serde.write_varint(buf, len(key))
         for metric_id, columns in key:
-            if metric_id < 0:
-                return wire.encode(msg)
             serde.write_varint(buf, metric_id)
             serde.write_str_list(buf, list(columns))
         group_results = [replies[i][1] for i in rows]
@@ -216,24 +211,20 @@ def _encode_batch_done(msg: wire.BatchDone) -> bytes:
                 write_value_column(
                     buf, [results[metric_id][column] for results in group_results]
                 )
-    wire.TELEMETRY_TAIL.write(buf, (msg.trace, msg.stats))
-    return bytes(buf)
 
 
-def _decode_batch_done(data) -> wire.BatchDone:
-    offset = 1
-    tp, offset = wire.TP.read(data, offset)
-    next_offset, offset = serde.read_varint(data, offset)
-    processed, offset = serde.read_varint(data, offset)
-    count, offset = serde.read_varint(data, offset)
+def _read_replies(data, offset: int) -> tuple[list, int]:
+    # A None (or column-free) reply costs no byte past the group header.
+    count, offset = _read_count(data, offset, 0)
     if count == 0:
-        (trace, stats), offset = wire.TELEMETRY_TAIL.read(data, offset)
-        return wire.BatchDone(tp, next_offset, processed, [], trace, stats)
+        return [], offset
     offsets, offset = _read_offsets(data, offset, count)
     n_groups, offset = serde.read_varint(data, offset)
     results_by_row: list = [None] * count
     for _ in range(n_groups):
         group_count, offset = serde.read_varint(data, offset)
+        if group_count > count:
+            raise SerdeError(f"reply group of {group_count} rows in a batch of {count}")
         if n_groups == 1:
             rows = range(count)
         else:
@@ -255,40 +246,17 @@ def _decode_batch_done(data) -> wire.BatchDone:
             for _ in columns:
                 column, offset = read_value_column(data, offset, group_count)
                 matrix.append(column)
-            value_rows = (
-                list(zip(*matrix)) if columns else [()] * group_count
-            )
+            value_rows = list(zip(*matrix)) if columns else [()] * group_count
             per_metric.append((metric_id, columns, value_rows))
         for group_index, i in enumerate(rows):
             results_by_row[i] = {
                 metric_id: dict(zip(columns, value_rows[group_index]))
                 for metric_id, columns, value_rows in per_metric
             }
-    (trace, stats), offset = wire.TELEMETRY_TAIL.read(data, offset)
-    return wire.BatchDone(
-        tp, next_offset, processed, list(zip(offsets, results_by_row)),
-        trace, stats,
-    )
+    return list(zip(offsets, results_by_row)), offset
 
 
-# -- entry points -------------------------------------------------------------
-
-
-def encode(msg: object) -> bytes:
-    """Frame a message for a link: columnar hot path, wire for the rest."""
-    if type(msg) is wire.WorkBatch:
-        return _encode_work_batch(msg)
-    if type(msg) is wire.BatchDone:
-        return _encode_batch_done(msg)
-    return wire.encode(msg)
-
-
-def decode(payload: bytes) -> object:
-    """Decode a link frame: dispatches on the tag byte, so columnar and
-    standard wire frames coexist on one channel."""
-    tag = payload[0]
-    if tag == MSG_WORK_BATCH_COLUMNAR:
-        return _decode_work_batch(memoryview(payload))
-    if tag == MSG_BATCH_DONE_COLUMNAR:
-        return _decode_batch_done(memoryview(payload))
-    return wire.decode(payload)
+#: ``[(offset, Event)]`` as columns.
+RECORD_COLUMNS = Codec(_write_records, _read_records)
+#: ``[(offset, results | None)]`` as columns grouped by result shape.
+REPLY_COLUMNS = Codec(_write_replies, _read_replies)

@@ -46,7 +46,7 @@ from repro.messaging.consumer import PartitionView
 from repro.messaging.durable import DurableBus, read_cut, write_cut
 from repro.messaging.log import TopicPartition
 from repro.replay.asof import read_page
-from repro.shard import columnar, wire
+from repro.shard import wire
 from repro.shard.backfill import FrontendBackfill
 from repro.telemetry import MetricsRegistry, encode_bundle, encode_snapshot
 
@@ -446,7 +446,7 @@ class FrontendEngine:
                     self._active_span or "",
                     (("sent_ms", telemetry.now() * 1000.0),),
                 )
-            frame = columnar.encode(wire.WorkBatch(tp, watermark, records, trace))
+            frame = wire.encode(wire.WorkBatch(tp, watermark, records, trace))
             try:
                 conn.send_bytes(frame)
             except OSError:
@@ -498,7 +498,7 @@ class FrontendEngine:
         when the link died."""
         try:
             while conn.poll(0):
-                self.handle_batch_done(worker_id, columnar.decode(conn.recv_bytes()))
+                self.handle_batch_done(worker_id, wire.decode(conn.recv_bytes()))
         except (EOFError, OSError):
             return False
         return True

@@ -16,7 +16,7 @@ checkpoint cadence stay merged here.
 It is also the cluster's checkpoint authority: a
 :class:`CheckpointStore` keeps the latest materialized
 :class:`~repro.engine.task.TaskCheckpoint` per task, fed by
-``CheckpointAck`` frames — solicited by :meth:`request_checkpoints`,
+``CheckpointTailAck`` frames — solicited by :meth:`request_checkpoints`,
 fired periodically by the ``checkpoint_interval`` cadence, or arriving
 late after their request timed out (never dropped: a stored checkpoint
 is a stored checkpoint, whoever asked for it). A restarted worker gets
@@ -507,7 +507,7 @@ class ShardSupervisor:
         deadline = self._time.deadline(timeout)
         while waiting and not deadline.expired():
             for msg, handle in self._drain(timeout=0.05):
-                if isinstance(msg, wire.CheckpointAck):
+                if isinstance(msg, wire.CheckpointTailAck):
                     self._ingest_ack(msg, handle, expected_id=request_id)
                     if msg.request_id == request_id:
                         offsets.update(msg.offsets)
@@ -525,7 +525,7 @@ class ShardSupervisor:
 
     def _ingest_ack(
         self,
-        msg: wire.CheckpointAck,
+        msg: wire.CheckpointTailAck,
         handle: WorkerHandle,
         expected_id: int | None = None,
     ) -> None:
@@ -589,7 +589,7 @@ class ShardSupervisor:
     def poll(self, timeout: float = 0.0) -> None:
         """Drain the control pipes; detect and restart dead workers.
 
-        ``CheckpointAck`` payloads arriving here — cadence acks and
+        ``CheckpointTailAck`` payloads arriving here — cadence acks and
         stragglers of a timed-out :meth:`request_checkpoints` — land in
         the store (a dropped frame would be a lost checkpoint). The poll
         also drives the cadence: once ``checkpoint_interval`` records
@@ -597,7 +597,7 @@ class ShardSupervisor:
         with-state request goes out.
         """
         for msg, handle in self._drain(timeout):
-            if isinstance(msg, wire.CheckpointAck):
+            if isinstance(msg, wire.CheckpointTailAck):
                 self._ingest_ack(msg, handle)
             elif isinstance(msg, wire.BackfillInstalled):
                 self.backfill_installed.add((msg.tp, msg.metric_id))

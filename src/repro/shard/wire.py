@@ -17,31 +17,30 @@ dataclasses and only referenced here — the DDL ops (the catalogue's own
 operations log's records), task checkpoints (also the supervisor's
 on-disk store) and task addresses.
 
-The batch frames intern repeated strings in per-message tables
-(:class:`IngestBatch`/:class:`ReplyBatch` between router, frontends and
-front-door clients; :class:`BackfillRecords` pages). :class:`WorkBatch`
-and :class:`BatchDone` cross every worker link as
-:mod:`repro.shard.columnar` frames (tags 29/30); their rows here are
-that codec's whole-message fallback and the reference the bench ladder
-prices it against.
+The batch frames carry their rows two ways. Between router, frontends
+and front-door clients, :class:`IngestBatch`/:class:`ReplyBatch` intern
+repeated strings in per-message tables. On the shard links, the
+:class:`WorkBatch`, :class:`BatchDone` and :class:`BackfillRecords`
+rows carry theirs as columns — :mod:`repro.shard.columnar`'s
+``RECORD_COLUMNS`` and ``REPLY_COLUMNS``, field codecs like any other
+here.
 
 Recovery framing ships task checkpoints: a :class:`TaskCheckpointFrame`
 crosses worker→supervisor inside a :class:`CheckpointTailAck` and
 supervisor→worker, fully materialized, as a :class:`RestoreTask`. The
 worker ships only the bytes the supervisor lacks: a
 :class:`CheckpointTailRequest` advertises the size of every file the
-supervisor's store holds, and the ack carries each held file's new tail
-(the older :class:`CheckpointRequest`/:class:`CheckpointAck` rows still
-decode). Frontend recovery is
-journal-based (:class:`RestoreWatermarks` seeds reply suppression
-before the router replays its journal); :class:`WorkerRestarted`,
-:class:`DrainRequest`/:class:`DrainAck` and :class:`FrontendAssign`
-steer the data plane through topology changes.
+supervisor's store holds, and the ack carries each held file's new
+tail. Frontend recovery is journal-based (:class:`RestoreWatermarks`
+seeds reply suppression before the router replays its journal);
+:class:`WorkerRestarted`, :class:`DrainRequest`/:class:`DrainAck` and
+:class:`FrontendAssign` steer the data plane through topology changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from struct import error as StructError
 from typing import Any, Mapping
 
 from repro.common import serde
@@ -77,6 +76,8 @@ from repro.engine.task import (
 )
 from repro.events.event import Event
 from repro.messaging.log import OFFSET_PAIRS, TP, TopicPartition
+from repro.shard import columnar
+from repro.shard.columnar import RECORD_COLUMNS, REPLY_COLUMNS
 
 # Supervisor -> worker.
 MSG_CREATE_STREAM = 1
@@ -84,16 +85,12 @@ MSG_CREATE_METRIC = 2
 MSG_DELETE_METRIC = 3
 MSG_EVOLVE_SCHEMA = 4
 MSG_ASSIGN = 5
-MSG_WORK_BATCH = 6
-MSG_CHECKPOINT_REQUEST = 7
 MSG_SHUTDOWN = 8
 MSG_CRASH = 9
 MSG_ADD_PARTITIONER = 10
 MSG_RESTORE_TASK = 11
 
 # Worker -> supervisor.
-MSG_BATCH_DONE = 16
-MSG_CHECKPOINT_ACK = 17
 MSG_WORKER_ERROR = 18
 
 # Router -> frontend.
@@ -108,10 +105,16 @@ MSG_TRUNCATE_LOGS = 26
 MSG_REPLY_BATCH = 24
 MSG_DRAIN_ACK = 25
 
-# Tags 27 and 28 are retired, not free: they framed the shared-memory
-# ring transport's handshake and doorbell, and a peer built before its
-# removal must hit "unknown tag", never another message's decoder.
-# (Tags 29/30 are the columnar frames in repro.shard.columnar.)
+# Frontend <-> worker data sockets: work out, replies back.
+MSG_WORK_BATCH = 29
+MSG_BATCH_DONE = 30
+
+# Retired tags are not free: a peer built before their removal must hit
+# "unknown tag", never another message's decoder. 6 and 16 framed
+# WorkBatch/BatchDone with a field per value before the column rows
+# took 29/30; 7 and 17 the whole-file checkpoint request and ack; 27
+# and 28 the shared-memory ring transport's handshake and doorbell; 42
+# BackfillRecords pages before they went columnar.
 
 # TCP front door (remote client <-> ingest server). IngestBatch and
 # ReplyBatch are reused verbatim on this plane; these frames add the
@@ -130,15 +133,15 @@ MSG_BACKFILL_INSTALLED = 38
 MSG_BACKFILL_START = 39
 MSG_BACKFILL_STOP = 40
 MSG_BACKFILL_READ = 41
-MSG_BACKFILL_RECORDS = 42
 MSG_BACKFILL_STALE = 43
+MSG_BACKFILL_RECORDS = 48
 
 # Telemetry introspection over the TCP front door.
 MSG_STATS_REQUEST = 44
 MSG_STATS_REPLY = 45
 
 # Supervisor <-> worker checkpoints that ship only the bytes the store
-# lacks (tags 7/17 are the older whole-file pair).
+# lacks.
 MSG_CHECKPOINT_TAIL_REQUEST = 46
 MSG_CHECKPOINT_TAIL_ACK = 47
 
@@ -168,21 +171,6 @@ class WorkBatch:
     #: without one stay byte-identical to the pre-telemetry encoding
     #: and old frames decode with ``trace=None``.
     trace: tuple | None = None
-
-
-@dataclass(frozen=True)
-class CheckpointRequest:
-    """Ask a worker for its per-task consumed offsets — and, with
-    ``with_state``, whole :class:`TaskCheckpointFrame` payloads.
-
-    The supervisor sends :class:`CheckpointTailRequest` instead and no
-    worker answers this older frame; its row stays so the frame still
-    decodes.
-    """
-
-    request_id: int
-    with_state: bool = False
-    known_files: tuple[tuple[TopicPartition, tuple[str, ...]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -266,23 +254,19 @@ class BatchDone:
 
 
 @dataclass
-class CheckpointAck:
-    """Per-task consumed offsets at a consistent message boundary.
+class CheckpointTailAck:
+    """Per-task consumed offsets at a consistent message boundary, the
+    answer to a :class:`CheckpointTailRequest`.
 
-    When the request asked ``with_state``, ``frames`` carries one whole
-    :class:`TaskCheckpointFrame` per owned task.
+    When the request asked ``with_state``, ``frames`` carries one
+    :class:`TaskCheckpointFrame` per owned task: it leaves out what the
+    store holds and carries each held segment's new tail with the
+    offset it starts at.
     """
 
     request_id: int
     offsets: dict[TopicPartition, int]
     frames: list[TaskCheckpointFrame] = field(default_factory=list)
-
-
-@dataclass
-class CheckpointTailAck(CheckpointAck):
-    """A :class:`CheckpointAck` answering a :class:`CheckpointTailRequest`:
-    its frames leave out what the store holds and carry each held
-    segment's new tail with the offset it starts at."""
 
 
 @dataclass(frozen=True)
@@ -653,10 +637,10 @@ CHECKPOINT_TAIL_FRAME = struct(
 
 # -- string-table blocks ------------------------------------------------------
 #
-# The batch frames intern repeated strings (field names, reply columns,
-# topics, worker ids, partitioners) once per message: a block is its
-# string table in first-use order, then its rows holding table indices.
-# One event codec and one results codec serve every block.
+# The front-door batch frames intern repeated strings (field names,
+# reply columns, topics, worker ids, partitioners) once per message: a
+# block is its string table in first-use order, then its rows holding
+# table indices.
 
 
 def _interned(write_rows, read_rows) -> Codec:
@@ -737,28 +721,6 @@ def _read_results(
     return results, offset
 
 
-def _numbered(write_item, read_item) -> tuple:
-    """Rows writer/reader for ``(number, item)`` pairs — log offsets
-    with events or with results."""
-
-    def write_rows(buf: bytearray, rows, table: dict[str, int]) -> None:
-        serde.write_varint(buf, len(rows))
-        for number, item in rows:
-            serde.write_varint(buf, number)
-            write_item(buf, item, table)
-
-    def read_rows(data: memoryview, offset: int, table: list[str]):
-        count, offset = serde.read_varint(data, offset)
-        rows = []
-        for _ in range(count):
-            number, offset = serde.read_varint(data, offset)
-            item, offset = read_item(data, offset, table)
-            rows.append((number, item))
-        return rows, offset
-
-    return write_rows, read_rows
-
-
 def _write_ingest_entries(buf: bytearray, entries, table: dict[str, int]) -> None:
     serde.write_varint(buf, len(entries))
     for correlation_id, event, targets in entries:
@@ -822,9 +784,7 @@ def _read_reply_block(data: memoryview, offset: int, table: list[str]):
     return (replies, watermarks, tuple(processed)), offset
 
 
-EVENT_RECORDS = _interned(*_numbered(_write_event, _read_event))
 INGEST_ENTRIES = _interned(_write_ingest_entries, _read_ingest_entries)
-DONE_REPLIES = _interned(*_numbered(_write_results, _read_results))
 REPLY_BLOCK = _interned(_write_reply_block, _read_reply_block)
 
 
@@ -904,41 +864,10 @@ TABLE: tuple[Row, ...] = (
     Row(MSG_EVOLVE_SCHEMA, EvolveSchemaOp, *OP_LAYOUTS[EvolveSchemaOp]),
     Row(MSG_ADD_PARTITIONER, AddPartitionerOp, *OP_LAYOUTS[AddPartitionerOp]),
     Row(MSG_ASSIGN, AssignPartitions, ("partitions", seq(TP))),
-    Row(
-        MSG_WORK_BATCH,
-        WorkBatch,
-        ("tp", TP),
-        ("reply_from", VARINT),
-        ("records", EVENT_RECORDS),
-        (("trace",), TELEMETRY_TAIL),
-    ),
-    Row(
-        MSG_CHECKPOINT_REQUEST,
-        CheckpointRequest,
-        ("request_id", VARINT),
-        ("with_state", FLAG),
-        ("known_files", seq(tuple_of(TP, seq(STR)))),
-    ),
     Row(MSG_SHUTDOWN, Shutdown),
     Row(MSG_CRASH, Crash),
     Row(MSG_RESTORE_TASK, RestoreTask, ("frame", CHECKPOINT_FRAME)),
     # Worker -> supervisor.
-    Row(
-        MSG_BATCH_DONE,
-        BatchDone,
-        ("tp", TP),
-        ("next_offset", VARINT),
-        ("processed", VARINT),
-        ("replies", DONE_REPLIES),
-        (("trace", "stats"), TELEMETRY_TAIL),
-    ),
-    Row(
-        MSG_CHECKPOINT_ACK,
-        CheckpointAck,
-        ("request_id", VARINT),
-        ("offsets", mapping(TP, VARINT)),
-        ("frames", seq(CHECKPOINT_FRAME, build=list)),
-    ),
     Row(MSG_WORKER_ERROR, WorkerError, ("message", STR)),
     # Supervisor <-> worker, shipping only what the store lacks.
     Row(
@@ -954,6 +883,24 @@ TABLE: tuple[Row, ...] = (
         ("request_id", VARINT),
         ("offsets", mapping(TP, VARINT)),
         ("frames", seq(CHECKPOINT_TAIL_FRAME, build=list)),
+    ),
+    # Frontend <-> worker data sockets.
+    Row(
+        MSG_WORK_BATCH,
+        WorkBatch,
+        ("tp", TP),
+        ("reply_from", VARINT),
+        ("records", RECORD_COLUMNS),
+        (("trace",), TELEMETRY_TAIL),
+    ),
+    Row(
+        MSG_BATCH_DONE,
+        BatchDone,
+        ("tp", TP),
+        ("next_offset", VARINT),
+        ("processed", VARINT),
+        ("replies", REPLY_COLUMNS),
+        (("trace", "stats"), TELEMETRY_TAIL),
     ),
     # Router -> frontend.
     Row(
@@ -1070,7 +1017,7 @@ TABLE: tuple[Row, ...] = (
         ("begin", VARINT),
         ("start_offset", VARINT),
         ("end_offset", VARINT),
-        ("entries", EVENT_RECORDS),
+        ("entries", RECORD_COLUMNS),
     ),
     Row(
         MSG_BACKFILL_STALE,
@@ -1110,7 +1057,14 @@ def decode(data: bytes) -> object:
         raise SerdeError(f"unknown wire message tag {view[0]}")
     try:
         return row.codec.read(view, 1)[0]
-    except (ValueError, IndexError) as exc:
-        # Bad UTF-8 or a value a constructor refuses; a string-table
-        # index past the table.
+    except (ValueError, IndexError, StructError) as exc:
+        # Bad UTF-8 or a value a constructor refuses; a string-table or
+        # row index past its table; a packed column past the frame.
         raise SerdeError(f"malformed {row.cls.__name__} frame: {exc}") from exc
+
+
+# The bench ladder still prices the link codec as ``columnar.encode`` /
+# ``decode``: they are these two functions (the column codecs must not
+# import this module, which imports them).
+columnar.encode = encode
+columnar.decode = decode

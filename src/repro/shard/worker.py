@@ -42,7 +42,7 @@ from repro.engine.catalog import (
 from repro.engine.processor import UnitConfig, apply_op
 from repro.engine.task import BackfillState, TaskProcessor
 from repro.messaging.log import TopicPartition
-from repro.shard import columnar, wire
+from repro.shard import wire
 from repro.telemetry import MetricsRegistry, encode_snapshot
 
 #: Minimum seconds between snapshot ships on BatchDone frames.
@@ -543,10 +543,10 @@ def shard_worker_main(
                     # apply it first (DDL, restores, a crash order).
                     if not drain_control():
                         return
-                    msg = columnar.decode(payload)
+                    msg = wire.decode(payload)
                     frame = None  # what this link is owed for ``msg``
                     if isinstance(msg, wire.WorkBatch):
-                        frame = columnar.encode(worker.handle_work(msg))
+                        frame = wire.encode(worker.handle_work(msg))
                     elif isinstance(msg, wire.BackfillInstall):
                         stale = worker.handle_backfill_install(msg)
                         if stale is not None:

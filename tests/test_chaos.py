@@ -165,8 +165,11 @@ class TestPinnedCorpus:
         channels — so a worker could process the following events
         before applying the metric and reply without its results
         (reply[46] lost ``count(*)`` for the batch-2 mid-stream
-        metric). Fixed by ``ClusterRouter._sync_workers``: reply-shape
-        DDL round-trips the control pipe before returning."""
+        metric). Fixed by ordering, with no barrier: ``_publish_op``
+        writes the op to every worker's control pipe before any
+        frontend hears of it, and a worker drains its control pipe
+        before every data frame it reads (the ``_sync_workers`` round
+        trip that first fixed it is deleted)."""
         result = run_seed(10, "process-2f", max_events=200)
         assert result.ok, f"{result.detail}\nreplay: {result.replay_command}"
 

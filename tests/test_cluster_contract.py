@@ -103,6 +103,17 @@ def test_single_event_send_and_field_mapping(topology):
         assert second.value(0, "count(*)") == 2
 
 
+def test_timestamp_past_i64_crosses_the_link(topology):
+    # ``Event`` takes any non-negative int timestamp; the worker link
+    # ships one past 2**63 in a tagged timestamp column.
+    events = make_events(6, start_ts=2**63 + 10)
+    expected = single_process_results(events)
+    with open_cluster(topology) as cluster:
+        replies = cluster.send_batch("tx", events)
+        assert [r.results for r in replies] == expected
+        assert [r.event.timestamp for r in replies] == [e.timestamp for e in events]
+
+
 def test_batch_matches_per_event_replies_with_ties_and_duplicates(topology):
     # Held to the same bar as the batched single-process path:
     # byte-identical reply values and aggregate counts, with timestamp

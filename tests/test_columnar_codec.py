@@ -1,8 +1,8 @@
-"""The columnar WorkBatch / BatchDone codec, the batch encoding of every
-worker link: round trips, equal to the wire reference codec as a
-property, the tag bytes seen on the supervisor pipes and the
-frontend↔worker data sockets — and the wire tag table it shares with
-:mod:`repro.shard.wire`.
+"""The column rows of the shard links — ``WorkBatch``, ``BatchDone``
+and ``BackfillRecords`` through :mod:`repro.shard.columnar`'s codecs in
+:data:`repro.shard.wire.TABLE`: round trips (as a property too), the
+tag bytes seen on the supervisor pipes and the frontend↔worker data
+sockets, hostile row counts, and the wire tag table.
 """
 
 from __future__ import annotations
@@ -10,11 +10,13 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common import serde
 from repro.common.errors import SerdeError
 from repro.events.event import Event
 from repro.messaging.log import TopicPartition
@@ -53,7 +55,7 @@ class TestColumnarCodec:
                 for i in range(rng.randrange(0, 40))
             ]
             msg = wire.WorkBatch(tp, rng.randrange(0, 200), records)
-            decoded = columnar.decode(columnar.encode(msg))
+            decoded = wire.decode(wire.encode(msg))
             assert decoded == msg
             # Field insertion order survives (dict order is semantic).
             for (_, original), (_, copy) in zip(msg.records, decoded.records):
@@ -81,24 +83,28 @@ class TestColumnarCodec:
             msg = wire.BatchDone(
                 TopicPartition("t", 0), 500, len(replies), replies
             )
-            assert columnar.decode(columnar.encode(msg)) == msg
+            assert wire.decode(wire.encode(msg)) == msg
 
     def test_non_batch_messages_pass_through(self):
         msg = wire.DrainRequest(7)
         assert columnar.decode(columnar.encode(msg)) == msg
 
     def test_columnar_frames_interoperate_with_wire_frames(self):
-        """decode() dispatches on the tag byte, so both encodings coexist."""
-        msg = wire.WorkBatch(
-            TopicPartition("t", 1), 0, [(0, Event("e", 1, {"k": 1}))]
-        )
-        assert columnar.decode(wire.encode(msg)) == msg
-        assert wire.decode(wire.encode(msg)) == columnar.decode(
-            columnar.encode(msg)
-        )
+        """``columnar.encode``/``decode`` (the bench ladder's names) are
+        wire's own entry points: one codec, one frame per message."""
+        assert columnar.encode is wire.encode
+        assert columnar.decode is wire.decode
+
+    def test_backfill_records_roundtrip(self):
+        rng = random.Random(5)
+        entries = [(40 + i, _random_event(rng, i)) for i in range(20)]
+        msg = wire.BackfillRecords(TopicPartition("t", 2), 40, entries, 32, 90)
+        frame = wire.encode(msg)
+        assert frame[0] == wire.MSG_BACKFILL_RECORDS
+        assert wire.decode(frame) == msg
 
 
-# -- columnar == wire, as a property ------------------------------------------
+# -- round trips, as a property -----------------------------------------------
 
 _FIELD_VALUES = st.one_of(
     st.none(),
@@ -111,7 +117,7 @@ _FIELD_VALUES = st.one_of(
 _SHAPES = st.sampled_from(
     [(), ("amount",), ("cardId", "amount"), ("amount", "cardId"), ("a", "b", "c")]
 )
-#: contiguous runs, gapped runs and offsets/timestamps only wire can carry
+#: contiguous runs, gapped runs, and gapped offsets past i64 (refused)
 _OFFSETS = st.one_of(
     st.builds(lambda first, n: list(range(first, first + n)),
               st.integers(0, 2**40), st.integers(0, 12)),
@@ -176,32 +182,112 @@ def _typed(value):
     return (type(value).__name__, value)
 
 
-def _through(codec, msg):
-    try:
-        decoded = codec.decode(codec.encode(msg))
-    except Exception as exc:  # the failure is part of the contract
-        return type(exc).__name__
-    return _typed(dataclasses.astuple(decoded))
+def _representable(offsets, metric_ids=()) -> bool:
+    """What the column rows refuse: a gapped offset run outside i64, a
+    negative metric id."""
+    contiguous = bool(offsets) and offsets[0] >= 0 and offsets == list(
+        range(offsets[0], offsets[0] + len(offsets))
+    )
+    in_i64 = all(-(2**63) <= offset < 2**63 for offset in offsets)
+    return (contiguous or in_i64) and all(m >= 0 for m in metric_ids)
 
 
-class TestColumnarEqualsWire:
-    """The link codec and the reference codec agree on every message —
-    same decoded value and types, or the same refusal."""
+def _assert_round_trip(msg, representable: bool) -> None:
+    """Same decoded value and exact types — or, for a message the rows
+    cannot carry, a ``SerdeError`` on encode."""
+    if not representable:
+        with pytest.raises(SerdeError):
+            wire.encode(msg)
+        return
+    decoded = wire.decode(wire.encode(msg))
+    assert _typed(dataclasses.astuple(decoded)) == _typed(dataclasses.astuple(msg))
 
+
+class TestColumnRowsRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(_work_batches())
     def test_work_batch(self, msg):
-        assert _through(columnar, msg) == _through(wire, msg)
+        offsets = [offset for offset, _ in msg.records]
+        _assert_round_trip(msg, _representable(offsets))
 
     @settings(max_examples=150, deadline=None)
     @given(_batch_dones())
     def test_batch_done(self, msg):
-        assert _through(columnar, msg) == _through(wire, msg)
+        offsets = [offset for offset, _ in msg.replies]
+        metric_ids = [m for _, results in msg.replies for m in results or ()]
+        _assert_round_trip(msg, _representable(offsets, metric_ids))
+
+
+class TestHostileCounts:
+    """A frame from outside (the front door decodes every client frame
+    with ``wire.decode``) may claim any row count: the readers refuse a
+    count the frame cannot hold before sizing a list from it."""
+
+    TP = TopicPartition("t", 0)
+
+    @staticmethod
+    def _frame(tag: int, *parts) -> bytes:
+        """The tag, the TP, then each part: an int as a varint, bytes
+        as themselves."""
+        buf = bytearray((tag,))
+        wire.TP.write(buf, TestHostileCounts.TP)
+        for part in parts:
+            if isinstance(part, int):
+                serde.write_varint(buf, part)
+            else:
+                buf += part
+        return bytes(buf)
+
+    @staticmethod
+    def _refused(frame: bytes, match: str) -> None:
+        tracemalloc.start()
+        try:
+            with pytest.raises(SerdeError, match=match):
+                wire.decode(frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("count", [2**16 + 1, 2**40, 2**62])
+    def test_reply_count_past_the_cap(self, count):
+        # next_offset, processed, count, offsets contiguous from 0, one
+        # group of ``count`` None rows: a few bytes claiming them all.
+        frame = self._frame(
+            wire.MSG_BATCH_DONE, 0, 0, count, b"\x01", 0, 1, count, b"\x00"
+        )
+        self._refused(frame, "exceeds the frame")
+
+    def test_reply_group_larger_than_its_batch(self):
+        # Three replies, one group claiming 2**40 rows of one metric
+        # without columns.
+        frame = self._frame(
+            wire.MSG_BATCH_DONE, 0, 0, 3, b"\x01", 0, 1, 2**40, b"\x01", 1, 0, 0
+        )
+        self._refused(frame, "reply group")
+
+    @pytest.mark.parametrize("count", [64, 2**16, 2**40])
+    def test_record_count_past_the_frame(self, count):
+        # reply_from, count, offsets contiguous from 0, and no columns.
+        frame = self._frame(wire.MSG_WORK_BATCH, 0, count, b"\x01", 0)
+        self._refused(frame, "exceeds the frame")
+
+    def test_encoders_refuse_what_readers_refuse(self):
+        replies = [(i, None) for i in range(columnar.MAX_ROWS + 1)]
+        with pytest.raises(SerdeError):
+            wire.encode(wire.BatchDone(self.TP, 0, len(replies), replies))
+        replies.pop()
+        done = wire.BatchDone(self.TP, 0, len(replies), replies)
+        assert wire.decode(wire.encode(done)) == done
+
+
+#: the per-field WorkBatch / BatchDone / BackfillRecords tags
+RETIRED_BATCH_TAGS = {6, 16, 42}
 
 
 class TestOneCodecOnEveryLink:
     """The supervisor pipes and the frontend↔worker data sockets carry
-    the same columnar frames."""
+    the same column rows."""
 
     @staticmethod
     def _tags_sent(monkeypatch, tmp_path, **topology):
@@ -245,10 +331,10 @@ class TestOneCodecOnEveryLink:
         workers = set().union(
             *(tags for name, tags in sent.items() if name.startswith("railgun-shard"))
         )
-        assert columnar.MSG_WORK_BATCH_COLUMNAR in sent["MainProcess"]
-        assert columnar.MSG_BATCH_DONE_COLUMNAR in workers
+        assert wire.MSG_WORK_BATCH in sent["MainProcess"]
+        assert wire.MSG_BATCH_DONE in workers
         everyone = set().union(*sent.values())
-        assert not everyone & {wire.MSG_WORK_BATCH, wire.MSG_BATCH_DONE}
+        assert not everyone & RETIRED_BATCH_TAGS
 
     def test_frontend_worker_data_sockets(self, monkeypatch, tmp_path):
         sent = self._tags_sent(monkeypatch, tmp_path, workers=2, frontends=2)
@@ -260,25 +346,25 @@ class TestOneCodecOnEveryLink:
         )
         # Work leaves the frontends (never the router, whose supervisor
         # pipes carry control only) and comes back from the workers.
-        assert columnar.MSG_WORK_BATCH_COLUMNAR in frontends
-        assert columnar.MSG_WORK_BATCH_COLUMNAR not in sent["MainProcess"]
-        assert columnar.MSG_BATCH_DONE_COLUMNAR in workers
+        assert wire.MSG_WORK_BATCH in frontends
+        assert wire.MSG_WORK_BATCH not in sent["MainProcess"]
+        assert wire.MSG_BATCH_DONE in workers
         everyone = set().union(*sent.values())
-        assert not everyone & {wire.MSG_WORK_BATCH, wire.MSG_BATCH_DONE}
+        assert not everyone & RETIRED_BATCH_TAGS
 
 
 def test_wire_tags_are_unique_and_retired_ones_stay_retired():
     """First brick of the golden-bytes gate: the tag bytes themselves."""
     tags = {
-        f"{module.__name__}.{name}": value
-        for module in (wire, columnar)
-        for name, value in vars(module).items()
-        if name.startswith("MSG_")
+        name: value for name, value in vars(wire).items() if name.startswith("MSG_")
     }
     assert len(set(tags.values())) == len(tags), sorted(tags.items())
-    # 27/28 framed the removed shared-memory ring transport (ShmHello /
-    # ShmDoorbell): retired, never reassigned.
-    assert not {27, 28} & set(tags.values())
-    for retired in (b"\x1b", b"\x1c"):
+    assert not any(name.startswith("MSG_") for name in vars(columnar))
+    # Retired, never reassigned: 6/16/42 the per-field batch rows, 7/17
+    # the whole-file checkpoint pair, 27/28 the removed shared-memory
+    # ring transport (ShmHello / ShmDoorbell).
+    retired = {6, 7, 16, 17, 27, 28, 42}
+    assert not retired & set(tags.values())
+    for tag in sorted(retired):
         with pytest.raises(SerdeError):
-            wire.decode(retired)
+            wire.decode(bytes((tag,)))

@@ -26,7 +26,7 @@ from repro.reservoir.reservoir import ReservoirConfig
 # imported up front: the enum classes its imports build are cyclic, and
 # the fixture's baseline collection must clear them before a count.
 from repro.server.server import serve_cluster  # noqa: F401
-from repro.shard import columnar, wire
+from repro.shard import wire
 
 #: the three windows and six aggregations of the bench's FRAUD3 set
 FRAUD3 = (
@@ -139,9 +139,9 @@ def test_worker_batches_make_no_cycles(cyclic_garbage, messy):
         nonlocal offset
         records = list(enumerate(traffic.take(count), start=offset))
         offset += count
-        frame = columnar.encode(wire.WorkBatch(tp, 0, records))
+        frame = wire.encode(wire.WorkBatch(tp, 0, records))
         del records
-        batch = columnar.decode(frame)
+        batch = wire.decode(frame)
         assert len(processor.process_batch(batch.records)) == count
         processor.checkpoint()
 

@@ -39,10 +39,12 @@ import threading
 
 import pytest
 
+from repro.common import serde
 from repro.common.errors import EngineError
 from repro.common.timesource import DeterministicTimeSource, default_time_source
 from repro.engine.cluster import RailgunCluster, create_cluster
 from repro.events.event import Event
+from repro.messaging.log import TopicPartition
 from repro.server.admission import AdmissionController, TenantQuota
 from repro.server.client import AsyncRailgunClient, RailgunClient, ServerBusyError
 from repro.server.server import parse_url, serve_cluster
@@ -318,6 +320,52 @@ class TestMalformedFrame:
                     "tx", [{"cardId": "n", "amount": 1.0}], timestamp=1_000
                 )
                 assert count_of(reply) == 1
+        finally:
+            handle.stop()
+            cluster.close()
+
+
+    @pytest.mark.parametrize(
+        "tag", [wire.MSG_WORK_BATCH, wire.MSG_BATCH_DONE], ids=["work", "done"]
+    )
+    def test_hostile_row_count_drops_only_its_connection(self, tag, caplog):
+        """A worker-link batch frame claiming 2**40 rows in a few bytes
+        reaches the column readers through ``wire.decode``; they refuse
+        the count with ``SerdeError`` before sizing anything from it, the
+        server hangs up on that client (logging nothing), and an open
+        connection keeps being served."""
+        cluster = make_single()
+        handle = serve_cluster(cluster)
+        host, port = handle.address
+        try:
+            with caplog.at_level("ERROR", logger="asyncio"), RailgunClient(
+                host, port, tenant="bystander"
+            ) as client:
+                (reply,) = client.send_batch(
+                    "tx", [{"cardId": "b", "amount": 1.0}], timestamp=1_000
+                )
+                assert count_of(reply) == 1
+                hostile = bytearray((tag,))
+                wire.TP.write(hostile, TopicPartition("tx.cardId", 0))
+                # reply_from | next_offset + processed, then the count,
+                # offsets contiguous from 0, one group of 2**40 rows.
+                heads = (0,) if tag == wire.MSG_WORK_BATCH else (0, 0)
+                for value in (*heads, 2**40):
+                    serde.write_varint(hostile, value)
+                hostile += b"\x01\x00\x01"
+                serde.write_varint(hostile, 2**40)
+                hostile.append(0)
+                rogue = socket.create_connection((host, port), timeout=5.0)
+                rogue.sendall(_frame(wire.encode(wire.Hello("rogue", ""))))
+                _read_frame_sync(rogue)  # HelloAck
+                rogue.sendall(_frame(bytes(hostile)))
+                assert rogue.recv(1) == b""  # the server hung up
+                rogue.close()
+                (reply,) = client.send_batch(
+                    "tx", [{"cardId": "b", "amount": 2.0}], timestamp=2_000
+                )
+                assert count_of(reply) == 2
+            assert [r for r in caplog.records if r.name == "asyncio"] == []
         finally:
             handle.stop()
             cluster.close()

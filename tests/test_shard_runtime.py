@@ -27,7 +27,7 @@ from repro.messaging.broker import MessageBus
 from repro.messaging.consumer import PartitionView
 from repro.messaging.log import TopicPartition
 from repro.reservoir.reservoir import ReservoirConfig
-from repro.shard import columnar, wire
+from repro.shard import wire
 from repro.shard.frontend import _connect
 from repro.shard.parallel import ParallelCluster
 from repro.shard.supervisor import CheckpointStore, ShardSupervisor
@@ -78,7 +78,7 @@ class TestWireProtocol:
         worker, tp = TestShardWorker().worker_with_stream()
         worker.handle_work(wire.WorkBatch(tp, 0, list(enumerate(make_events(50)))))
         frame = worker.build_checkpoints()[0]
-        ack = wire.CheckpointAck(3, {tp: 50}, [frame])
+        ack = wire.CheckpointTailAck(3, {tp: 50}, [frame])
         decoded = self.roundtrip(ack)
         assert decoded.request_id == 3
         assert decoded.offsets == {tp: 50}
@@ -468,9 +468,9 @@ class TestShardSupervisor:
         """Ship one WorkBatch over a data socket; its BatchDone."""
         link = self._link(supervisor, tp)
         try:
-            link.send_bytes(columnar.encode(wire.WorkBatch(tp, 0, records)))
+            link.send_bytes(wire.encode(wire.WorkBatch(tp, 0, records)))
             assert link.poll(10.0)
-            return columnar.decode(link.recv_bytes())
+            return wire.decode(link.recv_bytes())
         finally:
             link.close()
 
@@ -480,7 +480,7 @@ class TestShardSupervisor:
             supervisor.assign([tp])
             link = self._link(supervisor, tp)
             link.send_bytes(
-                columnar.encode(wire.WorkBatch(tp, 0, [(0, Event("x", 1, {}))]))
+                wire.encode(wire.WorkBatch(tp, 0, [(0, Event("x", 1, {}))]))
             )
             default_time_source().wait_until(
                 lambda: (supervisor.poll(timeout=0.05), supervisor.restarts)[1],
@@ -794,19 +794,19 @@ def test_worker_drops_a_link_whose_peer_hung_up(tmp_path):
         )
         assert control.poll(10.0)
         ack = wire.decode(control.recv_bytes())
-        assert isinstance(ack, wire.CheckpointAck)
+        assert isinstance(ack, wire.CheckpointTailAck)
         assert ack.request_id == request_id
 
     tp = TopicPartition("tx.cardId", 0)
 
     def send_work(link, offset):
         batch = wire.WorkBatch(tp, 0, [(offset, make_events(1)[0])])
-        link.send_bytes(columnar.encode(batch))
+        link.send_bytes(wire.encode(batch))
 
     def round_trip(link, offset):
         send_work(link, offset)
         assert link.poll(10.0)
-        done = columnar.decode(link.recv_bytes())
+        done = wire.decode(link.recv_bytes())
         assert isinstance(done, wire.BatchDone) and done.next_offset == offset + 1
 
     try:

@@ -27,7 +27,7 @@ from multiprocessing.connection import Connection
 from repro.engine.cluster import RailgunCluster, create_cluster
 from repro.events.event import Event
 from repro.messaging.log import TopicPartition
-from repro.shard import columnar, wire
+from repro.shard import wire
 from repro.shard.frontend import FrontendEngine
 from repro.shard.parallel import ParallelCluster
 from repro.shard.router import ClusterRouter
@@ -164,7 +164,7 @@ class TestFrontendEngine:
         try:
             assert engine.dispatch() == 3
             assert gauge() == 1
-            batch = columnar.decode(worker.recv_bytes())
+            batch = wire.decode(worker.recv_bytes())
             assert [offset for offset, _ in batch.records] == [0, 1, 2]
             engine.handle_batch_done(
                 "shard-0",

@@ -212,7 +212,9 @@ class TestCheckpointRestore:
             processor.process(i, _event(i))
         checkpoint = processor.checkpoint()
         full = checkpoint.data_bytes()
-        delta = checkpoint.data_bytes(exclude_files=set(checkpoint.reservoir_files))
+        # A receiver holding every reservoir file is shipped none of it.
+        held = {name: len(data) for name, data in checkpoint.reservoir_files.items()}
+        delta = processor.checkpoint(held).data_bytes()
         assert 0 < delta < full
 
     def test_restore_with_local_files_delta(self):

@@ -27,7 +27,7 @@ import pytest
 from repro.common.timesource import DeterministicTimeSource
 from repro.events.event import Event
 from repro.messaging.log import TopicPartition
-from repro.shard import columnar, wire
+from repro.shard import wire
 from repro.telemetry import (
     METRICS,
     MetricsRegistry,
@@ -284,19 +284,19 @@ class TestWireTelemetryTail:
                 assert decoded.stats == b'{"process":"worker:w0"}'
 
     def test_columnar_frames_carry_the_same_tail(self):
-        # Every worker link ships the columnar encodings; they follow
-        # the identical append-only tail contract.
+        # The column rows every worker link ships keep the append-only
+        # tail contract: a traced frame is the plain one plus its tail.
         work, done = self.frames()[:2]
         for frame in (work, done):
-            plain = columnar.encode(frame)
+            plain = wire.encode(frame)
             frame.trace = self.TRACE
             if hasattr(frame, "stats"):
                 frame.stats = b"{}"
-            traced = columnar.encode(frame)
+            traced = wire.encode(frame)
             assert traced[:len(plain)] == plain
-            decoded = columnar.decode(traced)
+            decoded = wire.decode(traced)
             assert decoded.trace == self.TRACE
-            assert columnar.decode(plain).trace is None
+            assert wire.decode(plain).trace is None
 
     def test_stats_request_reply_roundtrip(self):
         req = wire.decode(wire.encode(wire.StatsRequest(17)))

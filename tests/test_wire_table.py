@@ -1,12 +1,14 @@
 """The wire table against golden frames.
 
-``tests/data/wire_golden.json`` holds frames written by the last commit
-whose codec was hand-written per message (a2a7e7d), with a constructor
-spec for each. The declarative table must reproduce every one of them
-byte for byte — supervisor control logs, router journals and on-disk
-checkpoints written before it must keep decoding — and its decoder must
-answer bytes that are *not* a frame with ``SerdeError`` and nothing
-else.
+``tests/data/wire_golden.json`` holds frames with a constructor spec
+for each: most written by the last commit whose codec was hand-written
+per message (a2a7e7d); the ``WorkBatch``, ``BatchDone`` and
+``BackfillRecords`` frames (tags 29, 30 and 48) by the table that made
+their rows columns. The table must reproduce every
+one of them byte for byte — supervisor control logs, router journals and
+on-disk checkpoints written before it must keep decoding — and its
+decoder must answer bytes that are *not* a frame with ``SerdeError``
+and nothing else.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.common.errors import SerdeError
-from repro.shard import columnar, wire
+from repro.shard import wire
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,8 +40,6 @@ def test_golden_frame(entry):
     assert wire.encode(msg) == frame
     assert wire.decode(frame) == msg
     assert type(wire.decode(frame)) is type(msg)
-    # Every link decodes through the columnar entry point too.
-    assert columnar.decode(frame) == msg
 
 
 def test_golden_set_covers_the_table():
@@ -61,7 +61,7 @@ def test_golden_set_covers_the_table():
 
 class TestTableInvariants:
     def test_tags_and_classes_are_unique(self):
-        assert len(wire.TABLE) == 39
+        assert len(wire.TABLE) == 37
         assert len({row.tag for row in wire.TABLE}) == len(wire.TABLE)
         assert len({row.cls for row in wire.TABLE}) == len(wire.TABLE)
 
@@ -80,10 +80,11 @@ class TestTableInvariants:
             assert set(row.attrs()) == fields, row.cls.__name__
             assert len(row.attrs()) == len(fields), row.cls.__name__
 
-    @pytest.mark.parametrize("tag", [27, 28, 29, 30])
-    def test_retired_and_columnar_tags_have_no_row(self, tag):
-        # 27/28 framed the deleted shared-memory transport; 29/30 are
-        # the columnar frames, which only repro.shard.columnar decodes.
+    @pytest.mark.parametrize("tag", [6, 7, 16, 17, 27, 28, 42])
+    def test_retired_tags_have_no_row(self, tag):
+        # 6/16 were the per-field WorkBatch/BatchDone rows, 7/17 the
+        # whole-file checkpoint pair, 27/28 the deleted shared-memory
+        # transport, 42 the per-field BackfillRecords row.
         assert tag not in {row.tag for row in wire.TABLE}
         with pytest.raises(SerdeError):
             wire.decode(bytes([tag, 0, 0, 0]))
