@@ -9,8 +9,8 @@ import random
 
 from repro.aggregates import MaxAggregator, StdDevAggregator, SumAggregator
 from repro.baselines.hopping import HoppingWindowEngine
-from repro.common.clock import MINUTES
 from repro.common.percentiles import LatencyRecorder
+from repro.common.timesource import MINUTES
 from repro.events.event import Event
 from repro.events.schema import FieldType, Schema, SchemaField, SchemaRegistry
 from repro.lsm.db import LsmDb

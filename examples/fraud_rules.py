@@ -12,7 +12,7 @@ Run with::
 """
 
 from repro.baselines.hopping import HoppingWindowEngine
-from repro.common.clock import MINUTES, SECONDS
+from repro.common.timesource import MINUTES, SECONDS
 from repro.engine import RailgunCluster
 
 WINDOW = 5 * MINUTES

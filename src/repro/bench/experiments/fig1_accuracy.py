@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.baselines.hopping import HoppingWindowEngine
 from repro.baselines.reference import TrueSlidingReference
 from repro.bench.report import check_expectations, format_table
-from repro.common.clock import MINUTES, SECONDS, format_duration_ms
+from repro.common.timesource import MINUTES, SECONDS, format_duration_ms
 from repro.events.generators import BurstWorkload
 from repro.events.schema import FieldType, Schema, SchemaField, SchemaRegistry
 from repro.plan.dag import TaskPlan

@@ -21,7 +21,7 @@ from repro.baselines.lambda_arch import LambdaArchitecture
 from repro.baselines.perevent_scan import PerEventScanEngine
 from repro.baselines.reference import TrueSlidingReference
 from repro.bench.report import check_expectations, format_table
-from repro.common.clock import MINUTES, SECONDS
+from repro.common.timesource import MINUTES, SECONDS
 from repro.sim import RailgunServiceConfig, RailgunServiceModel
 from repro.sim.service import (
     HoppingServiceConfig,

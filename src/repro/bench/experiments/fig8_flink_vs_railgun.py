@@ -17,8 +17,8 @@ from __future__ import annotations
 import random
 
 from repro.bench.report import ascii_chart, check_expectations, format_percentile_table
-from repro.common.clock import MINUTES, SECONDS
 from repro.common.percentiles import PERCENTILE_GRID
+from repro.common.timesource import MINUTES, SECONDS
 from repro.sim import (
     GcConfig,
     HoppingServiceConfig,

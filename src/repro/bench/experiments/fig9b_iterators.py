@@ -23,8 +23,8 @@ from repro.bench.report import (
     format_percentile_table,
     format_table,
 )
-from repro.common.clock import MINUTES
 from repro.common.percentiles import PERCENTILE_GRID
+from repro.common.timesource import MINUTES
 from repro.events.event import Event
 from repro.events.schema import FieldType, Schema, SchemaField, SchemaRegistry
 from repro.plan.dag import TaskPlan

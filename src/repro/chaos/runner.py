@@ -33,9 +33,12 @@ from .scenario import Scenario, generate_scenario
 
 #: Topology name -> create_cluster arguments. ``single`` as a *target*
 #: re-runs the reference engine (catching nondeterminism in the engine
-#: itself); the process topologies are where the faults bite.
+#: itself); ``single-r1`` adds replicas, so cold batches drive the
+#: Figure 7 recovery path (an active task initialised from a donor);
+#: the process topologies are where the faults bite.
 TOPOLOGIES = {
     "single": dict(execution="single", nodes=2, processor_units=2),
+    "single-r1": dict(execution="single", nodes=2, processor_units=1, replication_factor=1),
     "process": dict(execution="process", workers=2),
     "process-2f": dict(execution="process", workers=2, frontends=2),
 }

@@ -1,6 +1,5 @@
 """Shared substrate: clock, errors, hashing, serde, compression, stats."""
 
-from repro.common.clock import Clock, ManualClock, SystemClock
 from repro.common.errors import (
     CheckpointError,
     EngineError,
@@ -13,6 +12,7 @@ from repro.common.errors import (
 )
 from repro.common.hashing import fnv1a_64, stable_hash
 from repro.common.percentiles import PERCENTILE_GRID, LatencyRecorder
+from repro.common.timesource import Clock, ManualClock, SystemClock
 
 __all__ = [
     "Clock",

@@ -25,8 +25,9 @@ unifies both behind :class:`TimeSource`:
   timeout-heavy suite runs in microseconds of real time, and wakeup
   order is a deterministic function of the requested deadlines.
 
-The old :class:`Clock`/:class:`ManualClock` event-time abstraction is
-folded in here (``common/clock.py`` re-exports them): every
+The event-time :class:`Clock`/:class:`ManualClock` abstraction lives
+here too, with the duration constants (``MINUTES``…) and
+:func:`parse_duration_ms`/:func:`format_duration_ms`: every
 ``TimeSource`` offers :meth:`TimeSource.event_clock`, a ``Clock`` view
 over the same timeline, so a test can drive engine event-time and
 infrastructure wall-time from one deterministic object.
@@ -350,7 +351,7 @@ class DeterministicTimeSource(TimeSource):
         return self.wall_ms()
 
 
-# -- event-time view (the former common/clock.py abstraction) -----------------
+# -- event-time view ----------------------------------------------------------
 
 
 class Clock(ABC):
@@ -418,6 +419,80 @@ class ManualClock(Clock):
                 f"clock must be monotonic: {now_ms} < {self._now_ms}"
             )
         self._now_ms = now_ms
+
+
+# -- durations (integer milliseconds, the unit of event time) -----------------
+
+MILLIS = 1
+SECONDS = 1000
+MINUTES = 60 * SECONDS
+HOURS = 60 * MINUTES
+DAYS = 24 * HOURS
+
+
+def parse_duration_ms(text: str) -> int:
+    """Parse a human-friendly duration like ``"5 minutes"`` or ``"30s"``.
+
+    Supported units: ms, s/sec/second(s), m/min/minute(s), h/hour(s),
+    d/day(s), w/week(s). Used by the query language (``OVER sliding 5
+    minutes``) and by configuration files.
+    """
+    units = {
+        "ms": MILLIS,
+        "millis": MILLIS,
+        "millisecond": MILLIS,
+        "milliseconds": MILLIS,
+        "s": SECONDS,
+        "sec": SECONDS,
+        "secs": SECONDS,
+        "second": SECONDS,
+        "seconds": SECONDS,
+        "m": MINUTES,
+        "min": MINUTES,
+        "mins": MINUTES,
+        "minute": MINUTES,
+        "minutes": MINUTES,
+        "h": HOURS,
+        "hour": HOURS,
+        "hours": HOURS,
+        "d": DAYS,
+        "day": DAYS,
+        "days": DAYS,
+        "w": 7 * DAYS,
+        "week": 7 * DAYS,
+        "weeks": 7 * DAYS,
+    }
+    stripped = text.strip().lower()
+    if not stripped:
+        raise ValueError("empty duration")
+    # Split the numeric prefix from the unit suffix.
+    idx = 0
+    while idx < len(stripped) and (stripped[idx].isdigit() or stripped[idx] == "."):
+        idx += 1
+    number_part = stripped[:idx]
+    unit_part = stripped[idx:].strip()
+    if not number_part:
+        raise ValueError(f"duration missing number: {text!r}")
+    if unit_part not in units:
+        raise ValueError(f"unknown duration unit {unit_part!r} in {text!r}")
+    value = float(number_part)
+    result = int(round(value * units[unit_part]))
+    if result <= 0:
+        raise ValueError(f"duration must be positive: {text!r}")
+    return result
+
+
+def format_duration_ms(ms: int) -> str:
+    """Render a millisecond duration compactly, e.g. ``300000`` -> ``"5m"``."""
+    if ms % DAYS == 0:
+        return f"{ms // DAYS}d"
+    if ms % HOURS == 0:
+        return f"{ms // HOURS}h"
+    if ms % MINUTES == 0:
+        return f"{ms // MINUTES}m"
+    if ms % SECONDS == 0:
+        return f"{ms // SECONDS}s"
+    return f"{ms}ms"
 
 
 # -- process-wide default ------------------------------------------------------

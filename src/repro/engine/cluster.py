@@ -15,8 +15,8 @@ import inspect
 import weakref
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from repro.common.clock import ManualClock
 from repro.common.errors import EngineError
+from repro.common.timesource import ManualClock
 from repro.engine.assignment import (
     Assignment,
     PreviousState,
@@ -666,13 +666,17 @@ class RailgunCluster:
         tp: TopicPartition,
         exclude_unit: str,
         held: dict[str, int],
+        limit: int | None = None,
     ) -> TaskCheckpoint | None:
         """Find the best donor for a task and fetch its checkpoint (§4.2).
 
         Donors are ranked by how far their data reaches (highest next
-        offset); the immutable files the receiver holds (``held``: name
-        -> size) are left out of the payload (delta copy for stale
-        holders).
+        offset) without passing ``limit``: a task that will answer from
+        its seek point (an active one, capped at its group's committed
+        offset) must not start from state that already holds later
+        records. With no donor left the caller starts fresh. The
+        immutable files the receiver holds (``held``: name -> size) are
+        left out of the payload (delta copy for stale holders).
         """
         best_unit = None
         best_offset = -1
@@ -681,7 +685,9 @@ class RailgunCluster:
                 if unit.unit_id == exclude_unit:
                     continue
                 offset = unit.data_offset_for(tp)
-                if offset is not None and offset > best_offset:
+                if offset is None or (limit is not None and offset > limit):
+                    continue
+                if offset > best_offset:
                     best_offset = offset
                     best_unit = unit
         if best_unit is None:

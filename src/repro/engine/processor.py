@@ -229,8 +229,13 @@ class ProcessorUnit:
             # The catalogue may lag the topic creation; retry next loop.
             return
         metrics = self.catalog.metrics_for_topic(tp.topic)
+        # An active task answers every record from its seek point on, so
+        # its state must not already hold a record past the offsets the
+        # previous owner replied to (committed): such a donor is skipped.
+        limit = self.bus.committed_offset(ACTIVE_GROUP, tp) if as_active else None
         donor_checkpoint = self.cluster.request_recovery_data(
-            tp, exclude_unit=self.unit_id, held=self._stale_held_files(tp)
+            tp, exclude_unit=self.unit_id, held=self._stale_held_files(tp),
+            limit=limit,
         )
         if donor_checkpoint is not None:
             local_files = self._stale_files(tp)
@@ -246,15 +251,7 @@ class ProcessorUnit:
             if tp in self.stale:
                 self.stats.delta_recoveries += 1
             self.stats.bytes_transferred += donor_checkpoint.data_bytes()
-            if as_active:
-                # Resume where replies are owed: messages the previous
-                # owner committed (replied to) need no re-send, but the
-                # stretch between the committed offset and the donor's
-                # head may have been processed without a reply.
-                committed = self.bus.committed_offset(ACTIVE_GROUP, tp)
-                consumer.seek(tp, min(committed, processor.next_offset))
-            else:
-                consumer.seek(tp, processor.next_offset)
+            consumer.seek(tp, processor.next_offset)
         else:
             processor = TaskProcessor.build(
                 tp,

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.common.clock import Clock, SystemClock
 from repro.common.errors import MessagingError
+from repro.common.timesource import Clock, SystemClock
 from repro.messaging.broker import MessageBus
 from repro.messaging.groups import GroupCoordinator
 from repro.messaging.log import Message, TopicPartition

@@ -21,8 +21,8 @@ out-of-order clauses are a parse error, not a reordering.
 from __future__ import annotations
 
 from repro.aggregates.registry import AGGREGATOR_NAMES
-from repro.common.clock import parse_duration_ms
 from repro.common.errors import QueryError
+from repro.common.timesource import parse_duration_ms
 from repro.query.ast import AggSpec, Query
 from repro.query.expressions import parse_embedded_expression
 from repro.query.tokens import Token, TokenKind, tokenize

@@ -108,11 +108,6 @@ class ChunkCache:
                 self._never_used.discard(passed)
                 self.stats.prefetch_wasted += 1
 
-    def invalidate(self, chunk_id: int) -> None:
-        """Drop one chunk (used when a transition chunk is re-persisted)."""
-        self._entries.pop(chunk_id, None)
-        self._never_used.discard(chunk_id)
-
     def clear(self) -> None:
         """Drop everything (stats are retained)."""
         self._entries.clear()

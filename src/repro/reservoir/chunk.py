@@ -2,9 +2,10 @@
 
 "Chunks hold multiple events and are kept in-memory until they reach a
 fixed size, after which they are closed, serialized, compressed, and
-persisted to disk" (§4.1.1). A chunk may pass through a *transition*
-state — closed for recent events but still open for late ones — when the
-reservoir is configured with an out-of-order grace period.
+persisted to disk" (§4.1.1). A chunk is *open* while it takes events
+(the reservoir holds exactly one) and *closed* once persisted; an event
+later than persisted data is rewritten or discarded, never inserted
+into a closed chunk.
 
 A chunk is stored one column at a time, with the column codec of
 :mod:`repro.events.columns` (the one the worker links use)::
@@ -63,7 +64,6 @@ class ChunkState(enum.Enum):
     """Life-cycle of a chunk."""
 
     OPEN = "open"
-    TRANSITION = "transition"
     CLOSED = "closed"
 
 
@@ -75,7 +75,6 @@ class Chunk:
         "schema_id",
         "state",
         "events",
-        "closed_at_ms",
         "_approx_bytes",
     )
 
@@ -84,7 +83,6 @@ class Chunk:
         self.schema_id = schema_id
         self.state = ChunkState.OPEN
         self.events: list[Event] = []
-        self.closed_at_ms: int | None = None
         self._approx_bytes = 0
 
     def __len__(self) -> int:
@@ -132,13 +130,6 @@ class Chunk:
         path uses it to skip the ordering probe."""
         self.events.extend(events)
         self._approx_bytes += sum(32 + 8 * e.field_count() for e in events)
-
-    def mark_transition(self, now_ms: int) -> None:
-        """Close the chunk for recent events but keep it open for late ones."""
-        if self.state is not ChunkState.OPEN:
-            raise ValueError(f"chunk {self.chunk_id} is not open")
-        self.state = ChunkState.TRANSITION
-        self.closed_at_ms = now_ms
 
     def mark_closed(self) -> None:
         """Finalize the chunk; it becomes immutable."""

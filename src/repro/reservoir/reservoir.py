@@ -2,16 +2,17 @@
 
 Responsibilities:
 
-- **Append path**: dedup by event id against in-memory chunks; apply the
-  out-of-order policy against closed data; insert into the open (or a
-  transition) chunk; close/persist chunks when they reach size.
+- **Append path**: dedup by event id against the open chunk; apply the
+  out-of-order policy against persisted data; insert into the open
+  chunk; close and persist it when it reaches size. The open chunk is
+  the only chunk held in memory (the cache aside).
 - **Storage layout**: closed chunks are serialized, compressed and
   appended to append-only segment files that seal at a fixed chunk
   count; an in-memory timestamp index supports random reads (backfill).
 - **Iterators**: forward cursors for window heads/tails, fed through an
   eagerly-prefetching chunk cache.
 - **Checkpoint/restore**: the persisted files plus a small metadata blob
-  (index, in-memory chunks, dedup ids) reconstruct the reservoir
+  (index, open chunk, counters) reconstruct the reservoir
   exactly; the engine replays newer events from the messaging layer.
 """
 
@@ -89,7 +90,6 @@ class ReservoirConfig:
     cache_capacity: int = 220  # the paper's Figure 9b setting
     codec: str = "zlib:6"
     ooo_policy: OutOfOrderPolicy = OutOfOrderPolicy.REWRITE
-    transition_grace_ms: int = 0
     prefetch: bool = True
 
 
@@ -101,7 +101,7 @@ class ReservoirStats:
     duplicates: int = 0
     ooo_discarded: int = 0
     ooo_rewritten: int = 0
-    ooo_inserts: int = 0  # late events inserted into in-memory chunks
+    ooo_inserts: int = 0  # late events inserted into the open chunk
     chunks_closed: int = 0
     files_sealed: int = 0
     demand_chunk_loads: int = 0
@@ -125,8 +125,7 @@ class EventReservoir:
         self.index = ReservoirIndex()
         self.stats = ReservoirStats()
         self._iterators: list[ReservoirIterator] = []
-        self._dedup: dict[str, int] = {}  # event id -> chunk id (in-memory only)
-        self._transitions: list[Chunk] = []
+        self._dedup: dict[str, int] = {}  # event id -> chunk id (open chunk only)
         self._next_chunk_id = 0
         self._file_seq = 0
         self._chunks_in_file = 0
@@ -145,7 +144,6 @@ class EventReservoir:
             return AppendResult(AppendStatus.DUPLICATE, None)
         if event.timestamp > self._max_seen_ts:
             self._max_seen_ts = event.timestamp
-            self._expire_transitions()
 
         status = AppendStatus.APPENDED
         horizon = self._closed_horizon()
@@ -157,15 +155,14 @@ class EventReservoir:
             status = AppendStatus.REWRITTEN
             self.stats.ooo_rewritten += 1
 
-        chunk = self._target_chunk(event.timestamp)
+        chunk = self._open
         position = chunk.append(event)
-        at_tail = chunk is self._open and position == len(chunk.events) - 1
-        if not at_tail:
+        if position != len(chunk.events) - 1:
             self.stats.ooo_inserts += 1
             self._fixup_iterators(chunk.chunk_id, position, event)
         self._dedup[event.event_id] = chunk.chunk_id
         self.stats.appended += 1
-        if chunk is self._open and len(chunk) >= self.config.chunk_max_events:
+        if len(chunk) >= self.config.chunk_max_events:
             self._close_open_chunk()
         return AppendResult(status, event)
 
@@ -176,29 +173,17 @@ class EventReservoir:
         schema-roll check runs once (the registry cannot change
         mid-batch), and runs of fresh in-order events — timestamp at or
         above ``max_seen_ts`` (equal-timestamp tie groups included), id
-        unseen — skip the horizon/out-of-order/chunk-targeting probes
-        entirely and bulk-extend the open chunk's tail, with one
-        expiry/flush decision per batch. Events that are late,
-        duplicated, or tie a timestamp something already sealed at fall
-        back to :meth:`append`, so results stay byte-identical to the
-        per-event path for every input. With an out-of-order grace
-        period (or transition chunks a restore brought) the whole batch
-        takes :meth:`append`: transition chunks must persist mid-batch
-        exactly when the per-event path persists them.
+        unseen — skip the horizon and out-of-order probes entirely and
+        bulk-extend the open chunk's tail, with one close decision per
+        slab. Events that are late, duplicated, or tie a timestamp
+        something already sealed at fall back to :meth:`append`, so
+        results stay byte-identical to the per-event path for every
+        input.
         """
-        if self.config.transition_grace_ms > 0 or self._transitions:
-            return [self.append(event) for event in events]
         results: list[AppendResult] = []
         if not events:
             return results
         self._roll_open_chunk_on_schema_change()
-        self._append_batch_bulk(events, results)
-        return results
-
-    def _append_batch_bulk(
-        self, events: Sequence[Event], results: list[AppendResult]
-    ) -> None:
-        """Batch append when no transition chunks can exist (grace 0)."""
         schema = self.registry.current()
         chunk_max = self.config.chunk_max_events
         dedup = self._dedup
@@ -277,6 +262,7 @@ class EventReservoir:
                 if len(open_events) >= chunk_max:
                     self._close_open_chunk()
                 start = stop
+        return results
 
     def _roll_open_chunk_on_schema_change(self) -> None:
         current = self.registry.current()
@@ -293,22 +279,10 @@ class EventReservoir:
         return self.index.get(len(self.index) - 1).last_ts
 
     def _rewrite_target(self, horizon: int) -> int:
-        """Rewrite a too-late timestamp to the first in-memory one (§4.1.1)."""
-        for chunk in self._transitions:
-            if len(chunk):
-                return max(chunk.first_ts, horizon + 1)
+        """Rewrite a too-late timestamp to the open chunk's first one (§4.1.1)."""
         if len(self._open):
             return max(self._open.first_ts, horizon + 1)
         return horizon + 1
-
-    def _target_chunk(self, timestamp: int) -> Chunk:
-        """The in-memory chunk whose time range should hold ``timestamp``."""
-        for chunk in self._transitions:
-            if len(chunk) and timestamp <= chunk.last_ts:
-                return chunk
-        if len(self._open) and timestamp <= self._open.last_ts:
-            return self._open
-        return self._open
 
     def _fixup_iterators(self, chunk_id: int, position: int, event: Event) -> None:
         for iterator in self._iterators:
@@ -324,33 +298,7 @@ class EventReservoir:
     def _close_open_chunk(self) -> None:
         chunk = self._open
         self._open = self._new_open_chunk()
-        if not len(chunk):
-            return
-        if self.config.transition_grace_ms > 0:
-            chunk.mark_transition(self._max_seen_ts)
-            self._transitions.append(chunk)
-        else:
-            self._persist_chunk(chunk)
-
-    def _expire_transitions(self) -> None:
-        grace = self.config.transition_grace_ms
-        while self._transitions:
-            chunk = self._transitions[0]
-            if chunk.closed_at_ms is None:
-                break
-            if self._max_seen_ts - chunk.closed_at_ms < grace:
-                break
-            self._transitions.pop(0)
-            self._persist_chunk(chunk)
-
-    def flush(self) -> None:
-        """Force-close and persist every in-memory chunk (shutdown path)."""
-        for chunk in self._transitions:
-            self._persist_chunk(chunk)
-        self._transitions.clear()
-        if len(self._open):
-            chunk = self._open
-            self._open = self._new_open_chunk()
+        if len(chunk):
             self._persist_chunk(chunk)
 
     def _persist_chunk(self, chunk: Chunk) -> None:
@@ -402,7 +350,7 @@ class EventReservoir:
     # -- chunk access (iterator support) ----------------------------------------
 
     def has_event_id(self, event_id: str) -> bool:
-        """True when ``event_id`` is a known (in-memory) duplicate."""
+        """True when ``event_id`` is a known duplicate (open chunk only)."""
         return event_id in self._dedup
 
     def chunk_can_grow(self, chunk_id: int) -> bool:
@@ -410,25 +358,20 @@ class EventReservoir:
         return chunk_id == self._open.chunk_id
 
     def chunk_exists(self, chunk_id: int) -> bool:
-        """True when ``chunk_id`` refers to persisted or in-memory data."""
+        """True when ``chunk_id`` is the open chunk or a persisted one."""
         if chunk_id == self._open.chunk_id:
-            return True
-        if any(c.chunk_id == chunk_id for c in self._transitions):
             return True
         return self.index.position_of_chunk(chunk_id) is not None
 
     def chunk_events_for_iterator(self, chunk_id: int) -> list[Event] | None:
         """Resolve chunk events for a cursor, paging + prefetching.
 
-        In-memory chunks are returned directly; persisted chunks go
+        The open chunk is returned directly; persisted chunks go
         through the cache (a miss is a demand load) and entering a
         persisted chunk prefetches the next one.
         """
         if chunk_id == self._open.chunk_id:
             return self._open.events
-        for chunk in self._transitions:
-            if chunk.chunk_id == chunk_id:
-                return chunk.events
         position = self.index.position_of_chunk(chunk_id)
         if position is None:
             return None
@@ -517,14 +460,11 @@ class EventReservoir:
                 if idx < len(events):
                     return (meta.chunk_id, idx)
             position += 1
-        for chunk in self._transitions + [self._open]:
-            if len(chunk) and chunk.last_ts > timestamp:
-                idx = bisect.bisect_right(
-                    [e.timestamp for e in chunk.events], timestamp
-                )
-                if idx < len(chunk.events):
-                    return (chunk.chunk_id, idx)
-        return (self._open.chunk_id, len(self._open.events))
+        open_events = self._open.events
+        return (
+            self._open.chunk_id,
+            bisect.bisect_right([e.timestamp for e in open_events], timestamp),
+        )
 
     def read_range(self, start_exclusive: int, end_inclusive: int) -> list[Event]:
         """All stored events with ``start_exclusive < ts <= end_inclusive``.
@@ -554,17 +494,13 @@ class EventReservoir:
 
     @property
     def total_events(self) -> int:
-        """Total stored events (persisted + in-memory)."""
-        return (
-            self.index.total_events()
-            + sum(len(c) for c in self._transitions)
-            + len(self._open)
-        )
+        """Total stored events (persisted + open chunk)."""
+        return self.index.total_events() + len(self._open)
 
     @property
     def memory_chunk_count(self) -> int:
-        """In-memory chunks (open + transitions), excluding cache."""
-        return 1 + len(self._transitions)
+        """In-memory chunks, excluding cache: the open one."""
+        return 1
 
     @property
     def max_seen_ts(self) -> int:
@@ -574,11 +510,14 @@ class EventReservoir:
     # -- checkpoint / restore ---------------------------------------------------------
 
     def checkpoint_metadata(self) -> bytes:
-        """Small blob: index + in-memory chunks + counters + dedup ids.
+        """Small blob: index + counters + the open chunk (whose ids are
+        the dedup set).
 
         Together with the (immutable) segment files this reconstructs
         the reservoir exactly; the engine pairs it with a message offset
-        so newer events replay from the messaging layer.
+        so newer events replay from the messaging layer. The open chunk
+        is written as a list of in-memory chunks, each with a transition
+        flag and a close time, which are always ``0`` and ``-1`` now.
         """
         buf = bytearray()
         serde.write_bytes(buf, self.registry.to_bytes())
@@ -588,15 +527,15 @@ class EventReservoir:
         serde.write_varint(buf, self._chunks_in_file)
         serde.write_str(buf, self._current_file or "")
         serde.write_signed_varint(buf, self._max_seen_ts)
-        in_memory = list(self._transitions) + ([self._open] if len(self._open) else [])
-        serde.write_varint(buf, len(in_memory))
-        for chunk in in_memory:
-            schema = self.registry.get(chunk.schema_id)
+        chunk = self._open
+        serde.write_varint(buf, 1 if len(chunk) else 0)
+        if len(chunk):
             serde.write_varint(buf, chunk.chunk_id)
-            serde.write_varint(buf, 1 if chunk.state is ChunkState.TRANSITION else 0)
-            serde.write_signed_varint(buf, chunk.closed_at_ms if chunk.closed_at_ms is not None else -1)
+            serde.write_varint(buf, 0)
+            serde.write_signed_varint(buf, -1)
+            schema = self.registry.get(chunk.schema_id)
             serde.write_bytes(buf, chunk.serialize(schema, self._codec))
-        serde.write_varint(buf, self._open.chunk_id)
+        serde.write_varint(buf, chunk.chunk_id)
         return bytes(buf)
 
     @classmethod
@@ -606,7 +545,13 @@ class EventReservoir:
         storage: StorageBackend,
         config: ReservoirConfig | None = None,
     ) -> "EventReservoir":
-        """Rebuild a reservoir from checkpoint metadata + segment files."""
+        """Rebuild a reservoir from checkpoint metadata + segment files.
+
+        An older checkpoint may list *transition* chunks beside the open
+        one (sealed, but held in memory for late events): they persist
+        here, in chunk-id order, before the open chunk is installed, so
+        their events stay readable through the index.
+        """
         offset = 0
         registry_blob, offset = serde.read_bytes(metadata, offset)
         registry = SchemaRegistry.from_bytes(registry_blob)
@@ -620,29 +565,27 @@ class EventReservoir:
         reservoir._current_file = current_file or None
         reservoir._max_seen_ts, offset = serde.read_signed_varint(metadata, offset)
         chunk_count, offset = serde.read_varint(metadata, offset)
-        in_memory: list[Chunk] = []
+        transitions: list[Chunk] = []
+        open_chunk: Chunk | None = None
         for _ in range(chunk_count):
             _chunk_id, offset = serde.read_varint(metadata, offset)
             is_transition, offset = serde.read_varint(metadata, offset)
-            closed_at, offset = serde.read_signed_varint(metadata, offset)
+            _closed_at, offset = serde.read_signed_varint(metadata, offset)
             payload, offset = serde.read_bytes(metadata, offset)
             chunk = Chunk.deserialize(payload, registry.get)
-            chunk.state = (
-                ChunkState.TRANSITION if is_transition else ChunkState.OPEN
-            )
-            chunk.closed_at_ms = closed_at if closed_at >= 0 else None
-            in_memory.append(chunk)
+            if is_transition:
+                transitions.append(chunk)
+            elif open_chunk is None:
+                open_chunk = chunk
         open_chunk_id, offset = serde.read_varint(metadata, offset)
-        reservoir._transitions = [
-            c for c in in_memory if c.state is ChunkState.TRANSITION
-        ]
-        open_candidates = [c for c in in_memory if c.state is ChunkState.OPEN]
-        if open_candidates:
-            reservoir._open = open_candidates[0]
+        for chunk in sorted(transitions, key=lambda c: c.chunk_id):
+            reservoir._persist_chunk(chunk)
+        if open_chunk is not None:
+            open_chunk.state = ChunkState.OPEN
+            reservoir._open = open_chunk
+            for event in open_chunk.events:
+                reservoir._dedup[event.event_id] = open_chunk.chunk_id
         else:
             reservoir._open = Chunk(open_chunk_id, registry.current().schema_id)
             reservoir._next_chunk_id = max(reservoir._next_chunk_id, open_chunk_id + 1)
-        for chunk in in_memory:
-            for event in chunk.events:
-                reservoir._dedup[event.event_id] = chunk.chunk_id
         return reservoir

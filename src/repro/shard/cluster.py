@@ -39,10 +39,9 @@ import os
 import threading
 from typing import Any, Iterable, Mapping
 
-from repro.common.clock import ManualClock
 from repro.common.errors import EngineError
 from repro.common.hashing import partition_for
-from repro.common.timesource import TimeSource, resolve_time_source
+from repro.common.timesource import ManualClock, TimeSource, resolve_time_source
 from repro.engine.assignment import (
     PreviousState,
     ProcessorInfo,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.common.clock import format_duration_ms
+from repro.common.timesource import format_duration_ms
 
 
 class WindowKind(enum.Enum):

@@ -8,7 +8,7 @@ from repro.baselines import (
     PerEventScanEngine,
     TrueSlidingReference,
 )
-from repro.common.clock import MINUTES, SECONDS
+from repro.common.timesource import MINUTES, SECONDS
 
 
 class TestTrueSlidingReference:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.clock import (
+from repro.common.timesource import (
     DAYS,
     HOURS,
     MINUTES,

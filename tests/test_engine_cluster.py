@@ -4,10 +4,12 @@ import math
 import random
 
 import pytest
+from bench.gen import Traffic
+from bench.workloads import FRAUD3
 
-from repro.common.clock import MINUTES
 from repro.common.errors import EngineError
-from repro.engine import RailgunCluster
+from repro.common.timesource import MINUTES
+from repro.engine import RailgunCluster, create_cluster
 from repro.engine.processor import UnitConfig
 
 
@@ -350,6 +352,37 @@ class TestFailureHandling:
         after = cluster.recovery_stats()
         # Replica promotion handles most reassignments without copying.
         assert after["promotions"] > before["promotions"]
+
+
+class TestReplicaRecoveryAnswers:
+    """A cold batch on a replicated cluster: the first rebalance runs
+    inside it, and an active task must not recover from a replica that
+    already consumed past the offsets its group replied to (it would
+    re-answer those records from state holding later events)."""
+
+    @staticmethod
+    def _replies(**topology):
+        cluster = create_cluster("single", **topology)
+        cluster.create_stream(
+            "tx", ["cardId"], partitions=4,
+            schema={"cardId": "string", "amount": "float"},
+        )
+        for query in FRAUD3:
+            cluster.create_metric(query)
+        events = Traffic(1).take(50)
+        replies = cluster.send_batch("tx", [e.fields for e in events])
+        cluster.close()
+        return [reply.results for reply in replies]
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            dict(nodes=3, processor_units=2, replication_factor=1),
+            dict(nodes=2, processor_units=1, replication_factor=1),
+        ],
+    )
+    def test_cold_batch_matches_single(self, topology):
+        assert self._replies(**topology) == self._replies()
 
 
 class TestBackfillEndToEnd:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.common.clock import ManualClock
 from repro.common.errors import EngineError
+from repro.common.timesource import ManualClock
 from repro.engine.catalog import (
     CreateStreamOp,
     OPERATIONS_TOPIC,

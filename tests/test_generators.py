@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.clock import MINUTES
+from repro.common.timesource import MINUTES
 from repro.events.generators import BurstWorkload, FraudWorkload, ZipfSampler, fraud_schema
 
 

@@ -11,7 +11,7 @@ import statistics
 
 import pytest
 
-from repro.common.clock import MINUTES
+from repro.common.timesource import MINUTES
 from repro.engine import RailgunCluster
 from repro.engine.processor import UnitConfig
 

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.clock import ManualClock
 from repro.common.errors import MessagingError
+from repro.common.timesource import ManualClock
 from repro.messaging import Consumer, GroupCoordinator, MessageBus, TopicPartition
 
 

@@ -16,7 +16,7 @@ from hypothesis.stateful import (
 
 import repro.state.store as state_store
 from repro.aggregates.registry import create_aggregator
-from repro.common.clock import MINUTES
+from repro.common.timesource import MINUTES
 from repro.engine.catalog import MetricDef, StreamDef, topic_name
 from repro.engine.task import TaskProcessor
 from repro.events import Event, FieldType, Schema, SchemaField, SchemaRegistry

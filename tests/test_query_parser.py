@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.common.clock import DAYS, HOURS, MINUTES, SECONDS
 from repro.common.errors import QueryError
+from repro.common.timesource import DAYS, HOURS, MINUTES, SECONDS
 from repro.query import parse_query
 from repro.windows import WindowKind
 

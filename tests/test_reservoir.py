@@ -115,23 +115,6 @@ class TestOutOfOrder:
         events = reservoir.read_range(-1, 1000)
         assert [e.timestamp for e in events] == [100, 200, 300]
 
-    def test_transition_grace_accepts_late_events(self):
-        reservoir = _reservoir(chunk_max_events=2, transition_grace_ms=1_000)
-        reservoir.append(_event(0, ts=100))
-        reservoir.append(_event(1, ts=200))  # chunk -> transition
-        late = reservoir.append(Event("late", 150, {"v": 9}))
-        assert late.status is AppendStatus.APPENDED
-        assert late.event.timestamp == 150  # not rewritten
-        assert reservoir.memory_chunk_count == 2  # transition + open
-
-    def test_transition_expires_after_grace(self):
-        reservoir = _reservoir(chunk_max_events=2, transition_grace_ms=1_000)
-        reservoir.append(_event(0, ts=100))
-        reservoir.append(_event(1, ts=200))
-        reservoir.append(_event(2, ts=1_500))  # beyond grace from close
-        assert reservoir.stats.chunks_closed == 1
-        assert reservoir.memory_chunk_count == 1
-
     def test_rewrite_when_no_memory_events(self):
         reservoir = _reservoir(chunk_max_events=2)
         reservoir.append(_event(0, ts=100))
@@ -219,7 +202,7 @@ class TestIterators:
     @given(st.lists(st.integers(min_value=0, max_value=5_000), min_size=1, max_size=120))
     @settings(max_examples=30, deadline=None)
     def test_property_every_stored_event_emitted_once(self, raw_timestamps):
-        reservoir = _reservoir(chunk_max_events=5, transition_grace_ms=300)
+        reservoir = _reservoir(chunk_max_events=5)
         iterator = reservoir.new_iterator()
         stored_ids = []
         emitted = []
@@ -293,15 +276,6 @@ class TestCheckpointRestore:
         reservoir.append(_event(0))
         restored = self._roundtrip(reservoir)
         assert restored.append(_event(0)).status is AppendStatus.DUPLICATE
-
-    def test_restore_preserves_transitions(self):
-        reservoir = _reservoir(chunk_max_events=2, transition_grace_ms=10_000)
-        for i in range(5):
-            reservoir.append(_event(i))
-        assert reservoir.memory_chunk_count > 1
-        restored = self._roundtrip(reservoir)
-        assert restored.memory_chunk_count == reservoir.memory_chunk_count
-        assert restored.total_events == reservoir.total_events
 
     def test_restore_continues_appending(self):
         reservoir = _reservoir(chunk_max_events=4)

@@ -47,23 +47,13 @@ class TestChunk:
         position = chunk.append(_event(2, ts=10))
         assert position == 1  # after the existing ts=10 event
 
-    def test_lifecycle_transitions(self):
+    def test_lifecycle_open_then_closed(self):
         chunk = Chunk(0, 0)
         chunk.append(_event(0))
         assert chunk.state is ChunkState.OPEN
-        chunk.mark_transition(now_ms=100)
-        assert chunk.state is ChunkState.TRANSITION
-        assert chunk.closed_at_ms == 100
-        chunk.append(_event(1, ts=5))  # transition chunks accept late data
         chunk.mark_closed()
         with pytest.raises(ValueError):
             chunk.append(_event(2))
-
-    def test_double_transition_rejected(self):
-        chunk = Chunk(0, 0)
-        chunk.mark_transition(1)
-        with pytest.raises(ValueError):
-            chunk.mark_transition(2)
 
     def test_serialize_roundtrip(self):
         chunk = Chunk(7, 0)
@@ -224,15 +214,32 @@ class TestRowFormatChunks:
             storage.create(name)
             storage.append(name, bytes.fromhex(data))
         metadata = bytes.fromhex(golden["metadata"])
-        config = ReservoirConfig(**golden["reservoir"])
+        # The writer's config also named an out-of-order grace period,
+        # an option the reservoir no longer has.
+        settings = golden["reservoir"]
+        config = ReservoirConfig(
+            chunk_max_events=settings["chunk_max_events"], codec=settings["codec"]
+        )
         reservoir = EventReservoir.restore(metadata, storage, config)
-        in_memory = list(reservoir._transitions) + [reservoir._open]
-        assert [
-            (c.chunk_id, c.state.value, _canonical(c.events)) for c in in_memory
-        ] == [
-            (c["chunk_id"], c["state"], _canonical(_golden_events(c["events"])))
-            for c in golden["in_memory"]
-        ]
+        transition, open_chunk = golden["in_memory"]
+        assert (transition["state"], open_chunk["state"]) == ("transition", "open")
+        # The open chunk restores in memory ...
+        assert (
+            reservoir._open.chunk_id,
+            reservoir._open.state,
+            _canonical(reservoir._open.events),
+        ) == (
+            open_chunk["chunk_id"],
+            ChunkState.OPEN,
+            _canonical(_golden_events(open_chunk["events"])),
+        )
+        # ... and the transition chunk persisted during restore: indexed.
+        position = reservoir.index.position_of_chunk(transition["chunk_id"])
+        assert position == len(reservoir.index) - 1
+        assert reservoir.index.get(position).count == len(transition["events"])
+        assert _canonical(
+            reservoir.chunk_events_for_iterator(transition["chunk_id"])
+        ) == _canonical(_golden_events(transition["events"]))
         expected = _canonical(_golden_events(golden["events"]))
         assert _canonical(reservoir.read_range(-1, reservoir.max_seen_ts)) == expected
         # Checkpointing again writes the in-memory chunks columnar; the
@@ -332,12 +339,6 @@ class TestChunkCache:
         assert not cache.peek(9)
         assert cache.stats.hits == 0
         assert cache.stats.demand_misses == 0
-
-    def test_invalidate(self):
-        cache = ChunkCache(2)
-        cache.put_demand(1, ["a"])
-        cache.invalidate(1)
-        assert 1 not in cache
 
     def test_miss_rate(self):
         cache = ChunkCache(2)

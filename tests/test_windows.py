@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.clock import MINUTES, SECONDS
+from repro.common.timesource import MINUTES, SECONDS
 from repro.windows import WindowKind, WindowSpec
 
 
