@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable, Mapping
 
 from repro.common.errors import EngineError, QueryError
 from repro.common.layout import STR, VARFLAG, VARINT, seq, struct, tuple_of
@@ -27,6 +28,16 @@ GLOBAL_PARTITIONER = "__all__"
 def topic_name(stream: str, partitioner: str) -> str:
     """Event-topic name for one (stream, partitioner) pair."""
     return f"{stream}.{partitioner}"
+
+
+def normalize_fields(schema: object) -> tuple[tuple[str, str], ...]:
+    """Schema fields as ``(name, type-name)`` pairs, from a
+    :class:`Schema`, a mapping, or a ``(name, type)`` iterable."""
+    if isinstance(schema, Schema):
+        return tuple((f.name, f.field_type.value) for f in schema.fields)
+    if isinstance(schema, Mapping):
+        return tuple((name, str(type_name)) for name, type_name in schema.items())
+    return tuple((name, str(type_name)) for name, type_name in schema)
 
 
 @dataclass(frozen=True)
@@ -180,6 +191,88 @@ class Catalog:
                 )
         else:
             raise EngineError(f"unknown operation {op!r}")
+
+    # -- DDL rules: what every facade checks before it publishes an op ----------
+
+    def build_stream_def(
+        self,
+        name: str,
+        partitioners: Iterable[str],
+        partitions: int,
+        schema: object,
+        with_global_partitioner: bool,
+    ) -> StreamDef:
+        """Validate and build a new stream's definition."""
+        if name in self.streams:
+            raise EngineError(f"stream {name!r} already exists")
+        partitioner_list = list(partitioners)
+        if with_global_partitioner:
+            partitioner_list.append(GLOBAL_PARTITIONER)
+        if not partitioner_list:
+            raise EngineError("a stream needs at least one partitioner")
+        fields = normalize_fields(schema)
+        declared = {field_name for field_name, _ in fields}
+        for partitioner in partitioner_list:
+            if partitioner != GLOBAL_PARTITIONER and partitioner not in declared:
+                raise EngineError(f"partitioner {partitioner!r} is not a schema field")
+        return StreamDef(name, fields, tuple(partitioner_list), partitions)
+
+    def build_metric_def(self, query_text: str, backfill: bool = False) -> MetricDef:
+        """Parse, validate and route a Figure 4 metric; the caller
+        applies the returned definition and replicates it."""
+        query = parse_query(query_text)
+        if query.as_of is not None:
+            raise EngineError(
+                "AS OF is a read-time clause; a metric definition has no "
+                "read instant — use query_as_of() on the spliced metric"
+            )
+        if query.stream not in self.streams:
+            raise EngineError(f"unknown stream {query.stream!r}")
+        self.validate_metric_fields(query)
+        return MetricDef(
+            metric_id=self.next_metric_id,
+            query_text=query_text,
+            stream=query.stream,
+            topic=self.route_metric(query),
+            backfill=backfill,
+        )
+
+    def validate_new_partitioner(
+        self, stream: str, partitioner: str
+    ) -> StreamDef | None:
+        """Validate a §4 post-creation partitioner addition.
+
+        Returns the stream definition, or ``None`` when the partitioner
+        is already present (the addition is an idempotent no-op); raises
+        for unknown streams and undeclared fields.
+        """
+        stream_def = self._stream(stream)
+        if partitioner in stream_def.partitioners:
+            return None
+        declared = {name for name, _ in stream_def.fields}
+        if partitioner != GLOBAL_PARTITIONER and partitioner not in declared:
+            raise EngineError(f"partitioner {partitioner!r} is not a schema field")
+        return stream_def
+
+    def validate_metric_fields(self, query: Query) -> None:
+        """Reject metrics referencing fields their stream does not declare."""
+        declared = {name for name, _ in self.streams[query.stream].fields}
+        for agg in query.aggregations:
+            if agg.field is not None and agg.field not in declared:
+                raise EngineError(
+                    f"aggregation field {agg.field!r} not in stream {query.stream!r}"
+                )
+        for field_name in query.group_by:
+            if field_name not in declared:
+                raise EngineError(
+                    f"group-by field {field_name!r} not in stream {query.stream!r}"
+                )
+        if query.where is not None:
+            for field_name in query.where.referenced_fields():
+                if field_name not in declared:
+                    raise EngineError(
+                        f"filter field {field_name!r} not in stream {query.stream!r}"
+                    )
 
     def _stream(self, name: str) -> StreamDef:
         try:

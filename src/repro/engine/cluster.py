@@ -1,9 +1,13 @@
-"""The Railgun cluster harness and client facade.
+"""The Railgun cluster harness and the one client facade.
 
-Owns the world: the message bus, the group coordinator, all nodes, the
-rebalance authority (running the Figure 7 strategy across the active and
-replica consumer groups) and the recovery brokerage between processor
-units. The harness is cooperative/step-driven: ``pump()`` advances the
+:class:`ClusterFacade` is the client surface of every topology — DDL,
+backfill, ``send`` — written once; :class:`RailgunCluster` (``single``)
+and :class:`~repro.shard.cluster.ShardCluster` (``process``) inherit it.
+
+:class:`RailgunCluster` owns the world: the message bus, the group
+coordinator, all nodes, the rebalance authority (running the Figure 7
+strategy across the active and replica consumer groups) and the
+recovery brokerage between processor units. The harness is cooperative/step-driven: ``pump()`` advances the
 whole cluster by one loop iteration per component, which keeps every
 multi-node test deterministic.
 """
@@ -24,7 +28,6 @@ from repro.engine.assignment import (
     StickyAssignmentStrategy,
 )
 from repro.engine.catalog import (
-    GLOBAL_PARTITIONER,
     OPERATIONS_TOPIC,
     AddPartitionerOp,
     Catalog,
@@ -34,6 +37,7 @@ from repro.engine.catalog import (
     EvolveSchemaOp,
     MetricDef,
     StreamDef,
+    normalize_fields,
     topic_name,
 )
 from repro.engine.frontend import client_event, deliver_batch
@@ -41,123 +45,13 @@ from repro.engine.node import RailgunNode
 from repro.engine.processor import ACTIVE_GROUP, UnitConfig, replica_group
 from repro.engine.task import TaskCheckpoint
 from repro.events.event import Event
-from repro.events.schema import Schema
 from repro.messaging.broker import MessageBus
 from repro.messaging.groups import GroupCoordinator
 from repro.messaging.log import TopicPartition
-from repro.query.parser import parse_query
 from repro.telemetry import StageLaps
 
 if TYPE_CHECKING:
     from repro.engine.frontend import Reply
-
-
-def _normalize_fields(schema: object) -> tuple[tuple[str, str], ...]:
-    """Accept a Schema, mapping, or (name, type) iterable."""
-    if isinstance(schema, Schema):
-        return tuple((f.name, f.field_type.value) for f in schema.fields)
-    if isinstance(schema, Mapping):
-        return tuple((name, str(type_name)) for name, type_name in schema.items())
-    return tuple((name, str(type_name)) for name, type_name in schema)
-
-
-def build_stream_def(
-    catalog: Catalog,
-    name: str,
-    partitioners: Iterable[str],
-    partitions: int,
-    schema: object,
-    with_global_partitioner: bool,
-) -> StreamDef:
-    """Validate and build a stream definition against a catalogue.
-
-    Shared by the cooperative single-process cluster and the
-    process-parallel cluster so both enforce identical DDL rules.
-    """
-    if name in catalog.streams:
-        raise EngineError(f"stream {name!r} already exists")
-    partitioner_list = list(partitioners)
-    if with_global_partitioner:
-        partitioner_list.append(GLOBAL_PARTITIONER)
-    if not partitioner_list:
-        raise EngineError("a stream needs at least one partitioner")
-    fields = _normalize_fields(schema)
-    declared = {field_name for field_name, _ in fields}
-    for partitioner in partitioner_list:
-        if partitioner != GLOBAL_PARTITIONER and partitioner not in declared:
-            raise EngineError(f"partitioner {partitioner!r} is not a schema field")
-    return StreamDef(name, fields, tuple(partitioner_list), partitions)
-
-
-def build_metric_def(
-    catalog: Catalog, query_text: str, backfill: bool = False
-) -> MetricDef:
-    """Parse, validate and route a Figure 4 metric against a catalogue.
-
-    Shared by every cluster facade (cooperative, process-parallel,
-    sharded frontends) so all three enforce identical metric rules and
-    routing; the caller applies the returned definition to its
-    catalogue and replicates it to its back-end.
-    """
-    query = parse_query(query_text)
-    if query.as_of is not None:
-        raise EngineError(
-            "AS OF is a read-time clause; a metric definition has no "
-            "read instant — use query_as_of() on the spliced metric"
-        )
-    if query.stream not in catalog.streams:
-        raise EngineError(f"unknown stream {query.stream!r}")
-    validate_metric_fields(catalog, query)
-    return MetricDef(
-        metric_id=catalog.next_metric_id,
-        query_text=query_text,
-        stream=query.stream,
-        topic=catalog.route_metric(query),
-        backfill=backfill,
-    )
-
-
-def validate_new_partitioner(
-    catalog: Catalog, stream: str, partitioner: str
-) -> StreamDef | None:
-    """Validate a §4 post-creation partitioner addition.
-
-    Shared by every cluster facade so all three enforce identical DDL
-    rules. Returns the stream definition, or ``None`` when the
-    partitioner is already present (the addition is an idempotent
-    no-op); raises for unknown streams and undeclared fields.
-    """
-    stream_def = catalog.streams.get(stream)
-    if stream_def is None:
-        raise EngineError(f"unknown stream {stream!r}")
-    if partitioner in stream_def.partitioners:
-        return None
-    declared = {name for name, _ in stream_def.fields}
-    if partitioner != GLOBAL_PARTITIONER and partitioner not in declared:
-        raise EngineError(f"partitioner {partitioner!r} is not a schema field")
-    return stream_def
-
-
-def validate_metric_fields(catalog: Catalog, query) -> None:
-    """Reject metrics referencing fields their stream does not declare."""
-    stream = catalog.streams[query.stream]
-    declared = {name for name, _ in stream.fields}
-    for agg in query.aggregations:
-        if agg.field is not None and agg.field not in declared:
-            raise EngineError(
-                f"aggregation field {agg.field!r} not in stream {query.stream!r}"
-            )
-    for field_name in query.group_by:
-        if field_name not in declared:
-            raise EngineError(
-                f"group-by field {field_name!r} not in stream {query.stream!r}"
-            )
-    if query.where is not None:
-        for field_name in query.where.referenced_fields():
-            if field_name not in declared:
-                raise EngineError(
-                    f"filter field {field_name!r} not in stream {query.stream!r}"
-                )
 
 
 def create_cluster(execution: str = "single", **kwargs):
@@ -248,7 +142,130 @@ def create_cluster(execution: str = "single", **kwargs):
     return cluster
 
 
-class RailgunCluster:
+class ClusterFacade:
+    """The client surface every topology shares (§3.1, Figure 3).
+
+    DDL, backfill, the one-event ``send`` and ``pump`` are written here
+    once for :class:`RailgunCluster` and
+    :class:`~repro.shard.cluster.ShardCluster`; the rules the DDL
+    enforces are the :class:`~repro.engine.catalog.Catalog`'s. A facade
+    brings ``catalog``, ``clock``, ``metrics``, ``_backfills``,
+    ``_published`` (records published so far — the base of auto-minted
+    ``client-…`` ids, so one call sequence mints the same event ids on
+    every topology), ``send_batch``, ``_round`` and ``close``, and the
+    hooks where the topologies differ:
+
+    - ``_publish_op(op)`` — apply one DDL op and replicate it;
+    - ``_add_topics(op, stream, partitioners)`` — publish an op that
+      adds event topics and give the new tasks owners;
+    - ``_activations(metric)`` — a new metric's activation cuts;
+    - ``_backfill_job(metric)`` — start the topology's backfill job.
+    """
+
+    # -- DDL ------------------------------------------------------------------
+
+    def create_stream(
+        self,
+        name: str,
+        partitioners: Iterable[str],
+        partitions: int = 4,
+        schema: object = (),
+        with_global_partitioner: bool = False,
+    ) -> None:
+        """Register a stream: schema + partitioners + topic creation."""
+        stream = self.catalog.build_stream_def(
+            name, partitioners, partitions, schema, with_global_partitioner
+        )
+        self._add_topics(CreateStreamOp(stream), stream, stream.partitioners)
+
+    def create_metric(self, query_text: str, backfill: bool = False) -> int:
+        """Register a metric from a Figure 4 statement; returns metric id."""
+        metric = self.catalog.build_metric_def(query_text, backfill)
+        self._publish_op(CreateMetricOp(metric, self._activations(metric)))
+        return metric.metric_id
+
+    def delete_metric(self, metric_id: int) -> None:
+        """Remove a metric cluster-wide."""
+        self._publish_op(DeleteMetricOp(metric_id))
+
+    def evolve_schema(self, stream: str, new_fields: object) -> None:
+        """Append fields to a stream schema (old chunks stay readable)."""
+        self._publish_op(EvolveSchemaOp(stream, normalize_fields(new_fields)))
+
+    def add_partitioner(self, stream: str, partitioner: str) -> None:
+        """Add a top-level partitioner after stream creation (§4).
+
+        A partitioner the stream already has is a no-op. The new topic's
+        tasks are placed stickily: existing topics' processing is
+        unaffected.
+        """
+        stream_def = self.catalog.validate_new_partitioner(stream, partitioner)
+        if stream_def is not None:
+            self._add_topics(
+                AddPartitionerOp(stream, partitioner), stream_def, (partitioner,)
+            )
+
+    def _metric(self, metric_id: int) -> MetricDef:
+        metric = self.catalog.metrics.get(metric_id)
+        if metric is None:
+            raise EngineError(f"unknown metric id {metric_id}")
+        return metric
+
+    # -- replay & backfill ----------------------------------------------------
+
+    def backfill_metric(self, query_text: str) -> int:
+        """Define a metric *after the fact* and materialize it from the log.
+
+        The metric id is reserved immediately; a background job, stepped
+        from :meth:`pump` so ingest never pauses, replays each
+        partition's log through a shadow and splices the result into
+        the live tasks at exact offsets. Once every task is spliced the
+        ``CreateMetricOp`` goes out and the metric behaves like any
+        other; :meth:`backfill_status` observes completion.
+        """
+        metric = self.catalog.build_metric_def(query_text)
+        self.catalog.apply(CreateMetricOp(metric))
+        self._backfills.append(self._backfill_job(metric))
+        return metric.metric_id
+
+    def backfill_status(self, metric_id: int) -> str:
+        """``"running"``, ``"complete"``, or ``"unknown"`` for an id."""
+        for job in self._backfills:
+            if job.metric.metric_id == metric_id:
+                return "complete" if job.done else "running"
+        return "unknown"
+
+    # -- the data path --------------------------------------------------------
+
+    def send(
+        self,
+        stream: str,
+        fields: Mapping[str, Any] | None = None,
+        timestamp: int | None = None,
+        event: Event | None = None,
+        event_id: str | None = None,
+        max_rounds: int = 2000,
+        **route: Any,
+    ) -> Reply:
+        """Send one event and pump until its reply completes; ``route``
+        passes on to ``send_batch`` (``node_id`` on ``single``)."""
+        event = client_event(
+            self.clock, self._published, fields, timestamp, event, event_id
+        )
+        return self.send_batch(stream, [event], max_rounds=max_rounds, **route)[0]
+
+    def pump(self) -> int:
+        """One cooperative round of every component; returns work count."""
+        return self._round(StageLaps(self.metrics))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class RailgunCluster(ClusterFacade):
     """N equal Railgun nodes over one message bus (Figure 3)."""
 
     def __init__(
@@ -353,66 +370,54 @@ class RailgunCluster:
         except KeyError:
             raise EngineError(f"unknown node {node_id!r}") from None
 
-    # -- DDL ----------------------------------------------------------------------------
+    # -- DDL hooks --------------------------------------------------------------------
 
-    def create_stream(
-        self,
-        name: str,
-        partitioners: Iterable[str],
-        partitions: int = 4,
-        schema: object = (),
-        with_global_partitioner: bool = False,
-    ) -> None:
-        """Register a stream: schema + partitioners + topic creation."""
-        stream = build_stream_def(
-            self.catalog, name, partitioners, partitions, schema,
-            with_global_partitioner,
-        )
-        for partitioner in stream.partitioners:
+    def _add_topics(self, op: object, stream: StreamDef, partitioners) -> None:
+        """Create the bus topics, publish ``op``, subscribe every unit
+        and let the next round rebalance (Figure 7)."""
+        for partitioner in partitioners:
             self.bus.create_topic(
-                topic_name(name, partitioner), stream.partition_count(partitioner)
+                topic_name(stream.name, partitioner),
+                stream.partition_count(partitioner),
             )
-        self._publish_op(CreateStreamOp(stream))
+        self._publish_op(op)
         self._sync_subscriptions()
         self._assignment_dirty = True
 
-    def create_metric(self, query_text: str, backfill: bool = False) -> int:
-        """Register a metric from a Figure 4 statement; returns metric id."""
-        metric = build_metric_def(self.catalog, query_text, backfill)
-        self._publish_op(CreateMetricOp(metric))
-        return metric.metric_id
+    def _activations(self, metric: MetricDef) -> tuple:
+        # Only shard workers read activation cuts; units do not.
+        return ()
 
-    def delete_metric(self, metric_id: int) -> None:
-        """Remove a metric cluster-wide."""
-        self._publish_op(DeleteMetricOp(metric_id))
-
-    # -- replay & backfill ----------------------------------------------------------
-
-    def backfill_metric(self, query_text: str) -> int:
-        """Define a metric *after the fact* and materialize it from the log.
-
-        The metric id is reserved immediately; a background
-        :class:`~repro.replay.backfill.CooperativeBackfill` job (stepped
-        from :meth:`pump`, so ingest never pauses) replays each
-        partition's log through a shadow processor and splices the
-        result into the live task processors at their exact consumption
-        offsets. Once every holder is spliced the ``CreateMetricOp``
-        goes out on the operations topic and the metric behaves like any
-        other. Use :meth:`backfill_status` to observe completion.
-        """
+    def _backfill_job(self, metric: MetricDef):
         from repro.replay.backfill import CooperativeBackfill
 
-        metric = build_metric_def(self.catalog, query_text)
-        self.catalog.apply(CreateMetricOp(metric))
-        self._backfills.append(CooperativeBackfill(self, metric))
-        return metric.metric_id
+        return CooperativeBackfill(self, metric)
 
-    def backfill_status(self, metric_id: int) -> str:
-        """``"running"``, ``"complete"``, or ``"unknown"`` for an id."""
-        for job in self._backfills:
-            if job.metric.metric_id == metric_id:
-                return "complete" if job.done else "running"
-        return "unknown"
+    def _publish_op(self, op: object) -> None:
+        self.catalog.apply(op)
+        self.bus.publish(OPERATIONS_TOPIC, None, op, self.clock.now())
+
+    @property
+    def _published(self) -> int:
+        return self.bus.messages_published
+
+    def _event_topics(self) -> list[str]:
+        return sorted(
+            topic
+            for stream in self.catalog.streams.values()
+            for topic in stream.topics()
+        )
+
+    def _sync_subscriptions(self) -> None:
+        topics = self._event_topics()
+        for node in self.alive_nodes():
+            for unit in node.units:
+                if unit.active_consumer.is_member():
+                    unit.active_consumer.update_subscription(topics)
+                if unit.replica_consumer.is_member():
+                    unit.replica_consumer.update_subscription(topics)
+
+    # -- reads ------------------------------------------------------------------------
 
     def metric_values(self, metric_id: int) -> dict[tuple, dict[str, Any]]:
         """A metric's current per-group values, merged across partitions.
@@ -420,9 +425,7 @@ class RailgunCluster:
         Per partition the furthest-ahead holder answers (the active
         owner, or its equal after a quiesce).
         """
-        metric = self.catalog.metrics.get(metric_id)
-        if metric is None:
-            raise EngineError(f"unknown metric id {metric_id}")
+        metric = self._metric(metric_id)
         merged: dict[tuple, dict[str, Any]] = {}
         for tp in self.bus.topic_partitions(metric.topic):
             best = None
@@ -442,9 +445,7 @@ class RailgunCluster:
         (:func:`repro.replay.asof.as_of_values` over this cluster's bus)."""
         from repro.replay.asof import as_of_values, read_page
 
-        metric = self.catalog.metrics.get(metric_id)
-        if metric is None:
-            raise EngineError(f"unknown metric id {metric_id}")
+        metric = self._metric(metric_id)
         return as_of_values(
             lambda tp, begin, limit: read_page(self.bus, tp, begin, limit),
             self.bus.topic_partitions(metric.topic),
@@ -456,65 +457,7 @@ class RailgunCluster:
             lsm_config=self.unit_config.lsm,
         )
 
-    def evolve_schema(self, stream: str, new_fields: object) -> None:
-        """Append fields to a stream schema (old chunks stay readable)."""
-        self._publish_op(EvolveSchemaOp(stream, _normalize_fields(new_fields)))
-
-    def add_partitioner(self, stream: str, partitioner: str) -> None:
-        """Add a top-level partitioner after stream creation (§4).
-
-        Creates the new topic and triggers a rebalance; existing topics'
-        processing is unaffected thanks to sticky assignment.
-        """
-        stream_def = validate_new_partitioner(self.catalog, stream, partitioner)
-        if stream_def is None:
-            return
-        self.bus.create_topic(
-            topic_name(stream, partitioner),
-            partitions=stream_def.partition_count(partitioner),
-        )
-        self._publish_op(AddPartitionerOp(stream, partitioner))
-        self._sync_subscriptions()
-        self._assignment_dirty = True
-
-    def _publish_op(self, op: object) -> None:
-        self.catalog.apply(op)
-        self.bus.publish(OPERATIONS_TOPIC, None, op, self.clock.now())
-
-    def _event_topics(self) -> list[str]:
-        return sorted(
-            topic
-            for stream in self.catalog.streams.values()
-            for topic in stream.topics()
-        )
-
-    def _sync_subscriptions(self) -> None:
-        topics = self._event_topics()
-        for node in self.alive_nodes():
-            for unit in node.units:
-                if unit.active_consumer.is_member():
-                    unit.active_consumer.update_subscription(topics)
-                if unit.replica_consumer.is_member():
-                    unit.replica_consumer.update_subscription(topics)
-
     # -- the data path --------------------------------------------------------------------
-
-    def send(
-        self,
-        stream: str,
-        fields: Mapping[str, Any] | None = None,
-        timestamp: int | None = None,
-        event: Event | None = None,
-        event_id: str | None = None,
-        node_id: str | None = None,
-        max_rounds: int = 500,
-    ) -> Reply:
-        """Send one event and pump the world until its reply completes."""
-        event = client_event(
-            self.clock, self.bus.messages_published, fields, timestamp,
-            event, event_id,
-        )
-        return self.send_batch(stream, [event], node_id, max_rounds)[0]
 
     def send_batch(
         self,
@@ -552,10 +495,6 @@ class RailgunCluster:
         return node
 
     # -- the world loop ----------------------------------------------------------------------
-
-    def pump(self) -> int:
-        """One cooperative step of every component; returns work count."""
-        return self._round(StageLaps(self.metrics))
 
     def _round(self, laps: StageLaps) -> int:
         self.clock.advance(1)  # one virtual millisecond per round

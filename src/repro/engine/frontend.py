@@ -265,10 +265,6 @@ class FrontEnd:
         inbox.clear()
         return finished
 
-    def take_completed(self, correlation_id: int) -> Reply | None:
-        """Pop a completed response (step 6: reply to the client)."""
-        return self.completed.pop(correlation_id, None)
-
     def _consume_ops(self) -> None:
         if not self.bus.has_topic(OPERATIONS_TOPIC):
             return

@@ -50,7 +50,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.common.errors import EngineError, ReproError
 from repro.common.timesource import TimeSource, resolve_time_source
-from repro.engine.cluster import _normalize_fields
+from repro.engine.catalog import normalize_fields
 from repro.engine.frontend import Reply
 from repro.events.event import Event
 from repro.server.admission import REJECTED, LatencyBudget
@@ -347,7 +347,7 @@ class _ControlPlane:
         """Register a stream (mirrors the facade signature)."""
         return self._do(
             _nothing, wire.DdlRequest, "create_stream",
-            name=name, fields=_normalize_fields(schema),
+            name=name, fields=normalize_fields(schema),
             names=tuple(partitioners), number=partitions,
             flag=with_global_partitioner,
         )
@@ -376,7 +376,7 @@ class _ControlPlane:
     def evolve_schema(self, stream: str, new_fields: object) -> None:
         return self._do(
             _nothing, wire.DdlRequest, "evolve_schema",
-            name=stream, fields=_normalize_fields(new_fields),
+            name=stream, fields=normalize_fields(new_fields),
         )
 
     def add_partitioner(self, stream: str, partitioner: str) -> None:

@@ -355,7 +355,9 @@ class RailgunServer:
             self._shed(conn, decision.reason, decision.retry_after_ms, correlations)
             return
         router = self._router
-        published = self._published()
+        # Records published so far: a batch the cluster refused whole
+        # before publishing leaves the count where it was.
+        published = self._cluster._published
         called = self._time.monotonic()
         try:
             if router is None:
@@ -364,7 +366,7 @@ class RailgunServer:
                 routed = router._ship(msg.stream, events)
         except Exception as exc:
             self.admission.complete(conn.tenant, len(events))
-            if isinstance(exc, ReproError) and self._published() == published:
+            if isinstance(exc, ReproError) and self._cluster._published == published:
                 self._shed(conn, _rejected(exc), 0, correlations)
             else:
                 self._shed(conn, "cluster-error", 0, correlations)
@@ -392,13 +394,6 @@ class RailgunServer:
         elapsed_ms = (self._time.monotonic() - started) * 1000.0
         self.admission.complete(conn.tenant, len(events), elapsed_ms)
         self.metrics.observe_ms("server_request_ms", elapsed_ms)
-
-    def _published(self) -> int:
-        """Records the cluster published so far; a batch it refused
-        whole before publishing leaves the count where it was."""
-        if self._router is not None:
-            return self._router._published
-        return self._cluster.bus.messages_published
 
     # -- driving a router -----------------------------------------------------
 

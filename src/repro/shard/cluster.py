@@ -2,8 +2,9 @@
 
 The paper gives every Railgun node one front layer — fan-out, reply
 fan-in, the same client API whatever the deployment (§3.1, Figure 3).
-:class:`ShardCluster` is that layer, written once: the client API, the
-worker half of rebalance and crash recovery, and the whole protocol
+:class:`ShardCluster` is that layer, written once: the client API
+(:class:`~repro.engine.cluster.ClusterFacade`, shared with ``single``),
+the worker half of rebalance and crash recovery, and the whole protocol
 with its frontends (:class:`~repro.shard.frontend.FrontendEngine`, the
 owners of the partition logs, which dispatch over the workers' data
 sockets; the supervisor's pipes carry control only). ``_ship`` hashes
@@ -49,28 +50,13 @@ from repro.engine.assignment import (
 )
 from repro.engine.catalog import (
     GLOBAL_PARTITIONER,
-    AddPartitionerOp,
     Catalog,
-    CreateMetricOp,
-    CreateStreamOp,
-    DeleteMetricOp,
-    EvolveSchemaOp,
     MetricDef,
+    StreamDef,
     topic_name,
 )
-from repro.engine.cluster import (
-    _normalize_fields,
-    build_metric_def,
-    build_stream_def,
-    validate_new_partitioner,
-)
-from repro.engine.frontend import (
-    PendingRequest,
-    Reply,
-    client_event,
-    deliver_batch,
-    fan_in,
-)
+from repro.engine.cluster import ClusterFacade
+from repro.engine.frontend import PendingRequest, Reply, deliver_batch, fan_in
 from repro.engine.processor import UnitConfig
 from repro.engine.task import TaskProcessor
 from repro.events.event import Event
@@ -86,7 +72,7 @@ from repro.telemetry import MetricsRegistry, StageLaps, merge_snapshots
 INGEST_MAX = 256
 
 
-class ShardCluster:
+class ShardCluster(ClusterFacade):
     """Shard worker processes behind the ``RailgunCluster`` client API."""
 
     def __init__(
@@ -103,7 +89,6 @@ class ShardCluster:
         #: with the supervisor so both account into one snapshot; the
         #: merged cluster view is :meth:`telemetry`.
         self.metrics = MetricsRegistry(name, time_source=self._time)
-        self._span_seq = 0
         self.clock = ManualClock(start_ms=1)
         self.catalog = Catalog()
         self.durable_dir = resolve_durable_dir(durable_dir, name)
@@ -192,52 +177,26 @@ class ShardCluster:
         """Current shard workers."""
         return self.supervisor.worker_ids()
 
-    # -- DDL ------------------------------------------------------------------
+    # -- DDL hooks ------------------------------------------------------------
 
-    def create_stream(
-        self,
-        name: str,
-        partitioners: Iterable[str],
-        partitions: int = 4,
-        schema: object = (),
-        with_global_partitioner: bool = False,
-    ) -> None:
-        """Register a stream: schema + partitioners + topic creation."""
-        stream = build_stream_def(
-            self.catalog, name, partitioners, partitions, schema,
-            with_global_partitioner,
-        )
-        self._publish_op(CreateStreamOp(stream))
+    def _add_topics(self, op: object, stream: StreamDef, partitioners) -> None:
+        """Publish ``op``, then shard the new tasks over the workers."""
+        self._publish_op(op)
         self._rebalance()
 
-    def create_metric(self, query_text: str, backfill: bool = False) -> int:
-        """Register a metric from a Figure 4 statement; returns metric id.
-
-        The op carries each topic task's replied frontier at DDL time —
-        the offset a recovery replay must re-activate the metric at (the
-        durable reopen path replays the same op identically).
-        """
-        metric = build_metric_def(self.catalog, query_text, backfill)
-        activations = tuple(
+    def _activations(self, metric: MetricDef) -> tuple:
+        """Each topic task's replied frontier at DDL time — the offset a
+        recovery replay must re-activate the metric at (the durable
+        reopen path replays the same op identically)."""
+        return tuple(
             (tp, self._watermarks.get(tp, 0)) for tp in self._metric_tasks(metric)
         )
-        self._publish_op(CreateMetricOp(metric, activations))
-        return metric.metric_id
 
-    def delete_metric(self, metric_id: int) -> None:
-        """Remove a metric cluster-wide."""
-        self._publish_op(DeleteMetricOp(metric_id))
-
-    def evolve_schema(self, stream: str, new_fields: object) -> None:
-        """Append fields to a stream schema (old chunks stay readable)."""
-        self._publish_op(EvolveSchemaOp(stream, _normalize_fields(new_fields)))
-
-    def add_partitioner(self, stream: str, partitioner: str) -> None:
-        """Add a top-level partitioner after stream creation (§4)."""
-        if validate_new_partitioner(self.catalog, stream, partitioner) is None:
-            return
-        self._publish_op(AddPartitionerOp(stream, partitioner))
-        self._rebalance()
+    def _backfill_job(self, metric: MetricDef) -> BackfillJob:
+        # The frontends replay each partition log through a shadow and
+        # splice it into the owning worker (see repro.shard.backfill);
+        # an incomplete backfill does not survive a coordinator restart.
+        return BackfillJob(self, metric)
 
     def _publish_op(self, op: object) -> None:
         """Apply one DDL op and replicate it — to every worker (the op is
@@ -265,35 +224,7 @@ class ShardCluster:
     def _metric_tasks(self, metric: MetricDef) -> list[TopicPartition]:
         return [tp for tp in self._event_tasks() if tp.topic == metric.topic]
 
-    def _metric(self, metric_id: int) -> MetricDef:
-        metric = self.catalog.metrics.get(metric_id)
-        if metric is None:
-            raise EngineError(f"unknown metric id {metric_id}")
-        return metric
-
     # -- replay & backfill ----------------------------------------------------
-
-    def backfill_metric(self, query_text: str) -> int:
-        """Define a metric *after the fact* and materialize it from the logs.
-
-        The metric id is reserved immediately; the frontends replay each
-        partition log through a shadow and splice it into the owning
-        worker at an exact cut, ingest never pausing (see
-        :mod:`repro.shard.backfill`). An incomplete backfill does not
-        survive a coordinator restart; :meth:`backfill_status` observes
-        completion.
-        """
-        metric = build_metric_def(self.catalog, query_text)
-        self.catalog.apply(CreateMetricOp(metric))
-        self._backfills.append(BackfillJob(self, metric))
-        return metric.metric_id
-
-    def backfill_status(self, metric_id: int) -> str:
-        """``"running"``, ``"complete"``, or ``"unknown"`` for an id."""
-        for job in self._backfills:
-            if job.metric.metric_id == metric_id:
-                return "complete" if job.done else "running"
-        return "unknown"
 
     def _step_backfills(self) -> int:
         work = 0
@@ -399,30 +330,6 @@ class ShardCluster:
 
     # -- the data path --------------------------------------------------------
 
-    def _mint_span(self) -> str | None:
-        """A fresh trace-span id for the batch about to ship (``None``
-        when telemetry is off); it rides every frame the batch causes,
-        so worker-side hop timings stay attributable."""
-        if not self.metrics.enabled:
-            return None
-        self._span_seq += 1
-        return f"{self.metrics.process}-{self._span_seq}"
-
-    def send(
-        self,
-        stream: str,
-        fields: Mapping[str, Any] | None = None,
-        timestamp: int | None = None,
-        event: Event | None = None,
-        event_id: str | None = None,
-        max_rounds: int = 2000,
-    ) -> Reply:
-        """Send one event and pump until its reply completes."""
-        event = client_event(
-            self.clock, self._published, fields, timestamp, event, event_id
-        )
-        return self.send_batch(stream, [event], max_rounds)[0]
-
     def send_batch(
         self,
         stream: str,
@@ -445,9 +352,6 @@ class ShardCluster:
         owning frontend. A batch is validated whole before its first
         pending entry.
         """
-        # One span per shipped run; it rides the IngestBatch frames and
-        # the frontends re-stamp it onto their WorkBatches.
-        span = self._mint_span()
         stream_def = self.catalog.streams.get(stream)
         if stream_def is None:
             raise EngineError(f"unknown stream {stream!r}")
@@ -490,18 +394,13 @@ class ShardCluster:
                 buckets.setdefault(owner, []).append(
                     (correlation, event, tuple(targets))
                 )
-        trace = (span, ()) if span is not None else None
         for frontend_id, entries in buckets.items():
             link = self._frontends[frontend_id]
             self.metrics.counter_add(
                 "router_events_routed_total", len(entries), label=frontend_id
             )
             for start in range(0, len(entries), INGEST_MAX):
-                link.send(
-                    wire.IngestBatch(
-                        stream, entries[start:start + INGEST_MAX], trace
-                    )
-                )
+                link.send(wire.IngestBatch(stream, entries[start:start + INGEST_MAX]))
                 # Keep the reply direction drained while flooding the
                 # ingest direction: a full reply pipe would wedge a
                 # frontend process and, transitively, this send; in
@@ -510,10 +409,6 @@ class ShardCluster:
         return correlations
 
     # -- the world loop -------------------------------------------------------
-
-    def pump(self) -> int:
-        """One round of the front layer: frontends, workers, backfills."""
-        return self._round(StageLaps(self.metrics))
 
     def run_until_quiet(self, max_rounds: int = 20000, quiet_rounds: int = 3) -> int:
         """Pump until nothing moves for ``quiet_rounds`` consecutive
@@ -838,9 +733,3 @@ class ShardCluster:
                 stalled = 0 if self.pump() else stalled + 1
         except EngineError:
             pass  # dead child mid-drain: fall through to teardown
-
-    def __enter__(self) -> "ShardCluster":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -162,10 +162,6 @@ class FrontendEngine:
         #: last telemetry-bundle ship time; bundles ride at most every
         #: 20ms (encoding one is the flush path's only telemetry cost).
         self._stats_shipped_at: float | None = None
-        #: span id of the most recent ingest frame; stamped onto
-        #: outgoing ``WorkBatch`` frames so worker hop timings chain to
-        #: the span the host minted.
-        self._active_span: str | None = None
         self._reply_buf: list[tuple[int, str, dict | None]] = []
         self._processed_buf: dict[str, list[int]] = {}
         self._wm_dirty = False
@@ -348,8 +344,6 @@ class FrontendEngine:
         self.telemetry.counter_add(
             "frontend_events_ingested_total", len(msg.entries)
         )
-        if msg.trace is not None:
-            self._active_span = msg.trace[0]
         if seq < self._durable_applied:
             return
         stream = msg.stream
@@ -440,12 +434,8 @@ class FrontendEngine:
                     pending[(tp, message.offset)] = envelope.correlation_id
             trace = None
             if telemetry.enabled:
-                # Continue the host-minted span; the send timestamp lets
-                # the worker attribute its queue wait to this hop.
-                trace = (
-                    self._active_span or "",
-                    (("sent_ms", telemetry.now() * 1000.0),),
-                )
+                # The send stamp lets the worker time its queue wait.
+                trace = ("", (("sent_ms", telemetry.now() * 1000.0),))
             frame = wire.encode(wire.WorkBatch(tp, watermark, records, trace))
             try:
                 conn.send_bytes(frame)

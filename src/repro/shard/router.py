@@ -36,7 +36,7 @@ from repro.messaging.log import TopicPartition
 from repro.shard import wire
 from repro.shard.cluster import ShardCluster
 from repro.shard.frontend import shard_frontend_main
-from repro.shard.supervisor import _default_context
+from repro.shard.supervisor import default_context
 from repro.telemetry import decode_bundle
 
 
@@ -274,7 +274,7 @@ class ClusterRouter(ShardCluster):
     ) -> None:
         if frontends <= 0:
             raise EngineError(f"need at least one frontend: {frontends}")
-        self._ctx = _default_context()
+        self._ctx = default_context()
         super().__init__(
             "router", workers, unit_config, checkpoint_every, durable_dir,
             time_source,

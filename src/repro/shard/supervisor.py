@@ -254,7 +254,7 @@ def _merge(
     return merged
 
 
-def _default_context() -> multiprocessing.context.BaseContext:
+def default_context() -> multiprocessing.context.BaseContext:
     """Fork where available (fast, Linux/CI); spawn elsewhere."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
@@ -298,7 +298,7 @@ class ShardSupervisor:
             if telemetry is not None
             else MetricsRegistry("supervisor", time_source=self._time)
         )
-        self._ctx = _default_context()
+        self._ctx = default_context()
         #: directory of the workers' data-socket addresses (removed with
         #: the workers on :meth:`shutdown`).
         self.listen_dir = tempfile.mkdtemp(prefix="railgun-shard-")

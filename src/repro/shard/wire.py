@@ -166,7 +166,8 @@ class WorkBatch:
     tp: TopicPartition
     reply_from: int
     records: list[tuple[int, Event]]
-    #: Optional trace span ``(span_id, ((hop_name, ms), ...))`` — rides
+    #: Optional trace ``(span_id, ((hop_name, ms), ...))`` — the
+    #: dispatcher's ``sent_ms`` stamp under an empty span id; rides
     #: a telemetry tail appended after the original payload, so frames
     #: without one stay byte-identical to the pre-telemetry encoding
     #: and old frames decode with ``trace=None``.
@@ -245,8 +246,8 @@ class BatchDone:
     next_offset: int
     processed: int
     replies: list[tuple[int, dict[int, dict[str, Any]] | None]]
-    #: Optional trace span continuing the WorkBatch's: the worker's
-    #: per-hop timings ``(span_id, ((hop_name, ms), ...))``.
+    #: Optional trace ``(span_id, ((hop_name, ms), ...))``; the frame
+    #: keeps the field, the worker sends none.
     trace: tuple | None = None
     #: Optional encoded registry snapshot piggybacking the worker's
     #: telemetry back to its dispatcher (observation only).
@@ -395,8 +396,7 @@ class IngestBatch:
 
     stream: str
     entries: list[tuple[int, Event, tuple[tuple[str, int], ...]]]
-    #: Optional trace span minted at the router's ``send_batch``; the
-    #: frontend continues it onto the WorkBatch frames it dispatches.
+    #: Optional trace (the frame keeps the field, the router sends none).
     trace: tuple | None = None
 
 
@@ -500,7 +500,7 @@ class ReplyBatch:
     #: durable frontends: ingest frames fsynced behind a consistent cut
     #: — the router's authority to prune its write-ahead journal.
     durable_seq: int = 0
-    #: Optional trace span (last span this frontend completed).
+    #: Optional trace (the frame keeps the field, no frontend sends one).
     trace: tuple | None = None
     #: Optional telemetry *bundle* (the frontend's own snapshot plus the
     #: worker snapshots it holds), shipped on the last chunk of a flush.

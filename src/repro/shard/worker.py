@@ -249,8 +249,6 @@ class ShardWorker:
         """
         telemetry = self.telemetry
         measured = telemetry.enabled
-        hops: list[tuple[str, float]] = []
-        span_id = batch.trace[0] if batch.trace is not None else ""
         started = telemetry.now() if measured else 0.0
         if measured and batch.trace is not None:
             # The dispatcher stamped its send time in source-seconds on
@@ -260,7 +258,6 @@ class ShardWorker:
                 if stage == "sent_ms":
                     wait_ms = max(0.0, started * 1000.0 - stamp)
                     telemetry.observe_ms("worker_queue_wait_ms", wait_ms)
-                    hops.append(("worker_queue_wait_ms", wait_ms))
         processor = self._processor_for(batch.tp)
         self._apply_ready_splices(batch.tp, processor)
         answers: list = []
@@ -299,7 +296,6 @@ class ShardWorker:
         if measured:
             process_ms = (telemetry.now() - started) * 1000.0
             telemetry.observe_ms("worker_process_batch_ms", process_ms)
-            hops.append(("worker_process_batch_ms", process_ms))
             merge_started = telemetry.now()
         reply_from = batch.reply_from
         replies = [
@@ -319,8 +315,6 @@ class ShardWorker:
         if measured:
             merge_ms = (telemetry.now() - merge_started) * 1000.0
             telemetry.observe_ms("worker_reply_merge_ms", merge_ms)
-            hops.append(("worker_reply_merge_ms", merge_ms))
-            done.trace = (span_id, tuple(hops))
             shipped = self._stats_shipped_at
             if shipped is None or started - shipped >= _STATS_SHIP_INTERVAL_S:
                 done.stats = encode_snapshot(telemetry.snapshot())

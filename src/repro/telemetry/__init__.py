@@ -1,7 +1,7 @@
-"""Unified telemetry plane: registries, trace spans, merged snapshots.
+"""Unified telemetry plane: registries, stage timings, merged snapshots.
 
 See :mod:`repro.telemetry.registry` for the model and
-``docs/OBSERVABILITY.md`` for the metric catalog and span lifecycle.
+``docs/OBSERVABILITY.md`` for the metric catalog and the telemetry tail.
 """
 
 from repro.telemetry.registry import (

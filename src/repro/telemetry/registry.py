@@ -24,11 +24,10 @@ Design rules, in order of importance:
   total overhead on ``engine_ingest_process_4w`` under 5%.
 - **Closed catalog.** Every metric name is declared in :data:`METRICS`
   (``<subsystem>_<noun>_<unit>`` snake_case); ``tools/check_telemetry.py``
-  rejects unregistered literals at lint time, and annotation names
-  arriving over the wire are dropped unless they are in the catalog.
+  rejects unregistered literals at lint time.
 
 ``$RAILGUN_TELEMETRY=0`` disables the *measurement* plane — histogram
-timings, trace spans, and snapshot piggybacking. Plain counters and
+timings, the dispatch send stamp, and snapshot piggybacking. Plain counters and
 gauges stay on regardless: they are core accounting (``stats()`` and
 ``total_messages_processed()`` read them) and cost one dict add.
 """
@@ -45,7 +44,7 @@ from repro.common import serde
 from repro.common.percentiles import LatencyRecorder
 from repro.common.timesource import TimeSource, resolve_time_source
 
-#: Environment knob: ``0`` turns off histograms, spans, and snapshot
+#: Environment knob: ``0`` turns off histograms, send stamps, and snapshot
 #: shipping (counters/gauges stay on). Inherited by child processes.
 TELEMETRY_ENV = "RAILGUN_TELEMETRY"
 
@@ -271,16 +270,8 @@ METRICS: dict[str, tuple[str, str, str, str]] = {
     ),
 }
 
-#: Hop names a worker is allowed to report in a BatchDone trace; the
-#: receiving side records only catalog histogram names, so a stale or
-#: hostile peer cannot grow the registry unboundedly.
-_HISTOGRAM_NAMES = frozenset(
-    name for name, (kind, _, _, _) in METRICS.items() if kind == HISTOGRAM
-)
-
-
 def telemetry_enabled() -> bool:
-    """Whether the measurement plane (histograms/spans/snapshots) is on."""
+    """Whether the measurement plane (histograms/stamps/snapshots) is on."""
     return os.environ.get(TELEMETRY_ENV, "1") != "0"
 
 
@@ -390,15 +381,6 @@ class MetricsRegistry:
             yield
         finally:
             self.observe_since(name, started)
-
-    def record_hops(self, hops: Iterable[tuple[str, float]]) -> None:
-        """Absorb per-hop timings from a wire trace. Unknown names are
-        dropped (closed catalog; peers may be older or newer)."""
-        if not self.enabled:
-            return
-        for stage, ms in hops:
-            if stage in _HISTOGRAM_NAMES:
-                self.observe_ms(stage, ms)
 
     # -- snapshots -------------------------------------------------------------
 

@@ -7,7 +7,10 @@
 runs on both and
 holds them to the same bar — replies byte-identical to the per-event
 single-process engine, through worker crashes mid-batch, checkpointed
-tail replay and rebalances. Topology-specific behaviour (frontend
+tail replay and rebalances. The client surface all three facades share
+(:class:`~repro.engine.cluster.ClusterFacade`: DDL, backfill, ``send``)
+is held to ``single``'s replies and errors on ``single`` too.
+Topology-specific behaviour (frontend
 journals, coordinator restart from disk, supervisor internals) stays in
 ``test_sharded_frontends.py``, ``test_durable_recovery.py`` and
 ``test_shard_runtime.py``.
@@ -19,7 +22,7 @@ import pytest
 
 from repro.common.errors import EngineError
 from repro.common.timesource import default_time_source
-from repro.engine.cluster import RailgunCluster, create_cluster
+from repro.engine.cluster import ClusterFacade, RailgunCluster, create_cluster
 from repro.events.event import Event
 from repro.shard.cluster import ShardCluster
 from repro.shard.parallel import ParallelCluster
@@ -273,6 +276,85 @@ def test_backfill_survives_a_worker_killed_mid_backfill(topology):
         assert cluster.metric_values(late_id) == reference.metric_values(late_id)
 
 
+def ddl_midstream(cluster, send):
+    """The client surface driven between batches: every DDL call's
+    outcome (value or exception type) and every batch's replies."""
+    outcomes = []
+
+    def attempt(call, *args, **kwargs):
+        try:
+            outcomes.append(("ok", call(*args, **kwargs)))
+        except Exception as exc:
+            outcomes.append(("raised", type(exc).__name__))
+
+    def batch(prefix, count, **extra):
+        events = [
+            Event(
+                f"{prefix}{i}", 1000 * len(outcomes) + i,
+                {"cardId": f"c{i % 3}", "merchant": f"m{i % 2}",
+                 "amount": float(i), **extra},
+            )
+            for i in range(count)
+        ]
+        outcomes.append(("replies", [reply.results for reply in send(events)]))
+
+    cluster.create_stream(
+        "tx", ["cardId"], partitions=2, with_global_partitioner=True,
+        schema={"cardId": "string", "merchant": "string", "amount": "float"},
+    )
+    attempt(cluster.create_metric, METRIC)
+    attempt(cluster.create_metric, "SELECT count(*) FROM tx OVER sliding 5 minutes")
+    batch("a", 12)
+    attempt(cluster.create_stream, "tx", ["cardId"], schema={"cardId": "string"})
+    attempt(cluster.create_metric, "SELECT count(*) FROM ghost GROUP BY x OVER sliding 1 minutes")
+    attempt(cluster.add_partitioner, "ghost", "merchant")
+    attempt(cluster.add_partitioner, "tx", "undeclared")
+    attempt(cluster.add_partitioner, "tx", "merchant")
+    attempt(cluster.add_partitioner, "tx", "merchant")  # a repeat is a no-op
+    attempt(
+        cluster.create_metric,
+        "SELECT sum(amount), count(*) FROM tx GROUP BY merchant OVER sliding 5 minutes",
+    )
+    batch("b", 12)  # replies from the cardId, merchant and global topics
+    attempt(cluster.evolve_schema, "tx", {"channel": "string"})
+    attempt(
+        cluster.create_metric,
+        "SELECT count(*) FROM tx WHERE channel == 'pos' GROUP BY cardId "
+        "OVER sliding 5 minutes",
+    )
+    batch("c", 12, channel="pos")
+    attempt(cluster.delete_metric, 0)
+    batch("d", 12, channel="web")
+    attempt(cluster.backfill_status, 999)
+    attempt(cluster.metric_values, 999)
+    return outcomes
+
+
+@pytest.mark.parametrize("facade", ["single", "process", "process-2f"])
+def test_ddl_midstream_matches_single(facade):
+    """DDL between batches — duplicate and unknown streams, a global
+    partitioner, ``add_partitioner`` (a repeat is a no-op), schema
+    evolution, ``delete_metric``, an unknown backfill id — replies and
+    raises on every facade exactly as on ``single`` driven one event at
+    a time."""
+    reference = RailgunCluster(nodes=1, processor_units=2)
+    expected = ddl_midstream(
+        reference,
+        lambda events: [reference.send("tx", event=event) for event in events],
+    )
+    assert ("ok", "unknown") in expected
+    assert expected.count(("raised", "EngineError")) >= 4
+    if facade == "single":
+        cluster = create_cluster("single", nodes=2, processor_units=2)
+    else:
+        cluster = create_cluster("process", workers=2, **TOPOLOGIES[facade])
+    with cluster:
+        outcomes = ddl_midstream(
+            cluster, lambda events: cluster.send_batch("tx", events)
+        )
+    assert outcomes == expected
+
+
 def test_factory_dispatches_on_execution_and_frontends(topology):
     facade = {"process": ParallelCluster, "process-2f": ClusterRouter}[topology]
     with create_cluster("process", workers=1, **TOPOLOGIES[topology]) as cluster:
@@ -297,15 +379,27 @@ def test_factory_dispatches_on_execution_and_frontends(topology):
 
 
 def test_shared_api_is_defined_once():
-    """The facades keep only their transport: no public name of the
-    shared core is redefined by either, except ``ParallelCluster``'s
-    ``send_batch`` — the core's own function, bound in the facade's
-    ``__dict__`` where ``bench/trace.py`` patches it."""
+    """The facades keep only their transport. No facade redefines a
+    name of the shared client surface (``ClusterFacade``), and no
+    process facade a public name of the shard core — except
+    ``ParallelCluster``'s ``send_batch``: the core's own function, bound
+    in the facade's ``__dict__`` where ``bench/trace.py`` patches it
+    (each facade keeps its own ``send_batch``)."""
+    surface = {name for name, value in vars(ClusterFacade).items() if callable(value)}
+    assert {
+        "create_stream", "create_metric", "delete_metric", "evolve_schema",
+        "add_partitioner", "backfill_metric", "backfill_status", "send",
+        "pump", "_metric", "__enter__", "__exit__",
+    } <= surface
+    assert "send_batch" not in surface
+    for facade in (RailgunCluster, ShardCluster, ParallelCluster, ClusterRouter):
+        redefined = surface & set(vars(facade))
+        assert not redefined, (facade.__name__, sorted(redefined))
     shared = {name for name in vars(ShardCluster) if not name.startswith("_")}
-    shared |= {"__enter__", "__exit__"}
-    assert {"send", "send_batch", "create_metric", "telemetry", "close"} <= shared
+    assert {"send_batch", "telemetry", "close"} <= shared
     for facade in (ParallelCluster, ClusterRouter):
         redefined = shared & set(vars(facade)) - {"send_batch"}
         assert not redefined, (facade.__name__, sorted(redefined))
     assert "send_batch" not in vars(ClusterRouter)
     assert vars(ParallelCluster)["send_batch"] is vars(ShardCluster)["send_batch"]
+    assert "send_batch" in vars(RailgunCluster)

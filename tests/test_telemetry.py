@@ -10,8 +10,8 @@ Four claims, each proved here:
 - the wire telemetry tail is strictly additive: a frame without a
   trace encodes byte-identically to the pre-telemetry format, and an
   old frame (no tail) decodes with ``trace``/``stats`` of ``None``;
-- spans and snapshots actually cross process boundaries — over the
-  serde-framed pipe *and* the shared-memory ring — and surface in the
+- the send stamp and snapshots actually cross process boundaries — over
+  the worker data sockets *and* the frontend pipes — and surface in the
   one merged dict every facade's ``telemetry()`` returns.
 
 The companion observation-only proof (byte-identical replies with
@@ -129,19 +129,9 @@ class TestRegistryDeterministic:
         reg.observe_ms("engine_batch_ms", 1.0)
         with reg.time_stage("engine_batch_ms"):
             ts.advance(0.01)
-        reg.record_hops((("worker_queue_wait_ms", 1.0),))
         snap = reg.snapshot()
         assert snap["counters"] == {"engine_events_in_total": 2}
         assert snap["histograms"] == {}
-
-    def test_record_hops_drops_names_outside_the_catalog(self):
-        reg, _ = make_registry()
-        reg.record_hops((
-            ("worker_queue_wait_ms", 2.0),
-            ("totally_made_up_ms", 9.0),
-            ("engine_events_in_total", 1.0),  # counter, not a histogram
-        ))
-        assert set(reg.snapshot()["histograms"]) == {"worker_queue_wait_ms"}
 
 
 class TestSnapshotsAndMerge:
@@ -342,9 +332,9 @@ class TestClusterTelemetry:
         assert counters["engine_events_in_total"] == count
         assert counters["engine_replies_out_total"] == count
         histograms = merged["histograms"]
-        # The trace span's hop timings landed in the coordinator-side
-        # registry (queue wait is measured from the WorkBatch's send
-        # stamp, across the process boundary).
+        # The workers' stage histograms rode their snapshots home (queue
+        # wait is measured from the WorkBatch's send stamp, across the
+        # process boundary).
         assert histograms["worker_queue_wait_ms"]["count"] > 0
         assert histograms["worker_process_batch_ms"]["count"] > 0
         assert histograms["engine_batch_ms"]["count"] > 0
@@ -452,8 +442,6 @@ class TestFrontDoorStats:
         """``server_cluster_call_ms`` is the loop thread's time inside
         the facade, ``server_request_ms`` the whole handling of the
         frame: their difference is the server's own share."""
-        from types import SimpleNamespace
-
         from repro.engine.frontend import Reply
         from repro.server.admission import AdmissionController
         from repro.server.client import RailgunClient
@@ -468,7 +456,7 @@ class TestFrontDoorStats:
                 return super().admit(tenant, events)
 
         class SevenMsCluster:
-            bus = SimpleNamespace(messages_published=0)
+            _published = 0
 
             def send_batch(self, stream, events):
                 ts.advance(0.007)

@@ -22,6 +22,10 @@ limits too, and the paths exempt from it — each with its reason.
   ``common/storage.py``. Every durable byte goes through a
   :class:`~repro.common.storage.StorageBackend`, so a memory backend or
   a fault-injecting one sees every write, sync and rename in the tree.
+- **Private names**: ``from repro.<mod> import _name`` is refused
+  outside ``<mod>`` (its own file, or the package's files when ``<mod>``
+  is a package). A leading underscore says "this module's detail"; a
+  helper two modules share is public API and is named without one.
 
 Usage: ``python tools/check_planes.py [root ...]`` (default ``src/repro``).
 """
@@ -113,6 +117,37 @@ def _violations(tree: ast.AST, rule: Rule) -> list[tuple[int, str]]:
     return sorted(found)
 
 
+def _module_name(rel: str) -> str:
+    """``engine/cluster.py`` -> ``repro.engine.cluster`` (packages by
+    their ``__init__``)."""
+    parts = ["repro"] + rel[: -len(".py")].split("/")
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _private_imports(tree: ast.AST, rel: str) -> list[tuple[int, str]]:
+    here = _module_name(rel)
+    package = here if rel.endswith("__init__.py") else here.rpartition(".")[0]
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            base = package.rsplit(".", node.level - 1)[0] if node.level > 1 else package
+            module = f"{base}.{node.module}" if node.module else base
+        else:
+            module = node.module or ""
+        if module != "repro" and not module.startswith("repro."):
+            continue
+        if here == module or here.startswith(module + "."):
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_") and not alias.name.startswith("__"):
+                found.append((node.lineno, f"from {module} import {alias.name}"))
+    return found
+
+
 def check(roots: list[str]) -> int:
     bad = 0
     for root in roots:
@@ -130,10 +165,14 @@ def check(roots: list[str]) -> int:
                     for lineno, what in _violations(tree, rule):
                         print(f"{path}:{lineno}: raw {what} — {rule.advice}")
                         bad += 1
+                for lineno, what in _private_imports(tree, rel):
+                    print(f"{path}:{lineno}: {what} — a private name of another module")
+                    bad += 1
     if bad:
-        print(f"check_planes: {bad} raw call site(s)", file=sys.stderr)
+        print(f"check_planes: {bad} violation(s)", file=sys.stderr)
         return 1
-    print(f"check_planes: clean ({', '.join(rule.plane for rule in RULES)} planes)")
+    planes = ", ".join(rule.plane for rule in RULES)
+    print(f"check_planes: clean ({planes} planes, private names)")
     return 0
 
 
